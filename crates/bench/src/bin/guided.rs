@@ -40,8 +40,7 @@ use obx_core::ScoringEngine;
 use obx_datagen::{skewed_scenario, university_scenario, Scenario, SkewedParams, UniversityParams};
 use obx_obdm::CompiledQuery;
 use obx_query::eval::{self, EvalMode};
-use obx_srcdb::{border, AtomId, Tuple, View};
-use obx_util::FxHashSet;
+use obx_srcdb::{border, AtomSet, Tuple, View};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -195,7 +194,7 @@ fn run_panel_once(
     db: &obx_srcdb::Database,
     compiled: &[CompiledQuery],
     tuples: &[&Tuple],
-    borders: &[FxHashSet<AtomId>],
+    borders: &[AtomSet],
     mode: EvalMode,
 ) -> PanelRun {
     eval::set_mode(mode);
@@ -255,7 +254,7 @@ fn bench_hotpath(name: &str, scenario: &mut Scenario, fields: &mut String) -> f6
     // connected component, so every index slice is inside every border
     // and no access choice can matter (the search workload above runs
     // there, gated on parity for exactly that reason).
-    let borders: Vec<FxHashSet<AtomId>> = tuples
+    let borders: Vec<AtomSet> = tuples
         .iter()
         .map(|t| border(db, t, HOTPATH_RADIUS))
         .collect();

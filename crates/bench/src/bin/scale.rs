@@ -1,5 +1,5 @@
-//! Million-atom data-layer benchmark: snapshot loading, parallel border
-//! BFS, interner pre-sizing, and end-to-end explain parity at scale.
+//! Million-atom data-layer benchmark: snapshot loading, border BFS,
+//! interner pre-sizing, and end-to-end explain parity at scale.
 //!
 //! Four phases over [`obx_datagen::scale`] scenarios, with a single-line
 //! JSON summary written to `BENCH_scale.json` at the workspace root:
@@ -10,14 +10,9 @@
 //!    `data.obxsnap` built by `obx snapshot build`. Both loads must
 //!    produce byte-identical databases and labels, and the snapshot
 //!    path must be **≥10× faster** — a hard gate (exit 1).
-//! 2. **Border** — radius-1 borders around every labelled tuple,
-//!    computed serially and through the worker pool. Layers must be
-//!    byte-identical, and the parallel pass must beat the serial one
-//!    (hard gate) whenever the pool has worker threads — hub frontiers
-//!    at this scale are far past the engagement threshold. On a
-//!    single-core host (0 workers) the gate degrades to a bounded
-//!    dispatch-overhead check, and the JSON records `border_workers`
-//!    so readers can tell which gate applied.
+//! 2. **Border** — radius-1 borders around every labelled tuple, built
+//!    the way `PreparedLabels` builds them (one reused BFS scratch).
+//!    `border_serial_ms` is the wall time the regression gate compares.
 //! 3. **Interner** — the satellite micro-benchmark: bulk-interning the
 //!    scenario's constant population into a cold [`Interner`] versus
 //!    one pre-sized with [`Interner::with_capacity`], the fast path
@@ -35,7 +30,7 @@ use obx_core::scenario::{build_snapshot, load_dir, write_scenario_dir, LoadedSce
 use obx_core::score::Scoring;
 use obx_core::strategies::BeamSearch;
 use obx_datagen::scale::{scale_scenario, ScaleParams};
-use obx_srcdb::{border_workers, Border, BorderMode, Const, Tuple};
+use obx_srcdb::{Border, BorderScratch, Const, Tuple};
 use obx_util::{Interner, Interrupt, Symbol};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -50,8 +45,8 @@ const BIG_LABELS: usize = 16;
 /// search over hub borders stays in bench territory.
 const MED_ATOMS: usize = 100_000;
 /// Border radius for the border phase. Radius 1 keeps per-tuple borders
-/// at hub-slice size (~10⁵ atoms) — large enough to engage the pool,
-/// small enough that the phase times expansion, not set assembly.
+/// at hub-slice size (~10⁵ atoms): large frontiers, but small enough that
+/// the phase times expansion, not set assembly.
 const BORDER_RADIUS: usize = 1;
 /// Repetitions per timed section; best wall time kept.
 const REPS: usize = 3;
@@ -118,8 +113,8 @@ fn bench_load(dir: &Path, fields: &mut String) -> (f64, LoadedScenario) {
     (load_speedup, snap_loaded)
 }
 
-/// Phase 2: serial vs pooled border BFS over every labelled tuple.
-fn bench_border(loaded: &LoadedScenario, fields: &mut String) -> f64 {
+/// Phase 2: the border BFS over every labelled tuple.
+fn bench_border(loaded: &LoadedScenario, fields: &mut String) {
     let db = loaded.system.db();
     let tuples: Vec<&Tuple> = loaded
         .labels
@@ -128,45 +123,28 @@ fn bench_border(loaded: &LoadedScenario, fields: &mut String) -> f64 {
         .chain(loaded.labels.neg().iter())
         .collect();
     let interrupt = Interrupt::none();
-    let run = |mode: BorderMode| -> Vec<Border> {
+    let (border_serial_ms, borders) = best_of(|| {
+        let mut scratch = BorderScratch::new();
         tuples
             .iter()
-            .map(|t| Border::compute_with_mode(db, t, BORDER_RADIUS, &interrupt, mode))
-            .collect()
-    };
-
-    let (border_serial_ms, serial) = best_of(|| run(BorderMode::Serial));
-    let (border_parallel_ms, parallel) = best_of(|| run(BorderMode::Parallel));
-    let border_speedup = border_serial_ms / border_parallel_ms.max(1e-9);
-    let atoms: usize = serial.iter().map(|b| b.atoms().len()).sum();
-    for (s, p) in serial.iter().zip(parallel.iter()) {
-        assert_eq!(s.num_layers(), p.num_layers(), "layer counts diverge");
-        for j in 0..s.num_layers() {
-            assert_eq!(s.layer(j), p.layer(j), "border layer {j} diverges");
-        }
-    }
-    let workers = border_workers();
+            .map(|t| Border::compute_in(db, t, BORDER_RADIUS, &interrupt, &mut scratch))
+            .collect::<Vec<_>>()
+    });
+    let atoms: usize = borders.iter().map(Border::len).sum();
     eprintln!(
-        "border r={BORDER_RADIUS}: {border_serial_ms:.1} ms serial -> \
-         {border_parallel_ms:.1} ms parallel ({border_speedup:.2}x, \
-         {workers} pool workers) over {} tuples, {atoms} border atoms total",
+        "border r={BORDER_RADIUS}: {border_serial_ms:.1} ms over {} tuples, \
+         {atoms} border atoms total",
         tuples.len()
     );
     fields.push_str(&format!(
         concat!(
-            "\"border_serial_ms\":{:.3},\"border_parallel_ms\":{:.3},",
-            "\"border_speedup\":{:.2},\"border_workers\":{},",
+            "\"border_serial_ms\":{:.3},",
             "\"border_tuples\":{},\"border_atoms\":{},",
-            "\"identical_border\":true,",
         ),
         border_serial_ms,
-        border_parallel_ms,
-        border_speedup,
-        workers,
         tuples.len(),
         atoms,
     ));
-    border_speedup
 }
 
 /// Phase 3: the interner pre-sizing micro-benchmark (satellite). The
@@ -288,7 +266,7 @@ fn main() {
     drop(big);
 
     let (load_speedup, snap_loaded) = bench_load(&big_dir, &mut fields);
-    let border_speedup = bench_border(&snap_loaded, &mut fields);
+    bench_border(&snap_loaded, &mut fields);
     bench_intern(&snap_loaded, &mut fields);
     drop(snap_loaded);
     let _ = std::fs::remove_dir_all(&big_dir);
@@ -318,40 +296,10 @@ fn main() {
         std::fs::canonicalize(&path).unwrap_or(path).display()
     );
 
-    // Hard gates (acceptance): the binary snapshot must load the
-    // 10⁶-atom scenario ≥10× faster than the text artifacts, and the
-    // pooled border BFS must beat the serial one at this scale. The
-    // second gate is only meaningful when the pool actually has worker
-    // threads: on a single-core host `BorderMode::Parallel` degenerates
-    // to the caller expanding alone, so the honest assertion there is
-    // bounded overhead (dispatch must cost <20%), not speedup.
-    let mut failed = false;
+    // Hard gate (acceptance): the binary snapshot must load the
+    // 10⁶-atom scenario ≥10× faster than the text artifacts.
     if load_speedup < 10.0 {
         eprintln!("FAIL: snapshot load speedup {load_speedup:.2}x below the 10x acceptance target");
-        failed = true;
-    }
-    let workers = border_workers();
-    if workers > 0 {
-        if border_speedup < 1.0 {
-            eprintln!(
-                "FAIL: parallel border BFS ({border_speedup:.2}x, {workers} workers) \
-                 does not beat serial"
-            );
-            failed = true;
-        }
-    } else if border_speedup < 0.8 {
-        eprintln!(
-            "FAIL: border pool dispatch overhead ({border_speedup:.2}x) exceeds 20% \
-             on a single-core host"
-        );
-        failed = true;
-    } else {
-        eprintln!(
-            "note: single-core host (0 pool workers) — border gate checks \
-             dispatch overhead, not speedup"
-        );
-    }
-    if failed {
         std::process::exit(1);
     }
 }

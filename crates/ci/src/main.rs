@@ -7,9 +7,11 @@
 //! ```
 //!
 //! Runs the gate steps in order — `fmt --check`, workspace clippy with
-//! warnings denied, a release build, the test suite, and the bench
-//! bins — then compares the fresh bench numbers against the committed
-//! `BENCH_*.json` baselines (scoring, search, guided, serve, scale,
+//! warnings denied, a release build, the test suite, a build and
+//! self-test of the standalone `perfbench` package (outside the
+//! workspace, so nothing else compiles it against the library API), and
+//! the bench bins — then compares the fresh bench numbers against the
+//! committed `BENCH_*.json` baselines (scoring, search, guided, serve, scale,
 //! modes) and fails on a wall-time regression above 20% that is also
 //! more than 5 ms absolute (sub-millisecond benches jitter past 20% on
 //! a loaded machine; the bench bins' own hard floors, e.g. the 2×
@@ -327,7 +329,7 @@ fn main() {
         .map(|f| std::fs::read_to_string(root.join(f)).ok())
         .collect();
 
-    let steps: [(&'static str, &[&str]); 10] = [
+    let steps: [(&'static str, &[&str]); 11] = [
         ("fmt", &["fmt", "--all", "--", "--check"]),
         (
             "clippy",
@@ -343,6 +345,10 @@ fn main() {
         ),
         ("build", &["build", "--release", "--workspace"]),
         ("test", &["test", "-q", "--release"]),
+        (
+            "perfbench",
+            &["test", "-q", "--manifest-path", "perfbench/Cargo.toml"],
+        ),
         (
             "bench-scoring",
             &["run", "--release", "-p", "obx-bench", "--bin", "smoke"],

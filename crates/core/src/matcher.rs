@@ -13,8 +13,9 @@
 use crate::labels::Labels;
 use obx_obdm::{CompiledQuery, ObdmError, ObdmSystem};
 use obx_query::{OntoUcq, SrcCq, SrcUcq};
-use obx_srcdb::{AtomId, Border, Const, Tuple, View};
+use obx_srcdb::{AtomSet, Bitmap, Border, BorderScratch, Const, Tuple, View};
 use obx_util::FxHashSet;
+use std::sync::Arc;
 
 /// Confusion counts of a query against λ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -385,8 +386,8 @@ impl MatchBits {
 pub struct PreparedLabels<'a> {
     system: &'a ObdmSystem,
     radius: usize,
-    pos: Vec<(Tuple, FxHashSet<AtomId>)>,
-    neg: Vec<(Tuple, FxHashSet<AtomId>)>,
+    pos: Vec<(Tuple, Arc<AtomSet>)>,
+    neg: Vec<(Tuple, Arc<AtomSet>)>,
 }
 
 impl<'a> PreparedLabels<'a> {
@@ -405,20 +406,35 @@ impl<'a> PreparedLabels<'a> {
         radius: usize,
         interrupt: &obx_util::Interrupt,
     ) -> Self {
-        let compute = |tuples: &[Tuple]| -> Vec<(Tuple, FxHashSet<AtomId>)> {
+        let mut scratch = BorderScratch::new();
+        // Tuples around the same hubs often share their whole border;
+        // equal sets are stored once.
+        let mut distinct: FxHashSet<Arc<AtomSet>> = FxHashSet::default();
+        let mut compute = |tuples: &[Tuple]| -> Vec<(Tuple, Arc<AtomSet>)> {
             tuples
                 .iter()
                 .map(|t| {
-                    let border = Border::compute_interruptible(system.db(), t, radius, interrupt);
-                    (t.clone(), border.atoms().clone())
+                    let atoms = Border::compute_in(system.db(), t, radius, interrupt, &mut scratch)
+                        .into_atoms();
+                    let shared = match distinct.get(&atoms) {
+                        Some(a) => Arc::clone(a),
+                        None => {
+                            let a = Arc::new(atoms);
+                            distinct.insert(Arc::clone(&a));
+                            a
+                        }
+                    };
+                    (t.clone(), shared)
                 })
                 .collect()
         };
+        let pos = compute(labels.pos());
+        let neg = compute(labels.neg());
         Self {
             system,
             radius,
-            pos: compute(labels.pos()),
-            neg: compute(labels.neg()),
+            pos,
+            neg,
         }
     }
 
@@ -442,29 +458,26 @@ impl<'a> PreparedLabels<'a> {
         self.neg.len()
     }
 
-    /// Positive tuples with their border atom sets.
-    pub fn pos(&self) -> &[(Tuple, FxHashSet<AtomId>)] {
+    /// Positive tuples with their border atom sets (tuples with equal
+    /// borders share one set).
+    pub fn pos(&self) -> &[(Tuple, Arc<AtomSet>)] {
         &self.pos
     }
 
-    /// Negative tuples with their border atom sets.
-    pub fn neg(&self) -> &[(Tuple, FxHashSet<AtomId>)] {
+    /// Negative tuples with their border atom sets (shared like
+    /// [`PreparedLabels::pos`]'s).
+    pub fn neg(&self) -> &[(Tuple, Arc<AtomSet>)] {
         &self.neg
     }
 
     /// Whether the compiled query J-matches one tuple's border.
-    pub fn matches(
-        &self,
-        compiled: &CompiledQuery,
-        tuple: &[Const],
-        border: &FxHashSet<AtomId>,
-    ) -> bool {
+    pub fn matches(&self, compiled: &CompiledQuery, tuple: &[Const], border: &AtomSet) -> bool {
         compiled.member(View::masked(self.system.db(), border), tuple)
     }
 
     /// Match statistics of a compiled ontology query against λ.
     pub fn stats(&self, compiled: &CompiledQuery) -> MatchStats {
-        let count = |set: &[(Tuple, FxHashSet<AtomId>)]| {
+        let count = |set: &[(Tuple, Arc<AtomSet>)]| {
             set.iter()
                 .filter(|(t, b)| self.matches(compiled, t, b))
                 .count()
@@ -555,7 +568,7 @@ impl<'a> PreparedLabels<'a> {
     /// Match statistics of a *source-level* query (the data-level baseline
     /// evaluates directly, without rewriting/unfolding).
     pub fn stats_src(&self, src: &SrcUcq) -> MatchStats {
-        let member = |t: &[Const], b: &FxHashSet<AtomId>| {
+        let member = |t: &[Const], b: &AtomSet| {
             obx_query::eval::satisfies_ucq(View::masked(self.system.db(), b), src, t)
         };
         MatchStats {
@@ -584,28 +597,43 @@ impl<'a> PreparedLabels<'a> {
     /// over-fits by construction (it can only ever describe that
     /// individual).
     pub fn relevant_constants(&self, cap: usize) -> Vec<Const> {
-        let labelled: FxHashSet<Const> = self
+        let db = self.system.db();
+        let n = db.consts().len();
+        let mut labelled = Bitmap::with_capacity(n);
+        for (t, _) in self.pos.iter().chain(self.neg.iter()) {
+            for c in t.iter() {
+                labelled.insert(c.0.index());
+            }
+        }
+        // `stamp[c]` = 1 + the index of the last border that counted `c`,
+        // so a constant scores once per border however often it occurs.
+        let mut stamp: Vec<usize> = vec![0; n];
+        let mut score: Vec<i64> = vec![0; n];
+        let mut touched: Vec<Const> = Vec::new();
+        let borders = self
             .pos
             .iter()
-            .chain(self.neg.iter())
-            .flat_map(|(t, _)| t.iter().copied())
-            .collect();
-        let mut score: obx_util::FxHashMap<Const, i64> = obx_util::FxHashMap::default();
-        let mut tally = |set: &[(Tuple, FxHashSet<AtomId>)], weight: i64| {
-            for (_, border) in set {
-                let mut seen: FxHashSet<Const> = FxHashSet::default();
-                for &id in border {
-                    for &c in self.system.db().atom(id).args.iter() {
-                        if !labelled.contains(&c) && seen.insert(c) {
-                            *score.entry(c).or_insert(0) += weight;
-                        }
+            .map(|(_, b)| (b, 1))
+            .chain(self.neg.iter().map(|(_, b)| (b, -1)));
+        for (i, (border, weight)) in borders.enumerate() {
+            for id in border.iter() {
+                for &c in db.atom(id).args.iter() {
+                    let k = c.0.index();
+                    if stamp[k] == i + 1 || labelled.contains(k) {
+                        continue;
                     }
+                    if stamp[k] == 0 {
+                        touched.push(c);
+                    }
+                    stamp[k] = i + 1;
+                    score[k] += weight;
                 }
             }
-        };
-        tally(&self.pos, 1);
-        tally(&self.neg, -1);
-        let mut pairs: Vec<(Const, i64)> = score.into_iter().collect();
+        }
+        let mut pairs: Vec<(Const, i64)> = touched
+            .into_iter()
+            .map(|c| (c, score[c.0.index()]))
+            .collect();
         pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         pairs.truncate(cap);
         pairs.into_iter().map(|(c, _)| c).collect()

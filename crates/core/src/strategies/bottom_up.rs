@@ -143,7 +143,7 @@ impl Strategy for BottomUpGeneralize {
 fn most_specific_query(
     task: &ExplainTask<'_>,
     tuple: &[Const],
-    border: &FxHashSet<obx_srcdb::AtomId>,
+    border: &obx_srcdb::AtomSet,
     max_seed_atoms: usize,
 ) -> Option<OntoCq> {
     let system = task.system();

@@ -167,7 +167,7 @@ pub fn scale_scenario(params: ScaleParams) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obx_srcdb::{Border, BorderMode};
+    use obx_srcdb::{Border, BorderScratch};
     use obx_util::Interrupt;
 
     fn small() -> ScaleParams {
@@ -223,12 +223,11 @@ mod tests {
         assert!(hub > tail / 4, "hub {hub} not dominant over tail {tail}");
     }
 
-    /// Satellite equivalence suite: the parallel border BFS must be
-    /// byte-identical to the serial one on generated scenarios, not just
-    /// unit fixtures. The scale family's hubs force large frontiers, so
-    /// parallel mode genuinely engages its chunked expansion.
+    /// One BFS scratch reused across every tuple (as `PreparedLabels`
+    /// uses it) must give byte-identical borders to a fresh scratch per
+    /// tuple on generated scenarios, whose hubs force large frontiers.
     #[test]
-    fn parallel_border_is_byte_identical_on_generated_scenarios() {
+    fn border_scratch_reuse_is_byte_identical_on_generated_scenarios() {
         for scenario in [
             scale_scenario(small()),
             crate::skewed::skewed_scenario(crate::skewed::SkewedParams::default()),
@@ -237,32 +236,22 @@ mod tests {
             let db = scenario.system.db();
             let mut tuples: Vec<_> = scenario.labels.pos().iter().take(3).cloned().collect();
             tuples.extend(scenario.labels.neg().iter().take(2).cloned());
+            let mut scratch = BorderScratch::new();
             for tuple in &tuples {
                 for radius in 0..3 {
-                    let serial = Border::compute_with_mode(
-                        db,
-                        tuple,
-                        radius,
-                        &Interrupt::none(),
-                        BorderMode::Serial,
-                    );
-                    let parallel = Border::compute_with_mode(
-                        db,
-                        tuple,
-                        radius,
-                        &Interrupt::none(),
-                        BorderMode::Parallel,
-                    );
-                    assert_eq!(serial.num_layers(), parallel.num_layers());
-                    for j in 0..serial.num_layers() {
+                    let fresh = Border::compute(db, tuple, radius);
+                    let reused =
+                        Border::compute_in(db, tuple, radius, &Interrupt::none(), &mut scratch);
+                    assert_eq!(fresh.num_layers(), reused.num_layers());
+                    for j in 0..fresh.num_layers() {
                         assert_eq!(
-                            serial.layer(j),
-                            parallel.layer(j),
+                            fresh.layer(j),
+                            reused.layer(j),
                             "layer {j} mismatch in {} r={radius}",
                             scenario.description
                         );
                     }
-                    assert_eq!(serial.atoms(), parallel.atoms());
+                    assert_eq!(fresh.atoms(), reused.atoms());
                 }
             }
         }

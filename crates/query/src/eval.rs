@@ -745,8 +745,8 @@ mod tests {
         .unwrap();
         // Mask down to the single ENR(C12, …) fact.
         let c12 = c(&db, "C12");
-        let mask: FxHashSet<obx_srcdb::AtomId> =
-            db.atoms_with(enr, 0, c12).iter().copied().collect();
+        let mask =
+            obx_srcdb::AtomSet::from_ids(db.len(), db.atoms_with(enr, 0, c12).iter().copied());
         let ans = answers(View::masked(&db, &mask), &q);
         assert_eq!(ans.len(), 1);
         assert!(ans.contains(&vec![c12].into_boxed_slice()));
@@ -901,7 +901,7 @@ mod tests {
         assert_eq!(effective_mode(&View::full(&db)), EvalMode::Guided);
         // A masked view is gated by its *visible* atom count, not the
         // database's: a border-sized mask over a big database goes legacy.
-        let mask: obx_util::FxHashSet<obx_srcdb::AtomId> = db.atom_ids().take(3).collect();
+        let mask = obx_srcdb::AtomSet::from_ids(db.len(), db.atom_ids().take(3));
         set_guided_min_view(4);
         assert_eq!(effective_mode(&View::masked(&db, &mask)), EvalMode::Legacy);
         // Forced modes pass through the gate untouched.

@@ -50,7 +50,7 @@
 
 use crate::src::{SrcAtom, SrcCq};
 use crate::term::{Term, VarId};
-use obx_srcdb::{Atom, AtomId, AtomRef, Const, View};
+use obx_srcdb::{Atom, AtomId, AtomRef, AtomSet, Const, View};
 use obx_util::FxHashSet;
 use std::sync::atomic::Ordering;
 
@@ -72,7 +72,7 @@ const GOAL_EAGER_MAX: usize = 16;
 /// relation + consistency), whichever is smaller.
 enum Access<'v> {
     Slice(&'v [AtomId]),
-    Mask(&'v FxHashSet<AtomId>),
+    Mask(&'v AtomSet),
 }
 
 /// One guided evaluation: the constraint set of a single CQ over a view,
@@ -446,7 +446,7 @@ impl<'v, 'q> Guided<'v, 'q> {
                 }
             }
             Access::Mask(m) => {
-                for &id in m {
+                for id in m {
                     self.nodes += 1;
                     visit!(id);
                 }
@@ -608,7 +608,7 @@ impl<'v, 'q> Guided<'v, 'q> {
                     }
                 }
                 Access::Mask(m) => {
-                    for &id in m {
+                    for id in m {
                         self.nodes += 1;
                         let fact = view.atom(id);
                         if fact.rel == atom.rel
@@ -664,7 +664,7 @@ impl<'v, 'q> Guided<'v, 'q> {
                 }
             }
             Access::Mask(m) => {
-                for &id in m {
+                for id in m {
                     self.nodes += 1;
                     let fact = view.atom(id);
                     if fact.rel == atom.rel && self.consistent(atom, fact) {
@@ -921,7 +921,7 @@ mod tests {
         let q = SrcCq::new(vec![VarId(0)], vec![SrcAtom::new(e, [var(0), var(0)])]).unwrap();
         let full = answers(View::full(&db), &q);
         assert_eq!(full.len(), 2);
-        let mask: FxHashSet<AtomId> = [aa].into_iter().collect();
+        let mask = AtomSet::from_ids(db.len(), [aa]);
         let masked = answers(View::masked(&db, &mask), &q);
         assert_eq!(masked.len(), 1);
         assert!(masked.contains(&vec![c(&db, "a")].into_boxed_slice()));

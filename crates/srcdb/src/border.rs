@@ -18,168 +18,58 @@
 //! using [`Database::atoms_mentioning`], i.e. `O(Σ |incident atoms|)` —
 //! near-linear in the size of the reached sub-database (experiment E8).
 
-// BFS shards run on the shared worker pool; a panic in one shard would
-// poison the pool for every later caller in the process.
+// The BFS runs inside every served explain; a panic here would trip the
+// tenant's circuit breaker instead of returning a truncated border.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::atom::AtomId;
+use crate::atomset::{AtomSet, Bitmap};
 use crate::consts::Const;
 use crate::database::Database;
 use crate::view::View;
-use obx_util::pool::{configured_threads, WorkerPool};
-use obx_util::FxHashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{LazyLock, OnceLock};
+use std::sync::LazyLock;
 
 /// Process-wide count of materialised border atoms (per-run counts live on
 /// the `border` span).
 static BORDER_ATOMS: LazyLock<&'static obx_util::obs::Counter> =
     LazyLock::new(|| obx_util::obs::counter("obx.border.atoms"));
 
-/// The process-wide pool sharding frontier expansion. Spawned lazily on
-/// the first layer big enough to parallelise, sized like the scoring pool
-/// (`OBX_THREADS`, else available parallelism; the caller participates,
-/// so `n - 1` extra threads).
-static BORDER_POOL: OnceLock<WorkerPool> = OnceLock::new();
-
-fn border_pool() -> &'static WorkerPool {
-    BORDER_POOL
-        .get_or_init(|| WorkerPool::named(configured_threads().saturating_sub(1), "obx-border"))
+/// Dense dedup bitmaps for the border BFS — atoms and constants already
+/// reached — so membership tests are one word probe instead of a hash.
+///
+/// A scratch is clear between borders: each BFS resets exactly the bits
+/// it set, from its own member lists, so reusing one scratch across many
+/// tuples costs `O(border)` per tuple rather than `O(database)`.
+#[derive(Debug, Default)]
+pub struct BorderScratch {
+    atoms: Bitmap,
+    consts: Bitmap,
 }
 
-/// Number of extra worker threads the border pool will engage (0 on a
-/// single-core host, where `BorderMode::Auto` always expands serially).
-/// Benchmarks consult this to know whether a parallel-beats-serial
-/// expectation is even meaningful on the current machine.
-pub fn border_workers() -> usize {
-    border_pool().workers()
-}
-
-/// Incident-atom work below which a layer expands serially: sharding a
-/// small frontier costs more in latch traffic than the scan itself.
-const PARALLEL_WORK_THRESHOLD: usize = 1 << 13;
-
-/// Frontier items per work chunk. Chunks are claimed off an atomic cursor
-/// (dynamic distribution — a hub constant's huge posting delays only the
-/// thread that drew it) and merged back **in chunk order**, which is what
-/// keeps parallel discovery order byte-identical to the serial loop.
-const CHUNK: usize = 256;
-
-/// Forcing knob for the layer-expansion strategy, mostly for equivalence
-/// tests and incident diagnosis. [`BorderMode::Auto`] (the default
-/// everywhere) picks per layer based on the incident-atom work estimate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BorderMode {
-    /// Parallelise a layer when its work estimate crosses the threshold.
-    #[default]
-    Auto,
-    /// Always expand on the calling thread.
-    Serial,
-    /// Always shard across the border pool.
-    Parallel,
-}
-
-impl BorderMode {
-    #[inline]
-    fn parallel(self, work: usize) -> bool {
-        match self {
-            BorderMode::Serial => false,
-            BorderMode::Parallel => true,
-            BorderMode::Auto => work >= PARALLEL_WORK_THRESHOLD && border_pool().workers() > 0,
-        }
+impl BorderScratch {
+    /// An empty scratch; it sizes itself to the database on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
-}
-
-/// Runs `f` over `items` in [`CHUNK`]-sized slices on the border pool and
-/// returns each chunk's output **in chunk index order** — the merge side
-/// then replays first-occurrence dedup exactly as the serial loop would.
-/// `f` must only read shared state.
-fn chunked_map<T, U, F>(items: &[T], f: F) -> Vec<Vec<U>>
-where
-    T: Sync,
-    U: Send + Sync,
-    F: Fn(&[T]) -> Vec<U> + Sync,
-{
-    let n_chunks = items.len().div_ceil(CHUNK);
-    let slots: Vec<OnceLock<Vec<U>>> = (0..n_chunks).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    border_pool().run(&|| loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n_chunks {
-            break;
-        }
-        let start = i * CHUNK;
-        let end = ((i + 1) * CHUNK).min(items.len());
-        let _ = slots[i].set(f(&items[start..end]));
-    });
-    slots
-        .into_iter()
-        .map(|s| match s.into_inner() {
-            Some(v) => v,
-            // Only reachable if a pool job panicked mid-chunk; dropping
-            // atoms silently would corrupt the border, so propagate.
-            None => panic!("border expansion chunk lost to a worker panic"),
-        })
-        .collect()
-}
-
-/// The candidate stream for the next BFS layer: for every frontier
-/// constant (in order), the incident atoms not already in the border.
-/// Intra-layer duplicates are *not* removed here — the caller's in-order
-/// `all.insert` merge does that, reproducing serial discovery order.
-fn expand_candidates(
-    db: &Database,
-    frontier: &[Const],
-    all: &FxHashSet<AtomId>,
-) -> Vec<Vec<AtomId>> {
-    chunked_map(frontier, |consts| {
-        let mut out = Vec::new();
-        for &c in consts {
-            for &id in db.atoms_mentioning(c) {
-                if !all.contains(&id) {
-                    out.push(id);
-                }
-            }
-        }
-        out
-    })
 }
 
 /// Collects the next frontier — constants first seen in `layer`'s atoms —
-/// in serial discovery order, sharding the scan when the layer is large.
+/// in discovery order, marking them seen.
 fn collect_frontier(
     db: &Database,
     layer: &[AtomId],
-    seen_consts: &mut FxHashSet<Const>,
-    mode: BorderMode,
+    seen: &mut Bitmap,
+    seen_list: &mut Vec<Const>,
 ) -> Vec<Const> {
     let mut next_frontier = Vec::new();
-    if mode.parallel(layer.len()) {
-        let chunks = chunked_map(layer, |ids| {
-            let mut out = Vec::new();
-            for &id in ids {
-                for &c in db.atom(id).args.iter() {
-                    if !seen_consts.contains(&c) {
-                        out.push(c);
-                    }
-                }
-            }
-            out
-        });
-        for c in chunks.into_iter().flatten() {
-            if seen_consts.insert(c) {
+    for &id in layer {
+        for &c in db.atom(id).args.iter() {
+            if seen.insert(c.0.index()) {
                 next_frontier.push(c);
             }
         }
-    } else {
-        for &id in layer {
-            for &c in db.atom(id).args.iter() {
-                if seen_consts.insert(c) {
-                    next_frontier.push(c);
-                }
-            }
-        }
     }
+    seen_list.extend_from_slice(&next_frontier);
     next_frontier
 }
 
@@ -202,17 +92,17 @@ fn charge_layer(interrupt: &obx_util::Interrupt, atoms: usize) -> bool {
 /// `from` (including the atoms of `from` themselves, which trivially share
 /// their own constants). Exposed mostly for tests and documentation; the
 /// border BFS below uses frontier bookkeeping instead of re-scanning.
-pub fn reachable_from(db: &Database, from: &FxHashSet<AtomId>) -> FxHashSet<AtomId> {
-    let mut out = FxHashSet::default();
-    let mut seen_consts: FxHashSet<Const> = FxHashSet::default();
-    for &id in from {
+pub fn reachable_from(db: &Database, from: &AtomSet) -> AtomSet {
+    let mut out = Vec::new();
+    let mut seen_consts = Bitmap::default();
+    for id in from {
         for &c in db.atom(id).args.iter() {
-            if seen_consts.insert(c) {
-                out.extend(db.atoms_mentioning(c).iter().copied());
+            if seen_consts.insert(c.0.index()) {
+                out.extend_from_slice(db.atoms_mentioning(c));
             }
         }
     }
-    out
+    AtomSet::from_ids(db.len(), out)
 }
 
 /// The border `B_{t,r}(D)` of a tuple, with its BFS layers `W_{t,j}`.
@@ -225,12 +115,12 @@ pub struct Border {
     /// `layers[j]` = `W_{t,j}(D)`, in discovery order. Trailing layers may
     /// be empty when the BFS exhausted the connected component early.
     layers: Vec<Vec<AtomId>>,
-    all: FxHashSet<AtomId>,
+    /// The union of `layers`, frozen after every expansion.
+    all: AtomSet,
     /// Constants discovered in the most recent layer, not yet expanded.
     frontier: Vec<Const>,
-    seen_consts: FxHashSet<Const>,
-    /// Layer-expansion strategy, fixed at construction (extensions reuse it).
-    mode: BorderMode,
+    /// Every constant reached so far (the tuple's, then each frontier's).
+    seen_consts: Vec<Const>,
 }
 
 impl Border {
@@ -249,44 +139,43 @@ impl Border {
         radius: usize,
         interrupt: &obx_util::Interrupt,
     ) -> Self {
-        Self::compute_with_mode(db, tuple, radius, interrupt, BorderMode::default())
+        Self::compute_in(db, tuple, radius, interrupt, &mut BorderScratch::new())
     }
 
-    /// [`Border::compute_interruptible`] with an explicit layer-expansion
-    /// strategy. Every mode produces byte-identical layers — [`BorderMode`]
-    /// only chooses *where* the incidence scans run.
-    pub fn compute_with_mode(
+    /// [`Border::compute_interruptible`] in a caller-owned scratch, which
+    /// comes back clear — one scratch serves every tuple of a label set.
+    pub fn compute_in(
         db: &Database,
         tuple: &[Const],
         radius: usize,
         interrupt: &obx_util::Interrupt,
-        mode: BorderMode,
+        scratch: &mut BorderScratch,
     ) -> Self {
-        // Layer 0: atoms that mention a constant appearing in t. The tuple
-        // has a handful of constants — always expanded on the caller.
-        let mut seen_consts: FxHashSet<Const> = FxHashSet::default();
-        let mut all: FxHashSet<AtomId> = FxHashSet::default();
+        scratch.atoms.reserve(db.len());
+        scratch.consts.reserve(db.consts().len());
+        // Layer 0: atoms that mention a constant appearing in t.
+        let mut seen_consts: Vec<Const> = Vec::new();
         let mut layer0: Vec<AtomId> = Vec::new();
         for &c in tuple {
-            if !seen_consts.insert(c) {
+            if !scratch.consts.insert(c.0.index()) {
                 continue;
             }
+            seen_consts.push(c);
             for &id in db.atoms_mentioning(c) {
-                if all.insert(id) {
+                if scratch.atoms.insert(id.index()) {
                     layer0.push(id);
                 }
             }
         }
         // Constants of t are expanded; constants first seen inside layer-0
         // atoms form the frontier for layer 1.
-        let frontier = collect_frontier(db, &layer0, &mut seen_consts, mode);
+        let frontier = collect_frontier(db, &layer0, &mut scratch.consts, &mut seen_consts);
         let layer0_len = layer0.len();
         let mut border = Self {
             layers: vec![layer0],
-            all,
+            all: AtomSet::empty(db.len()),
             frontier,
             seen_consts,
-            mode,
         };
         let mut sp = obx_util::span!(interrupt.recorder(), "border");
         sp.count("atoms", layer0_len as u64);
@@ -296,7 +185,14 @@ impl Border {
         // Layer 0 is already materialized, so it is charged either way; a
         // trip just stops the border from growing past it.
         if charge_layer(interrupt, layer0_len) {
-            border.extend_layers(db, radius, interrupt, &mut sp);
+            border.extend_layers(db, radius, interrupt, &mut sp, scratch);
+        }
+        border.freeze(db, scratch);
+        for &c in &border.seen_consts {
+            scratch.consts.remove(c.0.index());
+        }
+        for id in border.layers.iter().flatten() {
+            scratch.atoms.remove(id.index());
         }
         border
     }
@@ -320,10 +216,23 @@ impl Border {
         interrupt: &obx_util::Interrupt,
     ) -> bool {
         let mut sp = obx_util::span!(interrupt.recorder(), "border");
-        self.extend_layers(db, radius, interrupt, &mut sp)
+        if self.layers.len() > radius {
+            return true;
+        }
+        // Rebuild the dedup state the BFS left off with.
+        let mut scratch = BorderScratch::new();
+        for &c in &self.seen_consts {
+            scratch.consts.insert(c.0.index());
+        }
+        for id in self.layers.iter().flatten() {
+            scratch.atoms.insert(id.index());
+        }
+        let reached = self.extend_layers(db, radius, interrupt, &mut sp, &mut scratch);
+        self.freeze(db, &scratch);
+        reached
     }
 
-    /// The BFS layer loop behind [`Border::compute_interruptible`] and
+    /// The BFS layer loop behind [`Border::compute_in`] and
     /// [`Border::extend_interruptible`]; per-layer atom counts and the
     /// frontier high-water mark go on the caller's span so each public
     /// entry point records exactly one `border` span.
@@ -333,6 +242,7 @@ impl Border {
         radius: usize,
         interrupt: &obx_util::Interrupt,
         sp: &mut obx_util::obs::Span<'_>,
+        scratch: &mut BorderScratch,
     ) -> bool {
         while self.layers.len() <= radius {
             if interrupt.is_triggered() {
@@ -348,30 +258,15 @@ impl Border {
                 return false;
             }
             let mut layer: Vec<AtomId> = Vec::new();
-            // Work estimate for the strategy choice: total incident atoms
-            // across the frontier, an O(|frontier|) sum of index lengths.
-            let work: usize = self.frontier.iter().map(|&c| db.count_mentioning(c)).sum();
-            if self.mode.parallel(work) {
-                // Shard the incidence scans (and the `all`-membership
-                // filter) across the pool; the in-order merge below runs
-                // first-occurrence dedup exactly like the serial loop, so
-                // discovery order is byte-identical.
-                let chunks = expand_candidates(db, &self.frontier, &self.all);
-                for id in chunks.into_iter().flatten() {
-                    if self.all.insert(id) {
+            for &c in &self.frontier {
+                for &id in db.atoms_mentioning(c) {
+                    if scratch.atoms.insert(id.index()) {
                         layer.push(id);
                     }
                 }
-            } else {
-                for &c in &self.frontier {
-                    for &id in db.atoms_mentioning(c) {
-                        if self.all.insert(id) {
-                            layer.push(id);
-                        }
-                    }
-                }
             }
-            self.frontier = collect_frontier(db, &layer, &mut self.seen_consts, self.mode);
+            self.frontier =
+                collect_frontier(db, &layer, &mut scratch.consts, &mut self.seen_consts);
             let charged = charge_layer(interrupt, layer.len());
             sp.count("atoms", layer.len() as u64);
             sp.count("layers", 1);
@@ -383,6 +278,14 @@ impl Border {
             }
         }
         true
+    }
+
+    /// Re-freezes [`Border::atoms`] from the scratch the layers were
+    /// deduplicated in.
+    fn freeze(&mut self, db: &Database, scratch: &BorderScratch) {
+        let len = self.layers.iter().map(Vec::len).sum();
+        let members = self.layers.iter().flatten().copied();
+        self.all = AtomSet::freeze(db.len(), len, &scratch.atoms, members);
     }
 
     /// Radius currently covered (`layers.len() - 1`).
@@ -403,19 +306,21 @@ impl Border {
     /// The atoms of `B_{t,r}` for `r <= self.radius()`, as a fresh set.
     ///
     /// For `r == self.radius()` prefer [`Border::atoms`], which borrows.
-    pub fn atoms_up_to(&self, r: usize) -> FxHashSet<AtomId> {
+    pub fn atoms_up_to(&self, r: usize) -> AtomSet {
         assert!(r < self.layers.len(), "radius {r} not computed");
-        let mut out = FxHashSet::default();
-        for layer in &self.layers[..=r] {
-            out.extend(layer.iter().copied());
-        }
-        out
+        let ids = self.layers[..=r].iter().flatten().copied();
+        AtomSet::from_ids(self.all.universe(), ids)
     }
 
     /// All atoms of the border at its full computed radius.
     #[inline]
-    pub fn atoms(&self) -> &FxHashSet<AtomId> {
+    pub fn atoms(&self) -> &AtomSet {
         &self.all
+    }
+
+    /// The border's atom set, dropping the layers and BFS state.
+    pub fn into_atoms(self) -> AtomSet {
+        self.all
     }
 
     /// Number of atoms in the full border.
@@ -441,8 +346,8 @@ impl Border {
 }
 
 /// Convenience wrapper: the atoms of `B_{t,r}(D)`.
-pub fn border(db: &Database, tuple: &[Const], radius: usize) -> FxHashSet<AtomId> {
-    Border::compute(db, tuple, radius).atoms().clone()
+pub fn border(db: &Database, tuple: &[Const], radius: usize) -> AtomSet {
+    Border::compute(db, tuple, radius).into_atoms()
 }
 
 #[cfg(test)]
@@ -450,6 +355,11 @@ pub fn border(db: &Database, tuple: &[Const], radius: usize) -> FxHashSet<AtomId
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use obx_util::{FxHashSet, GuardKind, GuardLimits, Interrupt, ResourceGuard};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     /// The database of Example 3.3:
     /// D = {R(a,b), S(a,c), Z(c,d), W(d,e), W(e,h), R(f,g)}.
@@ -474,6 +384,111 @@ mod tests {
         v
     }
 
+    /// The hash-set BFS the bitset border replaced, kept as the reference:
+    /// same loop order, same per-layer guard charge, `FxHashSet` dedup.
+    struct Reference {
+        layers: Vec<Vec<AtomId>>,
+        frontier: Vec<Const>,
+        all: FxHashSet<AtomId>,
+    }
+
+    impl Reference {
+        fn compute(db: &Database, tuple: &[Const], radius: usize, interrupt: &Interrupt) -> Self {
+            let mut seen: FxHashSet<Const> = FxHashSet::default();
+            let mut all: FxHashSet<AtomId> = FxHashSet::default();
+            let mut layer0 = Vec::new();
+            for &c in tuple {
+                if seen.insert(c) {
+                    for &id in db.atoms_mentioning(c) {
+                        if all.insert(id) {
+                            layer0.push(id);
+                        }
+                    }
+                }
+            }
+            let next = |layer: &[AtomId], seen: &mut FxHashSet<Const>| {
+                let mut out = Vec::new();
+                for &id in layer {
+                    for &c in db.atom(id).args.iter() {
+                        if seen.insert(c) {
+                            out.push(c);
+                        }
+                    }
+                }
+                out
+            };
+            let mut frontier = next(&layer0, &mut seen);
+            let mut go = charge_layer(interrupt, layer0.len());
+            let mut layers = vec![layer0];
+            while go && layers.len() <= radius {
+                if interrupt
+                    .guard()
+                    .is_some_and(|g| g.is_exhausted(GuardKind::BorderAtoms))
+                {
+                    break;
+                }
+                let mut layer = Vec::new();
+                for &c in &frontier {
+                    for &id in db.atoms_mentioning(c) {
+                        if all.insert(id) {
+                            layer.push(id);
+                        }
+                    }
+                }
+                frontier = next(&layer, &mut seen);
+                go = charge_layer(interrupt, layer.len());
+                layers.push(layer);
+            }
+            Self {
+                layers,
+                frontier,
+                all,
+            }
+        }
+    }
+
+    /// Byte-identical layers and frontier, and the same atom set.
+    fn assert_matches_reference(ours: &Border, reference: &Reference) {
+        assert_eq!(ours.layers, reference.layers, "layers in discovery order");
+        assert_eq!(ours.frontier, reference.frontier, "frontier order");
+        let mut want: Vec<AtomId> = reference.all.iter().copied().collect();
+        want.sort();
+        assert_eq!(ours.atoms().iter().collect::<Vec<_>>(), want);
+        assert_eq!(ours.len(), reference.all.len());
+    }
+
+    /// The literal Definition 3.2 border: `W'_0` = atoms mentioning a
+    /// tuple constant, `W'_{j+1} = reachable_from(W'_j)`, union of all.
+    fn literal_border(db: &Database, tuple: &[Const], radius: usize) -> AtomSet {
+        let ids = tuple
+            .iter()
+            .flat_map(|&c| db.atoms_mentioning(c).iter().copied());
+        let mut w = AtomSet::from_ids(db.len(), ids);
+        let mut union: Vec<AtomId> = w.iter().collect();
+        for _ in 0..radius {
+            w = reachable_from(db, &w);
+            union.extend(w.iter());
+        }
+        AtomSet::from_ids(db.len(), union)
+    }
+
+    /// A random small database over a fixed binary schema.
+    fn random_db(seed: u64, n_consts: usize, n_atoms: usize) -> Database {
+        let mut schema = Schema::new();
+        for name in ["R", "S", "T"] {
+            schema.declare(name, 2).unwrap();
+        }
+        let mut db = Database::new(schema);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..n_atoms {
+            let rel = ["R", "S", "T"][rng.gen_range(0usize..3)];
+            let a = format!("c{}", rng.gen_range(0..n_consts));
+            let b = format!("c{}", rng.gen_range(0..n_consts));
+            db.insert_named(rel, &[&a, &b]).unwrap();
+        }
+        db
+    }
+
     #[test]
     fn example_3_3_layers_match_paper() {
         let db = example_3_3();
@@ -485,9 +500,8 @@ mod tests {
         assert_eq!(sorted(b.layer(1).unwrap()), vec![AtomId(2)]);
         // W2 = {W(d,e)}
         assert_eq!(sorted(b.layer(2).unwrap()), vec![AtomId(3)]);
-        // B_{t,2} = union.
-        let mut all: Vec<AtomId> = b.atoms().iter().copied().collect();
-        all.sort();
+        // B_{t,2} = union, iterated in ascending id order.
+        let all: Vec<AtomId> = b.atoms().iter().collect();
         assert_eq!(all, vec![AtomId(0), AtomId(1), AtomId(2), AtomId(3)]);
         assert_eq!(b.len(), 4);
     }
@@ -501,7 +515,7 @@ mod tests {
         // R(f,g) is in a different connected component: even a huge radius
         // never reaches it.
         let big = Border::compute(&db, &[a], 50);
-        assert!(!big.atoms().contains(&AtomId(5)));
+        assert!(!big.atoms().contains(AtomId(5)));
         assert!(big.saturated());
         // Extra layers beyond saturation are empty.
         assert!(big.layer(10).unwrap().is_empty());
@@ -561,8 +575,7 @@ mod tests {
         let a = db.consts().get("a").unwrap();
         let f = db.consts().get("f").unwrap();
         let b = Border::compute(&db, &[a, f], 0);
-        let mut got: Vec<AtomId> = b.atoms().iter().copied().collect();
-        got.sort();
+        let got: Vec<AtomId> = b.atoms().iter().collect();
         assert_eq!(got, vec![AtomId(0), AtomId(1), AtomId(5)]);
     }
 
@@ -580,16 +593,13 @@ mod tests {
         let db = example_3_3();
         // From {S(a,c)}: atoms sharing a constant with it are R(a,b) (via a),
         // itself, and Z(c,d) (via c).
-        let from: FxHashSet<AtomId> = [AtomId(1)].into_iter().collect();
-        let mut got: Vec<AtomId> = reachable_from(&db, &from).into_iter().collect();
-        got.sort();
+        let from = AtomSet::from_ids(db.len(), [AtomId(1)]);
+        let got: Vec<AtomId> = reachable_from(&db, &from).iter().collect();
         assert_eq!(got, vec![AtomId(0), AtomId(1), AtomId(2)]);
     }
 
     #[test]
     fn resource_guard_truncates_the_border() {
-        use obx_util::{GuardKind, GuardLimits, Interrupt, ResourceGuard};
-        use std::sync::Arc;
         let db = example_3_3();
         let a = db.consts().get("a").unwrap();
         // Layer 0 already holds 2 atoms, so a 2-atom guard trips before any
@@ -612,10 +622,21 @@ mod tests {
         assert_eq!(guard.trip().unwrap().kind, GuardKind::BorderAtoms);
     }
 
-    /// Builds a synthetic power-law-ish graph large enough to engage the
-    /// chunked parallel path even with `BorderMode::Parallel` forced on
-    /// small frontiers: `hubs` hub constants each incident to `spokes`
-    /// atoms, spokes chained so the BFS has several non-trivial layers.
+    /// The union-of-layers border equals the "literal Definition 3.2"
+    /// border computed by iterating `reachable_from` r times.
+    #[test]
+    fn frontier_semantics_union_equals_literal_definition() {
+        let db = example_3_3();
+        let a = db.consts().get("a").unwrap();
+        for r in 0..5 {
+            let ours = border(&db, &[a], r);
+            assert_eq!(ours, literal_border(&db, &[a], r), "mismatch at radius {r}");
+        }
+    }
+
+    /// A synthetic power-law-ish graph: `hubs` hub constants each incident
+    /// to `spokes` atoms, spokes chained so the BFS has several non-trivial
+    /// layers with large frontiers.
     fn hubbed_db(hubs: usize, spokes: usize) -> Database {
         let mut schema = Schema::new();
         schema.declare("E", 2).unwrap();
@@ -636,86 +657,102 @@ mod tests {
     }
 
     #[test]
-    fn parallel_layers_are_byte_identical_to_serial() {
+    fn layers_match_reference_bfs_on_hub_graph() {
         let db = hubbed_db(8, 300);
-        let interrupt = obx_util::Interrupt::none();
+        let interrupt = Interrupt::none();
+        let mut scratch = BorderScratch::new();
         for radius in [0, 1, 2, 3] {
             for tuple_consts in [vec!["hub0"], vec!["hub0", "n3_5"], vec!["n7_0"]] {
                 let tuple: Vec<Const> = tuple_consts
                     .iter()
                     .map(|c| db.consts().get(c).unwrap())
                     .collect();
-                let serial =
-                    Border::compute_with_mode(&db, &tuple, radius, &interrupt, BorderMode::Serial);
-                let parallel = Border::compute_with_mode(
-                    &db,
-                    &tuple,
-                    radius,
-                    &interrupt,
-                    BorderMode::Parallel,
-                );
-                assert_eq!(serial.num_layers(), parallel.num_layers());
-                for j in 0..serial.num_layers() {
-                    // Exact Vec equality: same atoms in the same discovery
-                    // order, not just the same set.
-                    assert_eq!(
-                        serial.layer(j).unwrap(),
-                        parallel.layer(j).unwrap(),
-                        "layer {j} diverged at radius {radius} for {tuple_consts:?}"
-                    );
-                }
-                assert_eq!(
-                    serial.frontier, parallel.frontier,
-                    "frontier order diverged"
-                );
-                assert_eq!(serial.atoms(), parallel.atoms());
+                let reference = Reference::compute(&db, &tuple, radius, &interrupt);
+                let fresh = Border::compute(&db, &tuple, radius);
+                assert_matches_reference(&fresh, &reference);
+                // One scratch reused across every tuple and radius.
+                let reused = Border::compute_in(&db, &tuple, radius, &interrupt, &mut scratch);
+                assert_matches_reference(&reused, &reference);
             }
         }
     }
 
     #[test]
-    fn auto_mode_matches_serial_on_example_3_3() {
-        let db = example_3_3();
-        let a = db.consts().get("a").unwrap();
-        let interrupt = obx_util::Interrupt::none();
-        let auto = Border::compute(&db, &[a], 3);
-        let serial = Border::compute_with_mode(&db, &[a], 3, &interrupt, BorderMode::Serial);
-        for j in 0..serial.num_layers() {
-            assert_eq!(auto.layer(j), serial.layer(j));
-        }
-    }
-
-    #[test]
-    fn parallel_extend_is_byte_identical_too() {
+    fn extend_matches_reference_bfs_on_hub_graph() {
         let db = hubbed_db(6, 200);
         let hub = db.consts().get("hub0").unwrap();
-        let interrupt = obx_util::Interrupt::none();
-        let mut serial = Border::compute_with_mode(&db, &[hub], 0, &interrupt, BorderMode::Serial);
-        let mut parallel =
-            Border::compute_with_mode(&db, &[hub], 0, &interrupt, BorderMode::Parallel);
-        serial.extend(&db, 3);
-        parallel.extend(&db, 3);
-        for j in 0..serial.num_layers() {
-            assert_eq!(serial.layer(j).unwrap(), parallel.layer(j).unwrap());
-        }
+        let mut grown = Border::compute(&db, &[hub], 0);
+        grown.extend(&db, 3);
+        let reference = Reference::compute(&db, &[hub], 3, &Interrupt::none());
+        assert_matches_reference(&grown, &reference);
     }
 
-    /// The union-of-layers border equals the "literal Definition 3.2"
-    /// border computed by iterating `reachable_from` r times.
     #[test]
-    fn frontier_semantics_union_equals_literal_definition() {
-        let db = example_3_3();
-        let a = db.consts().get("a").unwrap();
-        for r in 0..5 {
-            // Literal reading: W'_{j+1} = reachable(W'_j); B = union.
-            let mut w: FxHashSet<AtomId> = db.atoms_mentioning(a).iter().copied().collect();
-            let mut union = w.clone();
-            for _ in 0..r {
-                w = reachable_from(&db, &w);
-                union.extend(w.iter().copied());
-            }
-            let ours = border(&db, &[a], r);
-            assert_eq!(ours, union, "mismatch at radius {r}");
+    fn radius_0_border_on_a_large_database_stays_a_sorted_slice() {
+        let mut schema = Schema::new();
+        schema.declare("E", 2).unwrap();
+        let mut db = Database::new(schema);
+        for i in 0..20_000 {
+            db.insert_named("E", &[&format!("n{i}"), &format!("n{}", i + 1)])
+                .unwrap();
+        }
+        let n = db.consts().get("n10000").unwrap();
+        let b = Border::compute(&db, &[n], 0);
+        assert_eq!(b.len(), 2);
+        assert!(!b.atoms().is_dense(), "2 of 20000 atoms stay sparse");
+        assert_eq!(b.atoms().stored_bytes(), 2 * std::mem::size_of::<AtomId>());
+        // The whole chain is dense.
+        assert!(Border::compute(&db, &[n], 20_000).atoms().is_dense());
+    }
+
+    proptest! {
+        /// On random databases the bitset BFS reproduces the hash-set
+        /// reference byte for byte (layers, frontier, atom set) and the
+        /// literal Definition 3.2 border, with and without a border-atom
+        /// guard; a guarded border truncates at the same radius with the
+        /// same charged counts.
+        #[test]
+        fn bitset_bfs_matches_reference_and_definition_3_2(
+            seed in 0u64..10_000,
+            n_consts in 2usize..30,
+            n_atoms in 0usize..120,
+            radius in 0usize..5,
+            cap in 1usize..60,
+        ) {
+            let db = random_db(seed, n_consts, n_atoms);
+            let Some(t) = db.consts().get("c0") else {
+                return Ok(());
+            };
+            let tuple = [t];
+            let ours = Border::compute(&db, &tuple, radius);
+            assert_matches_reference(&ours, &Reference::compute(&db, &tuple, radius, &Interrupt::none()));
+            prop_assert_eq!(ours.atoms(), &literal_border(&db, &tuple, radius));
+
+            let guarded = |reference: bool| {
+                let guard = Arc::new(ResourceGuard::new(
+                    GuardLimits::unlimited().with_max_border_atoms(cap),
+                ));
+                let interrupt = Interrupt::none().with_guard(Arc::clone(&guard));
+                let b = if reference {
+                    let r = Reference::compute(&db, &tuple, radius, &interrupt);
+                    (r.layers.len(), r.frontier, r.layers)
+                } else {
+                    let b = Border::compute_interruptible(&db, &tuple, radius, &interrupt);
+                    (b.num_layers(), b.frontier.clone(), b.layers.clone())
+                };
+                (b, guard.count(GuardKind::BorderAtoms), guard.peak_alloc_bytes(), guard.is_tripped())
+            };
+            prop_assert_eq!(guarded(false), guarded(true));
+            let guard = Arc::new(ResourceGuard::new(
+                GuardLimits::unlimited().with_max_border_atoms(cap),
+            ));
+            let interrupt = Interrupt::none().with_guard(guard);
+            let truncated = Border::compute_interruptible(&db, &tuple, radius, &interrupt);
+            prop_assert_eq!(
+                truncated.atoms(),
+                &literal_border(&db, &tuple, truncated.radius()),
+                "a truncated border is the exact border at its radius"
+            );
         }
     }
 }

@@ -10,6 +10,8 @@
 //! * [`database`] — the atom store with three indexes: per-relation,
 //!   per-(relation, position, constant), and a constant→atom adjacency index
 //!   (the latter makes the border BFS of Definition 3.2 near-linear);
+//! * [`atomset`] — [`AtomSet`], the atom-id set borders and view masks
+//!   are stored as (dense words, or a sorted slice when that is smaller);
 //! * [`view`] — a database or a masked sub-database (a border) presented
 //!   uniformly to query evaluators;
 //! * [`border`] — reachability (Def. 3.1) and the border of radius `r`
@@ -23,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod atom;
+pub mod atomset;
 pub mod border;
 pub mod consts;
 pub mod database;
@@ -32,7 +35,8 @@ pub mod snapshot;
 pub mod view;
 
 pub use atom::{Atom, AtomId, AtomRef};
-pub use border::{border, border_workers, reachable_from, Border, BorderMode};
+pub use atomset::{AtomSet, Bitmap};
+pub use border::{border, reachable_from, Border, BorderScratch};
 pub use consts::{Const, ConstPool, Tuple};
 pub use database::Database;
 pub use parse::{

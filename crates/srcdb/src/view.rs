@@ -7,16 +7,16 @@
 //! indexes and filter by the mask.
 
 use crate::atom::{AtomId, AtomRef};
+use crate::atomset::AtomSet;
 use crate::consts::Const;
 use crate::database::Database;
 use crate::schema::{RelId, Schema};
-use obx_util::FxHashSet;
 
 /// A database, or a sub-database selected by an atom-id mask.
 #[derive(Clone, Copy)]
 pub struct View<'a> {
     db: &'a Database,
-    mask: Option<&'a FxHashSet<AtomId>>,
+    mask: Option<&'a AtomSet>,
 }
 
 impl<'a> View<'a> {
@@ -26,7 +26,7 @@ impl<'a> View<'a> {
     }
 
     /// View restricted to the atoms in `mask`.
-    pub fn masked(db: &'a Database, mask: &'a FxHashSet<AtomId>) -> Self {
+    pub fn masked(db: &'a Database, mask: &'a AtomSet) -> Self {
         Self {
             db,
             mask: Some(mask),
@@ -50,7 +50,7 @@ impl<'a> View<'a> {
     pub fn visible(&self, id: AtomId) -> bool {
         match self.mask {
             None => true,
-            Some(m) => m.contains(&id),
+            Some(m) => m.contains(id),
         }
     }
 
@@ -112,11 +112,11 @@ impl<'a> View<'a> {
     /// the border mask, and scanning the slice (filtering by visibility)
     /// would cost O(hub degree) where O(border) suffices.
     #[inline]
-    pub fn mask(&self) -> Option<&'a FxHashSet<AtomId>> {
+    pub fn mask(&self) -> Option<&'a AtomSet> {
         self.mask
     }
 
-    /// Number of visible atoms (exact; O(mask) when masked).
+    /// Number of visible atoms (exact, O(1)).
     pub fn len(&self) -> usize {
         match self.mask {
             None => self.db.len(),
@@ -169,7 +169,7 @@ mod tests {
     fn masked_view_filters() {
         let db = db();
         let r = db.schema().rel("R").unwrap();
-        let mask: FxHashSet<AtomId> = [AtomId(0)].into_iter().collect();
+        let mask = AtomSet::from_ids(db.len(), [AtomId(0)]);
         let v = View::masked(&db, &mask);
         assert_eq!(v.len(), 1);
         assert!(!v.is_empty());
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn empty_mask_view_is_empty() {
         let db = db();
-        let mask = FxHashSet::default();
+        let mask = AtomSet::empty(db.len());
         let v = View::masked(&db, &mask);
         assert!(v.is_empty());
         let r = db.schema().rel("R").unwrap();

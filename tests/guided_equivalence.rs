@@ -392,8 +392,10 @@ proptest! {
         );
         // Mask down to every other atom — the shape the matcher's border
         // views have (sparse, index slices mostly invisible).
-        let mask: obx_util::FxHashSet<obx_srcdb::AtomId> =
-            db.atom_ids().filter(|id| id.index() % 2 == 0).collect();
+        let mask = obx_srcdb::AtomSet::from_ids(
+            db.len(),
+            db.atom_ids().filter(|id| id.index() % 2 == 0),
+        );
         let masked = View::masked(&db, &mask);
         prop_assert_eq!(
             guided::answers(masked, &cq),

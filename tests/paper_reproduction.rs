@@ -37,7 +37,7 @@ fn e1_example_3_3_border_layers() {
     assert_eq!(layer(1), vec!["Z(c, d)"]);
     assert_eq!(layer(2), vec!["W(d, e)"]);
     assert_eq!(border.len(), 4, "B_{{t,2}} has the paper's four atoms");
-    assert!(!border.atoms().contains(&AtomId(5)), "R(f,g) stays outside");
+    assert!(!border.atoms().contains(AtomId(5)), "R(f,g) stays outside");
 }
 
 /// Example 3.6: q1 matches {A10, B80, D50}; q2 matches {A10, B80, E25};
@@ -187,7 +187,7 @@ fn example_3_6_borders_follow_definition_3_2_literally() {
     let rendered: Vec<String> = {
         let mut v: Vec<String> = b_a10
             .iter()
-            .map(|&id| {
+            .map(|id| {
                 ex.system
                     .db()
                     .atom(id)
