@@ -11,7 +11,7 @@
 //! self-test of the standalone `perfbench` package (outside the
 //! workspace, so nothing else compiles it against the library API), and
 //! the bench bins — then compares the fresh bench numbers against the
-//! committed `BENCH_*.json` baselines (scoring, search, guided, serve, scale,
+//! committed `BENCH_*.json` baselines (scoring, search, eval, serve, scale,
 //! modes) and fails on a wall-time regression above 20% that is also
 //! more than 5 ms absolute (sub-millisecond benches jitter past 20% on
 //! a loaded machine; the bench bins' own hard floors, e.g. the 2×
@@ -71,12 +71,7 @@ const BENCHES: [(&str, &str, &str, &str); 6] = [
         "search",
         "bench-search-retry",
     ),
-    (
-        "bench-guided",
-        "BENCH_guided.json",
-        "guided",
-        "bench-guided-retry",
-    ),
+    ("bench-eval", "BENCH_eval.json", "eval", "bench-eval-retry"),
     (
         "bench-serve",
         "BENCH_serve.json",
@@ -358,8 +353,8 @@ fn main() {
             &["run", "--release", "-p", "obx-bench", "--bin", "search"],
         ),
         (
-            "bench-guided",
-            &["run", "--release", "-p", "obx-bench", "--bin", "guided"],
+            "bench-eval",
+            &["run", "--release", "-p", "obx-bench", "--bin", "eval"],
         ),
         (
             "bench-serve",
@@ -440,9 +435,8 @@ fn main() {
         // one process). Before failing, re-run each offending bench bin
         // once and gate on the better of the two runs — one bounded
         // retry, not a loop, and only for files that would fail. The
-        // bins' own deterministic hard gates (node ratios, speedup
-        // floors, byte-identity) run again too and can still fail the
-        // step outright.
+        // bins' own hard gates (speedup floors, byte-identity) run
+        // again too and can still fail the step outright.
         let retry_files: Vec<&'static str> = deltas
             .iter()
             .filter(|d| fails_gate(d))

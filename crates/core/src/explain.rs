@@ -529,14 +529,10 @@ pub(crate) fn finalize_report(
             rec.gauge_in_phase("engine", "cache_misses", task.engine().cache_misses());
             rec.gauge_in_phase("engine", "evals", task.engine().eval_calls());
             rec.gauge_in_phase("engine", "evals_saved", task.engine().evals_saved());
-            // Attribute join work to the evaluator that did it: the
-            // process-wide candidate-inspection totals per evaluator mode,
-            // plus which mode this run dispatched to (1 = guided).
-            let (legacy_nodes, guided_nodes) = obx_query::eval::node_counts();
-            rec.gauge_in_phase("engine", "eval_nodes_legacy", legacy_nodes);
-            rec.gauge_in_phase("engine", "eval_nodes_guided", guided_nodes);
-            let guided = !matches!(obx_query::eval::mode(), obx_query::eval::EvalMode::Legacy);
-            rec.gauge_in_phase("engine", "eval_mode_guided", u64::from(guided));
+            // Join work: the evaluator's process-wide
+            // candidate-inspection total.
+            let (eval_nodes, _) = obx_query::eval::node_counts();
+            rec.gauge_in_phase("engine", "eval_nodes", eval_nodes);
             rec.profile()
         }
         _ => PipelineProfile::default(),

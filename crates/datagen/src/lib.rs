@@ -17,8 +17,8 @@
 //! * [`hierarchy`] — chain/tree TBox builders for rewriting benchmarks
 //!   (E7);
 //! * [`skewed`] — the university scenario with power-law (Zipf) enrolment
-//!   degrees: hub constants stress per-constant index scans, the workload
-//!   behind the guided-evaluator bench;
+//!   degrees: hub constants stress per-constant index scans (the skewed
+//!   panels of the evaluator bench);
 //! * [`modes`] — a compliance-audit family whose best sound, best
 //!   complete, and best F-score explanations provably differ (the
 //!   workload behind `BENCH_modes.json` and the mode proptests).

@@ -7,8 +7,9 @@
 //! constant fraction of all `ENR` facts. This is the worst case for join
 //! evaluation driven by per-constant index slices — any evaluator that
 //! scans a hub constant's full slice inside a border-sized view pays
-//! O(hub degree) where O(border) suffices. The guided evaluator's bench
-//! (`BENCH_guided.json`) uses this family to demonstrate skew-resistance.
+//! O(hub degree) where O(border) suffices. The evaluator bench
+//! (`BENCH_eval.json`) times join evaluation on this family next to the
+//! uniform one.
 //!
 //! Two structural choices make the hub adversarial rather than merely
 //! big:
@@ -24,9 +25,8 @@
 //!   real institutional data where course catalogues are local): a
 //!   student not enrolled at the hub has *no* hub-mentioning fact within
 //!   any bounded border, so membership checks guarded by the hub
-//!   constant are refuted over tail borders. An evaluator that can only
-//!   scan index slices must read the hub's entire slice to conclude
-//!   that; one that can iterate the border mask pays O(border).
+//!   constant are refuted over tail borders. An evaluator that scans
+//!   index slices must read the hub's entire slice to conclude that.
 
 use crate::scenario::{label_by_query, Scenario};
 use obx_mapping::parse_mapping;

@@ -1,163 +1,42 @@
 //! Evaluation of source CQs/UCQs over a database [`View`].
 //!
-//! Two evaluators live here, selected at runtime by [`mode`]. The default
-//! mode, [`EvalMode::Auto`], dispatches per call by view size: tiny views
-//! (below [`guided_min_view`] atoms, typically radius-1 borders) go to the
-//! legacy backtracker whose constant factors win at that scale, larger
-//! views to the guided engine.
+//! One evaluator: a backtracking join with dynamic *atom* ordering. At
+//! every depth it picks the not-yet-joined atom with the smallest
+//! estimated candidate set (index slice sizes capped by the view's
+//! visible-atom count), reads that atom's most selective index slice,
+//! filters it by the view mask, and binds all of the atom's variables at
+//! once. This is the classical "most-selective-first" heuristic; on
+//! border-sized views its bare loops beat variable-at-a-time engines
+//! whose per-call bookkeeping costs more than the nodes it saves.
 //!
-//! * the **guided** evaluator ([`guided`]) — a
-//!   constraint-guided join in the worst-case-optimal family: every body
-//!   atom is a constraint proposing/confirming values for one variable at
-//!   a time, and the engine always binds the variable with the smallest
-//!   O(1) cardinality estimate;
-//! * the **legacy** evaluator ([`answers_legacy`] and friends) — a
-//!   backtracking join with dynamic *atom* ordering: at every depth it
-//!   picks the not-yet-joined atom with the smallest estimated candidate
-//!   set and binds all of its variables at once. This is the classical
-//!   "most-selective-first" heuristic; it remains as the reference
-//!   implementation (`OBX_GUIDED=0`) and the baseline the equivalence
-//!   suite and the `guided` bench compare against.
-//!
-//! Both evaluators count the candidate atoms they inspect (one *node* per
-//! index-slice or mask entry examined); [`node_counts`] exposes the
-//! process-wide totals per evaluator so benches and the observability
-//! layer can attribute join work to the mode that did it.
+//! The search counts the candidate atoms it inspects (one *node* per
+//! index-slice entry examined, visible or not); [`node_counts`] exposes
+//! the process-wide total so benches and the observability layer can
+//! attribute join work.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::src::{SrcAtom, SrcCq, SrcUcq};
 use crate::term::{Term, VarId};
-use obx_srcdb::{Const, View};
+use obx_srcdb::{AtomId, Const, View};
 use obx_util::FxHashSet;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-pub mod guided;
+/// Process-wide candidate-inspection total (monotone).
+static NODES: AtomicU64 = AtomicU64::new(0);
 
-/// Which evaluator implementation the public entry points dispatch to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalMode {
-    /// The fixed-strategy backtracking join (atom-at-a-time).
-    Legacy,
-    /// The constraint-guided join (variable-at-a-time), on every view.
-    Guided,
-    /// Size-gated dispatch (the default): guided on views at or above
-    /// [`guided_min_view`] atoms, legacy below it. The guided engine's
-    /// per-call bookkeeping (constraint propagation state, cardinality
-    /// estimates) loses to the plain backtracker on tiny border views —
-    /// this recovers that overhead without giving up guided wins at scale.
-    Auto,
-}
-
-/// 0 = uninitialized (read `OBX_GUIDED` on first use), 1 = legacy,
-/// 2 = guided, 3 = auto.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-fn mode_from_env() -> EvalMode {
-    match std::env::var("OBX_GUIDED") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => EvalMode::Legacy,
-            "auto" => EvalMode::Auto,
-            _ => EvalMode::Guided,
-        },
-        Err(_) => EvalMode::Auto,
-    }
-}
-
-/// The active evaluator. Initialized from `OBX_GUIDED` on first call
-/// (`0|off|false|no` → legacy, `auto` or unset → size-gated auto, any
-/// other value → guided on every view); overridable at runtime with
-/// [`set_mode`].
-pub fn mode() -> EvalMode {
-    match MODE.load(Ordering::Relaxed) {
-        1 => EvalMode::Legacy,
-        2 => EvalMode::Guided,
-        3 => EvalMode::Auto,
-        _ => {
-            let m = mode_from_env();
-            set_mode(m);
-            m
-        }
-    }
-}
-
-/// Selects the evaluator process-wide. Intended for A/B benches and
-/// equivalence tests; concurrent evaluations pick up the change at their
-/// next entry-point call, so flip it only between runs.
-pub fn set_mode(m: EvalMode) {
-    MODE.store(
-        match m {
-            EvalMode::Legacy => 1,
-            EvalMode::Guided => 2,
-            EvalMode::Auto => 3,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// 0 = uninitialized (read `OBX_GUIDED_MIN_VIEW` on first use); the
-/// stored value is the threshold plus one so a configured 0 is
-/// representable.
-static MIN_VIEW: AtomicU64 = AtomicU64::new(0);
-
-/// Default [`Auto`](EvalMode::Auto) threshold: measured on the guided
-/// bench's border panel, views under ~16 atoms are where the legacy
-/// backtracker's lower constant factors win (the crossover is flat
-/// between 8 and 32; 16 splits it).
-const DEFAULT_MIN_VIEW: usize = 16;
-
-/// The [`Auto`](EvalMode::Auto) size gate: views with fewer than this
-/// many visible atoms evaluate on the legacy engine, the rest on the
-/// guided one. Initialized from `OBX_GUIDED_MIN_VIEW` (default 16) on
-/// first call; overridable with [`set_guided_min_view`].
-pub fn guided_min_view() -> usize {
-    match MIN_VIEW.load(Ordering::Relaxed) {
-        0 => {
-            let t = std::env::var("OBX_GUIDED_MIN_VIEW")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(DEFAULT_MIN_VIEW);
-            set_guided_min_view(t);
-            t
-        }
-        stored => (stored - 1) as usize,
-    }
-}
-
-/// Sets the [`Auto`](EvalMode::Auto) size gate process-wide (0 = guided
-/// everywhere). Intended for A/B benches and equivalence tests.
-pub fn set_guided_min_view(atoms: usize) {
-    MIN_VIEW.store((atoms as u64).saturating_add(1), Ordering::Relaxed);
-}
-
-/// The evaluator [`mode`] resolves to for a concrete view: `Auto` picks
-/// per call by view size, the forced modes pass through.
-fn effective_mode(view: &View<'_>) -> EvalMode {
-    match mode() {
-        EvalMode::Auto => {
-            if view.len() < guided_min_view() {
-                EvalMode::Legacy
-            } else {
-                EvalMode::Guided
-            }
-        }
-        forced => forced,
-    }
-}
-
-/// Process-wide candidate-inspection totals (monotone).
-static LEGACY_NODES: AtomicU64 = AtomicU64::new(0);
-static GUIDED_NODES: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative `(legacy, guided)` node counts: one node per candidate
-/// database atom inspected by the respective evaluator (including
-/// mask-filtered and consistency-rejected candidates — the true measure
-/// of join work). Monotone process-wide totals; read before/after a
-/// region and subtract.
+/// Cumulative node counts: one node per candidate database atom the
+/// evaluator inspected (including mask-filtered and
+/// consistency-rejected candidates — the true measure of join work).
+/// Monotone process-wide totals; read before/after a region and
+/// subtract.
+///
+/// The pair shape is kept for existing readers that index `.0`/`.1`;
+/// the second field is always 0 (there is one evaluator, and `.0` is its
+/// total).
 pub fn node_counts() -> (u64, u64) {
-    (
-        LEGACY_NODES.load(Ordering::Relaxed),
-        GUIDED_NODES.load(Ordering::Relaxed),
-    )
+    (NODES.load(Ordering::Relaxed), 0)
 }
 
 /// A variable binding, dense over the query's variable indices.
@@ -209,18 +88,18 @@ fn selectivity(view: &View<'_>, atom: &SrcAtom, binding: &Binding) -> usize {
 /// does not allocate; it borrows only the view, so the search can keep
 /// mutating the binding while iterating.
 struct CandidateIter<'v> {
-    ids: &'v [obx_srcdb::AtomId],
+    ids: &'v [AtomId],
     view: View<'v>,
     next: usize,
     /// Per-search node tally (candidates inspected, visible or not),
-    /// flushed into [`LEGACY_NODES`] by the entry points.
+    /// flushed into [`NODES`] when the search ends.
     nodes: &'v Cell<u64>,
 }
 
 impl Iterator for CandidateIter<'_> {
-    type Item = obx_srcdb::AtomId;
+    type Item = AtomId;
 
-    fn next(&mut self) -> Option<obx_srcdb::AtomId> {
+    fn next(&mut self) -> Option<AtomId> {
         while let Some(&id) = self.ids.get(self.next) {
             self.next += 1;
             self.nodes.set(self.nodes.get() + 1);
@@ -274,7 +153,7 @@ fn candidates<'v>(
 fn try_match(
     view: &View<'_>,
     atom: &SrcAtom,
-    id: obx_srcdb::AtomId,
+    id: AtomId,
     binding: &mut Binding,
     trail: &mut Vec<VarId>,
 ) -> bool {
@@ -353,22 +232,25 @@ fn pick_unjoined(
     pick
 }
 
-/// Depth-first search over the remaining atoms. `on_solution` returns
-/// `true` to keep searching, `false` to stop early. Returns `false` iff the
-/// search was stopped early.
+/// Depth-first search over the remaining atoms. Joining body atom `i`
+/// records the database atom it matched in `matched[i]`, so on a full
+/// embedding `matched` holds one atom per body atom, in body order.
+/// `on_solution` returns `true` to keep searching, `false` to stop early.
+/// Returns `false` iff the search was stopped early.
 #[allow(clippy::too_many_arguments)]
 fn search(
     view: &View<'_>,
     atoms: &[SrcAtom],
     used: &mut [bool],
+    matched: &mut [AtomId],
     remaining: usize,
     binding: &mut Binding,
     trail: &mut Vec<VarId>,
     nodes: &Cell<u64>,
-    on_solution: &mut dyn FnMut(&Binding) -> bool,
+    on_solution: &mut dyn FnMut(&Binding, &[AtomId]) -> bool,
 ) -> bool {
     if remaining == 0 {
-        return on_solution(binding);
+        return on_solution(binding, matched);
     }
     let pick = pick_unjoined(view, atoms, used, binding, remaining);
     let atom = &atoms[pick];
@@ -377,10 +259,12 @@ fn search(
     for id in candidates(*view, atom, binding, nodes) {
         let mark = trail.len();
         if try_match(view, atom, id, binding, trail) {
+            matched[pick] = id;
             keep_going = search(
                 view,
                 atoms,
                 used,
+                matched,
                 remaining - 1,
                 binding,
                 trail,
@@ -397,121 +281,45 @@ fn search(
     keep_going
 }
 
+/// Runs the search for `cq` from `binding` (empty, or the head pre-bound
+/// to a goal tuple) and flushes its node tally into [`NODES`].
+/// `on_solution` sees each full embedding: the binding and the matched
+/// atom per body position. Every `matched` entry starts as a placeholder
+/// and is overwritten when its body atom joins; an embedding joins every
+/// body atom, so no placeholder survives into a reported solution.
+fn run(
+    view: View<'_>,
+    cq: &SrcCq,
+    mut binding: Binding,
+    on_solution: &mut dyn FnMut(&Binding, &[AtomId]) -> bool,
+) {
+    let n = cq.body().len();
+    let mut used = vec![false; n];
+    let mut matched = vec![AtomId(0); n];
+    let mut trail: Vec<VarId> = Vec::with_capacity(binding.slots.len());
+    let nodes = Cell::new(0u64);
+    search(
+        &view,
+        cq.body(),
+        &mut used,
+        &mut matched,
+        n,
+        &mut binding,
+        &mut trail,
+        &nodes,
+        on_solution,
+    );
+    NODES.fetch_add(nodes.get(), Ordering::Relaxed);
+}
+
 fn num_vars(cq: &SrcCq) -> usize {
     cq.max_var().map_or(0, |m| m as usize + 1)
 }
 
-/// All answers of `cq` over `view`: the set of head-variable tuples.
-/// Dispatches to the evaluator selected by [`mode`].
-pub fn answers(view: View<'_>, cq: &SrcCq) -> FxHashSet<Box<[Const]>> {
-    match effective_mode(&view) {
-        EvalMode::Legacy => answers_legacy(view, cq),
-        _ => guided::answers(view, cq),
-    }
-}
-
-/// [`answers`] on the legacy backtracking evaluator, regardless of
-/// [`mode`]. Reference implementation for the equivalence suite and the
-/// baseline side of A/B benches.
-pub fn answers_legacy(view: View<'_>, cq: &SrcCq) -> FxHashSet<Box<[Const]>> {
-    let mut out: FxHashSet<Box<[Const]>> = FxHashSet::default();
-    let mut binding = Binding::new(num_vars(cq));
-    let mut trail: Vec<VarId> = Vec::with_capacity(binding.slots.len());
-    let mut used = vec![false; cq.body().len()];
-    let n = cq.body().len();
-    let nodes = Cell::new(0u64);
-    search(
-        &view,
-        cq.body(),
-        &mut used,
-        n,
-        &mut binding,
-        &mut trail,
-        &nodes,
-        &mut |b| {
-            let tuple: Box<[Const]> = cq
-                .head()
-                .iter()
-                .map(|&v| b.get(v).expect("head var bound by safety"))
-                .collect();
-            out.insert(tuple);
-            true
-        },
-    );
-    LEGACY_NODES.fetch_add(nodes.get(), Ordering::Relaxed);
-    out
-}
-
-/// Whether `tuple` is an answer of `cq` over `view`.
-///
-/// Head variables are pre-bound to the tuple (so this is a single
-/// goal-directed search, not answer enumeration). Returns `false` when the
-/// tuple arity differs from the query arity, or when a repeated head
-/// variable would need two different constants. Dispatches to the
-/// evaluator selected by [`mode`].
-pub fn satisfies(view: View<'_>, cq: &SrcCq, tuple: &[Const]) -> bool {
-    match effective_mode(&view) {
-        EvalMode::Legacy => satisfies_legacy(view, cq, tuple),
-        _ => guided::satisfies(view, cq, tuple),
-    }
-}
-
-/// [`satisfies`] on the legacy backtracking evaluator, regardless of
-/// [`mode`].
-pub fn satisfies_legacy(view: View<'_>, cq: &SrcCq, tuple: &[Const]) -> bool {
-    if tuple.len() != cq.arity() {
-        return false;
-    }
-    let mut binding = Binding::new(num_vars(cq));
-    for (&v, &c) in cq.head().iter().zip(tuple.iter()) {
-        match binding.get(v) {
-            Some(prev) if prev != c => return false,
-            _ => binding.slots[v.index()] = Some(c),
-        }
-    }
-    let mut trail: Vec<VarId> = Vec::with_capacity(binding.slots.len());
-    let mut used = vec![false; cq.body().len()];
-    let n = cq.body().len();
-    let nodes = Cell::new(0u64);
-    let mut found = false;
-    search(
-        &view,
-        cq.body(),
-        &mut used,
-        n,
-        &mut binding,
-        &mut trail,
-        &nodes,
-        &mut |_| {
-            found = true;
-            false // stop at the first witness
-        },
-    );
-    LEGACY_NODES.fetch_add(nodes.get(), Ordering::Relaxed);
-    found
-}
-
-/// Like [`satisfies`], but additionally returns a *witness*: the database
-/// atoms (one per body atom, in body order) of the first embedding found.
-/// This is the provenance primitive behind explanation evidence — the
-/// paper's future-work item on explaining query answers (its reference
-/// [10]) asks exactly for the facts that ground a certain answer.
-/// Dispatches to the evaluator selected by [`mode`]; the two evaluators
-/// may ground the body with *different* (both valid) witnesses.
-pub fn witness(view: View<'_>, cq: &SrcCq, tuple: &[Const]) -> Option<Vec<obx_srcdb::AtomId>> {
-    match effective_mode(&view) {
-        EvalMode::Legacy => witness_legacy(view, cq, tuple),
-        _ => guided::witness(view, cq, tuple),
-    }
-}
-
-/// [`witness`] on the legacy backtracking evaluator, regardless of
-/// [`mode`].
-pub fn witness_legacy(
-    view: View<'_>,
-    cq: &SrcCq,
-    tuple: &[Const],
-) -> Option<Vec<obx_srcdb::AtomId>> {
+/// The binding a goal-directed search starts from: head variables bound
+/// to `tuple`. `None` when the tuple arity differs from the query arity,
+/// or when a repeated head variable would need two different constants.
+fn goal_binding(cq: &SrcCq, tuple: &[Const]) -> Option<Binding> {
     if tuple.len() != cq.arity() {
         return None;
     }
@@ -522,82 +330,60 @@ pub fn witness_legacy(
             _ => binding.slots[v.index()] = Some(c),
         }
     }
-    // Re-run the search keeping per-atom matched ids. Reuses the same
-    // machinery with a side table filled on the way down.
-    #[allow(clippy::too_many_arguments)]
-    fn go(
-        view: &View<'_>,
-        atoms: &[SrcAtom],
-        used: &mut [bool],
-        matched: &mut [Option<obx_srcdb::AtomId>],
-        remaining: usize,
-        binding: &mut Binding,
-        trail: &mut Vec<VarId>,
-        nodes: &Cell<u64>,
-    ) -> bool {
-        if remaining == 0 {
-            return true;
+    Some(binding)
+}
+
+/// All answers of `cq` over `view`: the set of head-variable tuples.
+pub fn answers(view: View<'_>, cq: &SrcCq) -> FxHashSet<Box<[Const]>> {
+    let mut out: FxHashSet<Box<[Const]>> = FxHashSet::default();
+    run(view, cq, Binding::new(num_vars(cq)), &mut |b, _| {
+        // `SrcCq::new` rejects heads with a variable absent from the
+        // body, so a full embedding binds every head variable and the
+        // tuple is always `Some`.
+        let tuple: Option<Box<[Const]>> = cq.head().iter().map(|&v| b.get(v)).collect();
+        if let Some(t) = tuple {
+            out.insert(t);
         }
-        let pick = pick_unjoined(view, atoms, used, binding, remaining);
-        let atom = &atoms[pick];
-        used[pick] = true;
-        for id in candidates(*view, atom, binding, nodes) {
-            let mark = trail.len();
-            if try_match(view, atom, id, binding, trail) {
-                matched[pick] = Some(id);
-                if go(
-                    view,
-                    atoms,
-                    used,
-                    matched,
-                    remaining - 1,
-                    binding,
-                    trail,
-                    nodes,
-                ) {
-                    return true;
-                }
-                matched[pick] = None;
-                undo_to(binding, trail, mark);
-            }
-        }
-        used[pick] = false;
-        false
-    }
-    let n = cq.body().len();
-    let mut used = vec![false; n];
-    let mut trail: Vec<VarId> = Vec::with_capacity(binding.slots.len());
-    let mut matched: Vec<Option<obx_srcdb::AtomId>> = vec![None; n];
-    let nodes = Cell::new(0u64);
-    let hit = go(
-        &view,
-        cq.body(),
-        &mut used,
-        &mut matched,
-        n,
-        &mut binding,
-        &mut trail,
-        &nodes,
-    );
-    LEGACY_NODES.fetch_add(nodes.get(), Ordering::Relaxed);
-    if hit {
-        Some(
-            matched
-                .into_iter()
-                .map(|m| m.expect("all atoms matched"))
-                .collect(),
-        )
-    } else {
-        None
-    }
+        true
+    });
+    out
+}
+
+/// Whether `tuple` is an answer of `cq` over `view`.
+///
+/// Head variables are pre-bound to the tuple (so this is a single
+/// goal-directed search, not answer enumeration). Returns `false` when the
+/// tuple arity differs from the query arity, or when a repeated head
+/// variable would need two different constants.
+pub fn satisfies(view: View<'_>, cq: &SrcCq, tuple: &[Const]) -> bool {
+    let Some(binding) = goal_binding(cq, tuple) else {
+        return false;
+    };
+    let mut found = false;
+    run(view, cq, binding, &mut |_, _| {
+        found = true;
+        false // stop at the first embedding
+    });
+    found
+}
+
+/// Like [`satisfies`], but additionally returns a *witness*: the database
+/// atoms (one per body atom, in body order) of the first embedding found.
+/// This is the provenance primitive behind explanation evidence — the
+/// paper's future-work item on explaining query answers (its reference
+/// [10]) asks exactly for the facts that ground a certain answer.
+pub fn witness(view: View<'_>, cq: &SrcCq, tuple: &[Const]) -> Option<Vec<AtomId>> {
+    let binding = goal_binding(cq, tuple)?;
+    let mut found = None;
+    run(view, cq, binding, &mut |_, matched| {
+        found = Some(matched.to_vec());
+        false // stop at the first embedding
+    });
+    found
 }
 
 /// First witness across a UCQ's disjuncts, with the disjunct index.
-pub fn witness_ucq(
-    view: View<'_>,
-    ucq: &SrcUcq,
-    tuple: &[Const],
-) -> Option<(usize, Vec<obx_srcdb::AtomId>)> {
+pub fn witness_ucq(view: View<'_>, ucq: &SrcUcq, tuple: &[Const]) -> Option<(usize, Vec<AtomId>)> {
     ucq.disjuncts()
         .iter()
         .enumerate()
@@ -619,6 +405,7 @@ pub fn satisfies_ucq(view: View<'_>, ucq: &SrcUcq, tuple: &[Const]) -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::term::var;
@@ -885,32 +672,21 @@ mod tests {
     }
 
     #[test]
-    fn auto_mode_gates_by_view_size() {
+    fn node_counter_tracks_inspected_candidates() {
         let db = students_db();
-        let n = db.len();
-        let prev_mode = mode();
-        let prev_gate = guided_min_view();
-        set_mode(EvalMode::Auto);
-        // Gate above the view size → the tiny view routes to legacy.
-        set_guided_min_view(n + 1);
-        assert_eq!(effective_mode(&View::full(&db)), EvalMode::Legacy);
-        // Gate at or below the view size → guided.
-        set_guided_min_view(n);
-        assert_eq!(effective_mode(&View::full(&db)), EvalMode::Guided);
-        set_guided_min_view(0);
-        assert_eq!(effective_mode(&View::full(&db)), EvalMode::Guided);
-        // A masked view is gated by its *visible* atom count, not the
-        // database's: a border-sized mask over a big database goes legacy.
-        let mask = obx_srcdb::AtomSet::from_ids(db.len(), db.atom_ids().take(3));
-        set_guided_min_view(4);
-        assert_eq!(effective_mode(&View::masked(&db, &mask)), EvalMode::Legacy);
-        // Forced modes pass through the gate untouched.
-        set_mode(EvalMode::Legacy);
-        assert_eq!(effective_mode(&View::full(&db)), EvalMode::Legacy);
-        set_mode(EvalMode::Guided);
-        set_guided_min_view(usize::MAX);
-        assert_eq!(effective_mode(&View::full(&db)), EvalMode::Guided);
-        set_guided_min_view(prev_gate);
-        set_mode(prev_mode);
+        let enr = db.schema().rel("ENR").unwrap();
+        let q = SrcCq::new(
+            vec![VarId(0)],
+            vec![SrcAtom::new(enr, [var(0), var(1), var(2)])],
+        )
+        .unwrap();
+        // The counter is process-wide and other tests evaluate
+        // concurrently, so only a lower bound is exact: one scan of the
+        // five ENR facts inspects five candidates.
+        let (before, unused) = node_counts();
+        assert_eq!(answers(View::full(&db), &q).len(), 5);
+        let (after, still_unused) = node_counts();
+        assert!(after - before >= 5);
+        assert_eq!((unused, still_unused), (0, 0));
     }
 }

@@ -11,9 +11,8 @@
 //!   renaming;
 //! * [`src`] — CQs/UCQs over the *source* schema (n-ary relational atoms);
 //! * [`eval`] — evaluation of source CQs over a [`obx_srcdb::View`] (full
-//!   database or border sub-database): a constraint-guided
-//!   variable-at-a-time join (default) plus the legacy index-driven
-//!   backtracking join (`OBX_GUIDED=0`);
+//!   database or border sub-database): an index-driven backtracking join
+//!   that joins the most selective atom first;
 //! * [`containment`] — CQ/UCQ containment via canonical databases
 //!   (freezing), the classical Chandra–Merlin characterization;
 //! * [`rewrite`] — the **PerfectRef** algorithm (Calvanese et al., 2007):
@@ -35,10 +34,7 @@ pub use containment::{
     cq_contained, cq_equivalent, minimize_cq, minimize_onto_cq, onto_cq_contained,
     onto_to_pseudo_src, onto_ucq_contained, ucq_contained,
 };
-pub use eval::{
-    answers, answers_ucq, guided_min_view, mode, node_counts, satisfies, satisfies_ucq,
-    set_guided_min_view, set_mode, witness, witness_ucq, EvalMode,
-};
+pub use eval::{answers, answers_ucq, node_counts, satisfies, satisfies_ucq, witness, witness_ucq};
 pub use onto::{OntoAtom, OntoCq, OntoUcq, QueryError};
 pub use parse::{parse_onto_cq, parse_onto_ucq, parse_src_cq, QueryParseError};
 pub use rewrite::{perfect_ref, perfect_ref_interruptible, RewriteBudget, RewriteError};

@@ -645,12 +645,8 @@ impl Database {
     }
 
     /// Number of atoms of relation `rel` — O(1) (the `rel_index` length).
-    ///
-    /// The prefix-count family (`count_of` / `count_with` /
-    /// `count_mentioning`) backs the guided evaluator's cardinality
-    /// estimates ([`obx-query`]'s `eval::guided`): every estimate is a
-    /// plain length read of an index the database already maintains, so
-    /// re-estimating after each variable binding costs O(arity) lookups.
+    /// The join evaluator's relation-size estimate for an atom with no
+    /// bound argument ([`View::size_hint_of`](crate::View::size_hint_of)).
     #[inline]
     pub fn count_of(&self, rel: RelId) -> usize {
         self.query_indexes().rel_index[rel.index()].len()
@@ -662,15 +658,6 @@ impl Database {
     pub fn count_with(&self, rel: RelId, pos: usize, c: Const) -> usize {
         self.query_indexes()
             .pos_posting(rel, pos, c)
-            .map_or(0, |p| p.len as usize)
-    }
-
-    /// Number of atoms mentioning constant `c` — O(1).
-    #[inline]
-    pub fn count_mentioning(&self, c: Const) -> usize {
-        self.query_indexes()
-            .const_adj
-            .get(c.0.index())
             .map_or(0, |p| p.len as usize)
     }
 
@@ -793,7 +780,7 @@ mod tests {
         }
         let hub = db.consts().get("hub").unwrap();
         assert_eq!(db.atoms_mentioning(hub), ids.as_slice());
-        assert_eq!(db.count_mentioning(hub), 1000);
+        assert_eq!(db.atoms_mentioning(hub).len(), 1000);
         let r = db.schema().rel("R").unwrap();
         assert_eq!(db.atoms_with(r, 0, hub), ids.as_slice());
         // Dedup still exact after regrowth.
@@ -831,7 +818,7 @@ mod tests {
         assert_eq!(db.atoms_of(r), &[id1, id2]);
         assert_eq!(db.atoms_with(r, 0, a), &[id1, id2]);
         assert_eq!(db.atoms_mentioning(c), &[id2, id3]);
-        assert_eq!(db.count_mentioning(a), 3);
+        assert_eq!(db.atoms_mentioning(a).len(), 3);
         assert_eq!(db.insert_named("R", &["a", "c"]).unwrap(), id2);
         assert_eq!(db.len(), 3);
     }

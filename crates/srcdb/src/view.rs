@@ -93,29 +93,6 @@ impl<'a> View<'a> {
         }
     }
 
-    /// Upper bound on the number of visible atoms of `rel` with constant
-    /// `c` at position `pos` — O(1) (index prefix count capped by the
-    /// mask size; exact when unmasked). The guided evaluator's
-    /// per-constraint cardinality estimate.
-    pub fn estimate_with(&self, rel: RelId, pos: usize, c: Const) -> usize {
-        let full = self.db.count_with(rel, pos, c);
-        match self.mask {
-            None => full,
-            Some(m) => full.min(m.len()),
-        }
-    }
-
-    /// The atom-id mask, when this view is a border sub-database. Exposed
-    /// so evaluators can iterate the *smaller* side of a
-    /// mask-vs-index-slice intersection: on a hub constant of a skewed
-    /// database the index slice can be orders of magnitude larger than
-    /// the border mask, and scanning the slice (filtering by visibility)
-    /// would cost O(hub degree) where O(border) suffices.
-    #[inline]
-    pub fn mask(&self) -> Option<&'a AtomSet> {
-        self.mask
-    }
-
     /// Number of visible atoms (exact, O(1)).
     pub fn len(&self) -> usize {
         match self.mask {
@@ -179,8 +156,6 @@ mod tests {
         assert!(v.visible(AtomId(0)));
         assert!(!v.visible(AtomId(1)));
         assert_eq!(v.size_hint_of(r), 1);
-        assert_eq!(v.estimate_with(r, 0, a), 1);
-        assert_eq!(v.mask().map(|m| m.len()), Some(1));
     }
 
     #[test]
@@ -188,12 +163,11 @@ mod tests {
         let db = db();
         let r = db.schema().rel("R").unwrap();
         let a = db.consts().get("a").unwrap();
-        let full = View::full(&db);
-        assert_eq!(full.estimate_with(r, 0, a), 2);
-        assert!(full.mask().is_none());
+        assert_eq!(View::full(&db).size_hint_of(r), 3);
+        let mask = AtomSet::from_ids(db.len(), [AtomId(0), AtomId(2)]);
+        assert_eq!(View::masked(&db, &mask).size_hint_of(r), 2);
         assert_eq!(db.count_of(r), 3);
         assert_eq!(db.count_with(r, 0, a), 2);
-        assert_eq!(db.count_mentioning(a), 2);
         let d = db.consts().get("d").unwrap();
         assert_eq!(db.count_with(r, 1, d), 0);
     }
