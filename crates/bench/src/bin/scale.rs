@@ -11,8 +11,9 @@
 //!    produce byte-identical databases and labels, and the snapshot
 //!    path must be **≥10× faster** — a hard gate (exit 1).
 //! 2. **Border** — radius-1 borders around every labelled tuple, built
-//!    the way `PreparedLabels` builds them (one reused BFS scratch).
-//!    `border_serial_ms` is the wall time the regression gate compares.
+//!    the way `PreparedLabels` builds them (one batched
+//!    [`borders`](obx_srcdb::borders) call). `border_serial_ms` is the
+//!    wall time the regression gate compares.
 //! 3. **Interner** — the satellite micro-benchmark: bulk-interning the
 //!    scenario's constant population into a cold [`Interner`] versus
 //!    one pre-sized with [`Interner::with_capacity`], the fast path
@@ -30,7 +31,7 @@ use obx_core::scenario::{build_snapshot, load_dir, write_scenario_dir, LoadedSce
 use obx_core::score::Scoring;
 use obx_core::strategies::BeamSearch;
 use obx_datagen::scale::{scale_scenario, ScaleParams};
-use obx_srcdb::{Border, BorderScratch, Const, Tuple};
+use obx_srcdb::{borders, Const, Tuple};
 use obx_util::{Interner, Interrupt, Symbol};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -123,14 +124,9 @@ fn bench_border(loaded: &LoadedScenario, fields: &mut String) {
         .chain(loaded.labels.neg().iter())
         .collect();
     let interrupt = Interrupt::none();
-    let (border_serial_ms, borders) = best_of(|| {
-        let mut scratch = BorderScratch::new();
-        tuples
-            .iter()
-            .map(|t| Border::compute_in(db, t, BORDER_RADIUS, &interrupt, &mut scratch))
-            .collect::<Vec<_>>()
-    });
-    let atoms: usize = borders.iter().map(Border::len).sum();
+    let (border_serial_ms, built) =
+        best_of(|| borders(db, tuples.iter().map(|t| &t[..]), BORDER_RADIUS, &interrupt));
+    let atoms: usize = built.iter().map(|b| b.atoms.len()).sum();
     eprintln!(
         "border r={BORDER_RADIUS}: {border_serial_ms:.1} ms over {} tuples, \
          {atoms} border atoms total",

@@ -1,9 +1,9 @@
 //! Command dispatch. [`run`] is a pure function from arguments to output
 //! text, so the whole CLI is testable without spawning processes.
 
-use crate::scenario_io::{load_dir, write_paper_example, LoadError, LoadedScenario};
 use obx_core::budget::CancelToken;
 use obx_core::explain::{ExplainTask, SearchLimits};
+use obx_core::scenario::{load_dir, write_paper_example, LoadError, LoadedScenario};
 use obx_core::score::{ExplainMode, Scoring};
 use obx_core::service::{self, ExplainRequest, ServiceError};
 use obx_srcdb::Border;

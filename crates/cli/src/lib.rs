@@ -21,8 +21,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod commands;
-pub mod scenario_io;
 
 pub use commands::{run, run_cancellable, CliError, CliOutcome};
 pub use obx_core::budget::CancelToken;
-pub use scenario_io::{load_dir, write_paper_example, LoadedScenario};
+pub use obx_core::scenario::{load_dir, write_paper_example, LoadedScenario};

@@ -13,8 +13,8 @@
 use crate::labels::Labels;
 use obx_obdm::{CompiledQuery, ObdmError, ObdmSystem};
 use obx_query::{OntoUcq, SrcCq, SrcUcq};
-use obx_srcdb::{AtomSet, Bitmap, Border, BorderScratch, Const, Tuple, View};
-use obx_util::FxHashSet;
+use obx_srcdb::{AtomSet, Bitmap, Const, Tuple, View};
+use obx_util::FxHashMap;
 use std::sync::Arc;
 
 /// Confusion counts of a query against λ.
@@ -388,6 +388,9 @@ pub struct PreparedLabels<'a> {
     radius: usize,
     pos: Vec<(Tuple, Arc<AtomSet>)>,
     neg: Vec<(Tuple, Arc<AtomSet>)>,
+    /// Each distinct border once, with its net multiplicity: the number
+    /// of positive tuples that have it minus the number of negative ones.
+    distinct: Vec<(Arc<AtomSet>, i64)>,
 }
 
 impl<'a> PreparedLabels<'a> {
@@ -397,7 +400,7 @@ impl<'a> PreparedLabels<'a> {
     }
 
     /// [`PreparedLabels::new`] with a cooperative stop signal threaded
-    /// into each border BFS. If `interrupt` fires, the remaining borders
+    /// into the border BFS. If `interrupt` fires, the remaining borders
     /// come out truncated (a smaller effective radius for those tuples) —
     /// still sound, just less complete, per the anytime contract.
     pub fn new_interruptible(
@@ -406,35 +409,42 @@ impl<'a> PreparedLabels<'a> {
         radius: usize,
         interrupt: &obx_util::Interrupt,
     ) -> Self {
-        let mut scratch = BorderScratch::new();
+        let tuples = labels.pos().iter().chain(labels.neg());
+        let borders = obx_srcdb::borders(
+            system.db(),
+            tuples.clone().map(|t| &t[..]),
+            radius,
+            interrupt,
+        );
         // Tuples around the same hubs often share their whole border;
         // equal sets are stored once.
-        let mut distinct: FxHashSet<Arc<AtomSet>> = FxHashSet::default();
-        let mut compute = |tuples: &[Tuple]| -> Vec<(Tuple, Arc<AtomSet>)> {
-            tuples
-                .iter()
-                .map(|t| {
-                    let atoms = Border::compute_in(system.db(), t, radius, interrupt, &mut scratch)
-                        .into_atoms();
-                    let shared = match distinct.get(&atoms) {
-                        Some(a) => Arc::clone(a),
-                        None => {
-                            let a = Arc::new(atoms);
-                            distinct.insert(Arc::clone(&a));
-                            a
-                        }
-                    };
-                    (t.clone(), shared)
-                })
-                .collect()
-        };
-        let pos = compute(labels.pos());
-        let neg = compute(labels.neg());
+        let mut index: FxHashMap<Arc<AtomSet>, usize> = FxHashMap::default();
+        let mut distinct: Vec<(Arc<AtomSet>, i64)> = Vec::new();
+        let mut pos = Vec::with_capacity(labels.pos().len());
+        let mut neg = Vec::with_capacity(labels.neg().len());
+        for (i, (t, border)) in tuples.zip(borders).enumerate() {
+            let next = distinct.len();
+            let k = *index
+                .entry(Arc::new(border.atoms))
+                .or_insert_with_key(|set| {
+                    distinct.push((Arc::clone(set), 0));
+                    next
+                });
+            let entry = (t.clone(), Arc::clone(&distinct[k].0));
+            if i < labels.pos().len() {
+                distinct[k].1 += 1;
+                pos.push(entry);
+            } else {
+                distinct[k].1 -= 1;
+                neg.push(entry);
+            }
+        }
         Self {
             system,
             radius,
             pos,
             neg,
+            distinct,
         }
     }
 
@@ -607,15 +617,13 @@ impl<'a> PreparedLabels<'a> {
         }
         // `stamp[c]` = 1 + the index of the last border that counted `c`,
         // so a constant scores once per border however often it occurs.
+        // Each distinct border is walked once, weighted by how many more
+        // positive than negative tuples share it; a border whose weight
+        // nets to zero is still walked, so its constants rank (at 0).
         let mut stamp: Vec<usize> = vec![0; n];
         let mut score: Vec<i64> = vec![0; n];
         let mut touched: Vec<Const> = Vec::new();
-        let borders = self
-            .pos
-            .iter()
-            .map(|(_, b)| (b, 1))
-            .chain(self.neg.iter().map(|(_, b)| (b, -1)));
-        for (i, (border, weight)) in borders.enumerate() {
+        for (i, (border, weight)) in self.distinct.iter().enumerate() {
             for id in border.iter() {
                 for &c in db.atom(id).args.iter() {
                     let k = c.0.index();

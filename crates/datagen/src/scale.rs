@@ -167,7 +167,7 @@ pub fn scale_scenario(params: ScaleParams) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obx_srcdb::{Border, BorderScratch};
+    use obx_srcdb::{borders, Border};
     use obx_util::Interrupt;
 
     fn small() -> ScaleParams {
@@ -223,11 +223,11 @@ mod tests {
         assert!(hub > tail / 4, "hub {hub} not dominant over tail {tail}");
     }
 
-    /// One BFS scratch reused across every tuple (as `PreparedLabels`
-    /// uses it) must give byte-identical borders to a fresh scratch per
-    /// tuple on generated scenarios, whose hubs force large frontiers.
+    /// The batched border call `PreparedLabels` makes must give the
+    /// single-tuple BFS's set and layer sizes for every tuple on generated
+    /// scenarios, whose hubs force large frontiers and shared balls.
     #[test]
-    fn border_scratch_reuse_is_byte_identical_on_generated_scenarios() {
+    fn batched_borders_are_byte_identical_on_generated_scenarios() {
         for scenario in [
             scale_scenario(small()),
             crate::skewed::skewed_scenario(crate::skewed::SkewedParams::default()),
@@ -236,22 +236,25 @@ mod tests {
             let db = scenario.system.db();
             let mut tuples: Vec<_> = scenario.labels.pos().iter().take(3).cloned().collect();
             tuples.extend(scenario.labels.neg().iter().take(2).cloned());
-            let mut scratch = BorderScratch::new();
-            for tuple in &tuples {
-                for radius in 0..3 {
+            for radius in 0..3 {
+                let batch = borders(
+                    db,
+                    tuples.iter().map(|t| &t[..]),
+                    radius,
+                    &Interrupt::none(),
+                );
+                assert_eq!(batch.len(), tuples.len());
+                for (tuple, got) in tuples.iter().zip(&batch) {
                     let fresh = Border::compute(db, tuple, radius);
-                    let reused =
-                        Border::compute_in(db, tuple, radius, &Interrupt::none(), &mut scratch);
-                    assert_eq!(fresh.num_layers(), reused.num_layers());
-                    for j in 0..fresh.num_layers() {
-                        assert_eq!(
-                            fresh.layer(j),
-                            reused.layer(j),
-                            "layer {j} mismatch in {} r={radius}",
-                            scenario.description
-                        );
-                    }
-                    assert_eq!(fresh.atoms(), reused.atoms());
+                    let lens: Vec<usize> = (0..fresh.num_layers())
+                        .map(|j| fresh.layer(j).map_or(0, <[_]>::len))
+                        .collect();
+                    assert_eq!(
+                        got.layer_lens, lens,
+                        "layer sizes in {} r={radius}",
+                        scenario.description
+                    );
+                    assert_eq!(&got.atoms, fresh.atoms());
                 }
             }
         }

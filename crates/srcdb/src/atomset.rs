@@ -9,8 +9,10 @@
 //! is canonical — a function of `len` and `universe` alone — so the
 //! derived `Eq` is exact set equality between sets over the same universe.
 //!
-//! [`Bitmap`] is the mutable dense form: the BFS dedup scratch the border
-//! is built in, and the per-constant marks of the relevant-constant tally.
+//! [`Bitmap`] is a growable dense bitmap: the constant marks of the border
+//! BFS and of the relevant-constant tally. `Accumulator` is the mutable
+//! form of an `AtomSet`: every border is built in one, id by id or by
+//! unions that count what they add, and frozen from it.
 
 use crate::atom::AtomId;
 
@@ -28,14 +30,6 @@ impl Bitmap {
     pub fn with_capacity(bits: usize) -> Self {
         Self {
             words: vec![0; bits.div_ceil(WORD_BITS)],
-        }
-    }
-
-    /// Grows the bitmap (cleared) so that indexes `0..bits` fit.
-    pub fn reserve(&mut self, bits: usize) {
-        let words = bits.div_ceil(WORD_BITS);
-        if words > self.words.len() {
-            self.words.resize(words, 0);
         }
     }
 
@@ -93,7 +87,7 @@ enum Repr {
 /// Whether a set of `len` ids over `universe` is stored dense: below the
 /// break-even density `4·len < universe/8` the sorted slice is smaller.
 #[inline]
-fn dense_for(len: usize, universe: usize) -> bool {
+pub(crate) fn dense_for(len: usize, universe: usize) -> bool {
     32 * len >= universe
 }
 
@@ -128,32 +122,6 @@ impl AtomSet {
             }
             Repr::Dense(words.into_boxed_slice())
         } else {
-            Repr::Sorted(ids.into_boxed_slice())
-        };
-        Self {
-            universe,
-            len,
-            repr,
-        }
-    }
-
-    /// Freezes the `len` ids set in `bits` (all below `universe`), which
-    /// are exactly the ids of `members`. The dense form copies the words;
-    /// the sorted form sorts `members`, so neither scans a sparse bitmap.
-    pub(crate) fn freeze(
-        universe: usize,
-        len: usize,
-        bits: &Bitmap,
-        members: impl Iterator<Item = AtomId>,
-    ) -> Self {
-        let repr = if dense_for(len, universe) {
-            let mut words = vec![0u64; universe.div_ceil(WORD_BITS)];
-            let n = words.len().min(bits.words.len());
-            words[..n].copy_from_slice(&bits.words[..n]);
-            Repr::Dense(words.into_boxed_slice())
-        } else {
-            let mut ids: Vec<AtomId> = members.collect();
-            ids.sort_unstable();
             Repr::Sorted(ids.into_boxed_slice())
         };
         Self {
@@ -224,6 +192,146 @@ impl AtomSet {
             Repr::Dense(words) => std::mem::size_of_val::<[u64]>(words),
             Repr::Sorted(ids) => std::mem::size_of_val::<[AtomId]>(ids),
         }
+    }
+}
+
+/// Dense words over an atom universe that a set is accumulated in, by
+/// inserts and unions that each report how many ids they added. While only
+/// sparse input has arrived, the nonzero words are tracked, so freezing a
+/// sparse result and clearing for the next one cost `O(set)`, not
+/// `O(universe)`; a dense union makes the result dense-sized anyway, and
+/// then both scan the words.
+#[derive(Debug)]
+pub(crate) struct Accumulator {
+    universe: usize,
+    words: Vec<u64>,
+    /// Indexes of the nonzero words, in first-touch order; not maintained
+    /// once `dense` is set.
+    touched: Vec<usize>,
+    /// Whether a dense set was unioned in since the last clear.
+    dense: bool,
+    len: usize,
+}
+
+impl Accumulator {
+    /// An empty accumulator over `0..universe`.
+    pub(crate) fn new(universe: usize) -> Self {
+        Self {
+            universe,
+            words: vec![0; universe.div_ceil(WORD_BITS)],
+            touched: Vec::new(),
+            dense: false,
+            len: 0,
+        }
+    }
+
+    /// Number of ids accumulated.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Adds `id`; returns whether it was not already present.
+    #[inline]
+    pub(crate) fn insert(&mut self, id: AtomId) -> bool {
+        let (w, mask) = (id.index() / WORD_BITS, 1 << (id.index() % WORD_BITS));
+        let word = &mut self.words[w];
+        if *word & mask != 0 {
+            return false;
+        }
+        if *word == 0 && !self.dense {
+            self.touched.push(w);
+        }
+        *word |= mask;
+        self.len += 1;
+        true
+    }
+
+    /// Adds `ids`; returns how many were not already present.
+    pub(crate) fn insert_ids(&mut self, ids: &[AtomId]) -> usize {
+        ids.iter().filter(|&&id| self.insert(id)).count()
+    }
+
+    /// Unions `set` (over the same universe) in; returns how many of its
+    /// ids were not already present. A dense set is one word-OR pass.
+    pub(crate) fn union(&mut self, set: &AtomSet) -> usize {
+        debug_assert_eq!(set.universe, self.universe, "universe mismatch");
+        match &set.repr {
+            Repr::Sorted(ids) => self.insert_ids(ids),
+            Repr::Dense(words) => {
+                self.dense = true;
+                let mut added = 0;
+                for (acc, &w) in self.words.iter_mut().zip(words.iter()) {
+                    added += (w & !*acc).count_ones() as usize;
+                    *acc |= w;
+                }
+                self.len += added;
+                added
+            }
+        }
+    }
+
+    /// The accumulated ids, in no particular order.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = AtomId> + '_ {
+        let dense = self.dense.then_some(0..self.words.len());
+        let sparse = (!self.dense).then(|| self.touched.iter().copied());
+        dense
+            .into_iter()
+            .flatten()
+            .chain(sparse.into_iter().flatten())
+            .flat_map(move |w| {
+                let mut bits = self.words[w];
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let id = AtomId((w * WORD_BITS + bits.trailing_zeros() as usize) as u32);
+                        bits &= bits - 1;
+                        id
+                    })
+                })
+            })
+    }
+
+    /// The accumulated set, frozen in its canonical form; the accumulator
+    /// keeps its contents.
+    pub(crate) fn to_set(&self) -> AtomSet {
+        let repr = if dense_for(self.len, self.universe) {
+            Repr::Dense(self.words.clone().into_boxed_slice())
+        } else {
+            // A dense union would have made `len` dense-sized.
+            debug_assert!(!self.dense);
+            let mut touched = self.touched.clone();
+            touched.sort_unstable();
+            let mut ids = Vec::with_capacity(self.len);
+            for w in touched {
+                let mut bits = self.words[w];
+                while bits != 0 {
+                    ids.push(AtomId(
+                        (w * WORD_BITS + bits.trailing_zeros() as usize) as u32,
+                    ));
+                    bits &= bits - 1;
+                }
+            }
+            Repr::Sorted(ids.into_boxed_slice())
+        };
+        AtomSet {
+            universe: self.universe,
+            len: self.len,
+            repr,
+        }
+    }
+
+    /// Empties the accumulator for the next set.
+    pub(crate) fn clear(&mut self) {
+        if self.dense {
+            self.words.fill(0);
+        } else {
+            for &w in &self.touched {
+                self.words[w] = 0;
+            }
+        }
+        self.touched.clear();
+        self.dense = false;
+        self.len = 0;
     }
 }
 
@@ -348,18 +456,51 @@ mod tests {
         let a = AtomSet::from_ids(500, [AtomId(3), AtomId(1), AtomId(3)]);
         let b = AtomSet::from_ids(500, [AtomId(1), AtomId(3)]);
         assert_eq!(a, b);
-        let mut bits = Bitmap::default();
-        let members = [AtomId(1), AtomId(3)];
-        for id in members {
-            bits.insert(id.index());
-        }
-        assert_eq!(AtomSet::freeze(500, 2, &bits, members.into_iter()), b);
-        // The same bits over a 64-id universe freeze to the dense form.
-        let dense = AtomSet::freeze(64, 2, &bits, members.into_iter());
+        let members = [AtomId(3), AtomId(1)];
+        let mut acc = Accumulator::new(500);
+        acc.insert_ids(&members);
+        assert_eq!(acc.to_set(), b);
+        // The same ids over a 64-id universe freeze to the dense form.
+        let mut acc = Accumulator::new(64);
+        acc.insert_ids(&members);
+        let dense = acc.to_set();
         assert!(dense.is_dense());
         assert_eq!(dense, AtomSet::from_ids(64, members));
         assert!(a.is_subset(&AtomSet::from_ids(500, (0..10).map(AtomId))));
         assert!(!AtomSet::from_ids(500, (0..10).map(AtomId)).is_subset(&a));
+    }
+
+    #[test]
+    fn accumulator_unions_count_new_ids_and_freeze_canonically() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for universe in [1usize, 64, 200, 4925] {
+            let mut acc = Accumulator::new(universe);
+            // Several sets per accumulator, so clearing is exercised too.
+            for _ in 0..6 {
+                let mut model: BTreeSet<AtomId> = BTreeSet::new();
+                for _ in 0..rng.gen_range(0usize..5) {
+                    let density = [0.001, 0.01, 0.05, 0.5][rng.gen_range(0usize..4)];
+                    let part: Vec<AtomId> = (0..universe)
+                        .filter(|_| rng.gen_bool(density))
+                        .map(|i| AtomId(i as u32))
+                        .collect();
+                    let fresh = part.iter().filter(|id| !model.contains(id)).count();
+                    let added = if rng.gen_bool(0.5) {
+                        acc.insert_ids(&part)
+                    } else {
+                        acc.union(&AtomSet::from_ids(universe, part.iter().copied()))
+                    };
+                    assert_eq!(added, fresh, "new ids counted exactly");
+                    model.extend(part);
+                    assert_eq!(acc.len(), model.len());
+                }
+                let set = acc.to_set();
+                assert_eq!(set, AtomSet::from_ids(universe, model.iter().copied()));
+                acc.clear();
+                assert_eq!(acc.len(), 0);
+                assert_eq!(acc.to_set(), AtomSet::empty(universe), "clear empties");
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod view;
 
 pub use atom::{Atom, AtomId, AtomRef};
 pub use atomset::{AtomSet, Bitmap};
-pub use border::{border, reachable_from, Border, BorderScratch};
+pub use border::{border, borders, reachable_from, Border, TupleBorder};
 pub use consts::{Const, ConstPool, Tuple};
 pub use database::Database;
 pub use parse::{

@@ -14,10 +14,10 @@
 //!   results ([`Termination::Degraded`]) instead of aborting, and every
 //!   reported result is sound against an unguarded reference.
 
-use obx_cli::scenario_io::load_dir_checked;
 use obx_core::budget::{SearchBudget, Termination};
 use obx_core::explain::{ExplainTask, SearchLimits, Strategy};
 use obx_core::labels::Labels;
+use obx_core::scenario::load_dir_checked;
 use obx_core::score::Scoring;
 use obx_core::strategies::BeamSearch;
 use obx_core::validate_scenario;
@@ -176,7 +176,7 @@ fn multi_error_scenario_reports_problems_in_every_file() {
     // but the diagnostics make clear it is not admissible.
     assert!(checked.scenario.is_some());
     assert!(checked.diagnostics.has_errors());
-    for file in obx_cli::scenario_io::SCENARIO_FILES {
+    for file in obx_core::scenario::SCENARIO_FILES {
         assert!(
             checked.diagnostics.iter().any(|d| d.file == file),
             "no diagnostic for {file}: {:?}",

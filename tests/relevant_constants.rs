@@ -88,3 +88,56 @@ fn random_scenarios_tally_matches_naive() {
         check(&format!("random seed {seed}"), &s.system, &s.labels);
     }
 }
+
+/// Three campuses, each one connected component, so at radius 2 every
+/// student of a campus has the same border (the whole campus). The
+/// campuses' positive and negative students net +2, 0 and −2 on their
+/// shared border; a country constant sits in all three borders.
+#[test]
+fn shared_borders_with_mixed_net_weights_match_naive() {
+    let mut system = obx_obdm::example_3_6_system();
+    let mut pos = Vec::new();
+    let mut neg = Vec::new();
+    for (campus, (n_pos, n_neg)) in [("P", (3, 1)), ("Z", (2, 2)), ("N", (1, 3))] {
+        let (subj, uni, city) = (
+            format!("Subj{campus}"),
+            format!("Uni{campus}"),
+            format!("City{campus}"),
+        );
+        let db = system.db_mut();
+        db.insert_named("LOC", &[&uni, &city]).unwrap();
+        db.insert_named("LOC", &[&city, "Italy"]).unwrap();
+        for i in 0..n_pos + n_neg {
+            let student = format!("S{campus}{i}");
+            db.insert_named("STUD", &[&student]).unwrap();
+            db.insert_named("ENR", &[&student, &subj, &uni]).unwrap();
+            let tuple: obx_srcdb::Tuple = Box::new([db.consts().get(&student).unwrap()]);
+            if i < n_pos {
+                pos.push(tuple);
+            } else {
+                neg.push(tuple);
+            }
+        }
+    }
+    let labels = Labels::from_tuples(pos, neg).unwrap();
+    check("three campuses", &system, &labels);
+
+    let prepared = PreparedLabels::new(&system, &labels, 2);
+    let mut distinct: Vec<*const obx_srcdb::AtomSet> = prepared
+        .pos()
+        .iter()
+        .chain(prepared.neg())
+        .map(|(_, b)| std::sync::Arc::as_ptr(b))
+        .collect();
+    distinct.sort();
+    distinct.dedup();
+    assert_eq!(distinct.len(), 3, "one shared border per campus");
+    let db = system.db();
+    let ranking = prepared.relevant_constants(usize::MAX);
+    let at = |name: &str| {
+        let c = db.consts().get(name).unwrap();
+        ranking.iter().position(|&r| r == c).unwrap()
+    };
+    assert!(at("SubjP") < at("SubjZ") && at("SubjZ") < at("SubjN"));
+    assert!(at("Italy") < at("SubjN"), "+2 + 0 − 2 nets to 0");
+}
