@@ -2,7 +2,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use obx_bench::experiments::random_border_db;
-use obx_srcdb::Border;
+use obx_srcdb::border;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e08_border_scale");
@@ -14,7 +14,7 @@ fn bench(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("radius_{r}"), n_atoms),
                 &n_atoms,
-                |b, _| b.iter(|| black_box(Border::compute(&db, &[c0], r).len())),
+                |b, _| b.iter(|| black_box(border(&db, &[c0], r).len())),
             );
         }
     }

@@ -36,7 +36,8 @@ use obx_core::ScoringEngine;
 use obx_datagen::{skewed_scenario, university_scenario, Scenario, SkewedParams, UniversityParams};
 use obx_obdm::CompiledQuery;
 use obx_query::eval;
-use obx_srcdb::{border, AtomSet, Tuple, View};
+use obx_srcdb::{borders, AtomSet, Tuple, View};
+use obx_util::Interrupt;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -197,10 +198,15 @@ fn bench_hotpath(name: &str, scenario: &mut Scenario, fields: &mut String) {
         .iter()
         .chain(scenario.labels.neg().iter())
         .collect();
-    let borders: Vec<AtomSet> = tuples
-        .iter()
-        .map(|t| border(db, t, HOTPATH_RADIUS))
-        .collect();
+    let borders: Vec<AtomSet> = borders(
+        db,
+        tuples.iter().map(|t| &t[..]),
+        HOTPATH_RADIUS,
+        &Interrupt::none(),
+    )
+    .into_iter()
+    .map(|b| b.atoms)
+    .collect();
     let mut best = hotpath_once(db, &compiled, &tuples, &borders);
     for _ in 1..REPS {
         let run = hotpath_once(db, &compiled, &tuples, &borders);

@@ -6,7 +6,9 @@
 //! cargo run --release -p obx-ci
 //! ```
 //!
-//! Runs the gate steps in order — `fmt --check`, workspace clippy with
+//! Runs the gate steps in order — the env-latch check (non-test code
+//! under `crates/*/src` may read no `OBX_*` environment variable but
+//! `OBX_THREADS` and `OBX_OBS`), `fmt --check`, workspace clippy with
 //! warnings denied, a release build, the test suite, a build and
 //! self-test of the standalone `perfbench` package (outside the
 //! workspace, so nothing else compiles it against the library API), and
@@ -92,6 +94,96 @@ const BENCHES: [(&str, &str, &str, &str); 6] = [
     ),
 ];
 
+/// The `OBX_*` environment variables non-test code may read. Any other
+/// is a forcing knob or latch, and fails the `env-latches` step.
+const ALLOWED_ENV: [&str; 2] = ["OBX_THREADS", "OBX_OBS"];
+
+/// The in-process step that runs [`env_latch_violations`].
+const ENV_STEP: &str = "env-latches";
+
+/// The `OBX_*` variables a Rust source file's non-test code names, with
+/// their 1-based lines, other than [`ALLOWED_ENV`]. A string literal
+/// that is exactly `"OBX_NAME"` counts as a read, whether it is passed
+/// to `std::env::var` directly or through a constant. Comment lines are
+/// skipped, and so is everything from a column-0 `#[cfg(test)]` that
+/// opens a `mod` (the file's test module) on.
+fn env_latches(src: &str) -> Vec<(usize, String)> {
+    let lines: Vec<&str> = src.lines().collect();
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let opens_test_mod = *line == "#[cfg(test)]"
+            && lines[i + 1..]
+                .iter()
+                .map(|l| l.trim_start())
+                .find(|l| !l.starts_with("#["))
+                .is_some_and(|l| l.starts_with("mod "));
+        if opens_test_mod {
+            break;
+        }
+        if line.trim_start().starts_with("//") {
+            continue;
+        }
+        let mut rest = *line;
+        while let Some(at) = rest.find("\"OBX_") {
+            let tail = &rest[at + 1..];
+            let len = tail
+                .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(tail.len());
+            let (name, after) = tail.split_at(len);
+            let named = name.len() > "OBX_".len();
+            if named && after.starts_with('"') && !ALLOWED_ENV.contains(&name) {
+                out.push((i + 1, name.to_owned()));
+            }
+            rest = after;
+        }
+    }
+    out
+}
+
+/// Every `.rs` file under `dir`, recursively, in path order.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
+    paths.sort();
+    for path in paths {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// [`env_latches`] over every source file under `crates/*/src`, as
+/// `path:line: reads NAME` lines.
+fn env_latch_violations(root: &Path) -> Vec<String> {
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .map(|entries| entries.filter_map(|e| e.ok().map(|e| e.path())).collect())
+        .unwrap_or_default();
+    crates.sort();
+    let mut files = Vec::new();
+    for krate in crates {
+        rust_files(&krate.join("src"), &mut files);
+    }
+    let mut out = Vec::new();
+    for file in files {
+        let Ok(src) = std::fs::read_to_string(&file) else {
+            continue;
+        };
+        let shown = file
+            .strip_prefix(root)
+            .unwrap_or(&file)
+            .display()
+            .to_string();
+        for (line, name) in env_latches(&src) {
+            out.push(format!("{shown}:{line}: reads {name}"));
+        }
+    }
+    out
+}
+
 struct StepResult {
     name: &'static str,
     command: String,
@@ -174,6 +266,35 @@ fn run_step(
     });
     eprintln!(
         "== {name}: {} ({wall_ms:.0} ms)",
+        if ok { "PASS" } else { "FAIL" }
+    );
+    ok
+}
+
+/// Runs the env-latch check as a step and records it.
+fn run_env_step(rec: &Recorder, results: &mut Vec<StepResult>, root: &Path) -> bool {
+    eprintln!("== {ENV_STEP}: OBX_* reads in non-test code under crates/*/src");
+    let mut span = rec.kernel(ENV_STEP);
+    let start = Instant::now();
+    let violations = env_latch_violations(root);
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let ok = violations.is_empty();
+    span.count("ok", u64::from(ok));
+    drop(span);
+    for v in &violations {
+        eprintln!(
+            "ENV LATCH: {v} (only {} may be read)",
+            ALLOWED_ENV.join(", ")
+        );
+    }
+    results.push(StepResult {
+        name: ENV_STEP,
+        command: "scan crates/*/src for OBX_* environment reads".to_owned(),
+        status: if ok { "pass" } else { "fail" },
+        wall_ms,
+    });
+    eprintln!(
+        "== {ENV_STEP}: {} ({wall_ms:.0} ms)",
         if ok { "PASS" } else { "FAIL" }
     );
     ok
@@ -370,7 +491,8 @@ fn main() {
         ),
     ];
 
-    let step_names: Vec<&str> = steps.iter().map(|(n, _)| *n).collect();
+    let mut step_names: Vec<&str> = vec![ENV_STEP];
+    step_names.extend(steps.iter().map(|(n, _)| *n));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let filter = match StepFilter::parse(&args, &step_names) {
         Ok(f) => f,
@@ -381,7 +503,8 @@ fn main() {
         }
     };
 
-    let mut all_ok = true;
+    // The env-latch check reads source files only, so it goes first.
+    let mut all_ok = !filter.selects(ENV_STEP) || run_env_step(&rec, &mut results, &root);
     for (name, args) in steps {
         if !filter.selects(name) {
             eprintln!("== {name}: skipped by step filter");
@@ -649,6 +772,39 @@ mod tests {
                 assert_ne!(file, file2);
             }
         }
+    }
+
+    #[test]
+    fn env_latches_flag_unlisted_obx_reads_in_non_test_code() {
+        let src = r#"
+// A comment naming "OBX_COMMENT" is not a read.
+const KEY: &str = "OBX_VIA_CONST";
+fn threads() -> Option<String> { std::env::var("OBX_THREADS").ok() }
+fn obs() -> bool { std::env::var("OBX_OBS").is_ok() }
+fn latch() -> bool { std::env::var("OBX_LATCH").is_ok() && KEY.is_empty() }
+fn help() -> &'static str { "set OBX_OBS=0 to stop recording" }
+#[cfg(any(test, feature = "x"))]
+fn hook() -> bool { std::env::var_os("OBX_HOOK").is_some() }
+
+#[cfg(test)]
+mod tests {
+    fn flip() { std::env::set_var("OBX_IN_TESTS", "1"); }
+}
+"#;
+        assert_eq!(
+            env_latches(src),
+            vec![
+                (3, "OBX_VIA_CONST".to_owned()),
+                (6, "OBX_LATCH".to_owned()),
+                (9, "OBX_HOOK".to_owned()),
+            ]
+        );
+    }
+
+    #[test]
+    fn workspace_reads_only_the_allowed_env_vars() {
+        let violations = env_latch_violations(&workspace_root());
+        assert!(violations.is_empty(), "{violations:#?}");
     }
 
     #[test]

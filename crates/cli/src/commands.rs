@@ -6,7 +6,7 @@ use obx_core::explain::{ExplainTask, SearchLimits};
 use obx_core::scenario::{load_dir, write_paper_example, LoadError, LoadedScenario};
 use obx_core::score::{ExplainMode, Scoring};
 use obx_core::service::{self, ExplainRequest, ServiceError};
-use obx_srcdb::Border;
+use obx_srcdb::border_layers;
 use obx_util::obs::Recorder;
 use obx_util::PipelineProfile;
 use std::fmt;
@@ -571,20 +571,19 @@ pub fn run_cancellable(args: &[String], cancel: &CancelToken) -> Result<CliOutco
                         .ok_or_else(|| input_err(format!("unknown constant `{}`", c.trim())))
                 })
                 .collect::<Result<_, _>>()?;
-            let border = Border::compute(loaded.system.db(), &tuple, radius);
             let db = loaded.system.db();
+            let layers = border_layers(db, &tuple, radius);
             let mut out = String::new();
-            for j in 0..border.num_layers() {
-                let mut atoms: Vec<String> = border
-                    .layer(j)
-                    .into_iter()
-                    .flatten()
-                    .map(|&id| db.atom(id).render(db.schema(), db.consts()))
+            for (j, layer) in layers.iter().enumerate() {
+                let mut atoms: Vec<String> = layer
+                    .iter()
+                    .map(|id| db.atom(id).render(db.schema(), db.consts()))
                     .collect();
                 atoms.sort();
                 let _ = writeln!(out, "W_{j}: {{{}}}", atoms.join(", "));
             }
-            let _ = writeln!(out, "B_t,{radius}: {} atom(s)", border.len());
+            let size: usize = layers.iter().map(|layer| layer.len()).sum();
+            let _ = writeln!(out, "B_t,{radius}: {size} atom(s)");
             Ok(CliOutcome::complete(out))
         }
         "evidence" => {
@@ -878,6 +877,31 @@ mod tests {
             let out = run(&args(&["border", dir, "A10", "1"])).unwrap();
             assert!(out.contains("STUD(A10)"), "{out}");
             assert!(out.contains("LOC(TV, Rome)"), "{out}");
+        });
+    }
+
+    /// The full `obx border` output on the paper scenario at every radius
+    /// until the border saturates (the whole component of `A10` is reached
+    /// at radius 3).
+    #[test]
+    fn border_command_output_is_pinned() {
+        const W0: &str = "W_0: {ENR(A10, Math, TV), STUD(A10)}\n";
+        const W1: &str = "W_1: {ENR(B80, Math, Sap), ENR(D50, Science, TV), \
+                          ENR(E25, Math, Pol), LOC(TV, Rome)}\n";
+        const W2: &str = "W_2: {ENR(C12, Science, Norm), LOC(Pol, Milan), \
+                          LOC(Sap, Rome), STUD(B80), STUD(D50), STUD(E25)}\n";
+        const W3: &str = "W_3: {STUD(C12)}\n";
+        let want = [
+            format!("{W0}B_t,0: 2 atom(s)\n"),
+            format!("{W0}{W1}B_t,1: 6 atom(s)\n"),
+            format!("{W0}{W1}{W2}B_t,2: 12 atom(s)\n"),
+            format!("{W0}{W1}{W2}{W3}B_t,3: 13 atom(s)\n"),
+        ];
+        with_scenario("border-golden", |dir| {
+            for (r, want) in want.iter().enumerate() {
+                let out = run(&args(&["border", dir, "A10", &r.to_string()])).unwrap();
+                assert_eq!(&out, want, "radius {r}");
+            }
         });
     }
 

@@ -39,8 +39,8 @@
 //!    for candidates provably outside both the caller's selection window
 //!    and its ranked pool. Both paths are exact: output is byte-identical
 //!    to full evaluation, enforced by the equivalence property suite.
-//!    Toggled by `OBX_INCREMENTAL` (default on) or
-//!    [`ScoringEngine::with_config`].
+//!    Always on, except where [`ScoringEngine::with_config`] turns it
+//!    off for an A/B comparison.
 //!
 //! The engine is shared across [`ExplainTask::with_limits`] clones via
 //! `Arc`, so a meta-strategy's base run warms the cache for its assembly
@@ -205,10 +205,9 @@ pub struct ScoringEngine {
 impl ScoringEngine {
     /// An empty engine. Thread count comes from `OBX_THREADS` when set to
     /// a positive integer, else from the machine's available parallelism;
-    /// the incremental (delta + pruning) path is on unless
-    /// `OBX_INCREMENTAL` disables it.
+    /// the incremental (delta + pruning) path is on.
     pub fn new() -> Self {
-        Self::with_config(configured_threads(), configured_incremental())
+        Self::with_config(configured_threads(), true)
     }
 
     /// An empty engine scoring batches on exactly `threads` threads
@@ -216,7 +215,7 @@ impl ScoringEngine {
     /// is the injectable path — tests use it instead of mutating the
     /// process-global environment, which races across test threads.
     pub fn with_threads(threads: usize) -> Self {
-        Self::with_config(threads, configured_incremental())
+        Self::with_config(threads, true)
     }
 
     /// An empty engine with the environment-configured thread count and
@@ -669,21 +668,6 @@ impl std::fmt::Debug for ScoringEngine {
 }
 
 use obx_util::pool::configured_threads;
-
-/// Incremental toggle: `OBX_INCREMENTAL` set to `0`, `off`, `false`, or
-/// `no` (any case) disables parent-delta evaluation and bound pruning;
-/// anything else — including unset — leaves them on. The kill switch
-/// exists so a suspected pruning bug can be ruled out in the field
-/// without a rebuild.
-fn configured_incremental() -> bool {
-    match std::env::var("OBX_INCREMENTAL") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ),
-        Err(_) => true,
-    }
-}
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]

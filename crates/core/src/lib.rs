@@ -26,9 +26,9 @@
 //!    and matched once and memoized as a bitset; UCQ statistics are bit
 //!    ORs; batches run on a persistent worker pool (`OBX_THREADS`).
 //!    Refinement children are delta-evaluated against their parent's bits
-//!    and bound-pruned via interval arithmetic over `Z` ([`prune`],
-//!    toggled by `OBX_INCREMENTAL`), returning byte-identical rankings at
-//!    a fraction of the evaluator calls.
+//!    and bound-pruned via interval arithmetic over `Z` ([`prune`]),
+//!    returning byte-identical rankings at a fraction of the evaluator
+//!    calls.
 //! 6. **Best-describing search** ([`explain`], [`strategies`]) —
 //!    Definition 3.7 asks for a query maximizing the Z-score in a language
 //!    `L_O`; four strategies are provided (exhaustive enumeration,

@@ -175,8 +175,8 @@ mod tests {
         let math = db.consts().get("Math").unwrap();
         let e25 = db.consts().get("E25").unwrap();
         // Radius 0: only atoms mentioning A10 itself.
-        let b0 = obx_srcdb::Border::compute(&db, &[a10], 0);
-        let abox0 = virtual_abox(&mapping, b0.view(&db));
+        let b0 = obx_srcdb::border(&db, &[a10], 0);
+        let abox0 = virtual_abox(&mapping, View::masked(&db, &b0));
         assert!(abox0.has_role(studies, a10, math));
         assert!(!abox0.has_role(studies, e25, math), "E25 outside radius 0");
         // Radius 1 *does* reach ENR(E25, Math, Pol) through the shared
@@ -184,8 +184,8 @@ mod tests {
         // the paper's Example 3.6 omits these sibling enrolments, an
         // erratum that does not affect any of its match claims; see
         // EXPERIMENTS.md).
-        let b1 = obx_srcdb::Border::compute(&db, &[a10], 1);
-        let abox1 = virtual_abox(&mapping, b1.view(&db));
+        let b1 = obx_srcdb::border(&db, &[a10], 1);
+        let abox1 = virtual_abox(&mapping, View::masked(&db, &b1));
         assert!(abox1.has_role(studies, e25, math));
     }
 

@@ -14,19 +14,17 @@
 //! is identical under both readings, and a property test below checks that
 //! union-equivalence.
 //!
-//! Complexity: one BFS over the bipartite constant–atom incidence graph
-//! using [`Database::atoms_mentioning`], i.e. `O(Σ |incident atoms|)` —
-//! near-linear in the size of the reached sub-database (experiment E8).
-
-// The BFS runs inside every served explain; a panic here would trip the
-// tenant's circuit breaker instead of returning a truncated border.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+//! Every border is built by [`borders`], many tuples per call;
+//! [`border`] and [`border_layers`] are its single-tuple forms. Each BFS
+//! step walks the bipartite constant–atom incidence graph through
+//! [`Database::atoms_mentioning`], so a border costs `O(Σ |incident
+//! atoms|)` — near-linear in the size of the reached sub-database
+//! (experiment E8).
 
 use crate::atom::AtomId;
 use crate::atomset::{dense_for, Accumulator, AtomSet, Bitmap};
 use crate::consts::Const;
 use crate::database::Database;
-use crate::view::View;
 use obx_util::obs::Span;
 use obx_util::{FxHashMap, GuardKind, Interrupt};
 use std::sync::LazyLock;
@@ -36,38 +34,16 @@ use std::sync::LazyLock;
 static BORDER_ATOMS: LazyLock<&'static obx_util::obs::Counter> =
     LazyLock::new(|| obx_util::obs::counter("obx.border.atoms"));
 
-/// Dense dedup state for the border BFS — atoms and constants already
-/// reached — so membership tests are one word probe instead of a hash.
-/// The border's set is frozen straight from `atoms`.
-///
-/// The ball searches of one [`borders`] call share a scratch: each resets
-/// exactly what it set, so a search costs `O(ball)` rather than
-/// `O(database)`.
-#[derive(Debug)]
-struct Scratch {
-    atoms: Accumulator,
-    consts: Bitmap,
-}
-
-impl Scratch {
-    fn new(db: &Database) -> Self {
-        Self {
-            atoms: Accumulator::new(db.len()),
-            consts: Bitmap::with_capacity(db.consts().len()),
-        }
-    }
-}
-
 /// Collects the next frontier — constants first seen in `layer`'s atoms —
 /// in discovery order, marking them seen.
 fn collect_frontier(
     db: &Database,
-    layer: &[AtomId],
+    layer: impl IntoIterator<Item = AtomId>,
     seen: &mut Bitmap,
     seen_list: &mut Vec<Const>,
 ) -> Vec<Const> {
     let mut next_frontier = Vec::new();
-    for &id in layer {
+    for id in layer {
         for &c in db.atom(id).args.iter() {
             if seen.insert(c.0.index()) {
                 next_frontier.push(c);
@@ -76,6 +52,33 @@ fn collect_frontier(
     }
     seen_list.extend_from_slice(&next_frontier);
     next_frontier
+}
+
+/// One BFS step: unions the posting lists of `frontier` into `acc`, and
+/// returns the atoms that were new, in discovery order, with the frontier
+/// they leave (none after the `last` layer).
+fn expand(
+    db: &Database,
+    frontier: &[Const],
+    acc: &mut Accumulator,
+    seen: &mut Bitmap,
+    seen_list: &mut Vec<Const>,
+    last: bool,
+) -> (Vec<AtomId>, Vec<Const>) {
+    let mut layer = Vec::new();
+    for &c in frontier {
+        for &id in db.atoms_mentioning(c) {
+            if acc.insert(id) {
+                layer.push(id);
+            }
+        }
+    }
+    let next = if last {
+        Vec::new()
+    } else {
+        collect_frontier(db, layer.iter().copied(), seen, seen_list)
+    };
+    (layer, next)
 }
 
 /// Charges one completed BFS layer (`atoms` new border atoms) to the
@@ -111,231 +114,28 @@ fn record_layer(sp: &mut Span<'_>, atoms: usize) {
     BORDER_ATOMS.add(atoms as u64);
 }
 
-/// Definition 3.1: all atoms of `db` sharing a constant with some atom in
-/// `from` (including the atoms of `from` themselves, which trivially share
-/// their own constants). Exposed mostly for tests and documentation; the
-/// border BFS below uses frontier bookkeeping instead of re-scanning.
-pub fn reachable_from(db: &Database, from: &AtomSet) -> AtomSet {
-    let mut out = Vec::new();
-    let mut seen_consts = Bitmap::default();
-    for id in from {
-        for &c in db.atom(id).args.iter() {
-            if seen_consts.insert(c.0.index()) {
-                out.extend_from_slice(db.atoms_mentioning(c));
-            }
-        }
-    }
-    AtomSet::from_ids(db.len(), out)
-}
-
-/// The border `B_{t,r}(D)` of a tuple, with its BFS layers `W_{t,j}`.
-///
-/// A `Border` can be [extended](Border::extend) to a larger radius without
-/// recomputing earlier layers — the explanation engine grows borders lazily
-/// when the radius parameter increases.
-#[derive(Debug)]
-pub struct Border {
-    /// `layers[j]` = `W_{t,j}(D)`, in discovery order. Trailing layers may
-    /// be empty when the BFS exhausted the connected component early.
-    layers: Vec<Vec<AtomId>>,
-    /// The union of `layers`, frozen after every expansion.
-    all: AtomSet,
-    /// Constants discovered in the most recent layer, not yet expanded.
-    frontier: Vec<Const>,
-    /// Every constant reached so far (the tuple's, then each frontier's).
-    seen_consts: Vec<Const>,
-}
-
-impl Border {
-    /// Computes `B_{t,radius}(D)` for the tuple `t` (given as its constants).
-    pub fn compute(db: &Database, tuple: &[Const], radius: usize) -> Self {
-        Self::compute_interruptible(db, tuple, radius, &Interrupt::none())
-    }
-
-    /// [`Border::compute`] with a cooperative stop signal, polled once per
-    /// BFS layer. If `interrupt` fires the border is returned *truncated*
-    /// (fewer layers than requested) — still a valid border at its smaller
-    /// radius, which is exactly what an anytime search wants.
-    pub fn compute_interruptible(
-        db: &Database,
-        tuple: &[Const],
-        radius: usize,
-        interrupt: &Interrupt,
-    ) -> Self {
-        let mut sp = obx_util::span!(interrupt.recorder(), "border");
-        let scratch = &mut Scratch::new(db);
-        // Layer 0: atoms that mention a constant appearing in t.
-        let mut seen_consts: Vec<Const> = Vec::new();
-        let mut layer0: Vec<AtomId> = Vec::new();
-        for &c in tuple {
-            if !scratch.consts.insert(c.0.index()) {
-                continue;
-            }
-            seen_consts.push(c);
-            for &id in db.atoms_mentioning(c) {
-                if scratch.atoms.insert(id) {
-                    layer0.push(id);
-                }
-            }
-        }
-        // Constants of t are expanded; constants first seen inside layer-0
-        // atoms form the frontier for layer 1.
-        let frontier = collect_frontier(db, &layer0, &mut scratch.consts, &mut seen_consts);
-        let layer0_len = layer0.len();
-        let mut border = Self {
-            layers: vec![layer0],
-            all: AtomSet::empty(db.len()),
-            frontier,
-            seen_consts,
-        };
-        border.record(&mut sp, layer0_len);
-        // Layer 0 is already materialized, so it is charged either way; a
-        // trip just stops the border from growing past it.
-        if charge_layer(interrupt, layer0_len) {
-            border.extend_layers(db, radius, interrupt, scratch, &mut sp);
-        }
-        border.all = scratch.atoms.to_set();
-        border
-    }
-
-    /// Grows the border so that at least `radius + 1` layers exist
-    /// (`W_0 ..= W_radius`). No-op if already large enough.
-    pub fn extend(&mut self, db: &Database, radius: usize) {
-        self.extend_interruptible(db, radius, &Interrupt::none());
-    }
-
-    /// [`Border::extend`] with a cooperative stop signal, polled once per
-    /// layer. Returns `true` if the requested radius was reached, `false`
-    /// if the interrupt fired first (the border stays valid at whatever
-    /// radius it got to). An interrupt carrying a
-    /// [`ResourceGuard`](obx_util::ResourceGuard) is charged per completed
-    /// layer; a trip truncates the BFS the same way.
-    pub fn extend_interruptible(
-        &mut self,
-        db: &Database,
-        radius: usize,
-        interrupt: &Interrupt,
-    ) -> bool {
-        if self.layers.len() > radius {
-            return true;
-        }
-        let mut sp = obx_util::span!(interrupt.recorder(), "border");
-        // Rebuild the dedup state the BFS left off with.
-        let mut scratch = Scratch::new(db);
-        for &c in &self.seen_consts {
-            scratch.consts.insert(c.0.index());
-        }
-        for layer in &self.layers {
-            scratch.atoms.insert_ids(layer);
-        }
-        let reached = self.extend_layers(db, radius, interrupt, &mut scratch, &mut sp);
-        self.all = scratch.atoms.to_set();
-        reached
-    }
-
-    /// The BFS layer loop behind [`Border::compute_interruptible`] and
-    /// [`Border::extend_interruptible`]; per-layer atom counts and the
-    /// frontier high-water mark go on the caller's span so each public
-    /// entry point records exactly one `border` span.
-    fn extend_layers(
-        &mut self,
-        db: &Database,
-        radius: usize,
-        interrupt: &Interrupt,
-        scratch: &mut Scratch,
-        sp: &mut Span<'_>,
-    ) -> bool {
-        while self.layers.len() <= radius {
-            if !may_grow(interrupt) {
-                return false;
-            }
-            let mut layer: Vec<AtomId> = Vec::new();
-            for &c in &self.frontier {
-                for &id in db.atoms_mentioning(c) {
-                    if scratch.atoms.insert(id) {
-                        layer.push(id);
-                    }
-                }
-            }
-            self.frontier =
-                collect_frontier(db, &layer, &mut scratch.consts, &mut self.seen_consts);
-            let charged = charge_layer(interrupt, layer.len());
-            self.record(sp, layer.len());
-            self.layers.push(layer);
-            if !charged {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Records a completed layer of `atoms` atoms, and the frontier it
-    /// left, on `sp`.
-    fn record(&self, sp: &mut Span<'_>, atoms: usize) {
-        record_layer(sp, atoms);
-        sp.count_max("frontier_max", self.frontier.len() as u64);
-    }
-
-    /// Radius currently covered (`layers.len() - 1`).
-    pub fn radius(&self) -> usize {
-        self.layers.len() - 1
-    }
-
-    /// The layer `W_{t,j}(D)`, or `None` if `j` exceeds the computed radius.
-    pub fn layer(&self, j: usize) -> Option<&[AtomId]> {
-        self.layers.get(j).map(Vec::as_slice)
-    }
-
-    /// Number of layers computed (radius + 1).
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// The atoms of `B_{t,r}` as a fresh set, or `None` if `r` exceeds the
-    /// computed radius.
-    ///
-    /// For `r == self.radius()` prefer [`Border::atoms`], which borrows.
-    pub fn atoms_up_to(&self, r: usize) -> Option<AtomSet> {
-        let ids = self.layers.get(..=r)?.iter().flatten().copied();
-        Some(AtomSet::from_ids(self.all.universe(), ids))
-    }
-
-    /// All atoms of the border at its full computed radius.
-    #[inline]
-    pub fn atoms(&self) -> &AtomSet {
-        &self.all
-    }
-
-    /// The border's atom set, dropping the layers and BFS state.
-    pub fn into_atoms(self) -> AtomSet {
-        self.all
-    }
-
-    /// Number of atoms in the full border.
-    pub fn len(&self) -> usize {
-        self.all.len()
-    }
-
-    /// Whether the border is empty (the tuple's constants occur in no atom).
-    pub fn is_empty(&self) -> bool {
-        self.all.is_empty()
-    }
-
-    /// Whether the BFS has exhausted the connected component (further
-    /// extensions would only add empty layers).
-    pub fn saturated(&self) -> bool {
-        self.frontier.is_empty()
-    }
-
-    /// A [`View`] of the database restricted to this border (full radius).
-    pub fn view<'a>(&'a self, db: &'a Database) -> View<'a> {
-        View::masked(db, &self.all)
-    }
-}
-
-/// Convenience wrapper: the atoms of `B_{t,r}(D)`.
+/// The atoms of `B_{t,r}(D)`: [`borders`] for one tuple, with no
+/// interrupt.
 pub fn border(db: &Database, tuple: &[Const], radius: usize) -> AtomSet {
-    Border::compute(db, tuple, radius).into_atoms()
+    borders(db, [tuple], radius, &Interrupt::none())
+        .pop()
+        .map_or_else(|| AtomSet::empty(db.len()), |b| b.atoms)
+}
+
+/// The layers `W_{t,0} ..= W_{t,radius}` of one tuple's border, each
+/// `B_{t,j} \ B_{t,j−1}` from one [`border`] per radius `j`. Layers past
+/// the tuple's connected component are empty. For printing layers (`obx
+/// border`, experiment E1); search only reads whole borders.
+pub fn border_layers(db: &Database, tuple: &[Const], radius: usize) -> Vec<AtomSet> {
+    let mut inner = AtomSet::empty(db.len());
+    (0..=radius)
+        .map(|j| {
+            let outer = border(db, tuple, j);
+            let layer = AtomSet::from_ids(db.len(), outer.iter().filter(|&id| !inner.contains(id)));
+            inner = outer;
+            layer
+        })
+        .collect()
 }
 
 /// One tuple's border from [`borders`].
@@ -376,7 +176,11 @@ struct Balls {
     /// The deepest ball a tuple border of the call reads: radius − 1.
     max_level: usize,
     credit: usize,
-    scratch: Scratch,
+    /// The atoms and constants a ball search has reached, as dense
+    /// words. Each search resets exactly what it set, so it costs
+    /// `O(ball)` rather than `O(database)`.
+    atoms: Accumulator,
+    consts: Bitmap,
     /// Where a ring is frozen from its ids.
     ring_acc: Accumulator,
 }
@@ -398,7 +202,8 @@ impl Balls {
             rings: FxHashMap::default(),
             max_level: radius.saturating_sub(1),
             credit: 0,
-            scratch: Scratch::new(db),
+            atoms: Accumulator::new(db.len()),
+            consts: Bitmap::with_capacity(db.consts().len()),
             ring_acc: Accumulator::new(db.len()),
         }
     }
@@ -461,12 +266,12 @@ impl Balls {
     /// `interrupt` before each layer; memoizes its rings unless it was
     /// cut. Pays one unit per atom reached.
     fn search(&mut self, db: &Database, c: Const, interrupt: &Interrupt) -> bool {
-        let scratch = &mut self.scratch;
         let mut seen = vec![c];
-        scratch.consts.insert(c.0.index());
+        self.consts.insert(c.0.index());
         let posting = db.atoms_mentioning(c);
-        scratch.atoms.insert_ids(posting);
-        let mut frontier = collect_frontier(db, posting, &mut scratch.consts, &mut seen);
+        self.atoms.insert_ids(posting);
+        let mut frontier =
+            collect_frontier(db, posting.iter().copied(), &mut self.consts, &mut seen);
         let mut rings = Vec::new();
         let mut cut = false;
         for m in 1..=self.max_level {
@@ -477,25 +282,24 @@ impl Balls {
                 cut = true;
                 break;
             }
-            let mut ring = Vec::new();
-            for &d in &frontier {
-                for &id in db.atoms_mentioning(d) {
-                    if scratch.atoms.insert(id) {
-                        ring.push(id);
-                    }
-                }
-            }
-            if m < self.max_level {
-                frontier = collect_frontier(db, &ring, &mut scratch.consts, &mut seen);
-            }
+            let last = m == self.max_level;
+            let (ring, next) = expand(
+                db,
+                &frontier,
+                &mut self.atoms,
+                &mut self.consts,
+                &mut seen,
+                last,
+            );
+            frontier = next;
             self.ring_acc.insert_ids(&ring);
             rings.push(self.ring_acc.to_set());
             self.ring_acc.clear();
         }
-        self.credit = self.credit.saturating_sub(scratch.atoms.len());
-        scratch.atoms.clear();
+        self.credit = self.credit.saturating_sub(self.atoms.len());
+        self.atoms.clear();
         for d in seen {
-            scratch.consts.remove(d.0.index());
+            self.consts.remove(d.0.index());
         }
         if !cut {
             self.rings.insert(c, rings);
@@ -504,52 +308,10 @@ impl Balls {
     }
 }
 
-/// One layer of the plain BFS in `acc`: unions the postings of `frontier`
-/// and leaves the next frontier in it (none after the `last` layer).
-/// `None` — the first plain layer after memo layers — expands every
-/// constant of `acc` not yet marked in `seen`. Returns the atoms added.
-fn plain_layer(
-    db: &Database,
-    acc: &mut Accumulator,
-    seen: &mut Bitmap,
-    marked: &mut Vec<Const>,
-    frontier: &mut Option<Vec<Const>>,
-    last: bool,
-) -> usize {
-    let expand = match frontier.take() {
-        Some(f) => f,
-        None => {
-            let start = marked.len();
-            for id in acc.ids() {
-                for &d in db.atom(id).args.iter() {
-                    if seen.insert(d.0.index()) {
-                        marked.push(d);
-                    }
-                }
-            }
-            marked[start..].to_vec()
-        }
-    };
-    let mut layer = Vec::new();
-    for &d in &expand {
-        for &id in db.atoms_mentioning(d) {
-            if acc.insert(id) {
-                layer.push(id);
-            }
-        }
-    }
-    *frontier = Some(if last {
-        Vec::new()
-    } else {
-        collect_frontier(db, &layer, seen, marked)
-    });
-    layer.len()
-}
-
 /// The borders `B_{t,radius}(D)` of many tuples, in input order: the same
-/// sets, layer sizes, guard charges and interrupt polls as one
-/// [`Border::compute_interruptible`] per tuple, with the balls of
-/// constants that many tuples reach shared between them.
+/// sets, layer sizes, guard charges and interrupt polls as a plain BFS per
+/// tuple, with the balls of constants that many tuples reach shared
+/// between them.
 ///
 /// Write `N(t)` for the atoms mentioning a constant of `t` (layer 0) and
 /// `ball(c, j)` for the border of the single constant `c` at radius `j`.
@@ -564,10 +326,11 @@ fn plain_layer(
 /// [`Balls`] memo, whose credit bounds its work by the plain search's;
 /// when the credit falls short the layer, and every later one of that
 /// tuple, is the plain BFS step. Either way the ids a layer adds are
-/// exactly `W_{t,j}`: the guard is charged per tuple per layer as the
-/// single-tuple BFS charges it, and the interrupt is polled before each
-/// layer `j ≥ 1` the same way (and before each layer of a ball search).
-/// Tuples around the same hubs reuse the hubs' balls instead of
+/// exactly `W_{t,j}`: the guard is charged per tuple per layer, after the
+/// layer is built, and the interrupt is polled before each layer `j ≥ 1`
+/// (and before each layer of a ball search). With one tuple the credit
+/// starts at 0, so no ball is searched and layers past 1 take the plain
+/// step. Tuples around the same hubs reuse the hubs' balls instead of
 /// re-walking them; a tuple that names a hub reaches many constants,
 /// whose balls overlap, and takes the plain step. One `border` span
 /// covers the call; its `atoms` counter is `Σ_t |B_t|`, and `tuples`,
@@ -643,8 +406,17 @@ fn borders_in<'t>(
                     } else {
                         plain = true;
                         sp.count("plain_layers", 1);
+                        // The first plain step after memo layers expands
+                        // every constant of `B_{t,j−1}` not marked yet.
+                        let from = match frontier.take() {
+                            Some(f) => f,
+                            None => collect_frontier(db, acc.ids(), &mut seen, &mut marked),
+                        };
                         let last = j == radius;
-                        plain_layer(db, &mut acc, &mut seen, &mut marked, &mut frontier, last)
+                        let (layer, next) =
+                            expand(db, &from, &mut acc, &mut seen, &mut marked, last);
+                        frontier = Some(next);
+                        layer.len()
                     };
                     layer_lens.push(added);
                     record_layer(&mut sp, added);
@@ -666,7 +438,6 @@ fn borders_in<'t>(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::schema::Schema;
@@ -694,17 +465,21 @@ mod tests {
         db
     }
 
-    fn sorted(v: &[AtomId]) -> Vec<AtomId> {
-        let mut v = v.to_vec();
-        v.sort();
-        v
+    fn ids(set: &AtomSet) -> Vec<AtomId> {
+        set.iter().collect()
     }
 
-    /// The hash-set BFS the bitset border replaced, kept as the reference:
-    /// same loop order, same per-layer guard charge, `FxHashSet` dedup.
+    /// [`borders`] for one tuple.
+    fn single(db: &Database, tuple: &[Const], radius: usize, interrupt: &Interrupt) -> TupleBorder {
+        borders(db, [tuple], radius, interrupt).pop().unwrap()
+    }
+
+    /// A plain hash-set BFS, kept as the reference every border is checked
+    /// against: layer 0, then one layer per frontier, polling the
+    /// interrupt before each layer `j ≥ 1` and charging the guard per
+    /// completed layer.
     struct Reference {
         layers: Vec<Vec<AtomId>>,
-        frontier: Vec<Const>,
         all: FxHashSet<AtomId>,
     }
 
@@ -737,9 +512,10 @@ mod tests {
             let mut go = charge_layer(interrupt, layer0.len());
             let mut layers = vec![layer0];
             while go && layers.len() <= radius {
-                if interrupt
-                    .guard()
-                    .is_some_and(|g| g.is_exhausted(GuardKind::BorderAtoms))
+                if interrupt.is_triggered()
+                    || interrupt
+                        .guard()
+                        .is_some_and(|g| g.is_exhausted(GuardKind::BorderAtoms))
                 {
                     break;
                 }
@@ -755,22 +531,32 @@ mod tests {
                 go = charge_layer(interrupt, layer.len());
                 layers.push(layer);
             }
-            Self {
-                layers,
-                frontier,
-                all,
+            Self { layers, all }
+        }
+
+        /// The reference as a [`TupleBorder`] over `db`'s atoms.
+        fn border(&self, db: &Database) -> TupleBorder {
+            TupleBorder {
+                atoms: AtomSet::from_ids(db.len(), self.all.iter().copied()),
+                layer_lens: self.layers.iter().map(Vec::len).collect(),
             }
         }
     }
 
-    /// Byte-identical layers and frontier, and the same atom set.
-    fn assert_matches_reference(ours: &Border, reference: &Reference) {
-        assert_eq!(ours.layers, reference.layers, "layers in discovery order");
-        assert_eq!(ours.frontier, reference.frontier, "frontier order");
-        let mut want: Vec<AtomId> = reference.all.iter().copied().collect();
-        want.sort();
-        assert_eq!(ours.atoms().iter().collect::<Vec<_>>(), want);
-        assert_eq!(ours.len(), reference.all.len());
+    /// Definition 3.1: all atoms of `db` sharing a constant with some atom
+    /// in `from` (including the atoms of `from` themselves, which
+    /// trivially share their own constants).
+    fn reachable_from(db: &Database, from: &AtomSet) -> AtomSet {
+        let mut out = Vec::new();
+        let mut seen_consts = Bitmap::default();
+        for id in from {
+            for &c in db.atom(id).args.iter() {
+                if seen_consts.insert(c.0.index()) {
+                    out.extend_from_slice(db.atoms_mentioning(c));
+                }
+            }
+        }
+        AtomSet::from_ids(db.len(), out)
     }
 
     /// The literal Definition 3.2 border: `W'_0` = atoms mentioning a
@@ -809,60 +595,36 @@ mod tests {
     fn example_3_3_layers_match_paper() {
         let db = example_3_3();
         let a = db.consts().get("a").unwrap();
-        let b = Border::compute(&db, &[a], 2);
+        let layers = border_layers(&db, &[a], 2);
+        assert_eq!(layers.len(), 3);
         // W0 = {R(a,b), S(a,c)}
-        assert_eq!(sorted(b.layer(0).unwrap()), vec![AtomId(0), AtomId(1)]);
+        assert_eq!(ids(&layers[0]), vec![AtomId(0), AtomId(1)]);
         // W1 = {Z(c,d)}
-        assert_eq!(sorted(b.layer(1).unwrap()), vec![AtomId(2)]);
+        assert_eq!(ids(&layers[1]), vec![AtomId(2)]);
         // W2 = {W(d,e)}
-        assert_eq!(sorted(b.layer(2).unwrap()), vec![AtomId(3)]);
+        assert_eq!(ids(&layers[2]), vec![AtomId(3)]);
         // B_{t,2} = union, iterated in ascending id order.
-        let all: Vec<AtomId> = b.atoms().iter().collect();
-        assert_eq!(all, vec![AtomId(0), AtomId(1), AtomId(2), AtomId(3)]);
-        assert_eq!(b.len(), 4);
+        let b = single(&db, &[a], 2, &Interrupt::none());
+        assert_eq!(
+            ids(&b.atoms),
+            vec![AtomId(0), AtomId(1), AtomId(2), AtomId(3)]
+        );
+        assert_eq!(b.layer_lens, vec![2, 1, 1]);
     }
 
     #[test]
     fn example_3_3_radius_3_reaches_w_e_h_but_never_r_f_g() {
         let db = example_3_3();
         let a = db.consts().get("a").unwrap();
-        let b = Border::compute(&db, &[a], 3);
-        assert_eq!(sorted(b.layer(3).unwrap()), vec![AtomId(4)]);
+        assert_eq!(ids(&border_layers(&db, &[a], 3)[3]), vec![AtomId(4)]);
         // R(f,g) is in a different connected component: even a huge radius
-        // never reaches it.
-        let big = Border::compute(&db, &[a], 50);
-        assert!(!big.atoms().contains(AtomId(5)));
-        assert!(big.saturated());
-        // Extra layers beyond saturation are empty.
-        assert!(big.layer(10).unwrap().is_empty());
-    }
-
-    #[test]
-    fn extend_is_incremental() {
-        let db = example_3_3();
-        let a = db.consts().get("a").unwrap();
-        let mut b = Border::compute(&db, &[a], 0);
-        assert_eq!(b.radius(), 0);
-        assert_eq!(b.len(), 2);
-        b.extend(&db, 2);
-        assert_eq!(b.radius(), 2);
-        let reference = Border::compute(&db, &[a], 2);
-        assert_eq!(b.atoms(), reference.atoms());
-        assert_eq!(
-            sorted(b.layer(1).unwrap()),
-            sorted(reference.layer(1).unwrap())
-        );
-    }
-
-    #[test]
-    fn atoms_up_to_is_prefix_union() {
-        let db = example_3_3();
-        let a = db.consts().get("a").unwrap();
-        let b = Border::compute(&db, &[a], 2);
-        assert_eq!(b.atoms_up_to(0).unwrap().len(), 2);
-        assert_eq!(b.atoms_up_to(1).unwrap().len(), 3);
-        assert_eq!(&b.atoms_up_to(2).unwrap(), b.atoms());
-        assert_eq!(b.atoms_up_to(3), None, "radius 3 was not computed");
+        // never reaches it, and layers past the component are empty.
+        let big = single(&db, &[a], 50, &Interrupt::none());
+        assert!(!big.atoms.contains(AtomId(5)));
+        assert_eq!(big.atoms, border(&db, &[a], 4), "saturated at radius 4");
+        assert_eq!(big.layer_lens.len(), 51);
+        assert!(big.layer_lens[5..].iter().all(|&n| n == 0));
+        assert!(border_layers(&db, &[a], 10)[10].is_empty());
     }
 
     #[test]
@@ -879,11 +641,11 @@ mod tests {
     #[test]
     fn empty_tuple_and_unknown_constant_give_empty_border() {
         let mut db = example_3_3();
-        assert!(Border::compute(&db, &[], 3).is_empty());
+        assert!(border(&db, &[], 3).is_empty());
         let ghost = db.constant("ghost");
-        let b = Border::compute(&db, &[ghost], 3);
-        assert!(b.is_empty());
-        assert!(b.saturated());
+        let b = single(&db, &[ghost], 3, &Interrupt::none());
+        assert!(b.atoms.is_empty());
+        assert_eq!(b.layer_lens, vec![0; 4]);
     }
 
     #[test]
@@ -891,8 +653,7 @@ mod tests {
         let db = example_3_3();
         let a = db.consts().get("a").unwrap();
         let f = db.consts().get("f").unwrap();
-        let b = Border::compute(&db, &[a, f], 0);
-        let got: Vec<AtomId> = b.atoms().iter().collect();
+        let got = ids(&border(&db, &[a, f], 0));
         assert_eq!(got, vec![AtomId(0), AtomId(1), AtomId(5)]);
     }
 
@@ -900,9 +661,10 @@ mod tests {
     fn duplicate_constants_in_tuple_are_harmless() {
         let db = example_3_3();
         let a = db.consts().get("a").unwrap();
-        let single = Border::compute(&db, &[a], 2);
-        let dup = Border::compute(&db, &[a, a], 2);
-        assert_eq!(single.atoms(), dup.atoms());
+        assert_eq!(
+            single(&db, &[a], 2, &Interrupt::none()),
+            single(&db, &[a, a], 2, &Interrupt::none())
+        );
     }
 
     #[test]
@@ -925,17 +687,14 @@ mod tests {
             GuardLimits::unlimited().with_max_border_atoms(2),
         ));
         let interrupt = Interrupt::none().with_guard(Arc::clone(&guard));
-        let b = Border::compute_interruptible(&db, &[a], 3, &interrupt);
-        assert!(b.radius() < 3, "guarded border truncates");
-        let reference = Border::compute(&db, &[a], b.radius());
+        let b = single(&db, &[a], 3, &interrupt);
+        let radius = b.layer_lens.len() - 1;
+        assert!(radius < 3, "guarded border truncates");
         assert_eq!(
-            b.atoms_up_to(b.radius()).unwrap(),
-            reference.atoms_up_to(b.radius()).unwrap(),
+            b.atoms,
+            border(&db, &[a], radius),
             "truncated border is the exact border at its smaller radius"
         );
-        // Once over the limit, even extend() stops immediately.
-        let mut b2 = b;
-        assert!(!b2.extend_interruptible(&db, 3, &interrupt));
         assert_eq!(guard.trip().unwrap().kind, GuardKind::BorderAtoms);
     }
 
@@ -984,20 +743,16 @@ mod tests {
                     .map(|c| db.consts().get(c).unwrap())
                     .collect();
                 let reference = Reference::compute(&db, &tuple, radius, &interrupt);
-                let fresh = Border::compute(&db, &tuple, radius);
-                assert_matches_reference(&fresh, &reference);
+                assert_eq!(
+                    single(&db, &tuple, radius, &interrupt),
+                    reference.border(&db)
+                );
+                let layers = border_layers(&db, &tuple, radius);
+                for (layer, want) in layers.iter().zip(&reference.layers) {
+                    assert_eq!(*layer, AtomSet::from_ids(db.len(), want.iter().copied()));
+                }
             }
         }
-    }
-
-    #[test]
-    fn extend_matches_reference_bfs_on_hub_graph() {
-        let db = hubbed_db(6, 200);
-        let hub = db.consts().get("hub0").unwrap();
-        let mut grown = Border::compute(&db, &[hub], 0);
-        grown.extend(&db, 3);
-        let reference = Reference::compute(&db, &[hub], 3, &Interrupt::none());
-        assert_matches_reference(&grown, &reference);
     }
 
     #[test]
@@ -1010,12 +765,12 @@ mod tests {
                 .unwrap();
         }
         let n = db.consts().get("n10000").unwrap();
-        let b = Border::compute(&db, &[n], 0);
+        let b = border(&db, &[n], 0);
         assert_eq!(b.len(), 2);
-        assert!(!b.atoms().is_dense(), "2 of 20000 atoms stay sparse");
-        assert_eq!(b.atoms().stored_bytes(), 2 * std::mem::size_of::<AtomId>());
+        assert!(!b.is_dense(), "2 of 20000 atoms stay sparse");
+        assert_eq!(b.stored_bytes(), 2 * std::mem::size_of::<AtomId>());
         // The whole chain is dense.
-        assert!(Border::compute(&db, &[n], 20_000).atoms().is_dense());
+        assert!(border(&db, &[n], 20_000).is_dense());
     }
 
     /// A fresh guard capped at `cap` border atoms (uncapped, but still
@@ -1039,7 +794,7 @@ mod tests {
         )
     }
 
-    /// One single-tuple BFS per tuple, in order, on one interrupt; the
+    /// One reference BFS per tuple, in order, on one interrupt; the
     /// interrupt `flag` (if any) is raised just before tuple `fire_at`.
     fn single_borders(
         db: &Database,
@@ -1053,11 +808,7 @@ mod tests {
             if let Some((k, flag)) = fire_at {
                 flag.store(i >= k, Ordering::Relaxed);
             }
-            let b = Border::compute_interruptible(db, t, radius, interrupt);
-            out.push(TupleBorder {
-                layer_lens: b.layers.iter().map(Vec::len).collect(),
-                atoms: b.into_atoms(),
-            });
+            out.push(Reference::compute(db, t, radius, interrupt).border(db));
         }
         out
     }
@@ -1273,11 +1024,11 @@ mod tests {
     }
 
     proptest! {
-        /// On random databases the bitset BFS reproduces the hash-set
-        /// reference byte for byte (layers, frontier, atom set) and the
+        /// On random databases a single-tuple [`borders`] call reproduces
+        /// the hash-set reference (atom set and layer sizes) and the
         /// literal Definition 3.2 border, with and without a border-atom
         /// guard; a guarded border truncates at the same radius with the
-        /// same charged counts.
+        /// same charged counts, and is the exact border at that radius.
         #[test]
         fn bitset_bfs_matches_reference_and_definition_3_2(
             seed in 0u64..10_000,
@@ -1291,40 +1042,32 @@ mod tests {
                 return Ok(());
             };
             let tuple = [t];
-            let ours = Border::compute(&db, &tuple, radius);
-            assert_matches_reference(&ours, &Reference::compute(&db, &tuple, radius, &Interrupt::none()));
-            prop_assert_eq!(ours.atoms(), &literal_border(&db, &tuple, radius));
+            let none = Interrupt::none();
+            let ours = single(&db, &tuple, radius, &none);
+            prop_assert_eq!(&ours, &Reference::compute(&db, &tuple, radius, &none).border(&db));
+            prop_assert_eq!(&ours.atoms, &literal_border(&db, &tuple, radius));
 
-            let guarded = |reference: bool| {
-                let guard = Arc::new(ResourceGuard::new(
-                    GuardLimits::unlimited().with_max_border_atoms(cap),
-                ));
-                let interrupt = Interrupt::none().with_guard(Arc::clone(&guard));
+            let run = |reference: bool| {
+                let (guard, interrupt) = guarded(Some(cap));
                 let b = if reference {
-                    let r = Reference::compute(&db, &tuple, radius, &interrupt);
-                    (r.layers.len(), r.frontier, r.layers)
+                    Reference::compute(&db, &tuple, radius, &interrupt).border(&db)
                 } else {
-                    let b = Border::compute_interruptible(&db, &tuple, radius, &interrupt);
-                    (b.num_layers(), b.frontier.clone(), b.layers.clone())
+                    single(&db, &tuple, radius, &interrupt)
                 };
-                (b, guard.count(GuardKind::BorderAtoms), guard.peak_alloc_bytes(), guard.is_tripped())
+                (b, guard_state(&guard))
             };
-            prop_assert_eq!(guarded(false), guarded(true));
-            let guard = Arc::new(ResourceGuard::new(
-                GuardLimits::unlimited().with_max_border_atoms(cap),
-            ));
-            let interrupt = Interrupt::none().with_guard(guard);
-            let truncated = Border::compute_interruptible(&db, &tuple, radius, &interrupt);
+            let (truncated, state) = run(false);
+            prop_assert_eq!(run(true), (truncated.clone(), state));
             prop_assert_eq!(
-                truncated.atoms(),
-                &literal_border(&db, &tuple, truncated.radius()),
+                &truncated.atoms,
+                &literal_border(&db, &tuple, truncated.layer_lens.len() - 1),
                 "a truncated border is the exact border at its radius"
             );
         }
 
-        /// The batched call reproduces the single-tuple BFS on random
-        /// databases: every tuple's set and layer sizes, and under a
-        /// border-atom cap the guard's count, byte peak and trip.
+        /// The batched call reproduces the reference BFS per tuple on
+        /// random databases: every tuple's set and layer sizes, and under
+        /// a border-atom cap the guard's count, byte peak and trip.
         #[test]
         fn batched_borders_match_single_tuple_bfs(
             seed in 0u64..10_000,

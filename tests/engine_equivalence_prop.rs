@@ -72,8 +72,8 @@ proptest! {
         };
         // Mask = the border of some individual.
         let ind = system.db().consts().get("ind0").expect("individual");
-        let border = obx_srcdb::Border::compute(system.db(), &[ind], 1);
-        let restricted = compiled.answers(border.view(system.db()));
+        let border = obx_srcdb::border(system.db(), &[ind], 1);
+        let restricted = compiled.answers(View::masked(system.db(), &border));
         let full = compiled.answers(View::full(system.db()));
         prop_assert!(restricted.is_subset(&full));
     }

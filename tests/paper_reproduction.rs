@@ -9,7 +9,7 @@
 use obx_core::explain::{ExplainTask, SearchLimits};
 use obx_core::matcher::PreparedLabels;
 use obx_core::paper_example::{PaperExample, PAPER_RADIUS};
-use obx_srcdb::{parse_database, parse_schema, AtomId, Border};
+use obx_srcdb::{border, border_layers, parse_database, parse_schema, AtomId, View};
 
 /// Example 3.3: D = {R(a,b), S(a,c), Z(c,d), W(d,e), W(e,h), R(f,g)},
 /// t = ⟨a⟩: W0 = {R(a,b), S(a,c)}, W1 = {Z(c,d)}, W2 = {W(d,e)}.
@@ -22,13 +22,11 @@ fn e1_example_3_3_border_layers() {
     )
     .unwrap();
     let a = db.consts().get("a").unwrap();
-    let border = Border::compute(&db, &[a], 2);
+    let layers = border_layers(&db, &[a], 2);
     let layer = |j: usize| -> Vec<String> {
-        let mut v: Vec<String> = border
-            .layer(j)
-            .unwrap()
+        let mut v: Vec<String> = layers[j]
             .iter()
-            .map(|&id| db.atom(id).render(db.schema(), db.consts()))
+            .map(|id| db.atom(id).render(db.schema(), db.consts()))
             .collect();
         v.sort();
         v
@@ -36,8 +34,9 @@ fn e1_example_3_3_border_layers() {
     assert_eq!(layer(0), vec!["R(a, b)", "S(a, c)"]);
     assert_eq!(layer(1), vec!["Z(c, d)"]);
     assert_eq!(layer(2), vec!["W(d, e)"]);
-    assert_eq!(border.len(), 4, "B_{{t,2}} has the paper's four atoms");
-    assert!(!border.atoms().contains(AtomId(5)), "R(f,g) stays outside");
+    let b = border(&db, &[a], 2);
+    assert_eq!(b.len(), 4, "B_{{t,2}} has the paper's four atoms");
+    assert!(!b.contains(AtomId(5)), "R(f,g) stays outside");
 }
 
 /// Example 3.6: q1 matches {A10, B80, D50}; q2 matches {A10, B80, E25};
@@ -135,8 +134,8 @@ fn e4_proposition_3_5_monotonicity() {
         for t in &tuples {
             let mut prev = false;
             for r in 0..=4usize {
-                let border = Border::compute(ex.system.db(), t, r);
-                let now = compiled.member(border.view(ex.system.db()), t);
+                let b = border(ex.system.db(), t, r);
+                let now = compiled.member(View::masked(ex.system.db(), &b), t);
                 assert!(
                     !prev || now,
                     "{name} lost a match when growing r to {r} for {:?}",
