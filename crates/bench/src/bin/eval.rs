@@ -29,6 +29,7 @@
 //!
 //! Usage: `cargo run --release -p obx-bench --bin eval`
 
+use obx_bench::harness::{ranked, Best, Report};
 use obx_core::explain::{ExplainReport, ExplainTask, SearchLimits, Strategy};
 use obx_core::score::Scoring;
 use obx_core::strategies::BeamSearch;
@@ -39,7 +40,6 @@ use obx_query::eval;
 use obx_srcdb::{borders, AtomSet, Tuple, View};
 use obx_util::Interrupt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Repetitions per panel; the best wall time is kept.
 const REPS: usize = 5;
@@ -69,36 +69,12 @@ fn counting_nodes<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 struct SearchRun {
-    wall_ms: f64,
     nodes: u64,
-    evals: u64,
-    ranked: Vec<(String, u64)>,
+    engine: Arc<ScoringEngine>,
+    report: ExplainReport,
 }
 
-fn search_once(task: &ExplainTask<'_>, sys: &obx_obdm::ObdmSystem) -> SearchRun {
-    let engine = Arc::new(ScoringEngine::with_incremental(true));
-    let t = task.with_engine(Arc::clone(&engine));
-    let t0 = Instant::now();
-    let (report, nodes): (ExplainReport, u64) = counting_nodes(|| {
-        BeamSearch
-            .explain_with_status(&t)
-            .expect("benchmark strategies succeed on generated scenarios")
-    });
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let ranked = report
-        .explanations
-        .iter()
-        .map(|e| (e.render(sys), e.score.to_bits()))
-        .collect();
-    SearchRun {
-        wall_ms,
-        nodes,
-        evals: engine.eval_calls(),
-        ranked,
-    }
-}
-
-fn bench_search(name: &str, scenario: &Scenario, fields: &mut String) {
+fn bench_search(name: &str, scenario: &Scenario, report: &mut Report) {
     let scoring = Scoring::accuracy();
     let limits = SearchLimits {
         beam_width: BEAM_WIDTH,
@@ -113,23 +89,39 @@ fn bench_search(name: &str, scenario: &Scenario, fields: &mut String) {
         limits,
     )
     .expect("generated scenarios yield valid tasks");
-    let mut best = search_once(&task, &scenario.system);
-    for _ in 1..REPS {
-        let run = search_once(&task, &scenario.system);
-        assert_eq!(run.nodes, best.nodes, "{name}: search nodes drifted");
-        assert_eq!(run.ranked, best.ranked, "{name}: ranked output drifted");
-        if run.wall_ms < best.wall_ms {
-            best = run;
-        }
-    }
-    fields.push_str(&format!(
-        "\"{name}_search_ms\":{:.3},\"{name}_search_nodes\":{},\"{name}_search_evals\":{},",
-        best.wall_ms, best.nodes, best.evals
-    ));
-    eprintln!(
-        "{name} search: {:.1} ms, {} nodes, {} evals",
-        best.wall_ms, best.nodes, best.evals
+    let sys = &scenario.system;
+    let best = Best::of(
+        REPS,
+        |kept: &SearchRun, run: &SearchRun| {
+            assert_eq!(run.nodes, kept.nodes, "{name}: search nodes drifted");
+            assert_eq!(
+                ranked(&run.report, sys),
+                ranked(&kept.report, sys),
+                "{name}: ranked output drifted"
+            );
+        },
+        || {
+            let engine = Arc::new(ScoringEngine::with_incremental(true));
+            let t = task.with_engine(Arc::clone(&engine));
+            let (report, nodes) = counting_nodes(|| {
+                BeamSearch
+                    .explain_with_status(&t)
+                    .expect("benchmark strategies succeed on generated scenarios")
+            });
+            SearchRun {
+                nodes,
+                engine,
+                report,
+            }
+        },
     );
+    report
+        .ms(format!("{name}_search_ms"), best.ms())
+        .count(format!("{name}_search_nodes"), best.run().nodes)
+        .count(
+            format!("{name}_search_evals"),
+            best.run().engine.eval_calls(),
+        );
 }
 
 const PANEL: &[&str] = &[
@@ -143,40 +135,7 @@ const PANEL: &[&str] = &[
     r#"q(x) :- Student(x), studies(z, "subj0"), enrolledAt(z, "uni0")"#,
 ];
 
-struct PanelRun {
-    wall_ms: f64,
-    nodes_per_pass: u64,
-    bits: Vec<bool>,
-}
-
-fn hotpath_once(
-    db: &obx_srcdb::Database,
-    compiled: &[CompiledQuery],
-    tuples: &[&Tuple],
-    borders: &[AtomSet],
-) -> PanelRun {
-    let mut bits = Vec::with_capacity(compiled.len() * tuples.len());
-    let t0 = Instant::now();
-    let ((), nodes) = counting_nodes(|| {
-        for pass in 0..HOTPATH_PASSES {
-            for cq in compiled {
-                for (t, b) in tuples.iter().zip(borders.iter()) {
-                    let hit = cq.member(View::masked(db, b), t);
-                    if pass == 0 {
-                        bits.push(hit);
-                    }
-                }
-            }
-        }
-    });
-    PanelRun {
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        nodes_per_pass: nodes / HOTPATH_PASSES as u64,
-        bits,
-    }
-}
-
-fn bench_hotpath(name: &str, scenario: &mut Scenario, fields: &mut String) {
+fn bench_hotpath(name: &str, scenario: &mut Scenario, report: &mut Report) {
     let compiled: Vec<CompiledQuery> = PANEL
         .iter()
         .map(|q| {
@@ -207,32 +166,39 @@ fn bench_hotpath(name: &str, scenario: &mut Scenario, fields: &mut String) {
     .into_iter()
     .map(|b| b.atoms)
     .collect();
-    let mut best = hotpath_once(db, &compiled, &tuples, &borders);
-    for _ in 1..REPS {
-        let run = hotpath_once(db, &compiled, &tuples, &borders);
-        assert_eq!(
-            run.nodes_per_pass, best.nodes_per_pass,
-            "{name}: hot-path nodes drifted"
-        );
-        assert_eq!(run.bits, best.bits, "{name}: membership bits drifted");
-        if run.wall_ms < best.wall_ms {
-            best = run;
-        }
-    }
-    let hits = best.bits.iter().filter(|&&b| b).count();
-    fields.push_str(&format!(
-        "\"{name}_hotpath_ms\":{:.3},\"{name}_hotpath_nodes_per_pass\":{},\"{name}_hotpath_checks_per_pass\":{},\"{name}_hotpath_hits_per_pass\":{hits},",
-        best.wall_ms,
-        best.nodes_per_pass,
-        best.bits.len()
-    ));
-    eprintln!(
-        "{name} hot path: {:.1} ms for {HOTPATH_PASSES} passes of {} member checks \
-         ({hits} hits), {} nodes per pass",
-        best.wall_ms,
-        best.bits.len(),
-        best.nodes_per_pass
+    // One repetition: (membership bits of the first pass, nodes per pass).
+    let best = Best::of(
+        REPS,
+        |kept: &(Vec<bool>, u64), run: &(Vec<bool>, u64)| {
+            assert_eq!(run.1, kept.1, "{name}: hot-path nodes drifted");
+            assert_eq!(run.0, kept.0, "{name}: membership bits drifted");
+        },
+        || {
+            let mut bits = Vec::with_capacity(compiled.len() * tuples.len());
+            let ((), nodes) = counting_nodes(|| {
+                for pass in 0..HOTPATH_PASSES {
+                    for cq in &compiled {
+                        for (t, b) in tuples.iter().zip(borders.iter()) {
+                            let hit = cq.member(View::masked(db, b), t);
+                            if pass == 0 {
+                                bits.push(hit);
+                            }
+                        }
+                    }
+                }
+            });
+            (bits, nodes / HOTPATH_PASSES as u64)
+        },
     );
+    let (bits, nodes_per_pass) = best.run();
+    report
+        .ms(format!("{name}_hotpath_ms"), best.ms())
+        .count(format!("{name}_hotpath_nodes_per_pass"), *nodes_per_pass)
+        .count(format!("{name}_hotpath_checks_per_pass"), bits.len() as u64)
+        .count(
+            format!("{name}_hotpath_hits_per_pass"),
+            bits.iter().filter(|&&b| b).count() as u64,
+        );
 }
 
 fn main() {
@@ -245,23 +211,17 @@ fn main() {
         ..SkewedParams::default()
     });
 
-    let mut fields = String::new();
-    bench_search("uniform", &uniform, &mut fields);
-    bench_search("skewed", &skewed, &mut fields);
-    bench_hotpath("uniform", &mut uniform, &mut fields);
-    bench_hotpath("skewed", &mut skewed, &mut fields);
-
-    let json = format!(
-        "{{\"bench\":\"eval\",\"radius\":{SEARCH_RADIUS},\"hotpath_radius\":{HOTPATH_RADIUS},\"hotpath_passes\":{HOTPATH_PASSES},\"n_students\":{N_STUDENTS},\"beam_width\":{BEAM_WIDTH},\"reps\":{REPS},{}}}",
-        fields.trim_end_matches(',')
-    );
-    println!("{json}");
-
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_eval.json");
-    std::fs::write(&path, format!("{json}\n")).expect("write BENCH_eval.json");
-    eprintln!(
-        "wrote {}",
-        std::fs::canonicalize(&path).unwrap_or(path).display()
-    );
+    let mut report = Report::new("eval");
+    report
+        .count("radius", SEARCH_RADIUS as u64)
+        .count("hotpath_radius", HOTPATH_RADIUS as u64)
+        .count("hotpath_passes", HOTPATH_PASSES as u64)
+        .count("n_students", N_STUDENTS as u64)
+        .count("beam_width", BEAM_WIDTH as u64)
+        .count("reps", REPS as u64);
+    bench_search("uniform", &uniform, &mut report);
+    bench_search("skewed", &skewed, &mut report);
+    bench_hotpath("uniform", &mut uniform, &mut report);
+    bench_hotpath("skewed", &mut skewed, &mut report);
+    report.finish("eval");
 }

@@ -28,6 +28,7 @@
 //!
 //! Usage: `cargo run --release -p obx-bench --bin modes`
 
+use obx_bench::harness::{ranked, Best, Report};
 use obx_core::explain::{ExplainReport, ExplainTask, SearchLimits, Strategy};
 use obx_core::score::{ExplainMode, Scoring};
 use obx_core::strategies::{BeamSearch, GreedyUcq};
@@ -37,7 +38,6 @@ use obx_datagen::{
     UniversityParams,
 };
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Repetitions per (scenario, mode); the best wall time is kept. The
 /// three modes are interleaved (fscore, sound, complete, fscore, …) so a
@@ -45,44 +45,30 @@ use std::time::Instant;
 const REPS: usize = 5;
 
 struct ModeRun {
-    wall_ms: f64,
-    candidates: u64,
-    pruned: usize,
+    engine: Arc<ScoringEngine>,
     report: ExplainReport,
+}
+
+impl ModeRun {
+    fn candidates(&self) -> u64 {
+        self.engine.cache_hits() + self.engine.cache_misses()
+    }
+
+    /// Pruned candidates never reach the engine, so the generated total
+    /// is the scored count plus the pruned count.
+    fn prune_rate(&self) -> f64 {
+        let pruned = self.report.pruned as f64;
+        pruned / (pruned + self.candidates() as f64).max(1.0)
+    }
 }
 
 fn run_once<'a>(task: &ExplainTask<'a>, scoring: &'a Scoring, strategy: &dyn Strategy) -> ModeRun {
     let engine = Arc::new(ScoringEngine::with_incremental(true));
     let t = task.with_scoring(scoring).with_engine(Arc::clone(&engine));
-    let t0 = Instant::now();
     let report = strategy
         .explain_with_status(&t)
         .expect("benchmark scenarios yield valid searches");
-    ModeRun {
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        candidates: engine.cache_hits() + engine.cache_misses(),
-        pruned: report.pruned,
-        report,
-    }
-}
-
-/// Best-of-REPS interleaved over the three modes; returns runs in
-/// [fscore, sound, complete] order.
-fn run_modes<'a>(
-    task: &ExplainTask<'a>,
-    scorings: &'a [Scoring; 3],
-    strategy: &dyn Strategy,
-) -> [ModeRun; 3] {
-    let mut best = scorings.each_ref().map(|s| run_once(task, s, strategy));
-    for _ in 1..REPS {
-        for (slot, scoring) in best.iter_mut().zip(scorings.iter()) {
-            let fresh = run_once(task, scoring, strategy);
-            if fresh.wall_ms < slot.wall_ms {
-                *slot = fresh;
-            }
-        }
-    }
-    best
+    ModeRun { engine, report }
 }
 
 fn scorings_for(scenario: &Scenario, fscore: &Scoring) -> [Scoring; 3] {
@@ -116,9 +102,9 @@ fn assert_complete(scenario_name: &str, run: &ModeRun) {
     );
 }
 
-/// Runs all three modes on one scenario and appends the JSON fields.
-/// Returns the [fscore, sound, complete] runs for scenario-specific
-/// asserts.
+/// Runs all three modes on one scenario, best of [`REPS`] interleaved,
+/// and writes their fields. Returns the kept [fscore, sound, complete]
+/// runs for scenario-specific asserts.
 fn bench_scenario(
     key: &str,
     scenario: &Scenario,
@@ -126,7 +112,7 @@ fn bench_scenario(
     strategy: &dyn Strategy,
     radius: usize,
     limits: SearchLimits,
-    fields: &mut String,
+    report: &mut Report,
 ) -> [ModeRun; 3] {
     let scorings = scorings_for(scenario, fscore);
     let task = ExplainTask::new(
@@ -137,24 +123,37 @@ fn bench_scenario(
         limits,
     )
     .expect("benchmark scenario yields a valid task");
-    let runs = run_modes(&task, &scorings, strategy);
-    for (mode, run) in ExplainMode::ALL.iter().zip(runs.iter()) {
-        let prune_rate = run.pruned as f64 / (run.pruned as f64 + run.candidates as f64).max(1.0);
-        fields.push_str(&format!(
-            "\"{key}_{mode}_ms\":{:.3},\"{key}_{mode}_candidates\":{},\
-             \"{key}_{mode}_pruned\":{},\"{key}_{mode}_prune_rate\":{:.4},",
-            run.wall_ms, run.candidates, run.pruned, prune_rate,
-        ));
-        eprintln!(
-            "{key}/{mode}: {:.1} ms, {} candidates, pruned {} (rate {prune_rate:.3})",
-            run.wall_ms, run.candidates, run.pruned
-        );
+    let mut best: [_; 3] = std::array::from_fn(|_| {
+        Best::new(|kept: &ModeRun, run: &ModeRun| {
+            let sys = &scenario.system;
+            assert_eq!(
+                ranked(&run.report, sys),
+                ranked(&kept.report, sys),
+                "{key}: ranked output drifted"
+            );
+        })
+    });
+    for _ in 0..REPS {
+        for (side, scoring) in best.iter_mut().zip(scorings.iter()) {
+            side.time(|| run_once(&task, scoring, strategy));
+        }
     }
-    runs
+    for (mode, side) in ExplainMode::ALL.iter().zip(best.iter()) {
+        let run = side.run();
+        report
+            .ms(format!("{key}_{mode}_ms"), side.ms())
+            .count(format!("{key}_{mode}_candidates"), run.candidates())
+            .count(format!("{key}_{mode}_pruned"), run.report.pruned as u64)
+            .real(format!("{key}_{mode}_prune_rate"), run.prune_rate(), 4);
+    }
+    best.map(|side| side.into_run())
 }
 
 fn main() {
-    let mut fields = String::new();
+    let mut report = Report::new("modes");
+    report
+        .count("uni_students", 600)
+        .count("skewed_students", 300);
 
     // Workload 1: the university scenario at 600 students, paper Z with
     // unit weights as the fscore reference (the service default).
@@ -174,7 +173,7 @@ fn main() {
             top_k: 5,
             ..SearchLimits::default()
         },
-        &mut fields,
+        &mut report,
     );
     assert_sound("university", &uni_runs[1]);
     assert_complete("university", &uni_runs[2]);
@@ -203,12 +202,12 @@ fn main() {
             top_k: 1,
             ..SearchLimits::default()
         },
-        &mut fields,
+        &mut report,
     );
     assert_sound("skewed", &skewed_runs[1]);
     assert_complete("skewed", &skewed_runs[2]);
     assert!(
-        skewed_runs[1].pruned > 0,
+        skewed_runs[1].report.pruned > 0,
         "skewed/sound: bound pruning went dark under the sound scoring"
     );
 
@@ -235,13 +234,13 @@ fn main() {
             top_k: 1,
             ..SearchLimits::default()
         },
-        &mut fields,
+        &mut report,
     );
     assert_sound("skewed-ucq", &skewed_ucq_runs[1]);
     assert_complete("skewed-ucq", &skewed_ucq_runs[2]);
     for (mode, run) in ExplainMode::ALL.iter().zip(skewed_ucq_runs.iter()).skip(1) {
         assert!(
-            run.pruned > 0,
+            run.report.pruned > 0,
             "skewed-ucq/{mode}: union bound pruning went dark under the {mode} scoring"
         );
     }
@@ -284,16 +283,5 @@ fn main() {
         rendered[2]
     );
 
-    let json = format!(
-        "{{\"bench\":\"modes\",\"uni_students\":600,\"skewed_students\":300,{fields}\"mode_winners_differ\":true}}"
-    );
-    println!("{json}");
-
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_modes.json");
-    std::fs::write(&path, format!("{json}\n")).expect("write BENCH_modes.json");
-    eprintln!(
-        "wrote {}",
-        std::fs::canonicalize(&path).unwrap_or(path).display()
-    );
+    report.flag("mode_winners_differ", true).finish("modes");
 }

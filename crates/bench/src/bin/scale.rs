@@ -26,15 +26,15 @@
 //!
 //! Usage: `cargo run --release -p obx-bench --bin scale`
 
+use obx_bench::harness::{ranked, Best, Report};
 use obx_core::explain::{ExplainReport, ExplainTask, SearchLimits, Strategy};
 use obx_core::scenario::{build_snapshot, load_dir, write_scenario_dir, LoadedScenario};
 use obx_core::score::Scoring;
 use obx_core::strategies::BeamSearch;
 use obx_datagen::scale::{scale_scenario, ScaleParams};
-use obx_srcdb::{borders, Const, Tuple};
+use obx_srcdb::{borders, Const, Tuple, TupleBorder};
 use obx_util::{Interner, Interrupt, Symbol};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// Atom target for the load/border phases (the data-layer stress size).
 const BIG_ATOMS: usize = 1_000_000;
@@ -52,10 +52,6 @@ const BORDER_RADIUS: usize = 1;
 /// Repetitions per timed section; best wall time kept.
 const REPS: usize = 3;
 
-fn ms(t0: Instant) -> f64 {
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("obx-bench-scale-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -63,38 +59,30 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Best-of-[`REPS`] wall time for `f`, returning the last result.
-fn best_of<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-    let t0 = Instant::now();
-    let mut out = f();
-    let mut best = ms(t0);
-    for _ in 1..REPS {
-        let t0 = Instant::now();
-        out = f();
-        best = best.min(ms(t0));
-    }
-    (best, out)
+/// Loads of one directory must agree on the atom count.
+fn same_atoms(a: &LoadedScenario, b: &LoadedScenario) {
+    assert_eq!(a.system.db().len(), b.system.db().len(), "load drifted");
 }
 
 /// Phase 1: text vs snapshot load of the big scenario directory.
-fn bench_load(dir: &Path, fields: &mut String) -> (f64, LoadedScenario) {
-    let (text_load_ms, text_loaded) = best_of(|| load_dir(dir).expect("text load succeeds"));
-    eprintln!("text load: {text_load_ms:.1} ms best of {REPS}");
-
-    let t0 = Instant::now();
-    let (atoms, consts, bytes) = build_snapshot(dir).expect("snapshot build succeeds");
-    let snapshot_build_ms = ms(t0);
-    eprintln!(
-        "snapshot build: {snapshot_build_ms:.1} ms ({atoms} atoms, {consts} consts, {bytes} bytes)"
+fn bench_load(dir: &Path, report: &mut Report) -> (f64, LoadedScenario) {
+    let text = Best::of(REPS, same_atoms, || {
+        load_dir(dir).expect("text load succeeds")
+    });
+    let build = Best::of(
+        1,
+        |_, _| {},
+        || build_snapshot(dir).expect("snapshot build succeeds"),
     );
-
-    let (snapshot_load_ms, snap_loaded) =
-        best_of(|| load_dir(dir).expect("snapshot load succeeds"));
-    let load_speedup = text_load_ms / snapshot_load_ms.max(1e-9);
-    eprintln!("snapshot load: {snapshot_load_ms:.1} ms best of {REPS} ({load_speedup:.1}x)");
+    let (_, _, bytes) = *build.run();
+    let snap = Best::of(REPS, same_atoms, || {
+        load_dir(dir).expect("snapshot load succeeds")
+    });
+    let load_speedup = text.ms() / snap.ms().max(1e-9);
 
     // Byte-identity: the snapshot fast path must reproduce the text
     // parse exactly — same atom order, same interned ids, same labels.
+    let (text_loaded, snap_loaded) = (text.run(), snap.run());
     assert_eq!(
         text_loaded.system.db().render(),
         snap_loaded.system.db().render(),
@@ -103,19 +91,18 @@ fn bench_load(dir: &Path, fields: &mut String) -> (f64, LoadedScenario) {
     assert_eq!(text_loaded.labels.pos(), snap_loaded.labels.pos());
     assert_eq!(text_loaded.labels.neg(), snap_loaded.labels.neg());
 
-    fields.push_str(&format!(
-        concat!(
-            "\"text_load_ms\":{:.3},\"snapshot_build_ms\":{:.3},",
-            "\"snapshot_load_ms\":{:.3},\"load_speedup\":{:.2},",
-            "\"snapshot_bytes\":{},\"identical_load\":true,",
-        ),
-        text_load_ms, snapshot_build_ms, snapshot_load_ms, load_speedup, bytes,
-    ));
-    (load_speedup, snap_loaded)
+    report
+        .ms("text_load_ms", text.ms())
+        .ms("snapshot_build_ms", build.ms())
+        .ms("snapshot_load_ms", snap.ms())
+        .real("load_speedup", load_speedup, 2)
+        .count("snapshot_bytes", bytes)
+        .flag("identical_load", true);
+    (load_speedup, snap.into_run())
 }
 
 /// Phase 2: the border BFS over every labelled tuple.
-fn bench_border(loaded: &LoadedScenario, fields: &mut String) {
+fn bench_border(loaded: &LoadedScenario, report: &mut Report) {
     let db = loaded.system.db();
     let tuples: Vec<&Tuple> = loaded
         .labels
@@ -124,66 +111,53 @@ fn bench_border(loaded: &LoadedScenario, fields: &mut String) {
         .chain(loaded.labels.neg().iter())
         .collect();
     let interrupt = Interrupt::none();
-    let (border_serial_ms, built) =
-        best_of(|| borders(db, tuples.iter().map(|t| &t[..]), BORDER_RADIUS, &interrupt));
-    let atoms: usize = built.iter().map(|b| b.atoms.len()).sum();
-    eprintln!(
-        "border r={BORDER_RADIUS}: {border_serial_ms:.1} ms over {} tuples, \
-         {atoms} border atoms total",
-        tuples.len()
+    let atoms = |built: &[TupleBorder]| built.iter().map(|b| b.atoms.len()).sum::<usize>();
+    let best = Best::of(
+        REPS,
+        |a: &Vec<TupleBorder>, b: &Vec<TupleBorder>| {
+            assert_eq!(atoms(a), atoms(b), "border atoms drifted")
+        },
+        || borders(db, tuples.iter().map(|t| &t[..]), BORDER_RADIUS, &interrupt),
     );
-    fields.push_str(&format!(
-        concat!(
-            "\"border_serial_ms\":{:.3},",
-            "\"border_tuples\":{},\"border_atoms\":{},",
-        ),
-        border_serial_ms,
-        tuples.len(),
-        atoms,
-    ));
+    report
+        .ms("border_serial_ms", best.ms())
+        .count("border_tuples", tuples.len() as u64)
+        .count("border_atoms", atoms(best.run()) as u64);
 }
 
 /// Phase 3: the interner pre-sizing micro-benchmark (satellite). The
 /// snapshot header feeds exact counts into `with_capacity`; this phase
 /// measures what that buys over growing a cold table.
-fn bench_intern(loaded: &LoadedScenario, fields: &mut String) {
+fn bench_intern(loaded: &LoadedScenario, report: &mut Report) {
     let pool = loaded.system.db().consts();
     let names: Vec<String> = (0..pool.len())
         .map(|i| pool.resolve(Const(Symbol(i as u32))).to_owned())
         .collect();
-    let (intern_cold_ms, cold) = best_of(|| {
-        let mut i = Interner::new();
+    let intern = |mut i: Interner| {
         for n in &names {
             i.intern(n);
         }
         i.len()
+    };
+    let same_len = |a: &usize, b: &usize| assert_eq!(a, b, "interned count drifted");
+    let cold = Best::of(REPS, same_len, || intern(Interner::new()));
+    let presized = Best::of(REPS, same_len, || {
+        intern(Interner::with_capacity(names.len()))
     });
-    let (intern_presized_ms, presized) = best_of(|| {
-        let mut i = Interner::with_capacity(names.len());
-        for n in &names {
-            i.intern(n);
-        }
-        i.len()
-    });
-    assert_eq!(cold, presized);
-    let intern_presize_speedup = intern_cold_ms / intern_presized_ms.max(1e-9);
-    eprintln!(
-        "intern {} consts: {intern_cold_ms:.1} ms cold -> \
-         {intern_presized_ms:.1} ms pre-sized ({intern_presize_speedup:.2}x)",
-        names.len()
-    );
-    fields.push_str(&format!(
-        concat!(
-            "\"intern_consts\":{},\"intern_cold_ms\":{:.3},",
-            "\"intern_presized_ms\":{:.3},\"intern_presize_speedup\":{:.2},",
-        ),
-        names.len(),
-        intern_cold_ms,
-        intern_presized_ms,
-        intern_presize_speedup,
-    ));
+    assert_eq!(cold.run(), presized.run());
+    report
+        .count("intern_consts", names.len() as u64)
+        .ms("intern_cold_ms", cold.ms())
+        .ms("intern_presized_ms", presized.ms())
+        .real(
+            "intern_presize_speedup",
+            cold.ms() / presized.ms().max(1e-9),
+            2,
+        );
 }
 
+/// One timed beam search over `loaded` (the task's borders are built
+/// outside the timing).
 fn explain(loaded: &LoadedScenario) -> (f64, ExplainReport) {
     let scoring = Scoring::accuracy();
     let limits = SearchLimits {
@@ -193,16 +167,21 @@ fn explain(loaded: &LoadedScenario) -> (f64, ExplainReport) {
     };
     let task = ExplainTask::new(&loaded.system, &loaded.labels, 1, &scoring, limits)
         .expect("scale scenarios yield valid tasks");
-    let t0 = Instant::now();
-    let report = BeamSearch
-        .explain_with_status(&task)
-        .expect("beam search succeeds on the scale scenario");
-    (ms(t0), report)
+    let best = Best::of(
+        1,
+        |_, _| {},
+        || {
+            BeamSearch
+                .explain_with_status(&task)
+                .expect("beam search succeeds on the scale scenario")
+        },
+    );
+    (best.ms(), best.into_run())
 }
 
 /// Phase 4: ranked-explain parity between the text and snapshot loads
 /// of the medium scenario.
-fn bench_explain(dir: &Path, fields: &mut String) {
+fn bench_explain(dir: &Path, report: &mut Report) {
     let text_loaded = load_dir(dir).expect("medium text load succeeds");
     build_snapshot(dir).expect("medium snapshot build succeeds");
     let snap_loaded = load_dir(dir).expect("medium snapshot load succeeds");
@@ -210,60 +189,45 @@ fn bench_explain(dir: &Path, fields: &mut String) {
     let (_, text_report) = explain(&text_loaded);
     let (explain_ms, snap_report) = explain(&snap_loaded);
     assert_eq!(
-        text_report.explanations.len(),
-        snap_report.explanations.len(),
-        "explanation counts diverge between load paths"
+        ranked(&text_report, &text_loaded.system),
+        ranked(&snap_report, &snap_loaded.system),
+        "ranked explanations diverge between load paths"
     );
-    for (a, b) in text_report
-        .explanations
-        .iter()
-        .zip(snap_report.explanations.iter())
-    {
-        assert_eq!(
-            a.render(&text_loaded.system),
-            b.render(&snap_loaded.system),
-            "ranked queries diverge between load paths"
-        );
-        assert_eq!(
-            a.score.to_bits(),
-            b.score.to_bits(),
-            "Z-scores diverge between load paths"
-        );
-        assert_eq!(a.stats, b.stats, "stats diverge between load paths");
-    }
-    eprintln!(
-        "explain: {explain_ms:.1} ms, {} ranked explanations, identical across load paths",
-        snap_report.explanations.len()
-    );
-    fields.push_str(&format!(
-        "\"explain_ms\":{explain_ms:.3},\"explanations\":{},",
-        snap_report.explanations.len()
-    ));
+    report
+        .ms("explain_ms", explain_ms)
+        .count("explanations", snap_report.explanations.len() as u64);
 }
 
 fn main() {
-    let mut fields = String::new();
+    let mut report = Report::new("scale");
+    report
+        .count("big_atoms_target", BIG_ATOMS as u64)
+        .count("med_atoms_target", MED_ATOMS as u64)
+        .count("border_radius", BORDER_RADIUS as u64);
 
-    let t0 = Instant::now();
-    let big = scale_scenario(ScaleParams {
-        n_atoms: BIG_ATOMS,
-        label_cap: BIG_LABELS,
-        ..ScaleParams::default()
-    });
-    let gen_ms = ms(t0);
-    let big_atoms = big.system.db().len();
-    eprintln!("generated {big_atoms} atoms in {gen_ms:.1} ms");
-    fields.push_str(&format!(
-        "\"gen_ms\":{gen_ms:.3},\"big_atoms\":{big_atoms},"
-    ));
+    let big = Best::of(
+        1,
+        |_, _| {},
+        || {
+            scale_scenario(ScaleParams {
+                n_atoms: BIG_ATOMS,
+                label_cap: BIG_LABELS,
+                ..ScaleParams::default()
+            })
+        },
+    );
+    report
+        .ms("gen_ms", big.ms())
+        .count("big_atoms", big.run().system.db().len() as u64);
+    let big = big.into_run();
 
     let big_dir = scratch_dir("big");
     write_scenario_dir(&big_dir, &big.system, &big.labels).expect("write big scenario dir");
     drop(big);
 
-    let (load_speedup, snap_loaded) = bench_load(&big_dir, &mut fields);
-    bench_border(&snap_loaded, &mut fields);
-    bench_intern(&snap_loaded, &mut fields);
+    let (load_speedup, snap_loaded) = bench_load(&big_dir, &mut report);
+    bench_border(&snap_loaded, &mut report);
+    bench_intern(&snap_loaded, &mut report);
     drop(snap_loaded);
     let _ = std::fs::remove_dir_all(&big_dir);
 
@@ -275,22 +239,10 @@ fn main() {
     let med_dir = scratch_dir("med");
     write_scenario_dir(&med_dir, &med.system, &med.labels).expect("write medium scenario dir");
     drop(med);
-    bench_explain(&med_dir, &mut fields);
+    bench_explain(&med_dir, &mut report);
     let _ = std::fs::remove_dir_all(&med_dir);
 
-    let json = format!(
-        "{{\"bench\":\"scale\",\"big_atoms_target\":{BIG_ATOMS},\"med_atoms_target\":{MED_ATOMS},\
-         \"border_radius\":{BORDER_RADIUS},{fields}\"identical_output\":true}}"
-    );
-    println!("{json}");
-
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_scale.json");
-    std::fs::write(&path, format!("{json}\n")).expect("write BENCH_scale.json");
-    eprintln!(
-        "wrote {}",
-        std::fs::canonicalize(&path).unwrap_or(path).display()
-    );
+    report.flag("identical_output", true).finish("scale");
 
     // Hard gate (acceptance): the binary snapshot must load the
     // 10⁶-atom scenario ≥10× faster than the text artifacts.

@@ -6,7 +6,9 @@
 //! incremental engine (children delta-evaluated against their parent's
 //! match bits, provably-dominated candidates bound-pruned) — asserts the
 //! ranked explanations are identical to the bit, then writes a single-line
-//! JSON summary to `BENCH_search.json` at the workspace root.
+//! JSON summary to `BENCH_search.json` at the workspace root. `obx-ci`
+//! gates the wall times (`*_ms`, `beam_incremental_ms` among them); the
+//! full/incremental `*_speedup` ratios are explanatory fields only.
 //!
 //! The university run measures the *delta* path; under the plain accuracy
 //! criterion its admissible bound is too loose to discard anyone, so its
@@ -23,22 +25,32 @@
 //!
 //! Usage: `cargo run --release -p obx-bench --bin search`
 
+use obx_bench::harness::{ranked, Best, Report};
 use obx_core::criteria::Criterion;
 use obx_core::explain::{ExplainReport, ExplainTask, SearchLimits, Strategy};
 use obx_core::score::{ScoreExpr, Scoring};
 use obx_core::strategies::{BeamSearch, GreedyUcq};
 use obx_core::ScoringEngine;
 use obx_datagen::{skewed_scenario, university_scenario, SkewedParams, UniversityParams};
+use obx_obdm::ObdmSystem;
 use std::sync::Arc;
-use std::time::Instant;
 
 struct ModeRun {
-    wall_ms: f64,
-    candidates: u64,
-    evals: u64,
-    evals_saved: u64,
-    pruned: usize,
+    engine: Arc<ScoringEngine>,
     report: ExplainReport,
+}
+
+impl ModeRun {
+    fn candidates(&self) -> u64 {
+        self.engine.cache_hits() + self.engine.cache_misses()
+    }
+
+    /// Pruned candidates never reach the engine, so the generated total
+    /// is the scored count plus the pruned count.
+    fn prune_rate(&self) -> f64 {
+        let pruned = self.report.pruned as f64;
+        pruned / (pruned + self.candidates() as f64).max(1.0)
+    }
 }
 
 /// Repetitions per (strategy, mode); the best wall time is kept, the
@@ -46,67 +58,43 @@ struct ModeRun {
 /// repetition uses a fresh (cold-cache) engine, so the work per rep is
 /// identical and only timing varies. The two modes are *interleaved*
 /// (full, incremental, full, …) so a slow phase of the machine taxes
-/// both sides of the ratio equally.
+/// both sides equally.
 const REPS: usize = 7;
 
 fn run_once(task: &ExplainTask<'_>, strategy: &dyn Strategy, incremental: bool) -> ModeRun {
     let engine = Arc::new(ScoringEngine::with_incremental(incremental));
     let t = task.with_engine(Arc::clone(&engine));
-    let t0 = Instant::now();
     let report = strategy
         .explain_with_status(&t)
         .expect("benchmark strategies succeed on the university scenario");
-    ModeRun {
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        candidates: engine.cache_hits() + engine.cache_misses(),
-        evals: engine.eval_calls(),
-        evals_saved: engine.evals_saved(),
-        pruned: report.pruned,
-        report,
-    }
+    ModeRun { engine, report }
 }
 
-fn run(task: &ExplainTask<'_>, strategy: &dyn Strategy) -> (ModeRun, ModeRun) {
-    let mut best_off = run_once(task, strategy, false);
-    let mut best_on = run_once(task, strategy, true);
-    for _ in 1..REPS {
-        let off = run_once(task, strategy, false);
-        if off.wall_ms < best_off.wall_ms {
-            best_off = off;
-        }
-        let on = run_once(task, strategy, true);
-        if on.wall_ms < best_on.wall_ms {
-            best_on = on;
+/// Best of [`REPS`] interleaved full/incremental runs, as `[full,
+/// incremental]` (wall ms, kept run). Every repetition must rank exactly
+/// like its side's kept run, and the two kept runs like each other.
+fn run(
+    name: &str,
+    sys: &ObdmSystem,
+    task: &ExplainTask<'_>,
+    strategy: &dyn Strategy,
+) -> [(f64, ModeRun); 2] {
+    let same = |a: &ModeRun, b: &ModeRun| {
+        assert_eq!(
+            ranked(&a.report, sys),
+            ranked(&b.report, sys),
+            "{name}: ranked output diverged"
+        );
+    };
+    let mut sides: [_; 2] = std::array::from_fn(|_| Best::new(same));
+    for _ in 0..REPS {
+        for (side, incremental) in sides.iter_mut().zip([false, true]) {
+            side.time(|| run_once(task, strategy, incremental));
         }
     }
-    (best_off, best_on)
-}
-
-fn assert_identical(strategy: &str, sys: &obx_obdm::ObdmSystem, off: &ModeRun, on: &ModeRun) {
-    assert_eq!(
-        off.report.explanations.len(),
-        on.report.explanations.len(),
-        "{strategy}: explanation counts diverge"
-    );
-    for (a, b) in off
-        .report
-        .explanations
-        .iter()
-        .zip(on.report.explanations.iter())
-    {
-        assert_eq!(
-            a.render(sys),
-            b.render(sys),
-            "{strategy}: ranked queries diverge"
-        );
-        assert_eq!(
-            a.score.to_bits(),
-            b.score.to_bits(),
-            "{strategy}: Z-scores diverge on {}",
-            a.render(sys)
-        );
-        assert_eq!(a.stats, b.stats, "{strategy}: stats diverge");
-    }
+    let [off, on] = sides.map(|side| (side.ms(), side.into_run()));
+    same(&off.1, &on.1);
+    [off, on]
 }
 
 fn main() {
@@ -127,46 +115,32 @@ fn main() {
     let greedy = GreedyUcq::default();
     let strategies: [(&str, &dyn Strategy); 2] = [("beam", &beam), ("greedy-ucq", &greedy)];
 
-    let mut fields = String::new();
-    let mut beam_speedup = f64::NAN;
+    let mut out = Report::new("search");
+    out.count("radius", 2)
+        .count("n_students", 600)
+        .count("beam_width", 12);
     for (name, strategy) in strategies {
-        let (off, on) = run(&task, strategy);
-        assert_identical(name, &scenario.system, &off, &on);
-        let speedup = off.wall_ms / on.wall_ms.max(1e-9);
-        if name == "beam" {
-            beam_speedup = speedup;
-        }
-        let key = name.replace('-', "_");
-        // Pruned candidates never reach the engine, so the generated total
-        // is the scored count plus the pruned count.
-        let prune_rate = on.pruned as f64 / (on.pruned as f64 + on.candidates as f64).max(1.0);
-        fields.push_str(&format!(
-            concat!(
-                "\"{k}_full_ms\":{:.3},\"{k}_incremental_ms\":{:.3},",
-                "\"{k}_speedup\":{:.2},",
-                "\"{k}_full_cps\":{:.1},\"{k}_incremental_cps\":{:.1},",
-                "\"{k}_candidates\":{},",
-                "\"{k}_full_evals\":{},\"{k}_incremental_evals\":{},",
-                "\"{k}_evals_saved\":{},\"{k}_pruned\":{},\"{k}_prune_rate\":{:.4},",
-            ),
-            off.wall_ms,
-            on.wall_ms,
-            speedup,
-            off.candidates as f64 / (off.wall_ms / 1e3).max(1e-12),
-            on.candidates as f64 / (on.wall_ms / 1e3).max(1e-12),
-            off.candidates,
-            off.evals,
-            on.evals,
-            on.evals_saved,
-            on.pruned,
-            prune_rate,
-            k = key,
-        ));
-        eprintln!(
-            "{name}: {:.1} ms full -> {:.1} ms incremental ({speedup:.2}x), \
-             {} candidates, evals {} -> {} (saved {}), pruned {} (rate {prune_rate:.3})",
-            off.wall_ms, on.wall_ms, off.candidates, off.evals, on.evals, on.evals_saved, on.pruned
-        );
+        let [(off_ms, off), (on_ms, on)] = run(name, &scenario.system, &task, strategy);
+        let k = name.replace('-', "_");
+        out.ms(format!("{k}_full_ms"), off_ms)
+            .ms(format!("{k}_incremental_ms"), on_ms)
+            .real(format!("{k}_speedup"), off_ms / on_ms.max(1e-9), 2)
+            .real(
+                format!("{k}_full_cps"),
+                off.candidates() as f64 / (off_ms / 1e3).max(1e-12),
+                1,
+            )
+            .real(
+                format!("{k}_incremental_cps"),
+                on.candidates() as f64 / (on_ms / 1e3).max(1e-12),
+                1,
+            )
+            .count(format!("{k}_candidates"), off.candidates())
+            .count(format!("{k}_full_evals"), off.engine.eval_calls())
+            .count(format!("{k}_incremental_evals"), on.engine.eval_calls())
+            .count(format!("{k}_evals_saved"), on.engine.evals_saved())
+            .count(format!("{k}_pruned"), on.report.pruned as u64)
+            .real(format!("{k}_prune_rate"), on.prune_rate(), 4);
     }
 
     // Flagship pruning variant: skewed scenario with the registrar
@@ -215,36 +189,22 @@ fn main() {
         skewed_limits,
     )
     .expect("skewed scenario yields a valid task");
-    let (off, on) = run(&skewed_task, &beam);
-    assert_identical("skewed-beam", &skewed.system, &off, &on);
-    let skewed_pruned = on.pruned;
+    let [(off_ms, off), (on_ms, on)] = run("skewed-beam", &skewed.system, &skewed_task, &beam);
+    let skewed_pruned = on.report.pruned;
     assert!(
         skewed_pruned > 0,
         "skewed-beam: bound pruning went dark — the flagship pruning \
          variant exists to keep this path exercised"
     );
-    let skewed_prune_rate = on.pruned as f64 / (on.pruned as f64 + on.candidates as f64).max(1.0);
-    fields.push_str(&format!(
-        concat!(
-            "\"skewed_beam_radius\":1,\"skewed_beam_registrar_kinds\":10,",
-            "\"skewed_beam_full_ms\":{:.3},\"skewed_beam_incremental_ms\":{:.3},",
-            "\"skewed_beam_speedup\":{:.2},\"skewed_beam_candidates\":{},",
-            "\"skewed_beam_evals_saved\":{},",
-            "\"skewed_beam_pruned\":{},\"skewed_beam_prune_rate\":{:.4},",
-        ),
-        off.wall_ms,
-        on.wall_ms,
-        off.wall_ms / on.wall_ms.max(1e-9),
-        off.candidates,
-        on.evals_saved,
-        skewed_pruned,
-        skewed_prune_rate,
-    ));
-    eprintln!(
-        "skewed-beam: {:.1} ms full -> {:.1} ms incremental, {} candidates, \
-         pruned {skewed_pruned} (rate {skewed_prune_rate:.3})",
-        off.wall_ms, on.wall_ms, off.candidates
-    );
+    out.count("skewed_beam_radius", 1)
+        .count("skewed_beam_registrar_kinds", 10)
+        .ms("skewed_beam_full_ms", off_ms)
+        .ms("skewed_beam_incremental_ms", on_ms)
+        .real("skewed_beam_speedup", off_ms / on_ms.max(1e-9), 2)
+        .count("skewed_beam_candidates", off.candidates())
+        .count("skewed_beam_evals_saved", on.engine.evals_saved())
+        .count("skewed_beam_pruned", skewed_pruned as u64)
+        .real("skewed_beam_prune_rate", on.prune_rate(), 4);
 
     // One extra (untimed) profiled run: a recorder rides down the beam
     // search and the pipeline profile — per-round spans, engine batch
@@ -260,25 +220,7 @@ fn main() {
         let _phase = recorder.enter_phase("search");
         let _ = BeamSearch.explain_with_status(&profiled);
     }
-    let profile = recorder.profile().to_json();
-
-    let json = format!(
-        "{{\"bench\":\"search\",\"radius\":2,\"n_students\":600,\"beam_width\":12,{fields}\"identical_output\":true,\"profile\":{profile}}}"
-    );
-    println!("{json}");
-
-    // Resolve the workspace root from this crate's manifest dir so the
-    // output lands in the same place regardless of the invocation cwd.
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_search.json");
-    std::fs::write(&path, format!("{json}\n")).expect("write BENCH_search.json");
-    eprintln!(
-        "wrote {}",
-        std::fs::canonicalize(&path).unwrap_or(path).display()
-    );
-
-    if beam_speedup < 2.0 {
-        eprintln!("WARNING: beam speedup {beam_speedup:.2}x below the 2x acceptance target");
-        std::process::exit(1);
-    }
+    out.flag("identical_output", true)
+        .profile(&recorder.profile())
+        .finish("search");
 }

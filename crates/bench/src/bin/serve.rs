@@ -38,6 +38,7 @@
 //!
 //! Usage: `cargo run --release -p obx-bench --bin serve`
 
+use obx_bench::harness::Report;
 use obx_core::budget::CancelToken;
 use obx_core::scenario::{load_dir, write_scenario_dir};
 use obx_core::service::{run_explain, ExplainRequest};
@@ -121,45 +122,56 @@ struct PassStats {
     throughput_rps: f64,
 }
 
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    let idx = ((sorted_ms.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
+impl PassStats {
+    /// Stats of one pass's request latencies over `wall_s` seconds.
+    fn of(mut lat: Vec<f64>, wall_s: f64) -> Self {
+        lat.sort_by(|a, b| a.total_cmp(b));
+        let percentile = |p: f64| lat[((lat.len() as f64 - 1.0) * p).round() as usize];
+        PassStats {
+            p50_ms: percentile(0.50),
+            p99_ms: percentile(0.99),
+            mean_ms: lat.iter().sum::<f64>() / lat.len() as f64,
+            throughput_rps: lat.len() as f64 / wall_s.max(1e-9),
+        }
+    }
 }
 
-/// One closed-loop pass: every request must come back `200`.
-fn load_pass(addr: SocketAddr) -> PassStats {
+/// One closed-loop pass: one worker thread per `(body, client)` issues
+/// `REQS_PER_CLIENT` back-to-back explains, and every request must come
+/// back `200` — `phase` queues are sized for the offered load.
+fn closed_loop(addr: SocketAddr, workers: Vec<(String, String)>, phase: &str) -> PassStats {
     let t0 = Instant::now();
-    let handles: Vec<_> = (0..CLIENTS)
-        .map(|c| {
+    let handles: Vec<_> = workers
+        .into_iter()
+        .map(|(body, client)| {
             std::thread::spawn(move || {
-                let client = format!("client{c}");
-                let mut lat = Vec::with_capacity(REQS_PER_CLIENT);
-                for _ in 0..REQS_PER_CLIENT {
-                    let r0 = Instant::now();
-                    let (status, _, body) = post_explain(addr, BODY, &client);
-                    let ms = r0.elapsed().as_secs_f64() * 1e3;
-                    assert_eq!(
-                        status, 200,
-                        "load pass must never shed (queue is sized for it): {body}"
-                    );
-                    lat.push(ms);
-                }
-                lat
+                (0..REQS_PER_CLIENT)
+                    .map(|_| {
+                        let r0 = Instant::now();
+                        let (status, _, reply) = post_explain(addr, &body, &client);
+                        let ms = r0.elapsed().as_secs_f64() * 1e3;
+                        (status, reply, ms)
+                    })
+                    .collect::<Vec<_>>()
             })
         })
         .collect();
-    let mut lat: Vec<f64> = handles
-        .into_iter()
-        .flat_map(|h| h.join().expect("load client panicked"))
-        .collect();
-    let wall_s = t0.elapsed().as_secs_f64();
-    lat.sort_by(|a, b| a.total_cmp(b));
-    PassStats {
-        p50_ms: percentile(&lat, 0.50),
-        p99_ms: percentile(&lat, 0.99),
-        mean_ms: lat.iter().sum::<f64>() / lat.len() as f64,
-        throughput_rps: lat.len() as f64 / wall_s.max(1e-9),
+    let mut lat = Vec::new();
+    for h in handles {
+        for (status, reply, ms) in h.join().expect("load client panicked") {
+            assert_eq!(status, 200, "{phase} must never shed: {reply}");
+            lat.push(ms);
+        }
     }
+    PassStats::of(lat, t0.elapsed().as_secs_f64())
+}
+
+/// Phase 2: the closed-loop load pass against the sized server.
+fn load_pass(addr: SocketAddr) -> PassStats {
+    let workers = (0..CLIENTS)
+        .map(|c| (BODY.to_owned(), format!("client{c}")))
+        .collect();
+    closed_loop(addr, workers, "load pass")
 }
 
 /// Smoke: health, metrics, and the byte-identity contract.
@@ -225,45 +237,19 @@ fn multi_tenant_pass(dir: &Path) -> PassStats {
     )
     .expect("multi-tenant bench server starts");
     let addr = server.addr();
-    let assignments = ["hot", "hot", "hot", "hot", "cold1", "cold2"];
-    let t0 = Instant::now();
-    let handles: Vec<_> = assignments
+    let workers = ["hot", "hot", "hot", "hot", "cold1", "cold2"]
         .iter()
         .enumerate()
         .map(|(c, tenant)| {
-            let tenant = (*tenant).to_owned();
-            std::thread::spawn(move || {
-                let mut lat = Vec::with_capacity(REQS_PER_CLIENT);
-                let body = format!(
-                    r#"{{"radius": 1, "top": 3, "max_evals": {MAX_EVALS}, "scenario": "{tenant}", "client": "mt{c}"}}"#
-                );
-                for _ in 0..REQS_PER_CLIENT {
-                    let r0 = Instant::now();
-                    let (status, _, reply) = post_explain(addr, &body, &format!("mt{c}"));
-                    let ms = r0.elapsed().as_secs_f64() * 1e3;
-                    assert_eq!(
-                        status, 200,
-                        "tenant phase must never shed (queues are sized for it): {reply}"
-                    );
-                    lat.push(ms);
-                }
-                lat
-            })
+            let body = format!(
+                r#"{{"radius": 1, "top": 3, "max_evals": {MAX_EVALS}, "scenario": "{tenant}", "client": "mt{c}"}}"#
+            );
+            (body, format!("mt{c}"))
         })
         .collect();
-    let mut lat: Vec<f64> = handles
-        .into_iter()
-        .flat_map(|h| h.join().expect("tenant client panicked"))
-        .collect();
-    let wall_s = t0.elapsed().as_secs_f64();
+    let stats = closed_loop(addr, workers, "tenant phase");
     server.shutdown();
-    lat.sort_by(|a, b| a.total_cmp(b));
-    PassStats {
-        p50_ms: percentile(&lat, 0.50),
-        p99_ms: percentile(&lat, 0.99),
-        mean_ms: lat.iter().sum::<f64>() / lat.len() as f64,
-        throughput_rps: lat.len() as f64 / wall_s.max(1e-9),
-    }
+    stats
 }
 
 /// Phase 5: trip a tenant's circuit breaker with requests that burn the
@@ -429,62 +415,32 @@ fn main() {
     .expect("overload server starts");
     let (shed, completed) = overload(&tiny);
     tiny.shutdown();
-    let shed_rate = shed as f64 / BURST as f64;
-    eprintln!(
-        "overload: {shed}/{BURST} shed ({:.0}%), {completed} completed",
-        shed_rate * 100.0
-    );
 
     let mt = multi_tenant_pass(&dir);
-    eprintln!(
-        "multi-tenant: p50 {:.1} ms, p99 {:.1} ms, {:.1} req/s across 3 tenants",
-        mt.p50_ms, mt.p99_ms, mt.throughput_rps
-    );
     let (breaker_sheds, co_tenant_ok) = breaker_phase(&dir);
-    eprintln!("breaker: {breaker_sheds} OBX325 shed(s) observed, co-tenant ok = {co_tenant_ok}");
     let _ = std::fs::remove_dir_all(&dir);
 
-    let total = CLIENTS * REQS_PER_CLIENT;
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"serve\",\"n_students\":{},\"clients\":{},",
-            "\"requests_per_pass\":{},\"passes\":{},",
-            "\"p50_ms\":{:.3},\"p99_ms\":{:.3},\"mean_ms\":{:.3},",
-            "\"throughput_rps\":{:.2},",
-            "\"overload_burst\":{},\"overload_shed\":{},",
-            "\"overload_completed\":{},\"shed_rate\":{:.3},",
-            "\"mt_tenants\":3,\"mt_p50_ms\":{:.3},\"mt_p99_ms\":{:.3},",
-            "\"mt_throughput_rps\":{:.2},",
-            "\"breaker_sheds\":{},\"breaker_co_tenant_ok\":{},",
-            "\"smoke_identical\":true}}"
-        ),
-        N_STUDENTS,
-        CLIENTS,
-        total,
-        PASSES,
-        best.p50_ms,
-        best.p99_ms,
-        best.mean_ms,
-        best.throughput_rps,
-        BURST,
-        shed,
-        completed,
-        shed_rate,
-        mt.p50_ms,
-        mt.p99_ms,
-        mt.throughput_rps,
-        breaker_sheds,
-        co_tenant_ok,
-    );
-    println!("{json}");
-
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_serve.json");
-    std::fs::write(&path, format!("{json}\n")).expect("write BENCH_serve.json");
-    eprintln!(
-        "wrote {}",
-        std::fs::canonicalize(&path).unwrap_or(path).display()
-    );
+    Report::new("serve")
+        .count("n_students", N_STUDENTS as u64)
+        .count("clients", CLIENTS as u64)
+        .count("requests_per_pass", (CLIENTS * REQS_PER_CLIENT) as u64)
+        .count("passes", PASSES as u64)
+        .ms("p50_ms", best.p50_ms)
+        .ms("p99_ms", best.p99_ms)
+        .ms("mean_ms", best.mean_ms)
+        .real("throughput_rps", best.throughput_rps, 2)
+        .count("overload_burst", BURST as u64)
+        .count("overload_shed", shed as u64)
+        .count("overload_completed", completed as u64)
+        .real("shed_rate", shed as f64 / BURST as f64, 3)
+        .count("mt_tenants", 3)
+        .ms("mt_p50_ms", mt.p50_ms)
+        .ms("mt_p99_ms", mt.p99_ms)
+        .real("mt_throughput_rps", mt.throughput_rps, 2)
+        .count("breaker_sheds", breaker_sheds as u64)
+        .flag("breaker_co_tenant_ok", co_tenant_ok)
+        .flag("smoke_identical", true)
+        .finish("serve");
 
     // Hard gates beyond the asserts above: overload must actually have
     // shed and actually have served someone.

@@ -3,26 +3,31 @@
 //! Runs a repeated-candidate scoring workload — the access pattern of the
 //! search strategies, which re-score the same CQs across rounds and union
 //! assemblies — once through the uncached [`PreparedLabels`] path and once
-//! through the shared [`ScoringEngine`], then writes a single-line JSON
-//! summary to `BENCH_scoring.json` at the workspace root.
+//! through the shared [`ScoringEngine`] (cold on every repetition), best
+//! of [`REPS`] each, then writes a single-line JSON summary to
+//! `BENCH_scoring.json` at the workspace root. Exits 1 when the cached
+//! side is less than 2× faster.
 //!
 //! Usage: `cargo run --release -p obx-bench --bin smoke`
 
+use obx_bench::harness::{Best, Report};
 use obx_core::explain::{ExplainTask, SearchLimits};
 use obx_core::score::Scoring;
+use obx_core::ScoringEngine;
 use obx_datagen::random_scenario::random_query;
 use obx_datagen::{university_scenario, UniversityParams};
 use obx_query::OntoUcq;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Distinct candidate queries in the pool (the 1–3-atom query space over
 /// the university vocabulary is small; 16 distinct shapes fill reliably).
 const POOL: usize = 16;
 /// How many times the workload cycles through the pool.
 const ROUNDS: usize = 12;
+/// Repetitions per side; the best wall time is kept.
+const REPS: usize = 5;
 
 fn main() {
     let scenario = university_scenario(UniversityParams {
@@ -56,28 +61,45 @@ fn main() {
     let workload: Vec<&OntoUcq> = (0..POOL * ROUNDS).map(|i| &pool[i % POOL]).collect();
 
     // Baseline: compile + evaluate every candidate from scratch.
-    let t0 = Instant::now();
-    let mut checksum_uncached = 0usize;
-    for q in &workload {
-        let stats = task.prepared().stats_of(q).expect("pool is compilable");
-        checksum_uncached += stats.pos_matched + stats.neg_matched;
-    }
-    let uncached = t0.elapsed();
+    let uncached = Best::of(
+        REPS,
+        |a: &usize, b: &usize| assert_eq!(a, b, "uncached checksum drifted"),
+        || {
+            workload
+                .iter()
+                .map(|q| {
+                    let stats = task.prepared().stats_of(q).expect("pool is compilable");
+                    stats.pos_matched + stats.neg_matched
+                })
+                .sum::<usize>()
+        },
+    );
 
-    // Engine: canonical-form memo cache + bitset OR for unions.
-    let engine = task.engine();
-    let t1 = Instant::now();
-    let mut checksum_cached = 0usize;
-    for q in &workload {
-        let stats = engine
-            .stats_ucq(task.prepared(), q)
-            .expect("pool is compilable");
-        checksum_cached += stats.pos_matched + stats.neg_matched;
-    }
-    let cached = t1.elapsed();
-
+    // Engine: canonical-form memo cache + bitset OR for unions, cold on
+    // every repetition.
+    let cached = Best::of(
+        REPS,
+        |a: &(usize, ScoringEngine), b: &(usize, ScoringEngine)| {
+            assert_eq!(a.0, b.0, "cached checksum drifted")
+        },
+        || {
+            let engine = ScoringEngine::new();
+            let checksum = workload
+                .iter()
+                .map(|q| {
+                    let stats = engine
+                        .stats_ucq(task.prepared(), q)
+                        .expect("pool is compilable");
+                    stats.pos_matched + stats.neg_matched
+                })
+                .sum::<usize>();
+            (checksum, engine)
+        },
+    );
+    let (checksum_cached, engine) = cached.run();
     assert_eq!(
-        checksum_uncached, checksum_cached,
+        uncached.run(),
+        checksum_cached,
         "engine disagrees with the uncached scorer"
     );
 
@@ -85,7 +107,7 @@ fn main() {
     let hits = engine.cache_hits();
     let misses = engine.cache_misses();
     let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    let speedup = uncached.as_secs_f64() / cached.as_secs_f64().max(1e-12);
+    let speedup = uncached.ms() / cached.ms().max(1e-9);
 
     // One extra (untimed) profiled pass over the pool through a fresh
     // engine: the recorder rides the task's budget down into the compile
@@ -97,44 +119,24 @@ fn main() {
             obx_core::budget::SearchBudget::unlimited().with_recorder(Arc::clone(&recorder));
         let profiled = task
             .with_budget(budget)
-            .with_engine(Arc::new(obx_core::ScoringEngine::new()));
+            .with_engine(Arc::new(ScoringEngine::new()));
         let _phase = recorder.enter_phase("scoring");
         for q in &pool {
             let _ = profiled.score_ucq(q);
         }
     }
-    let profile = recorder.profile().to_json();
 
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"scoring_smoke\",\"candidates\":{},",
-            "\"uncached_ms\":{:.3},\"cached_ms\":{:.3},",
-            "\"uncached_cps\":{:.1},\"cached_cps\":{:.1},",
-            "\"speedup\":{:.2},\"cache_hit_rate\":{:.4},",
-            "\"eval_calls\":{},\"threads\":{},\"profile\":{}}}"
-        ),
-        workload.len(),
-        uncached.as_secs_f64() * 1e3,
-        cached.as_secs_f64() * 1e3,
-        n / uncached.as_secs_f64(),
-        n / cached.as_secs_f64().max(1e-12),
-        speedup,
-        hit_rate,
-        engine.eval_calls(),
-        engine.threads(),
-        profile,
-    );
-    println!("{json}");
-
-    // Resolve the workspace root from this crate's manifest dir so the
-    // output lands in the same place regardless of the invocation cwd.
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_scoring.json");
-    std::fs::write(&path, format!("{json}\n")).expect("write BENCH_scoring.json");
-    eprintln!(
-        "wrote {}",
-        std::fs::canonicalize(&path).unwrap_or(path).display()
-    );
+    Report::new("scoring_smoke")
+        .count("candidates", workload.len() as u64)
+        .ms("uncached_ms", uncached.ms())
+        .ms("cached_ms", cached.ms())
+        .real("uncached_cps", n / (uncached.ms() / 1e3).max(1e-12), 1)
+        .real("cached_cps", n / (cached.ms() / 1e3).max(1e-12), 1)
+        .real("speedup", speedup, 2)
+        .real("cache_hit_rate", hit_rate, 4)
+        .count("eval_calls", engine.eval_calls())
+        .profile(&recorder.profile())
+        .finish("scoring");
 
     if speedup < 2.0 {
         eprintln!("WARNING: speedup {speedup:.2}x below the 2x acceptance target");

@@ -16,13 +16,16 @@
 //! committed `BENCH_*.json` baselines (scoring, search, eval, serve, scale,
 //! modes) and fails on a wall-time regression above 20% that is also
 //! more than 5 ms absolute (sub-millisecond benches jitter past 20% on
-//! a loaded machine; the bench bins' own hard floors, e.g. the 2×
-//! search speedup, stay in force because a bin exiting nonzero fails
-//! its step). A bench step that runs *without* a committed baseline
-//! fails the gate outright — an ungated bench is a silent hole, not a
-//! soft skip. A bench file whose wall-time keys would fail gets its bin
-//! re-run once and is gated on the better of the two runs —
-//! machine-load noise retries away, a real regression fails twice.
+//! a loaded machine; the bench bins' own hard floors, e.g. the smoke
+//! bench's 2× cache speedup, stay in force because a bin exiting nonzero
+//! fails its step). A bench step that runs *without* a committed
+//! baseline fails the gate outright — an ungated bench is a silent hole,
+//! not a soft skip — and so does a baseline `*_ms` key the fresh file no
+//! longer carries, or a fresh file without the host facts (`cores`,
+//! `pool_workers`, `obx_threads`) the bench harness stamps. A bench file
+//! whose wall-time keys would fail gets its bin re-run once and is gated
+//! on the better of the two runs — machine-load noise retries away, a
+//! real regression fails twice.
 //! Every step is timed on the observability recorder and the whole run
 //! is written to `CI_REPORT.json` at the workspace root, including a
 //! per-step wall-time table (`"timings"`).
@@ -358,36 +361,38 @@ struct Delta {
     file: &'static str,
     key: String,
     base: f64,
-    fresh: f64,
-    /// Relative change, sign-adjusted so positive = worse.
+    /// The fresh value; `None` when the fresh file lacks the key.
+    fresh: Option<f64>,
+    /// Relative change, sign-adjusted so positive = worse; infinite for
+    /// a missing gated key.
     worse_frac: f64,
     gated: bool,
 }
 
 /// Compares one fresh bench file against its pre-run baseline. Gated
 /// keys are wall-times (`*_ms`: higher is worse); speedup keys are
-/// reported but left to the bench bins' own hard floors.
+/// reported but left to the bench bins' own hard floors. A gated key the
+/// fresh file no longer carries is a delta that fails the gate: a bin
+/// that renames or drops a wall time must not slip past it.
 fn bench_deltas(file: &'static str, baseline: &str, fresh: &str) -> Vec<Delta> {
     let base: Vec<(String, f64)> = top_level_numbers(baseline);
     let new: Vec<(String, f64)> = top_level_numbers(fresh);
     let mut deltas = Vec::new();
     for (key, b) in &base {
-        let Some((_, f)) = new.iter().find(|(k, _)| k == key) else {
-            continue;
-        };
         let gated = key.ends_with("_ms");
-        let worse_frac = if key.ends_with("_ms") {
-            (f - b) / b.max(1e-9)
-        } else if key.contains("speedup") || key.ends_with("_cps") {
-            (b - f) / b.max(1e-9)
-        } else {
-            0.0
+        let f = new.iter().find(|(k, _)| k == key).map(|(_, f)| *f);
+        let worse_frac = match f {
+            None if gated => f64::INFINITY,
+            None => continue,
+            Some(f) if gated => (f - b) / b.max(1e-9),
+            Some(f) if key.contains("speedup") || key.ends_with("_cps") => (b - f) / b.max(1e-9),
+            Some(_) => 0.0,
         };
         deltas.push(Delta {
             file,
             key: key.clone(),
             base: *b,
-            fresh: *f,
+            fresh: f,
             worse_frac,
             gated,
         });
@@ -396,7 +401,26 @@ fn bench_deltas(file: &'static str, baseline: &str, fresh: &str) -> Vec<Delta> {
 }
 
 fn fails_gate(d: &Delta) -> bool {
-    d.gated && d.worse_frac > REGRESSION_TOLERANCE && (d.fresh - d.base) > REGRESSION_MIN_ABS_MS
+    d.gated
+        && match d.fresh {
+            None => true,
+            Some(f) => d.worse_frac > REGRESSION_TOLERANCE && (f - d.base) > REGRESSION_MIN_ABS_MS,
+        }
+}
+
+/// The host facts every bench file carries at top level (stamped by
+/// `obx_bench::harness::Report`): core count, scoring-pool workers, and
+/// the parsed `OBX_THREADS`.
+const HOST_FACTS: [&str; 3] = ["cores", "pool_workers", "obx_threads"];
+
+/// The [`HOST_FACTS`] a fresh bench file lacks. A bin that writes its
+/// file without the shared harness fails the gate here.
+fn missing_host_facts(fresh: &str) -> Vec<&'static str> {
+    let have = top_level_numbers(fresh);
+    HOST_FACTS
+        .into_iter()
+        .filter(|fact| !have.iter().any(|(k, _)| k == fact))
+        .collect()
 }
 
 fn print_delta_table(deltas: &[Delta]) {
@@ -415,12 +439,19 @@ fn print_delta_table(deltas: &[Delta]) {
         } else {
             "ok"
         };
+        let Some(fresh) = d.fresh else {
+            eprintln!(
+                "{:<18} {:<28} {:>12.3} {:>12} {:>9}  {verdict}",
+                d.file, d.key, d.base, "missing", ""
+            );
+            continue;
+        };
         eprintln!(
             "{:<18} {:<28} {:>12.3} {:>12.3} {:>+8.1}%  {verdict}",
             d.file,
             d.key,
             d.base,
-            d.fresh,
+            fresh,
             d.worse_frac * 100.0
         );
     }
@@ -549,8 +580,14 @@ fn main() {
                 continue;
             };
             let Ok(fresh) = std::fs::read_to_string(root.join(file)) else {
+                regressions.push(format!("{file}: not written by bench step {step}"));
                 continue;
             };
+            for fact in missing_host_facts(&fresh) {
+                regressions.push(format!(
+                    "{file}: missing host fact `{fact}` (write it through obx_bench::harness::Report)"
+                ));
+            }
             deltas.extend(bench_deltas(file, baseline, &fresh));
         }
         // Wall-time keys on a loaded machine swing well past the
@@ -599,17 +636,18 @@ fn main() {
                 }
             }
         }
-        for d in &deltas {
-            if fails_gate(d) {
-                regressions.push(format!(
+        for d in deltas.iter().filter(|d| fails_gate(d)) {
+            regressions.push(match d.fresh {
+                None => format!("{}:{} missing from the fresh file", d.file, d.key),
+                Some(f) => format!(
                     "{}:{} {:.3} -> {:.3} (+{:.1}%)",
                     d.file,
                     d.key,
                     d.base,
-                    d.fresh,
+                    f,
                     d.worse_frac * 100.0
-                ));
-            }
+                ),
+            });
         }
         gate_span.count("compared", deltas.len() as u64);
         gate_span.count("regressions", regressions.len() as u64);
@@ -813,7 +851,7 @@ mod tests {
             file: "BENCH_test.json",
             key: "x_ms".to_owned(),
             base,
-            fresh,
+            fresh: Some(fresh),
             worse_frac: (fresh - base) / base,
             gated,
         };
@@ -825,5 +863,27 @@ mod tests {
         assert!(!fails_gate(&d(1000.0, 1100.0, true)));
         // Ungated keys never fail regardless of magnitude.
         assert!(!fails_gate(&d(10.0, 1000.0, false)));
+    }
+
+    #[test]
+    fn gated_key_missing_from_the_fresh_file_fails_the_gate() {
+        let baseline = r#"{"bench":"t","a_ms":10.0,"b_ms":20.0,"count":3,"speedup":2.0}"#;
+        // `a_ms` renamed away; the ungated `count` and `speedup` vanish too.
+        let fresh = r#"{"bench":"t","renamed_ms":10.0,"b_ms":20.0}"#;
+        let deltas = bench_deltas("BENCH_t.json", baseline, fresh);
+        let failing: Vec<&str> = deltas
+            .iter()
+            .filter(|d| fails_gate(d))
+            .map(|d| d.key.as_str())
+            .collect();
+        assert_eq!(failing, ["a_ms"], "a dropped wall time must fail, by name");
+    }
+
+    #[test]
+    fn bench_files_must_carry_the_host_facts() {
+        let stamped = r#"{"bench":"t","cores":2,"pool_workers":1,"obx_threads":0,"a_ms":1.0}"#;
+        assert!(missing_host_facts(stamped).is_empty());
+        let bare = r#"{"bench":"t","cores":2,"a_ms":1.0,"profile":{"pool_workers":1}}"#;
+        assert_eq!(missing_host_facts(bare), ["pool_workers", "obx_threads"]);
     }
 }

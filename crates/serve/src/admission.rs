@@ -23,8 +23,6 @@
 //! the tenant slot and wakes the next waiter, so a panicking request
 //! (caught upstream) can never leak capacity.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -387,7 +385,6 @@ impl FairGate {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::thread;

@@ -14,9 +14,6 @@
 //! not ignored): other methods, chunked transfer encoding, HTTP/2
 //! upgrades.
 
-// Everything here parses untrusted bytes: the whole module is panic-free.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -383,7 +380,6 @@ pub fn write_response(w: &mut impl Write, resp: &Response, close: bool) -> std::
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::io::BufReader;

