@@ -9,14 +9,16 @@
 //!    scenario at radius 2, on a fresh engine per repetition. Search
 //!    candidates are always anchored to the answer variable, so this is
 //!    the join shape the scoring engine evaluates on every request.
-//! 2. **Hot-path membership** (`*_hotpath_ms`) — goal-directed `member`
+//! 2. **Hot-path membership** (`*_hotpath_ms`) — goal-directed membership
 //!    checks over each labelled tuple's radius-1 border for ontology
 //!    queries whose constant-bearing atoms are existential guards *not*
 //!    anchored to the answer variable (the shape ontology rewriting
 //!    produces for concepts guarded by role assertions). Unfolding leaves
 //!    the constant as the only resolved position of the guard's source
 //!    atom, so every check scans that constant's index slice — on the
-//!    skewed scenario, a hub's. One sample is [`HOTPATH_PASSES`] passes
+//!    skewed scenario, a hub's. Each query checks every tuple in one
+//!    batched call (`eval::satisfies_ucq_each`), as the scoring engine
+//!    does. One sample is [`HOTPATH_PASSES`] passes
 //!    over every (query, tuple) pair, so the panel runs long enough
 //!    (≥20 ms) for a regression to clear `obx-ci`'s 5 ms absolute floor.
 //!
@@ -36,8 +38,8 @@ use obx_core::strategies::BeamSearch;
 use obx_core::ScoringEngine;
 use obx_datagen::{skewed_scenario, university_scenario, Scenario, SkewedParams, UniversityParams};
 use obx_obdm::CompiledQuery;
-use obx_query::eval;
-use obx_srcdb::{borders, AtomSet, Tuple, View};
+use obx_query::{eval, Goal};
+use obx_srcdb::{borders, Tuple};
 use obx_util::Interrupt;
 use std::sync::Arc;
 
@@ -157,15 +159,12 @@ fn bench_hotpath(name: &str, scenario: &mut Scenario, report: &mut Report) {
         .iter()
         .chain(scenario.labels.neg().iter())
         .collect();
-    let borders: Vec<AtomSet> = borders(
+    let borders = borders(
         db,
         tuples.iter().map(|t| &t[..]),
         HOTPATH_RADIUS,
         &Interrupt::none(),
-    )
-    .into_iter()
-    .map(|b| b.atoms)
-    .collect();
+    );
     // One repetition: (membership bits of the first pass, nodes per pass).
     let best = Best::of(
         REPS,
@@ -178,11 +177,21 @@ fn bench_hotpath(name: &str, scenario: &mut Scenario, report: &mut Report) {
             let ((), nodes) = counting_nodes(|| {
                 for pass in 0..HOTPATH_PASSES {
                     for cq in &compiled {
-                        for (t, b) in tuples.iter().zip(borders.iter()) {
-                            let hit = cq.member(View::masked(db, b), t);
-                            if pass == 0 {
-                                bits.push(hit);
-                            }
+                        let hits = eval::satisfies_ucq_each(
+                            db,
+                            cq.src(),
+                            HOTPATH_RADIUS,
+                            tuples.len(),
+                            |i| {
+                                Some(Goal {
+                                    tuple: tuples[i],
+                                    border: &borders[i].atoms,
+                                    complete: borders[i].layer_lens.len() == HOTPATH_RADIUS + 1,
+                                })
+                            },
+                        );
+                        if pass == 0 {
+                            bits.extend(hits.hits);
                         }
                     }
                 }

@@ -157,8 +157,13 @@ impl SearchBudget {
         self
     }
 
-    /// Caps the number of J-match evaluator calls (as counted by
+    /// Caps the number of J-match evaluations (as counted by
     /// [`ScoringEngine::eval_calls`](crate::engine::ScoringEngine::eval_calls)).
+    ///
+    /// The cap is checked once per candidate by each scoring worker, and a
+    /// candidate that starts runs to completion. So the final count may
+    /// exceed the cap by up to one candidate's evaluations (at most
+    /// `|λ⁺| + |λ⁻|`) per worker thread.
     pub fn with_max_evals(mut self, max_evals: u64) -> Self {
         self.max_evals = Some(max_evals);
         self

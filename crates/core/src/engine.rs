@@ -195,6 +195,9 @@ pub struct ScoringEngine {
     misses: AtomicU64,
     evals: AtomicU64,
     evals_saved: AtomicU64,
+    batch_calls: AtomicU64,
+    certified: AtomicU64,
+    masked: AtomicU64,
     threads: usize,
     incremental: bool,
     pool: OnceLock<WorkerPool>,
@@ -234,6 +237,9 @@ impl ScoringEngine {
             misses: AtomicU64::new(0),
             evals: AtomicU64::new(0),
             evals_saved: AtomicU64::new(0),
+            batch_calls: AtomicU64::new(0),
+            certified: AtomicU64::new(0),
+            masked: AtomicU64::new(0),
             threads: threads.max(1),
             incremental,
             pool: OnceLock::new(),
@@ -266,11 +272,32 @@ impl ScoringEngine {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Total J-match evaluator invocations (one per labelled tuple per
+    /// Total J-match evaluations (one per labelled tuple evaluated per
     /// cache miss). Cached scoring — notably UCQ assembly over known
     /// disjuncts — leaves this counter untouched.
     pub fn eval_calls(&self) -> u64 {
         self.evals.load(Ordering::Relaxed)
+    }
+
+    /// Batched evaluator calls: one per cache miss that reached the
+    /// evaluator, each covering every labelled tuple it evaluated
+    /// ([`obx_query::eval::satisfies_ucq_each`]). `eval_calls /
+    /// batch_calls` is the mean number of tuples one call checks.
+    pub fn batch_calls(&self) -> u64 {
+        self.batch_calls.load(Ordering::Relaxed)
+    }
+
+    /// Source disjuncts the batched calls answered over the whole
+    /// database, their border masks proven a no-op
+    /// ([`obx_query::eval::certified`]).
+    pub fn certified_disjuncts(&self) -> u64 {
+        self.certified.load(Ordering::Relaxed)
+    }
+
+    /// Source disjuncts the batched calls answered by searching
+    /// border-masked views.
+    pub fn masked_disjuncts(&self) -> u64 {
+        self.masked.load(Ordering::Relaxed)
     }
 
     /// Whether the incremental path (parent-delta evaluation + bound
@@ -370,15 +397,18 @@ impl ScoringEngine {
             .system()
             .spec()
             .compile_cq_interruptible(&key, interrupt)
-            .map(|compiled| {
-                let (bits, evaluated) = match &parent_entry {
-                    Some((pe, dir)) => prepared.match_bits_restricted(&compiled, &pe.bits, *dir),
-                    None => (prepared.match_bits(&compiled), total),
-                };
-                self.evals.fetch_add(evaluated as u64, Ordering::Relaxed);
+            .and_then(|compiled| {
+                let parent = parent_entry.as_ref().map(|(pe, dir)| (&pe.bits, *dir));
+                let (bits, work) = prepared.match_bits_from(&compiled, parent)?;
+                self.batch_calls.fetch_add(1, Ordering::Relaxed);
+                self.certified
+                    .fetch_add(work.certified as u64, Ordering::Relaxed);
+                self.masked.fetch_add(work.masked as u64, Ordering::Relaxed);
+                self.evals
+                    .fetch_add(work.evaluated as u64, Ordering::Relaxed);
                 self.evals_saved
-                    .fetch_add((total - evaluated) as u64, Ordering::Relaxed);
-                Arc::new(DisjunctEntry { compiled, bits })
+                    .fetch_add((total - work.evaluated) as u64, Ordering::Relaxed);
+                Ok(Arc::new(DisjunctEntry { compiled, bits }))
             });
         if let Err(e) = &computed {
             if e.is_transient() {
@@ -661,6 +691,9 @@ impl std::fmt::Debug for ScoringEngine {
             .field("misses", &self.cache_misses())
             .field("evals", &self.eval_calls())
             .field("evals_saved", &self.evals_saved())
+            .field("batch_calls", &self.batch_calls())
+            .field("certified_disjuncts", &self.certified_disjuncts())
+            .field("masked_disjuncts", &self.masked_disjuncts())
             .field("threads", &self.threads)
             .field("incremental", &self.incremental)
             .finish()

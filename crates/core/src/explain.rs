@@ -529,6 +529,9 @@ pub(crate) fn finalize_report(
             rec.gauge_in_phase("engine", "cache_misses", task.engine().cache_misses());
             rec.gauge_in_phase("engine", "evals", task.engine().eval_calls());
             rec.gauge_in_phase("engine", "evals_saved", task.engine().evals_saved());
+            rec.gauge_in_phase("engine", "batch_calls", task.engine().batch_calls());
+            rec.gauge_in_phase("engine", "certified", task.engine().certified_disjuncts());
+            rec.gauge_in_phase("engine", "masked", task.engine().masked_disjuncts());
             // Join work: the evaluator's process-wide
             // candidate-inspection total.
             let (eval_nodes, _) = obx_query::eval::node_counts();

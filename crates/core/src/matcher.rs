@@ -4,7 +4,13 @@
 //! must be a certain answer of `q` over the sub-database made of its own
 //! border. [`PreparedLabels`] computes every labelled tuple's border once
 //! (they are query-independent), so scoring a candidate costs one compile
-//! plus `|λ⁺| + |λ⁻|` goal-directed evaluations over small masked views.
+//! plus one batched evaluator call
+//! ([`obx_query::eval::satisfies_ucq_each`]) per candidate disjunct: the
+//! compiled source UCQ is checked against every labelled tuple at once,
+//! over each tuple's border-masked view, or over the whole database where
+//! a source disjunct is certified at the radius and the borders are
+//! complete (the masks are then a no-op). The search buffers are
+//! allocated once per source disjunct rather than once per tuple.
 
 // Scoring runs inside the always-on serve loop; errors must flow back
 // as `ObdmError`s, not unwinds that trip a tenant's circuit breaker.
@@ -12,7 +18,7 @@
 
 use crate::labels::Labels;
 use obx_obdm::{CompiledQuery, ObdmError, ObdmSystem};
-use obx_query::{OntoUcq, SrcCq, SrcUcq};
+use obx_query::{Goal, OntoUcq, SrcCq, SrcUcq};
 use obx_srcdb::{AtomSet, Bitmap, Const, Tuple, View};
 use obx_util::FxHashMap;
 use std::sync::Arc;
@@ -336,6 +342,22 @@ impl MatchBits {
         }
     }
 
+    /// The matched tuples' indices (layout order), ascending.
+    fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.containers.iter().enumerate().flat_map(|(i, c)| {
+            let base = i * CONTAINER_BITS;
+            let offs: Box<dyn Iterator<Item = usize> + '_> = match c {
+                Container::Array(v) => Box::new(v.iter().map(|&off| off as usize)),
+                Container::Words(w) => Box::new(w.iter().enumerate().flat_map(|(k, &word)| {
+                    (0..64)
+                        .filter(move |b| word >> b & 1 == 1)
+                        .map(move |b| k * 64 + b)
+                })),
+            };
+            offs.map(move |off| base + off)
+        })
+    }
+
     /// Number of matched tuples (positives and negatives together).
     pub fn count_ones(&self) -> usize {
         self.containers.iter().map(Container::count).sum()
@@ -381,6 +403,18 @@ impl MatchBits {
     }
 }
 
+/// Evaluator work behind one match bitset.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EvalWork {
+    /// Labelled tuples evaluated (a parent-delta bitset settles the rest).
+    pub(crate) evaluated: usize,
+    /// Source disjuncts answered over the whole database, their border
+    /// masks proven a no-op ([`obx_query::eval::certified`]).
+    pub(crate) certified: usize,
+    /// Source disjuncts that searched border-masked views.
+    pub(crate) masked: usize,
+}
+
 /// Labelled tuples with their precomputed borders.
 #[derive(Clone)]
 pub struct PreparedLabels<'a> {
@@ -388,6 +422,10 @@ pub struct PreparedLabels<'a> {
     radius: usize,
     pos: Vec<(Tuple, Arc<AtomSet>)>,
     neg: Vec<(Tuple, Arc<AtomSet>)>,
+    /// Per labelled tuple (layout order): whether its border is all of
+    /// `B_{t,radius}(D)`, i.e. no layer was cut by an interrupt or the
+    /// border-atom guard.
+    complete: Vec<bool>,
     /// Each distinct border once, with its net multiplicity: the number
     /// of positive tuples that have it minus the number of negative ones.
     distinct: Vec<(Arc<AtomSet>, i64)>,
@@ -422,6 +460,10 @@ impl<'a> PreparedLabels<'a> {
         let mut distinct: Vec<(Arc<AtomSet>, i64)> = Vec::new();
         let mut pos = Vec::with_capacity(labels.pos().len());
         let mut neg = Vec::with_capacity(labels.neg().len());
+        let complete = borders
+            .iter()
+            .map(|b| b.layer_lens.len() == radius + 1)
+            .collect();
         for (i, (t, border)) in tuples.zip(borders).enumerate() {
             let next = distinct.len();
             let k = *index
@@ -444,6 +486,7 @@ impl<'a> PreparedLabels<'a> {
             radius,
             pos,
             neg,
+            complete,
             distinct,
         }
     }
@@ -500,27 +543,64 @@ impl<'a> PreparedLabels<'a> {
         }
     }
 
-    /// Match bitset of a compiled query against λ: one [`matches`] call
-    /// (i.e. one evaluator invocation) per labelled tuple. The scoring
-    /// engine memoizes this per disjunct; [`stats`] is the uncached
-    /// reference the property tests compare against.
+    /// Labelled tuple `idx` in bitset layout order (positives, then
+    /// negatives) as an evaluator goal.
+    fn goal(&self, idx: usize) -> Goal<'_> {
+        let (t, b) = match idx.checked_sub(self.pos.len()) {
+            None => &self.pos[idx],
+            Some(j) => &self.neg[j],
+        };
+        Goal {
+            tuple: t,
+            border: b,
+            complete: self.complete[idx],
+        }
+    }
+
+    /// Sets in `bits` every labelled tuple that `selected` picks (layout
+    /// order) and the source UCQ J-matches, in one batched evaluator
+    /// call.
+    fn evaluate(
+        &self,
+        src: &SrcUcq,
+        mut bits: MatchBits,
+        selected: &[bool],
+    ) -> (MatchBits, EvalWork) {
+        let m = obx_query::eval::satisfies_ucq_each(
+            self.system.db(),
+            src,
+            self.radius,
+            selected.len(),
+            |i| selected[i].then(|| self.goal(i)),
+        );
+        for (idx, &hit) in m.hits.iter().enumerate() {
+            if hit {
+                bits.set(idx);
+            }
+        }
+        let work = EvalWork {
+            evaluated: selected.iter().filter(|&&s| s).count(),
+            certified: m.certified,
+            masked: m.masked,
+        };
+        (bits, work)
+    }
+
+    /// Match bitset of a compiled query against λ: one batched evaluator
+    /// call over every labelled tuple, each on its own border. The
+    /// scoring engine memoizes this per disjunct; [`stats`] is the
+    /// uncached per-tuple reference the property tests compare against.
     ///
-    /// [`matches`]: PreparedLabels::matches
     /// [`stats`]: PreparedLabels::stats
     pub fn match_bits(&self, compiled: &CompiledQuery) -> MatchBits {
-        let mut bits = MatchBits::empty(self.pos.len(), self.neg.len());
-        for (i, (t, b)) in self.pos.iter().enumerate() {
-            if self.matches(compiled, t, b) {
-                bits.set(i);
-            }
-        }
-        let offset = self.pos.len();
-        for (j, (t, b)) in self.neg.iter().enumerate() {
-            if self.matches(compiled, t, b) {
-                bits.set(offset + j);
-            }
-        }
-        bits
+        self.evaluate_all(compiled.src()).0
+    }
+
+    /// [`PreparedLabels::evaluate`] over every labelled tuple.
+    fn evaluate_all(&self, src: &SrcUcq) -> (MatchBits, EvalWork) {
+        let empty = MatchBits::empty(self.pos.len(), self.neg.len());
+        let all = vec![true; empty.len()];
+        self.evaluate(src, empty, &all)
     }
 
     /// Parent-delta variant of [`PreparedLabels::match_bits`]: exploits
@@ -534,39 +614,59 @@ impl<'a> PreparedLabels<'a> {
     ///   so the parent's set bits are inherited and only its **zero** bits
     ///   are evaluated.
     ///
-    /// Returns the bits plus the number of evaluator invocations actually
-    /// made (≤ the label count; the difference is the work saved). The
-    /// result is identical to `match_bits(compiled)` whenever `parent` is
-    /// the bitset of a query of which `compiled` is a `dir`-refinement on
-    /// these same borders. Panics when `parent`'s shape differs from λ's.
+    /// Returns the bits plus the number of labelled tuples actually
+    /// evaluated (≤ the label count; the difference is the work saved).
+    /// The result is identical to `match_bits(compiled)` whenever `parent`
+    /// is the bitset of a query of which `compiled` is a `dir`-refinement
+    /// on these same borders. A `parent` shaped for a different label set
+    /// is an [`ObdmError::LabelShape`] error, so the scoring engine
+    /// quarantines the candidate instead of unwinding.
+    ///
+    /// [`RefineDir::Specialize`]: crate::prune::RefineDir::Specialize
+    /// [`RefineDir::Generalize`]: crate::prune::RefineDir::Generalize
     pub fn match_bits_restricted(
         &self,
         compiled: &CompiledQuery,
         parent: &MatchBits,
         dir: crate::prune::RefineDir,
-    ) -> (MatchBits, usize) {
-        assert_eq!(
-            (parent.num_pos, parent.num_neg),
-            (self.pos.len(), self.neg.len()),
-            "parent bitset shaped for a different label set"
-        );
-        let (mut bits, eval_when) = match dir {
+    ) -> Result<(MatchBits, usize), ObdmError> {
+        self.match_bits_from(compiled, Some((parent, dir)))
+            .map(|(bits, work)| (bits, work.evaluated))
+    }
+
+    /// [`PreparedLabels::match_bits`] without a parent, and
+    /// [`PreparedLabels::match_bits_restricted`] with one, together with
+    /// the evaluator work behind the bits: the scoring engine's entry.
+    pub(crate) fn match_bits_from(
+        &self,
+        compiled: &CompiledQuery,
+        parent: Option<(&MatchBits, crate::prune::RefineDir)>,
+    ) -> Result<(MatchBits, EvalWork), ObdmError> {
+        let Some((parent, dir)) = parent else {
+            return Ok(self.evaluate_all(compiled.src()));
+        };
+        if (parent.num_pos, parent.num_neg) != (self.pos.len(), self.neg.len()) {
+            return Err(ObdmError::LabelShape {
+                detail: format!(
+                    "parent bitset has {}+/{}- labels, λ has {}+/{}-",
+                    parent.num_pos,
+                    parent.num_neg,
+                    self.pos.len(),
+                    self.neg.len()
+                ),
+            });
+        }
+        let (bits, eval_when) = match dir {
             crate::prune::RefineDir::Specialize => {
                 (MatchBits::empty(self.pos.len(), self.neg.len()), true)
             }
             crate::prune::RefineDir::Generalize => (parent.clone(), false),
         };
-        let mut evaluated = 0usize;
-        for (idx, (t, b)) in self.pos.iter().chain(self.neg.iter()).enumerate() {
-            if parent.get(idx) != eval_when {
-                continue;
-            }
-            evaluated += 1;
-            if self.matches(compiled, t, b) {
-                bits.set(idx);
-            }
+        let mut selected = vec![!eval_when; parent.len()];
+        for idx in parent.ones() {
+            selected[idx] = eval_when;
         }
-        (bits, evaluated)
+        Ok(self.evaluate(compiled.src(), bits, &selected))
     }
 
     /// Compiles an ontology UCQ and computes its stats in one call.
@@ -578,15 +678,7 @@ impl<'a> PreparedLabels<'a> {
     /// Match statistics of a *source-level* query (the data-level baseline
     /// evaluates directly, without rewriting/unfolding).
     pub fn stats_src(&self, src: &SrcUcq) -> MatchStats {
-        let member = |t: &[Const], b: &AtomSet| {
-            obx_query::eval::satisfies_ucq(View::masked(self.system.db(), b), src, t)
-        };
-        MatchStats {
-            pos_matched: self.pos.iter().filter(|(t, b)| member(t, b)).count(),
-            pos_total: self.pos.len(),
-            neg_matched: self.neg.iter().filter(|(t, b)| member(t, b)).count(),
-            neg_total: self.neg.len(),
-        }
+        self.evaluate_all(src).0.stats()
     }
 
     /// Match statistics of a single source CQ.
@@ -755,18 +847,40 @@ mod tests {
         let prepared = PreparedLabels::new(&sys, &labels, 2);
         let parent_bits = prepared.match_bits(&pc);
         let full = prepared.match_bits(&cc);
-        let (restricted, evaluated) =
-            prepared.match_bits_restricted(&cc, &parent_bits, RefineDir::Specialize);
+        let (restricted, evaluated) = prepared
+            .match_bits_restricted(&cc, &parent_bits, RefineDir::Specialize)
+            .unwrap();
         assert_eq!(restricted, full);
         assert_eq!(evaluated, parent_bits.count_ones());
         assert!(full.is_subset_of(&parent_bits));
         // Dually: generalizing the child back to the parent evaluates only
         // the child's zero bits and inherits the rest.
         let child_bits = full;
-        let (up, up_evaluated) =
-            prepared.match_bits_restricted(&pc, &child_bits, RefineDir::Generalize);
+        let (up, up_evaluated) = prepared
+            .match_bits_restricted(&pc, &child_bits, RefineDir::Generalize)
+            .unwrap();
         assert_eq!(up, parent_bits);
         assert_eq!(up_evaluated, child_bits.len() - child_bits.count_ones());
+    }
+
+    #[test]
+    fn restricted_match_bits_reject_a_parent_of_another_shape() {
+        use crate::prune::RefineDir;
+        let mut sys = example_3_6_system();
+        let labels = paper_labels(&mut sys);
+        let q = sys.parse_query(r#"q(x) :- studies(x, "Math")"#).unwrap();
+        let compiled = sys.spec().compile(&q).unwrap();
+        let prepared = PreparedLabels::new(&sys, &labels, 1);
+        // λ has 4 positives and 1 negative; these parents do not.
+        for parent in [MatchBits::empty(5, 0), MatchBits::empty(4, 2)] {
+            for dir in [RefineDir::Specialize, RefineDir::Generalize] {
+                let err = prepared
+                    .match_bits_restricted(&compiled, &parent, dir)
+                    .unwrap_err();
+                assert!(matches!(err, ObdmError::LabelShape { .. }), "{err}");
+                assert!(!err.is_transient());
+            }
+        }
     }
 
     #[test]

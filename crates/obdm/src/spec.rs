@@ -21,6 +21,12 @@ pub enum ObdmError {
         /// Explanation of the mismatch.
         detail: String,
     },
+    /// A per-label input (e.g. a parent query's match bitset) is shaped
+    /// for a different set of labelled tuples than the one being scored.
+    LabelShape {
+        /// Explanation of the mismatch.
+        detail: String,
+    },
 }
 
 impl fmt::Display for ObdmError {
@@ -29,6 +35,7 @@ impl fmt::Display for ObdmError {
             ObdmError::Rewrite(e) => write!(f, "rewriting failed: {e}"),
             ObdmError::Unfold(e) => write!(f, "unfolding failed: {e}"),
             ObdmError::SchemaMismatch { detail } => write!(f, "schema mismatch: {detail}"),
+            ObdmError::LabelShape { detail } => write!(f, "label shape mismatch: {detail}"),
         }
     }
 }

@@ -10,7 +10,7 @@
 //! equivalent-or-weaker candidate queries, and by tests to validate
 //! PerfectRef output.
 
-use crate::onto::{OntoAtom, OntoCq, OntoUcq};
+use crate::onto::{OntoAtom, OntoCq, OntoUcq, QueryError};
 use crate::src::{SrcAtom, SrcCq, SrcUcq};
 use crate::term::{Term, VarId};
 use obx_srcdb::RelId;
@@ -106,7 +106,11 @@ pub fn cq_equivalent(q1: &SrcCq, q2: &SrcCq) -> bool {
 /// ids (concepts on even ids, roles on odd ids), for reuse of the
 /// homomorphism machinery. Only valid for containment checks between
 /// queries over the *same* vocabulary — never evaluate the result.
-pub fn onto_to_pseudo_src(cq: &OntoCq) -> SrcCq {
+///
+/// The encoding keeps every variable of every atom, so a safe ontology CQ
+/// always encodes to a safe source CQ; the `Result` only forwards
+/// [`SrcCq::new`]'s check.
+pub fn onto_to_pseudo_src(cq: &OntoCq) -> Result<SrcCq, QueryError> {
     let body = cq
         .body()
         .iter()
@@ -115,13 +119,17 @@ pub fn onto_to_pseudo_src(cq: &OntoCq) -> SrcCq {
             OntoAtom::Role(r, t1, t2) => SrcAtom::new(RelId(r.0 .0 * 2 + 1), [t1, t2]),
         })
         .collect();
-    SrcCq::new(cq.head().to_vec(), body).expect("safety is preserved by the encoding")
+    SrcCq::new(cq.head().to_vec(), body)
 }
 
 /// CQ containment for ontology queries (no TBox; for TBox-aware containment
 /// rewrite the right-hand side with [`crate::rewrite::perfect_ref`] first).
 pub fn onto_cq_contained(q1: &OntoCq, q2: &OntoCq) -> bool {
-    cq_contained(&onto_to_pseudo_src(q1), &onto_to_pseudo_src(q2))
+    match (onto_to_pseudo_src(q1), onto_to_pseudo_src(q2)) {
+        (Ok(p1), Ok(p2)) => cq_contained(&p1, &p2),
+        // Unreachable for safe CQs; "not contained" is the sound answer.
+        _ => false,
+    }
 }
 
 /// UCQ containment for ontology queries (no TBox).

@@ -13,12 +13,17 @@
 //! index-slice entry examined, visible or not); [`node_counts`] exposes
 //! the process-wide total so benches and the observability layer can
 //! attribute join work.
-
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+//!
+//! [`satisfies_ucq_each`] is the batched form of [`satisfies_ucq`] that
+//! scoring uses: one call checks a UCQ against many goals, each a tuple
+//! with its own border mask. Per disjunct it allocates one set of search
+//! buffers and reuses them for every goal, drops the masks where
+//! [`certified`] proves them a no-op, and adds its node tally to the
+//! process-wide total once per call rather than once per goal.
 
 use crate::src::{SrcAtom, SrcCq, SrcUcq};
 use crate::term::{Term, VarId};
-use obx_srcdb::{AtomId, Const, View};
+use obx_srcdb::{AtomId, AtomSet, Bitmap, Const, Database, View};
 use obx_util::FxHashSet;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,6 +54,24 @@ impl Binding {
         Self {
             slots: vec![None; num_vars],
         }
+    }
+
+    /// Resets every slot and binds the head variables to `tuple`.
+    /// Returns `false` when the tuple arity differs from the query arity,
+    /// or when a repeated head variable would need two different
+    /// constants.
+    fn bind_goal(&mut self, cq: &SrcCq, tuple: &[Const]) -> bool {
+        if tuple.len() != cq.arity() {
+            return false;
+        }
+        self.slots.fill(None);
+        for (&v, &c) in cq.head().iter().zip(tuple.iter()) {
+            match self.get(v) {
+                Some(prev) if prev != c => return false,
+                _ => self.slots[v.index()] = Some(c),
+            }
+        }
+        true
     }
 
     #[inline]
@@ -317,20 +340,10 @@ fn num_vars(cq: &SrcCq) -> usize {
 }
 
 /// The binding a goal-directed search starts from: head variables bound
-/// to `tuple`. `None` when the tuple arity differs from the query arity,
-/// or when a repeated head variable would need two different constants.
+/// to `tuple`. `None` when [`Binding::bind_goal`] rejects the tuple.
 fn goal_binding(cq: &SrcCq, tuple: &[Const]) -> Option<Binding> {
-    if tuple.len() != cq.arity() {
-        return None;
-    }
     let mut binding = Binding::new(num_vars(cq));
-    for (&v, &c) in cq.head().iter().zip(tuple.iter()) {
-        match binding.get(v) {
-            Some(prev) if prev != c => return None,
-            _ => binding.slots[v.index()] = Some(c),
-        }
-    }
-    Some(binding)
+    binding.bind_goal(cq, tuple).then_some(binding)
 }
 
 /// All answers of `cq` over `view`: the set of head-variable tuples.
@@ -404,8 +417,258 @@ pub fn satisfies_ucq(view: View<'_>, ucq: &SrcUcq, tuple: &[Const]) -> bool {
     ucq.disjuncts().iter().any(|cq| satisfies(view, cq, tuple))
 }
 
+/// The result of one [`satisfies_ucq_each`] call.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Matches {
+    /// Per goal index: whether some disjunct matched the goal.
+    pub hits: Vec<bool>,
+    /// Disjuncts answered on the certified path, masks dropped.
+    pub certified: usize,
+    /// Disjuncts that searched border-masked views.
+    pub masked: usize,
+}
+
+/// One goal of [`satisfies_ucq_each`]: a tuple and the border it is
+/// matched over.
+#[derive(Debug, Clone, Copy)]
+pub struct Goal<'g> {
+    /// The tuple the head is bound to.
+    pub tuple: &'g [Const],
+    /// The view mask, `B_{t,r}(D)` for the call's radius `r`.
+    pub border: &'g AtomSet,
+    /// Whether `border` is all of `B_{t,r}(D)`: no layer was cut by an
+    /// interrupt or a resource guard.
+    pub complete: bool,
+}
+
+/// The layer depth of `cq`'s deepest body atom, or `None` when some atom
+/// is not connected to the head. An atom that mentions a head variable
+/// has depth 0; an atom that shares a variable or a constant with an
+/// atom of depth `k` has depth at most `k + 1`.
+///
+/// The depths follow the border layers of Def. 3.2: a homomorphism that
+/// sends the head to `t` maps a depth-0 atom onto an atom mentioning a
+/// constant of `t`, which is in `W_{t,0}`, and an atom sharing a term with
+/// a depth-`k` atom onto one sharing a constant with an atom of
+/// `B_{t,k}(D)`, which is in `B_{t,k+1}(D)`.
+pub fn head_depth(cq: &SrcCq) -> Option<usize> {
+    let body = cq.body();
+    let mut depth: Vec<Option<usize>> = body
+        .iter()
+        .map(|a| {
+            let mentions_head = cq.head().iter().any(|&v| a.args.contains(&Term::Var(v)));
+            mentions_head.then_some(0)
+        })
+        .collect();
+    let mut k = 0;
+    while depth.contains(&Some(k)) {
+        for i in 0..body.len() {
+            if depth[i].is_none()
+                && (0..body.len()).any(|j| {
+                    depth[j] == Some(k) && body[i].args.iter().any(|t| body[j].args.contains(t))
+                })
+            {
+                depth[i] = Some(k + 1);
+            }
+        }
+        k += 1;
+    }
+    depth
+        .into_iter()
+        .try_fold(0, |deepest, d| Some(deepest.max(d?)))
+}
+
+/// Whether `cq` is *certified* at border radius `radius`: `radius ≥ 1`
+/// and every body atom has [`head_depth`] at most `radius`. Then every
+/// embedding of `cq` that sends the head to `t` lies inside
+/// `B_{t,radius}(D)`, so `cq` J-matches `t`'s complete border iff
+/// `t ∈ cq(D)`, and the border mask can be dropped.
+pub fn certified(cq: &SrcCq, radius: usize) -> bool {
+    radius >= 1 && head_depth(cq).is_some_and(|d| d <= radius)
+}
+
+/// [`satisfies_ucq`] for `n` goals at once: entry `i` of the result is
+/// `satisfies_ucq(View::masked(db, g.border), ucq, g.tuple)` for
+/// `goal(i) = Some(g)`, and `false` for `goal(i) = None`. `radius` is the
+/// radius of the goals' borders.
+///
+/// The outer loop runs over the disjuncts, the inner one over the goals
+/// still unmatched. Each disjunct takes one of two paths:
+///
+/// * **Certified.** When the disjunct is [`certified`] at `radius`, its
+///   head has one variable and every goal's border is complete, the masks
+///   are a no-op and are dropped. One scan of the candidate atoms of the
+///   disjunct's *anchor* (the body atom with the head variable and the
+///   smallest index slice) in `db` extends each match whose constant is a
+///   goal's into a search of `db` for the rest of the body, once per
+///   constant. The path is taken only when the anchor has no more
+///   candidate atoms than there are goals.
+/// * **Masked.** Otherwise, one goal-directed search per goal over its
+///   border view. The disjunct allocates its binding, join bookkeeping
+///   and trail once and reuses them for every goal, so the searches are
+///   exactly those of `n` separate [`satisfies_ucq`] calls.
+///
+/// The node tally reaches [`node_counts`] once per call. `goal` is called
+/// once per index.
+pub fn satisfies_ucq_each<'g>(
+    db: &Database,
+    ucq: &SrcUcq,
+    radius: usize,
+    n: usize,
+    goal: impl Fn(usize) -> Option<Goal<'g>>,
+) -> Matches {
+    let mut out = Matches {
+        hits: vec![false; n],
+        certified: 0,
+        masked: 0,
+    };
+    let hits = &mut out.hits;
+    let mut pending: Vec<(usize, Goal<'g>)> =
+        (0..n).filter_map(|i| goal(i).map(|g| (i, g))).collect();
+    let nodes = Cell::new(0u64);
+    for cq in ucq.disjuncts() {
+        if pending.is_empty() {
+            break;
+        }
+        let certify =
+            cq.arity() == 1 && certified(cq, radius) && pending.iter().all(|(_, g)| g.complete);
+        match certify.then(|| anchor(db, cq, pending.len())).flatten() {
+            Some(a) => {
+                out.certified += 1;
+                let found = certified_answers(db, cq, a, &first_constants(&pending), &nodes);
+                for &(i, g) in &pending {
+                    hits[i] = g.tuple.len() == 1 && found.contains(g.tuple[0].0.index());
+                }
+            }
+            None => {
+                out.masked += 1;
+                masked(db, cq, &pending, hits, &nodes);
+            }
+        }
+        pending.retain(|&(i, _)| !hits[i]);
+    }
+    NODES.fetch_add(nodes.get(), Ordering::Relaxed);
+    out
+}
+
+/// The masked path of [`satisfies_ucq_each`]: one goal-directed search
+/// per goal over its own border view, sharing one set of buffers.
+fn masked(
+    db: &Database,
+    cq: &SrcCq,
+    goals: &[(usize, Goal<'_>)],
+    hits: &mut [bool],
+    nodes: &Cell<u64>,
+) {
+    let body = cq.body();
+    let mut binding = Binding::new(num_vars(cq));
+    let mut used = vec![false; body.len()];
+    let mut matched = vec![AtomId(0); body.len()];
+    let mut trail: Vec<VarId> = Vec::with_capacity(binding.slots.len());
+    for &(i, g) in goals {
+        if !binding.bind_goal(cq, g.tuple) {
+            continue;
+        }
+        let hit = &mut hits[i];
+        // A finished search restores `binding`, `used` and `trail` to
+        // their state on entry, so the next goal starts clean.
+        search(
+            &View::masked(db, g.border),
+            body,
+            &mut used,
+            &mut matched,
+            body.len(),
+            &mut binding,
+            &mut trail,
+            nodes,
+            &mut |_, _| {
+                *hit = true;
+                false // stop at the first embedding
+            },
+        );
+    }
+}
+
+/// The index of `cq`'s anchor — the body atom with the (first) head
+/// variable and the smallest index slice in `db` — when that slice holds
+/// at most `budget` atoms.
+fn anchor(db: &Database, cq: &SrcCq, budget: usize) -> Option<usize> {
+    let view = View::full(db);
+    let empty = Binding::new(num_vars(cq));
+    let x = Term::Var(*cq.head().first()?);
+    let (i, size) = cq
+        .body()
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.args.contains(&x))
+        .map(|(i, a)| (i, selectivity(&view, a, &empty)))
+        .min_by_key(|&(_, size)| size)?;
+    (size <= budget).then_some(i)
+}
+
+/// The first constant of every goal with one.
+fn first_constants(goals: &[(usize, Goal<'_>)]) -> Bitmap {
+    let mut out = Bitmap::with_capacity(0);
+    for (_, g) in goals {
+        if let Some(c) = g.tuple.first() {
+            out.insert(c.0.index());
+        }
+    }
+    out
+}
+
+/// `cq(D)` restricted to the constants in `wanted`, for a certified
+/// disjunct with a one-variable head: one scan of the candidate atoms of
+/// the body atom `anchor` in `db`, and for each match that binds the head
+/// to a wanted constant not yet found, one search of `db` for the rest of
+/// the body around it.
+fn certified_answers(
+    db: &Database,
+    cq: &SrcCq,
+    anchor: usize,
+    wanted: &Bitmap,
+    nodes: &Cell<u64>,
+) -> Bitmap {
+    let view = View::full(db);
+    let body = cq.body();
+    let mut binding = Binding::new(num_vars(cq));
+    let mut used = vec![false; body.len()];
+    let mut matched = vec![AtomId(0); body.len()];
+    let mut trail: Vec<VarId> = Vec::with_capacity(binding.slots.len());
+    let mut found = Bitmap::with_capacity(0);
+    let Some(&x) = cq.head().first() else {
+        return found;
+    };
+    used[anchor] = true;
+    for id in candidates(view, &body[anchor], &binding, nodes) {
+        if !try_match(&view, &body[anchor], id, &mut binding, &mut trail) {
+            continue;
+        }
+        if let Some(c) = binding.get(x).map(|c| c.0.index()) {
+            if wanted.contains(c) && !found.contains(c) {
+                matched[anchor] = id;
+                search(
+                    &view,
+                    body,
+                    &mut used,
+                    &mut matched,
+                    body.len() - 1,
+                    &mut binding,
+                    &mut trail,
+                    nodes,
+                    &mut |_, _| {
+                        found.insert(c);
+                        false // one embedding settles the constant
+                    },
+                );
+            }
+        }
+        undo_to(&mut binding, &mut trail, 0);
+    }
+    found
+}
+
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::term::var;

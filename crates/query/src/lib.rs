@@ -21,6 +21,9 @@
 //! * [`parse`] — text syntax `q(x) :- studies(x, y), locatedIn(y, "Rome")`.
 
 #![warn(missing_docs)]
+// Parsing, rewriting and evaluation run on user queries inside the serve
+// loop: failures flow back as values, never as unwinds.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod containment;
 pub mod eval;
@@ -34,7 +37,10 @@ pub use containment::{
     cq_contained, cq_equivalent, minimize_cq, minimize_onto_cq, onto_cq_contained,
     onto_to_pseudo_src, onto_ucq_contained, ucq_contained,
 };
-pub use eval::{answers, answers_ucq, node_counts, satisfies, satisfies_ucq, witness, witness_ucq};
+pub use eval::{
+    answers, answers_ucq, certified, head_depth, node_counts, satisfies, satisfies_ucq,
+    satisfies_ucq_each, witness, witness_ucq, Goal, Matches,
+};
 pub use onto::{OntoAtom, OntoCq, OntoUcq, QueryError};
 pub use parse::{parse_onto_cq, parse_onto_ucq, parse_src_cq, QueryParseError};
 pub use rewrite::{perfect_ref, perfect_ref_interruptible, RewriteBudget, RewriteError};

@@ -17,8 +17,8 @@
 //! parsers position errors at the offending atom within their single
 //! line, and [`parse_onto_ucq`] rebases them onto the multi-line text.
 
-// Parsers run on untrusted user input: they must never panic.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+// Parsers run on untrusted user input: they must never panic (the crate
+// root denies `unwrap`/`expect` outside tests).
 
 use crate::onto::{OntoAtom, OntoCq, OntoUcq};
 use crate::src::{SrcAtom, SrcCq};
@@ -307,7 +307,6 @@ pub fn parse_src_cq(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use obx_ontology::parse_tbox;

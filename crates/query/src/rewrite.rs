@@ -236,8 +236,8 @@ fn apply_mgu(cq: &OntoCq, subst: &FxHashMap<VarId, Term>) -> Option<OntoCq> {
         })
         .collect();
     // Head stays safe: substitution maps head vars to vars occurring in the
-    // body image.
-    Some(OntoCq::new(head, body).expect("mgu preserves safety"))
+    // body image, so `OntoCq::new` accepts it.
+    OntoCq::new(head, body).ok()
 }
 
 /// Computes the perfect rewriting of `ucq` w.r.t. the positive inclusions

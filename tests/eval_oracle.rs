@@ -9,7 +9,9 @@
 //!   bodies and heads), constant-only guard atoms and cross products.
 //!   Witnesses are checked for validity rather than equality: one
 //!   visible atom per body atom, in body order, and jointly consistent
-//!   with the goal tuple.
+//!   with the goal tuple. The batched `satisfies_ucq_each` is checked
+//!   against one `satisfies_ucq` call per goal, each goal with its own
+//!   mask.
 //! * **End-to-end**: every built-in strategy runs on the paper's example,
 //!   the university scenario, the skewed (power-law) scenario and
 //!   randomized scenarios. For each reported explanation, the per-tuple
@@ -29,7 +31,7 @@ use obx_datagen::{
 };
 use obx_obdm::{example_3_6_system, ChaseConfig, ObdmSystem};
 use obx_query::eval;
-use obx_query::{SrcAtom, SrcCq, SrcUcq, Term, VarId};
+use obx_query::{Goal, SrcAtom, SrcCq, SrcUcq, Term, VarId};
 use obx_srcdb::{AtomId, AtomSet, Const, Database, Schema, View};
 use obx_util::{FxHashMap, FxHashSet};
 use proptest::prelude::*;
@@ -542,6 +544,220 @@ proptest! {
             }
         }
     }
+}
+
+/// Batch goals for [`batched_membership_equals_per_goal_satisfies`]: each
+/// is absent (`None`), or a tuple with its own random mask. Tuples are
+/// drawn from the full view's answers and from the probe constants, and
+/// about one in six has the wrong arity.
+fn random_goals(
+    db: &Database,
+    ucq: &SrcUcq,
+    head_arity: usize,
+    seed: u64,
+    n: usize,
+) -> Vec<Option<(Vec<Const>, AtomSet)>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let answers: Vec<Box<[Const]>> = {
+        let mut a: Vec<_> = eval::answers_ucq(View::full(db), ucq).into_iter().collect();
+        a.sort();
+        a
+    };
+    let probes = probe_tuples(db, head_arity);
+    (0..n)
+        .map(|_| {
+            if rng.gen_bool(0.15) {
+                return None;
+            }
+            let mut tuple = if !answers.is_empty() && rng.gen_bool(0.5) {
+                answers[rng.gen_range(0..answers.len())].to_vec()
+            } else {
+                probes[rng.gen_range(0..probes.len())].clone()
+            };
+            if rng.gen_bool(0.15) {
+                // Wrong arity: one constant too many, or none at all.
+                if rng.gen_bool(0.5) {
+                    tuple.push(tuple[0]);
+                } else {
+                    tuple.clear();
+                }
+            }
+            Some((tuple, random_mask(db, rng.gen_range(0..100_000u64))))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64 })]
+
+    /// One batched call equals one `satisfies_ucq` per goal over that
+    /// goal's own masked view, on multi-disjunct UCQs that include a
+    /// disjunct with a repeated head variable and a constant-only guard,
+    /// with wrong-arity and absent goals mixed in.
+    #[test]
+    fn batched_membership_equals_per_goal_satisfies(
+        db_seed in 0u64..100_000,
+        q_seeds in proptest::collection::vec(0u64..100_000, 1..4),
+        goal_seed in 0u64..100_000,
+        guard in (0usize..6, 0usize..6),
+        head_arity in 1usize..3,
+        n_goals in 0usize..24,
+    ) {
+        let mut db = random_db(db_seed, 6, 20);
+        let mut disjuncts: Vec<SrcCq> = q_seeds
+            .iter()
+            .map(|&s| random_cq(&mut db, s, 2, head_arity))
+            .collect();
+        // q(x0, …, x0) :- A(x0), R(c_i, c_j): repeated head variable and a
+        // guard that holds or not depending on the goal's mask.
+        let (a, r) = (db.schema().rel("A").unwrap(), db.schema().rel("R").unwrap());
+        let (ci, cj) = (db.constant(&format!("c{}", guard.0)), db.constant(&format!("c{}", guard.1)));
+        disjuncts.push(
+            SrcCq::new(
+                vec![VarId(0); head_arity],
+                vec![
+                    SrcAtom::new(a, [Term::Var(VarId(0))]),
+                    SrcAtom::new(r, [Term::Const(ci), Term::Const(cj)]),
+                ],
+            )
+            .unwrap(),
+        );
+        let ucq: SrcUcq = disjuncts.into_iter().collect();
+        let goals = random_goals(&db, &ucq, head_arity, goal_seed, n_goals);
+        // Random masks are not borders, so no goal is complete and every
+        // disjunct keeps its masks.
+        let batched = eval::satisfies_ucq_each(&db, &ucq, 1, goals.len(), |i| {
+            goals[i].as_ref().map(|(t, m)| Goal { tuple: t, border: m, complete: false })
+        });
+        prop_assert_eq!(batched.certified, 0);
+        let batched = batched.hits;
+        prop_assert_eq!(batched.len(), goals.len());
+        for (i, goal) in goals.iter().enumerate() {
+            let expected = goal
+                .as_ref()
+                .is_some_and(|(t, m)| eval::satisfies_ucq(View::masked(&db, m), &ucq, t));
+            prop_assert_eq!(batched[i], expected, "goal {} {:?} of {:?}", i, goal.as_ref().map(|g| &g.0), &ucq);
+        }
+    }
+}
+
+/// A path-shaped CQ over `R`/`S`: `len` binary atoms chained from the
+/// head variable `x0` through fresh variables, each atom in a random
+/// direction, the last one ending on a constant half of the time. Its
+/// deepest atom has layer depth `len - 1`.
+fn chain_cq(db: &mut Database, seed: u64, len: usize) -> SrcCq {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rels = [db.schema().rel("R").unwrap(), db.schema().rel("S").unwrap()];
+    let end = rng
+        .gen_bool(0.5)
+        .then(|| Term::Const(db.constant(&format!("c{}", rng.gen_range(0..12usize)))));
+    let body = (0..len)
+        .map(|i| {
+            let from = Term::Var(VarId(i as u32));
+            let to = match end {
+                Some(c) if i + 1 == len => c,
+                _ => Term::Var(VarId(i as u32 + 1)),
+            };
+            let rel = rels[rng.gen_range(0..2usize)];
+            if rng.gen_bool(0.5) {
+                SrcAtom::new(rel, [from, to])
+            } else {
+                SrcAtom::new(rel, [to, from])
+            }
+        })
+        .collect();
+    SrcCq::new(vec![VarId(0)], body).expect("x0 occurs in the first atom")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96 })]
+
+    /// Border certification (`eval::certified`): on random sparse
+    /// databases at radii 1–3, a certified CQ has the same answers over
+    /// each tuple's border as over the whole database, and the batched
+    /// call over complete borders (which takes the certified path where
+    /// it applies) equals one masked `satisfies` per tuple. Chains one
+    /// atom too deep for the radius make under-counting the depth by one
+    /// fail here.
+    #[test]
+    fn certified_disjuncts_ignore_their_border_masks(
+        db_seed in 0u64..100_000,
+        q_seed in 0u64..100_000,
+        radius in 1usize..4,
+        len in 1usize..6,
+        shape in 0u8..2,
+    ) {
+        let mut db = random_db(db_seed, 12, 24);
+        let cq = if shape == 0 {
+            chain_cq(&mut db, q_seed, len)
+        } else {
+            random_cq(&mut db, q_seed, len.min(3), 1)
+        };
+        let ucq = SrcUcq::from_cq(cq.clone());
+        let consts: Vec<Const> = (0..12).filter_map(|k| db.consts().get(&format!("c{k}"))).collect();
+        let borders: Vec<AtomSet> = consts.iter().map(|&c| obx_srcdb::border(&db, &[c], radius)).collect();
+        let certified = eval::certified(&cq, radius);
+        for (c, b) in consts.iter().zip(&borders) {
+            let over_border = eval::satisfies(View::masked(&db, b), &cq, &[*c]);
+            if certified {
+                prop_assert_eq!(
+                    over_border,
+                    eval::satisfies(View::full(&db), &cq, &[*c]),
+                    "certified {:?} at radius {} differs over {:?}'s border", &cq, radius, c
+                );
+            }
+        }
+        let batched = eval::satisfies_ucq_each(&db, &ucq, radius, consts.len(), |i| {
+            Some(Goal { tuple: std::slice::from_ref(&consts[i]), border: &borders[i], complete: true })
+        });
+        for (i, c) in consts.iter().enumerate() {
+            let expected = eval::satisfies(View::masked(&db, &borders[i]), &cq, &[*c]);
+            prop_assert_eq!(batched.hits[i], expected, "batched {:?} at radius {} for {:?}", &cq, radius, c);
+        }
+    }
+}
+
+/// Depths and certification on fixed shapes: a chain's depth is its
+/// length minus one, a constant shared with a head atom connects a
+/// guard, and an unconnected guard, radius 0 or an empty head never
+/// certify.
+#[test]
+fn head_depth_counts_border_layers() {
+    let mut db = random_db(3, 4, 8);
+    let r = db.schema().rel("R").unwrap();
+    let a = db.schema().rel("A").unwrap();
+    let v = |i: u32| Term::Var(VarId(i));
+    let c1 = Term::Const(db.constant("c1"));
+    let c2 = Term::Const(db.constant("c2"));
+    let cq = |head: Vec<VarId>, body: Vec<SrcAtom>| SrcCq::new(head, body).unwrap();
+    let chain3 = cq(
+        vec![VarId(0)],
+        vec![
+            SrcAtom::new(r, [v(2), v(3)]),
+            SrcAtom::new(r, [v(0), v(1)]),
+            SrcAtom::new(r, [v(1), v(2)]),
+        ],
+    );
+    assert_eq!(eval::head_depth(&chain3), Some(2));
+    assert!(!eval::certified(&chain3, 1));
+    assert!(eval::certified(&chain3, 2));
+    let shared_const = cq(
+        vec![VarId(0)],
+        vec![SrcAtom::new(r, [v(0), c1]), SrcAtom::new(r, [c1, c2])],
+    );
+    assert_eq!(eval::head_depth(&shared_const), Some(1));
+    let unconnected = cq(
+        vec![VarId(0)],
+        vec![SrcAtom::new(a, [v(0)]), SrcAtom::new(r, [c2, c2])],
+    );
+    assert_eq!(eval::head_depth(&unconnected), None);
+    assert!(!eval::certified(&unconnected, 3));
+    let single = cq(vec![VarId(0)], vec![SrcAtom::new(a, [v(0)])]);
+    assert_eq!(eval::head_depth(&single), Some(0));
+    assert!(!eval::certified(&single, 0));
+    assert!(eval::certified(&single, 1));
+    let boolean = cq(vec![], vec![SrcAtom::new(a, [v(0)])]);
+    assert_eq!(eval::head_depth(&boolean), None);
 }
 
 /// The query shapes the generator only hits by chance, pinned once each

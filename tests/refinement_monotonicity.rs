@@ -64,8 +64,9 @@ fn check_lattice_step(task: &ExplainTask<'_>, cq: &OntoCq, dir: RefineDir) -> us
         }
         // Delta evaluation must reproduce the full bitset exactly, and
         // only ever touch the tuples the direction says are undecided.
-        let (restricted, evaluated) =
-            prepared.match_bits_restricted(&full.compiled, &parent.bits, dir);
+        let (restricted, evaluated) = prepared
+            .match_bits_restricted(&full.compiled, &parent.bits, dir)
+            .expect("the parent bitset is shaped for the same λ");
         assert_eq!(
             restricted, full.bits,
             "restricted evaluation diverges from full on {child:?}"

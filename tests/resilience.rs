@@ -15,9 +15,11 @@ use obx_core::explain::{ExplainTask, SearchLimits, Strategy};
 use obx_core::labels::Labels;
 use obx_core::score::Scoring;
 use obx_core::strategies::{BeamSearch, BottomUpGeneralize, ExhaustiveSearch, GreedyUcq};
+use obx_core::ScoringEngine;
 use obx_datagen::{university_scenario, UniversityParams};
 use obx_obdm::example_3_6_system;
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The paper's five labelled students.
@@ -95,26 +97,43 @@ fn permanent_scoring_failures_are_quarantined_not_fatal() {
     assert!(!plain.is_empty());
 }
 
-#[test]
-fn eval_budget_exhaustion_returns_best_so_far() {
+/// Beam search on the paper's example under an eval cap of 12, scored on
+/// an engine with `threads` workers. Returns the engine's eval total.
+fn beam_under_eval_cap(threads: usize) -> u64 {
     let mut sys = example_3_6_system();
     let labels = Labels::parse(sys.db_mut(), PAPER_LABELS).unwrap();
     let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
-    // Each fresh candidate costs |λ⁺| + |λ⁻| = 5 evaluator calls here, so
-    // a cap of 12 stops the search inside the very first batch.
+    // Each fresh candidate costs at most |λ⁺| + |λ⁻| = 5 evaluations
+    // here, so a cap of 12 stops the search inside the very first batch.
     let budget = SearchBudget::unlimited().with_max_evals(12);
     let task =
         ExplainTask::new_with_budget(&sys, &labels, 1, &scoring, SearchLimits::default(), budget)
-            .unwrap();
+            .unwrap()
+            .with_engine(Arc::new(ScoringEngine::with_threads(threads)));
     let report = BeamSearch.explain_with_status(&task).unwrap();
     assert_eq!(report.termination, Termination::EvalBudgetExhausted);
     assert!(!report.explanations.is_empty());
-    // The stop is checked at candidate granularity: overshoot is bounded
-    // by one candidate's worth of evals.
+    task.engine().eval_calls()
+}
+
+#[test]
+fn eval_budget_exhaustion_returns_best_so_far() {
+    // The stop is checked at candidate granularity: on one worker the
+    // overshoot is bounded by one candidate's worth of evals.
+    let evals = beam_under_eval_cap(1);
+    assert!(evals <= 12 + 5, "eval overshoot: {evals}");
+}
+
+#[test]
+fn eval_budget_overshoot_is_bounded_per_worker() {
+    // Each worker checks the stop before each candidate it takes, so up
+    // to one candidate per worker can be in flight when the cap is
+    // crossed.
+    let threads = 2;
+    let evals = beam_under_eval_cap(threads);
     assert!(
-        task.engine().eval_calls() <= 12 + 5,
-        "eval overshoot: {}",
-        task.engine().eval_calls()
+        evals <= 12 + 5 * threads as u64,
+        "eval overshoot on {threads} workers: {evals}"
     );
 }
 
