@@ -5,10 +5,10 @@
 //! Three phases, all against a 600-student generated university scenario
 //! served from a scratch directory exactly as a user-authored one:
 //!
-//! 1. **Smoke** — `/healthz`, `/metrics`, and one `/explain` whose body
-//!    must be byte-identical to [`obx_core::service::run_explain`] on the
-//!    same scenario (the service contract: the wire adds headers, never
-//!    bytes).
+//! 1. **Smoke** — `/healthz`, `/metrics`, and the same `/explain` twice,
+//!    on a cold and then a warm epoch prepare, each body byte-identical
+//!    to [`obx_core::service::run_explain`] on the same scenario (the
+//!    service contract: the wire adds headers, never bytes).
 //! 2. **Closed-loop load** — `CLIENTS` worker threads each issue
 //!    `REQS_PER_CLIENT` back-to-back explains (a new connection per
 //!    request, next request only after the previous response). Repeated
@@ -193,20 +193,32 @@ fn smoke(addr: SocketAddr, dir: &Path) {
         req.budget(&CancelToken::new()),
     )
     .expect("oracle explain succeeds");
-    let (status, head, body) = post_explain(addr, BODY, "smoke");
-    assert_eq!(status, 200, "smoke explain: {body}");
-    assert!(
-        head.to_lowercase().contains("x-obx-epoch: 1"),
-        "smoke response must carry its epoch: {head}"
-    );
-    if body != expected.stdout {
-        eprintln!("FAIL: served explain is not byte-identical to the service oracle");
-        eprintln!("-- served --\n{body}\n-- oracle --\n{}", expected.stdout);
-        std::process::exit(1);
+    // Twice: the first explain fills the epoch's shared prepare, the
+    // second is served from it. Both must be the oracle's bytes.
+    for pass in ["cold", "warm"] {
+        let (status, head, body) = post_explain(addr, BODY, "smoke");
+        assert_eq!(status, 200, "smoke explain ({pass}): {body}");
+        assert!(
+            head.to_lowercase().contains("x-obx-epoch: 1"),
+            "smoke response must carry its epoch: {head}"
+        );
+        if body != expected.stdout {
+            eprintln!("FAIL: {pass} served explain is not byte-identical to the service oracle");
+            eprintln!("-- served --\n{body}\n-- oracle --\n{}", expected.stdout);
+            std::process::exit(1);
+        }
+        let (_, _, tenants) = get(addr, "/tenants");
+        let held = tenants
+            .split_once("\"prepared_bytes\":")
+            .is_some_and(|(_, tail)| !tail.starts_with('0'));
+        assert!(
+            held,
+            "the {pass} explain leaves the prepare held: {tenants}"
+        );
     }
     eprintln!(
-        "smoke: healthz + metrics ok, explain byte-identical ({} bytes)",
-        body.len()
+        "smoke: healthz + metrics ok, cold and warm explains byte-identical ({} bytes)",
+        expected.stdout.len()
     );
 }
 

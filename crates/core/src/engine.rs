@@ -198,6 +198,7 @@ pub struct ScoringEngine {
     batch_calls: AtomicU64,
     certified: AtomicU64,
     masked: AtomicU64,
+    eval_nodes: AtomicU64,
     threads: usize,
     incremental: bool,
     pool: OnceLock<WorkerPool>,
@@ -240,6 +241,7 @@ impl ScoringEngine {
             batch_calls: AtomicU64::new(0),
             certified: AtomicU64::new(0),
             masked: AtomicU64::new(0),
+            eval_nodes: AtomicU64::new(0),
             threads: threads.max(1),
             incremental,
             pool: OnceLock::new(),
@@ -298,6 +300,13 @@ impl ScoringEngine {
     /// border-masked views.
     pub fn masked_disjuncts(&self) -> u64 {
         self.masked.load(Ordering::Relaxed)
+    }
+
+    /// Candidate atoms the batched evaluator calls of this engine
+    /// inspected: its own join work, unlike the process-wide
+    /// [`obx_query::eval::node_counts`] total.
+    pub fn eval_nodes(&self) -> u64 {
+        self.eval_nodes.load(Ordering::Relaxed)
     }
 
     /// Whether the incremental path (parent-delta evaluation + bound
@@ -404,6 +413,7 @@ impl ScoringEngine {
                 self.certified
                     .fetch_add(work.certified as u64, Ordering::Relaxed);
                 self.masked.fetch_add(work.masked as u64, Ordering::Relaxed);
+                self.eval_nodes.fetch_add(work.nodes, Ordering::Relaxed);
                 self.evals
                     .fetch_add(work.evaluated as u64, Ordering::Relaxed);
                 self.evals_saved
@@ -437,7 +447,12 @@ impl ScoringEngine {
     ) -> Result<MatchBits, ObdmError> {
         let mut acc = MatchBits::empty(prepared.num_pos(), prepared.num_neg());
         for d in ucq.disjuncts() {
-            acc.union_with(&self.disjunct_interruptible(prepared, d, interrupt)?.bits);
+            let entry = self.disjunct_interruptible(prepared, d, interrupt)?;
+            // Every cached bitset is shaped by `prepared`; a mismatch
+            // means the engine was shared across label sets, and the
+            // candidate fails with `LabelShape` like any other
+            // permanently failing one.
+            acc.union_with(&entry.bits)?;
         }
         Ok(acc)
     }
@@ -694,6 +709,7 @@ impl std::fmt::Debug for ScoringEngine {
             .field("batch_calls", &self.batch_calls())
             .field("certified_disjuncts", &self.certified_disjuncts())
             .field("masked_disjuncts", &self.masked_disjuncts())
+            .field("eval_nodes", &self.eval_nodes())
             .field("threads", &self.threads)
             .field("incremental", &self.incremental)
             .finish()

@@ -203,10 +203,26 @@ impl<'a> ExplainTask<'a> {
         limits: SearchLimits,
         budget: SearchBudget,
     ) -> Result<Self, ExplainError> {
-        let arity = labels.arity().ok_or(ExplainError::NoLabels)?;
+        labels.arity().ok_or(ExplainError::NoLabels)?;
+        let prepared =
+            PreparedLabels::new_interruptible(system, labels, radius, &budget.interrupt());
+        Self::from_prepared(prepared, scoring, limits, budget)
+    }
+
+    /// A task over labels already prepared for it: the borders (and the
+    /// constant ranking, once built) are shared with every other holder
+    /// of `prepared`'s [`LabelBorders`](crate::matcher::LabelBorders),
+    /// not recomputed. The scoring engine is fresh.
+    pub fn from_prepared(
+        prepared: PreparedLabels<'a>,
+        scoring: &'a Scoring,
+        limits: SearchLimits,
+        budget: SearchBudget,
+    ) -> Result<Self, ExplainError> {
+        let arity = prepared.arity().ok_or(ExplainError::NoLabels)?;
         let interrupt = budget.interrupt();
         Ok(Self {
-            prepared: PreparedLabels::new_interruptible(system, labels, radius, &interrupt),
+            prepared,
             scoring,
             limits,
             arity,
@@ -248,7 +264,7 @@ impl<'a> ExplainTask<'a> {
         &self.engine
     }
 
-    /// A copy of this task with different limits (borders are cloned, not
+    /// A copy of this task with different limits (borders are shared, not
     /// recomputed; the scoring engine — and hence its memo cache — is
     /// shared, and so is the budget). Used by meta-strategies that need a
     /// wider base pool.
@@ -532,10 +548,9 @@ pub(crate) fn finalize_report(
             rec.gauge_in_phase("engine", "batch_calls", task.engine().batch_calls());
             rec.gauge_in_phase("engine", "certified", task.engine().certified_disjuncts());
             rec.gauge_in_phase("engine", "masked", task.engine().masked_disjuncts());
-            // Join work: the evaluator's process-wide
-            // candidate-inspection total.
-            let (eval_nodes, _) = obx_query::eval::node_counts();
-            rec.gauge_in_phase("engine", "eval_nodes", eval_nodes);
+            // Join work: the candidate atoms this engine's evaluator
+            // calls inspected.
+            rec.gauge_in_phase("engine", "eval_nodes", task.engine().eval_nodes());
             rec.profile()
         }
         _ => PipelineProfile::default(),

@@ -96,7 +96,7 @@ pub use criteria::{Criterion, CriterionCtx};
 pub use engine::{BatchOutcome, DisjunctEntry, PlannedCq, ScoringEngine};
 pub use explain::{ExplainError, ExplainReport, ExplainTask, Explanation, SearchLimits, Strategy};
 pub use labels::{Labels, LabelsError};
-pub use matcher::{MatchBits, MatchStats, PreparedLabels};
+pub use matcher::{LabelBorders, MatchBits, MatchStats, PreparedLabels};
 pub use prune::{Interval, ParentHandle, RefineDir};
 pub use scenario::{load_dir, load_dir_checked, write_paper_example, LoadedScenario};
 pub use score::{ScoreExpr, Scoring};

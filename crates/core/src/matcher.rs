@@ -3,8 +3,9 @@
 //! `q` J-matches `B_{t,r}(D)` iff `t ∈ cert(q, J, B_{t,r}(D))` — the tuple
 //! must be a certain answer of `q` over the sub-database made of its own
 //! border. [`PreparedLabels`] computes every labelled tuple's border once
-//! (they are query-independent), so scoring a candidate costs one compile
-//! plus one batched evaluator call
+//! (they are query-independent) into a system-free [`LabelBorders`] that
+//! every request at one radius on one served epoch can share, so scoring
+//! a candidate costs one compile plus one batched evaluator call
 //! ([`obx_query::eval::satisfies_ucq_each`]) per candidate disjunct: the
 //! compiled source UCQ is checked against every labelled tuple at once,
 //! over each tuple's border-masked view, or over the whole database where
@@ -21,7 +22,7 @@ use obx_obdm::{CompiledQuery, ObdmError, ObdmSystem};
 use obx_query::{Goal, OntoUcq, SrcCq, SrcUcq};
 use obx_srcdb::{AtomSet, Bitmap, Const, Tuple, View};
 use obx_util::FxHashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Confusion counts of a query against λ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -329,17 +330,15 @@ impl MatchBits {
     }
 
     /// ORs `other` in: afterwards this bitset matches the *union* of the
-    /// two queries. Panics when the shapes (label counts) differ.
-    pub fn union_with(&mut self, other: &MatchBits) {
-        assert_eq!(
-            (self.num_pos, self.num_neg),
-            (other.num_pos, other.num_neg),
-            "cannot union match bitsets of different label sets"
-        );
+    /// two queries. A bitset shaped for a different label set is an
+    /// [`ObdmError::LabelShape`] error, and `self` is left unchanged.
+    pub fn union_with(&mut self, other: &MatchBits) -> Result<(), ObdmError> {
+        check_shape(other, self.num_pos, self.num_neg, "union operand")?;
         for i in 0..self.containers.len() {
             let bits = self.container_bits(i);
             self.containers[i].union_with(&other.containers[i], bits);
         }
+        Ok(())
     }
 
     /// The matched tuples' indices (layout order), ascending.
@@ -366,17 +365,15 @@ impl MatchBits {
     /// Whether every tuple matched here is also matched by `other` — the
     /// refinement-monotonicity invariant (`crate::prune`): a
     /// specialization child's bits are a subset of its parent's, a
-    /// generalization child's a superset. Panics when the shapes differ.
-    pub fn is_subset_of(&self, other: &MatchBits) -> bool {
-        assert_eq!(
-            (self.num_pos, self.num_neg),
-            (other.num_pos, other.num_neg),
-            "cannot compare match bitsets of different label sets"
-        );
-        self.containers
+    /// generalization child's a superset. A bitset shaped for a different
+    /// label set is an [`ObdmError::LabelShape`] error.
+    pub fn is_subset_of(&self, other: &MatchBits) -> Result<bool, ObdmError> {
+        check_shape(other, self.num_pos, self.num_neg, "compared")?;
+        Ok(self
+            .containers
             .iter()
             .zip(other.containers.iter())
-            .all(|(a, b)| a.is_subset_of(b))
+            .all(|(a, b)| a.is_subset_of(b)))
     }
 
     /// The confusion counts: popcount of the positive region and of the
@@ -403,6 +400,25 @@ impl MatchBits {
     }
 }
 
+/// `Ok` when `bits` is shaped for `num_pos` positives and `num_neg`
+/// negatives, else the [`ObdmError::LabelShape`] error naming both shapes.
+fn check_shape(
+    bits: &MatchBits,
+    num_pos: usize,
+    num_neg: usize,
+    what: &str,
+) -> Result<(), ObdmError> {
+    if (bits.num_pos, bits.num_neg) == (num_pos, num_neg) {
+        return Ok(());
+    }
+    Err(ObdmError::LabelShape {
+        detail: format!(
+            "{what} bitset has {}+/{}- labels, expected {num_pos}+/{num_neg}-",
+            bits.num_pos, bits.num_neg
+        ),
+    })
+}
+
 /// Evaluator work behind one match bitset.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EvalWork {
@@ -413,13 +429,21 @@ pub(crate) struct EvalWork {
     pub(crate) certified: usize,
     /// Source disjuncts that searched border-masked views.
     pub(crate) masked: usize,
+    /// Candidate atoms the evaluator inspected.
+    pub(crate) nodes: u64,
 }
 
-/// Labelled tuples with their precomputed borders.
-#[derive(Clone)]
-pub struct PreparedLabels<'a> {
-    system: &'a ObdmSystem,
+/// The system-free half of [`PreparedLabels`]: λ's tuples with their
+/// borders `B_{t,r}(D)` at one radius, and the constant ranking over those
+/// borders. Borders depend only on Σ, λ and `r`, so a served epoch keeps
+/// one of these behind an `Arc` and hands it to every request at that
+/// radius (`crate::service::PrepareSlot`). It holds no reference to the
+/// system; pair it only with the system and labels it was built from
+/// ([`PreparedLabels::from_borders`]).
+pub struct LabelBorders {
     radius: usize,
+    /// λ's arity, `None` when λ is empty.
+    arity: Option<usize>,
     pos: Vec<(Tuple, Arc<AtomSet>)>,
     neg: Vec<(Tuple, Arc<AtomSet>)>,
     /// Per labelled tuple (layout order): whether its border is all of
@@ -429,20 +453,16 @@ pub struct PreparedLabels<'a> {
     /// Each distinct border once, with its net multiplicity: the number
     /// of positive tuples that have it minus the number of negative ones.
     distinct: Vec<(Arc<AtomSet>, i64)>,
+    /// The full [`PreparedLabels::relevant_constants`] ranking, built on
+    /// first use and shared by every holder of these borders.
+    ranking: OnceLock<Vec<Const>>,
 }
 
-impl<'a> PreparedLabels<'a> {
-    /// Computes `B_{t,radius}(D)` for every labelled tuple.
-    pub fn new(system: &'a ObdmSystem, labels: &Labels, radius: usize) -> Self {
-        Self::new_interruptible(system, labels, radius, &obx_util::Interrupt::none())
-    }
-
-    /// [`PreparedLabels::new`] with a cooperative stop signal threaded
-    /// into the border BFS. If `interrupt` fires, the remaining borders
-    /// come out truncated (a smaller effective radius for those tuples) —
-    /// still sound, just less complete, per the anytime contract.
-    pub fn new_interruptible(
-        system: &'a ObdmSystem,
+impl LabelBorders {
+    /// Computes `B_{t,radius}(D)` for every labelled tuple under
+    /// `interrupt` (see [`PreparedLabels::new_interruptible`]).
+    fn build(
+        system: &ObdmSystem,
         labels: &Labels,
         radius: usize,
         interrupt: &obx_util::Interrupt,
@@ -482,13 +502,137 @@ impl<'a> PreparedLabels<'a> {
             }
         }
         Self {
-            system,
             radius,
+            arity: labels.arity(),
             pos,
             neg,
             complete,
             distinct,
+            ranking: OnceLock::new(),
         }
+    }
+
+    /// The radius `r` of the borders.
+    pub fn radius(&self) -> usize {
+        self.radius
+    }
+
+    /// Whether every labelled tuple's border is all of `B_{t,r}(D)`: no
+    /// deadline, cancellation or resource guard cut a layer short.
+    pub fn is_complete(&self) -> bool {
+        self.complete.iter().all(|&c| c)
+    }
+
+    /// Approximate heap bytes held: each distinct border set once, the
+    /// labelled tuples and their handles, and the constant ranking once
+    /// it is built.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let sets: usize = self
+            .distinct
+            .iter()
+            .map(|(b, _)| b.heap_bytes() + size_of::<AtomSet>())
+            .sum();
+        let tuples: usize = self
+            .pos
+            .iter()
+            .chain(&self.neg)
+            .map(|(t, _)| t.len() * size_of::<Const>() + size_of::<(Tuple, Arc<AtomSet>)>())
+            .sum();
+        let ranking = self.ranking.get().map_or(0, Vec::len) * size_of::<Const>();
+        sets + tuples
+            + self.distinct.len() * size_of::<(Arc<AtomSet>, i64)>()
+            + self.complete.len()
+            + ranking
+    }
+
+    /// Every constant occurring in some border, ranked by
+    /// [`PreparedLabels::relevant_constants`]'s order.
+    fn rank_constants(&self, db: &obx_srcdb::Database) -> Vec<Const> {
+        let n = db.consts().len();
+        let mut labelled = Bitmap::with_capacity(n);
+        for (t, _) in self.pos.iter().chain(self.neg.iter()) {
+            for c in t.iter() {
+                labelled.insert(c.0.index());
+            }
+        }
+        // `stamp[c]` = 1 + the index of the last border that counted `c`,
+        // so a constant scores once per border however often it occurs.
+        // Each distinct border is walked once, weighted by how many more
+        // positive than negative tuples share it; a border whose weight
+        // nets to zero is still walked, so its constants rank (at 0).
+        let mut stamp: Vec<usize> = vec![0; n];
+        let mut score: Vec<i64> = vec![0; n];
+        let mut touched: Vec<Const> = Vec::new();
+        for (i, (border, weight)) in self.distinct.iter().enumerate() {
+            for id in border.iter() {
+                for &c in db.atom(id).args.iter() {
+                    let k = c.0.index();
+                    if stamp[k] == i + 1 || labelled.contains(k) {
+                        continue;
+                    }
+                    if stamp[k] == 0 {
+                        touched.push(c);
+                    }
+                    stamp[k] = i + 1;
+                    score[k] += weight;
+                }
+            }
+        }
+        let mut pairs: Vec<(Const, i64)> = touched
+            .into_iter()
+            .map(|c| (c, score[c.0.index()]))
+            .collect();
+        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        pairs.into_iter().map(|(c, _)| c).collect()
+    }
+}
+
+/// Labelled tuples with their precomputed borders: the system Σ plus a
+/// shared [`LabelBorders`]. Cloning copies one reference and one `Arc`.
+#[derive(Clone)]
+pub struct PreparedLabels<'a> {
+    system: &'a ObdmSystem,
+    borders: Arc<LabelBorders>,
+}
+
+impl<'a> PreparedLabels<'a> {
+    /// Computes `B_{t,radius}(D)` for every labelled tuple.
+    pub fn new(system: &'a ObdmSystem, labels: &Labels, radius: usize) -> Self {
+        Self::new_interruptible(system, labels, radius, &obx_util::Interrupt::none())
+    }
+
+    /// [`PreparedLabels::new`] with a cooperative stop signal threaded
+    /// into the border BFS. If `interrupt` fires, the remaining borders
+    /// come out truncated (a smaller effective radius for those tuples) —
+    /// still sound, just less complete, per the anytime contract.
+    pub fn new_interruptible(
+        system: &'a ObdmSystem,
+        labels: &Labels,
+        radius: usize,
+        interrupt: &obx_util::Interrupt,
+    ) -> Self {
+        Self::from_borders(
+            system,
+            Arc::new(LabelBorders::build(system, labels, radius, interrupt)),
+        )
+    }
+
+    /// Prepared labels over borders built earlier for this same `system`
+    /// (and labels): nothing is recomputed, and the constant ranking is
+    /// shared with every other holder of `borders`.
+    pub fn from_borders(system: &'a ObdmSystem, borders: Arc<LabelBorders>) -> Self {
+        Self { system, borders }
+    }
+
+    /// The shared system-free half: borders, flags and ranking.
+    pub fn borders(&self) -> &Arc<LabelBorders> {
+        &self.borders
+    }
+
+    /// λ's arity, `None` when λ is empty.
+    pub fn arity(&self) -> Option<usize> {
+        self.borders.arity
     }
 
     /// The system Σ.
@@ -498,29 +642,29 @@ impl<'a> PreparedLabels<'a> {
 
     /// The radius `r` used for the borders.
     pub fn radius(&self) -> usize {
-        self.radius
+        self.borders.radius
     }
 
     /// Number of positive examples.
     pub fn num_pos(&self) -> usize {
-        self.pos.len()
+        self.borders.pos.len()
     }
 
     /// Number of negative examples.
     pub fn num_neg(&self) -> usize {
-        self.neg.len()
+        self.borders.neg.len()
     }
 
     /// Positive tuples with their border atom sets (tuples with equal
     /// borders share one set).
     pub fn pos(&self) -> &[(Tuple, Arc<AtomSet>)] {
-        &self.pos
+        &self.borders.pos
     }
 
     /// Negative tuples with their border atom sets (shared like
     /// [`PreparedLabels::pos`]'s).
     pub fn neg(&self) -> &[(Tuple, Arc<AtomSet>)] {
-        &self.neg
+        &self.borders.neg
     }
 
     /// Whether the compiled query J-matches one tuple's border.
@@ -536,24 +680,24 @@ impl<'a> PreparedLabels<'a> {
                 .count()
         };
         MatchStats {
-            pos_matched: count(&self.pos),
-            pos_total: self.pos.len(),
-            neg_matched: count(&self.neg),
-            neg_total: self.neg.len(),
+            pos_matched: count(&self.borders.pos),
+            pos_total: self.num_pos(),
+            neg_matched: count(&self.borders.neg),
+            neg_total: self.num_neg(),
         }
     }
 
     /// Labelled tuple `idx` in bitset layout order (positives, then
     /// negatives) as an evaluator goal.
     fn goal(&self, idx: usize) -> Goal<'_> {
-        let (t, b) = match idx.checked_sub(self.pos.len()) {
-            None => &self.pos[idx],
-            Some(j) => &self.neg[j],
+        let (t, b) = match idx.checked_sub(self.borders.pos.len()) {
+            None => &self.borders.pos[idx],
+            Some(j) => &self.borders.neg[j],
         };
         Goal {
             tuple: t,
             border: b,
-            complete: self.complete[idx],
+            complete: self.borders.complete[idx],
         }
     }
 
@@ -569,7 +713,7 @@ impl<'a> PreparedLabels<'a> {
         let m = obx_query::eval::satisfies_ucq_each(
             self.system.db(),
             src,
-            self.radius,
+            self.borders.radius,
             selected.len(),
             |i| selected[i].then(|| self.goal(i)),
         );
@@ -582,6 +726,7 @@ impl<'a> PreparedLabels<'a> {
             evaluated: selected.iter().filter(|&&s| s).count(),
             certified: m.certified,
             masked: m.masked,
+            nodes: m.nodes,
         };
         (bits, work)
     }
@@ -598,7 +743,7 @@ impl<'a> PreparedLabels<'a> {
 
     /// [`PreparedLabels::evaluate`] over every labelled tuple.
     fn evaluate_all(&self, src: &SrcUcq) -> (MatchBits, EvalWork) {
-        let empty = MatchBits::empty(self.pos.len(), self.neg.len());
+        let empty = MatchBits::empty(self.num_pos(), self.num_neg());
         let all = vec![true; empty.len()];
         self.evaluate(src, empty, &all)
     }
@@ -645,21 +790,10 @@ impl<'a> PreparedLabels<'a> {
         let Some((parent, dir)) = parent else {
             return Ok(self.evaluate_all(compiled.src()));
         };
-        if (parent.num_pos, parent.num_neg) != (self.pos.len(), self.neg.len()) {
-            return Err(ObdmError::LabelShape {
-                detail: format!(
-                    "parent bitset has {}+/{}- labels, λ has {}+/{}-",
-                    parent.num_pos,
-                    parent.num_neg,
-                    self.pos.len(),
-                    self.neg.len()
-                ),
-            });
-        }
+        let (num_pos, num_neg) = (self.num_pos(), self.num_neg());
+        check_shape(parent, num_pos, num_neg, "parent")?;
         let (bits, eval_when) = match dir {
-            crate::prune::RefineDir::Specialize => {
-                (MatchBits::empty(self.pos.len(), self.neg.len()), true)
-            }
+            crate::prune::RefineDir::Specialize => (MatchBits::empty(num_pos, num_neg), true),
             crate::prune::RefineDir::Generalize => (parent.clone(), false),
         };
         let mut selected = vec![!eval_when; parent.len()];
@@ -698,45 +832,18 @@ impl<'a> PreparedLabels<'a> {
     /// excluded: a query mentioning a classified individual by name
     /// over-fits by construction (it can only ever describe that
     /// individual).
+    ///
+    /// The full ranking is built once per [`LabelBorders`] and shared by
+    /// every clone and every [`PreparedLabels::from_borders`] holder; a
+    /// call returns its first `cap` constants. The order is total (score
+    /// descending, then constant ascending), so a prefix is exactly the
+    /// ranking a capped tally would produce.
     pub fn relevant_constants(&self, cap: usize) -> Vec<Const> {
-        let db = self.system.db();
-        let n = db.consts().len();
-        let mut labelled = Bitmap::with_capacity(n);
-        for (t, _) in self.pos.iter().chain(self.neg.iter()) {
-            for c in t.iter() {
-                labelled.insert(c.0.index());
-            }
-        }
-        // `stamp[c]` = 1 + the index of the last border that counted `c`,
-        // so a constant scores once per border however often it occurs.
-        // Each distinct border is walked once, weighted by how many more
-        // positive than negative tuples share it; a border whose weight
-        // nets to zero is still walked, so its constants rank (at 0).
-        let mut stamp: Vec<usize> = vec![0; n];
-        let mut score: Vec<i64> = vec![0; n];
-        let mut touched: Vec<Const> = Vec::new();
-        for (i, (border, weight)) in self.distinct.iter().enumerate() {
-            for id in border.iter() {
-                for &c in db.atom(id).args.iter() {
-                    let k = c.0.index();
-                    if stamp[k] == i + 1 || labelled.contains(k) {
-                        continue;
-                    }
-                    if stamp[k] == 0 {
-                        touched.push(c);
-                    }
-                    stamp[k] = i + 1;
-                    score[k] += weight;
-                }
-            }
-        }
-        let mut pairs: Vec<(Const, i64)> = touched
-            .into_iter()
-            .map(|c| (c, score[c.0.index()]))
-            .collect();
-        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        pairs.truncate(cap);
-        pairs.into_iter().map(|(c, _)| c).collect()
+        let ranking = self
+            .borders
+            .ranking
+            .get_or_init(|| self.borders.rank_constants(self.system.db()));
+        ranking[..cap.min(ranking.len())].to_vec()
     }
 }
 
@@ -792,7 +899,7 @@ mod tests {
             .cloned()
             .collect();
         let mut or = b2.clone();
-        or.union_with(&b3);
+        or.union_with(&b3).unwrap();
         assert_eq!(or.stats(), prepared.stats_of(&union).unwrap());
         assert_eq!((or.stats().pos_matched, or.stats().neg_matched), (4, 1));
     }
@@ -827,9 +934,9 @@ mod tests {
         }
         a.set(63);
         a.set(74);
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
-        assert!(a.is_subset_of(&a));
+        assert!(a.is_subset_of(&b).unwrap());
+        assert!(!b.is_subset_of(&a).unwrap());
+        assert!(a.is_subset_of(&a).unwrap());
         assert_eq!(a.count_ones(), 2);
         assert_eq!(b.count_ones(), 4);
     }
@@ -852,7 +959,7 @@ mod tests {
             .unwrap();
         assert_eq!(restricted, full);
         assert_eq!(evaluated, parent_bits.count_ones());
-        assert!(full.is_subset_of(&parent_bits));
+        assert!(full.is_subset_of(&parent_bits).unwrap());
         // Dually: generalizing the child back to the parent evaluates only
         // the child's zero bits and inherits the rest.
         let child_bits = full;
@@ -880,6 +987,21 @@ mod tests {
                 assert!(matches!(err, ObdmError::LabelShape { .. }), "{err}");
                 assert!(!err.is_transient());
             }
+        }
+    }
+
+    #[test]
+    fn bitsets_of_another_shape_are_errors_not_panics() {
+        let mut a = MatchBits::empty(4, 1);
+        a.set(0);
+        let before = a.clone();
+        for other in [MatchBits::empty(5, 0), MatchBits::empty(4, 2)] {
+            let err = a.union_with(&other).unwrap_err();
+            assert!(matches!(err, ObdmError::LabelShape { .. }), "{err}");
+            assert_eq!(a, before, "a failed union leaves the bits unchanged");
+            let err = a.is_subset_of(&other).unwrap_err();
+            assert!(matches!(err, ObdmError::LabelShape { .. }), "{err}");
+            assert!(!err.is_transient());
         }
     }
 
@@ -1043,7 +1165,7 @@ mod tests {
         }
         // Array ∪ Array crossing the threshold → words, and the value
         // must compare equal to the same set built bit-by-bit.
-        lo.union_with(&hi);
+        lo.union_with(&hi).unwrap();
         assert!(matches!(lo.containers[0], Container::Words(_)));
         assert!(matches!(direct.containers[0], Container::Words(_)));
         assert_eq!(lo, direct);
@@ -1051,7 +1173,7 @@ mod tests {
         // Union with a words container from a sparse array side.
         let mut sparse = MatchBits::empty(len, 0);
         sparse.set(CONTAINER_BITS + 7); // container 1 stays an array
-        sparse.union_with(&direct);
+        sparse.union_with(&direct).unwrap();
         assert!(sparse.get(CONTAINER_BITS + 7));
         assert_eq!(sparse.count_ones(), 6001);
         assert!(matches!(sparse.containers[1], Container::Array(_)));
@@ -1070,13 +1192,13 @@ mod tests {
         }
         assert!(matches!(dense.containers[0], Container::Words(_)));
         assert!(matches!(sparse.containers[0], Container::Array(_)));
-        assert!(sparse.is_subset_of(&dense));
+        assert!(sparse.is_subset_of(&dense).unwrap());
         // A words container (popcount > ARRAY_MAX) can never fit in an
         // array container.
-        assert!(!dense.is_subset_of(&sparse));
+        assert!(!dense.is_subset_of(&sparse).unwrap());
         let mut outside = sparse.clone();
         outside.set(8999);
-        assert!(!outside.is_subset_of(&dense));
+        assert!(!outside.is_subset_of(&dense).unwrap());
     }
 
     #[test]
@@ -1134,12 +1256,12 @@ mod tests {
             }
             let s = a.stats();
             prop_assert_eq!((s.pos_matched, s.neg_matched), oa.stats());
-            prop_assert_eq!(a.is_subset_of(&b), oa.is_subset_of(&ob));
+            prop_assert_eq!(a.is_subset_of(&b).unwrap(), oa.is_subset_of(&ob));
 
             // OR composition, checked against both the oracle and a
             // bit-by-bit rebuild (exercises canonical-form equality).
             let mut u = a.clone();
-            u.union_with(&b);
+            u.union_with(&b).unwrap();
             let mut direct = MatchBits::empty(num_pos, num_neg);
             for (i, (&x, &y)) in oa.bits.iter().zip(ob.bits.iter()).enumerate() {
                 if x || y {
@@ -1147,8 +1269,8 @@ mod tests {
                 }
             }
             prop_assert_eq!(&u, &direct);
-            prop_assert!(a.is_subset_of(&u));
-            prop_assert!(b.is_subset_of(&u));
+            prop_assert!(a.is_subset_of(&u).unwrap());
+            prop_assert!(b.is_subset_of(&u).unwrap());
             prop_assert_eq!(
                 u.count_ones(),
                 oa.bits.iter().zip(ob.bits.iter()).filter(|(&x, &y)| x || y).count()

@@ -20,7 +20,7 @@ use crate::baseline::DataLevelBeam;
 use crate::budget::{CancelToken, SearchBudget};
 use crate::explain::{ExplainReport, ExplainTask, SearchLimits, Strategy};
 use crate::labels::Labels;
-use crate::matcher::MatchStats;
+use crate::matcher::{LabelBorders, MatchStats, PreparedLabels};
 use crate::scenario::load_dir_checked;
 use crate::score::{ExplainMode, Scoring};
 use crate::strategies::{BeamSearch, BottomUpGeneralize, ExhaustiveSearch, GreedyUcq};
@@ -31,6 +31,7 @@ use obx_util::{GuardLimits, GuardTrip};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// One explanation request, front-end agnostic: the CLI builds it from
@@ -202,7 +203,115 @@ pub struct ServiceOutcome {
     pub report: Option<ExplainReport>,
 }
 
-/// Runs one explanation request against a loaded scenario under `budget`.
+/// One epoch's shared prepare: the last **complete** [`LabelBorders`]
+/// built for its system and labels, keyed by radius.
+///
+/// Borders `B_{t,r}(D)` and the constant ranking over them depend only on
+/// Σ, λ and `r`, so requests at one radius on one immutable scenario can
+/// share them. [`run_explain_in`] clones the held `Arc` on a hit and, on
+/// a miss, builds outside the lock and stores the result only if no
+/// deadline or cancellation cut a border short. One slot, not a
+/// per-radius map: requests alternating radii replace each other's
+/// entry, so memory stays bounded whatever radii clients send.
+///
+/// A slot must only ever serve the one system and label set its borders
+/// were built from; `obx serve` keeps one on each epoch, next to the
+/// scenario it describes.
+#[derive(Default)]
+pub struct PrepareSlot {
+    held: Mutex<Option<Arc<LabelBorders>>>,
+}
+
+impl PrepareSlot {
+    /// An empty slot.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn held(&self) -> std::sync::MutexGuard<'_, Option<Arc<LabelBorders>>> {
+        // The guarded value is one pointer swap; a panic elsewhere cannot
+        // have left it half-written.
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The held borders, when they were built at `radius`.
+    fn get(&self, radius: usize) -> Option<Arc<LabelBorders>> {
+        self.held()
+            .as_ref()
+            .filter(|b| b.radius() == radius)
+            .map(Arc::clone)
+    }
+
+    /// Holds `borders` from now on, if they are complete.
+    fn offer(&self, borders: &Arc<LabelBorders>) {
+        if borders.is_complete() {
+            *self.held() = Some(Arc::clone(borders));
+        }
+    }
+
+    /// The radius of the held borders, `None` while the slot is empty.
+    pub fn radius(&self) -> Option<usize> {
+        self.held().as_ref().map(|b| b.radius())
+    }
+
+    /// Approximate heap bytes held ([`LabelBorders::heap_bytes`]); 0
+    /// while the slot is empty.
+    pub fn bytes(&self) -> usize {
+        self.held().as_ref().map_or(0, |b| b.heap_bytes())
+    }
+}
+
+impl fmt::Debug for PrepareSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PrepareSlot")
+            .field("radius", &self.radius())
+            .field("bytes", &self.bytes())
+            .finish()
+    }
+}
+
+/// The prepared labels for one request: the slot's borders when it holds
+/// them at `radius`, else freshly built ones (offered back to the slot).
+///
+/// A budget whose resource guard limits border atoms or bytes bypasses
+/// the slot both ways: the border kernel charges that guard as it builds,
+/// so borrowed borders would skip the charges and trip the guard at a
+/// different point than a fresh run does.
+fn prepare<'a>(
+    system: &'a ObdmSystem,
+    labels: &Labels,
+    radius: usize,
+    budget: &SearchBudget,
+    slot: &PrepareSlot,
+) -> PreparedLabels<'a> {
+    let shared = !budget.guard().is_some_and(|g| {
+        let limits = g.limits();
+        limits.max_border_atoms.is_some() || limits.max_alloc_bytes.is_some()
+    });
+    let held = {
+        let mut sp = obx_util::span!(budget.recorder(), "slot");
+        let held = shared.then(|| slot.get(radius)).flatten();
+        let outcome = match (&held, shared) {
+            (Some(_), _) => "hits",
+            (None, true) => "misses",
+            (None, false) => "bypassed",
+        };
+        sp.count(outcome, 1);
+        held
+    };
+    if let Some(borders) = held {
+        return PreparedLabels::from_borders(system, borders);
+    }
+    let prepared = PreparedLabels::new_interruptible(system, labels, radius, &budget.interrupt());
+    if shared {
+        slot.offer(prepared.borders());
+    }
+    prepared
+}
+
+/// Runs one explanation request against a loaded scenario under `budget`,
+/// preparing its labels from scratch: [`run_explain_in`] with a fresh
+/// slot of its own.
 ///
 /// When the budget carries a recorder, the run is phased exactly as the
 /// profiled CLI always was — `explain/prepare` around task construction
@@ -213,6 +322,23 @@ pub fn run_explain(
     labels: &Labels,
     req: &ExplainRequest,
     budget: SearchBudget,
+) -> Result<ServiceOutcome, ServiceError> {
+    run_explain_in(system, labels, req, budget, &PrepareSlot::new())
+}
+
+/// [`run_explain`] sharing its prepare through `slot`, which must belong
+/// to this `system` and `labels` ([`PrepareSlot`]). The output is
+/// byte-identical to [`run_explain`]'s whenever the budget does not cut
+/// the fresh prepare short: a hit hands the search exactly the borders a
+/// fresh build would produce. The profile's `explain/prepare/slot` span
+/// counts the lookup as one of `hits`, `misses` or `bypassed`; a hit has
+/// no `border` span.
+pub fn run_explain_in(
+    system: &ObdmSystem,
+    labels: &Labels,
+    req: &ExplainRequest,
+    budget: SearchBudget,
+    slot: &PrepareSlot,
 ) -> Result<ServiceOutcome, ServiceError> {
     let scoring = req.scoring_for(labels);
     let mut limits = SearchLimits {
@@ -228,7 +354,8 @@ pub fn run_explain(
     let recorder = budget.recorder().cloned();
     let task = {
         let _prepare = recorder.as_ref().map(|r| r.enter_phase("explain/prepare"));
-        ExplainTask::new_with_budget(system, labels, req.radius, &scoring, limits, budget)
+        let prepared = prepare(system, labels, req.radius, &budget, slot);
+        ExplainTask::from_prepared(prepared, &scoring, limits, budget)
             .map_err(|e| ServiceError::Task(e.to_string()))?
     };
     if req.strategy == "data-level" {
@@ -621,5 +748,91 @@ mod tests {
             "{}",
             out.stdout
         );
+    }
+
+    /// `run_explain_in` under a fresh token, profiled: the text and the
+    /// slot outcome the profile recorded.
+    fn run_in(
+        system: &ObdmSystem,
+        labels: &Labels,
+        req: &ExplainRequest,
+        slot: &PrepareSlot,
+    ) -> (String, &'static str) {
+        let rec = obx_util::obs::Recorder::new();
+        let budget = req
+            .budget(&CancelToken::new())
+            .with_recorder(Arc::clone(&rec));
+        let out = run_explain_in(system, labels, req, budget, slot).unwrap();
+        let profile = rec.profile();
+        let outcome = profile.span("explain/prepare/slot").map_or("off", |s| {
+            ["hits", "misses", "bypassed"]
+                .into_iter()
+                .find(|k| s.counter(k) == 1)
+                .unwrap_or("none")
+        });
+        (out.stdout, outcome)
+    }
+
+    #[test]
+    fn a_slot_hit_is_byte_identical_to_a_fresh_prepare() {
+        let (system, labels) = paper_setup();
+        let slot = PrepareSlot::new();
+        assert_eq!((slot.radius(), slot.bytes()), (None, 0));
+        let obs = obx_util::obs::enabled();
+        for (radius, want) in [(1, "misses"), (1, "hits"), (2, "misses"), (2, "hits")] {
+            let req = ExplainRequest {
+                radius,
+                top: 3,
+                ..ExplainRequest::default()
+            };
+            let fresh = run_explain(&system, &labels, &req, req.budget(&CancelToken::new()));
+            let (text, outcome) = run_in(&system, &labels, &req, &slot);
+            assert_eq!(text, fresh.unwrap().stdout, "radius {radius}, {want}");
+            if obs {
+                assert_eq!(outcome, want, "radius {radius}");
+            }
+            // One slot: the last complete prepare, whatever its radius.
+            assert_eq!(slot.radius(), Some(radius));
+            assert!(slot.bytes() > 0);
+        }
+    }
+
+    #[test]
+    fn cut_and_guarded_prepares_never_fill_the_slot() {
+        let (system, labels) = paper_setup();
+        let slot = PrepareSlot::new();
+        // A cancelled request cuts every border at layer 0.
+        let req = ExplainRequest::default();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let out = run_explain_in(&system, &labels, &req, req.budget(&cancel), &slot).unwrap();
+        assert_eq!(out.exit_code, 2, "{}", out.stdout);
+        assert_eq!(slot.bytes(), 0, "a cut prepare is not stored");
+        // A border-atom guard bypasses the slot both ways: it neither
+        // fills an empty slot nor reads a warm one, and its text is the
+        // fresh run's.
+        let guarded = ExplainRequest {
+            max_border: Some(3),
+            top: 3,
+            ..ExplainRequest::default()
+        };
+        let fresh = run_explain(
+            &system,
+            &labels,
+            &guarded,
+            guarded.budget(&CancelToken::new()),
+        )
+        .unwrap()
+        .stdout;
+        let (text, outcome) = run_in(&system, &labels, &guarded, &slot);
+        assert_eq!(text, fresh);
+        assert_eq!(slot.bytes(), 0, "a guarded prepare is not stored");
+        run_in(&system, &labels, &ExplainRequest::default(), &slot);
+        assert!(slot.bytes() > 0);
+        let (text, warm_outcome) = run_in(&system, &labels, &guarded, &slot);
+        assert_eq!(text, fresh, "a guarded request ignores a warm slot");
+        if obx_util::obs::enabled() {
+            assert_eq!((outcome, warm_outcome), ("bypassed", "bypassed"));
+        }
     }
 }

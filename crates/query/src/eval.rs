@@ -426,6 +426,9 @@ pub struct Matches {
     pub certified: usize,
     /// Disjuncts that searched border-masked views.
     pub masked: usize,
+    /// Candidate atoms this call inspected (its share of
+    /// [`node_counts`]'s total).
+    pub nodes: u64,
 }
 
 /// One goal of [`satisfies_ucq_each`]: a tuple and the border it is
@@ -508,8 +511,8 @@ pub fn certified(cq: &SrcCq, radius: usize) -> bool {
 ///   and trail once and reuses them for every goal, so the searches are
 ///   exactly those of `n` separate [`satisfies_ucq`] calls.
 ///
-/// The node tally reaches [`node_counts`] once per call. `goal` is called
-/// once per index.
+/// The call's node tally is returned in [`Matches::nodes`] and reaches
+/// [`node_counts`] once per call. `goal` is called once per index.
 pub fn satisfies_ucq_each<'g>(
     db: &Database,
     ucq: &SrcUcq,
@@ -521,6 +524,7 @@ pub fn satisfies_ucq_each<'g>(
         hits: vec![false; n],
         certified: 0,
         masked: 0,
+        nodes: 0,
     };
     let hits = &mut out.hits;
     let mut pending: Vec<(usize, Goal<'g>)> =
@@ -547,7 +551,8 @@ pub fn satisfies_ucq_each<'g>(
         }
         pending.retain(|&(i, _)| !hits[i]);
     }
-    NODES.fetch_add(nodes.get(), Ordering::Relaxed);
+    out.nodes = nodes.get();
+    NODES.fetch_add(out.nodes, Ordering::Relaxed);
     out
 }
 

@@ -11,9 +11,11 @@
 //! bulkheads first, clients within) *before* touching an epoch, pins its
 //! tenant's current [`Epoch`](crate::snapshot::Epoch) for its whole
 //! lifetime, runs under a per-request [`SearchBudget`] clamped to server
-//! ceilings, and executes the **same** [`obx_core::service::run_explain`]
-//! the CLI calls — which is what makes served bodies byte-identical to
-//! one-shot `obx explain` output on the same snapshot.
+//! ceilings, and executes the **same** service path the CLI calls
+//! ([`obx_core::service::run_explain_in`], sharing the epoch's prepare
+//! where `obx explain` builds its own) — which is what makes served
+//! bodies byte-identical to one-shot `obx explain` output on the same
+//! snapshot.
 //!
 //! Robustness invariants, each proven under fault injection by
 //! `tests/serve_resilience.rs` and `tests/serve_tenancy.rs`:
@@ -40,7 +42,7 @@ use crate::http::{read_request, write_response, HttpError, HttpLimits, Request, 
 use crate::json::{self, escape};
 use crate::tenants::{ReloadError, Tenant, TenantConfig, TenantStore};
 use obx_core::budget::CancelToken;
-use obx_core::service::{run_explain, ServiceError};
+use obx_core::service::{run_explain_in, ServiceError};
 use obx_util::obs;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -394,6 +396,9 @@ fn tenant_json(tenant: &Tenant) -> String {
     if let Some(ms) = tenant.load_ms() {
         obj.push_str(&format!(",\"load_ms\":{ms}"));
     }
+    if let Some(bytes) = tenant.prepared_bytes() {
+        obj.push_str(&format!(",\"prepared_bytes\":{bytes}"));
+    }
     if let Some(reason) = tenant.quarantine_reason() {
         // First line only: quarantine reasons are full validator dumps.
         let head = reason.lines().next().unwrap_or("");
@@ -620,11 +625,12 @@ fn handle_explain(shared: &Arc<Shared>, req: &Request) -> Response {
         {
             std::thread::sleep(Duration::from_millis(ms.min(10_000)));
         }
-        run_explain(
+        run_explain_in(
             &epoch.scenario.system,
             &epoch.scenario.labels,
             &clamped,
             budget,
+            &epoch.prepared,
         )
     }));
     shared.inflights.unregister(inflight_id);
@@ -748,8 +754,9 @@ impl Drop for ServerHandle {
 mod tests {
     use super::*;
     use obx_core::scenario::write_paper_example;
+    use obx_core::service::run_explain;
     use std::io::{Read, Write};
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     fn scratch_scenario(tag: &str) -> PathBuf {
         let dir =
@@ -1103,6 +1110,152 @@ mod tests {
         server.shutdown();
         let _ = std::fs::remove_dir_all(&a);
         let _ = std::fs::remove_dir_all(&b);
+    }
+
+    /// `prepared_bytes` of the single tenant, read off `GET /tenants`.
+    fn prepared_bytes(addr: SocketAddr) -> usize {
+        let (_, _, body) = http(addr, "GET", "/tenants", "");
+        let (_, tail) = body
+            .split_once("\"prepared_bytes\":")
+            .unwrap_or_else(|| panic!("no prepared_bytes: {body}"));
+        let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().unwrap()
+    }
+
+    /// The in-process oracle: a fresh `run_explain` of `req` on `dir`.
+    fn oracle(dir: &Path, req: &obx_core::service::ExplainRequest) -> String {
+        let scenario = obx_core::scenario::load_dir(dir).unwrap();
+        run_explain(
+            &scenario.system,
+            &scenario.labels,
+            req,
+            req.budget(&CancelToken::new()),
+        )
+        .unwrap()
+        .stdout
+    }
+
+    #[test]
+    fn a_cancelled_first_prepare_leaves_the_epoch_slot_empty() {
+        let dir = scratch_scenario("slot-cancel");
+        let server = start(&dir, test_config()).unwrap();
+        let addr = server.addr();
+        assert_eq!(prepared_bytes(addr), 0, "the slot fills lazily");
+
+        let (status, head, _) =
+            http_with_headers(addr, "POST", "/explain", &[("x-obx-fault", "cancel")], "{}");
+        assert_eq!(status, 200);
+        assert!(head.contains("x-obx-exit: 2"), "{head}");
+        assert_eq!(prepared_bytes(addr), 0, "a cut prepare is not stored");
+
+        let (status, _, body) = http(addr, "POST", "/explain", "{}");
+        assert_eq!(status, 200);
+        assert_eq!(body, oracle(&dir, &Default::default()));
+        assert!(prepared_bytes(addr) > 0);
+
+        // On the warm epoch, a profiled request's prepare is a slot hit
+        // and builds no borders.
+        let (status, _, body) = http(addr, "POST", "/explain", r#"{"profile": true}"#);
+        assert_eq!(status, 200);
+        if obs::enabled() {
+            let slot = body
+                .lines()
+                .find(|l| l.trim_start().starts_with("slot "))
+                .unwrap_or_else(|| panic!("no slot span: {body}"));
+            assert!(slot.contains("hits=1"), "{slot}");
+            assert!(!body.contains("\n    border "), "{body}");
+        }
+
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reloaded_epoch_starts_with_an_empty_slot() {
+        let dir = scratch_scenario("slot-reload");
+        let server = start(&dir, test_config()).unwrap();
+        let addr = server.addr();
+        let (status, _, _) = http(addr, "POST", "/explain", "{}");
+        assert_eq!(status, 200);
+        assert!(prepared_bytes(addr) > 0);
+
+        let (status, _, body) = http(addr, "POST", "/reload", "");
+        assert_eq!(status, 200);
+        assert!(body.contains("\"epoch\":2"), "{body}");
+        assert_eq!(prepared_bytes(addr), 0, "epoch 2 has not explained yet");
+
+        let (_, head, body) = http(addr, "POST", "/explain", "{}");
+        assert!(head.contains("x-obx-epoch: 2"), "{head}");
+        assert_eq!(body, oracle(&dir, &Default::default()));
+        assert!(prepared_bytes(addr) > 0);
+
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn border_guarded_requests_bypass_the_slot_byte_identically() {
+        let dir = scratch_scenario("slot-guard");
+        let server = start(&dir, test_config()).unwrap();
+        let addr = server.addr();
+        let guarded = r#"{"max_border": 3, "top": 3}"#;
+        let want = oracle(
+            &dir,
+            &obx_core::service::ExplainRequest {
+                max_border: Some(3),
+                top: 3,
+                ..Default::default()
+            },
+        );
+        // Cold slot: the guarded request builds its own borders and does
+        // not store them.
+        let (status, _, body) = http(addr, "POST", "/explain", guarded);
+        assert_eq!(status, 200);
+        assert_eq!(body, want);
+        assert_eq!(prepared_bytes(addr), 0);
+        // Warm slot: still its own borders, still the fresh run's text.
+        http(addr, "POST", "/explain", "{}");
+        let warm = prepared_bytes(addr);
+        assert!(warm > 0);
+        let (_, _, body) = http(addr, "POST", "/explain", guarded);
+        assert_eq!(body, want);
+        assert_eq!(prepared_bytes(addr), warm);
+
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn requests_alternating_radii_stay_byte_identical() {
+        let dir = scratch_scenario("slot-radii");
+        let server = start(&dir, test_config()).unwrap();
+        let addr = server.addr();
+        for radius in [1, 2, 1, 2, 2, 1, 1] {
+            let want = oracle(
+                &dir,
+                &obx_core::service::ExplainRequest {
+                    radius,
+                    top: 3,
+                    ..Default::default()
+                },
+            );
+            let body = format!(r#"{{"radius": {radius}, "top": 3}}"#);
+            let (status, _, got) = http(addr, "POST", "/explain", &body);
+            assert_eq!(status, 200);
+            assert_eq!(got, want, "radius {radius}");
+        }
+        assert_eq!(
+            server.tenants().list()[0]
+                .current()
+                .unwrap()
+                .prepared
+                .radius(),
+            Some(1),
+            "one slot, holding the last radius"
+        );
+
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -19,11 +19,16 @@
 //! text is guaranteed to describe the pinned snapshot, not whatever the
 //! directory holds *now*.
 //!
+//! Each epoch also owns a [`PrepareSlot`]: the labelled tuples' borders
+//! and constant ranking at the last radius a request completed a prepare
+//! for. It fills on the first explain, not at load, and is dropped with
+//! its epoch, so a reload starts empty.
+//!
 //! The per-tenant epoch *chain* (current pointer, reload, quarantine,
 //! breaker) lives in [`crate::tenants`].
 
 use obx_core::scenario::LoadedScenario;
-use obx_core::service::load_snapshot;
+use obx_core::service::{load_snapshot, PrepareSlot};
 use std::path::Path;
 
 /// One immutable snapshot of a scenario directory. Never mutated after
@@ -42,6 +47,9 @@ pub struct Epoch {
     /// the per-tenant load-time gauge surfaced by `GET /tenants` and,
     /// cumulatively, by `/metrics`.
     pub load_ms: u64,
+    /// The epoch's shared prepare, filled by its requests
+    /// ([`obx_core::service::run_explain_in`]).
+    pub prepared: PrepareSlot,
 }
 
 /// Loads `dir` as epoch `id`, rejecting directories that do not load or
@@ -56,6 +64,7 @@ pub fn load_epoch(dir: &Path, id: u64) -> Result<Epoch, String> {
         validate_text: snap.validate_text,
         validate_exit: snap.validate_exit,
         load_ms: started.elapsed().as_millis() as u64,
+        prepared: PrepareSlot::new(),
     })
 }
 
@@ -79,6 +88,7 @@ mod tests {
         write_paper_example(&dir).unwrap();
         let epoch = load_epoch(&dir, 1).unwrap();
         assert_eq!(epoch.id, 1);
+        assert_eq!(epoch.prepared.bytes(), 0, "the slot fills on first use");
         // The paper example validates warning-only (an unused source
         // relation), exit 2 — captured verbatim at load time.
         assert_eq!(epoch.validate_exit, 2);

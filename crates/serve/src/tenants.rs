@@ -233,6 +233,12 @@ impl Tenant {
         self.current().map(|e| e.load_ms)
     }
 
+    /// Heap bytes of the current epoch's shared prepare (0 until its
+    /// first complete explain). `None` while quarantined.
+    pub fn prepared_bytes(&self) -> Option<usize> {
+        self.current().map(|e| e.prepared.bytes())
+    }
+
     /// Why the tenant is quarantined, when it is.
     pub fn quarantine_reason(&self) -> Option<String> {
         lock_ctl(&self.ctl).quarantine.clone()

@@ -137,6 +137,15 @@ impl AtomSet {
         self.len
     }
 
+    /// Bytes of the set's heap storage: the dense words or the sorted
+    /// ids, whichever form it is kept in.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Dense(words) => std::mem::size_of_val(&words[..]),
+            Repr::Sorted(ids) => std::mem::size_of_val(&ids[..]),
+        }
+    }
+
     /// Whether the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {

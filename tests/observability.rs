@@ -204,6 +204,41 @@ fn profiling_does_not_change_explanations() {
     }
 }
 
+/// `engine/eval_nodes` is the run's own join work, not the process-wide
+/// evaluator total: two identical runs in one process report the same
+/// count.
+#[test]
+fn eval_nodes_gauge_counts_one_run_only() {
+    let first = explain_all(true);
+    let second = explain_all(true);
+    if obx_util::obs::enabled() {
+        for (a, b) in first.iter().zip(&second) {
+            let nodes = |r: &ExplainReport| {
+                r.profile
+                    .span("engine")
+                    .expect("engine gauges")
+                    .counter("eval_nodes")
+            };
+            assert!(nodes(a) > 0);
+            assert_eq!(nodes(a), nodes(b));
+        }
+    }
+    let mut sys = obx_obdm::example_3_6_system();
+    let labels = Labels::parse(sys.db_mut(), "+ A10\n+ B80\n+ C12\n+ D50\n- E25").expect("labels");
+    let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
+    let nodes: Vec<u64> = (0..2)
+        .map(|_| {
+            let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default())
+                .expect("task")
+                .with_engine(Arc::new(ScoringEngine::with_threads(1)));
+            BeamSearch.explain_with_status(&task).expect("search");
+            task.engine().eval_nodes()
+        })
+        .collect();
+    assert!(nodes[0] > 0);
+    assert_eq!(nodes[0], nodes[1]);
+}
+
 /// `OBX_OBS=0` must make a fresh recorder inert process-wide. The switch
 /// is latched on first use, so probe it in a child process.
 #[test]

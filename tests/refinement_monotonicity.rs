@@ -54,11 +54,11 @@ fn check_lattice_step(task: &ExplainTask<'_>, cq: &OntoCq, dir: RefineDir) -> us
         };
         match dir {
             RefineDir::Specialize => assert!(
-                full.bits.is_subset_of(&parent.bits),
+                full.bits.is_subset_of(&parent.bits).unwrap(),
                 "specialization child matched a tuple its parent missed: {child:?} ⊄ {cq:?}"
             ),
             RefineDir::Generalize => assert!(
-                parent.bits.is_subset_of(&full.bits),
+                parent.bits.is_subset_of(&full.bits).unwrap(),
                 "generalization child missed a tuple its parent matched: {child:?} ⊅ {cq:?}"
             ),
         }

@@ -1,10 +1,12 @@
 //! Equivalence of `PreparedLabels::relevant_constants` (dense stamp-array
-//! tally over bitset borders) with a naive hash-set tally, on the paper,
-//! university, skewed and random scenarios.
+//! tally over bitset borders, ranked once and cached on the shared
+//! `LabelBorders`) with a naive hash-set tally, on the paper, university,
+//! skewed and random scenarios.
 
+use obx_core::budget::SearchBudget;
 use obx_core::matcher::PreparedLabels;
 use obx_core::paper_example::PaperExample;
-use obx_core::Labels;
+use obx_core::{ExplainTask, Labels, Scoring, SearchLimits};
 use obx_datagen::{
     random_scenario, skewed_scenario, university_scenario, RandomParams, SkewedParams,
     UniversityParams,
@@ -12,6 +14,7 @@ use obx_datagen::{
 use obx_obdm::ObdmSystem;
 use obx_srcdb::Const;
 use obx_util::{FxHashMap, FxHashSet};
+use std::sync::Arc;
 
 /// The full ranking by the definition: a constant scores +1 per positive
 /// border and −1 per negative border it occurs in, constants of labelled
@@ -43,20 +46,48 @@ fn naive_ranking(prepared: &PreparedLabels<'_>) -> Vec<Const> {
 }
 
 fn check(name: &str, system: &ObdmSystem, labels: &Labels) {
+    let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
     for radius in 0..=2 {
         let prepared = PreparedLabels::new(system, labels, radius);
         let want = naive_ranking(&prepared);
-        assert_eq!(
-            prepared.relevant_constants(usize::MAX),
-            want,
-            "{name}: full ranking diverges at radius {radius}"
-        );
-        let cap = want.len() / 2;
-        assert_eq!(
-            prepared.relevant_constants(cap),
-            want[..cap],
-            "{name}: capped ranking diverges at radius {radius}"
-        );
+        let n = want.len();
+        // The first call (cap 0) builds and caches the whole ranking;
+        // every cap after it reads a prefix of the cached one.
+        let caps = [0, 1, 4, 8, n / 2, n, usize::MAX];
+        let prefix = |cap: usize| &want[..cap.min(n)];
+        for cap in caps {
+            assert_eq!(
+                prepared.relevant_constants(cap),
+                prefix(cap),
+                "{name}: cap {cap} diverges at radius {radius}"
+            );
+        }
+        // A fresh prepare, capped first at 8, ranks the same.
+        let fresh = PreparedLabels::new(system, labels, radius);
+        assert_eq!(fresh.relevant_constants(8), prefix(8), "{name}: fresh");
+        assert_eq!(fresh.relevant_constants(usize::MAX), want, "{name}: fresh");
+        // Cloned into a second task, on another thread, the borders and
+        // their ranking are shared, not rebuilt.
+        let task = ExplainTask::from_prepared(
+            prepared.clone(),
+            &scoring,
+            SearchLimits::default(),
+            SearchBudget::unlimited(),
+        )
+        .unwrap()
+        .with_limits(SearchLimits::default());
+        assert!(Arc::ptr_eq(task.prepared().borders(), prepared.borders()));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for cap in caps {
+                    assert_eq!(
+                        task.prepared().relevant_constants(cap),
+                        prefix(cap),
+                        "{name}: cloned task, cap {cap}, radius {radius}"
+                    );
+                }
+            });
+        });
     }
 }
 
