@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
         });
     }
     group.bench_function("full_match_matrix", |b| {
-        b.iter(|| black_box(ex.match_matrix().len()))
+        b.iter(|| black_box(ex.match_matrix().unwrap().len()))
     });
     group.finish();
 }

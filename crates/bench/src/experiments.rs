@@ -51,7 +51,7 @@ pub fn example_3_3_db() -> Database {
 /// E2 — Example 3.6: the J-match matrix.
 pub fn e02_match_matrix() -> Table {
     let ex = PaperExample::new();
-    let matrix = ex.match_matrix();
+    let matrix = ex.match_matrix().unwrap();
     let prepared = ex.prepared();
     let mut t = Table::new([
         "query",
@@ -83,8 +83,8 @@ pub fn e02_match_matrix() -> Table {
 /// E3 — Example 3.8: Z-scores under Z1 and Z2.
 pub fn e03_scores() -> Table {
     let ex = PaperExample::new();
-    let z1 = ex.scores(&ex.z1());
-    let z2 = ex.scores(&ex.z2());
+    let z1 = ex.scores(&ex.z1()).unwrap();
+    let z2 = ex.scores(&ex.z2()).unwrap();
     let mut t = Table::new([
         "query",
         "Z1 (paper)",

@@ -76,6 +76,9 @@ impl DataLevelBeam {
                         }
                     })
                     .collect();
+                // One atom with the answer variable at `pos`: `SrcCq::new`'s
+                // safety and non-empty-body checks cannot fail.
+                #[allow(clippy::expect_used)]
                 starts
                     .push(SrcCq::new(vec![VarId(0)], vec![SrcAtom::new(rel, args)]).expect("safe"));
             }

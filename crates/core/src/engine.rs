@@ -6,7 +6,7 @@
 //! decomposes per disjunct: PerfectRef, unfolding, and certain-membership
 //! all distribute over a UCQ's disjuncts, so a UCQ's statistics are fully
 //! determined by which labelled tuples each disjunct J-matches. The
-//! [`ScoringEngine`] exploits this three ways:
+//! [`ScoringEngine`] exploits this five ways:
 //!
 //! 1. **Memo cache.** Each disjunct is keyed by its canonical form
 //!    ([`OntoCq::canonical`], which collapses variable renamings and atom
@@ -41,6 +41,23 @@
 //!    to full evaluation, enforced by the equivalence property suite.
 //!    Always on, except where [`ScoringEngine::with_config`] turns it
 //!    off for an A/B comparison.
+//! 5. **Source-keyed match memo.** A disjunct's bits depend only on its
+//!    compiled *source* UCQ (Definition 3.4 under a sound GAV mapping is
+//!    decided by evaluating `unfold(PerfectRef(q))` on the prepared
+//!    borders), and GAV unfolding is many-to-one: `likes(x, "Math")` and
+//!    `studies(x, "Math")` both compile to `ENR(x, "Math", z)` on the
+//!    paper's system. So behind the ontology-keyed cache sits a second
+//!    memo from the compiled source UCQ (its canonical disjuncts, sorted,
+//!    so disjunct order does not matter) to an `Arc<MatchBits>`. A hit
+//!    makes no evaluator call and charges neither `evals` nor
+//!    `batch_calls`; it is counted by [`ScoringEngine::src_hits`]. A miss
+//!    evaluates as above, parent-delta or full — delta bits are full
+//!    bits — and publishes the result. Only healthy bits are stored, and
+//!    it holds at most one bitset per ontology miss, shared with the
+//!    entries that use it. On the worker pool, candidates claim their
+//!    source in batch order, so a shared source is evaluated by its
+//!    first candidate as on one thread and the counters do not depend
+//!    on scheduling. Always on.
 //!
 //! The engine is shared across [`ExplainTask::with_limits`] clones via
 //! `Arc`, so a meta-strategy's base run warms the cache for its assembly
@@ -49,18 +66,14 @@
 //! [`GreedyUcq`]: crate::strategies::GreedyUcq
 //! [`ExplainTask::with_limits`]: crate::explain::ExplainTask::with_limits
 
-// The engine sits under every strategy's hot loop and inside the worker
-// pool; stray unwinds here would defeat the quarantine contract.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::explain::{ExplainTask, Explanation};
 use crate::matcher::{MatchBits, MatchStats, PreparedLabels};
 use crate::prune::ParentHandle;
 use obx_obdm::{CompiledQuery, ObdmError};
-use obx_query::{OntoCq, OntoUcq};
+use obx_query::{OntoCq, OntoUcq, SrcCq};
 use obx_util::{FxHashMap, Interrupt, WorkerPool};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Locks in the engine recover from poisoning instead of propagating it:
 /// a candidate whose scoring panicked is quarantined per candidate (see
@@ -180,18 +193,124 @@ pub struct PlannedCq {
 pub struct DisjunctEntry {
     /// The PerfectRef + unfold compilation of the canonical CQ.
     pub compiled: CompiledQuery,
-    /// Which labelled tuples the CQ J-matches (positives, then negatives).
-    pub bits: MatchBits,
+    /// Which labelled tuples the CQ J-matches (positives, then negatives),
+    /// shared with every entry that compiles to the same source UCQ.
+    pub bits: Arc<MatchBits>,
 }
 
 /// Cached outcome per canonical disjunct; errors are cached so budget
 /// overruns are paid once, not once per round.
 type CacheSlot = Result<Arc<DisjunctEntry>, ObdmError>;
 
+/// The source memo's key: a compiled query's source disjuncts, each
+/// already canonical ([`obx_query::SrcUcq::push`]), sorted so that two
+/// unfoldings of one set in different orders share a key.
+fn source_key(compiled: &CompiledQuery) -> Vec<SrcCq> {
+    let mut key = compiled.src().disjuncts().to_vec();
+    key.sort_unstable();
+    key
+}
+
+/// A source memo entry: the bits, or an evaluation in flight whose bits
+/// the candidates waiting on it will share.
+enum SrcSlot {
+    Pending,
+    Ready(Arc<MatchBits>),
+}
+
+/// What [`ScoringEngine::claim_source`] hands a candidate.
+enum SrcClaim<'e> {
+    /// The source's bits: no evaluation needed.
+    Ready(Arc<MatchBits>),
+    /// The candidate evaluates the source and publishes its bits.
+    Owner(SrcOwner<'e>),
+    /// Another candidate is evaluating the source; the key comes back.
+    Pending(Vec<SrcCq>),
+}
+
+/// The claim to evaluate one source query. [`SrcOwner::publish`] stores
+/// the bits; dropping the claim unpublished (an error or an unwind)
+/// withdraws it, so a candidate waiting on the source evaluates instead.
+struct SrcOwner<'e> {
+    engine: &'e ScoringEngine,
+    key: Option<Vec<SrcCq>>,
+}
+
+impl SrcOwner<'_> {
+    fn publish(mut self, bits: MatchBits) -> Arc<MatchBits> {
+        let bits = Arc::new(bits);
+        if let Some(key) = self.key.take() {
+            lock_recover!(self.engine.src_memo.lock())
+                .insert(key, SrcSlot::Ready(Arc::clone(&bits)));
+            self.engine.src_ready.notify_all();
+        }
+        bits
+    }
+}
+
+impl Drop for SrcOwner<'_> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            lock_recover!(self.engine.src_memo.lock()).remove(&key);
+            self.engine.src_ready.notify_all();
+        }
+    }
+}
+
+/// Batch-order turns for the source memo on the worker pool. A
+/// candidate claims its source query only after every earlier candidate
+/// of the batch has claimed its own or finished, so a source shared
+/// within a batch is evaluated by its first candidate in batch order, as
+/// on one thread, and the engine's counters (`evals`, `src_hits`, nodes)
+/// do not depend on scheduling.
+struct Turns {
+    /// The first position that has not passed, and which positions have.
+    state: Mutex<(usize, Vec<bool>)>,
+    moved: Condvar,
+}
+
+impl Turns {
+    fn new(n: usize) -> Self {
+        Self {
+            state: Mutex::new((0, vec![false; n])),
+            moved: Condvar::new(),
+        }
+    }
+
+    /// Blocks until every position before `pos` has passed.
+    fn wait(&self, pos: usize) {
+        let mut state = lock_recover!(self.state.lock());
+        while state.0 < pos {
+            state = lock_recover!(self.moved.wait(state));
+        }
+    }
+
+    /// Marks `pos` passed; passing twice is a no-op.
+    fn pass(&self, pos: usize) {
+        let mut state = lock_recover!(self.state.lock());
+        let (first, done) = &mut *state;
+        done[pos] = true;
+        while *first < done.len() && done[*first] {
+            *first += 1;
+        }
+        self.moved.notify_all();
+    }
+}
+
+/// A batch candidate's place in its batch's [`Turns`].
+#[derive(Clone, Copy)]
+pub(crate) struct Turn<'a> {
+    turns: &'a Turns,
+    pos: usize,
+}
+
 /// Shared scoring state of one explanation task. See the module docs.
 pub struct ScoringEngine {
     cache: RwLock<FxHashMap<OntoCq, CacheSlot>>,
+    src_memo: Mutex<FxHashMap<Vec<SrcCq>, SrcSlot>>,
+    src_ready: Condvar,
     hits: AtomicU64,
+    src_hits: AtomicU64,
     misses: AtomicU64,
     evals: AtomicU64,
     evals_saved: AtomicU64,
@@ -234,7 +353,10 @@ impl ScoringEngine {
     pub fn with_config(threads: usize, incremental: bool) -> Self {
         Self {
             cache: RwLock::new(FxHashMap::default()),
+            src_memo: Mutex::new(FxHashMap::default()),
+            src_ready: Condvar::new(),
             hits: AtomicU64::new(0),
+            src_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evals: AtomicU64::new(0),
             evals_saved: AtomicU64::new(0),
@@ -274,9 +396,17 @@ impl ScoringEngine {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Cache misses whose compiled source UCQ an earlier miss already
+    /// evaluated: their bits came from the source memo, with no
+    /// evaluator call.
+    pub fn src_hits(&self) -> u64 {
+        self.src_hits.load(Ordering::Relaxed)
+    }
+
     /// Total J-match evaluations (one per labelled tuple evaluated per
-    /// cache miss). Cached scoring — notably UCQ assembly over known
-    /// disjuncts — leaves this counter untouched.
+    /// cache miss that reached the evaluator). Cached scoring — notably
+    /// UCQ assembly over known disjuncts — and source-memo hits leave
+    /// this counter untouched.
     pub fn eval_calls(&self) -> u64 {
         self.evals.load(Ordering::Relaxed)
     }
@@ -372,13 +502,29 @@ impl ScoringEngine {
     /// incremental off) falls back to full evaluation; the resulting entry
     /// is identical either way. [`ScoringEngine::eval_calls`] counts only
     /// tuples actually evaluated, and the remainder accrues to
-    /// [`ScoringEngine::evals_saved`].
+    /// [`ScoringEngine::evals_saved`]. A candidate whose compiled source
+    /// UCQ an earlier miss already evaluated takes that miss's bits from
+    /// the source memo (module docs, item 5) and reaches no evaluator.
     pub fn disjunct_with_parent(
         &self,
         prepared: &PreparedLabels<'_>,
         cq: &OntoCq,
         interrupt: &Interrupt,
         parent: Option<&ParentHandle>,
+    ) -> Result<Arc<DisjunctEntry>, ObdmError> {
+        self.disjunct_at(prepared, cq, interrupt, parent, None)
+    }
+
+    /// [`ScoringEngine::disjunct_with_parent`] for a candidate of a batch
+    /// scored on the worker pool: the candidate claims its source query
+    /// in its batch's turn order.
+    pub(crate) fn disjunct_at(
+        &self,
+        prepared: &PreparedLabels<'_>,
+        cq: &OntoCq,
+        interrupt: &Interrupt,
+        parent: Option<&ParentHandle>,
+        turn: Option<Turn<'_>>,
     ) -> Result<Arc<DisjunctEntry>, ObdmError> {
         let key = cq.canonical();
         if let Some(slot) = lock_recover!(self.cache.read()).get(&key) {
@@ -399,15 +545,44 @@ impl ScoringEngine {
             None
         };
         // Compute outside any lock: compilation can be slow, and two
-        // threads racing on the same fresh key just do duplicate work
-        // (rare — batches are deduplicated upstream); first insert wins.
+        // threads racing on the same fresh key just compile it twice
+        // (rare — batches are deduplicated upstream), the second then
+        // taking the first's bits from the source memo; first insert
+        // wins.
         let total = prepared.num_pos() + prepared.num_neg();
         let computed: CacheSlot = prepared
             .system()
             .spec()
             .compile_cq_interruptible(&key, interrupt)
             .and_then(|compiled| {
-                let parent = parent_entry.as_ref().map(|(pe, dir)| (&pe.bits, *dir));
+                // Bits depend only on the source UCQ: reuse them when
+                // another ontology key compiled to the same one. The turn
+                // is passed before waiting on another candidate's
+                // evaluation, so later candidates are not held up.
+                let src_key = source_key(&compiled);
+                if let Some(t) = turn {
+                    t.turns.wait(t.pos);
+                }
+                let mut claim = self.claim_source(src_key, false);
+                if let Some(t) = turn {
+                    t.turns.pass(t.pos);
+                }
+                if let SrcClaim::Pending(src_key) = claim {
+                    claim = self.claim_source(src_key, true);
+                }
+                let owner = match claim {
+                    SrcClaim::Ready(bits) => {
+                        self.src_hits.fetch_add(1, Ordering::Relaxed);
+                        return Ok(Arc::new(DisjunctEntry { compiled, bits }));
+                    }
+                    SrcClaim::Owner(owner) => Some(owner),
+                    // A waiting claim always resolves; evaluating without
+                    // publishing is exact all the same.
+                    SrcClaim::Pending(_) => None,
+                };
+                let parent = parent_entry
+                    .as_ref()
+                    .map(|(pe, dir)| (pe.bits.as_ref(), *dir));
                 let (bits, work) = prepared.match_bits_from(&compiled, parent)?;
                 self.batch_calls.fetch_add(1, Ordering::Relaxed);
                 self.certified
@@ -418,6 +593,10 @@ impl ScoringEngine {
                     .fetch_add(work.evaluated as u64, Ordering::Relaxed);
                 self.evals_saved
                     .fetch_add((total - work.evaluated) as u64, Ordering::Relaxed);
+                let bits = match owner {
+                    Some(owner) => owner.publish(bits),
+                    None => Arc::new(bits),
+                };
                 Ok(Arc::new(DisjunctEntry { compiled, bits }))
             });
         if let Err(e) = &computed {
@@ -427,6 +606,30 @@ impl ScoringEngine {
         }
         let mut cache = lock_recover!(self.cache.write());
         cache.entry(key).or_insert(computed).clone()
+    }
+
+    /// The source memo's answer for `key`: its bits, the claim to
+    /// evaluate it when no candidate holds one, or [`SrcClaim::Pending`]
+    /// while another candidate evaluates it — unless `wait`, which blocks
+    /// until that candidate publishes or withdraws. The caller's turn, if
+    /// any, must be held for a claim that does not wait, and passed
+    /// before one that does.
+    fn claim_source(&self, key: Vec<SrcCq>, wait: bool) -> SrcClaim<'_> {
+        let mut memo = lock_recover!(self.src_memo.lock());
+        loop {
+            match memo.get(&key) {
+                Some(SrcSlot::Ready(bits)) => return SrcClaim::Ready(Arc::clone(bits)),
+                Some(SrcSlot::Pending) if wait => memo = lock_recover!(self.src_ready.wait(memo)),
+                Some(SrcSlot::Pending) => return SrcClaim::Pending(key),
+                None => {
+                    memo.insert(key.clone(), SrcSlot::Pending);
+                    return SrcClaim::Owner(SrcOwner {
+                        engine: self,
+                        key: Some(key),
+                    });
+                }
+            }
+        }
     }
 
     /// Match bitset of a UCQ: the OR of its disjuncts' cached bitsets.
@@ -624,9 +827,9 @@ impl ScoringEngine {
         quarantined: &AtomicUsize,
     ) -> Vec<Explanation> {
         let n = indices.len();
-        let score_one = |p: &PlannedCq| -> Option<Explanation> {
+        let score_one = |p: &PlannedCq, turn: Option<Turn<'_>>| -> Option<Explanation> {
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                task.score_cq_with_parent(&p.cq, p.parent.as_ref())
+                task.score_cq_at(&p.cq, p.parent.as_ref(), turn)
             }));
             match attempt {
                 Ok(Ok(e)) => Some(e),
@@ -648,7 +851,7 @@ impl ScoringEngine {
                 if task.stop_reason().is_some() {
                     break;
                 }
-                out.extend(score_one(&planned[i]));
+                out.extend(score_one(&planned[i], None));
             }
             out
         } else {
@@ -657,6 +860,7 @@ impl ScoringEngine {
                 .pool
                 .get_or_init(|| WorkerPool::named(self.threads - 1, "obx-scorer"));
             let cursor = AtomicUsize::new(0);
+            let turns = Turns::new(n);
             let slots: Vec<OnceLock<Option<Explanation>>> =
                 (0..n).map(|_| OnceLock::new()).collect();
             pool.run(&|| {
@@ -668,10 +872,21 @@ impl ScoringEngine {
                 let mut pulled = 0u64;
                 loop {
                     let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= n || task.stop_reason().is_some() {
+                    if k >= n {
                         break;
                     }
-                    let _ = slots[k].set(score_one(&planned[indices[k]]));
+                    // Every pulled position passes its turn, scored or
+                    // not, or the positions after it would wait forever.
+                    if task.stop_reason().is_some() {
+                        turns.pass(k);
+                        break;
+                    }
+                    let turn = Turn {
+                        turns: &turns,
+                        pos: k,
+                    };
+                    let _ = slots[k].set(score_one(&planned[indices[k]], Some(turn)));
+                    turns.pass(k);
                     pulled += 1;
                 }
                 wsp.count("tasks", pulled);
@@ -704,6 +919,7 @@ impl std::fmt::Debug for ScoringEngine {
             .field("cached", &self.cache_len())
             .field("hits", &self.cache_hits())
             .field("misses", &self.cache_misses())
+            .field("src_hits", &self.src_hits())
             .field("evals", &self.eval_calls())
             .field("evals_saved", &self.evals_saved())
             .field("batch_calls", &self.batch_calls())
@@ -719,7 +935,6 @@ impl std::fmt::Debug for ScoringEngine {
 use obx_util::pool::configured_threads;
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::explain::SearchLimits;
@@ -788,6 +1003,40 @@ mod tests {
         assert_eq!((s2.pos_matched, s2.neg_matched), (2, 1));
         assert_eq!((s3.pos_matched, s3.neg_matched), (2, 0));
         assert_eq!((su.pos_matched, su.neg_matched), (4, 1));
+    }
+
+    #[test]
+    fn source_equal_disjuncts_share_one_evaluation() {
+        // `likes` has no mapping assertion, so PerfectRef's `studies ⊑
+        // likes` disjunct is the only one that unfolds: both queries
+        // compile to `ENR(x, "Math", z)`.
+        let mut sys = example_3_6_system();
+        let (labels, scoring) = paper_task(&mut sys);
+        let likes = sys.parse_query(r#"q(x) :- likes(x, "Math")"#).unwrap();
+        let studies = sys.parse_query(r#"q(x) :- studies(x, "Math")"#).unwrap();
+        let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
+        let engine = task.engine();
+        let first = engine
+            .disjunct(task.prepared(), &likes.disjuncts()[0])
+            .unwrap();
+        let (evals, calls) = (engine.eval_calls(), engine.batch_calls());
+        assert_eq!((engine.src_hits(), calls), (0, 1));
+        let second = engine
+            .disjunct(task.prepared(), &studies.disjuncts()[0])
+            .unwrap();
+        assert_eq!(engine.cache_misses(), 2, "distinct ontology keys");
+        assert_eq!(engine.src_hits(), 1);
+        assert_eq!(
+            (engine.eval_calls(), engine.batch_calls()),
+            (evals, calls),
+            "a source hit makes no evaluator call"
+        );
+        assert!(Arc::ptr_eq(&first.bits, &second.bits), "one shared bitset");
+        assert_eq!(
+            second.bits.stats(),
+            task.prepared().stats_of(&studies).unwrap()
+        );
+        assert!(format!("{engine:?}").contains("src_hits: 1"));
     }
 
     #[test]

@@ -392,9 +392,20 @@ impl<'a> ExplainTask<'a> {
         cq: &OntoCq,
         parent: Option<&crate::prune::ParentHandle>,
     ) -> Result<Explanation, ExplainError> {
-        let entry =
-            self.engine
-                .disjunct_with_parent(&self.prepared, cq, &self.interrupt, parent)?;
+        self.score_cq_at(cq, parent, None)
+    }
+
+    /// [`ExplainTask::score_cq_with_parent`] for a candidate of a batch
+    /// scored on the worker pool ([`ScoringEngine::disjunct_at`]).
+    pub(crate) fn score_cq_at(
+        &self,
+        cq: &OntoCq,
+        parent: Option<&crate::prune::ParentHandle>,
+        turn: Option<crate::engine::Turn<'_>>,
+    ) -> Result<Explanation, ExplainError> {
+        let entry = self
+            .engine
+            .disjunct_at(&self.prepared, cq, &self.interrupt, parent, turn)?;
         let stats = entry.bits.stats();
         let ctx = CriterionCtx {
             stats: &stats,
@@ -543,6 +554,7 @@ pub(crate) fn finalize_report(
             // shared engine, and additive merging would double-count.
             rec.gauge_in_phase("engine", "cache_hits", task.engine().cache_hits());
             rec.gauge_in_phase("engine", "cache_misses", task.engine().cache_misses());
+            rec.gauge_in_phase("engine", "src_hits", task.engine().src_hits());
             rec.gauge_in_phase("engine", "evals", task.engine().eval_calls());
             rec.gauge_in_phase("engine", "evals_saved", task.engine().evals_saved());
             rec.gauge_in_phase("engine", "batch_calls", task.engine().batch_calls());

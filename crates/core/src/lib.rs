@@ -75,6 +75,12 @@
 //! ```
 
 #![warn(missing_docs)]
+// Scoring runs inside the always-on serve loop, budgets and validation
+// face untrusted input, and a panic in the engine's worker pool defeats
+// the quarantine contract: no non-test code in this crate may panic on
+// an `unwrap` or `expect`. The few static invariants carry a scoped
+// `#[allow]` with the reason next to it.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod baseline;
 pub mod budget;

@@ -13,10 +13,6 @@
 //! complete (the masks are then a no-op). The search buffers are
 //! allocated once per source disjunct rather than once per tuple.
 
-// Scoring runs inside the always-on serve loop; errors must flow back
-// as `ObdmError`s, not unwinds that trip a tenant's circuit breaker.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::labels::Labels;
 use obx_obdm::{CompiledQuery, ObdmError, ObdmSystem};
 use obx_query::{Goal, OntoUcq, SrcCq, SrcUcq};
@@ -848,7 +844,6 @@ impl<'a> PreparedLabels<'a> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use obx_obdm::example_3_6_system;

@@ -6,11 +6,11 @@
 //! against the printed values by the integration suite and rendered as
 //! tables E2/E3 by the bench harness.
 
-use crate::explain::{ExplainTask, Explanation, SearchLimits};
+use crate::explain::{ExplainError, ExplainTask, Explanation, SearchLimits};
 use crate::labels::Labels;
 use crate::matcher::PreparedLabels;
 use crate::score::Scoring;
-use obx_obdm::{example_3_6_system, ObdmSystem};
+use obx_obdm::{example_3_6_system, ObdmError, ObdmSystem};
 use obx_query::OntoUcq;
 
 /// The fully-assembled Example 3.6/3.8 scenario.
@@ -32,6 +32,10 @@ pub const PAPER_RADIUS: usize = 1;
 
 impl PaperExample {
     /// Builds the scenario.
+    // The labels and queries are fixed text over the fixed Example 3.6
+    // system, so parsing them cannot fail; `paper_reproduction` builds
+    // this on every run.
+    #[allow(clippy::expect_used)]
     pub fn new() -> Self {
         let mut system = example_3_6_system();
         let labels = Labels::parse(system.db_mut(), "+ A10\n+ B80\n+ C12\n+ D50\n- E25")
@@ -66,11 +70,11 @@ impl PaperExample {
 
     /// The J-match matrix of Example 3.6: for each query, which labelled
     /// students match. Row format: `(query, matched student names)`.
-    pub fn match_matrix(&self) -> Vec<(&'static str, Vec<String>)> {
+    pub fn match_matrix(&self) -> Result<Vec<(&'static str, Vec<String>)>, ObdmError> {
         let prepared = self.prepared();
         let mut rows = Vec::new();
         for (name, q) in self.queries() {
-            let compiled = self.system.spec().compile(q).expect("compiles");
+            let compiled = self.system.spec().compile(q)?;
             let mut matched: Vec<String> = prepared
                 .pos()
                 .iter()
@@ -81,7 +85,7 @@ impl PaperExample {
             matched.sort();
             rows.push((name, matched));
         }
-        rows
+        Ok(rows)
     }
 
     /// Z1 (α = β = γ = 1).
@@ -95,18 +99,20 @@ impl PaperExample {
     }
 
     /// Scores all three queries under a scoring; rows `(name, explanation)`.
-    pub fn scores(&self, scoring: &Scoring) -> Vec<(&'static str, Explanation)> {
+    pub fn scores(
+        &self,
+        scoring: &Scoring,
+    ) -> Result<Vec<(&'static str, Explanation)>, ExplainError> {
         let task = ExplainTask::new(
             &self.system,
             &self.labels,
             PAPER_RADIUS,
             scoring,
             SearchLimits::default(),
-        )
-        .expect("labels present");
+        )?;
         self.queries()
             .into_iter()
-            .map(|(name, q)| (name, task.score_ucq(q).expect("scores")))
+            .map(|(name, q)| Ok((name, task.score_ucq(q)?)))
             .collect()
     }
 }
@@ -124,7 +130,7 @@ mod tests {
     #[test]
     fn example_3_6_match_matrix() {
         let ex = PaperExample::new();
-        let matrix = ex.match_matrix();
+        let matrix = ex.match_matrix().unwrap();
         assert_eq!(
             matrix,
             vec![
@@ -138,7 +144,7 @@ mod tests {
     #[test]
     fn example_3_8_winners() {
         let ex = PaperExample::new();
-        let z1 = ex.scores(&ex.z1());
+        let z1 = ex.scores(&ex.z1()).unwrap();
         let by_name = |rows: &[(&str, Explanation)], n: &str| -> f64 {
             rows.iter().find(|(name, _)| *name == n).unwrap().1.score
         };
@@ -147,7 +153,7 @@ mod tests {
         assert!((by_name(&z1, "q2") - 0.5).abs() < 1e-12);
         assert!((by_name(&z1, "q3") - 0.83333).abs() < 1e-4);
         // Z2: 0.716 / 0.5 / 0.7 → q1 wins.
-        let z2 = ex.scores(&ex.z2());
+        let z2 = ex.scores(&ex.z2()).unwrap();
         assert!((by_name(&z2, "q1") - 0.71666).abs() < 1e-4);
         assert!((by_name(&z2, "q2") - 0.5).abs() < 1e-12);
         assert!((by_name(&z2, "q3") - 0.7).abs() < 1e-12);

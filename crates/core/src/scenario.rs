@@ -440,7 +440,6 @@ pub fn write_scenario_dir(dir: &Path, system: &ObdmSystem, labels: &Labels) -> s
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

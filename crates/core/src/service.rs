@@ -12,10 +12,6 @@
 //! implementation behind `obx validate` and the server's `/validate`
 //! endpoint.
 
-// Service requests are built from untrusted user input end to end: the
-// whole layer is panic-free.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::baseline::DataLevelBeam;
 use crate::budget::{CancelToken, SearchBudget};
 use crate::explain::{ExplainReport, ExplainTask, SearchLimits, Strategy};
@@ -555,7 +551,6 @@ pub fn load_snapshot(dir: &Path) -> Result<ScenarioSnapshot, String> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

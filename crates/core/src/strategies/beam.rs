@@ -132,6 +132,9 @@ impl Strategy for BeamSearch {
 }
 
 /// Most general unary queries over the vocabulary.
+// Each candidate is one atom that holds the answer variable `x`, so
+// `OntoCq::new`'s safety and non-empty-body checks cannot fail.
+#[allow(clippy::expect_used)]
 fn start_candidates(task: &ExplainTask<'_>) -> Vec<OntoCq> {
     let vocab = task.system().spec().tbox().vocab();
     let x = Term::Var(VarId(0));

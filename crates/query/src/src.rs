@@ -8,9 +8,10 @@ use crate::onto::QueryError;
 use crate::term::{Term, VarId};
 use obx_srcdb::{ConstPool, RelId, Schema};
 use obx_util::FxHashMap;
+use std::cmp::Ordering;
 
 /// An atom over the source schema.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SrcAtom {
     /// The relation.
     pub rel: RelId,
@@ -61,8 +62,10 @@ impl SrcAtom {
     }
 }
 
-/// A conjunctive query over the source schema.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// A conjunctive query over the source schema. It is ordered field by
+/// field (head, then body), so sorting a union's disjuncts gives a key
+/// that ignores their order.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SrcCq {
     head: Vec<VarId>,
     body: Vec<SrcAtom>,
@@ -161,10 +164,7 @@ impl SrcCq {
                     .collect(),
             })
             .collect();
-        body.sort_by(|a, b| {
-            (a.rel, a.args.iter().map(|&t| key(t)).collect::<Vec<_>>())
-                .cmp(&(b.rel, b.args.iter().map(|&t| key(t)).collect::<Vec<_>>()))
-        });
+        body.sort_by(canon_order);
         body.dedup();
         SrcCq { head, body }
     }
@@ -194,6 +194,18 @@ fn key(t: Term) -> (u8, u32) {
         Term::Var(v) => (0, v.0),
         Term::Const(c) => (1, c.0 .0),
     }
+}
+
+/// The body order of [`SrcCq::canonical`]: relation first, then the
+/// arguments lexicographically by [`key`] (variables before constants).
+/// It compares the key iterators in place, with no allocation.
+fn canon_order(a: &SrcAtom, b: &SrcAtom) -> Ordering {
+    a.rel.cmp(&b.rel).then_with(|| {
+        a.args
+            .iter()
+            .map(|&t| key(t))
+            .cmp(b.args.iter().map(|&t| key(t)))
+    })
 }
 
 /// A union of source CQs (disjuncts canonicalized and deduplicated).
@@ -257,6 +269,7 @@ mod tests {
     use super::*;
     use crate::term::var;
     use obx_srcdb::Schema;
+    use proptest::prelude::*;
 
     fn schema() -> Schema {
         let mut s = Schema::new();
@@ -322,6 +335,49 @@ mod tests {
         assert!(!u.push(cq.clone()));
         assert_eq!(u.len(), 1);
         assert_eq!(cq.render(&s, &pool), "q(x0) :- LOC(x0, \"Rome\")");
+    }
+
+    /// Random atoms over a two-relation schema: small variable and
+    /// constant ranges, so equal prefixes and ties are common.
+    fn random_atom(rng: &mut impl rand::Rng) -> SrcAtom {
+        let rel = RelId(rng.gen_range(0..2));
+        let arity = rng.gen_range(1..4);
+        SrcAtom::new(
+            rel,
+            (0..arity).map(|_| {
+                if rng.gen_bool(0.5) {
+                    var(rng.gen_range(0..3))
+                } else {
+                    Term::Const(obx_srcdb::Const(obx_util::Symbol(rng.gen_range(0..3))))
+                }
+            }),
+        )
+    }
+
+    proptest! {
+        /// The in-place canonical order is the order the canonicalizer
+        /// used before it stopped allocating: `(rel, Vec<key>)`
+        /// lexicographic. Equal orders give byte-identical canonical
+        /// forms.
+        #[test]
+        fn canon_order_equals_the_allocating_order(seed in 0u64..100_000, n in 1usize..8) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let atoms: Vec<SrcAtom> = (0..n).map(|_| random_atom(&mut rng)).collect();
+            let old = |a: &SrcAtom, b: &SrcAtom| {
+                (a.rel, a.args.iter().map(|&t| key(t)).collect::<Vec<_>>())
+                    .cmp(&(b.rel, b.args.iter().map(|&t| key(t)).collect::<Vec<_>>()))
+            };
+            for a in &atoms {
+                for b in &atoms {
+                    prop_assert_eq!(canon_order(a, b), old(a, b), "{:?} vs {:?}", a, b);
+                }
+            }
+            let (mut ours, mut theirs) = (atoms.clone(), atoms);
+            ours.sort_by(canon_order);
+            theirs.sort_by(old);
+            prop_assert_eq!(ours, theirs);
+        }
     }
 
     #[test]

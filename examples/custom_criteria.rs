@@ -23,7 +23,7 @@ fn main() {
     // The paper's two weighted averages.
     for (name, scoring) in [("Z1", ex.z1()), ("Z2", ex.z2())] {
         println!("== {name} ==");
-        let mut rows = ex.scores(&scoring);
+        let mut rows = ex.scores(&scoring).expect("the paper example scores");
         rows.sort_by(|a, b| b.1.score.partial_cmp(&a.1.score).unwrap());
         for (qname, e) in &rows {
             println!("  {qname}: {:.3}", e.score);

@@ -47,7 +47,7 @@ fn e1_example_3_3_border_layers() {
 #[test]
 fn e2_example_3_6_match_matrix() {
     let ex = PaperExample::new();
-    let matrix = ex.match_matrix();
+    let matrix = ex.match_matrix().unwrap();
     let row = |name: &str| -> Vec<String> {
         matrix
             .iter()
@@ -88,7 +88,7 @@ fn e3_example_3_8_scores_and_winners() {
     let get = |rows: &[(&str, obx_core::explain::Explanation)], n: &str| {
         rows.iter().find(|(name, _)| *name == n).unwrap().1.score
     };
-    let z1 = ex.scores(&ex.z1());
+    let z1 = ex.scores(&ex.z1()).unwrap();
     assert!(
         (get(&z1, "q1") - 0.694).abs() < 1e-3,
         "paper: 0.693 (rounding)"
@@ -105,7 +105,7 @@ fn e3_example_3_8_scores_and_winners() {
         .0;
     assert_eq!(w1, "q3", "Z1 winner");
 
-    let z2 = ex.scores(&ex.z2());
+    let z2 = ex.scores(&ex.z2()).unwrap();
     assert!((get(&z2, "q1") - 0.71666).abs() < 1e-4);
     assert!((get(&z2, "q2") - 0.5).abs() < 1e-12);
     assert!((get(&z2, "q3") - 0.7).abs() < 1e-12);

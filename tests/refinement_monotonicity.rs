@@ -68,7 +68,7 @@ fn check_lattice_step(task: &ExplainTask<'_>, cq: &OntoCq, dir: RefineDir) -> us
             .match_bits_restricted(&full.compiled, &parent.bits, dir)
             .expect("the parent bitset is shaped for the same λ");
         assert_eq!(
-            restricted, full.bits,
+            restricted, *full.bits,
             "restricted evaluation diverges from full on {child:?}"
         );
         let undecided = match dir {

@@ -5,18 +5,23 @@
 //! tests pin the contract that makes those shortcuts sound: on Example 3.6
 //! and on randomized generated scenarios, the engine's `MatchStats` are
 //! bit-identical to the uncached [`PreparedLabels`] path — including
-//! unions assembled purely from cached bitsets — and Proposition 3.5's
-//! radius monotonicity survives the caching layer.
+//! unions assembled purely from cached bitsets, parent-delta refinements,
+//! and candidates whose bits came from the source-keyed match memo — and
+//! Proposition 3.5's radius monotonicity survives the caching layer.
 
 use obx_core::matcher::PreparedLabels;
 use obx_core::paper_example::PaperExample;
-use obx_core::ScoringEngine;
+use obx_core::{
+    ExplainTask, ParentHandle, PlannedCq, RefineDir, Scoring, ScoringEngine, SearchLimits,
+};
 use obx_datagen::random_scenario::random_query;
 use obx_datagen::{random_scenario, RandomParams};
-use obx_query::OntoUcq;
+use obx_query::{OntoAtom, OntoCq, OntoUcq, SrcCq, Term, VarId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Engine stats equal uncached stats on the paper's three queries, and on
 /// every pairwise union of them (exercising bitset OR-composition).
@@ -121,6 +126,158 @@ proptest! {
         }
         prop_assert_eq!(engine.eval_calls(), evals);
     }
+}
+
+/// The one-atom refinements of `root`, each with the direction it moves
+/// in: a concept atom on the answer variable per concept and a role atom
+/// to a fresh variable per role (Specialize), and every safe one-atom
+/// drop (Generalize). Adding a superconcept of a concept already in the
+/// body leaves the minimized rewriting, hence the compiled source UCQ,
+/// unchanged: such a child is a source-equal sibling of its parent.
+fn refinements(system: &obx_obdm::ObdmSystem, root: &OntoCq) -> Vec<(RefineDir, OntoCq)> {
+    let vocab = system.spec().tbox().vocab();
+    let x = Term::Var(VarId(0));
+    let fresh = Term::Var(VarId(root.max_var().map_or(1, |v| v + 1)));
+    let mut out = Vec::new();
+    let mut specialize = |atom: OntoAtom| {
+        let mut body = root.body().to_vec();
+        body.push(atom);
+        if let Ok(cq) = OntoCq::new(root.head().to_vec(), body) {
+            out.push((RefineDir::Specialize, cq));
+        }
+    };
+    for c in vocab.concept_ids() {
+        specialize(OntoAtom::Concept(c, x));
+    }
+    for r in vocab.role_ids() {
+        specialize(OntoAtom::Role(r, x, fresh));
+    }
+    for skip in 0..root.num_atoms() {
+        let mut body = root.body().to_vec();
+        body.remove(skip);
+        if let Ok(cq) = OntoCq::new(root.head().to_vec(), body) {
+            out.push((RefineDir::Generalize, cq));
+        }
+    }
+    out
+}
+
+/// Scores random roots and their refinements on one scenario, in full and
+/// with parent-delta evaluation, on one and two scoring threads, and
+/// checks every candidate's engine stats against the uncached matcher.
+/// Returns the candidates whose compiled source UCQ an earlier candidate
+/// with another ontology key already had (source-equal siblings).
+fn check_refinements_against_uncached(seed: u64, atoms: usize) -> u64 {
+    let s = random_scenario(scenario_params(seed));
+    let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
+    let base = ExplainTask::new(&s.system, &s.labels, 1, &scoring, SearchLimits::default())
+        .expect("the scenario labels tuples");
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let roots: Vec<OntoCq> = (0..3)
+        .map(|_| random_query(&s.system, &mut rng, atoms).disjuncts()[0].clone())
+        .collect();
+
+    // Siblings, counted the way the engine keys: a healthy ontology miss
+    // whose sorted canonical source disjuncts were already seen. The
+    // count does not depend on the scoring order. A root that fails to
+    // compile is not refined below, so its refinements are not counted.
+    let compile = |cq: &OntoCq| s.system.spec().compile(&OntoUcq::from_cq(cq.canonical()));
+    let mut onto_keys = HashSet::new();
+    let mut src_keys = HashSet::new();
+    let mut siblings = 0u64;
+    for root in roots.iter().filter(|r| compile(r).is_ok()) {
+        let pool = refinements(&s.system, root).into_iter().map(|(_, cq)| cq);
+        for cq in std::iter::once(root.clone()).chain(pool) {
+            if !onto_keys.insert(cq.canonical()) {
+                continue;
+            }
+            let Ok(compiled) = compile(&cq) else {
+                continue;
+            };
+            let mut src: Vec<SrcCq> = compiled.src().disjuncts().to_vec();
+            src.sort();
+            if !src_keys.insert(src) {
+                siblings += 1;
+            }
+        }
+    }
+
+    for incremental in [false, true] {
+        let engines = [1, 2].map(|threads| {
+            let engine = Arc::new(ScoringEngine::with_config(threads, incremental));
+            let task = base.with_engine(Arc::clone(&engine));
+            for root in &roots {
+                let Ok(parent) = task.score_cq(root) else {
+                    continue;
+                };
+                let planned: Vec<PlannedCq> = refinements(&s.system, root)
+                    .into_iter()
+                    .map(|(dir, cq)| PlannedCq {
+                        cq,
+                        parent: ParentHandle::from_explanation(dir, &parent),
+                    })
+                    .collect();
+                let expected = planned.iter().filter(|p| compile(&p.cq).is_ok()).count();
+                let out = engine.score_batch_planned(&task, planned, usize::MAX, f64::NEG_INFINITY);
+                assert_eq!(
+                    out.explanations.len(),
+                    expected,
+                    "seed {seed}: a candidate was lost"
+                );
+                for e in std::iter::once(&parent).chain(&out.explanations) {
+                    let plain = task.prepared().stats_of(&e.query).expect("scored above");
+                    assert_eq!(
+                        e.stats, plain,
+                        "seed {seed}, {threads} threads, incremental {incremental}: {:?}",
+                        e.query
+                    );
+                }
+            }
+            engine
+        });
+        let [one, two] = &engines;
+        assert_eq!(one.src_hits(), siblings, "seed {seed}");
+        // On the pool, a shared source is still evaluated by its first
+        // candidate in batch order, so the evaluator work is the
+        // sequential run's. (Two candidates with one ontology key may
+        // both miss the ontology cache there; the second is then a source
+        // hit instead of a cache hit.)
+        let work = |e: &ScoringEngine| {
+            (
+                e.eval_calls(),
+                e.batch_calls(),
+                e.eval_nodes(),
+                e.cache_hits() + e.src_hits(),
+            )
+        };
+        assert_eq!(
+            work(one),
+            work(two),
+            "seed {seed}, incremental {incremental}"
+        );
+    }
+    siblings
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6 })]
+
+    /// Parent-delta and full scoring, on one and two threads, give the
+    /// uncached stats for every refinement, source-memo hits included.
+    #[test]
+    fn refinements_and_source_siblings_match_uncached(seed in 0u64..500, atoms in 1usize..4) {
+        check_refinements_against_uncached(seed, atoms);
+    }
+}
+
+/// The property above is not vacuous: on fixed seeds, the refinement pools
+/// contain source-equal siblings, so the source memo answers some of them.
+#[test]
+fn source_equal_siblings_occur_in_refinement_pools() {
+    let siblings: u64 = (0..4)
+        .map(|seed| check_refinements_against_uncached(seed, 2))
+        .sum();
+    assert!(siblings > 0, "no refinement reached the source memo");
 }
 
 /// Proposition 3.5 through the engine: growing the border radius never

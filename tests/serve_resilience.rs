@@ -165,6 +165,9 @@ impl EpochJournal {
     }
 }
 
+/// Injected panics the chaos saboteur sends back to back.
+const SABOTEUR_PANICS: u32 = 8;
+
 fn chaos_config() -> ServeConfig {
     ServeConfig {
         max_inflight: 4,
@@ -173,6 +176,14 @@ fn chaos_config() -> ServeConfig {
         read_timeout_ms: 400,
         write_timeout_ms: 2_000,
         grace_ms: 5_000,
+        // The breaker counts consecutive failures, and the saboteur's
+        // panics are consecutive whenever no honest request finishes
+        // between them (the default threshold of 5 tripped that way,
+        // turning the assertions below into 503 OBX325). The chaos test
+        // checks quarantine, not the breaker, so the threshold sits
+        // above every panic it sends; the breaker's own trip is tested
+        // in `obx_serve::server` with a threshold of 3.
+        breaker_threshold: SABOTEUR_PANICS + 1,
         ..ServeConfig::default()
     }
 }
@@ -250,7 +261,7 @@ fn server_survives_chaos_and_stays_byte_identical_per_epoch() {
 
     // Saboteur: injected panics must be quarantined, never fatal.
     threads.push(thread::spawn(move || {
-        for _ in 0..8 {
+        for _ in 0..SABOTEUR_PANICS {
             let (status, _, body) =
                 http(addr, "POST", "/explain", &[("x-obx-fault", "panic")], "{}");
             assert_eq!(status, 500, "{body}");
@@ -305,6 +316,12 @@ fn server_survives_chaos_and_stays_byte_identical_per_epoch() {
     let (_, _, metrics) = http(addr, "GET", "/metrics", &[], "");
     assert!(metrics.contains("serve/quarantined"), "{metrics}");
     assert!(metrics.contains("serve/reloads"), "{metrics}");
+    // The threshold above held: the breaker never opened. (The counter
+    // is process-wide; no other test in this file injects panics.)
+    assert!(
+        !metrics.contains("serve/tenant/default/breaker_open"),
+        "the chaos breaker opened: {metrics}"
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
