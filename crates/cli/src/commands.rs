@@ -136,7 +136,7 @@ OPTIONS:
                       explanations are printed and the exit code is 2
   --max-evals N       cap on J-match evaluator calls (anytime, like
                       --timeout-ms)
-  --max-rewrite N     resource guard: cap cumulative PerfectRef disjuncts
+  --max-rewrite N     resource guard: cap cumulative rewrite disjuncts
   --max-chase N       resource guard: cap cumulative chase facts
   --max-border N      resource guard: cap cumulative border atoms
                       (guards degrade the run to best-so-far, exit code 2)

@@ -72,6 +72,7 @@ use crate::prune::ParentHandle;
 use obx_obdm::{CompiledQuery, ObdmError};
 use obx_query::{OntoCq, OntoUcq, SrcCq};
 use obx_util::{FxHashMap, Interrupt, WorkerPool};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 
@@ -204,11 +205,17 @@ type CacheSlot = Result<Arc<DisjunctEntry>, ObdmError>;
 
 /// The source memo's key: a compiled query's source disjuncts, each
 /// already canonical ([`obx_query::SrcUcq::push`]), sorted so that two
-/// unfoldings of one set in different orders share a key.
-fn source_key(compiled: &CompiledQuery) -> Vec<SrcCq> {
-    let mut key = compiled.src().disjuncts().to_vec();
-    key.sort_unstable();
-    key
+/// unfoldings of one set in different orders share a key. Borrowed when
+/// they are in order already, as a single disjunct always is.
+fn source_key(compiled: &CompiledQuery) -> Cow<'_, [SrcCq]> {
+    let disjuncts = compiled.src().disjuncts();
+    if disjuncts.windows(2).all(|w| w[0] <= w[1]) {
+        Cow::Borrowed(disjuncts)
+    } else {
+        let mut key = disjuncts.to_vec();
+        key.sort_unstable();
+        Cow::Owned(key)
+    }
 }
 
 /// A source memo entry: the bits, or an evaluation in flight whose bits
@@ -224,24 +231,31 @@ enum SrcClaim<'e> {
     Ready(Arc<MatchBits>),
     /// The candidate evaluates the source and publishes its bits.
     Owner(SrcOwner<'e>),
-    /// Another candidate is evaluating the source; the key comes back.
-    Pending(Vec<SrcCq>),
+    /// Another candidate is evaluating the source.
+    Pending,
 }
 
-/// The claim to evaluate one source query. [`SrcOwner::publish`] stores
-/// the bits; dropping the claim unpublished (an error or an unwind)
-/// withdraws it, so a candidate waiting on the source evaluates instead.
+/// The claim to evaluate one source query, whose memo slot holds
+/// [`SrcSlot::Pending`] until [`SrcOwner::publish`] stores the bits;
+/// dropping the claim unpublished (an error or an unwind) withdraws it,
+/// so a candidate waiting on the source evaluates instead.
 struct SrcOwner<'e> {
     engine: &'e ScoringEngine,
-    key: Option<Vec<SrcCq>>,
+    key: Option<&'e [SrcCq]>,
 }
 
 impl SrcOwner<'_> {
     fn publish(mut self, bits: MatchBits) -> Arc<MatchBits> {
         let bits = Arc::new(bits);
         if let Some(key) = self.key.take() {
-            lock_recover!(self.engine.src_memo.lock())
-                .insert(key, SrcSlot::Ready(Arc::clone(&bits)));
+            let ready = SrcSlot::Ready(Arc::clone(&bits));
+            let mut memo = lock_recover!(self.engine.src_memo.lock());
+            match memo.get_mut(key) {
+                Some(slot) => *slot = ready,
+                None => {
+                    memo.insert(key.to_vec(), ready);
+                }
+            }
             self.engine.src_ready.notify_all();
         }
         bits
@@ -251,7 +265,7 @@ impl SrcOwner<'_> {
 impl Drop for SrcOwner<'_> {
     fn drop(&mut self) {
         if let Some(key) = self.key.take() {
-            lock_recover!(self.engine.src_memo.lock()).remove(&key);
+            lock_recover!(self.engine.src_memo.lock()).remove(key);
             self.engine.src_ready.notify_all();
         }
     }
@@ -549,54 +563,15 @@ impl ScoringEngine {
         // (rare — batches are deduplicated upstream), the second then
         // taking the first's bits from the source memo; first insert
         // wins.
-        let total = prepared.num_pos() + prepared.num_neg();
         let computed: CacheSlot = prepared
             .system()
             .spec()
             .compile_cq_interruptible(&key, interrupt)
             .and_then(|compiled| {
-                // Bits depend only on the source UCQ: reuse them when
-                // another ontology key compiled to the same one. The turn
-                // is passed before waiting on another candidate's
-                // evaluation, so later candidates are not held up.
-                let src_key = source_key(&compiled);
-                if let Some(t) = turn {
-                    t.turns.wait(t.pos);
-                }
-                let mut claim = self.claim_source(src_key, false);
-                if let Some(t) = turn {
-                    t.turns.pass(t.pos);
-                }
-                if let SrcClaim::Pending(src_key) = claim {
-                    claim = self.claim_source(src_key, true);
-                }
-                let owner = match claim {
-                    SrcClaim::Ready(bits) => {
-                        self.src_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Arc::new(DisjunctEntry { compiled, bits }));
-                    }
-                    SrcClaim::Owner(owner) => Some(owner),
-                    // A waiting claim always resolves; evaluating without
-                    // publishing is exact all the same.
-                    SrcClaim::Pending(_) => None,
-                };
                 let parent = parent_entry
                     .as_ref()
                     .map(|(pe, dir)| (pe.bits.as_ref(), *dir));
-                let (bits, work) = prepared.match_bits_from(&compiled, parent)?;
-                self.batch_calls.fetch_add(1, Ordering::Relaxed);
-                self.certified
-                    .fetch_add(work.certified as u64, Ordering::Relaxed);
-                self.masked.fetch_add(work.masked as u64, Ordering::Relaxed);
-                self.eval_nodes.fetch_add(work.nodes, Ordering::Relaxed);
-                self.evals
-                    .fetch_add(work.evaluated as u64, Ordering::Relaxed);
-                self.evals_saved
-                    .fetch_add((total - work.evaluated) as u64, Ordering::Relaxed);
-                let bits = match owner {
-                    Some(owner) => owner.publish(bits),
-                    None => Arc::new(bits),
-                };
+                let bits = self.source_bits(prepared, &compiled, parent, turn)?;
                 Ok(Arc::new(DisjunctEntry { compiled, bits }))
             });
         if let Err(e) = &computed {
@@ -608,21 +583,71 @@ impl ScoringEngine {
         cache.entry(key).or_insert(computed).clone()
     }
 
+    /// The match bits of `compiled`, from the source memo when another
+    /// ontology key compiled to the same source UCQ (bits depend only on
+    /// it), else from one evaluation that the memo then shares. The turn
+    /// is passed before waiting on another candidate's evaluation, so
+    /// later candidates are not held up.
+    fn source_bits(
+        &self,
+        prepared: &PreparedLabels<'_>,
+        compiled: &CompiledQuery,
+        parent: Option<(&MatchBits, crate::prune::RefineDir)>,
+        turn: Option<Turn<'_>>,
+    ) -> Result<Arc<MatchBits>, ObdmError> {
+        let src_key = source_key(compiled);
+        if let Some(t) = turn {
+            t.turns.wait(t.pos);
+        }
+        let mut claim = self.claim_source(&src_key, false);
+        if let Some(t) = turn {
+            t.turns.pass(t.pos);
+        }
+        if let SrcClaim::Pending = claim {
+            claim = self.claim_source(&src_key, true);
+        }
+        let owner = match claim {
+            SrcClaim::Ready(bits) => {
+                self.src_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(bits);
+            }
+            SrcClaim::Owner(owner) => Some(owner),
+            // A waiting claim always resolves; evaluating without
+            // publishing is exact all the same.
+            SrcClaim::Pending => None,
+        };
+        let (bits, work) = prepared.match_bits_from(compiled, parent)?;
+        let total = prepared.num_pos() + prepared.num_neg();
+        self.batch_calls.fetch_add(1, Ordering::Relaxed);
+        self.certified
+            .fetch_add(work.certified as u64, Ordering::Relaxed);
+        self.masked.fetch_add(work.masked as u64, Ordering::Relaxed);
+        self.eval_nodes.fetch_add(work.nodes, Ordering::Relaxed);
+        self.evals
+            .fetch_add(work.evaluated as u64, Ordering::Relaxed);
+        self.evals_saved
+            .fetch_add((total - work.evaluated) as u64, Ordering::Relaxed);
+        Ok(match owner {
+            Some(owner) => owner.publish(bits),
+            None => Arc::new(bits),
+        })
+    }
+
     /// The source memo's answer for `key`: its bits, the claim to
     /// evaluate it when no candidate holds one, or [`SrcClaim::Pending`]
     /// while another candidate evaluates it — unless `wait`, which blocks
     /// until that candidate publishes or withdraws. The caller's turn, if
     /// any, must be held for a claim that does not wait, and passed
     /// before one that does.
-    fn claim_source(&self, key: Vec<SrcCq>, wait: bool) -> SrcClaim<'_> {
+    fn claim_source<'e>(&'e self, key: &'e [SrcCq], wait: bool) -> SrcClaim<'e> {
         let mut memo = lock_recover!(self.src_memo.lock());
         loop {
-            match memo.get(&key) {
+            match memo.get(key) {
                 Some(SrcSlot::Ready(bits)) => return SrcClaim::Ready(Arc::clone(bits)),
                 Some(SrcSlot::Pending) if wait => memo = lock_recover!(self.src_ready.wait(memo)),
-                Some(SrcSlot::Pending) => return SrcClaim::Pending(key),
+                Some(SrcSlot::Pending) => return SrcClaim::Pending,
                 None => {
-                    memo.insert(key.clone(), SrcSlot::Pending);
+                    memo.insert(key.to_vec(), SrcSlot::Pending);
                     return SrcClaim::Owner(SrcOwner {
                         engine: self,
                         key: Some(key),

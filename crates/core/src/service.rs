@@ -56,7 +56,8 @@ pub struct ExplainRequest {
     pub timeout_ms: Option<u64>,
     /// Cap on J-match evaluator calls (anytime, like `timeout_ms`).
     pub max_evals: Option<u64>,
-    /// Resource guard: cap cumulative PerfectRef disjuncts.
+    /// Resource guard: cap cumulative rewrite disjuncts (PerfectRef CQs,
+    /// or the source disjuncts a saturated compile emits).
     pub max_rewrite: Option<usize>,
     /// Resource guard: cap cumulative chase facts.
     pub max_chase: Option<usize>,

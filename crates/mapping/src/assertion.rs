@@ -1,7 +1,7 @@
 //! GAV mapping assertions.
 
 use obx_ontology::OntoVocab;
-use obx_query::{OntoAtom, SrcCq, Term, VarId};
+use obx_query::{OntoAtom, QueryError, SrcCq, Term, VarId};
 use obx_srcdb::{ConstPool, Schema};
 use std::fmt;
 
@@ -10,6 +10,8 @@ use std::fmt;
 pub enum MappingError {
     /// A head variable does not occur in the body.
     UnboundHeadVar(VarId),
+    /// The body has no atom.
+    EmptyBody,
 }
 
 impl fmt::Display for MappingError {
@@ -22,6 +24,7 @@ impl fmt::Display for MappingError {
                     v.0
                 )
             }
+            MappingError::EmptyBody => write!(f, "mapping body has no atom"),
         }
     }
 }
@@ -33,21 +36,26 @@ impl std::error::Error for MappingError {}
 pub struct MappingAssertion {
     body: SrcCq,
     head: OntoAtom,
+    /// The body re-headed onto the head's distinct variables.
+    projection: SrcCq,
 }
 
 impl MappingAssertion {
     /// Builds an assertion, checking that every head variable is bound by
     /// the body.
     pub fn new(body: SrcCq, head: OntoAtom) -> Result<Self, MappingError> {
-        for t in head.terms() {
-            if let Term::Var(v) = t {
-                let bound = body.body().iter().any(|a| a.args.contains(&Term::Var(v)));
-                if !bound {
-                    return Err(MappingError::UnboundHeadVar(v));
-                }
-            }
-        }
-        Ok(Self { body, head })
+        let mut head_vars: Vec<VarId> = head.terms().filter_map(Term::as_var).collect();
+        head_vars.dedup();
+        let projection = SrcCq::new(head_vars, body.body().to_vec()).map_err(|e| match e {
+            QueryError::UnsafeHead(v) => MappingError::UnboundHeadVar(v),
+            // `body` is a CQ, so its body is not empty.
+            QueryError::EmptyBody => MappingError::EmptyBody,
+        })?;
+        Ok(Self {
+            body,
+            head,
+            projection,
+        })
     }
 
     /// The source-side CQ.
@@ -58,6 +66,12 @@ impl MappingAssertion {
     /// The ontology-side atom template.
     pub fn head(&self) -> &OntoAtom {
         &self.head
+    }
+
+    /// The body re-headed onto the head's distinct variables, in head
+    /// order: its answers are the rows the head is instantiated with.
+    pub fn projection(&self) -> &SrcCq {
+        &self.projection
     }
 
     /// Renders like `ENR(x0, x1, x2) ~> studies(x0, x1)`.

@@ -19,10 +19,18 @@
 //!   evaluating every assertion body over the source database (used by the
 //!   materialization-based certain-answer engine and by the generalization
 //!   search);
-//! * [`unfold`] — *backward*: rewrite a UCQ over `O` into a UCQ over `S`
-//!   (used by the rewriting-based engine after PerfectRef).
+//! * [`unfold`] — *backward*: rewrite a query over `O` into a UCQ over
+//!   `S`. A [`MappingIndex`] says which assertions yield each ontology
+//!   predicate: [`MappingIndex::plain`] by their own heads (for a query
+//!   PerfectRef has already rewritten), or [`MappingIndex::saturated`]
+//!   under the TBox's closures, a T-mapping that makes PerfectRef
+//!   unnecessary when the TBox has no `B ⊑ ∃R` inclusion.
+//!
+//! No input can panic the non-test code of this crate: the crate root
+//! denies `unwrap` and `expect`.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod assertion;
 pub mod parse;
@@ -31,5 +39,5 @@ pub mod vabox;
 
 pub use assertion::{Mapping, MappingAssertion, MappingError};
 pub use parse::{parse_mapping, parse_mapping_diag};
-pub use unfold::{unfold, UnfoldError};
+pub use unfold::{unfold, unfold_cq, MappingIndex, UnfoldError};
 pub use vabox::virtual_abox;

@@ -1,15 +1,30 @@
-//! Query unfolding: ontology UCQ → source UCQ through a GAV mapping.
+//! Query unfolding: ontology CQ → source UCQ through a GAV mapping.
 //!
-//! After PerfectRef compiles the TBox into a UCQ over `O`, unfolding
-//! replaces every ontology atom with the body of a matching mapping
-//! assertion (all combinations — GAV unfolding is a cartesian product of
-//! per-atom choices). The result evaluates directly over the source
-//! database, completing the classical OBDM pipeline
-//! `rewrite → unfold → evaluate`.
+//! Unfolding replaces every ontology atom with the body of a mapping
+//! assertion that yields it (all combinations — GAV unfolding is a
+//! cartesian product of per-atom choices). The result evaluates directly
+//! over the source database.
+//!
+//! Which assertions yield an atom is a [`MappingIndex`]:
+//!
+//! * [`MappingIndex::plain`] files each assertion under its own head
+//!   predicate. [`unfold`] uses it after PerfectRef has compiled the TBox
+//!   into the query: the classical pipeline `rewrite → unfold → evaluate`.
+//! * [`MappingIndex::saturated`] files each assertion under every
+//!   predicate it yields under the TBox's closures: a T-mapping
+//!   (Rodríguez-Muro, Kontchakov & Zakharyaschev, ISWC 2013). Unfolding a
+//!   query over it gives its certain answers without PerfectRef, as long
+//!   as the TBox has no `B ⊑ ∃R` inclusion
+//!   ([`obx_ontology::TBox::has_existential_rhs`]): then the TBox only
+//!   derives atoms over individuals the mapping already retrieves.
+//!
+//! Both run the same depth-first search ([`unfold_cq`]). It binds
+//! variables in one array and undoes them from a trail on backtracking,
+//! so a branch costs no copy of the substitution.
 
 use crate::assertion::Mapping;
+use obx_ontology::{BasicConcept, Reasoner, Role};
 use obx_query::{OntoAtom, OntoCq, OntoUcq, SrcAtom, SrcCq, SrcUcq, Term, VarId};
-use obx_util::FxHashMap;
 use std::fmt;
 
 /// Unfolding failure.
@@ -34,28 +49,134 @@ impl fmt::Display for UnfoldError {
 
 impl std::error::Error for UnfoldError {}
 
-fn walk(subst: &FxHashMap<VarId, Term>, mut t: Term) -> Term {
-    while let Term::Var(v) = t {
-        match subst.get(&v) {
-            Some(&next) => t = next,
-            None => break,
-        }
-    }
-    t
+/// One way an assertion yields atoms of a predicate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Entry {
+    /// Position of the assertion in its mapping.
+    assertion: u32,
+    /// The yielded atom's arguments, over the assertion's variables. A
+    /// concept atom uses the first.
+    args: [Term; 2],
+    /// One more than the assertion's largest variable: the block of fresh
+    /// variables one use of the assertion takes.
+    width: u32,
 }
 
-fn unify(subst: &mut FxHashMap<VarId, Term>, t1: Term, t2: Term) -> bool {
-    let t1 = walk(subst, t1);
-    let t2 = walk(subst, t2);
-    match (t1, t2) {
-        (Term::Const(a), Term::Const(b)) => a == b,
-        (Term::Var(v), other) | (other, Term::Var(v)) => {
-            if Term::Var(v) != other {
-                subst.insert(v, other);
-            }
-            true
-        }
+/// A mapping's assertions filed by the ontology predicate they yield.
+/// Each predicate's entries are in mapping order, so the disjuncts of an
+/// unfolding come out in the same order on every run.
+///
+/// The index refers to assertions by position: unfold only with the
+/// mapping it was built from.
+#[derive(Debug, Clone, Default)]
+pub struct MappingIndex {
+    concepts: Vec<Vec<Entry>>,
+    roles: Vec<Vec<Entry>>,
+}
+
+impl MappingIndex {
+    /// Files each assertion under the predicate of its own head.
+    pub fn plain(mapping: &Mapping) -> Self {
+        Self::build(mapping, |head, file| file(head))
     }
+
+    /// Files each assertion under every predicate it yields under
+    /// `reasoner`'s closures, and under its own:
+    ///
+    /// * a concept head `A(t)` under each atomic subsumer of `A`;
+    /// * a role head `P(t1, t2)` under each role subsumer of `P`, with the
+    ///   arguments swapped for an inverse one;
+    /// * a role head `P(t1, t2)` also under each atomic subsumer of `∃P`
+    ///   (yielding `A(t1)`) and of `∃P⁻` (yielding `A(t2)`).
+    ///
+    /// Unfolding over this index gives certain answers only when the
+    /// reasoner's TBox has no `B ⊑ ∃R` inclusion (module docs).
+    pub fn saturated(mapping: &Mapping, reasoner: &Reasoner) -> Self {
+        Self::build(mapping, |head, file| {
+            // The reasoner knows only the TBox's vocabulary, so the own
+            // predicate is filed whatever its closures say.
+            file(head);
+            match head {
+                OntoAtom::Concept(c, t) => {
+                    for sup in reasoner.subsumers(BasicConcept::Atomic(c)) {
+                        if let BasicConcept::Atomic(a) = sup {
+                            file(OntoAtom::Concept(a, t));
+                        }
+                    }
+                }
+                OntoAtom::Role(p, t1, t2) => {
+                    for sup in reasoner.role_subsumers(Role::direct(p)) {
+                        file(if sup.inverse {
+                            OntoAtom::Role(sup.id, t2, t1)
+                        } else {
+                            OntoAtom::Role(sup.id, t1, t2)
+                        });
+                    }
+                    for (domain, t) in [
+                        (BasicConcept::exists(p), t1),
+                        (BasicConcept::exists_inv(p), t2),
+                    ] {
+                        for sup in reasoner.subsumers(domain) {
+                            if let BasicConcept::Atomic(a) = sup {
+                                file(OntoAtom::Concept(a, t));
+                            }
+                        }
+                    }
+                }
+            }
+        })
+    }
+
+    /// Runs `yields` on each assertion's head and files the assertion
+    /// under every atom it reports.
+    fn build(mapping: &Mapping, yields: impl Fn(OntoAtom, &mut dyn FnMut(OntoAtom))) -> Self {
+        let mut index = Self::default();
+        for (i, assertion) in mapping.assertions().iter().enumerate() {
+            let head = *assertion.head();
+            let width = assertion
+                .body()
+                .max_var()
+                .max(head.terms().filter_map(Term::as_var).map(|v| v.0).max())
+                .map_or(1, |m| m + 1);
+            yields(head, &mut |atom| {
+                let (list, args) = match atom {
+                    OntoAtom::Concept(c, t) => (slot(&mut index.concepts, c.0 .0), [t, t]),
+                    OntoAtom::Role(r, t1, t2) => (slot(&mut index.roles, r.0 .0), [t1, t2]),
+                };
+                list.push(Entry {
+                    assertion: i as u32,
+                    args,
+                    width,
+                });
+            });
+        }
+        // Entries arrive grouped by assertion; within one assertion the
+        // reasoner's sets come in hash order, so sort by arguments too and
+        // drop an atom yielded twice.
+        for list in index.concepts.iter_mut().chain(index.roles.iter_mut()) {
+            list.sort_unstable_by_key(|e| (e.assertion, e.args));
+            list.dedup();
+        }
+        index
+    }
+
+    /// The entries that can yield `atom`.
+    fn entries(&self, atom: &OntoAtom) -> &[Entry] {
+        let (lists, id) = match *atom {
+            OntoAtom::Concept(c, _) => (&self.concepts, c.0 .0),
+            OntoAtom::Role(r, _, _) => (&self.roles, r.0 .0),
+        };
+        lists.get(id as usize).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// The list for predicate `id`, growing `lists` to hold it.
+fn slot(lists: &mut Vec<Vec<Entry>>, id: u32) -> &mut Vec<Entry> {
+    let i = id as usize;
+    if lists.len() <= i {
+        lists.resize_with(i + 1, Vec::new);
+    }
+    &mut lists[i]
 }
 
 /// Renames every variable of `t` by adding `offset`.
@@ -66,128 +187,161 @@ fn shift(t: Term, offset: u32) -> Term {
     }
 }
 
-struct Unfolder<'m> {
-    mapping: &'m Mapping,
-    max_disjuncts: usize,
-    out: SrcUcq,
+/// The search state of one CQ's unfolding.
+struct Search<'a> {
+    mapping: &'a Mapping,
+    index: &'a MappingIndex,
+    cq: &'a OntoCq,
+    /// `bind[v]` is what variable `v` is bound to, if anything.
+    bind: Vec<Option<Term>>,
+    /// Variables bound so far, in binding order.
+    trail: Vec<u32>,
+    /// The assertion chosen for each atom so far, with its variable offset.
+    chosen: Vec<(u32, u32)>,
 }
 
-impl Unfolder<'_> {
-    fn unfold_cq(&mut self, cq: &OntoCq) -> Result<(), UnfoldError> {
-        let mut fresh = cq.max_var().map_or(0, |m| m + 1);
-        let mut body: Vec<SrcAtom> = Vec::new();
-        let mut subst: FxHashMap<VarId, Term> = FxHashMap::default();
-        self.dfs(cq, 0, &mut fresh, &mut body, &mut subst)
+impl Search<'_> {
+    fn walk(&self, mut t: Term) -> Term {
+        while let Term::Var(v) = t {
+            match self.bind.get(v.0 as usize).copied().flatten() {
+                Some(next) => t = next,
+                None => break,
+            }
+        }
+        t
     }
 
-    fn dfs(
-        &mut self,
-        cq: &OntoCq,
-        atom_idx: usize,
-        fresh: &mut u32,
-        body: &mut Vec<SrcAtom>,
-        subst: &mut FxHashMap<VarId, Term>,
-    ) -> Result<(), UnfoldError> {
-        if atom_idx == cq.body().len() {
-            // All atoms covered: emit, unless an answer variable ended up
-            // bound to a constant (not expressible in our CQ heads; such a
-            // combination is dropped — see crate docs).
-            let mut head = Vec::with_capacity(cq.head().len());
-            for &h in cq.head() {
-                match walk(subst, Term::Var(h)) {
-                    Term::Var(v) => head.push(v),
-                    Term::Const(_) => return Ok(()),
+    fn unify(&mut self, t1: Term, t2: Term) -> bool {
+        match (self.walk(t1), self.walk(t2)) {
+            (Term::Const(a), Term::Const(b)) => a == b,
+            (Term::Var(v), other) | (other, Term::Var(v)) => {
+                if Term::Var(v) != other {
+                    self.bind[v.0 as usize] = Some(other);
+                    self.trail.push(v.0);
                 }
+                true
             }
-            let resolved: Vec<SrcAtom> = body
-                .iter()
-                .map(|a| SrcAtom::new(a.rel, a.args.iter().map(|&t| walk(subst, t))))
-                .collect();
-            if let Ok(q) = SrcCq::new(head, resolved) {
-                self.out.push(q);
-                if self.out.len() > self.max_disjuncts {
-                    return Err(UnfoldError::BudgetExceeded {
-                        max_disjuncts: self.max_disjuncts,
-                    });
-                }
-            }
-            return Ok(());
         }
-        let qa = cq.body()[atom_idx];
-        for assertion in self.mapping.assertions() {
-            // Quick predicate screen.
-            let head = assertion.head();
-            let compatible = matches!(
-                (qa, head),
-                (OntoAtom::Concept(c1, _), OntoAtom::Concept(c2, _)) if c1 == *c2
-            ) || matches!(
-                (qa, head),
-                (OntoAtom::Role(r1, _, _), OntoAtom::Role(r2, _, _)) if r1 == *r2
-            );
-            if !compatible {
-                continue;
-            }
-            // Rename the assertion apart, then unify its head with qa.
-            let offset = *fresh;
-            let a_max = assertion
-                .body()
-                .max_var()
-                .max(head.terms().filter_map(Term::as_var).map(|v| v.0).max())
-                .unwrap_or(0);
-            let saved_subst = subst.clone();
-            let saved_len = body.len();
-            *fresh = offset + a_max + 1;
+    }
 
-            let mut ok = true;
-            let pairs: Vec<(Term, Term)> = match (qa, head) {
-                (OntoAtom::Concept(_, t), OntoAtom::Concept(_, ht)) => {
-                    vec![(t, shift(*ht, offset))]
-                }
-                (OntoAtom::Role(_, t1, t2), OntoAtom::Role(_, h1, h2)) => {
-                    vec![(t1, shift(*h1, offset)), (t2, shift(*h2, offset))]
-                }
-                _ => unreachable!("screened above"),
+    fn undo(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.bind[v as usize] = None;
+        }
+    }
+
+    fn dfs<E>(
+        &mut self,
+        atom_idx: usize,
+        fresh: u32,
+        emit: &mut impl FnMut(SrcCq) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let Some(&qa) = self.cq.body().get(atom_idx) else {
+            return match self.resolve() {
+                Some(q) => emit(q),
+                None => Ok(()),
             };
-            for (qt, ht) in pairs {
-                if !unify(subst, qt, ht) {
-                    ok = false;
-                    break;
-                }
+        };
+        let index = self.index;
+        for e in index.entries(&qa) {
+            // Rename the assertion apart, then unify its yielded atom
+            // with `qa`.
+            let offset = fresh;
+            let end = (offset + e.width) as usize;
+            if self.bind.len() < end {
+                self.bind.resize(end, None);
             }
-            if ok {
-                for a in assertion.body().body() {
-                    body.push(SrcAtom::new(
-                        a.rel,
-                        a.args.iter().map(|&t| shift(t, offset)),
-                    ));
+            let mark = self.trail.len();
+            let unified = match qa {
+                OntoAtom::Concept(_, t) => self.unify(t, shift(e.args[0], offset)),
+                OntoAtom::Role(_, t1, t2) => {
+                    self.unify(t1, shift(e.args[0], offset))
+                        && self.unify(t2, shift(e.args[1], offset))
                 }
-                self.dfs(cq, atom_idx + 1, fresh, body, subst)?;
+            };
+            if unified {
+                self.chosen.push((e.assertion, offset));
+                let res = self.dfs(atom_idx + 1, offset + e.width, emit);
+                self.chosen.pop();
+                res?;
             }
-            body.truncate(saved_len);
-            *subst = saved_subst;
-            *fresh = offset;
+            self.undo(mark);
         }
         Ok(())
     }
+
+    /// The source CQ of the current choices, or `None` when an answer
+    /// variable ended up bound to a constant (not expressible in our CQ
+    /// heads; such a combination is dropped — see crate docs).
+    fn resolve(&self) -> Option<SrcCq> {
+        let mut head = Vec::with_capacity(self.cq.head().len());
+        for &h in self.cq.head() {
+            match self.walk(Term::Var(h)) {
+                Term::Var(v) => head.push(v),
+                Term::Const(_) => return None,
+            }
+        }
+        let mut body = Vec::new();
+        for &(a, offset) in &self.chosen {
+            let assertion = self.mapping.assertions().get(a as usize)?;
+            for atom in assertion.body().body() {
+                body.push(SrcAtom::new(
+                    atom.rel,
+                    atom.args.iter().map(|&t| self.walk(shift(t, offset))),
+                ));
+            }
+        }
+        SrcCq::new(head, body).ok()
+    }
 }
 
-/// Unfolds an ontology UCQ into a source UCQ. Disjuncts with an atom no
-/// assertion can produce are dropped (they retrieve nothing from a sound
-/// mapping). `max_disjuncts` bounds the output size.
+/// Unfolds one ontology CQ over `index`, which must be built from
+/// `mapping`, handing each source disjunct to `emit` in search order.
+/// An error from `emit` stops the search and is returned. A CQ with an
+/// atom no assertion yields emits nothing.
+pub fn unfold_cq<E>(
+    mapping: &Mapping,
+    index: &MappingIndex,
+    cq: &OntoCq,
+    mut emit: impl FnMut(SrcCq) -> Result<(), E>,
+) -> Result<(), E> {
+    if cq.body().iter().any(|a| index.entries(a).is_empty()) {
+        return Ok(());
+    }
+    let fresh = cq.max_var().map_or(0, |m| m + 1);
+    let mut search = Search {
+        mapping,
+        index,
+        cq,
+        bind: vec![None; fresh as usize],
+        trail: Vec::new(),
+        chosen: Vec::with_capacity(cq.body().len()),
+    };
+    search.dfs(0, fresh, &mut emit)
+}
+
+/// Unfolds an ontology UCQ into a source UCQ through `mapping`'s own
+/// assertion heads (PerfectRef has already compiled the TBox into the
+/// query). Disjuncts with an atom no assertion can produce are dropped
+/// (they retrieve nothing from a sound mapping). `max_disjuncts` bounds
+/// the output size.
 pub fn unfold(
     mapping: &Mapping,
     ucq: &OntoUcq,
     max_disjuncts: usize,
 ) -> Result<SrcUcq, UnfoldError> {
-    let mut u = Unfolder {
-        mapping,
-        max_disjuncts,
-        out: SrcUcq::empty(),
-    };
+    let index = MappingIndex::plain(mapping);
+    let mut out = SrcUcq::empty();
     for cq in ucq.disjuncts() {
-        u.unfold_cq(cq)?;
+        unfold_cq(mapping, &index, cq, |q| {
+            out.push(q);
+            if out.len() > max_disjuncts {
+                return Err(UnfoldError::BudgetExceeded { max_disjuncts });
+            }
+            Ok(())
+        })?;
     }
-    Ok(u.out)
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -348,5 +502,75 @@ mod tests {
         .unwrap();
         let err = unfold(&mapping, &OntoUcq::from_cq(q), 3).unwrap_err();
         assert_eq!(err, UnfoldError::BudgetExceeded { max_disjuncts: 3 });
+    }
+
+    #[test]
+    fn saturated_index_files_assertions_under_their_subsumers() {
+        // knows ⊑ inv(known_by), ∃knows ⊑ Person, ∃inv(knows) ⊑ Person.
+        let schema = parse_schema("K/2 P/1").unwrap();
+        let mut db = parse_database(schema, "K(a, b)\nP(c)").unwrap();
+        let tbox = parse_tbox(
+            "concept Person\nrole knows known_by\n\
+             knows < inv(known_by)\nexists(knows) < Person\nexists(inv(knows)) < Person",
+        )
+        .unwrap();
+        let reasoner = obx_ontology::Reasoner::build(&tbox);
+        let (schema, consts) = db.schema_and_consts_mut();
+        let mapping = parse_mapping(
+            schema,
+            tbox.vocab(),
+            consts,
+            "P(x) ~> Person(x)\nK(x, y) ~> knows(x, y)",
+        )
+        .unwrap();
+        let index = MappingIndex::saturated(&mapping, &reasoner);
+        let compile = |db: &mut obx_srcdb::Database, text: &str| {
+            let q = parse_onto_cq(tbox.vocab(), db.consts_mut(), text).unwrap();
+            let mut out = SrcUcq::empty();
+            unfold_cq(&mapping, &index, &q, |d| {
+                out.push(d);
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+            out
+        };
+        // The inverse swaps the arguments: known_by(y, x) comes from K(x, y).
+        let known_by = compile(&mut db, "q(x, y) :- known_by(y, x)");
+        assert_eq!(known_by.len(), 1);
+        assert_eq!(eval::answers_ucq(View::full(&db), &known_by).len(), 1);
+        // Person: its own assertion first, then both ends of K, in mapping
+        // order.
+        let person = compile(&mut db, "q(x) :- Person(x)");
+        let rendered: Vec<String> = person
+            .disjuncts()
+            .iter()
+            .map(|d| d.render(db.schema(), db.consts()))
+            .collect();
+        assert_eq!(
+            rendered,
+            ["q(x0) :- P(x0)", "q(x0) :- K(x0, x1)", "q(x0) :- K(x1, x0)"]
+        );
+        assert_eq!(eval::answers_ucq(View::full(&db), &person).len(), 3);
+    }
+
+    #[test]
+    fn saturated_index_keeps_predicates_the_reasoner_does_not_know() {
+        // A reasoner built from an empty TBox has no tables for `p`, yet
+        // its assertion must still unfold `p`.
+        let schema = parse_schema("R/2").unwrap();
+        let mut db = parse_database(schema, "R(a, b)").unwrap();
+        let tbox = parse_tbox("role p").unwrap();
+        let reasoner = obx_ontology::Reasoner::build(&obx_ontology::TBox::new());
+        let (schema, consts) = db.schema_and_consts_mut();
+        let mapping = parse_mapping(schema, tbox.vocab(), consts, "R(x, y) ~> p(x, y)").unwrap();
+        let index = MappingIndex::saturated(&mapping, &reasoner);
+        let q = parse_onto_cq(tbox.vocab(), db.consts_mut(), "q(x) :- p(x, y)").unwrap();
+        let mut n = 0;
+        unfold_cq(&mapping, &index, &q, |_| {
+            n += 1;
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        assert_eq!(n, 1);
     }
 }

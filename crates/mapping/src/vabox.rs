@@ -9,7 +9,7 @@
 
 use crate::assertion::Mapping;
 use obx_ontology::ABox;
-use obx_query::{eval, OntoAtom, SrcCq, Term, VarId};
+use obx_query::{eval, OntoAtom, Term, VarId};
 use obx_srcdb::{Const, Database, View};
 use obx_util::FxHashMap;
 
@@ -19,33 +19,19 @@ use obx_util::FxHashMap;
 pub fn virtual_abox(mapping: &Mapping, view: View<'_>) -> ABox<Const> {
     let mut abox: ABox<Const> = ABox::new();
     for assertion in mapping.assertions() {
-        // Evaluate the body projected onto the head's variables.
-        let head = assertion.head();
-        let head_vars: Vec<VarId> = {
-            let mut vs: Vec<VarId> = head.terms().filter_map(Term::as_var).collect();
-            vs.dedup();
-            vs
-        };
-        // Re-head the body CQ onto exactly the head template's variables.
-        let proj = SrcCq::new(head_vars.clone(), assertion.body().body().to_vec())
-            .expect("assertion invariant: head vars bound by body");
-        let answers = eval::answers(view, &proj);
-        let lookup = |t: Term, row: &[Const], vars: &[VarId]| -> Const {
-            match t {
-                Term::Const(c) => c,
-                Term::Var(v) => {
-                    let idx = vars.iter().position(|&hv| hv == v).expect("projected");
-                    row[idx]
-                }
-            }
-        };
-        for row in &answers {
-            match *head {
+        let proj = assertion.projection();
+        for row in &eval::answers(view, proj) {
+            let ground = |t: Term| ground(t, proj.head(), row);
+            match *assertion.head() {
                 OntoAtom::Concept(c, t) => {
-                    abox.assert_concept(c, lookup(t, row, &head_vars));
+                    if let Some(a) = ground(t) {
+                        abox.assert_concept(c, a);
+                    }
                 }
                 OntoAtom::Role(r, t1, t2) => {
-                    abox.assert_role(r, lookup(t1, row, &head_vars), lookup(t2, row, &head_vars));
+                    if let (Some(a), Some(b)) = (ground(t1), ground(t2)) {
+                        abox.assert_role(r, a, b);
+                    }
                 }
             }
         }
@@ -53,23 +39,28 @@ pub fn virtual_abox(mapping: &Mapping, view: View<'_>) -> ABox<Const> {
     abox
 }
 
+/// The constant a head term takes in a row of the assertion's projection
+/// (`vars` is the projection's head). Every head variable is a projected
+/// column, so this is `None` for no term of a built assertion.
+fn ground(t: Term, vars: &[VarId], row: &[Const]) -> Option<Const> {
+    match t {
+        Term::Const(c) => Some(c),
+        Term::Var(v) => vars
+            .iter()
+            .position(|&hv| hv == v)
+            .and_then(|i| row.get(i).copied()),
+    }
+}
+
 /// Materializes `M(D)` and also returns, for diagnostics, how many
 /// assertions produced at least one ABox fact.
 pub fn virtual_abox_with_stats(mapping: &Mapping, db: &Database) -> (ABox<Const>, usize) {
     let abox = virtual_abox(mapping, View::full(db));
-    let mut productive = 0usize;
-    for assertion in mapping.assertions() {
-        let head_vars: Vec<VarId> = {
-            let mut vs: Vec<VarId> = assertion.head().terms().filter_map(Term::as_var).collect();
-            vs.dedup();
-            vs
-        };
-        let proj =
-            SrcCq::new(head_vars, assertion.body().body().to_vec()).expect("assertion invariant");
-        if !eval::answers(View::full(db), &proj).is_empty() {
-            productive += 1;
-        }
-    }
+    let productive = mapping
+        .assertions()
+        .iter()
+        .filter(|a| !eval::answers(View::full(db), a.projection()).is_empty())
+        .count();
     (abox, productive)
 }
 

@@ -216,6 +216,11 @@ pub struct MaterializedAbox {
 }
 
 impl MaterializedAbox {
+    // The synthetic schema cannot reject what is declared and inserted
+    // here: relation names are `c:`/`r:` plus a vocabulary name, unique
+    // because vocabulary names are, and every fact has its relation's
+    // arity (one individual per concept, two per role).
+    #[allow(clippy::expect_used)]
     fn build(tbox: &TBox, chased: &ABox<Ind>) -> Self {
         let mut schema = Schema::new();
         let mut concept_rel = FxHashMap::default();

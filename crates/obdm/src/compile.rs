@@ -1,51 +1,70 @@
 //! The rewriting engine: compile once, evaluate anywhere.
 //!
-//! `CompiledQuery` packages the result of `PerfectRef + unfold` so that the
-//! (expensive) compilation happens once per candidate query while the
-//! (cheap) evaluation runs once per classified tuple and border — the
+//! `CompiledQuery` packages an ontology query compiled to a source UCQ, so
+//! that the (expensive) compilation happens once per candidate query while
+//! the (cheap) evaluation runs once per classified tuple and border — the
 //! access pattern of the explanation framework, where one candidate is
 //! matched against |λ⁺| + |λ⁻| borders (Definition 3.4).
+//!
+//! A spec compiles on one of two routes, chosen by its TBox alone:
+//!
+//! * **Saturated** (no `B ⊑ ∃R` inclusion): condense the CQ, unfold it
+//!   once over the spec's saturated mapping
+//!   ([`obx_mapping::MappingIndex::saturated`]), and drop every source
+//!   disjunct contained in another.
+//! * **PerfectRef** (some `B ⊑ ∃R`): PerfectRef over the TBox, then plain
+//!   unfolding through the mapping.
 
 use crate::spec::{ObdmError, ObdmSpec};
-use obx_mapping::unfold;
-use obx_query::{eval, perfect_ref_interruptible, OntoUcq, SrcUcq};
+use obx_mapping::{unfold, unfold_cq, MappingIndex, UnfoldError};
+use obx_ontology::{BasicConcept, Reasoner, Role};
+use obx_query::{
+    eval, minimize_ucq, perfect_ref_interruptible, OntoAtom, OntoCq, OntoUcq, RewriteError, SrcUcq,
+};
 use obx_srcdb::{Const, View};
-use obx_util::FxHashSet;
+use obx_util::{FxHashSet, GuardKind, GuardTrip, Interrupt};
+use std::borrow::Cow;
 
 /// An ontology UCQ compiled to a source UCQ.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     src: SrcUcq,
-    rewritten_disjuncts: usize,
 }
 
 impl CompiledQuery {
-    /// Runs the `PerfectRef → unfold` pipeline.
+    /// Compiles `ucq` on the spec's route (module docs).
     pub fn compile(spec: &ObdmSpec, ucq: &OntoUcq) -> Result<Self, ObdmError> {
-        Self::compile_interruptible(spec, ucq, &obx_util::Interrupt::none())
+        Self::compile_interruptible(spec, ucq, &Interrupt::none())
     }
 
-    /// [`CompiledQuery::compile`] with a cooperative stop signal threaded
-    /// into PerfectRef (the unbounded-ish stage of the pipeline). On
+    /// [`CompiledQuery::compile`] with a cooperative stop signal. On
     /// trigger, fails with `RewriteError::Interrupted` — a *transient*
     /// error that callers must not memoize as a property of the query.
     pub fn compile_interruptible(
         spec: &ObdmSpec,
         ucq: &OntoUcq,
-        interrupt: &obx_util::Interrupt,
+        interrupt: &Interrupt,
     ) -> Result<Self, ObdmError> {
-        let rewritten =
-            perfect_ref_interruptible(ucq, spec.tbox(), spec.rewrite_budget, interrupt)?;
-        let src = {
-            let mut sp = obx_util::span!(interrupt.recorder(), "unfold");
-            let src = unfold(spec.mapping(), &rewritten, spec.unfold_max)?;
-            sp.count("src_disjuncts", src.len() as u64);
-            src
+        let src = match spec.saturated_mapping() {
+            Some(index) => compile_saturated(spec, index, ucq.disjuncts(), interrupt)?,
+            None => compile_perfect_ref(spec, ucq, interrupt)?,
         };
-        Ok(Self {
-            src,
-            rewritten_disjuncts: rewritten.len(),
-        })
+        Ok(Self { src })
+    }
+
+    /// [`CompiledQuery::compile_interruptible`] for one CQ. The saturated
+    /// route compiles it in place; the PerfectRef route wraps it as a
+    /// one-disjunct UCQ.
+    pub fn compile_cq_interruptible(
+        spec: &ObdmSpec,
+        cq: &OntoCq,
+        interrupt: &Interrupt,
+    ) -> Result<Self, ObdmError> {
+        let src = match spec.saturated_mapping() {
+            Some(index) => compile_saturated(spec, index, std::slice::from_ref(cq), interrupt)?,
+            None => compile_perfect_ref(spec, &OntoUcq::from_cq(cq.clone()), interrupt)?,
+        };
+        Ok(Self { src })
     }
 
     /// The source-level UCQ.
@@ -53,13 +72,7 @@ impl CompiledQuery {
         &self.src
     }
 
-    /// Number of disjuncts after PerfectRef (before unfolding) — reported
-    /// by the rewriting-scaling experiment (E7).
-    pub fn rewritten_disjuncts(&self) -> usize {
-        self.rewritten_disjuncts
-    }
-
-    /// Number of source disjuncts after unfolding.
+    /// Number of source disjuncts.
     pub fn src_disjuncts(&self) -> usize {
         self.src.len()
     }
@@ -95,6 +108,137 @@ impl CompiledQuery {
     }
 }
 
+/// The PerfectRef route: rewrite over the TBox, then unfold through the
+/// mapping's own heads.
+fn compile_perfect_ref(
+    spec: &ObdmSpec,
+    ucq: &OntoUcq,
+    interrupt: &Interrupt,
+) -> Result<SrcUcq, ObdmError> {
+    let rewritten = perfect_ref_interruptible(ucq, spec.tbox(), spec.rewrite_budget, interrupt)?;
+    let mut sp = obx_util::span!(interrupt.recorder(), "unfold");
+    let src = unfold(spec.mapping(), &rewritten, spec.unfold_max)?;
+    sp.count("src_disjuncts", src.len() as u64);
+    Ok(src)
+}
+
+/// The saturated route: condense each CQ, unfold it over the saturated
+/// mapping, and drop the source disjuncts contained in others. The
+/// rewrite budget, the unfold budget and the run's `RewriteDisjuncts`
+/// guard all count distinct emitted source disjuncts.
+fn compile_saturated(
+    spec: &ObdmSpec,
+    index: &MappingIndex,
+    cqs: &[OntoCq],
+    interrupt: &Interrupt,
+) -> Result<SrcUcq, ObdmError> {
+    if interrupt.is_triggered() {
+        return Err(RewriteError::Interrupted.into());
+    }
+    let mut sp = obx_util::span!(interrupt.recorder(), "unfold");
+    let max_rewrite = spec.rewrite_budget.max_disjuncts;
+    let mut src = SrcUcq::empty();
+    let mut condensed = 0;
+    for cq in cqs {
+        let small = condense(cq, spec.reasoner());
+        condensed += cq.body().len() - small.body().len();
+        unfold_cq(spec.mapping(), index, &small, |q| {
+            let approx_bytes = std::mem::size_of_val(q.body()) + std::mem::size_of_val(q.head());
+            if !src.push(q) {
+                return Ok(());
+            }
+            if src.len() > max_rewrite {
+                return Err(ObdmError::Rewrite(RewriteError::BudgetExceeded {
+                    max_disjuncts: max_rewrite,
+                }));
+            }
+            if src.len() > spec.unfold_max {
+                return Err(ObdmError::Unfold(UnfoldError::BudgetExceeded {
+                    max_disjuncts: spec.unfold_max,
+                }));
+            }
+            // The guard's counter is cumulative across the run, so a
+            // blown-up query space fails here (transiently) instead of
+            // exhausting memory.
+            if let Some(guard) = interrupt.guard() {
+                if !guard.charge(GuardKind::RewriteDisjuncts, 1, approx_bytes) {
+                    let trip = guard.trip().unwrap_or(GuardTrip {
+                        kind: GuardKind::RewriteDisjuncts,
+                        limit: 0,
+                        observed: 0,
+                    });
+                    return Err(ObdmError::Rewrite(RewriteError::ResourceLimit(trip)));
+                }
+            }
+            Ok(())
+        })?;
+    }
+    let minimized_away = minimize_ucq(&mut src);
+    sp.count("src_disjuncts", src.len() as u64);
+    sp.count("condensed", condensed as u64);
+    sp.count("minimized_away", minimized_away as u64);
+    Ok(src)
+}
+
+/// Drops each atom of `cq` that another of its atoms implies under the
+/// TBox; of two atoms that imply each other the earlier stays. The result
+/// has the same certain answers: what is dropped holds wherever what
+/// stays holds. `likes(x, y), studies(x, y)` with `studies ⊑ likes`
+/// condenses to `studies(x, y)`, which is what PerfectRef's minimization
+/// leaves too, so both routes give the candidate the same source query.
+/// Bodies over 64 atoms are returned as they are.
+fn condense<'q>(cq: &'q OntoCq, reasoner: &Reasoner) -> Cow<'q, OntoCq> {
+    let body = cq.body();
+    if body.len() < 2 || body.len() > 64 {
+        return Cow::Borrowed(cq);
+    }
+    let mut kept = u64::MAX >> (64 - body.len());
+    for (i, &a) in body.iter().enumerate() {
+        let dropped = body.iter().enumerate().any(|(j, &b)| {
+            j != i
+                && kept & (1 << j) != 0
+                && implies(reasoner, b, a)
+                && (j < i || !implies(reasoner, a, b))
+        });
+        if dropped {
+            kept &= !(1 << i);
+        }
+    }
+    if kept.count_ones() as usize == body.len() {
+        return Cow::Borrowed(cq);
+    }
+    let atoms = body
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| kept & (1 << i) != 0)
+        .map(|(_, &a)| a)
+        .collect();
+    // The atoms that stay hold every term of the dropped ones, so the
+    // head stays safe and this cannot fail.
+    OntoCq::new(cq.head().to_vec(), atoms).map_or(Cow::Borrowed(cq), Cow::Owned)
+}
+
+/// Whether atom `a` implies atom `b` in every model of the TBox: `b`'s
+/// predicate subsumes `a`'s over the same terms, with an inverse role
+/// swapping them, or `b` is a concept atom on a term of role atom `a`
+/// whose domain (range) it subsumes.
+fn implies(reasoner: &Reasoner, a: OntoAtom, b: OntoAtom) -> bool {
+    match (a, b) {
+        (OntoAtom::Concept(c, s), OntoAtom::Concept(d, t)) => {
+            s == t && reasoner.subsumes(BasicConcept::Atomic(c), BasicConcept::Atomic(d))
+        }
+        (OntoAtom::Role(p, s1, o1), OntoAtom::Role(q, s2, o2)) => {
+            (s1 == s2 && o1 == o2 && reasoner.role_subsumes(Role::direct(p), Role::direct(q)))
+                || (s1 == o2 && o1 == s2 && reasoner.role_subsumes(Role::direct(p), Role::inv(q)))
+        }
+        (OntoAtom::Role(p, s, o), OntoAtom::Concept(d, t)) => {
+            (s == t && reasoner.subsumes(BasicConcept::exists(p), BasicConcept::Atomic(d)))
+                || (o == t
+                    && reasoner.subsumes(BasicConcept::exists_inv(p), BasicConcept::Atomic(d)))
+        }
+        (OntoAtom::Concept(..), OntoAtom::Role(..)) => false,
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,11 +251,30 @@ mod tests {
         let mut sys = example_3_6_system();
         let q3 = sys.parse_query(r#"q(x) :- likes(x, "Science")"#).unwrap();
         let compiled = sys.spec().compile(&q3).unwrap();
-        // likes(x, "Science") ∪ studies(x, "Science") after PerfectRef…
-        assert_eq!(compiled.rewritten_disjuncts(), 2);
-        // …but only the studies disjunct unfolds (likes is unmapped).
+        // likes is unmapped: its one source disjunct is the studies
+        // assertion's body, ENR(x, "Science", z).
         assert_eq!(compiled.src_disjuncts(), 1);
         assert!(!compiled.is_unsatisfiable_at_sources());
+        let rendered = compiled.src().disjuncts()[0].render(sys.schema(), sys.db().consts());
+        assert_eq!(rendered, r#"q(x0) :- ENR(x0, "Science", x1)"#);
+        // Two CQs of one UCQ unfold into one union: studies(x, "Math")
+        // adds its own disjunct.
+        let both = sys
+            .parse_query("q(x) :- likes(x, \"Science\")\nq(x) :- studies(x, \"Math\")")
+            .unwrap();
+        assert_eq!(sys.spec().compile(&both).unwrap().src_disjuncts(), 2);
+    }
+
+    #[test]
+    fn condensation_gives_implied_atoms_the_same_source_query() {
+        let mut sys = example_3_6_system();
+        assert!(sys.spec().saturated_mapping().is_some());
+        let both = sys.parse_cq("q(x) :- likes(x, y), studies(x, y)").unwrap();
+        let one = sys.parse_cq("q(x) :- studies(x, y)").unwrap();
+        let both = sys.spec().compile_cq(&both).unwrap();
+        let one = sys.spec().compile_cq(&one).unwrap();
+        assert_eq!(both.src(), one.src());
+        assert_eq!(one.src_disjuncts(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::chase::ChaseConfig;
 use crate::compile::CompiledQuery;
-use obx_mapping::{virtual_abox, Mapping, UnfoldError};
+use obx_mapping::{virtual_abox, Mapping, MappingIndex, UnfoldError};
 use obx_ontology::{Reasoner, TBox};
 use obx_query::{OntoUcq, RewriteBudget, RewriteError};
 use obx_srcdb::{Const, Database, Schema, View};
@@ -12,7 +12,8 @@ use std::fmt;
 /// Errors surfaced by certain-answer computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObdmError {
-    /// PerfectRef exceeded its budget.
+    /// Rewriting exceeded its budget, was interrupted, or tripped the
+    /// run's resource guard.
     Rewrite(RewriteError),
     /// Unfolding exceeded its budget.
     Unfold(UnfoldError),
@@ -70,25 +71,38 @@ impl From<UnfoldError> for ObdmError {
 }
 
 /// The intensional level `J = ⟨O, S, M⟩`, with the ontology's reasoning
-/// tables precomputed.
+/// tables precomputed, and the mapping saturated with them when the
+/// ontology allows it.
 pub struct ObdmSpec {
     tbox: TBox,
     reasoner: Reasoner,
     mapping: Mapping,
-    /// Budget applied to PerfectRef when compiling queries.
+    /// The mapping saturated with the TBox's closures; `None` when the
+    /// TBox has a `B ⊑ ∃R` inclusion and queries compile through
+    /// PerfectRef.
+    saturated: Option<MappingIndex>,
+    /// Compile budget. On the PerfectRef route `max_disjuncts` caps the
+    /// CQs PerfectRef generates; on the saturated route it caps the
+    /// distinct source disjuncts one compilation emits.
     pub rewrite_budget: RewriteBudget,
-    /// Maximum disjuncts produced by unfolding.
+    /// Maximum source disjuncts produced by unfolding.
     pub unfold_max: usize,
 }
 
 impl ObdmSpec {
-    /// Builds a specification (precomputes the reasoner).
+    /// Builds a specification: precomputes the reasoner and, when the
+    /// TBox has no `B ⊑ ∃R` inclusion, the saturated mapping. A spec is
+    /// immutable after this, so both are shared by every query it
+    /// compiles.
     pub fn new(tbox: TBox, mapping: Mapping) -> Self {
         let reasoner = Reasoner::build(&tbox);
+        let saturated =
+            (!tbox.has_existential_rhs()).then(|| MappingIndex::saturated(&mapping, &reasoner));
         Self {
             tbox,
             reasoner,
             mapping,
+            saturated,
             rewrite_budget: RewriteBudget::default(),
             unfold_max: 100_000,
         }
@@ -109,23 +123,27 @@ impl ObdmSpec {
         &self.mapping
     }
 
-    /// Compiles an ontology UCQ into a directly evaluable source UCQ
-    /// (PerfectRef + unfold). The compiled query can be evaluated over any
-    /// view of any database with this schema.
+    /// The mapping saturated with the TBox, or `None` when queries compile
+    /// through PerfectRef (the TBox has a `B ⊑ ∃R` inclusion).
+    pub fn saturated_mapping(&self) -> Option<&MappingIndex> {
+        self.saturated.as_ref()
+    }
+
+    /// Compiles an ontology UCQ into a directly evaluable source UCQ (see
+    /// [`crate::compile`] for the two routes). The compiled query can be
+    /// evaluated over any view of any database with this schema.
     pub fn compile(&self, ucq: &OntoUcq) -> Result<CompiledQuery, ObdmError> {
         CompiledQuery::compile(self, ucq)
     }
 
-    /// Compiles a single ontology CQ (as a one-disjunct UCQ). This is the
-    /// unit of memoization in `obx-core`'s scoring engine: compilation
-    /// distributes over a UCQ's disjuncts, so any union can be assembled
-    /// from per-CQ compilations.
+    /// Compiles a single ontology CQ. This is the unit of memoization in
+    /// `obx-core`'s scoring engine: compilation distributes over a UCQ's
+    /// disjuncts, so any union can be assembled from per-CQ compilations.
     pub fn compile_cq(&self, cq: &obx_query::OntoCq) -> Result<CompiledQuery, ObdmError> {
-        self.compile(&OntoUcq::from_cq(cq.clone()))
+        self.compile_cq_interruptible(cq, &obx_util::Interrupt::none())
     }
 
-    /// [`ObdmSpec::compile`] with a cooperative stop signal threaded into
-    /// PerfectRef.
+    /// [`ObdmSpec::compile`] with a cooperative stop signal.
     pub fn compile_interruptible(
         &self,
         ucq: &OntoUcq,
@@ -140,7 +158,7 @@ impl ObdmSpec {
         cq: &obx_query::OntoCq,
         interrupt: &obx_util::Interrupt,
     ) -> Result<CompiledQuery, ObdmError> {
-        self.compile_interruptible(&OntoUcq::from_cq(cq.clone()), interrupt)
+        CompiledQuery::compile_cq_interruptible(self, cq, interrupt)
     }
 }
 
@@ -290,6 +308,8 @@ impl fmt::Debug for ObdmSystem {
 /// The fixture used across the workspace: the OBDM system of the paper's
 /// Example 3.6 (students, courses, universities, cities), exposed here so
 /// integration tests, examples, and benches all build the very same system.
+// The paper's fixed text parses; a test pins every piece of it.
+#[allow(clippy::expect_used)]
 pub fn example_3_6_system() -> ObdmSystem {
     let schema = obx_srcdb::parse_schema("STUD/1 LOC/2 ENR/3").expect("static schema");
     let mut db = obx_srcdb::parse_database(

@@ -110,6 +110,21 @@ impl TBox {
         self.axioms.iter().filter(|a| a.is_positive())
     }
 
+    /// Whether some positive inclusion has an existential on its right,
+    /// `B ⊑ ∃R`. Only such an axiom invents individuals: without one,
+    /// every consequence of the TBox over an ABox is an atom over the
+    /// ABox's own individuals. PerfectRef needs its reduce step exactly
+    /// then, and a mapping can be saturated with the TBox exactly when
+    /// not.
+    pub fn has_existential_rhs(&self) -> bool {
+        self.axioms.iter().any(|ax| {
+            matches!(
+                ax,
+                Axiom::ConceptIncl(_, ConceptRhs::Basic(BasicConcept::Exists(_)))
+            )
+        })
+    }
+
     /// Number of axioms.
     pub fn len(&self) -> usize {
         self.axioms.len()
@@ -180,6 +195,18 @@ mod tests {
         assert_eq!(t.positive_inclusions().count(), 1);
         assert!(Axiom::ConceptIncl(a, ConceptRhs::Basic(b)).is_positive());
         assert!(!Axiom::Funct(r).is_positive());
+    }
+
+    #[test]
+    fn existential_rhs_is_only_a_positive_exists_on_the_right() {
+        let mut t = TBox::new();
+        let a = BasicConcept::Atomic(t.vocab_mut().concept("A"));
+        let r = Role::direct(t.vocab_mut().role("r"));
+        t.concept_incl(BasicConcept::Exists(r), a);
+        t.concept_disjoint(a, BasicConcept::Exists(r.inverted()));
+        assert!(!t.has_existential_rhs(), "∃ on the left or under ¬");
+        t.concept_incl(a, BasicConcept::Exists(r.inverted()));
+        assert!(t.has_existential_rhs());
     }
 
     #[test]

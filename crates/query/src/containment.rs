@@ -97,6 +97,30 @@ pub fn ucq_contained(u1: &SrcUcq, u2: &SrcUcq) -> bool {
         .all(|d1| u2.disjuncts().iter().any(|d2| cq_contained(d1, d2)))
 }
 
+/// Drops each disjunct of `ucq` contained in another one; of mutually
+/// contained disjuncts the earliest stays. Returns how many were dropped.
+/// The union keeps its answers on every database.
+pub fn minimize_ucq(ucq: &mut SrcUcq) -> usize {
+    let d = ucq.disjuncts();
+    if d.len() < 2 {
+        return 0;
+    }
+    let mut keep = vec![true; d.len()];
+    for i in 0..d.len() {
+        keep[i] = !(0..d.len()).any(|j| {
+            j != i
+                && keep[j]
+                && cq_contained(&d[i], &d[j])
+                && (j < i || !cq_contained(&d[j], &d[i]))
+        });
+    }
+    let dropped = keep.iter().filter(|&&k| !k).count();
+    if dropped > 0 {
+        ucq.keep(&keep);
+    }
+    dropped
+}
+
 /// Whether two CQs are equivalent (mutual containment).
 pub fn cq_equivalent(q1: &SrcCq, q2: &SrcCq) -> bool {
     cq_contained(q1, q2) && cq_contained(q2, q1)

@@ -34,7 +34,7 @@ pub mod src;
 pub mod term;
 
 pub use containment::{
-    cq_contained, cq_equivalent, minimize_cq, minimize_onto_cq, onto_cq_contained,
+    cq_contained, cq_equivalent, minimize_cq, minimize_onto_cq, minimize_ucq, onto_cq_contained,
     onto_to_pseudo_src, onto_ucq_contained, ucq_contained,
 };
 pub use eval::{

@@ -87,11 +87,11 @@ impl fmt::Display for RewriteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RewriteError::BudgetExceeded { max_disjuncts } => {
-                write!(f, "PerfectRef exceeded {max_disjuncts} disjuncts")
+                write!(f, "rewriting exceeded {max_disjuncts} disjuncts")
             }
-            RewriteError::Interrupted => write!(f, "PerfectRef interrupted"),
+            RewriteError::Interrupted => write!(f, "rewriting interrupted"),
             RewriteError::ResourceLimit(trip) => {
-                write!(f, "PerfectRef stopped by resource guard: {trip}")
+                write!(f, "rewriting stopped by resource guard: {trip}")
             }
         }
     }
@@ -305,12 +305,7 @@ fn perfect_ref_inner(
     // be skipped wholesale. This turns PerfectRef from exponential to
     // linear on large queries over hierarchy-only TBoxes (the common case
     // in the explanation search's bottom-up seeds).
-    let needs_reduce = pis.iter().any(|ax| {
-        matches!(
-            ax,
-            Axiom::ConceptIncl(_, ConceptRhs::Basic(BasicConcept::Exists(_)))
-        )
-    });
+    let needs_reduce = tbox.has_existential_rhs();
     let mut seen: FxHashSet<OntoCq> = FxHashSet::default();
     let mut queue: VecDeque<OntoCq> = VecDeque::new();
     let mut out: Vec<OntoCq> = Vec::new();
@@ -414,8 +409,9 @@ fn minimize(disjuncts: Vec<OntoCq>) -> Vec<OntoCq> {
             if i == j || !keep[j] {
                 continue;
             }
-            // Drop i if i ⊑ j (j already covers i's answers). Tie (mutual
-            // containment) keeps the earlier one.
+            // Drop i if i ⊑ j (j already covers i's answers). Of two
+            // mutually contained disjuncts the earlier one is dropped when
+            // its turn comes, so the later one stays.
             if onto_cq_contained(&disjuncts[i], &disjuncts[j])
                 && !(j < i && onto_cq_contained(&disjuncts[j], &disjuncts[i]))
             {

@@ -126,9 +126,15 @@ impl SrcCq {
 
     /// Canonical variant (same contract as [`crate::OntoCq::canonical`]):
     /// a sound dedup key, invariant under most renamings/atom orders.
+    /// Rename + sort + dedup passes run until one changes nothing; a pass
+    /// whose output already numbers its variables in first-occurrence
+    /// order is known to be that fixed point without running another.
     pub fn canonical(&self) -> SrcCq {
         let mut cur = self.canon_pass();
         for _ in 0..8 {
+            if cur.numbered_in_order() {
+                break;
+            }
             let next = cur.canon_pass();
             if next == cur {
                 break;
@@ -138,17 +144,41 @@ impl SrcCq {
         cur
     }
 
-    fn canon_pass(&self) -> SrcCq {
-        let mut rename: FxHashMap<VarId, VarId> = FxHashMap::default();
+    /// Whether the variables are `x0, x1, …` in order of first
+    /// occurrence (head, then body left to right). Then a rename pass is
+    /// the identity, and on a sorted, deduplicated body the whole pass is.
+    fn numbered_in_order(&self) -> bool {
         let mut next = 0u32;
-        let mut get = |v: VarId, rename: &mut FxHashMap<VarId, VarId>| -> VarId {
-            *rename.entry(v).or_insert_with(|| {
-                let nv = VarId(next);
+        let vars = self.head.iter().copied().chain(
+            self.body
+                .iter()
+                .flat_map(|a| a.args.iter().filter_map(|t| t.as_var())),
+        );
+        for v in vars {
+            if v.0 == next {
                 next += 1;
-                nv
-            })
+            } else if v.0 > next {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn canon_pass(&self) -> SrcCq {
+        // Queries hold a handful of variables, so a scanned list beats a
+        // hash map here.
+        let mut rename: Vec<(VarId, VarId)> = Vec::new();
+        let mut get = |v: VarId| -> VarId {
+            match rename.iter().find(|&&(old, _)| old == v) {
+                Some(&(_, new)) => new,
+                None => {
+                    let new = VarId(rename.len() as u32);
+                    rename.push((v, new));
+                    new
+                }
+            }
         };
-        let head: Vec<VarId> = self.head.iter().map(|&v| get(v, &mut rename)).collect();
+        let head: Vec<VarId> = self.head.iter().map(|&v| get(v)).collect();
         let mut body: Vec<SrcAtom> = self
             .body
             .iter()
@@ -158,7 +188,7 @@ impl SrcCq {
                     .args
                     .iter()
                     .map(|&t| match t {
-                        Term::Var(v) => Term::Var(get(v, &mut rename)),
+                        Term::Var(v) => Term::Var(get(v)),
                         c => c,
                     })
                     .collect(),
@@ -241,6 +271,13 @@ impl SrcUcq {
     /// The disjuncts.
     pub fn disjuncts(&self) -> &[SrcCq] {
         &self.disjuncts
+    }
+
+    /// Keeps the `i`-th disjunct iff `keep[i]`, in order.
+    pub(crate) fn keep(&mut self, keep: &[bool]) {
+        let mut keep = keep.iter();
+        self.disjuncts
+            .retain(|_| keep.next().copied().unwrap_or(true));
     }
 
     /// Number of disjuncts.
@@ -377,6 +414,76 @@ mod tests {
             ours.sort_by(canon_order);
             theirs.sort_by(old);
             prop_assert_eq!(ours, theirs);
+        }
+    }
+
+    /// The canonicalizer before it skipped its last pass: a hash-map
+    /// rename per pass, and passes until one changes nothing.
+    fn reference_canonical(q: &SrcCq) -> SrcCq {
+        let pass = |q: &SrcCq| {
+            let mut rename: FxHashMap<VarId, VarId> = FxHashMap::default();
+            let mut get = |v: VarId| {
+                let n = rename.len() as u32;
+                *rename.entry(v).or_insert(VarId(n))
+            };
+            let head: Vec<VarId> = q.head.iter().map(|&v| get(v)).collect();
+            let mut body: Vec<SrcAtom> = q
+                .body
+                .iter()
+                .map(|a| {
+                    SrcAtom::new(
+                        a.rel,
+                        a.args.iter().map(|&t| match t {
+                            Term::Var(v) => Term::Var(get(v)),
+                            c => c,
+                        }),
+                    )
+                })
+                .collect();
+            body.sort_by(canon_order);
+            body.dedup();
+            SrcCq { head, body }
+        };
+        let mut cur = pass(q);
+        for _ in 0..8 {
+            let next = pass(&cur);
+            if next == cur {
+                break;
+            }
+            cur = next;
+        }
+        cur
+    }
+
+    proptest! {
+        /// Skipping the pass that would find nothing to change gives the
+        /// same canonical form.
+        #[test]
+        fn canonical_equals_the_every_pass_reference(seed in 0u64..100_000, n in 1usize..6) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let body: Vec<SrcAtom> = (0..n)
+                .map(|_| {
+                    // Spread variable ids so renaming has work to do.
+                    let a = random_atom(&mut rng);
+                    let off: u32 = rng.gen_range(0..5);
+                    SrcAtom::new(a.rel, a.args.iter().map(|&t| match t {
+                        Term::Var(v) => var(v.0 * 3 + off),
+                        c => c,
+                    }))
+                })
+                .collect();
+            let vars: Vec<VarId> = body
+                .iter()
+                .flat_map(|a| a.args.iter().filter_map(|t| t.as_var()))
+                .collect();
+            let head: Vec<VarId> = if vars.is_empty() {
+                Vec::new()
+            } else {
+                (0..rng.gen_range(0..3)).map(|_| vars[rng.gen_range(0..vars.len())]).collect()
+            };
+            let q = SrcCq::new(head, body).unwrap();
+            prop_assert_eq!(q.canonical(), reference_canonical(&q));
         }
     }
 
