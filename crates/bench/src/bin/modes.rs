@@ -54,11 +54,14 @@ impl ModeRun {
         self.engine.cache_hits() + self.engine.cache_misses()
     }
 
-    /// Pruned candidates never reach the engine, so the generated total
-    /// is the scored count plus the pruned count.
+    /// The share of generated candidates pruned. A candidate pruned
+    /// before compilation never reaches the engine; one whose evaluation
+    /// a cutoff stopped is a cache miss *and* pruned, so it is counted
+    /// once.
     fn prune_rate(&self) -> f64 {
         let pruned = self.report.pruned as f64;
-        pruned / (pruned + self.candidates() as f64).max(1.0)
+        let generated = self.candidates() as f64 + pruned - self.engine.cutoffs() as f64;
+        pruned / generated.max(1.0)
     }
 }
 
@@ -104,7 +107,7 @@ fn assert_complete(scenario_name: &str, run: &ModeRun) {
 
 /// Runs all three modes on one scenario, best of [`REPS`] interleaved,
 /// and writes their fields. Returns the kept [fscore, sound, complete]
-/// runs for scenario-specific asserts.
+/// runs for scenario-specific asserts, and their wall times.
 fn bench_scenario(
     key: &str,
     scenario: &Scenario,
@@ -113,7 +116,7 @@ fn bench_scenario(
     radius: usize,
     limits: SearchLimits,
     report: &mut Report,
-) -> [ModeRun; 3] {
+) -> ([ModeRun; 3], [f64; 3]) {
     let scorings = scorings_for(scenario, fscore);
     let task = ExplainTask::new(
         &scenario.system,
@@ -146,7 +149,8 @@ fn bench_scenario(
             .count(format!("{key}_{mode}_pruned"), run.report.pruned as u64)
             .real(format!("{key}_{mode}_prune_rate"), run.prune_rate(), 4);
     }
-    best.map(|side| side.into_run())
+    let ms = best.each_ref().map(|side| side.ms());
+    (best.map(|side| side.into_run()), ms)
 }
 
 fn main() {
@@ -162,7 +166,7 @@ fn main() {
         ..UniversityParams::default()
     });
     let fscore = Scoring::paper_weighted(1.0, 1.0, 1.0);
-    let uni_runs = bench_scenario(
+    let (uni_runs, uni_ms) = bench_scenario(
         "uni",
         &uni,
         &fscore,
@@ -177,6 +181,18 @@ fn main() {
     );
     assert_sound("university", &uni_runs[1]);
     assert_complete("university", &uni_runs[2]);
+    // Complete mode is the slowest objective; rising floors and
+    // in-evaluation cutoffs must keep pruning it (a specialization of an
+    // incomplete parent can never become complete).
+    assert!(
+        uni_runs[2].report.pruned > 0,
+        "uni/complete: bound pruning went dark under the complete scoring"
+    );
+    report.real(
+        "uni_complete_over_fscore",
+        uni_ms[2] / uni_ms[0].max(1e-9),
+        2,
+    );
 
     // Workload 2: the skewed flagship pruning scenario (see the `search`
     // bench for why this shape makes the optimistic bound bite). Here it
@@ -190,7 +206,7 @@ fn main() {
         ..SkewedParams::default()
     });
     let skewed_fscore = Scoring::accuracy();
-    let skewed_runs = bench_scenario(
+    let (skewed_runs, _) = bench_scenario(
         "skewed",
         &skewed,
         &skewed_fscore,
@@ -222,7 +238,7 @@ fn main() {
     // strictly falls — and skips it unscored. Sound mode prunes here
     // too: a λ⁻-dirty disjunct pins the trial's δS to 0, killing it
     // before evaluation.
-    let skewed_ucq_runs = bench_scenario(
+    let (skewed_ucq_runs, _) = bench_scenario(
         "skewed_ucq",
         &skewed,
         &skewed_fscore,

@@ -45,11 +45,14 @@ impl ModeRun {
         self.engine.cache_hits() + self.engine.cache_misses()
     }
 
-    /// Pruned candidates never reach the engine, so the generated total
-    /// is the scored count plus the pruned count.
+    /// The share of generated candidates pruned. A candidate pruned
+    /// before compilation never reaches the engine; one whose evaluation
+    /// a cutoff stopped is a cache miss *and* pruned, so it is counted
+    /// once.
     fn prune_rate(&self) -> f64 {
         let pruned = self.report.pruned as f64;
-        pruned / (pruned + self.candidates() as f64).max(1.0)
+        let generated = self.candidates() as f64 + pruned - self.engine.cutoffs() as f64;
+        pruned / generated.max(1.0)
     }
 }
 

@@ -2,16 +2,93 @@
 //!
 //! Every `BENCH_*.json` bin times its repetitions through [`Best`] and
 //! writes its file through [`Report`], so best-of-N, drift checks, host
-//! facts and the file location are decided here once. [`ranked`] is the
-//! search output the drift and identity asserts compare.
+//! facts (the host-speed [`kernel_us`] reading among them) and the file
+//! location are decided here once. [`ranked`] is the search output the
+//! drift and identity asserts compare.
 
 use obx_core::explain::{ExplainReport, Explanation};
 use obx_core::matcher::MatchStats;
 use obx_core::ScoringEngine;
 use obx_obdm::ObdmSystem;
 use obx_util::PipelineProfile;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::path::Path;
+use std::sync::{Barrier, Mutex, PoisonError};
 use std::time::Instant;
+
+/// Slots of the host-speed kernel's table: a few hundred KiB, inside one
+/// core's L2 cache, so the kernel measures the core and not the memory
+/// bus.
+const KERNEL_SLOTS: u64 = 1 << 14;
+/// Table updates per kernel pass.
+const KERNEL_OPS: u64 = 1 << 19;
+/// Kernel probes a report takes when it opens, and again when it closes.
+const KERNEL_PROBES: usize = 3;
+
+/// Every host-speed kernel reading this process has taken: one before
+/// each timed repetition ([`Best::time`]) and [`KERNEL_PROBES`] when a
+/// [`Report`] opens and when it finishes.
+static KERNEL_LOG: Mutex<Vec<f64>> = Mutex::new(Vec::new());
+
+/// Barrier rounds a kernel reading is split into.
+const KERNEL_ROUNDS: u64 = 64;
+
+/// One reading of the host-speed kernel, in microseconds: on each of the
+/// threads `ScoringEngine::new()` scores on, a fixed number of counter
+/// updates into a hash table with a fixed hasher, in rounds that end at a
+/// barrier, as the scoring pool's chunks do; timed after one untimed
+/// pass that brings the tables into cache. The kernel is bench-harness
+/// code, so a change to the program never moves it; on a shared host it
+/// slows down with the program whenever a neighbour takes a core the
+/// benches use, and, like the pool, it waits at every round for its
+/// slowest thread. `obx-ci` divides a fresh bench file's wall times by
+/// the ratio of its `host_kernel_us` to the baseline's, which tells a
+/// slow host from a slow change.
+pub fn kernel_us() -> f64 {
+    let threads = ScoringEngine::new().threads();
+    let barrier = Barrier::new(threads);
+    let run = |timed: bool| -> f64 {
+        let mut table: HashMap<u64, u64, BuildHasherDefault<DefaultHasher>> =
+            HashMap::with_capacity_and_hasher(KERNEL_SLOTS as usize, Default::default());
+        let mut pass = || {
+            for round in 0..KERNEL_ROUNDS {
+                let ops = KERNEL_OPS / KERNEL_ROUNDS;
+                for i in round * ops..(round + 1) * ops {
+                    let slot = i.wrapping_mul(0x2545_F491_4F6C_DD1D).rotate_left(17) % KERNEL_SLOTS;
+                    *table.entry(slot).or_insert(0u64) ^= i;
+                }
+                barrier.wait();
+            }
+            std::hint::black_box(table.len());
+        };
+        pass();
+        let t0 = Instant::now();
+        pass();
+        if timed {
+            t0.elapsed().as_secs_f64() * 1e6
+        } else {
+            0.0
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(|| run(false));
+        }
+        run(true)
+    })
+}
+
+/// Takes `n` kernel readings into the process's log.
+fn probe_kernel(n: usize) {
+    let readings: Vec<f64> = (0..n).map(|_| kernel_us()).collect();
+    kernel_log().extend(readings);
+}
+
+fn kernel_log() -> std::sync::MutexGuard<'static, Vec<f64>> {
+    KERNEL_LOG.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A best-of-N accumulator: keeps the repetition with the lowest wall
 /// time. Every repetition after the first is drift-checked against the
@@ -39,8 +116,11 @@ impl<T, F: FnMut(&T, &T)> Best<T, F> {
         best
     }
 
-    /// Times one repetition of `f` and offers it.
+    /// Times one repetition of `f` and offers it. A host-speed kernel
+    /// reading is taken first, untimed, so the report's `host_kernel_us`
+    /// samples the host at the moments the repetitions ran.
     pub fn time(&mut self, f: impl FnOnce() -> T) {
+        probe_kernel(1);
         let t0 = Instant::now();
         let run = f();
         self.offer(t0.elapsed().as_secs_f64() * 1e3, run);
@@ -92,11 +172,20 @@ pub struct Report {
     fields: Vec<(String, String)>,
 }
 
+/// The key of the host-speed reading among the host facts.
+const KERNEL_KEY: &str = "host_kernel_us";
+
 impl Report {
     /// A report for bench `bench`, stamped with the host facts: `cores`
     /// (available parallelism), `pool_workers` (worker threads
-    /// `ScoringEngine::new()` spawns) and `obx_threads` (the parsed
-    /// `OBX_THREADS`, 0 when unset or invalid).
+    /// `ScoringEngine::new()` spawns), `obx_threads` (the parsed
+    /// `OBX_THREADS`, 0 when unset or invalid) and `host_kernel_us`, the
+    /// lower quartile of the run's [`kernel_us`] readings — probes taken
+    /// now, before every timed repetition, and by [`Report::finish`].
+    /// A bench keeps each side's fastest repetition, which lands in the
+    /// host's faster moments, so the lower quartile is the reading it is
+    /// compared with (the single fastest reading tracked the kept wall
+    /// times worst).
     pub fn new(bench: &str) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let obx_threads = obx_util::pool::env_threads().unwrap_or(0);
@@ -106,7 +195,31 @@ impl Report {
             .count("cores", cores as u64)
             .count("pool_workers", ScoringEngine::new().threads() as u64 - 1)
             .count("obx_threads", obx_threads as u64);
+        probe_kernel(KERNEL_PROBES);
+        report.stamp_kernel();
         report
+    }
+
+    /// Stamps `host_kernel_us` with the lower quartile of the readings
+    /// logged so far.
+    fn stamp_kernel(&mut self) {
+        let mut readings = kernel_log().clone();
+        readings.sort_by(f64::total_cmp);
+        self.set_kernel(
+            readings
+                .get(readings.len() / 4)
+                .copied()
+                .unwrap_or(f64::NAN),
+        );
+    }
+
+    /// Sets `host_kernel_us`, in place when it is already stamped.
+    fn set_kernel(&mut self, us: f64) {
+        let value = format!("{us:.1}");
+        match self.fields.iter_mut().find(|(k, _)| k == KERNEL_KEY) {
+            Some(field) => field.1 = value,
+            None => self.fields.push((KERNEL_KEY.to_owned(), value)),
+        }
     }
 
     fn push(&mut self, key: String, value: String) -> &mut Self {
@@ -159,9 +272,13 @@ impl Report {
         format!("{{{}}}", fields.join(","))
     }
 
-    /// Prints the report to stdout and writes it to `BENCH_<file>.json`
-    /// at the workspace root, naming the path on stderr.
-    pub fn finish(&self, file: &str) {
+    /// Takes the closing kernel probes, restamps `host_kernel_us`, prints
+    /// the report to stdout and
+    /// writes it to `BENCH_<file>.json` at the workspace root, naming the
+    /// path on stderr.
+    pub fn finish(&mut self, file: &str) {
+        probe_kernel(KERNEL_PROBES);
+        self.stamp_kernel();
         let json = self.render();
         println!("{json}");
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -242,7 +359,7 @@ mod tests {
         assert_eq!(obj["ok"], Json::Bool(true));
         assert_eq!(obj["n"], Json::Num(42.0));
         assert!(matches!(obj["profile"], Json::Obj(_)));
-        for fact in ["cores", "pool_workers", "obx_threads"] {
+        for fact in ["cores", "pool_workers", "obx_threads", "host_kernel_us"] {
             assert!(
                 matches!(obj[fact], Json::Num(_)),
                 "missing host fact {fact}"
@@ -255,6 +372,7 @@ mod tests {
             "cores",
             "pool_workers",
             "obx_threads",
+            "host_kernel_us",
             "a_ms",
             "rate",
             "n",
@@ -280,6 +398,27 @@ mod tests {
         let mut r = Report::new("test");
         r.ms("b_ms", 7.0);
         assert!(r.render().ends_with("\"b_ms\":7.000}"));
+    }
+
+    #[test]
+    fn the_kernel_reading_is_the_lower_quartile_and_is_restamped_in_place() {
+        let mut r = Report::new("test");
+        let stamped = |r: &Report| -> Vec<String> {
+            r.fields
+                .iter()
+                .filter(|(k, _)| k == KERNEL_KEY)
+                .map(|(_, v)| v.clone())
+                .collect()
+        };
+        let first: f64 = stamped(&r)[0].parse().expect("a number");
+        assert!(first > 0.0 && first.is_finite());
+        let below = kernel_log().iter().filter(|&&us| us < first - 0.05).count();
+        assert!(below <= kernel_log().len() / 4, "the lower quartile");
+        r.set_kernel(12.34);
+        assert_eq!(stamped(&r), ["12.3"], "restamped, not pushed twice");
+        let logged = kernel_log().len();
+        Best::of(2, |_: &(), _: &()| {}, || {});
+        assert!(kernel_log().len() >= logged + 2, "one probe per repetition");
     }
 
     #[test]

@@ -16,13 +16,19 @@
 //! committed `BENCH_*.json` baselines (scoring, search, eval, serve, scale,
 //! modes) and fails on a wall-time regression above 20% that is also
 //! more than 5 ms absolute (sub-millisecond benches jitter past 20% on
-//! a loaded machine; the bench bins' own hard floors, e.g. the smoke
+//! a loaded machine). Wall times are compared at the baseline's host
+//! speed: every bench file stamps a host-speed kernel reading
+//! (`host_kernel_us`), and a fresh file's `*_ms` values are divided by
+//! the ratio of its reading to the baseline's, so a slow phase of a
+//! shared host does not fail an unchanged tree (the bench bins' own hard
+//! floors, e.g. the smoke
 //! bench's 2× cache speedup, stay in force because a bin exiting nonzero
 //! fails its step). A bench step that runs *without* a committed
 //! baseline fails the gate outright — an ungated bench is a silent hole,
 //! not a soft skip — and so does a baseline `*_ms` key the fresh file no
 //! longer carries, or a fresh file without the host facts (`cores`,
-//! `pool_workers`, `obx_threads`) the bench harness stamps. A bench file
+//! `pool_workers`, `obx_threads`, `host_kernel_us`) the bench harness
+//! stamps. A bench file
 //! whose wall-time keys would fail gets its bin re-run once and is gated
 //! on the better of the two runs — machine-load noise retries away, a
 //! real regression fails twice.
@@ -361,26 +367,61 @@ struct Delta {
     file: &'static str,
     key: String,
     base: f64,
-    /// The fresh value; `None` when the fresh file lacks the key.
+    /// The fresh value — for a gated wall time, at the baseline's host
+    /// speed (divided by `slowdown`); `None` when the fresh file lacks the
+    /// key.
     fresh: Option<f64>,
+    /// How much slower the host ran for the fresh file than for the
+    /// baseline ([`host_slowdown`]).
+    slowdown: f64,
     /// Relative change, sign-adjusted so positive = worse; infinite for
     /// a missing gated key.
     worse_frac: f64,
     gated: bool,
 }
 
+/// The host-speed reading every bench file carries among its host facts
+/// (`obx_bench::harness::kernel_us`).
+const HOST_KERNEL: &str = "host_kernel_us";
+
+/// How much slower the host ran for the fresh file than for the baseline:
+/// the ratio of their [`HOST_KERNEL`] readings, or 1 when either lacks
+/// one (a baseline written before the kernel existed).
+fn host_slowdown(base: &[(String, f64)], fresh: &[(String, f64)]) -> f64 {
+    let kernel = |fields: &[(String, f64)]| {
+        fields
+            .iter()
+            .find(|(k, _)| k == HOST_KERNEL)
+            .map(|(_, v)| *v)
+            .filter(|v| v.is_finite() && *v > 0.0)
+    };
+    match (kernel(base), kernel(fresh)) {
+        (Some(b), Some(f)) => f / b,
+        _ => 1.0,
+    }
+}
+
 /// Compares one fresh bench file against its pre-run baseline. Gated
-/// keys are wall-times (`*_ms`: higher is worse); speedup keys are
-/// reported but left to the bench bins' own hard floors. A gated key the
-/// fresh file no longer carries is a delta that fails the gate: a bin
-/// that renames or drops a wall time must not slip past it.
+/// keys are wall-times (`*_ms`: higher is worse), compared at the
+/// baseline's host speed: each fresh wall time is divided by the
+/// [`host_slowdown`] between the two files, so a slow phase of a shared
+/// host, which slows the kernel as much as the bench, is not a
+/// regression, while a slow change, which leaves the kernel alone, still
+/// is. Speedup keys are reported but left to the bench bins' own hard
+/// floors. A gated key the fresh file no longer carries is a delta that
+/// fails the gate: a bin that renames or drops a wall time must not slip
+/// past it.
 fn bench_deltas(file: &'static str, baseline: &str, fresh: &str) -> Vec<Delta> {
     let base: Vec<(String, f64)> = top_level_numbers(baseline);
     let new: Vec<(String, f64)> = top_level_numbers(fresh);
+    let slowdown = host_slowdown(&base, &new);
     let mut deltas = Vec::new();
     for (key, b) in &base {
         let gated = key.ends_with("_ms");
-        let f = new.iter().find(|(k, _)| k == key).map(|(_, f)| *f);
+        let f = new
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, f)| if gated { *f / slowdown } else { *f });
         let worse_frac = match f {
             None if gated => f64::INFINITY,
             None => continue,
@@ -393,6 +434,7 @@ fn bench_deltas(file: &'static str, baseline: &str, fresh: &str) -> Vec<Delta> {
             key: key.clone(),
             base: *b,
             fresh: f,
+            slowdown,
             worse_frac,
             gated,
         });
@@ -409,9 +451,9 @@ fn fails_gate(d: &Delta) -> bool {
 }
 
 /// The host facts every bench file carries at top level (stamped by
-/// `obx_bench::harness::Report`): core count, scoring-pool workers, and
-/// the parsed `OBX_THREADS`.
-const HOST_FACTS: [&str; 3] = ["cores", "pool_workers", "obx_threads"];
+/// `obx_bench::harness::Report`): core count, scoring-pool workers, the
+/// parsed `OBX_THREADS`, and the host-speed kernel reading.
+const HOST_FACTS: [&str; 4] = ["cores", "pool_workers", "obx_threads", HOST_KERNEL];
 
 /// The [`HOST_FACTS`] a fresh bench file lacks. A bin that writes its
 /// file without the shared harness fails the gate here.
@@ -424,6 +466,15 @@ fn missing_host_facts(fresh: &str) -> Vec<&'static str> {
 }
 
 fn print_delta_table(deltas: &[Delta]) {
+    let mut files: Vec<(&str, f64)> = Vec::new();
+    for d in deltas {
+        if !files.contains(&(d.file, d.slowdown)) {
+            files.push((d.file, d.slowdown));
+        }
+    }
+    for (file, slowdown) in files {
+        eprintln!("{file}: host ran {slowdown:.2}x the baseline's kernel time; wall times below are at the baseline's speed");
+    }
     eprintln!(
         "{:<18} {:<28} {:>12} {:>12} {:>9}  gate",
         "file", "key", "baseline", "fresh", "delta"
@@ -640,12 +691,14 @@ fn main() {
             regressions.push(match d.fresh {
                 None => format!("{}:{} missing from the fresh file", d.file, d.key),
                 Some(f) => format!(
-                    "{}:{} {:.3} -> {:.3} (+{:.1}%)",
+                    "{}:{} {:.3} -> {:.3} (+{:.1}%; {:.3} measured, host {:.2}x slower)",
                     d.file,
                     d.key,
                     d.base,
                     f,
-                    d.worse_frac * 100.0
+                    d.worse_frac * 100.0,
+                    f * d.slowdown,
+                    d.slowdown
                 ),
             });
         }
@@ -852,6 +905,7 @@ mod tests {
             key: "x_ms".to_owned(),
             base,
             fresh: Some(fresh),
+            slowdown: 1.0,
             worse_frac: (fresh - base) / base,
             gated,
         };
@@ -881,9 +935,39 @@ mod tests {
 
     #[test]
     fn bench_files_must_carry_the_host_facts() {
-        let stamped = r#"{"bench":"t","cores":2,"pool_workers":1,"obx_threads":0,"a_ms":1.0}"#;
+        let stamped = r#"{"bench":"t","cores":2,"pool_workers":1,"obx_threads":0,"host_kernel_us":9000.0,"a_ms":1.0}"#;
         assert!(missing_host_facts(stamped).is_empty());
         let bare = r#"{"bench":"t","cores":2,"a_ms":1.0,"profile":{"pool_workers":1}}"#;
-        assert_eq!(missing_host_facts(bare), ["pool_workers", "obx_threads"]);
+        assert_eq!(
+            missing_host_facts(bare),
+            ["pool_workers", "obx_threads", "host_kernel_us"]
+        );
+    }
+
+    /// A no-op tree measured in a slow host phase: every wall time and the
+    /// kernel read 1.45x the baseline. At the baseline's host speed
+    /// nothing regressed; without the kernel the same file fails. A real
+    /// regression in a slow phase still fails.
+    #[test]
+    fn gate_compares_wall_times_at_the_baseline_host_speed() {
+        let baseline = r#"{"bench":"t","host_kernel_us":10000.0,"a_ms":40.0,"b_ms":100.0}"#;
+        let slow_phase = r#"{"bench":"t","host_kernel_us":14500.0,"a_ms":58.0,"b_ms":145.0}"#;
+        let failing = |base: &str, fresh: &str| -> Vec<String> {
+            bench_deltas("BENCH_t.json", base, fresh)
+                .into_iter()
+                .filter(fails_gate)
+                .map(|d| d.key)
+                .collect()
+        };
+        assert!(
+            failing(baseline, slow_phase).is_empty(),
+            "a slow host is not a slow change"
+        );
+        let d = &bench_deltas("BENCH_t.json", baseline, slow_phase)[2];
+        assert!((d.slowdown - 1.45).abs() < 1e-9 && (d.fresh.unwrap() - 100.0).abs() < 1e-9);
+        let unstamped = r#"{"bench":"t","a_ms":58.0,"b_ms":145.0}"#;
+        assert_eq!(failing(baseline, unstamped), ["a_ms", "b_ms"]);
+        let slow_change = r#"{"bench":"t","host_kernel_us":14500.0,"a_ms":58.0,"b_ms":200.0}"#;
+        assert_eq!(failing(baseline, slow_change), ["b_ms"]);
     }
 }

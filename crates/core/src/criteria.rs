@@ -9,7 +9,7 @@
 //! [`Criterion::Custom`].
 
 use crate::matcher::MatchStats;
-use crate::prune::{Interval, RefineDir};
+use crate::prune::{CountBox, Interval};
 use std::fmt;
 use std::sync::Arc;
 
@@ -122,134 +122,51 @@ impl Criterion {
         }
     }
 
-    /// The range of values `f_δ` can take over every `dir`-refinement
-    /// descendant of a parent with context `parent`.
+    /// The range of values `f_δ` can take over every candidate whose match
+    /// counts lie in `b` and whose shape is `num_atoms` body atoms in
+    /// `num_disjuncts` disjuncts — the one bound every pruning decision
+    /// goes through (a refinement parent's box, a union's box, or the box
+    /// an evaluation has narrowed so far; see [`CountBox`]).
     ///
-    /// The built-ins follow from refinement monotonicity: specializing can
-    /// only *lose* matches (positive coverage can only drop, negative
-    /// avoidance can only rise), generalizing can only *gain* them. δ5/δ6
-    /// stay at the full `[0, 1]` codomain — canonicalization can merge
-    /// duplicate atoms, so a "specialized" child may end up with *fewer*
-    /// atoms than its parent, and any tighter atom-count bound would be
-    /// inadmissible. [`Criterion::Custom`] has no structure the engine can
-    /// trust, so it yields [`Interval::UNKNOWN`], which disables bound
-    /// pruning for any scoring that uses it (delta evaluation still
-    /// applies).
-    pub fn range_under(&self, dir: RefineDir, parent: &CriterionCtx<'_>) -> Interval {
-        let s = parent.stats;
-        match (self, dir) {
-            (Criterion::PosCoverage | Criterion::PosMissPenalty, RefineDir::Specialize) => {
-                Interval::new(0.0, s.pos_fraction())
+    /// Coverage is monotone in the matched positives and avoidance in the
+    /// matched negatives, so their ranges are the box's ends; δ5/δ6 are
+    /// the candidate's exact point values; the indicators are pinned as
+    /// soon as the box decides them; precision `p/(p+n)` rises in `p` and
+    /// falls in `n`, so it is extremized at the box's corners (0/0 ↦ 0,
+    /// as in the point evaluation). [`Criterion::Custom`] has no structure
+    /// the engine can trust and yields [`Interval::UNKNOWN`], which
+    /// disables bound pruning for any scoring that uses it (delta
+    /// evaluation still applies).
+    pub fn range_over(&self, b: &CountBox, num_atoms: usize, num_disjuncts: usize) -> Interval {
+        let frac = |num: usize, den: usize| {
+            if den == 0 {
+                0.0
+            } else {
+                num as f64 / den as f64
             }
-            (Criterion::PosCoverage | Criterion::PosMissPenalty, RefineDir::Generalize) => {
-                Interval::new(s.pos_fraction(), 1.0)
-            }
-            (Criterion::NegAvoidance | Criterion::NegHitPenalty, RefineDir::Specialize) => {
-                Interval::new(1.0 - s.neg_fraction(), 1.0)
-            }
-            (Criterion::NegAvoidance | Criterion::NegHitPenalty, RefineDir::Generalize) => {
-                Interval::new(0.0, 1.0 - s.neg_fraction())
-            }
-            (Criterion::AtomParsimony | Criterion::DisjunctParsimony, _) => Interval::new(0.0, 1.0),
-            // Soundness: a specialize-child's λ⁻ matches are a subset of
-            // the parent's, so a sound parent pins every descendant sound;
-            // a generalize-child's are a superset, so an unsound parent
-            // pins every descendant unsound — the "dead before PerfectRef"
-            // prune of sound mode.
-            (Criterion::SoundIndicator, RefineDir::Specialize) => {
-                if s.neg_matched == 0 {
-                    Interval::point(1.0)
-                } else {
-                    Interval::new(0.0, 1.0)
-                }
-            }
-            (Criterion::SoundIndicator, RefineDir::Generalize) => {
-                if s.neg_matched > 0 {
-                    Interval::point(0.0)
-                } else {
-                    Interval::new(0.0, 1.0)
-                }
-            }
-            // Completeness: dual — an incomplete parent pins specialize
-            // descendants incomplete; a complete parent pins generalize
-            // descendants complete.
-            (Criterion::CompleteIndicator, RefineDir::Specialize) => {
-                if s.pos_matched < s.pos_total {
-                    Interval::point(0.0)
-                } else {
-                    Interval::new(0.0, 1.0)
-                }
-            }
-            (Criterion::CompleteIndicator, RefineDir::Generalize) => {
-                if s.pos_matched == s.pos_total {
-                    Interval::point(1.0)
-                } else {
-                    Interval::new(0.0, 1.0)
-                }
-            }
-            // Precision p/(p+n) is monotone increasing in p and decreasing
-            // in n, so over the child boxes it is extremized at corners.
-            (Criterion::Precision, RefineDir::Specialize) => {
-                // Children range over p ∈ [0, p̂], n ∈ [0, n̂]: dropping
-                // every λ⁻ hit while keeping a positive gives 1; dropping
-                // every λ⁺ match gives 0 (and a matchless parent can never
-                // regain precision by specializing).
-                if s.pos_matched > 0 {
-                    Interval::new(0.0, 1.0)
-                } else {
-                    Interval::point(0.0)
-                }
-            }
-            (Criterion::Precision, RefineDir::Generalize) => {
-                // Children range over p ∈ [p̂, P], n ∈ [n̂, N]: the corner
-                // values (p̂, N) and (P, n̂) bound the box (0/0 ↦ 0, as in
-                // the point evaluation).
-                let frac = |p: usize, n: usize| {
-                    if p + n == 0 {
-                        0.0
-                    } else {
-                        p as f64 / (p + n) as f64
-                    }
-                };
-                Interval::new(
-                    frac(s.pos_matched, s.neg_total),
-                    frac(s.pos_total, s.neg_matched),
-                )
-            }
-            (Criterion::Custom { .. }, _) => Interval::UNKNOWN,
-        }
-    }
-
-    /// Like [`Criterion::range_under`], but for one *specific* candidate
-    /// whose syntactic shape (`num_atoms`, `num_disjuncts`) is already
-    /// known: δ5/δ6 collapse from the full `[0, 1]` codomain to the exact
-    /// point value the scorer will compute for this candidate, while the
-    /// label criteria keep the parent-statistics range (the candidate's
-    /// bitset is still unknown — bounding it is the point of pruning).
-    ///
-    /// Only admissible as a bound on the *candidate's own* score, not on
-    /// its descendants' (a descendant may have fewer atoms); the engine's
-    /// batch pruning needs exactly that — a pruned candidate is one that
-    /// provably cannot itself enter the ranked selection.
-    pub fn range_for_candidate(
-        &self,
-        dir: RefineDir,
-        parent: &CriterionCtx<'_>,
-        num_atoms: usize,
-        num_disjuncts: usize,
-    ) -> Interval {
+        };
+        let recip = |n: usize| Interval::point(if n == 0 { 0.0 } else { 1.0 / n as f64 });
+        let pin = |v: bool| Interval::point(if v { 1.0 } else { 0.0 });
         match self {
-            Criterion::AtomParsimony => Interval::point(if num_atoms == 0 {
-                0.0
-            } else {
-                1.0 / num_atoms as f64
-            }),
-            Criterion::DisjunctParsimony => Interval::point(if num_disjuncts == 0 {
-                0.0
-            } else {
-                1.0 / num_disjuncts as f64
-            }),
-            _ => self.range_under(dir, parent),
+            Criterion::PosCoverage | Criterion::PosMissPenalty => {
+                Interval::new(frac(b.pos_lo, b.pos_total), frac(b.pos_hi, b.pos_total))
+            }
+            Criterion::NegAvoidance | Criterion::NegHitPenalty => Interval::new(
+                1.0 - frac(b.neg_hi, b.neg_total),
+                1.0 - frac(b.neg_lo, b.neg_total),
+            ),
+            Criterion::AtomParsimony => recip(num_atoms),
+            Criterion::DisjunctParsimony => recip(num_disjuncts),
+            Criterion::SoundIndicator if b.neg_hi == 0 || b.neg_lo > 0 => pin(b.neg_hi == 0),
+            Criterion::CompleteIndicator if b.pos_lo == b.pos_total || b.pos_hi < b.pos_total => {
+                pin(b.pos_lo == b.pos_total)
+            }
+            Criterion::SoundIndicator | Criterion::CompleteIndicator => Interval::new(0.0, 1.0),
+            Criterion::Precision => Interval::new(
+                frac(b.pos_lo, b.pos_lo + b.neg_hi),
+                frac(b.pos_hi, b.pos_hi + b.neg_lo),
+            ),
+            Criterion::Custom { .. } => Interval::UNKNOWN,
         }
     }
 }
@@ -351,14 +268,14 @@ mod tests {
     }
 
     #[test]
-    fn range_under_contains_every_reachable_child_value() {
+    fn range_over_contains_every_value_in_the_box() {
+        use crate::prune::RefineDir;
         let parent = MatchStats {
             pos_matched: 3,
             pos_total: 4,
             neg_matched: 1,
             neg_total: 2,
         };
-        let pctx = ctx(&parent, 2, 1);
         let built_ins = [
             Criterion::PosCoverage,
             Criterion::PosMissPenalty,
@@ -370,42 +287,29 @@ mod tests {
             Criterion::CompleteIndicator,
             Criterion::Precision,
         ];
-        // Specialize children: matches are any subset of the parent's.
-        for pos in 0..=parent.pos_matched {
-            for neg in 0..=parent.neg_matched {
-                let child = MatchStats {
-                    pos_matched: pos,
-                    neg_matched: neg,
-                    ..parent
-                };
-                for atoms in 1..=4 {
-                    let cctx = ctx(&child, atoms, 1);
-                    for c in &built_ins {
-                        let r = c.range_under(RefineDir::Specialize, &pctx);
-                        assert!(
-                            r.contains(c.value(&cctx)),
-                            "{} value {} outside [{}, {}]",
-                            c.name(),
-                            c.value(&cctx),
-                            r.lo,
-                            r.hi
-                        );
+        for dir in [RefineDir::Specialize, RefineDir::Generalize] {
+            let b = CountBox::refining(dir, &parent);
+            for pos in b.pos_lo..=b.pos_hi {
+                for neg in b.neg_lo..=b.neg_hi {
+                    let child = MatchStats {
+                        pos_matched: pos,
+                        neg_matched: neg,
+                        ..parent
+                    };
+                    for atoms in 1..=4 {
+                        let cctx = ctx(&child, atoms, 1);
+                        for c in &built_ins {
+                            let r = c.range_over(&b, atoms, 1);
+                            assert!(
+                                r.contains(c.value(&cctx)),
+                                "{dir:?}: {} value {} outside [{}, {}]",
+                                c.name(),
+                                c.value(&cctx),
+                                r.lo,
+                                r.hi
+                            );
+                        }
                     }
-                }
-            }
-        }
-        // Generalize children: matches are any superset.
-        for pos in parent.pos_matched..=parent.pos_total {
-            for neg in parent.neg_matched..=parent.neg_total {
-                let child = MatchStats {
-                    pos_matched: pos,
-                    neg_matched: neg,
-                    ..parent
-                };
-                let cctx = ctx(&child, 1, 1);
-                for c in &built_ins {
-                    let r = c.range_under(RefineDir::Generalize, &pctx);
-                    assert!(r.contains(c.value(&cctx)), "{} generalize", c.name());
                 }
             }
         }
@@ -415,7 +319,7 @@ mod tests {
             f: Arc::new(|_| 0.5),
         };
         assert_eq!(
-            custom.range_under(RefineDir::Specialize, &pctx),
+            custom.range_over(&CountBox::point(&parent), 1, 1),
             Interval::UNKNOWN
         );
     }
@@ -456,6 +360,9 @@ mod tests {
 
     #[test]
     fn mode_indicator_ranges_pin_dead_branches() {
+        use crate::prune::RefineDir;
+        let under =
+            |c: &Criterion, dir, s: &MatchStats| c.range_over(&CountBox::refining(dir, s), 2, 1);
         // An unsound parent kills every generalize-descendant in sound
         // mode (δS pinned to 0)...
         let unsound = MatchStats {
@@ -464,9 +371,8 @@ mod tests {
             neg_matched: 1,
             neg_total: 3,
         };
-        let c = ctx(&unsound, 2, 1);
         assert_eq!(
-            Criterion::SoundIndicator.range_under(RefineDir::Generalize, &c),
+            under(&Criterion::SoundIndicator, RefineDir::Generalize, &unsound),
             Interval::point(0.0)
         );
         // ...while a sound parent pins every specialize-descendant sound.
@@ -474,25 +380,37 @@ mod tests {
             neg_matched: 0,
             ..unsound
         };
-        let c = ctx(&sound, 2, 1);
         assert_eq!(
-            Criterion::SoundIndicator.range_under(RefineDir::Specialize, &c),
+            under(&Criterion::SoundIndicator, RefineDir::Specialize, &sound),
             Interval::point(1.0)
         );
         // An incomplete parent kills every specialize-descendant in
         // complete mode (δC pinned to 0).
         assert_eq!(
-            Criterion::CompleteIndicator.range_under(RefineDir::Specialize, &c),
+            under(&Criterion::CompleteIndicator, RefineDir::Specialize, &sound),
             Interval::point(0.0)
         );
         let complete = MatchStats {
             pos_matched: 4,
             ..unsound
         };
-        let c = ctx(&complete, 2, 1);
         assert_eq!(
-            Criterion::CompleteIndicator.range_under(RefineDir::Generalize, &c),
+            under(
+                &Criterion::CompleteIndicator,
+                RefineDir::Generalize,
+                &complete
+            ),
             Interval::point(1.0)
         );
+        // A union box decides δS exactly: clean iff both sides are clean.
+        let dirty = MatchStats {
+            neg_matched: 2,
+            ..unsound
+        };
+        let union = |a: &MatchStats, b: &MatchStats| {
+            Criterion::SoundIndicator.range_over(&CountBox::union(a, b), 2, 2)
+        };
+        assert_eq!(union(&sound, &sound), Interval::point(1.0));
+        assert_eq!(union(&sound, &dirty), Interval::point(0.0));
     }
 }

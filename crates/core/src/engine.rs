@@ -34,13 +34,17 @@
 //!    they were refined from — are **delta-evaluated**: only the tuples
 //!    whose match status can differ from the parent's are run through the
 //!    evaluator ([`PreparedLabels::match_bits_restricted`]). The same
-//!    provenance yields an admissible score bound per candidate, and
-//!    [`ScoringEngine::score_batch_planned`] skips compile + eval outright
-//!    for candidates provably outside both the caller's selection window
-//!    and its ranked pool. Both paths are exact: output is byte-identical
-//!    to full evaluation, enforced by the equivalence property suite.
-//!    Always on, except where [`ScoringEngine::with_config`] turns it
-//!    off for an A/B comparison.
+//!    provenance puts each candidate's counts in a [`CountBox`] and
+//!    bounds its score, and [`ScoringEngine::score_batch_planned`] scores
+//!    a batch best bound first, in chunks, against a cut that rises with
+//!    every chunk (the caller's selection window and ranked pool). A
+//!    candidate whose bound is below the cut is skipped before compile;
+//!    a scored one's evaluation stops once the box its settled tuples
+//!    leave open bounds below the cut (a `Cut` turned into per-side
+//!    miss and hit budgets by `prune::cutoff`). Both are exact:
+//!    output is byte-identical to full evaluation, enforced by the
+//!    equivalence property suites. Always on, except where
+//!    [`ScoringEngine::with_config`] turns it off for an A/B comparison.
 //! 5. **Source-keyed match memo.** A disjunct's bits depend only on its
 //!    compiled *source* UCQ (Definition 3.4 under a sound GAV mapping is
 //!    decided by evaluating `unfold(PerfectRef(q))` on the prepared
@@ -52,12 +56,15 @@
 //!    makes no evaluator call and charges neither `evals` nor
 //!    `batch_calls`; it is counted by [`ScoringEngine::src_hits`]. A miss
 //!    evaluates as above, parent-delta or full — delta bits are full
-//!    bits — and publishes the result. Only healthy bits are stored, and
-//!    it holds at most one bitset per ontology miss, shared with the
-//!    entries that use it. On the worker pool, candidates claim their
-//!    source in batch order, so a shared source is evaluated by its
-//!    first candidate as on one thread and the counters do not depend
-//!    on scheduling. Always on.
+//!    bits — and publishes the result. An evaluation a cutoff stopped
+//!    publishes what it settled as a *dead* slot, which later candidates
+//!    with that source start from: pruned without an evaluator call when
+//!    it already puts them below their cut, else evaluating the open
+//!    tuples privately. It holds at most one entry per ontology miss,
+//!    shared with the entries that use it. On the worker pool,
+//!    candidates claim their source in batch order, so a shared source
+//!    is evaluated by its first candidate as on one thread and the
+//!    counters do not depend on scheduling. Always on.
 //!
 //! The engine is shared across [`ExplainTask::with_limits`] clones via
 //! `Arc`, so a meta-strategy's base run warms the cache for its assembly
@@ -67,10 +74,11 @@
 //! [`ExplainTask::with_limits`]: crate::explain::ExplainTask::with_limits
 
 use crate::explain::{ExplainTask, Explanation};
-use crate::matcher::{MatchBits, MatchStats, PreparedLabels};
-use crate::prune::ParentHandle;
+use crate::matcher::{MatchBits, MatchStats, PreparedLabels, Prior};
+use crate::prune::{CountBox, ParentHandle};
+use crate::score::Scoring;
 use obx_obdm::{CompiledQuery, ObdmError};
-use obx_query::{OntoCq, OntoUcq, SrcCq};
+use obx_query::{Cutoff, OntoCq, OntoUcq, RewriteError, SrcCq};
 use obx_util::{FxHashMap, Interrupt, WorkerPool};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -218,47 +226,75 @@ fn source_key(compiled: &CompiledQuery) -> Cow<'_, [SrcCq]> {
     }
 }
 
-/// A source memo entry: the bits, or an evaluation in flight whose bits
-/// the candidates waiting on it will share.
+/// A source memo entry: the bits, an evaluation in flight whose outcome
+/// the candidates waiting on it will share, or what an evaluation a
+/// cutoff stopped had settled.
 enum SrcSlot {
     Pending,
     Ready(Arc<MatchBits>),
+    /// The source's evaluation was stopped below its candidate's cut.
+    /// Its settled outcomes are exact facts about the source, so a later
+    /// candidate with this source starts from them: it is pruned with no
+    /// evaluator call when they already put it below its own cut, and
+    /// otherwise evaluates the still-open tuples privately. The slot is
+    /// never claimed again, so which candidate reads it, and what it
+    /// reads, does not depend on scheduling.
+    Dead(Arc<Prior>),
 }
 
 /// What [`ScoringEngine::claim_source`] hands a candidate.
 enum SrcClaim<'e> {
     /// The source's bits: no evaluation needed.
     Ready(Arc<MatchBits>),
-    /// The candidate evaluates the source and publishes its bits.
+    /// What a stopped evaluation of the source settled.
+    Dead(Arc<Prior>),
+    /// The candidate evaluates the source and publishes its outcome.
     Owner(SrcOwner<'e>),
     /// Another candidate is evaluating the source.
     Pending,
 }
 
 /// The claim to evaluate one source query, whose memo slot holds
-/// [`SrcSlot::Pending`] until [`SrcOwner::publish`] stores the bits;
-/// dropping the claim unpublished (an error or an unwind) withdraws it,
-/// so a candidate waiting on the source evaluates instead.
+/// [`SrcSlot::Pending`] until [`SrcOwner::publish`] stores the bits or
+/// [`SrcOwner::bury`] what a stopped evaluation settled; dropping the
+/// claim otherwise (an error or an unwind) withdraws it, so a candidate
+/// waiting on the source evaluates instead.
 struct SrcOwner<'e> {
     engine: &'e ScoringEngine,
     key: Option<&'e [SrcCq]>,
 }
 
 impl SrcOwner<'_> {
-    fn publish(mut self, bits: MatchBits) -> Arc<MatchBits> {
+    /// `bits` behind an `Arc`, published first when the caller holds
+    /// the source's claim.
+    fn share(owner: Option<Self>, bits: MatchBits) -> Arc<MatchBits> {
+        match owner {
+            Some(owner) => owner.publish(bits),
+            None => Arc::new(bits),
+        }
+    }
+
+    fn publish(self, bits: MatchBits) -> Arc<MatchBits> {
         let bits = Arc::new(bits);
+        self.settle(SrcSlot::Ready(Arc::clone(&bits)));
+        bits
+    }
+
+    fn bury(self, known: Prior) {
+        self.settle(SrcSlot::Dead(Arc::new(known)));
+    }
+
+    fn settle(mut self, outcome: SrcSlot) {
         if let Some(key) = self.key.take() {
-            let ready = SrcSlot::Ready(Arc::clone(&bits));
             let mut memo = lock_recover!(self.engine.src_memo.lock());
             match memo.get_mut(key) {
-                Some(slot) => *slot = ready,
+                Some(slot) => *slot = outcome,
                 None => {
-                    memo.insert(key.to_vec(), ready);
+                    memo.insert(key.to_vec(), outcome);
                 }
             }
             self.engine.src_ready.notify_all();
         }
-        bits
     }
 }
 
@@ -268,6 +304,27 @@ impl Drop for SrcOwner<'_> {
             lock_recover!(self.engine.src_memo.lock()).remove(key);
             self.engine.src_ready.notify_all();
         }
+    }
+}
+
+/// A batch candidate's pruning cut: the score it must reach to matter
+/// (`floor`), and what its bound over a [`CountBox`] needs — the task's
+/// scoring and the candidate's atom count, a single disjunct, exactly as
+/// [`ExplainTask::score_cq`] scores it.
+#[derive(Clone, Copy)]
+pub(crate) struct Cut<'s> {
+    pub(crate) floor: f64,
+    pub(crate) scoring: &'s Scoring,
+    pub(crate) num_atoms: usize,
+}
+
+impl Cut<'_> {
+    /// The evaluation cutoff for a candidate known to lie in `b`, or
+    /// `None` when `b` already scores below the floor.
+    fn cutoff(&self, b: &CountBox) -> Option<Cutoff> {
+        crate::prune::cutoff(b, self.floor, |b| {
+            self.scoring.bound_over(b, self.num_atoms, 1)
+        })
     }
 }
 
@@ -332,6 +389,7 @@ pub struct ScoringEngine {
     certified: AtomicU64,
     masked: AtomicU64,
     eval_nodes: AtomicU64,
+    cutoffs: AtomicU64,
     threads: usize,
     incremental: bool,
     pool: OnceLock<WorkerPool>,
@@ -378,6 +436,7 @@ impl ScoringEngine {
             certified: AtomicU64::new(0),
             masked: AtomicU64::new(0),
             eval_nodes: AtomicU64::new(0),
+            cutoffs: AtomicU64::new(0),
             threads: threads.max(1),
             incremental,
             pool: OnceLock::new(),
@@ -453,6 +512,14 @@ impl ScoringEngine {
         self.eval_nodes.load(Ordering::Relaxed)
     }
 
+    /// Candidates pruned after their ontology-cache miss: an evaluation
+    /// a cutoff stopped below the candidate's cut, or a dead source slot
+    /// whose settled outcomes already put it there (module docs, item 4).
+    /// Each is also in its batch's [`BatchOutcome::pruned`].
+    pub fn cutoffs(&self) -> u64 {
+        self.cutoffs.load(Ordering::Relaxed)
+    }
+
     /// Whether the incremental path (parent-delta evaluation + bound
     /// pruning) is enabled on this engine.
     pub fn incremental(&self) -> bool {
@@ -526,12 +593,18 @@ impl ScoringEngine {
         interrupt: &Interrupt,
         parent: Option<&ParentHandle>,
     ) -> Result<Arc<DisjunctEntry>, ObdmError> {
-        self.disjunct_at(prepared, cq, interrupt, parent, None)
+        // Without a cut nothing is pruned, so `None` cannot come back; a
+        // candidate that did not come back was simply not reached.
+        self.disjunct_at(prepared, cq, interrupt, parent, None, None)?
+            .ok_or(ObdmError::Rewrite(RewriteError::Interrupted))
     }
 
-    /// [`ScoringEngine::disjunct_with_parent`] for a candidate of a batch
-    /// scored on the worker pool: the candidate claims its source query
-    /// in its batch's turn order.
+    /// [`ScoringEngine::disjunct_with_parent`] for a candidate of a batch:
+    /// on the worker pool the candidate claims its source query in its
+    /// batch's turn order, and under a `cut` its evaluation stops once its
+    /// counts provably score below the cut's floor. `Ok(None)` is such a
+    /// pruned candidate (counted by [`ScoringEngine::cutoffs`]): it is
+    /// neither cached nor an error.
     pub(crate) fn disjunct_at(
         &self,
         prepared: &PreparedLabels<'_>,
@@ -539,11 +612,12 @@ impl ScoringEngine {
         interrupt: &Interrupt,
         parent: Option<&ParentHandle>,
         turn: Option<Turn<'_>>,
-    ) -> Result<Arc<DisjunctEntry>, ObdmError> {
+        cut: Option<Cut<'_>>,
+    ) -> Result<Option<Arc<DisjunctEntry>>, ObdmError> {
         let key = cq.canonical();
         if let Some(slot) = lock_recover!(self.cache.read()).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return slot.clone();
+            return slot.clone().map(Some);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         #[cfg(any(test, feature = "fault-injection"))]
@@ -563,38 +637,48 @@ impl ScoringEngine {
         // (rare — batches are deduplicated upstream), the second then
         // taking the first's bits from the source memo; first insert
         // wins.
-        let computed: CacheSlot = prepared
+        let computed: CacheSlot = match prepared
             .system()
             .spec()
             .compile_cq_interruptible(&key, interrupt)
-            .and_then(|compiled| {
+        {
+            Ok(compiled) => {
                 let parent = parent_entry
                     .as_ref()
                     .map(|(pe, dir)| (pe.bits.as_ref(), *dir));
-                let bits = self.source_bits(prepared, &compiled, parent, turn)?;
-                Ok(Arc::new(DisjunctEntry { compiled, bits }))
-            });
+                match self.source_bits(prepared, &compiled, parent, turn, cut) {
+                    Ok(Some(bits)) => Ok(Arc::new(DisjunctEntry { compiled, bits })),
+                    Ok(None) => return Ok(None),
+                    Err(e) => Err(e),
+                }
+            }
+            Err(e) => Err(e),
+        };
         if let Err(e) = &computed {
             if e.is_transient() {
                 return Err(e.clone());
             }
         }
         let mut cache = lock_recover!(self.cache.write());
-        cache.entry(key).or_insert(computed).clone()
+        cache.entry(key).or_insert(computed).clone().map(Some)
     }
 
     /// The match bits of `compiled`, from the source memo when another
     /// ontology key compiled to the same source UCQ (bits depend only on
     /// it), else from one evaluation that the memo then shares. The turn
     /// is passed before waiting on another candidate's evaluation, so
-    /// later candidates are not held up.
+    /// later candidates are not held up. `Ok(None)` when `cut` pruned the
+    /// candidate: the evaluation stopped below the floor (the memo keeps
+    /// what it settled as a [`SrcSlot::Dead`] slot), or a dead slot's
+    /// outcomes already put the candidate there.
     fn source_bits(
         &self,
         prepared: &PreparedLabels<'_>,
         compiled: &CompiledQuery,
         parent: Option<(&MatchBits, crate::prune::RefineDir)>,
         turn: Option<Turn<'_>>,
-    ) -> Result<Arc<MatchBits>, ObdmError> {
+        cut: Option<Cut<'_>>,
+    ) -> Result<Option<Arc<MatchBits>>, ObdmError> {
         let src_key = source_key(compiled);
         if let Some(t) = turn {
             t.turns.wait(t.pos);
@@ -606,44 +690,75 @@ impl ScoringEngine {
         if let SrcClaim::Pending = claim {
             claim = self.claim_source(&src_key, true);
         }
-        let owner = match claim {
+        let (owner, dead) = match claim {
             SrcClaim::Ready(bits) => {
                 self.src_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(bits);
+                return Ok(Some(bits));
             }
-            SrcClaim::Owner(owner) => Some(owner),
+            SrcClaim::Dead(known) => (None, Some(known)),
+            SrcClaim::Owner(owner) => (Some(owner), None),
             // A waiting claim always resolves; evaluating without
             // publishing is exact all the same.
-            SrcClaim::Pending => None,
+            SrcClaim::Pending => (None, None),
         };
-        let (bits, work) = prepared.match_bits_from(compiled, parent)?;
+        let mut prior = prepared.prior(parent)?;
+        if let Some(known) = dead {
+            prior.learn(&known)?;
+        }
+        // Without a finite floor nothing can be cut, and the box is not
+        // worth counting.
+        let cut = cut.filter(|c| c.floor > f64::NEG_INFINITY);
+        let cutoff = match cut.map(|c| c.cutoff(&prior.count_box())) {
+            None => Cutoff::NONE,
+            Some(Some(cutoff)) => cutoff,
+            Some(None) => {
+                self.cutoffs.fetch_add(1, Ordering::Relaxed);
+                if let Some(owner) = owner {
+                    owner.bury(prior);
+                }
+                return Ok(None);
+            }
+        };
         let total = prepared.num_pos() + prepared.num_neg();
+        if prior.is_settled() {
+            // The parent's bits or a dead slot settled every tuple: the
+            // known hits are the bits, with no evaluator call.
+            self.evals_saved.fetch_add(total as u64, Ordering::Relaxed);
+            return Ok(Some(SrcOwner::share(owner, prior.into_bits())));
+        }
+        let e = prepared.evaluate(compiled.src(), prior, cutoff);
         self.batch_calls.fetch_add(1, Ordering::Relaxed);
         self.certified
-            .fetch_add(work.certified as u64, Ordering::Relaxed);
-        self.masked.fetch_add(work.masked as u64, Ordering::Relaxed);
-        self.eval_nodes.fetch_add(work.nodes, Ordering::Relaxed);
+            .fetch_add(e.work.certified as u64, Ordering::Relaxed);
+        self.masked
+            .fetch_add(e.work.masked as u64, Ordering::Relaxed);
+        self.eval_nodes.fetch_add(e.work.nodes, Ordering::Relaxed);
         self.evals
-            .fetch_add(work.evaluated as u64, Ordering::Relaxed);
+            .fetch_add(e.work.evaluated as u64, Ordering::Relaxed);
         self.evals_saved
-            .fetch_add((total - work.evaluated) as u64, Ordering::Relaxed);
-        Ok(match owner {
-            Some(owner) => owner.publish(bits),
-            None => Arc::new(bits),
-        })
+            .fetch_add((total - e.work.asked) as u64, Ordering::Relaxed);
+        if e.stopped {
+            self.cutoffs.fetch_add(1, Ordering::Relaxed);
+            if let Some(owner) = owner {
+                owner.bury(e.known);
+            }
+            return Ok(None);
+        }
+        Ok(Some(SrcOwner::share(owner, e.known.into_bits())))
     }
 
-    /// The source memo's answer for `key`: its bits, the claim to
-    /// evaluate it when no candidate holds one, or [`SrcClaim::Pending`]
-    /// while another candidate evaluates it — unless `wait`, which blocks
-    /// until that candidate publishes or withdraws. The caller's turn, if
-    /// any, must be held for a claim that does not wait, and passed
-    /// before one that does.
+    /// The source memo's answer for `key`: its bits or a dead slot's
+    /// outcomes, the claim to evaluate it when no candidate holds one, or
+    /// [`SrcClaim::Pending`] while another candidate evaluates it —
+    /// unless `wait`, which blocks until that candidate publishes, buries
+    /// or withdraws. The caller's turn, if any, must be held for a claim
+    /// that does not wait, and passed before one that does.
     fn claim_source<'e>(&'e self, key: &'e [SrcCq], wait: bool) -> SrcClaim<'e> {
         let mut memo = lock_recover!(self.src_memo.lock());
         loop {
             match memo.get(key) {
                 Some(SrcSlot::Ready(bits)) => return SrcClaim::Ready(Arc::clone(bits)),
+                Some(SrcSlot::Dead(known)) => return SrcClaim::Dead(Arc::clone(known)),
                 Some(SrcSlot::Pending) if wait => memo = lock_recover!(self.src_ready.wait(memo)),
                 Some(SrcSlot::Pending) => return SrcClaim::Pending,
                 None => {
@@ -732,97 +847,103 @@ impl ScoringEngine {
             .into_iter()
             .map(|cq| PlannedCq { cq, parent: None })
             .collect();
-        self.score_batch_planned(task, planned, usize::MAX, f64::NEG_INFINITY)
+        self.score_batch_planned(task, planned, usize::MAX, usize::MAX, &[])
     }
 
     /// [`ScoringEngine::score_batch_outcome`] over candidates carrying
-    /// refinement provenance, with monotone bound pruning.
+    /// refinement provenance, with monotone bound pruning against floors
+    /// that rise as the batch scores.
     ///
     /// `window` is the number of ranked batch candidates downstream
-    /// selection can ever inspect (e.g. the beam's diversity window);
-    /// `pool_floor` is the score a candidate must beat to survive the
-    /// caller's ranked-pool truncation (`-∞` while the pool is unfilled).
+    /// selection can ever inspect (e.g. the beam's diversity window; 0
+    /// when the caller selects on its pool alone); `cap` is the size the
+    /// caller truncates its ranked pool ∪ this batch to; `pool` holds the
+    /// pool's scores (any order).
     ///
-    /// The engine scores the `window` candidates with the highest
-    /// admissible bounds first (candidates without provenance have bound
-    /// `+∞` and always score). A remaining candidate is **pruned** —
-    /// skipped before compile and eval — only when its bound is *strictly*
-    /// below both (a) the scores of all `window` candidates of that first
-    /// phase and (b) `pool_floor`: such a candidate provably ranks outside
-    /// every window-sized selection over this batch and outside the pool,
-    /// so dropping it cannot change the output. `window == 0` asserts the
-    /// caller selects on the pool floor alone, disabling guard (a). If the
-    /// budget stops the first phase early, no pruning happens at all — the
-    /// anytime contract is untouched. The bound sort is stable, so on the
-    /// non-incremental path (all bounds `+∞`) candidates score in input
-    /// order, exactly as before.
+    /// Candidates score in order of their admissible bound, highest
+    /// first (candidates without provenance have bound `+∞`; the sort is
+    /// stable, so on the non-incremental path they score in input order),
+    /// in chunks of `window` candidates — 32 when `window` is 0, the
+    /// whole batch when it is unbounded. Before each chunk the
+    /// *cut* is the smaller of the `window`-th best batch score so far
+    /// and the `cap`-th best score of the pool and the batch so far
+    /// (`-∞` while either is unfilled; the first is `+∞` for `window` 0).
+    /// A candidate whose score is strictly below the cut has at least
+    /// `window` better batch candidates and at least `cap` better pool
+    /// entries, so it can enter neither the selection nor the pool:
+    ///
+    /// * a candidate whose bound is below the cut is **pruned** before
+    ///   compilation — and with it every later one, bounds being sorted;
+    /// * a scored candidate's evaluation stops once its count box proves
+    ///   it below the cut (`Cut`, `prune::cutoff`), and it is
+    ///   pruned too ([`ScoringEngine::cutoffs`]).
+    ///
+    /// Pruned candidates score below every cut that could follow them, so
+    /// leaving them out changes neither later cuts nor the output. The
+    /// chunk schedule depends only on the batch, never on the thread
+    /// count, so the engine's counters do not either. Once the budget
+    /// stops the batch, nothing more is pruned — the anytime contract is
+    /// untouched.
     pub fn score_batch_planned(
         &self,
         task: &ExplainTask<'_>,
         planned: Vec<PlannedCq>,
         window: usize,
-        pool_floor: f64,
+        cap: usize,
+        pool: &[f64],
     ) -> BatchOutcome {
         let n = planned.len();
         let t0 = std::time::Instant::now();
         let mut sp = obx_util::span!(self.recorder_of(task), "score_batch");
         sp.count("candidates", n as u64);
-        if pool_floor.is_finite() {
-            sp.count("floor_active", 1);
-        }
         let quarantined = AtomicUsize::new(0);
         let bounds: Vec<f64> = planned
             .iter()
-            .map(|p| {
-                if self.incremental {
-                    // Per-candidate bound: the parent's cached label
-                    // statistics plus the candidate's own atom count
-                    // (exact δ5/δ6), strictly tighter than the
-                    // descendant-cone bound for parsimony-weighted
-                    // scorings.
-                    p.parent.as_ref().map_or(f64::INFINITY, |h| {
-                        h.bound_for(task.scoring(), p.cq.num_atoms())
-                    })
-                } else {
-                    f64::INFINITY
-                }
+            .map(|p| match (&p.parent, self.incremental) {
+                // The parent's box with the candidate's own shape: its
+                // atom count is exact (δ5), and it is one disjunct (δ6).
+                (Some(h), true) => task
+                    .scoring()
+                    .bound_over(&h.count_box(), p.cq.num_atoms(), 1),
+                _ => f64::INFINITY,
             })
             .collect();
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            bounds[b]
-                .partial_cmp(&bounds[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let cut = n.min(window);
-        let mut explanations = self.score_indices(task, &planned, &order[..cut], &quarantined);
-        // The in-batch guard: once `window` candidates actually scored, a
-        // bound below all of them is outside every window-sized selection.
-        // An underfilled first phase (stop or quarantine) never prunes.
-        let w_guard = if window == 0 {
-            f64::INFINITY
-        } else if explanations.len() >= window {
-            explanations
-                .iter()
-                .map(|e| e.score)
-                .fold(f64::INFINITY, f64::min)
-        } else {
-            f64::NEG_INFINITY
+        order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]));
+        let chunk = match window {
+            _ if !self.incremental => n.max(1),
+            0 => FLOOR_CHUNK,
+            w => w,
         };
+        let mut floors = Floors::new(window, cap, pool);
+        let mut explanations = Vec::new();
         let mut pruned = 0usize;
-        let phase2: Vec<usize> = order[cut..]
-            .iter()
-            .copied()
-            .filter(|&i| {
-                if bounds[i] < w_guard && bounds[i] < pool_floor {
-                    pruned += 1;
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
-        explanations.extend(self.score_indices(task, &planned, &phase2, &quarantined));
+        let mut floor_active = false;
+        let mut next = 0;
+        while next < n && task.stop_reason().is_none() {
+            let cut = if self.incremental {
+                floors.cut()
+            } else {
+                f64::NEG_INFINITY
+            };
+            floor_active |= cut.is_finite();
+            // Bounds fall along `order`: the first one below the cut
+            // prunes the rest of the batch.
+            let end = next + order[next..].partition_point(|&i| bounds[i] >= cut);
+            if end == next {
+                pruned += n - next;
+                break;
+            }
+            let stop = end.min(next.saturating_add(chunk));
+            let (scored, cut_short) =
+                self.score_indices(task, &planned, &order[next..stop], &quarantined, cut);
+            pruned += cut_short;
+            floors.add(scored.iter().map(|e| e.score));
+            explanations.extend(scored);
+            sp.count("chunks", 1);
+            next = stop;
+        }
+        sp.count("floor_active", floor_active as u64);
         sp.count("scored", explanations.len() as u64);
         sp.count("pruned", pruned as u64);
         BATCH_NS.record_duration(t0.elapsed());
@@ -843,21 +964,29 @@ impl ScoringEngine {
     }
 
     /// Scores `planned[indices]` (in `indices` order) under the
-    /// quarantine + budget contract, sequentially or on the worker pool.
+    /// quarantine + budget contract and the pruning cut `cut`,
+    /// sequentially or on the worker pool. Returns the explanations and
+    /// how many candidates the cut pruned mid-evaluation.
     fn score_indices(
         &self,
         task: &ExplainTask<'_>,
         planned: &[PlannedCq],
         indices: &[usize],
         quarantined: &AtomicUsize,
-    ) -> Vec<Explanation> {
+        cut: f64,
+    ) -> (Vec<Explanation>, usize) {
         let n = indices.len();
+        let cut_short = AtomicUsize::new(0);
         let score_one = |p: &PlannedCq, turn: Option<Turn<'_>>| -> Option<Explanation> {
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                task.score_cq_at(&p.cq, p.parent.as_ref(), turn)
+                task.score_cq_at(&p.cq, p.parent.as_ref(), turn, cut)
             }));
             match attempt {
-                Ok(Ok(e)) => Some(e),
+                Ok(Ok(Some(e))) => Some(e),
+                Ok(Ok(None)) => {
+                    cut_short.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
                 Ok(Err(e)) => {
                     if !e.is_transient() {
                         quarantined.fetch_add(1, Ordering::Relaxed);
@@ -870,7 +999,7 @@ impl ScoringEngine {
                 }
             }
         };
-        if n < 4 || self.threads <= 1 {
+        let out = if n < 4 || self.threads <= 1 {
             let mut out = Vec::new();
             for &i in indices {
                 if task.stop_reason().is_some() {
@@ -921,7 +1050,67 @@ impl ScoringEngine {
                 .into_iter()
                 .filter_map(|s| s.into_inner().flatten())
                 .collect()
+        };
+        (out, cut_short.into_inner())
+    }
+}
+
+/// Batch candidates scored between two cut updates when the caller has no
+/// selection window (`window == 0`): small enough that the pool floor
+/// rises early, large enough to keep the worker pool busy.
+const FLOOR_CHUNK: usize = 32;
+
+/// The rising selection cut of one batch (see
+/// [`ScoringEngine::score_batch_planned`]): the best `window` batch
+/// scores so far, and the best `cap` of the caller's pool and the batch
+/// so far, each sorted best first.
+struct Floors {
+    window: usize,
+    cap: usize,
+    batch: Vec<f64>,
+    kept: Vec<f64>,
+}
+
+impl Floors {
+    fn new(window: usize, cap: usize, pool: &[f64]) -> Self {
+        let mut floors = Floors {
+            window,
+            cap,
+            batch: Vec::new(),
+            kept: Vec::new(),
+        };
+        floors
+            .kept
+            .extend(pool.iter().copied().filter(|s| s.is_finite()));
+        floors.trim();
+        floors
+    }
+
+    /// Adds scored candidates' scores. Non-finite scores never rank
+    /// ([`crate::explain::rank`] drops them), so they never raise a floor.
+    fn add(&mut self, scores: impl Iterator<Item = f64>) {
+        for s in scores.filter(|s| s.is_finite()) {
+            self.batch.push(s);
+            self.kept.push(s);
         }
+        self.trim();
+    }
+
+    fn trim(&mut self) {
+        self.batch.sort_unstable_by(|a, b| b.total_cmp(a));
+        self.batch.truncate(self.window);
+        self.kept.sort_unstable_by(|a, b| b.total_cmp(a));
+        self.kept.truncate(self.cap);
+    }
+
+    /// The score a candidate must reach to matter: `+∞` for a selection
+    /// that keeps nothing, `-∞` while one is not full.
+    fn cut(&self) -> f64 {
+        let nth = |best: &[f64], k: usize| match k {
+            0 => f64::INFINITY,
+            k => best.get(k - 1).copied().unwrap_or(f64::NEG_INFINITY),
+        };
+        nth(&self.batch, self.window).min(nth(&self.kept, self.cap))
     }
 }
 
@@ -951,6 +1140,7 @@ impl std::fmt::Debug for ScoringEngine {
             .field("certified_disjuncts", &self.certified_disjuncts())
             .field("masked_disjuncts", &self.masked_disjuncts())
             .field("eval_nodes", &self.eval_nodes())
+            .field("cutoffs", &self.cutoffs())
             .field("threads", &self.threads)
             .field("incremental", &self.incremental)
             .finish()
@@ -1179,9 +1369,9 @@ mod tests {
         let strong_q = sys.parse_query(r#"q(x) :- likes(x, "Science")"#).unwrap();
         let weak_q = sys.parse_query("q(x) :- studies(x, y)").unwrap();
         let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
-        // A parent that matched no positives: every Specialize descendant
-        // is bounded by (0 + 1 + 1) / 3 under the paper weighting, well
-        // below the strong candidate's 0.833.
+        // A parent that matched no positives: every Specialize child is
+        // bounded by (0 + 1 + 1) / 3 under the paper weighting, well below
+        // the strong candidate's 0.833.
         let hopeless = ParentHandle::new(
             RefineDir::Specialize,
             weak_q.disjuncts()[0].clone(),
@@ -1191,7 +1381,6 @@ mod tests {
                 neg_matched: 1,
                 neg_total: 1,
             },
-            1,
         );
         let planned = |parent: Option<ParentHandle>| -> Vec<PlannedCq> {
             vec![
@@ -1206,21 +1395,24 @@ mod tests {
             ]
         };
 
-        // Incremental engine, window guard 1, floor above every bound: the
-        // bounded candidate is provably outside both and is skipped.
+        // Incremental engine, window 1, a pool entry above every bound:
+        // once the strong candidate scored, the bounded one is provably
+        // outside both the window and the pool and is skipped.
         let on = Arc::new(ScoringEngine::with_config(1, true));
         let task_on = task.with_engine(Arc::clone(&on));
         let outcome =
-            on.score_batch_planned(&task_on, planned(Some(hopeless.clone())), 1, f64::INFINITY);
+            on.score_batch_planned(&task_on, planned(Some(hopeless.clone())), 1, 1, &[2.0]);
         assert_eq!(outcome.pruned, 1);
         assert_eq!(outcome.explanations.len(), 1);
         assert!((outcome.explanations[0].score - 0.8333).abs() < 1e-3);
+        assert_eq!(on.cutoffs(), 0, "pruned before compilation");
 
         // Baseline engine: bounds are all +∞, nothing is pruned, and the
         // stable sort keeps the input order exactly.
         let off = Arc::new(ScoringEngine::with_config(1, false));
         let task_off = task.with_engine(Arc::clone(&off));
-        let outcome = off.score_batch_planned(&task_off, planned(Some(hopeless)), 1, f64::INFINITY);
+        let outcome =
+            off.score_batch_planned(&task_off, planned(Some(hopeless.clone())), 1, 1, &[2.0]);
         assert_eq!(outcome.pruned, 0);
         let queries: Vec<_> = outcome
             .explanations
@@ -1229,28 +1421,58 @@ mod tests {
             .collect();
         assert_eq!(queries, vec![strong_q.clone(), weak_q.clone()]);
 
-        // A -∞ floor disables pruning even under the window guard (the
-        // candidate might still enter the pool).
-        let outcome = on.score_batch_planned(
-            &task_on,
-            vec![PlannedCq {
-                cq: weak_q.disjuncts()[0].clone(),
-                parent: Some(ParentHandle::new(
-                    RefineDir::Specialize,
-                    weak_q.disjuncts()[0].clone(),
-                    MatchStats {
-                        pos_matched: 0,
-                        pos_total: 4,
-                        neg_matched: 1,
-                        neg_total: 1,
-                    },
-                    1,
-                )),
-            }],
-            0,
-            f64::NEG_INFINITY,
+        // An unfilled pool disables pruning even under the window guard
+        // (the candidate might still enter the pool).
+        let fresh = Arc::new(ScoringEngine::with_config(1, true));
+        let outcome = fresh.score_batch_planned(
+            &task.with_engine(Arc::clone(&fresh)),
+            planned(Some(hopeless)),
+            1,
+            4,
+            &[2.0],
         );
         assert_eq!(outcome.pruned, 0);
-        assert_eq!(outcome.explanations.len(), 1);
+        assert_eq!(outcome.explanations.len(), 2);
+    }
+
+    #[test]
+    fn a_cutoff_stops_an_evaluation_and_its_dead_slot_prunes_source_siblings() {
+        // `likes(x, "Math")` and `studies(x, "Math")` compile to one
+        // source query; it matches A10, B80 and the negative E25, scoring
+        // (2/4 + 0 + 1) / 3 = 0.5. No parent, so no bound prunes them
+        // before compilation; the pool's 0.7 is the cut.
+        let mut sys = example_3_6_system();
+        let (labels, scoring) = paper_task(&mut sys);
+        let likes = sys.parse_query(r#"q(x) :- likes(x, "Math")"#).unwrap();
+        let studies = sys.parse_query(r#"q(x) :- studies(x, "Math")"#).unwrap();
+        let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
+        let engine = Arc::new(ScoringEngine::with_config(1, true));
+        let task = task.with_engine(Arc::clone(&engine));
+        let planned = [&studies, &likes]
+            .map(|q| PlannedCq {
+                cq: q.disjuncts()[0].clone(),
+                parent: None,
+            })
+            .to_vec();
+        let outcome = engine.score_batch_planned(&task, planned, 0, 1, &[0.7]);
+        assert!(outcome.explanations.is_empty());
+        assert_eq!(outcome.pruned, 2);
+        // The first evaluation stopped at E25's hit (any λ⁻ hit caps the
+        // bound at 2/3); the second candidate read the dead slot and made
+        // no evaluator call.
+        assert_eq!(engine.cutoffs(), 2);
+        assert_eq!(engine.batch_calls(), 1);
+        assert_eq!(
+            (engine.src_hits(), engine.cache_len()),
+            (0, 0),
+            "pruned candidates are not cached"
+        );
+
+        // Without a cut, the dead slot's settled outcomes are the bits:
+        // exact, and with no further evaluator call.
+        let e = task.score_cq(&likes.disjuncts()[0]).unwrap();
+        assert_eq!(e.stats, task.prepared().stats_of(&likes).unwrap());
+        assert_eq!(engine.batch_calls(), 1);
+        assert_eq!(engine.cache_len(), 1);
     }
 }

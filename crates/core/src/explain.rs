@@ -2,7 +2,7 @@
 
 use crate::budget::{SearchBudget, Stop, Termination};
 use crate::criteria::CriterionCtx;
-use crate::engine::ScoringEngine;
+use crate::engine::{DisjunctEntry, ScoringEngine};
 use crate::labels::Labels;
 use crate::matcher::{MatchStats, PreparedLabels};
 use crate::score::Scoring;
@@ -392,20 +392,41 @@ impl<'a> ExplainTask<'a> {
         cq: &OntoCq,
         parent: Option<&crate::prune::ParentHandle>,
     ) -> Result<Explanation, ExplainError> {
-        self.score_cq_at(cq, parent, None)
+        let entry =
+            self.engine
+                .disjunct_with_parent(&self.prepared, cq, &self.interrupt, parent)?;
+        Ok(self.explanation_of(cq, &entry))
     }
 
     /// [`ExplainTask::score_cq_with_parent`] for a candidate of a batch
-    /// scored on the worker pool ([`ScoringEngine::disjunct_at`]).
+    /// ([`ScoringEngine::disjunct_at`]) that matters only if it scores at
+    /// least `floor`: `Ok(None)` when the engine proved it cannot, before
+    /// or during its evaluation.
     pub(crate) fn score_cq_at(
         &self,
         cq: &OntoCq,
         parent: Option<&crate::prune::ParentHandle>,
         turn: Option<crate::engine::Turn<'_>>,
-    ) -> Result<Explanation, ExplainError> {
-        let entry = self
-            .engine
-            .disjunct_at(&self.prepared, cq, &self.interrupt, parent, turn)?;
+        floor: f64,
+    ) -> Result<Option<Explanation>, ExplainError> {
+        let cut = crate::engine::Cut {
+            floor,
+            scoring: self.scoring,
+            num_atoms: cq.num_atoms(),
+        };
+        let entry = self.engine.disjunct_at(
+            &self.prepared,
+            cq,
+            &self.interrupt,
+            parent,
+            turn,
+            Some(cut),
+        )?;
+        Ok(entry.map(|entry| self.explanation_of(cq, &entry)))
+    }
+
+    /// The explanation of a single CQ whose disjunct entry is `entry`.
+    fn explanation_of(&self, cq: &OntoCq, entry: &DisjunctEntry) -> Explanation {
         let stats = entry.bits.stats();
         let ctx = CriterionCtx {
             stats: &stats,
@@ -414,12 +435,12 @@ impl<'a> ExplainTask<'a> {
         };
         let criterion_values = self.scoring.values(&ctx);
         let score = self.scoring.expr().eval(&criterion_values);
-        Ok(Explanation {
+        Explanation {
             query: OntoUcq::from_cq(cq.clone()),
             score,
             stats,
             criterion_values,
-        })
+        }
     }
 
     /// Evidence for why `query` J-matches the labelled tuple `tuple`: the
@@ -563,6 +584,10 @@ pub(crate) fn finalize_report(
             // Join work: the candidate atoms this engine's evaluator
             // calls inspected.
             rec.gauge_in_phase("engine", "eval_nodes", task.engine().eval_nodes());
+            // Candidates pruned after reaching the engine: a cutoff
+            // stopped their evaluation, or a dead source slot proved them
+            // below the cut.
+            rec.gauge_in_phase("engine", "cutoffs", task.engine().cutoffs());
             rec.profile()
         }
         _ => PipelineProfile::default(),

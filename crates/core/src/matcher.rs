@@ -15,7 +15,7 @@
 
 use crate::labels::Labels;
 use obx_obdm::{CompiledQuery, ObdmError, ObdmSystem};
-use obx_query::{Goal, OntoUcq, SrcCq, SrcUcq};
+use obx_query::{Cutoff, Goal, OntoUcq, SrcCq, SrcUcq};
 use obx_srcdb::{AtomSet, Bitmap, Const, Tuple, View};
 use obx_util::FxHashMap;
 use std::sync::{Arc, OnceLock};
@@ -418,7 +418,11 @@ fn check_shape(
 /// Evaluator work behind one match bitset.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EvalWork {
-    /// Labelled tuples evaluated (a parent-delta bitset settles the rest).
+    /// Labelled tuples the call was asked to decide: the open tuples of
+    /// its [`Prior`] (a parent-delta bitset settles the rest).
+    pub(crate) asked: usize,
+    /// Labelled tuples the evaluator searched: all `asked` ones, unless
+    /// a cutoff stopped the call during its first source disjunct.
     pub(crate) evaluated: usize,
     /// Source disjuncts answered over the whole database, their border
     /// masks proven a no-op ([`obx_query::eval::certified`]).
@@ -427,6 +431,106 @@ pub(crate) struct EvalWork {
     pub(crate) masked: usize,
     /// Candidate atoms the evaluator inspected.
     pub(crate) nodes: u64,
+}
+
+/// What is known of a candidate's match bits before, or partway
+/// through, its evaluation: the labelled tuples known to match (`bits`),
+/// and the tuples still *open*. Every tuple neither set nor open is known
+/// not to match. A parent's bits narrow it ([`Prior::refining`]), so does an
+/// earlier, stopped evaluation of the same source query
+/// ([`Prior::learn`]); its [`CountBox`] is where the candidate's counts
+/// can still land.
+///
+/// [`CountBox`]: crate::prune::CountBox
+#[derive(Debug, Clone)]
+pub(crate) struct Prior {
+    bits: MatchBits,
+    open: Vec<bool>,
+}
+
+impl Prior {
+    /// Nothing known: every tuple open.
+    pub(crate) fn unknown(num_pos: usize, num_neg: usize) -> Self {
+        Prior {
+            bits: MatchBits::empty(num_pos, num_neg),
+            open: vec![true; num_pos + num_neg],
+        }
+    }
+
+    /// What a refinement parent's bits settle: a specialization matches
+    /// a subset of them (the parent's zeros are misses, its ones open), a
+    /// generalization a superset (the parent's ones are hits, its zeros
+    /// open). A parent shaped for another label set is an
+    /// [`ObdmError::LabelShape`] error.
+    pub(crate) fn refining(
+        parent: &MatchBits,
+        dir: crate::prune::RefineDir,
+        num_pos: usize,
+        num_neg: usize,
+    ) -> Result<Self, ObdmError> {
+        check_shape(parent, num_pos, num_neg, "parent")?;
+        let mut prior = Prior {
+            bits: MatchBits::empty(num_pos, num_neg),
+            open: vec![dir == crate::prune::RefineDir::Generalize; num_pos + num_neg],
+        };
+        for i in parent.ones() {
+            match dir {
+                crate::prune::RefineDir::Specialize => prior.open[i] = true,
+                crate::prune::RefineDir::Generalize => {
+                    prior.bits.set(i);
+                    prior.open[i] = false;
+                }
+            }
+        }
+        Ok(prior)
+    }
+
+    /// Narrows by what another evaluation of the same source query
+    /// settled.
+    pub(crate) fn learn(&mut self, other: &Prior) -> Result<(), ObdmError> {
+        self.bits.union_with(&other.bits)?;
+        for (open, &still) in self.open.iter_mut().zip(&other.open) {
+            *open &= still;
+        }
+        Ok(())
+    }
+
+    /// The counts the candidate can still reach: its known hits, plus
+    /// any of its open tuples.
+    pub(crate) fn count_box(&self) -> crate::prune::CountBox {
+        let known = self.bits.stats();
+        let (open_pos, open_neg) = self.open.split_at(self.bits.num_pos);
+        let count = |side: &[bool]| side.iter().filter(|&&o| o).count();
+        crate::prune::CountBox {
+            pos_lo: known.pos_matched,
+            pos_hi: known.pos_matched + count(open_pos),
+            pos_total: known.pos_total,
+            neg_lo: known.neg_matched,
+            neg_hi: known.neg_matched + count(open_neg),
+            neg_total: known.neg_total,
+        }
+    }
+
+    /// Whether no tuple is open: the known hits are the bits.
+    pub(crate) fn is_settled(&self) -> bool {
+        !self.open.contains(&true)
+    }
+
+    /// The known hits: the candidate's bits once no tuple is open.
+    pub(crate) fn into_bits(self) -> MatchBits {
+        self.bits
+    }
+}
+
+/// One evaluation of a [`Prior`]'s open tuples.
+pub(crate) struct Evaluation {
+    /// What is known after the call; nothing is open unless `stopped`.
+    pub(crate) known: Prior,
+    /// Whether the call exceeded its cutoff, so the candidate scores
+    /// below the cut the cutoff was built for.
+    pub(crate) stopped: bool,
+    /// The evaluator work it took.
+    pub(crate) work: EvalWork,
 }
 
 /// The system-free half of [`PreparedLabels`]: λ's tuples with their
@@ -697,34 +801,40 @@ impl<'a> PreparedLabels<'a> {
         }
     }
 
-    /// Sets in `bits` every labelled tuple that `selected` picks (layout
-    /// order) and the source UCQ J-matches, in one batched evaluator
-    /// call.
-    fn evaluate(
-        &self,
-        src: &SrcUcq,
-        mut bits: MatchBits,
-        selected: &[bool],
-    ) -> (MatchBits, EvalWork) {
-        let m = obx_query::eval::satisfies_ucq_each(
+    /// Decides the open tuples of `prior` against the source UCQ in one
+    /// batched evaluator call, which `cutoff` may stop early
+    /// ([`obx_query::eval::satisfies_ucq_until`]; positives are goals
+    /// `0..num_pos`).
+    pub(crate) fn evaluate(&self, src: &SrcUcq, prior: Prior, cutoff: Cutoff) -> Evaluation {
+        let m = obx_query::eval::satisfies_ucq_until(
             self.system.db(),
             src,
             self.borders.radius,
-            selected.len(),
-            |i| selected[i].then(|| self.goal(i)),
+            prior.open.len(),
+            |i| prior.open[i].then(|| self.goal(i)),
+            cutoff,
         );
-        for (idx, &hit) in m.hits.iter().enumerate() {
+        let asked = prior.open.iter().filter(|&&o| o).count();
+        let Prior { mut bits, mut open } = prior;
+        for (idx, (&hit, &missed)) in m.hits.iter().zip(&m.missed).enumerate() {
             if hit {
                 bits.set(idx);
             }
+            if hit || missed {
+                open[idx] = false;
+            }
         }
-        let work = EvalWork {
-            evaluated: selected.iter().filter(|&&s| s).count(),
-            certified: m.certified,
-            masked: m.masked,
-            nodes: m.nodes,
-        };
-        (bits, work)
+        Evaluation {
+            known: Prior { bits, open },
+            stopped: m.stopped,
+            work: EvalWork {
+                asked,
+                evaluated: m.searched,
+                certified: m.certified,
+                masked: m.masked,
+                nodes: m.nodes,
+            },
+        }
     }
 
     /// Match bitset of a compiled query against λ: one batched evaluator
@@ -734,14 +844,28 @@ impl<'a> PreparedLabels<'a> {
     ///
     /// [`stats`]: PreparedLabels::stats
     pub fn match_bits(&self, compiled: &CompiledQuery) -> MatchBits {
-        self.evaluate_all(compiled.src()).0
+        self.evaluate_all(compiled.src())
     }
 
-    /// [`PreparedLabels::evaluate`] over every labelled tuple.
-    fn evaluate_all(&self, src: &SrcUcq) -> (MatchBits, EvalWork) {
-        let empty = MatchBits::empty(self.num_pos(), self.num_neg());
-        let all = vec![true; empty.len()];
-        self.evaluate(src, empty, &all)
+    /// [`PreparedLabels::evaluate`] over every labelled tuple, without a
+    /// cutoff.
+    fn evaluate_all(&self, src: &SrcUcq) -> MatchBits {
+        let prior = Prior::unknown(self.num_pos(), self.num_neg());
+        self.evaluate(src, prior, Cutoff::NONE).known.into_bits()
+    }
+
+    /// What a candidate's refinement parent settles of its bits, or
+    /// nothing without a parent. A parent shaped for a different label
+    /// set is an [`ObdmError::LabelShape`] error.
+    pub(crate) fn prior(
+        &self,
+        parent: Option<(&MatchBits, crate::prune::RefineDir)>,
+    ) -> Result<Prior, ObdmError> {
+        let (num_pos, num_neg) = (self.num_pos(), self.num_neg());
+        match parent {
+            Some((bits, dir)) => Prior::refining(bits, dir, num_pos, num_neg),
+            None => Ok(Prior::unknown(num_pos, num_neg)),
+        }
     }
 
     /// Parent-delta variant of [`PreparedLabels::match_bits`]: exploits
@@ -771,32 +895,9 @@ impl<'a> PreparedLabels<'a> {
         parent: &MatchBits,
         dir: crate::prune::RefineDir,
     ) -> Result<(MatchBits, usize), ObdmError> {
-        self.match_bits_from(compiled, Some((parent, dir)))
-            .map(|(bits, work)| (bits, work.evaluated))
-    }
-
-    /// [`PreparedLabels::match_bits`] without a parent, and
-    /// [`PreparedLabels::match_bits_restricted`] with one, together with
-    /// the evaluator work behind the bits: the scoring engine's entry.
-    pub(crate) fn match_bits_from(
-        &self,
-        compiled: &CompiledQuery,
-        parent: Option<(&MatchBits, crate::prune::RefineDir)>,
-    ) -> Result<(MatchBits, EvalWork), ObdmError> {
-        let Some((parent, dir)) = parent else {
-            return Ok(self.evaluate_all(compiled.src()));
-        };
-        let (num_pos, num_neg) = (self.num_pos(), self.num_neg());
-        check_shape(parent, num_pos, num_neg, "parent")?;
-        let (bits, eval_when) = match dir {
-            crate::prune::RefineDir::Specialize => (MatchBits::empty(num_pos, num_neg), true),
-            crate::prune::RefineDir::Generalize => (parent.clone(), false),
-        };
-        let mut selected = vec![!eval_when; parent.len()];
-        for idx in parent.ones() {
-            selected[idx] = eval_when;
-        }
-        Ok(self.evaluate(compiled.src(), bits, &selected))
+        let prior = self.prior(Some((parent, dir)))?;
+        let e = self.evaluate(compiled.src(), prior, Cutoff::NONE);
+        Ok((e.known.into_bits(), e.work.evaluated))
     }
 
     /// Compiles an ontology UCQ and computes its stats in one call.
@@ -808,7 +909,7 @@ impl<'a> PreparedLabels<'a> {
     /// Match statistics of a *source-level* query (the data-level baseline
     /// evaluates directly, without rewriting/unfolding).
     pub fn stats_src(&self, src: &SrcUcq) -> MatchStats {
-        self.evaluate_all(src).0.stats()
+        self.evaluate_all(src).stats()
     }
 
     /// Match statistics of a single source CQ.

@@ -20,12 +20,17 @@
 //!    unmatched); a generalization child only on tuples the parent missed
 //!    (the rest are inherited). See
 //!    [`PreparedLabels::match_bits_restricted`](crate::matcher::PreparedLabels::match_bits_restricted).
-//! 2. **Admissible bound pruning** — the same monotonicity bounds every
-//!    criterion value any descendant can reach ([`Criterion::range_under`]),
-//!    and interval evaluation of the Z expression
-//!    ([`Scoring::optimistic_bound`]) turns those into a score no
-//!    descendant can exceed. Children whose bound cannot beat the current
-//!    selection floors are skipped before PerfectRef ever sees them.
+//! 2. **Admissible bound pruning** — what is known of a candidate's match
+//!    counts is a [`CountBox`]: `[0, p̂] × [0, n̂]` under a specialize
+//!    parent, `[p̂, P] × [n̂, N]` under a generalize parent, the union box
+//!    of two disjuncts, or the box an evaluation has narrowed so far.
+//!    [`Criterion::range_over`](crate::criteria::Criterion::range_over) and
+//!    interval evaluation of the Z expression
+//!    ([`Scoring::bound_over`](crate::score::Scoring::bound_over)) turn a
+//!    box into a score no point inside it can exceed. A candidate whose
+//!    bound cannot reach the current selection cut is skipped before
+//!    compilation, and an evaluation whose box falls below the cut stops
+//!    (`cutoff`).
 //!
 //! Both are *exact* accelerations: the engine falls back to a full
 //! evaluation whenever the parent's entry is not cached (or compilation of
@@ -33,11 +38,9 @@
 //! provably outside the returned ranking, so the incremental path returns
 //! byte-identical output to the baseline.
 
-use crate::criteria::CriterionCtx;
 use crate::explain::Explanation;
 use crate::matcher::MatchStats;
-use crate::score::Scoring;
-use obx_query::OntoCq;
+use obx_query::{Cutoff, OntoCq};
 
 /// Direction of a refinement step in the lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,9 +120,17 @@ impl Interval {
         Self::sane(lo, hi)
     }
 
-    /// Scaling by a constant: `k · [lo, hi]` (endpoints swap for `k < 0`).
+    /// Scaling by a constant: `k · [lo, hi]` (endpoints swap for `k < 0`);
+    /// the product with `[k, k]` without its four-corner search.
     pub fn scale(self, k: f64) -> Interval {
-        self.mul(Interval::point(k))
+        let (a, b) = (self.lo * k, self.hi * k);
+        if a.is_nan() || b.is_nan() {
+            Interval::UNKNOWN
+        } else if k >= 0.0 {
+            Self::sane(a, b)
+        } else {
+            Self::sane(b, a)
+        }
     }
 
     /// Interval quotient under [`ScoreExpr::eval`](crate::score::ScoreExpr)'s
@@ -165,6 +176,133 @@ impl Interval {
     }
 }
 
+/// Where a candidate's match counts can lie: between `pos_lo` and
+/// `pos_hi` of the `pos_total` positives matched, between `neg_lo` and
+/// `neg_hi` of the `neg_total` negatives. Every bound the engine prunes
+/// with is [`Scoring::bound_over`](crate::score::Scoring::bound_over) a
+/// box.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountBox {
+    /// Fewest positives the candidate can match.
+    pub pos_lo: usize,
+    /// Most positives the candidate can match.
+    pub pos_hi: usize,
+    /// `|λ⁺|`.
+    pub pos_total: usize,
+    /// Fewest negatives the candidate can match.
+    pub neg_lo: usize,
+    /// Most negatives the candidate can match.
+    pub neg_hi: usize,
+    /// `|λ⁻|`.
+    pub neg_total: usize,
+}
+
+impl CountBox {
+    /// The box holding exactly `s`.
+    pub fn point(s: &MatchStats) -> Self {
+        CountBox {
+            pos_lo: s.pos_matched,
+            pos_hi: s.pos_matched,
+            pos_total: s.pos_total,
+            neg_lo: s.neg_matched,
+            neg_hi: s.neg_matched,
+            neg_total: s.neg_total,
+        }
+    }
+
+    /// The box of every `dir`-refinement of a query matching `s`: a
+    /// specialization keeps a subset of its matches (`[0, p̂] × [0, n̂]`),
+    /// a generalization a superset (`[p̂, P] × [n̂, N]`).
+    pub fn refining(dir: RefineDir, s: &MatchStats) -> Self {
+        match dir {
+            RefineDir::Specialize => CountBox {
+                pos_lo: 0,
+                neg_lo: 0,
+                ..Self::point(s)
+            },
+            RefineDir::Generalize => CountBox {
+                pos_hi: s.pos_total,
+                neg_hi: s.neg_total,
+                ..Self::point(s)
+            },
+        }
+    }
+
+    /// The box of the union of two queries matching `a` and `b`: match
+    /// sets OR together, so each count is in `[max(a, b), min(total,
+    /// a + b)]`.
+    pub fn union(a: &MatchStats, b: &MatchStats) -> Self {
+        CountBox {
+            pos_lo: a.pos_matched.max(b.pos_matched),
+            pos_hi: (a.pos_matched + b.pos_matched).min(a.pos_total),
+            pos_total: a.pos_total,
+            neg_lo: a.neg_matched.max(b.neg_matched),
+            neg_hi: (a.neg_matched + b.neg_matched).min(a.neg_total),
+            neg_total: a.neg_total,
+        }
+    }
+}
+
+/// The [`Cutoff`] that stops an evaluation once its box provably scores
+/// below `floor`, or `None` when `start` already does (prune without
+/// evaluating). `bound` is the candidate's bound over a box.
+///
+/// Positives are goals `0..pos_total` and count their final misses;
+/// negatives count their hits. Each side gets a budget: the most events
+/// that keep `bound` at or above `floor` with the other side as in
+/// `start`. Interval bounds only shrink as a box does, so `bound` falls
+/// monotonically along each side and a binary search finds the budget in
+/// `O(log n)` bound calls per evaluation, none per goal. Per-side budgets
+/// are conservative: a mix of misses and hits that would prune together
+/// runs on, which costs time, never output.
+pub(crate) fn cutoff(
+    start: &CountBox,
+    floor: f64,
+    bound: impl Fn(&CountBox) -> f64,
+) -> Option<Cutoff> {
+    if floor == f64::NEG_INFINITY {
+        return Some(Cutoff::NONE);
+    }
+    if bound(start) < floor {
+        return None;
+    }
+    let misses = budget(start.pos_hi - start.pos_lo, |m| {
+        bound(&CountBox {
+            pos_hi: start.pos_hi - m,
+            ..*start
+        }) >= floor
+    });
+    let hits = budget(start.neg_hi - start.neg_lo, |h| {
+        bound(&CountBox {
+            neg_lo: start.neg_lo + h,
+            ..*start
+        }) >= floor
+    });
+    Some(Cutoff {
+        split: start.pos_total,
+        misses,
+        hits,
+    })
+}
+
+/// The largest `k` in `0..=max` with `ok(k)`, given `ok(0)` and `ok`
+/// monotone (true, then false); `usize::MAX` when `ok(max)`.
+fn budget(max: usize, ok: impl Fn(usize) -> bool) -> usize {
+    if ok(max) {
+        return usize::MAX;
+    }
+    let (mut lo, mut hi) = (0, max);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if ok(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// Refinement provenance for a candidate: the parent's canonical cache
 /// key plus the statistics that bound every descendant's score.
 ///
@@ -178,19 +316,15 @@ pub struct ParentHandle {
     key: OntoCq,
     dir: RefineDir,
     stats: MatchStats,
-    num_atoms: usize,
-    num_disjuncts: usize,
 }
 
 impl ParentHandle {
     /// Builds a handle from the parent's canonical key and match stats.
-    pub fn new(dir: RefineDir, key: OntoCq, stats: MatchStats, num_atoms: usize) -> Self {
+    pub fn new(dir: RefineDir, key: OntoCq, stats: MatchStats) -> Self {
         ParentHandle {
             key: key.canonical(),
             dir,
             stats,
-            num_atoms,
-            num_disjuncts: 1,
         }
     }
 
@@ -198,7 +332,7 @@ impl ParentHandle {
     /// the explanation is a union (see the type-level docs).
     pub fn from_explanation(dir: RefineDir, e: &Explanation) -> Option<Self> {
         match e.query.disjuncts() {
-            [d] => Some(Self::new(dir, d.clone(), e.stats, d.num_atoms())),
+            [d] => Some(Self::new(dir, d.clone(), e.stats)),
             _ => None,
         }
     }
@@ -218,33 +352,10 @@ impl ParentHandle {
         &self.stats
     }
 
-    /// The best Z-score any refinement descendant of this parent can
-    /// reach under `scoring`. Admissible: never less than the true score
-    /// of any child, grandchild, … in the handle's direction.
-    pub fn bound(&self, scoring: &Scoring) -> f64 {
-        let ctx = CriterionCtx {
-            stats: &self.stats,
-            num_atoms: self.num_atoms,
-            num_disjuncts: self.num_disjuncts,
-        };
-        scoring.optimistic_bound(self.dir, &ctx)
-    }
-
-    /// The best Z-score a *specific* child CQ with `child_atoms` body
-    /// atoms can reach under `scoring` — [`ParentHandle::bound`] tightened
-    /// with the child's known atom count: δ5 collapses to the exact value
-    /// the scorer will compute (`score_cq_with_parent` scores the child
-    /// with its own `num_atoms` and a single disjunct), δ6 to `1`. The
-    /// label-criteria ranges still come from the parent's cached match
-    /// statistics. Admissible for this child's own score, which is the
-    /// only score batch pruning ever compares against its floors.
-    pub fn bound_for(&self, scoring: &Scoring, child_atoms: usize) -> f64 {
-        let ctx = CriterionCtx {
-            stats: &self.stats,
-            num_atoms: self.num_atoms,
-            num_disjuncts: self.num_disjuncts,
-        };
-        scoring.optimistic_bound_for(self.dir, &ctx, child_atoms, 1)
+    /// The box every child in the handle's direction lies in
+    /// ([`CountBox::refining`]).
+    pub fn count_box(&self) -> CountBox {
+        CountBox::refining(self.dir, &self.stats)
     }
 }
 
@@ -289,5 +400,67 @@ mod tests {
         let nan = Interval::new(f64::NAN, f64::NAN);
         assert_eq!(nan.lo, f64::NEG_INFINITY);
         assert_eq!(nan.hi, f64::INFINITY);
+    }
+
+    fn stats(pos: usize, neg: usize) -> MatchStats {
+        MatchStats {
+            pos_matched: pos,
+            pos_total: 6,
+            neg_matched: neg,
+            neg_total: 4,
+        }
+    }
+
+    #[test]
+    fn count_boxes_of_refinements_and_unions() {
+        let s = stats(3, 1);
+        let down = CountBox::refining(RefineDir::Specialize, &s);
+        assert_eq!(
+            (down.pos_lo, down.pos_hi, down.neg_lo, down.neg_hi),
+            (0, 3, 0, 1)
+        );
+        let up = CountBox::refining(RefineDir::Generalize, &s);
+        assert_eq!((up.pos_lo, up.pos_hi, up.neg_lo, up.neg_hi), (3, 6, 1, 4));
+        let u = CountBox::union(&s, &stats(5, 3));
+        assert_eq!((u.pos_lo, u.pos_hi, u.neg_lo, u.neg_hi), (5, 6, 3, 4));
+        assert_eq!(
+            CountBox::point(&s),
+            CountBox {
+                pos_lo: 3,
+                neg_lo: 1,
+                ..down
+            }
+        );
+    }
+
+    /// The budgets are the largest event counts that keep the bound at or
+    /// above the floor: one more crosses it.
+    #[test]
+    fn cutoff_budgets_sit_just_before_the_floor() {
+        // bound = matched positives possible − matched negatives certain.
+        let bound = |b: &CountBox| b.pos_hi as f64 - b.neg_lo as f64;
+        let start = CountBox::refining(RefineDir::Generalize, &stats(0, 0));
+        assert_eq!(cutoff(&start, f64::NEG_INFINITY, bound), Some(Cutoff::NONE));
+        assert_eq!(cutoff(&start, 6.5, bound), None, "already below the floor");
+        let c = cutoff(&start, 3.0, bound).unwrap();
+        assert_eq!((c.split, c.misses, c.hits), (6, 3, 3));
+        let c = cutoff(&start, -10.0, bound).unwrap();
+        assert_eq!(
+            (c.misses, c.hits),
+            (usize::MAX, usize::MAX),
+            "never crosses"
+        );
+        for floor in [0.0, 1.0, 2.5, 5.0, 6.0] {
+            let c = cutoff(&start, floor, bound).unwrap();
+            let ok = |m: usize, h: usize| {
+                bound(&CountBox {
+                    pos_hi: 6 - m,
+                    neg_lo: h,
+                    ..start
+                }) >= floor
+            };
+            assert!(c.misses == usize::MAX || (ok(c.misses, 0) && !ok(c.misses + 1, 0)));
+            assert!(c.hits == usize::MAX || (ok(0, c.hits) && !ok(0, c.hits + 1)));
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! constructor.
 
 use crate::criteria::{Criterion, CriterionCtx};
-use crate::prune::{Interval, RefineDir};
+use crate::prune::{CountBox, Interval};
 use std::fmt;
 use std::str::FromStr;
 
@@ -240,7 +240,7 @@ impl Scoring {
     /// never flip a recall comparison. Likewise the indicator's weight 2
     /// exceeds the secondary terms' maximum `1 + ε ≤ 1.5`, so any sound
     /// candidate outranks every unsound one. All criteria carry real
-    /// [`Criterion::range_under`] intervals, so bound pruning keeps
+    /// [`Criterion::range_over`] intervals, so bound pruning keeps
     /// firing (an unsound parent's generalize-cone is dead on arrival).
     pub fn sound(pos_total: usize) -> Self {
         let eps = 0.5 / pos_total.max(1) as f64;
@@ -326,41 +326,29 @@ impl Scoring {
         self.expr.eval_interval(ranges)
     }
 
-    /// The best Z-score any `dir`-refinement descendant of a parent with
-    /// context `parent` can reach. Admissible upper bound: combining
-    /// [`Criterion::range_under`] per criterion with
-    /// [`ScoreExpr::eval_interval`] over `Z`. `+∞` (never prunes) whenever
-    /// a [`Criterion::Custom`] appears in the criteria.
-    pub fn optimistic_bound(&self, dir: RefineDir, parent: &CriterionCtx<'_>) -> f64 {
-        let ranges: Vec<Interval> = self
-            .criteria
-            .iter()
-            .map(|c| c.range_under(dir, parent))
-            .collect();
-        self.expr.eval_interval(&ranges).hi
-    }
-
-    /// The best Z-score one *specific* `dir`-refinement child of `parent`
-    /// can reach, given the child's known syntactic shape: δ5/δ6 become
-    /// exact point values ([`Criterion::range_for_candidate`]) instead of
-    /// the full `[0, 1]` codomain, so the bound is never looser — and for
-    /// parsimony-weighted scorings usually strictly tighter — than
-    /// [`Scoring::optimistic_bound`]. Admissible for the candidate itself
-    /// (which is all batch pruning compares against its floors), not for
-    /// the candidate's descendants.
-    pub fn optimistic_bound_for(
-        &self,
-        dir: RefineDir,
-        parent: &CriterionCtx<'_>,
-        num_atoms: usize,
-        num_disjuncts: usize,
-    ) -> f64 {
-        let ranges: Vec<Interval> = self
-            .criteria
-            .iter()
-            .map(|c| c.range_for_candidate(dir, parent, num_atoms, num_disjuncts))
-            .collect();
-        self.expr.eval_interval(&ranges).hi
+    /// The best Z-score any candidate with match counts in `b` and shape
+    /// `num_atoms` / `num_disjuncts` can reach: [`Criterion::range_over`]
+    /// per criterion, then [`ScoreExpr::eval_interval`] over `Z`. An
+    /// admissible upper bound, and `+∞` (never prunes) whenever a
+    /// [`Criterion::Custom`] appears in the criteria. A smaller box never
+    /// gets a larger bound, which is what lets an evaluation stop on a
+    /// precomputed budget (`prune::cutoff`).
+    pub fn bound_over(&self, b: &CountBox, num_atoms: usize, num_disjuncts: usize) -> f64 {
+        // An evaluation's cutoff takes a few dozen bounds, so the usual
+        // handful of criteria stay off the heap.
+        const INLINE: usize = 8;
+        let range = |c: &Criterion| c.range_over(b, num_atoms, num_disjuncts);
+        let n = self.criteria.len();
+        if n <= INLINE {
+            let mut ranges = [Interval::UNKNOWN; INLINE];
+            for (r, c) in ranges.iter_mut().zip(&self.criteria) {
+                *r = range(c);
+            }
+            self.expr.eval_interval(&ranges[..n]).hi
+        } else {
+            let ranges: Vec<Interval> = self.criteria.iter().map(range).collect();
+            self.expr.eval_interval(&ranges).hi
+        }
     }
 }
 
@@ -564,120 +552,109 @@ mod tests {
         );
     }
 
-    #[test]
-    fn candidate_bound_is_tighter_yet_dominates_the_candidate_score() {
-        use crate::prune::RefineDir;
-        let parent = MatchStats {
-            pos_matched: 3,
-            pos_total: 5,
-            neg_matched: 2,
-            neg_total: 4,
-        };
-        let pctx = q_ctx(&parent, 2);
-        for scoring in [
-            Scoring::paper_weighted(1.0, 1.0, 1.0),
-            Scoring::paper_weighted(3.0, 1.0, 1.0),
-            Scoring::balanced(),
-            Scoring::accuracy(),
-            Scoring::sound(5),
-            Scoring::complete(5, 4),
-        ] {
-            for dir in [RefineDir::Specialize, RefineDir::Generalize] {
-                let cone = scoring.optimistic_bound(dir, &pctx);
-                for atoms in 1..=5 {
-                    let tight = scoring.optimistic_bound_for(dir, &pctx, atoms, 1);
-                    // Never looser than the descendant-cone bound.
-                    assert!(
-                        tight <= cone + 1e-12,
-                        "bound_for {tight} > cone bound {cone}"
-                    );
-                    // Dominates every score the candidate itself can get.
-                    let (pos_range, neg_range) = match dir {
-                        RefineDir::Specialize => (0..=parent.pos_matched, 0..=parent.neg_matched),
-                        RefineDir::Generalize => (
-                            parent.pos_matched..=parent.pos_total,
-                            parent.neg_matched..=parent.neg_total,
-                        ),
-                    };
-                    for pos in pos_range {
-                        for neg in neg_range.clone() {
-                            let child = MatchStats {
-                                pos_matched: pos,
-                                neg_matched: neg,
-                                ..parent
+    /// Every point inside a random count box scores at most the box's
+    /// bound under each built-in scoring — exactly, with no tolerance,
+    /// since the engine cuts with a strict `<` — and a custom criterion
+    /// disables the bound.
+    mod bound_over {
+        use super::*;
+        use crate::prune::CountBox;
+        use proptest::prelude::*;
+
+        fn scorings(pos_total: usize, neg_total: usize) -> Vec<Scoring> {
+            vec![
+                Scoring::paper_weighted(1.0, 1.0, 1.0),
+                Scoring::paper_weighted(3.0, 1.0, 1.0),
+                Scoring::balanced(),
+                Scoring::accuracy(),
+                Scoring::sound(pos_total),
+                Scoring::complete(pos_total, neg_total),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256 })]
+
+            #[test]
+            fn every_point_in_a_box_scores_at_most_its_bound(
+                pos_total in 0usize..9,
+                neg_total in 0usize..9,
+                pos in (0usize..9, 0usize..9),
+                neg in (0usize..9, 0usize..9),
+                atoms in 1usize..5,
+                disjuncts in 1usize..4,
+            ) {
+                let ends = |(a, b): (usize, usize), total: usize| {
+                    let (a, b) = (a.min(total), b.min(total));
+                    (a.min(b), a.max(b))
+                };
+                let (pos_lo, pos_hi) = ends(pos, pos_total);
+                let (neg_lo, neg_hi) = ends(neg, neg_total);
+                let b = CountBox { pos_lo, pos_hi, pos_total, neg_lo, neg_hi, neg_total };
+                for scoring in scorings(pos_total, neg_total) {
+                    let bound = scoring.bound_over(&b, atoms, disjuncts);
+                    for p in pos_lo..=pos_hi {
+                        for n in neg_lo..=neg_hi {
+                            let stats = MatchStats {
+                                pos_matched: p,
+                                pos_total,
+                                neg_matched: n,
+                                neg_total,
                             };
-                            let s = scoring.score(&q_ctx(&child, atoms));
-                            assert!(s <= tight + 1e-12, "candidate {s} > bound {tight}");
+                            let ctx = CriterionCtx { stats: &stats, num_atoms: atoms, num_disjuncts: disjuncts };
+                            let z = scoring.score(&ctx);
+                            prop_assert!(z <= bound, "{} at ({}, {}) scores {} > bound {} of {:?}", scoring, p, n, z, bound, b);
                         }
                     }
                 }
             }
         }
-        // With δ5 weighted, a many-atom candidate's bound is strictly
-        // tighter than the cone bound (which must allow a 1-atom child).
-        let z = Scoring::paper_weighted(1.0, 1.0, 1.0);
-        let cone = z.optimistic_bound(RefineDir::Specialize, &pctx);
-        let tight = z.optimistic_bound_for(RefineDir::Specialize, &pctx, 4, 1);
-        assert!(tight < cone - 1e-9, "expected strict tightening");
-    }
 
-    #[test]
-    fn optimistic_bound_dominates_every_descendant_score() {
-        use crate::prune::RefineDir;
-        let parent = MatchStats {
-            pos_matched: 3,
-            pos_total: 5,
-            neg_matched: 2,
-            neg_total: 4,
-        };
-        let pctx = q_ctx(&parent, 2);
-        for scoring in [
-            Scoring::paper_weighted(1.0, 1.0, 1.0),
-            Scoring::paper_weighted(3.0, 1.0, 1.0),
-            Scoring::balanced(),
-            Scoring::accuracy(),
-            Scoring::sound(5),
-            Scoring::complete(5, 4),
-        ] {
-            let down = scoring.optimistic_bound(RefineDir::Specialize, &pctx);
-            for pos in 0..=parent.pos_matched {
-                for neg in 0..=parent.neg_matched {
-                    for atoms in 1..=4 {
-                        let child = MatchStats {
-                            pos_matched: pos,
-                            neg_matched: neg,
-                            ..parent
+        #[test]
+        fn custom_criteria_disable_the_bound() {
+            let opaque = Scoring::new(
+                vec![Criterion::Custom {
+                    name: "opaque",
+                    f: std::sync::Arc::new(|_| 0.5),
+                }],
+                ScoreExpr::Var(0),
+            );
+            let stats = MatchStats {
+                pos_matched: 1,
+                pos_total: 2,
+                neg_matched: 0,
+                neg_total: 1,
+            };
+            assert_eq!(
+                opaque.bound_over(&CountBox::point(&stats), 1, 1),
+                f64::INFINITY
+            );
+        }
+
+        #[test]
+        fn a_smaller_box_never_bounds_higher() {
+            let parent = MatchStats {
+                pos_matched: 3,
+                pos_total: 5,
+                neg_matched: 2,
+                neg_total: 4,
+            };
+            let outer = CountBox::refining(crate::prune::RefineDir::Specialize, &parent);
+            for scoring in scorings(5, 4) {
+                for pos_hi in 0..=outer.pos_hi {
+                    for neg_lo in 0..=outer.neg_hi {
+                        let inner = CountBox {
+                            pos_hi,
+                            neg_lo,
+                            ..outer
                         };
-                        let s = scoring.score(&q_ctx(&child, atoms));
-                        assert!(s <= down + 1e-12, "specialize {s} > bound {down}");
+                        assert!(
+                            scoring.bound_over(&inner, 2, 1) <= scoring.bound_over(&outer, 2, 1)
+                        );
                     }
                 }
             }
-            let up = scoring.optimistic_bound(RefineDir::Generalize, &pctx);
-            for pos in parent.pos_matched..=parent.pos_total {
-                for neg in parent.neg_matched..=parent.neg_total {
-                    let child = MatchStats {
-                        pos_matched: pos,
-                        neg_matched: neg,
-                        ..parent
-                    };
-                    let s = scoring.score(&q_ctx(&child, 1));
-                    assert!(s <= up + 1e-12, "generalize {s} > bound {up}");
-                }
-            }
         }
-        // A custom criterion disables the bound entirely.
-        let opaque = Scoring::new(
-            vec![Criterion::Custom {
-                name: "opaque",
-                f: std::sync::Arc::new(|_| 0.5),
-            }],
-            ScoreExpr::Var(0),
-        );
-        assert_eq!(
-            opaque.optimistic_bound(RefineDir::Specialize, &pctx),
-            f64::INFINITY
-        );
     }
 
     #[test]

@@ -93,23 +93,14 @@ impl Strategy for BeamSearch {
             if fresh.is_empty() {
                 break;
             }
-            // Floor before extending: a candidate bounded below both the
-            // in-batch beam window and the current pool floor cannot enter
-            // the beam or survive the pool truncation, so skipping it is
-            // output-invariant.
-            //
-            // Note on `pruned == 0` runs (e.g. the bundled search bench):
-            // the pruning *is* wired — every round goes through
-            // `score_batch_planned` with both guards — but Specialize
-            // bounds are the parent's optimistic score, and under
-            // coverage-style scorings a high-coverage parent bounds near
-            // the maximum, so no child is *provably* below both floors.
-            // Zero prunes there means "bounds never excluded anyone", not
-            // "pruning disconnected"; `strategy_pruning.rs` pins the
-            // distinction with a scenario where prunes must be nonzero.
+            // Floors before extending: a candidate that scores below both
+            // the in-batch beam window and the pool's cap-th entry cannot
+            // enter the beam or survive the pool truncation, so the engine
+            // may skip it, or stop its evaluation, output-invariantly.
             let floor = pool_floor_of(&pool, cap);
             let mut rsp = round_span(task, "beam_round", _round, fresh.len(), floor);
-            let outcome = score_batch_planned(task, fresh, beam_window(limits.beam_width), floor);
+            let outcome =
+                score_batch_planned(task, fresh, beam_window(limits.beam_width), cap, &pool);
             rsp.count("pruned", outcome.pruned as u64);
             quarantined += outcome.quarantined;
             pruned += outcome.pruned;
@@ -191,10 +182,6 @@ pub(super) fn refine(task: &ExplainTask<'_>, cq: &OntoCq, consts: &[Const]) -> V
         for r in vocab.role_ids() {
             for &v in &vars {
                 for &p in &partners {
-                    if p == Term::Var(v) {
-                        // Reflexive atoms are rarely useful but legal; keep
-                        // the variable pair once.
-                    }
                     let mut b1 = cq.body().to_vec();
                     b1.push(OntoAtom::Role(r, Term::Var(v), p));
                     out.push(cq.with_body(b1));

@@ -115,7 +115,8 @@ impl Strategy for BottomUpGeneralize {
             }
             let floor = pool_floor_of(&pool, cap);
             let mut rsp = round_span(task, "bottom_up_round", _round, fresh.len(), floor);
-            let outcome = score_batch_planned(task, fresh, beam_window(limits.beam_width), floor);
+            let outcome =
+                score_batch_planned(task, fresh, beam_window(limits.beam_width), cap, &pool);
             rsp.count("pruned", outcome.pruned as u64);
             quarantined += outcome.quarantined;
             pruned += outcome.pruned;

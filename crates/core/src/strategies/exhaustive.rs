@@ -136,18 +136,12 @@ impl Strategy for ExhaustiveSearch {
                     cq: cq.clone(),
                     parent: parent.as_ref().and_then(|k| {
                         engine.cached_entry(k).map(|entry| {
-                            ParentHandle::new(
-                                RefineDir::Specialize,
-                                k.clone(),
-                                entry.bits.stats(),
-                                k.num_atoms(),
-                            )
+                            ParentHandle::new(RefineDir::Specialize, k.clone(), entry.bits.stats())
                         })
                     }),
                 })
                 .collect();
-            let floor = pool_floor_of(&ranked_pool, cap);
-            let outcome = score_batch_planned(task, planned, 0, floor);
+            let outcome = score_batch_planned(task, planned, 0, cap, &ranked_pool);
             rsp.count("pruned", outcome.pruned as u64);
             quarantined += outcome.quarantined;
             pruned += outcome.pruned;

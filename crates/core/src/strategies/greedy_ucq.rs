@@ -10,12 +10,10 @@
 //! when another disjunct stops paying for itself.
 
 use super::{base_cqs, ucq_of};
-use crate::criteria::Criterion;
 use crate::explain::{
     finalize_report, ExplainError, ExplainReport, ExplainTask, Explanation, Strategy,
 };
-use crate::matcher::MatchStats;
-use crate::prune::Interval;
+use crate::prune::CountBox;
 use crate::strategies::BeamSearch;
 use obx_query::OntoCq;
 
@@ -119,10 +117,8 @@ impl Strategy for GreedyUcq {
                 if engine.incremental() {
                     if let (Some(b), Some(entry)) = (best.as_ref(), engine.cached_entry(cand)) {
                         let trial_atoms = trial.iter().map(OntoCq::num_atoms).sum();
-                        let bound = union_bound(
-                            task,
-                            &b.stats,
-                            &entry.bits.stats(),
+                        let bound = task.scoring().bound_over(
+                            &CountBox::union(&b.stats, &entry.bits.stats()),
                             trial_atoms,
                             trial.len(),
                         );
@@ -174,86 +170,6 @@ impl Strategy for GreedyUcq {
             base_report.pruned + bound_skipped,
         ))
     }
-}
-
-/// Admissible upper bound on the Z-score of the trial union
-/// `chosen ∪ {cand}`, from the chosen union's exact stats and the
-/// candidate disjunct's cached stats.
-///
-/// UCQ statistics are bit ORs, so the trial's matched count over each
-/// label set is exactly in `[max(a, b), min(total, a + b)]`; δ5 and δ6
-/// are known points (the trial's atom and disjunct counts are fixed);
-/// [`Criterion::Custom`] yields [`Interval::UNKNOWN`], disabling the gate
-/// for scorings that use it.
-fn union_bound(
-    task: &ExplainTask<'_>,
-    chosen: &MatchStats,
-    cand: &MatchStats,
-    trial_atoms: usize,
-    trial_disjuncts: usize,
-) -> f64 {
-    // The union's matched *counts* land in `[max(a, b), min(total, a+b)]`
-    // per label set; every criterion range below derives from these.
-    let lo_p = chosen.pos_matched.max(cand.pos_matched);
-    let hi_p = (chosen.pos_matched + cand.pos_matched).min(chosen.pos_total);
-    let lo_n = chosen.neg_matched.max(cand.neg_matched);
-    let hi_n = (chosen.neg_matched + cand.neg_matched).min(chosen.neg_total);
-    // Matched-count interval → fraction interval, mirroring the
-    // `MatchStats` empty-set conventions (coverage of an empty λ⁺ is 0,
-    // avoidance of an empty λ⁻ is 1).
-    let pos = if chosen.pos_total == 0 {
-        Interval::point(0.0)
-    } else {
-        let t = chosen.pos_total as f64;
-        Interval::new(lo_p as f64 / t, hi_p as f64 / t)
-    };
-    let neg = if chosen.neg_total == 0 {
-        Interval::point(1.0)
-    } else {
-        let t = chosen.neg_total as f64;
-        Interval::new(1.0 - hi_n as f64 / t, 1.0 - lo_n as f64 / t)
-    };
-    let point_recip = |n: usize| {
-        if n == 0 {
-            Interval::point(0.0)
-        } else {
-            Interval::point(1.0 / n as f64)
-        }
-    };
-    let frac = |p: usize, n: usize| {
-        if p + n == 0 {
-            0.0
-        } else {
-            p as f64 / (p + n) as f64
-        }
-    };
-    let ranges: Vec<Interval> = task
-        .scoring()
-        .criteria()
-        .iter()
-        .map(|c| match c {
-            Criterion::PosCoverage | Criterion::PosMissPenalty => pos,
-            Criterion::NegAvoidance | Criterion::NegHitPenalty => neg,
-            Criterion::AtomParsimony => point_recip(trial_atoms),
-            Criterion::DisjunctParsimony => point_recip(trial_disjuncts),
-            // A union of two λ⁻-clean disjunct sets is exactly clean; one
-            // with a dirty side is exactly dirty — δS is a known point.
-            Criterion::SoundIndicator => Interval::point(if lo_n == 0 { 1.0 } else { 0.0 }),
-            Criterion::CompleteIndicator => {
-                if lo_p == chosen.pos_total {
-                    Interval::point(1.0)
-                } else if hi_p < chosen.pos_total {
-                    Interval::point(0.0)
-                } else {
-                    Interval::new(0.0, 1.0)
-                }
-            }
-            // Precision is monotone (↑ in p, ↓ in n) over the count box.
-            Criterion::Precision => Interval::new(frac(lo_p, hi_n), frac(hi_p, lo_n)),
-            Criterion::Custom { .. } => Interval::UNKNOWN,
-        })
-        .collect();
-    task.scoring().range(&ranges).hi
 }
 
 #[cfg(test)]

@@ -46,16 +46,20 @@ pub(crate) fn score_batch_outcome(
 }
 
 /// [`score_batch_outcome`] over provenance-carrying candidates, with the
-/// engine's monotone bound pruning (see
+/// engine's monotone bound pruning against the caller's selection
+/// `window` and its ranked `pool`, which the caller truncates to `cap`
+/// after adding the batch (see
 /// [`ScoringEngine::score_batch_planned`](crate::engine::ScoringEngine::score_batch_planned)).
 pub(crate) fn score_batch_planned(
     task: &ExplainTask<'_>,
     planned: Vec<PlannedCq>,
     window: usize,
-    pool_floor: f64,
+    cap: usize,
+    pool: &[Explanation],
 ) -> crate::engine::BatchOutcome {
+    let scores: Vec<f64> = pool.iter().map(|e| e.score).collect();
     task.engine()
-        .score_batch_planned(task, planned, window, pool_floor)
+        .score_batch_planned(task, planned, window, cap, &scores)
 }
 
 /// Opens the per-round observability span of a round-loop strategy. All

@@ -24,6 +24,11 @@
 //!   `exists(teaches) < Professor`, `Student < not Course`, `funct inv(r)`).
 
 #![warn(missing_docs)]
+// Reasoning runs on every spec load, including reloads inside the
+// always-on server: no non-test code in this crate may panic on an
+// `unwrap` or `expect`. A static invariant carries a scoped `#[allow]`
+// with the reason next to it.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod abox;
 pub mod expr;

@@ -37,6 +37,11 @@ pub struct Reasoner {
     functional: FxHashSet<Role>,
 }
 
+// Each round adds at least one edge to some node's reachable set or
+// stops, and a set can grow at most `nodes.len()` times, so the closure
+// settles within the `nodes.len() + 2` rounds it is given: the budget
+// error cannot happen.
+#[allow(clippy::expect_used)]
 fn transitive_closure<T: Copy + Eq + std::hash::Hash>(
     nodes: &[T],
     edges: &FxHashMap<T, Vec<T>>,
@@ -64,8 +69,7 @@ fn transitive_closure<T: Copy + Eq + std::hash::Hash>(
                     }
                 }
             }
-            if !add.is_empty() {
-                let entry = subs.get_mut(&n).expect("node present");
+            if let Some(entry) = subs.get_mut(&n) {
                 for t in add {
                     changed |= entry.insert(t);
                 }

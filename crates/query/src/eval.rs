@@ -417,11 +417,23 @@ pub fn satisfies_ucq(view: View<'_>, ucq: &SrcUcq, tuple: &[Const]) -> bool {
     ucq.disjuncts().iter().any(|cq| satisfies(view, cq, tuple))
 }
 
-/// The result of one [`satisfies_ucq_each`] call.
+/// The result of one [`satisfies_ucq_each`] or [`satisfies_ucq_until`]
+/// call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matches {
     /// Per goal index: whether some disjunct matched the goal.
     pub hits: Vec<bool>,
+    /// Per goal index: whether the goal is a *final* miss — it was asked
+    /// and every disjunct, the last one included, failed on it. A call
+    /// that ran to the end has `missed[i] == (asked && !hits[i])`; a call
+    /// a [`Cutoff`] stopped leaves its unsettled goals at `false` in both.
+    pub missed: Vec<bool>,
+    /// Whether the call exceeded its [`Cutoff`] and stopped there; goals
+    /// after the one that exceeded it may be undecided.
+    pub stopped: bool,
+    /// Goals at least one disjunct was tried on: all asked goals, unless
+    /// the call stopped during its first disjunct.
+    pub searched: usize,
     /// Disjuncts answered on the certified path, masks dropped.
     pub certified: usize,
     /// Disjuncts that searched border-masked views.
@@ -429,6 +441,58 @@ pub struct Matches {
     /// Candidate atoms this call inspected (its share of
     /// [`node_counts`]'s total).
     pub nodes: u64,
+}
+
+/// When a [`satisfies_ucq_until`] call may stop before every goal has
+/// settled. Goals below `split` are the side whose *final misses* count;
+/// goals from `split` on are the side whose *hits* count. The call stops
+/// once more than `misses` goals of the first side are final misses, or
+/// more than `hits` goals of the second side are hits. A miss is final
+/// only when the UCQ's last disjunct has failed on the goal too; a hit is
+/// final at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cutoff {
+    /// The first goal index of the hit-counting side.
+    pub split: usize,
+    /// Final misses below `split` the call tolerates.
+    pub misses: usize,
+    /// Hits from `split` on the call tolerates.
+    pub hits: usize,
+}
+
+impl Cutoff {
+    /// Never stops: the call settles every goal.
+    pub const NONE: Cutoff = Cutoff {
+        split: 0,
+        misses: usize::MAX,
+        hits: usize::MAX,
+    };
+}
+
+/// The running counts a [`Cutoff`] is checked against: two integer
+/// compares per settled goal, no other per-goal work.
+struct Tally {
+    cutoff: Cutoff,
+    misses: usize,
+    hits: usize,
+}
+
+impl Tally {
+    /// Records that goal `i` settled (`hit`, or a miss that is final when
+    /// `last`); `true` when the call must stop.
+    #[inline]
+    fn settle(&mut self, i: usize, hit: bool, last: bool) -> bool {
+        if i < self.cutoff.split {
+            if !hit && last {
+                self.misses += 1;
+                return self.misses > self.cutoff.misses;
+            }
+        } else if hit {
+            self.hits += 1;
+            return self.hits > self.cutoff.hits;
+        }
+        false
+    }
 }
 
 /// One goal of [`satisfies_ucq_each`]: a tuple and the border it is
@@ -520,8 +584,28 @@ pub fn satisfies_ucq_each<'g>(
     n: usize,
     goal: impl Fn(usize) -> Option<Goal<'g>>,
 ) -> Matches {
+    satisfies_ucq_until(db, ucq, radius, n, goal, Cutoff::NONE)
+}
+
+/// [`satisfies_ucq_each`] that stops as soon as `cutoff` is exceeded.
+/// Goals settle in index order within each disjunct, so the goals a
+/// stopped call decided are a prefix of the last disjunct's pass; what
+/// they settled to is in [`Matches::hits`] and [`Matches::missed`], and
+/// [`Matches::stopped`] says the rest is undecided. A call that is not
+/// stopped returns exactly what [`satisfies_ucq_each`] returns.
+pub fn satisfies_ucq_until<'g>(
+    db: &Database,
+    ucq: &SrcUcq,
+    radius: usize,
+    n: usize,
+    goal: impl Fn(usize) -> Option<Goal<'g>>,
+    cutoff: Cutoff,
+) -> Matches {
     let mut out = Matches {
         hits: vec![false; n],
+        missed: vec![false; n],
+        stopped: false,
+        searched: 0,
         certified: 0,
         masked: 0,
         nodes: 0,
@@ -529,25 +613,55 @@ pub fn satisfies_ucq_each<'g>(
     let hits = &mut out.hits;
     let mut pending: Vec<(usize, Goal<'g>)> =
         (0..n).filter_map(|i| goal(i).map(|g| (i, g))).collect();
+    out.searched = pending.len();
+    let mut tally = Tally {
+        cutoff,
+        misses: 0,
+        hits: 0,
+    };
     let nodes = Cell::new(0u64);
-    for cq in ucq.disjuncts() {
+    let disjuncts = ucq.disjuncts();
+    if disjuncts.is_empty() {
+        for &(i, _) in &pending {
+            out.missed[i] = true;
+        }
+    }
+    for (d, cq) in disjuncts.iter().enumerate() {
         if pending.is_empty() {
             break;
         }
+        let last = d + 1 == disjuncts.len();
         let certify =
             cq.arity() == 1 && certified(cq, radius) && pending.iter().all(|(_, g)| g.complete);
-        match certify.then(|| anchor(db, cq, pending.len())).flatten() {
+        // How many of `pending` this disjunct settled: all of them, or
+        // the prefix up to the goal that tripped the cutoff.
+        let settled = match certify.then(|| anchor(db, cq, pending.len())).flatten() {
             Some(a) => {
                 out.certified += 1;
                 let found = certified_answers(db, cq, a, &first_constants(&pending), &nodes);
                 for &(i, g) in &pending {
                     hits[i] = g.tuple.len() == 1 && found.contains(g.tuple[0].0.index());
+                    out.stopped |= tally.settle(i, hits[i], last);
                 }
+                pending.len()
             }
             None => {
                 out.masked += 1;
-                masked(db, cq, &pending, hits, &nodes);
+                let (settled, stopped) = masked(db, cq, &pending, hits, &nodes, &mut tally, last);
+                out.stopped = stopped;
+                settled
             }
+        };
+        if out.stopped && d == 0 {
+            out.searched = settled;
+        }
+        if last {
+            for &(i, _) in &pending[..settled] {
+                out.missed[i] = !hits[i];
+            }
+        }
+        if out.stopped {
+            break;
         }
         pending.retain(|&(i, _)| !hits[i]);
     }
@@ -556,42 +670,49 @@ pub fn satisfies_ucq_each<'g>(
     out
 }
 
-/// The masked path of [`satisfies_ucq_each`]: one goal-directed search
+/// The masked path of [`satisfies_ucq_until`]: one goal-directed search
 /// per goal over its own border view, sharing one set of buffers.
+/// Returns how many goals settled, and whether `tally` stopped the pass
+/// at the last of them.
 fn masked(
     db: &Database,
     cq: &SrcCq,
     goals: &[(usize, Goal<'_>)],
     hits: &mut [bool],
     nodes: &Cell<u64>,
-) {
+    tally: &mut Tally,
+    last: bool,
+) -> (usize, bool) {
     let body = cq.body();
     let mut binding = Binding::new(num_vars(cq));
     let mut used = vec![false; body.len()];
     let mut matched = vec![AtomId(0); body.len()];
     let mut trail: Vec<VarId> = Vec::with_capacity(binding.slots.len());
-    for &(i, g) in goals {
-        if !binding.bind_goal(cq, g.tuple) {
-            continue;
+    for (k, &(i, g)) in goals.iter().enumerate() {
+        if binding.bind_goal(cq, g.tuple) {
+            let hit = &mut hits[i];
+            // A finished search restores `binding`, `used` and `trail` to
+            // their state on entry, so the next goal starts clean.
+            search(
+                &View::masked(db, g.border),
+                body,
+                &mut used,
+                &mut matched,
+                body.len(),
+                &mut binding,
+                &mut trail,
+                nodes,
+                &mut |_, _| {
+                    *hit = true;
+                    false // stop at the first embedding
+                },
+            );
         }
-        let hit = &mut hits[i];
-        // A finished search restores `binding`, `used` and `trail` to
-        // their state on entry, so the next goal starts clean.
-        search(
-            &View::masked(db, g.border),
-            body,
-            &mut used,
-            &mut matched,
-            body.len(),
-            &mut binding,
-            &mut trail,
-            nodes,
-            &mut |_, _| {
-                *hit = true;
-                false // stop at the first embedding
-            },
-        );
+        if tally.settle(i, hits[i], last) {
+            return (k + 1, true);
+        }
     }
+    (goals.len(), false)
 }
 
 /// The index of `cq`'s anchor — the body atom with the (first) head

@@ -39,7 +39,7 @@ pub use containment::{
 };
 pub use eval::{
     answers, answers_ucq, certified, head_depth, node_counts, satisfies, satisfies_ucq,
-    satisfies_ucq_each, witness, witness_ucq, Goal, Matches,
+    satisfies_ucq_each, satisfies_ucq_until, witness, witness_ucq, Cutoff, Goal, Matches,
 };
 pub use onto::{OntoAtom, OntoCq, OntoUcq, QueryError};
 pub use parse::{parse_onto_cq, parse_onto_ucq, parse_src_cq, QueryParseError};

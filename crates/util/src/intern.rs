@@ -133,6 +133,13 @@ impl Interner {
     }
 
     /// Interns `s`, returning the existing symbol if already present.
+    ///
+    /// # Panics
+    /// On capacity overflow — more than 2³² strings, or an arena or a
+    /// string past 4 GiB — like `Vec` on a capacity overflow. Symbols and
+    /// spans are `u32` by design (the interner's memory layout); no
+    /// ingestion path admits that much text.
+    #[allow(clippy::expect_used)]
     pub fn intern(&mut self, s: &str) -> Symbol {
         let hash = hash_str(s);
         if self.slots.is_empty() || (self.spans.len() + 1) * 8 > self.slots.len() * 7 {

@@ -28,6 +28,11 @@
 //!   the parallel border BFS.
 
 #![warn(missing_docs)]
+// Hashing, interning and the worker pool sit under every other crate,
+// the always-on server included: no non-test code in this crate may panic
+// on an `unwrap` or `expect`. A static invariant or a capacity overflow
+// carries a scoped `#[allow]` with the reason next to it.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod diag;
 pub mod fixpoint;

@@ -641,6 +641,53 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96 })]
+
+    /// A cutoff only ever stops a batched call early, never changes an
+    /// answer: every goal a stopped call settled agrees with the full
+    /// call, a call that ran through returns exactly the full call, and a
+    /// call stops iff the final misses below `split` or the hits from
+    /// `split` on exceed their budgets.
+    #[test]
+    fn cutoffs_stop_calls_without_changing_settled_goals(
+        db_seed in 0u64..100_000,
+        q_seeds in proptest::collection::vec(0u64..100_000, 1..4),
+        goal_seed in 0u64..100_000,
+        n_goals in 0usize..24,
+        split in 0usize..24,
+        budgets in (0usize..6, 0usize..6),
+        complete in 0u8..2,
+    ) {
+        let mut db = random_db(db_seed, 6, 20);
+        let ucq: SrcUcq = q_seeds.iter().map(|&s| random_cq(&mut db, s, 2, 1)).collect();
+        let goals = random_goals(&db, &ucq, 1, goal_seed, n_goals);
+        // Goals marked complete let certified disjuncts take the
+        // certified path (both calls take the same one).
+        let complete = complete == 1;
+        let goal = |i: usize| goals[i].as_ref().map(|(t, m)| Goal { tuple: t, border: m, complete });
+        let full = eval::satisfies_ucq_each(&db, &ucq, 1, goals.len(), goal);
+        let cutoff = eval::Cutoff { split, misses: budgets.0, hits: budgets.1 };
+        let cut = eval::satisfies_ucq_until(&db, &ucq, 1, goals.len(), goal, cutoff);
+        let asked = |i: usize| goals[i].is_some();
+        for i in 0..goals.len() {
+            prop_assert_eq!(full.missed[i], asked(i) && !full.hits[i]);
+            prop_assert!(!cut.hits[i] || full.hits[i], "goal {} hit only under the cutoff", i);
+            prop_assert!(!cut.missed[i] || full.missed[i], "goal {} missed only under the cutoff", i);
+        }
+        let misses = (0..goals.len()).filter(|&i| i < split && cut.missed[i]).count();
+        let hits = (0..goals.len()).filter(|&i| i >= split && cut.hits[i]).count();
+        if cut.stopped {
+            prop_assert!(misses > budgets.0 || hits > budgets.1);
+        } else {
+            prop_assert_eq!(&cut.hits, &full.hits);
+            prop_assert_eq!(&cut.missed, &full.missed);
+            prop_assert_eq!(cut.nodes, full.nodes);
+            prop_assert!(misses <= budgets.0 && hits <= budgets.1);
+        }
+    }
+}
+
 /// A path-shaped CQ over `R`/`S`: `len` binary atoms chained from the
 /// head variable `x0` through fresh variables, each atom in a random
 /// direction, the last one ending on a constant half of the time. Its

@@ -218,7 +218,7 @@ fn check_refinements_against_uncached(seed: u64, atoms: usize) -> u64 {
                     })
                     .collect();
                 let expected = planned.iter().filter(|p| compile(&p.cq).is_ok()).count();
-                let out = engine.score_batch_planned(&task, planned, usize::MAX, f64::NEG_INFINITY);
+                let out = engine.score_batch_planned(&task, planned, usize::MAX, usize::MAX, &[]);
                 assert_eq!(
                     out.explanations.len(),
                     expected,
@@ -268,6 +268,135 @@ proptest! {
     fn refinements_and_source_siblings_match_uncached(seed in 0u64..500, atoms in 1usize..4) {
         check_refinements_against_uncached(seed, atoms);
     }
+}
+
+/// The engine counters that must not depend on the thread count.
+fn counters(e: &ScoringEngine) -> [u64; 6] {
+    [
+        e.eval_calls(),
+        e.eval_nodes(),
+        e.src_hits(),
+        e.batch_calls(),
+        e.cutoffs(),
+        e.cache_misses(),
+    ]
+}
+
+/// Scores random roots' refinement batches with finite floors — a
+/// selection window of 3, a pool of 4 holding the root's score — on one
+/// and on two scoring threads, and against a baseline engine that prunes
+/// nothing. Both thread counts must return the same explanations and the
+/// same `pruned`, `evals`, `eval_nodes`, `src_hits`, `batch_calls` and
+/// cutoffs; every baseline candidate that reaches the final cut must be
+/// among them with its exact stats. Returns (pruned, cutoffs) summed over
+/// the batches.
+fn check_floored_batches(seed: u64, atoms: usize, scoring: &Scoring) -> (usize, u64) {
+    const WINDOW: usize = 3;
+    const CAP: usize = 4;
+    let s = random_scenario(scenario_params(seed));
+    let base = ExplainTask::new(&s.system, &s.labels, 1, scoring, SearchLimits::default())
+        .expect("the scenario labels tuples");
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xf100);
+    let roots: Vec<OntoCq> = (0..3)
+        .map(|_| random_query(&s.system, &mut rng, atoms).disjuncts()[0].clone())
+        .collect();
+    // One batch over every root's refinements, as a beam round mixes the
+    // children of several parents; the pool holds the roots' scores.
+    let run =
+        |threads: usize, incremental: bool| {
+            let engine = Arc::new(ScoringEngine::with_config(threads, incremental));
+            let task = base.with_engine(Arc::clone(&engine));
+            let mut pool = Vec::new();
+            let mut planned = Vec::new();
+            for root in &roots {
+                let Ok(parent) = task.score_cq(root) else {
+                    continue;
+                };
+                pool.push(parent.score);
+                planned.extend(refinements(&s.system, root).into_iter().map(|(dir, cq)| {
+                    PlannedCq {
+                        cq,
+                        parent: ParentHandle::from_explanation(dir, &parent),
+                    }
+                }));
+            }
+            let mut seen = HashSet::new();
+            planned.retain(|p| seen.insert(p.cq.canonical()));
+            let out = engine.score_batch_planned(&task, planned, WINDOW, CAP, &pool);
+            let rows: Vec<_> = out
+                .explanations
+                .iter()
+                .map(|e| (e.query.clone(), e.score.to_bits(), e.stats))
+                .collect();
+            ((pool, rows, out.pruned), counters(&engine))
+        };
+    let (one, one_counters) = run(1, true);
+    let (two, two_counters) = run(2, true);
+    assert_eq!(
+        one, two,
+        "seed {seed}: output or pruned differs across threads"
+    );
+    assert_eq!(
+        one_counters, two_counters,
+        "seed {seed}: counters differ across threads"
+    );
+    let (pool, kept, pruned) = one;
+    let ((_, all, none), _) = run(1, false);
+    assert_eq!(none, 0, "the baseline engine never prunes");
+    assert_eq!(
+        kept.len() + pruned,
+        all.len(),
+        "seed {seed}: a candidate was lost"
+    );
+    let mut batch: Vec<f64> = all.iter().map(|r| f64::from_bits(r.1)).collect();
+    batch.sort_by(|a, b| b.total_cmp(a));
+    let mut ranked = batch.iter().chain(&pool).copied().collect::<Vec<_>>();
+    ranked.sort_by(|a, b| b.total_cmp(a));
+    let nth = |v: &[f64], k: usize| v.get(k - 1).copied().unwrap_or(f64::NEG_INFINITY);
+    let cut = nth(&batch, WINDOW).min(nth(&ranked, CAP));
+    for row in all.iter().filter(|r| f64::from_bits(r.1) >= cut) {
+        assert!(
+            kept.contains(row),
+            "seed {seed}: {:?} reaches the cut but was pruned",
+            row.0
+        );
+    }
+    (pruned, one_counters[4])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6 })]
+
+    /// Rising floors and in-evaluation cutoffs are thread-count
+    /// independent and never drop a candidate that could rank.
+    #[test]
+    fn floored_batches_are_thread_independent_and_exact(seed in 0u64..500, atoms in 1usize..4) {
+        check_floored_batches(seed, atoms, &Scoring::paper_weighted(1.0, 1.0, 1.0));
+        let s = random_scenario(scenario_params(seed));
+        let complete = Scoring::complete(s.labels.pos().len(), s.labels.neg().len());
+        check_floored_batches(seed, atoms, &complete);
+    }
+}
+
+/// The property above is not vacuous: on fixed seeds the floors prune,
+/// and some of the pruning happens mid-evaluation.
+#[test]
+fn floored_batches_prune_before_and_during_evaluation() {
+    let (mut pruned, mut cutoffs) = (0, 0);
+    for seed in 0..4 {
+        let s = random_scenario(scenario_params(seed));
+        let complete = Scoring::complete(s.labels.pos().len(), s.labels.neg().len());
+        for scoring in [Scoring::paper_weighted(1.0, 1.0, 1.0), complete] {
+            let (p, c) = check_floored_batches(seed, 2, &scoring);
+            pruned += p;
+            cutoffs += c;
+        }
+    }
+    assert!(
+        pruned as u64 > cutoffs,
+        "no candidate was pruned before compilation"
+    );
+    assert!(cutoffs > 0, "no evaluation was cut off");
 }
 
 /// The property above is not vacuous: on fixed seeds, the refinement pools
