@@ -20,7 +20,10 @@
 //! speed: every bench file stamps a host-speed kernel reading
 //! (`host_kernel_us`), and a fresh file's `*_ms` values are divided by
 //! the ratio of its reading to the baseline's, so a slow phase of a
-//! shared host does not fail an unchanged tree (the bench bins' own hard
+//! shared host does not fail an unchanged tree. The ratio is capped at
+//! 1.5× either way: under contention the kernel can read twice as slow
+//! while a bench reads no slower, and an uncapped ratio would then pass
+//! a regression of that size (the bench bins' own hard
 //! floors, e.g. the smoke
 //! bench's 2× cache speedup, stay in force because a bin exiting nonzero
 //! fails its step). A bench step that runs *without* a committed
@@ -64,6 +67,14 @@ const REGRESSION_TOLERANCE: f64 = 0.20;
 /// 20% is machine noise; a regression must be both relatively and
 /// absolutely large to count.
 const REGRESSION_MIN_ABS_MS: f64 = 5.0;
+
+/// The largest host slowdown (and, inverted, speedup) the gate corrects
+/// wall times by. Past it the host is too contended for the kernel to
+/// speak for the benches; a no-op tree may then fail and want a re-run
+/// in a quieter phase, but a regression can hide only up to
+/// `(1 + REGRESSION_TOLERANCE) × 1.5 = 1.8×` raw wall time, and only
+/// while the kernel reads at least 1.5× slow.
+const MAX_HOST_SLOWDOWN: f64 = 1.5;
 
 /// One row per bench step: (step name, baseline file, bench bin, retry
 /// step name). The regression gate, the missing-baseline check, and the
@@ -373,6 +384,9 @@ struct Delta {
     fresh: Option<f64>,
     /// How much slower the host ran for the fresh file than for the
     /// baseline ([`host_slowdown`]).
+    kernel_ratio: f64,
+    /// The correction applied: `kernel_ratio` capped to
+    /// [`MAX_HOST_SLOWDOWN`] either way.
     slowdown: f64,
     /// Relative change, sign-adjusted so positive = worse; infinite for
     /// a missing gated key.
@@ -404,17 +418,18 @@ fn host_slowdown(base: &[(String, f64)], fresh: &[(String, f64)]) -> f64 {
 /// Compares one fresh bench file against its pre-run baseline. Gated
 /// keys are wall-times (`*_ms`: higher is worse), compared at the
 /// baseline's host speed: each fresh wall time is divided by the
-/// [`host_slowdown`] between the two files, so a slow phase of a shared
-/// host, which slows the kernel as much as the bench, is not a
-/// regression, while a slow change, which leaves the kernel alone, still
-/// is. Speedup keys are reported but left to the bench bins' own hard
+/// [`host_slowdown`] between the two files, capped to
+/// [`MAX_HOST_SLOWDOWN`], so a slow phase of a shared host, which slows
+/// the kernel as much as the bench, is not a regression, while a slow
+/// change, which leaves the kernel alone, still is. Speedup keys are reported but left to the bench bins' own hard
 /// floors. A gated key the fresh file no longer carries is a delta that
 /// fails the gate: a bin that renames or drops a wall time must not slip
 /// past it.
 fn bench_deltas(file: &'static str, baseline: &str, fresh: &str) -> Vec<Delta> {
     let base: Vec<(String, f64)> = top_level_numbers(baseline);
     let new: Vec<(String, f64)> = top_level_numbers(fresh);
-    let slowdown = host_slowdown(&base, &new);
+    let kernel_ratio = host_slowdown(&base, &new);
+    let slowdown = kernel_ratio.clamp(1.0 / MAX_HOST_SLOWDOWN, MAX_HOST_SLOWDOWN);
     let mut deltas = Vec::new();
     for (key, b) in &base {
         let gated = key.ends_with("_ms");
@@ -434,6 +449,7 @@ fn bench_deltas(file: &'static str, baseline: &str, fresh: &str) -> Vec<Delta> {
             key: key.clone(),
             base: *b,
             fresh: f,
+            kernel_ratio,
             slowdown,
             worse_frac,
             gated,
@@ -466,14 +482,14 @@ fn missing_host_facts(fresh: &str) -> Vec<&'static str> {
 }
 
 fn print_delta_table(deltas: &[Delta]) {
-    let mut files: Vec<(&str, f64)> = Vec::new();
+    let mut files: Vec<(&str, f64, f64)> = Vec::new();
     for d in deltas {
-        if !files.contains(&(d.file, d.slowdown)) {
-            files.push((d.file, d.slowdown));
+        if !files.contains(&(d.file, d.kernel_ratio, d.slowdown)) {
+            files.push((d.file, d.kernel_ratio, d.slowdown));
         }
     }
-    for (file, slowdown) in files {
-        eprintln!("{file}: host ran {slowdown:.2}x the baseline's kernel time; wall times below are at the baseline's speed");
+    for (file, ratio, slowdown) in files {
+        eprintln!("{file}: host ran {ratio:.2}x the baseline's kernel time; wall times below are divided by {slowdown:.2} (capped at {MAX_HOST_SLOWDOWN}x)");
     }
     eprintln!(
         "{:<18} {:<28} {:>12} {:>12} {:>9}  gate",
@@ -905,6 +921,7 @@ mod tests {
             key: "x_ms".to_owned(),
             base,
             fresh: Some(fresh),
+            kernel_ratio: 1.0,
             slowdown: 1.0,
             worse_frac: (fresh - base) / base,
             gated,
@@ -969,5 +986,30 @@ mod tests {
         assert_eq!(failing(baseline, unstamped), ["a_ms", "b_ms"]);
         let slow_change = r#"{"bench":"t","host_kernel_us":14500.0,"a_ms":58.0,"b_ms":200.0}"#;
         assert_eq!(failing(baseline, slow_change), ["b_ms"]);
+    }
+
+    /// Under contention the kernel can read far slower than the benches
+    /// do. The correction stops at 1.5x, so a kernel reading 2.5x slow
+    /// cannot pass a wall time 2x its baseline; a 1.5x phase still
+    /// passes a no-op tree, and a fast phase cannot fail one by more
+    /// than the cap either.
+    #[test]
+    fn the_host_correction_is_capped() {
+        let baseline = r#"{"bench":"t","host_kernel_us":10000.0,"a_ms":40.0,"b_ms":100.0}"#;
+        let failing = |fresh: &str| -> Vec<String> {
+            bench_deltas("BENCH_t.json", baseline, fresh)
+                .into_iter()
+                .filter(fails_gate)
+                .map(|d| d.key)
+                .collect()
+        };
+        let over_read = r#"{"bench":"t","host_kernel_us":25000.0,"a_ms":40.0,"b_ms":200.0}"#;
+        assert_eq!(failing(over_read), ["b_ms"], "200 / 1.5 = 133, +33%");
+        let d = &bench_deltas("BENCH_t.json", baseline, over_read)[2];
+        assert!((d.kernel_ratio - 2.5).abs() < 1e-9 && (d.slowdown - 1.5).abs() < 1e-9);
+        let slow_phase = r#"{"bench":"t","host_kernel_us":16000.0,"a_ms":60.0,"b_ms":170.0}"#;
+        assert!(failing(slow_phase).is_empty(), "170 / 1.5 = 113, +13%");
+        let fast_phase = r#"{"bench":"t","host_kernel_us":4000.0,"a_ms":30.0,"b_ms":75.0}"#;
+        assert!(failing(fast_phase).is_empty(), "75 x 1.5 = 112.5, +12.5%");
     }
 }

@@ -78,7 +78,7 @@ use crate::matcher::{MatchBits, MatchStats, PreparedLabels, Prior};
 use crate::prune::{CountBox, ParentHandle};
 use crate::score::Scoring;
 use obx_obdm::{CompiledQuery, ObdmError};
-use obx_query::{Cutoff, OntoCq, OntoUcq, RewriteError, SrcCq};
+use obx_query::{Cutoff, OntoCq, OntoUcq, SrcCq};
 use obx_util::{FxHashMap, Interrupt, WorkerPool};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -593,10 +593,10 @@ impl ScoringEngine {
         interrupt: &Interrupt,
         parent: Option<&ParentHandle>,
     ) -> Result<Arc<DisjunctEntry>, ObdmError> {
-        // Without a cut nothing is pruned, so `None` cannot come back; a
-        // candidate that did not come back was simply not reached.
-        self.disjunct_at(prepared, cq, interrupt, parent, None, None)?
-            .ok_or(ObdmError::Rewrite(RewriteError::Interrupted))
+        match self.disjunct_at(prepared, cq, interrupt, parent, None, None)? {
+            Some(entry) => Ok(entry),
+            None => unreachable!("only a cut prunes a disjunct, and none was given"),
+        }
     }
 
     /// [`ScoringEngine::disjunct_with_parent`] for a candidate of a batch:
@@ -863,8 +863,9 @@ impl ScoringEngine {
     /// Candidates score in order of their admissible bound, highest
     /// first (candidates without provenance have bound `+∞`; the sort is
     /// stable, so on the non-incremental path they score in input order),
-    /// in chunks of `window` candidates — 32 when `window` is 0, the
-    /// whole batch when it is unbounded. Before each chunk the
+    /// in chunks of `window` candidates — the whole batch when `window` is
+    /// 0 (the caller's own chunk loop raises its pool between batches) or
+    /// unbounded. Before each chunk the
     /// *cut* is the smaller of the `window`-th best batch score so far
     /// and the `cap`-th best score of the pool and the batch so far
     /// (`-∞` while either is unfilled; the first is `+∞` for `window` 0).
@@ -910,10 +911,10 @@ impl ScoringEngine {
             .collect();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]));
-        let chunk = match window {
-            _ if !self.incremental => n.max(1),
-            0 => FLOOR_CHUNK,
-            w => w,
+        let chunk = if window == 0 || !self.incremental {
+            n.max(1)
+        } else {
+            window
         };
         let mut floors = Floors::new(window, cap, pool);
         let mut explanations = Vec::new();
@@ -1054,11 +1055,6 @@ impl ScoringEngine {
         (out, cut_short.into_inner())
     }
 }
-
-/// Batch candidates scored between two cut updates when the caller has no
-/// selection window (`window == 0`): small enough that the pool floor
-/// rises early, large enough to keep the worker pool busy.
-const FLOOR_CHUNK: usize = 32;
 
 /// The rising selection cut of one batch (see
 /// [`ScoringEngine::score_batch_planned`]): the best `window` batch
