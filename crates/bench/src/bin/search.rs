@@ -142,7 +142,7 @@ fn main() {
             .count(format!("{k}_full_evals"), off.engine.eval_calls())
             .count(format!("{k}_incremental_evals"), on.engine.eval_calls())
             .count(format!("{k}_evals_saved"), on.engine.evals_saved())
-            .count(format!("{k}_src_hits"), on.engine.src_hits())
+            .count(format!("{k}_cache_hits"), on.engine.cache_hits())
             .count(format!("{k}_pruned"), on.report.pruned as u64)
             .real(format!("{k}_prune_rate"), on.prune_rate(), 4);
     }
@@ -207,7 +207,7 @@ fn main() {
         .real("skewed_beam_speedup", off_ms / on_ms.max(1e-9), 2)
         .count("skewed_beam_candidates", off.candidates())
         .count("skewed_beam_evals_saved", on.engine.evals_saved())
-        .count("skewed_beam_src_hits", on.engine.src_hits())
+        .count("skewed_beam_cache_hits", on.engine.cache_hits())
         .count("skewed_beam_pruned", skewed_pruned as u64)
         .real("skewed_beam_prune_rate", on.prune_rate(), 4);
 

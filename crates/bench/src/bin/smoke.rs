@@ -5,8 +5,10 @@
 //! assemblies — once through the uncached [`PreparedLabels`] path and once
 //! through the shared [`ScoringEngine`] (cold on every repetition), best
 //! of [`REPS`] each, then writes a single-line JSON summary to
-//! `BENCH_scoring.json` at the workspace root. Exits 1 when the cached
-//! side is less than 2× faster.
+//! `BENCH_scoring.json` at the workspace root. On the engine side a
+//! repeat pays a compile but no evaluation: the memo is keyed by the
+//! compiled source query. Exits 1 when the cached side is less than 2×
+//! faster.
 //!
 //! Usage: `cargo run --release -p obx-bench --bin smoke`
 
@@ -75,8 +77,8 @@ fn main() {
         },
     );
 
-    // Engine: canonical-form memo cache + bitset OR for unions, cold on
-    // every repetition.
+    // Engine: compile, then the source-keyed memo + bitset OR for
+    // unions, cold on every repetition.
     let cached = Best::of(
         REPS,
         |a: &(usize, ScoringEngine), b: &(usize, ScoringEngine)| {

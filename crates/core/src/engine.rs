@@ -1,5 +1,5 @@
-//! The shared scoring engine: compiled-query memoization, per-label match
-//! bitsets, and a persistent parallel scorer.
+//! The shared scoring engine: one memo of match bitsets keyed by the
+//! compiled source query, and a persistent parallel scorer.
 //!
 //! Every strategy ultimately asks the same question — *what are the match
 //! statistics of this candidate query against λ?* — and the answer
@@ -8,21 +8,26 @@
 //! determined by which labelled tuples each disjunct J-matches. The
 //! [`ScoringEngine`] exploits this five ways:
 //!
-//! 1. **Memo cache.** Each disjunct is keyed by its canonical form
-//!    ([`OntoCq::canonical`], which collapses variable renamings and atom
-//!    reorderings) and memoized as a [`DisjunctEntry`]: the compiled
-//!    query *and* its [`MatchBits`] — one bit per labelled tuple,
-//!    positives first, then negatives. Searches revisit the same
-//!    conjunctions constantly (beam refinement, greedy assembly,
-//!    exhaustive enumeration over overlapping rounds); each distinct
-//!    disjunct is compiled and evaluated exactly once per task.
-//!    Compilation failures (budget overruns) are cached too, so a
-//!    pathological candidate is not re-rewritten every round.
+//! 1. **One memo, keyed by the compiled source query.** A disjunct's
+//!    [`MatchBits`] (one bit per labelled tuple, positives first) depend
+//!    only on its compiled *source* UCQ: Definition 3.4 under a sound GAV
+//!    mapping is decided by evaluating `unfold(PerfectRef(q))` on the
+//!    prepared borders. So every lookup compiles the disjunct's canonical
+//!    form ([`OntoCq::canonical`]), a couple of microseconds, and reads
+//!    the memo under its sorted source disjuncts. GAV unfolding is
+//!    many-to-one (`likes(x, "Math")` and `studies(x, "Math")` both
+//!    compile to `ENR(x, "Math", z)` on the paper's system), so each
+//!    distinct source query is evaluated once per task. A lookup answered
+//!    with bits is a [`ScoringEngine::cache_hits`], every other one a
+//!    [`ScoringEngine::cache_misses`]. Compile failures are not memoized:
+//!    a run does not look a failing candidate up twice (DESIGN §11).
 //! 2. **Bitset algebra.** The stats of any UCQ are the popcounts of the
-//!    OR of its disjuncts' bitsets. Once the disjuncts are cached,
+//!    OR of its disjuncts' bitsets. Once the disjuncts are memoized,
 //!    scoring a union — the inner loop of [`GreedyUcq`]'s `O(k²)`
-//!    assembly — is pure bit operations with **zero** evaluator calls
-//!    (asserted by `greedy_assembly_makes_no_evaluator_calls` below).
+//!    assembly — is one compile per disjunct and bit operations, with
+//!    **zero** evaluator calls (asserted by
+//!    `ucq_assembly_makes_no_evaluator_calls_once_disjuncts_are_cached`
+//!    below).
 //! 3. **Persistent worker pool.** Batches are scored on a pool built
 //!    once per engine (thread count from `OBX_THREADS`, else
 //!    [`std::thread::available_parallelism`], with no hard cap) and
@@ -31,9 +36,11 @@
 //!    candidate no longer serializes a statically-assigned chunk.
 //! 4. **Refinement monotonicity** (`crate::prune`). Candidates arriving
 //!    with a [`ParentHandle`] — the canonical key and stats of the query
-//!    they were refined from — are **delta-evaluated**: only the tuples
-//!    whose match status can differ from the parent's are run through the
-//!    evaluator ([`PreparedLabels::match_bits_restricted`]). The same
+//!    they were refined from — are **delta-evaluated** when the parent's
+//!    bits are in the memo (looked up once per distinct parent and
+//!    batch): only the tuples whose match status can differ from the
+//!    parent's are run through the evaluator
+//!    ([`PreparedLabels::match_bits_restricted`]). The same
 //!    provenance puts each candidate's counts in a [`CountBox`] and
 //!    bounds its score, and [`ScoringEngine::score_batch_planned`] scores
 //!    a batch best bound first, in chunks, against a cut that rises with
@@ -45,29 +52,19 @@
 //!    output is byte-identical to full evaluation, enforced by the
 //!    equivalence property suites. Always on, except where
 //!    [`ScoringEngine::with_config`] turns it off for an A/B comparison.
-//! 5. **Source-keyed match memo.** A disjunct's bits depend only on its
-//!    compiled *source* UCQ (Definition 3.4 under a sound GAV mapping is
-//!    decided by evaluating `unfold(PerfectRef(q))` on the prepared
-//!    borders), and GAV unfolding is many-to-one: `likes(x, "Math")` and
-//!    `studies(x, "Math")` both compile to `ENR(x, "Math", z)` on the
-//!    paper's system. So behind the ontology-keyed cache sits a second
-//!    memo from the compiled source UCQ (its canonical disjuncts, sorted,
-//!    so disjunct order does not matter) to an `Arc<MatchBits>`. A hit
-//!    makes no evaluator call and charges neither `evals` nor
-//!    `batch_calls`; it is counted by [`ScoringEngine::src_hits`]. A miss
-//!    evaluates as above, parent-delta or full — delta bits are full
-//!    bits — and publishes the result. An evaluation a cutoff stopped
-//!    publishes what it settled as a *dead* slot, which later candidates
-//!    with that source start from: pruned without an evaluator call when
-//!    it already puts them below their cut, else evaluating the open
-//!    tuples privately. It holds at most one entry per ontology miss,
-//!    shared with the entries that use it. On the worker pool,
+//! 5. **Claims and dead slots.** A miss claims its source query's slot,
+//!    evaluates it, parent-delta or full (delta bits are full bits), and
+//!    publishes the bits. An evaluation a cutoff stopped publishes what
+//!    it settled as a *dead* slot, which later candidates with that
+//!    source start from: pruned without an evaluator call when it already
+//!    puts them below their cut, else evaluating the open tuples
+//!    privately. A dead slot never turns ready. On the worker pool,
 //!    candidates claim their source in batch order, so a shared source
 //!    is evaluated by its first candidate as on one thread and the
-//!    counters do not depend on scheduling. Always on.
+//!    counters do not depend on scheduling.
 //!
 //! The engine is shared across [`ExplainTask::with_limits`] clones via
-//! `Arc`, so a meta-strategy's base run warms the cache for its assembly
+//! `Arc`, so a meta-strategy's base run warms the memo for its assembly
 //! phase.
 //!
 //! [`GreedyUcq`]: crate::strategies::GreedyUcq
@@ -82,12 +79,12 @@ use obx_query::{Cutoff, OntoCq, OntoUcq, SrcCq};
 use obx_util::{FxHashMap, Interrupt, WorkerPool};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Locks in the engine recover from poisoning instead of propagating it:
 /// a candidate whose scoring panicked is quarantined per candidate (see
 /// [`ScoringEngine::score_batch_outcome`]), and the shared state a lock
-/// guards here (memo cache, job queue, latch counters) is never left
+/// guards here (memo, job queue, latch counters) is never left
 /// mid-update across a panic boundary, so the data is intact.
 macro_rules! lock_recover {
     ($e:expr) => {
@@ -197,22 +194,8 @@ pub struct PlannedCq {
     pub parent: Option<ParentHandle>,
 }
 
-/// A memoized disjunct: its compilation and its match bitset.
-#[derive(Debug)]
-pub struct DisjunctEntry {
-    /// The PerfectRef + unfold compilation of the canonical CQ.
-    pub compiled: CompiledQuery,
-    /// Which labelled tuples the CQ J-matches (positives, then negatives),
-    /// shared with every entry that compiles to the same source UCQ.
-    pub bits: Arc<MatchBits>,
-}
-
-/// Cached outcome per canonical disjunct; errors are cached so budget
-/// overruns are paid once, not once per round.
-type CacheSlot = Result<Arc<DisjunctEntry>, ObdmError>;
-
-/// The source memo's key: a compiled query's source disjuncts, each
-/// already canonical ([`obx_query::SrcUcq::push`]), sorted so that two
+/// The memo's key: a compiled query's source disjuncts, each already
+/// canonical ([`obx_query::SrcUcq::push`]), sorted so that two
 /// unfoldings of one set in different orders share a key. Borrowed when
 /// they are in order already, as a single disjunct always is.
 fn source_key(compiled: &CompiledQuery) -> Cow<'_, [SrcCq]> {
@@ -226,9 +209,9 @@ fn source_key(compiled: &CompiledQuery) -> Cow<'_, [SrcCq]> {
     }
 }
 
-/// A source memo entry: the bits, an evaluation in flight whose outcome
-/// the candidates waiting on it will share, or what an evaluation a
-/// cutoff stopped had settled.
+/// A memo entry: the bits, an evaluation in flight whose outcome the
+/// candidates waiting on it will share, or what an evaluation a cutoff
+/// stopped had settled.
 enum SrcSlot {
     Pending,
     Ready(Arc<MatchBits>),
@@ -250,8 +233,6 @@ enum SrcClaim<'e> {
     Dead(Arc<Prior>),
     /// The candidate evaluates the source and publishes its outcome.
     Owner(SrcOwner<'e>),
-    /// Another candidate is evaluating the source.
-    Pending,
 }
 
 /// The claim to evaluate one source query, whose memo slot holds
@@ -286,14 +267,14 @@ impl SrcOwner<'_> {
 
     fn settle(mut self, outcome: SrcSlot) {
         if let Some(key) = self.key.take() {
-            let mut memo = lock_recover!(self.engine.src_memo.lock());
+            let mut memo = lock_recover!(self.engine.memo.lock());
             match memo.get_mut(key) {
                 Some(slot) => *slot = outcome,
                 None => {
                     memo.insert(key.to_vec(), outcome);
                 }
             }
-            self.engine.src_ready.notify_all();
+            self.engine.settled.notify_all();
         }
     }
 }
@@ -301,10 +282,20 @@ impl SrcOwner<'_> {
 impl Drop for SrcOwner<'_> {
     fn drop(&mut self) {
         if let Some(key) = self.key.take() {
-            lock_recover!(self.engine.src_memo.lock()).remove(key);
-            self.engine.src_ready.notify_all();
+            lock_recover!(self.engine.memo.lock()).remove(key);
+            self.engine.settled.notify_all();
         }
     }
+}
+
+/// What a lookup of one compiled candidate found.
+enum Lookup<'e> {
+    /// The source's bits, from a ready slot.
+    Hit(Arc<MatchBits>),
+    /// A miss: the claim to publish the source's outcome, when the
+    /// candidate won it, and what the candidate starts from — its
+    /// parent's bits, narrowed by a dead slot's outcomes.
+    Miss(Option<SrcOwner<'e>>, Prior),
 }
 
 /// A batch candidate's pruning cut: the score it must reach to matter
@@ -328,12 +319,12 @@ impl Cut<'_> {
     }
 }
 
-/// Batch-order turns for the source memo on the worker pool. A
-/// candidate claims its source query only after every earlier candidate
-/// of the batch has claimed its own or finished, so a source shared
-/// within a batch is evaluated by its first candidate in batch order, as
-/// on one thread, and the engine's counters (`evals`, `src_hits`, nodes)
-/// do not depend on scheduling.
+/// Batch-order turns for the memo on the worker pool. A candidate claims
+/// its source query only after every earlier candidate of the batch has
+/// claimed its own or finished, so a source shared within a batch is
+/// evaluated by its first candidate in batch order, as on one thread,
+/// and the engine's counters (`evals`, `cache_hits`, nodes) do not
+/// depend on scheduling.
 struct Turns {
     /// The first position that has not passed, and which positions have.
     state: Mutex<(usize, Vec<bool>)>,
@@ -375,13 +366,15 @@ pub(crate) struct Turn<'a> {
     pos: usize,
 }
 
+/// Each distinct refinement parent of a batch, with its memoized bits
+/// when it has any.
+type Parents<'p> = FxHashMap<&'p OntoCq, Option<Arc<MatchBits>>>;
+
 /// Shared scoring state of one explanation task. See the module docs.
 pub struct ScoringEngine {
-    cache: RwLock<FxHashMap<OntoCq, CacheSlot>>,
-    src_memo: Mutex<FxHashMap<Vec<SrcCq>, SrcSlot>>,
-    src_ready: Condvar,
+    memo: Mutex<FxHashMap<Vec<SrcCq>, SrcSlot>>,
+    settled: Condvar,
     hits: AtomicU64,
-    src_hits: AtomicU64,
     misses: AtomicU64,
     evals: AtomicU64,
     evals_saved: AtomicU64,
@@ -424,11 +417,9 @@ impl ScoringEngine {
     /// ≥ 1) and incremental toggle, ignoring the environment entirely.
     pub fn with_config(threads: usize, incremental: bool) -> Self {
         Self {
-            cache: RwLock::new(FxHashMap::default()),
-            src_memo: Mutex::new(FxHashMap::default()),
-            src_ready: Condvar::new(),
+            memo: Mutex::new(FxHashMap::default()),
+            settled: Condvar::new(),
             hits: AtomicU64::new(0),
-            src_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evals: AtomicU64::new(0),
             evals_saved: AtomicU64::new(0),
@@ -446,9 +437,9 @@ impl ScoringEngine {
     }
 
     /// Arms this engine's fault-injection hook: the `nth` (1-based)
-    /// *fresh* scoring call from now — i.e. cache miss; hits never reach
-    /// the hook — fails or panics per `mode`. Test-only (`fault-injection`
-    /// feature); see [`fault`].
+    /// *fresh* scoring call from now — i.e. a memo miss whose candidate
+    /// compiled; hits never reach the hook — fails or panics per `mode`.
+    /// Test-only (`fault-injection` feature); see [`fault`].
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn arm_fault(&self, nth: u64, mode: fault::FaultMode) {
         self.fault.arm(nth, mode);
@@ -459,27 +450,21 @@ impl ScoringEngine {
         self.threads
     }
 
-    /// Disjunct lookups answered from the cache.
+    /// Lookups the memo answered with their source query's bits, with no
+    /// evaluator call.
     pub fn cache_hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Disjunct lookups that required compile + evaluation.
+    /// Every other lookup that reached the engine: a compile failure, a
+    /// source query seen first, or one whose slot is dead.
     pub fn cache_misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Cache misses whose compiled source UCQ an earlier miss already
-    /// evaluated: their bits came from the source memo, with no
-    /// evaluator call.
-    pub fn src_hits(&self) -> u64 {
-        self.src_hits.load(Ordering::Relaxed)
-    }
-
     /// Total J-match evaluations (one per labelled tuple evaluated per
-    /// cache miss that reached the evaluator). Cached scoring — notably
-    /// UCQ assembly over known disjuncts — and source-memo hits leave
-    /// this counter untouched.
+    /// cache miss that reached the evaluator). Cache hits — notably UCQ
+    /// assembly over known disjuncts — leave this counter untouched.
     pub fn eval_calls(&self) -> u64 {
         self.evals.load(Ordering::Relaxed)
     }
@@ -512,10 +497,10 @@ impl ScoringEngine {
         self.eval_nodes.load(Ordering::Relaxed)
     }
 
-    /// Candidates pruned after their ontology-cache miss: an evaluation
-    /// a cutoff stopped below the candidate's cut, or a dead source slot
-    /// whose settled outcomes already put it there (module docs, item 4).
-    /// Each is also in its batch's [`BatchOutcome::pruned`].
+    /// Candidates pruned after their cache miss: an evaluation a cutoff
+    /// stopped below the candidate's cut, or a dead slot whose settled
+    /// outcomes already put it there (module docs, items 4 and 5). Each
+    /// is also in its batch's [`BatchOutcome::pruned`].
     pub fn cutoffs(&self) -> u64 {
         self.cutoffs.load(Ordering::Relaxed)
     }
@@ -533,198 +518,153 @@ impl ScoringEngine {
         self.evals_saved.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct disjuncts memoized.
+    /// Number of distinct source queries in the memo, ready or dead.
     pub fn cache_len(&self) -> usize {
-        lock_recover!(self.cache.read()).len()
+        lock_recover!(self.memo.lock()).len()
     }
 
-    /// The healthy cached entry for a disjunct's canonical form, if any.
-    /// Strategies use this to attach refinement provenance to candidates
-    /// whose parent was already scored (e.g. exhaustive enumeration
-    /// prefixes) without ever triggering compilation.
-    pub fn cached_entry(&self, cq: &OntoCq) -> Option<Arc<DisjunctEntry>> {
-        let key = cq.canonical();
-        match lock_recover!(self.cache.read()).get(&key) {
-            Some(Ok(entry)) => Some(Arc::clone(entry)),
-            _ => None,
-        }
-    }
-
-    /// The memoized entry for one disjunct, computing it on first sight.
+    /// The match bits of one disjunct: from the memo when its compiled
+    /// source query is ready there, else from one full evaluation that
+    /// the memo then shares. A compile failure — transient (the
+    /// interrupt firing mid-compile) or permanent (a budget overrun) —
+    /// is returned and not memoized.
     pub fn disjunct(
         &self,
         prepared: &PreparedLabels<'_>,
         cq: &OntoCq,
-    ) -> Result<Arc<DisjunctEntry>, ObdmError> {
-        self.disjunct_interruptible(prepared, cq, &Interrupt::none())
-    }
-
-    /// [`ScoringEngine::disjunct`] under a cooperative stop signal,
-    /// threaded into PerfectRef. A **transient** failure (the interrupt
-    /// firing mid-compile) is returned but *not* cached: it says nothing
-    /// about the query, and memoizing it would poison every later run
-    /// sharing this engine.
-    pub fn disjunct_interruptible(
-        &self,
-        prepared: &PreparedLabels<'_>,
-        cq: &OntoCq,
         interrupt: &Interrupt,
-    ) -> Result<Arc<DisjunctEntry>, ObdmError> {
-        self.disjunct_with_parent(prepared, cq, interrupt, None)
+    ) -> Result<Arc<MatchBits>, ObdmError> {
+        let compiled = self.compile(prepared, cq, interrupt)?;
+        let key = source_key(&compiled);
+        let (owner, prior) = match self.lookup(prepared, &key, None, None)? {
+            Lookup::Hit(bits) => return Ok(bits),
+            Lookup::Miss(owner, prior) => (owner, prior),
+        };
+        // Without a cutoff an evaluation settles every open tuple.
+        let (known, _) = self.evaluate(prepared, &compiled, prior, Cutoff::NONE);
+        Ok(SrcOwner::share(owner, known.into_bits()))
     }
 
-    /// [`ScoringEngine::disjunct_interruptible`] with refinement
-    /// provenance: when the incremental path is on and the parent's entry
-    /// is already cached (and healthy), the candidate's bitset is computed
-    /// by **delta evaluation** — only the tuples whose status can differ
-    /// from the parent's go through the evaluator
-    /// ([`PreparedLabels::match_bits_restricted`]). Any other situation
-    /// (no parent, parent not cached, parent's compilation failed,
-    /// incremental off) falls back to full evaluation; the resulting entry
-    /// is identical either way. [`ScoringEngine::eval_calls`] counts only
-    /// tuples actually evaluated, and the remainder accrues to
-    /// [`ScoringEngine::evals_saved`]. A candidate whose compiled source
-    /// UCQ an earlier miss already evaluated takes that miss's bits from
-    /// the source memo (module docs, item 5) and reaches no evaluator.
-    pub fn disjunct_with_parent(
-        &self,
-        prepared: &PreparedLabels<'_>,
-        cq: &OntoCq,
-        interrupt: &Interrupt,
-        parent: Option<&ParentHandle>,
-    ) -> Result<Arc<DisjunctEntry>, ObdmError> {
-        match self.disjunct_at(prepared, cq, interrupt, parent, None, None)? {
-            Some(entry) => Ok(entry),
-            None => unreachable!("only a cut prunes a disjunct, and none was given"),
-        }
-    }
-
-    /// [`ScoringEngine::disjunct_with_parent`] for a candidate of a batch:
-    /// on the worker pool the candidate claims its source query in its
-    /// batch's turn order, and under a `cut` its evaluation stops once its
-    /// counts provably score below the cut's floor. `Ok(None)` is such a
-    /// pruned candidate (counted by [`ScoringEngine::cutoffs`]): it is
-    /// neither cached nor an error.
+    /// [`ScoringEngine::disjunct`] for a candidate of a batch. With
+    /// `parent`'s bits (refinement provenance, `crate::prune`) only the
+    /// tuples whose status can differ from the parent's go through the
+    /// evaluator, the rest accruing to [`ScoringEngine::evals_saved`]; on
+    /// the worker pool the candidate claims its source query in its
+    /// batch's turn order; and its evaluation stops once its counts
+    /// provably score below `cut`'s floor. `Ok(None)` is such a pruned
+    /// candidate (counted by [`ScoringEngine::cutoffs`]): its source's
+    /// slot keeps what it settled as a [`SrcSlot::Dead`] slot, and a
+    /// later candidate that a dead slot's outcomes already put below its
+    /// cut is pruned with no evaluator call.
     pub(crate) fn disjunct_at(
         &self,
         prepared: &PreparedLabels<'_>,
         cq: &OntoCq,
         interrupt: &Interrupt,
-        parent: Option<&ParentHandle>,
-        turn: Option<Turn<'_>>,
-        cut: Option<Cut<'_>>,
-    ) -> Result<Option<Arc<DisjunctEntry>>, ObdmError> {
-        let key = cq.canonical();
-        if let Some(slot) = lock_recover!(self.cache.read()).get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return slot.clone().map(Some);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        #[cfg(any(test, feature = "fault-injection"))]
-        self.fault.check()?;
-        // Resolve the parent's cached bits before compiling; a missing or
-        // failed parent entry simply means full evaluation.
-        let parent_entry = if self.incremental {
-            parent.and_then(|h| match lock_recover!(self.cache.read()).get(h.key()) {
-                Some(Ok(entry)) => Some((Arc::clone(entry), h.dir())),
-                _ => None,
-            })
-        } else {
-            None
-        };
-        // Compute outside any lock: compilation can be slow, and two
-        // threads racing on the same fresh key just compile it twice
-        // (rare — batches are deduplicated upstream), the second then
-        // taking the first's bits from the source memo; first insert
-        // wins.
-        let computed: CacheSlot = match prepared
-            .system()
-            .spec()
-            .compile_cq_interruptible(&key, interrupt)
-        {
-            Ok(compiled) => {
-                let parent = parent_entry
-                    .as_ref()
-                    .map(|(pe, dir)| (pe.bits.as_ref(), *dir));
-                match self.source_bits(prepared, &compiled, parent, turn, cut) {
-                    Ok(Some(bits)) => Ok(Arc::new(DisjunctEntry { compiled, bits })),
-                    Ok(None) => return Ok(None),
-                    Err(e) => Err(e),
-                }
-            }
-            Err(e) => Err(e),
-        };
-        if let Err(e) = &computed {
-            if e.is_transient() {
-                return Err(e.clone());
-            }
-        }
-        let mut cache = lock_recover!(self.cache.write());
-        cache.entry(key).or_insert(computed).clone().map(Some)
-    }
-
-    /// The match bits of `compiled`, from the source memo when another
-    /// ontology key compiled to the same source UCQ (bits depend only on
-    /// it), else from one evaluation that the memo then shares. The turn
-    /// is passed before waiting on another candidate's evaluation, so
-    /// later candidates are not held up. `Ok(None)` when `cut` pruned the
-    /// candidate: the evaluation stopped below the floor (the memo keeps
-    /// what it settled as a [`SrcSlot::Dead`] slot), or a dead slot's
-    /// outcomes already put the candidate there.
-    fn source_bits(
-        &self,
-        prepared: &PreparedLabels<'_>,
-        compiled: &CompiledQuery,
         parent: Option<(&MatchBits, crate::prune::RefineDir)>,
         turn: Option<Turn<'_>>,
-        cut: Option<Cut<'_>>,
+        cut: Cut<'_>,
     ) -> Result<Option<Arc<MatchBits>>, ObdmError> {
-        let src_key = source_key(compiled);
-        if let Some(t) = turn {
-            t.turns.wait(t.pos);
+        let compiled = self.compile(prepared, cq, interrupt)?;
+        let key = source_key(&compiled);
+        let (owner, prior) = match self.lookup(prepared, &key, parent, turn)? {
+            Lookup::Hit(bits) => return Ok(Some(bits)),
+            Lookup::Miss(owner, prior) => (owner, prior),
+        };
+        // Without a finite floor nothing can be cut, and the box is not
+        // worth counting.
+        let cutoff = if cut.floor > f64::NEG_INFINITY {
+            match cut.cutoff(&prior.count_box()) {
+                Some(cutoff) => cutoff,
+                None => return Ok(self.prune(owner, prior)),
+            }
+        } else {
+            Cutoff::NONE
+        };
+        let (known, stopped) = self.evaluate(prepared, &compiled, prior, cutoff);
+        if stopped {
+            return Ok(self.prune(owner, known));
         }
-        let mut claim = self.claim_source(&src_key, false);
-        if let Some(t) = turn {
-            t.turns.pass(t.pos);
+        Ok(Some(SrcOwner::share(owner, known.into_bits())))
+    }
+
+    /// The memoized bits of `cq`, when a lookup has published them:
+    /// compiled under an inert interrupt, so a query the run already
+    /// compiled is not charged to its resource guard or profile again,
+    /// and read with no claim, no evaluation and no counter. Refinement
+    /// parents resolve through this.
+    pub(crate) fn ready_bits(
+        &self,
+        prepared: &PreparedLabels<'_>,
+        cq: &OntoCq,
+    ) -> Option<Arc<MatchBits>> {
+        let compiled = prepared.system().spec().compile_cq(&cq.canonical()).ok()?;
+        match lock_recover!(self.memo.lock()).get(source_key(&compiled).as_ref()) {
+            Some(SrcSlot::Ready(bits)) => Some(Arc::clone(bits)),
+            _ => None,
         }
-        if let SrcClaim::Pending = claim {
-            claim = self.claim_source(&src_key, true);
-        }
-        let (owner, dead) = match claim {
+    }
+
+    /// Compiles `cq`'s canonical form; a failure counts as a miss.
+    fn compile(
+        &self,
+        prepared: &PreparedLabels<'_>,
+        cq: &OntoCq,
+        interrupt: &Interrupt,
+    ) -> Result<CompiledQuery, ObdmError> {
+        prepared
+            .system()
+            .spec()
+            .compile_cq_interruptible(&cq.canonical(), interrupt)
+            .inspect_err(|_| {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+            })
+    }
+
+    /// Looks up the source query `key` of a candidate refined from
+    /// `parent`, if any.
+    fn lookup<'e>(
+        &'e self,
+        prepared: &PreparedLabels<'_>,
+        key: &'e [SrcCq],
+        parent: Option<(&MatchBits, crate::prune::RefineDir)>,
+        turn: Option<Turn<'_>>,
+    ) -> Result<Lookup<'e>, ObdmError> {
+        let (owner, dead) = match self.claim_source(key, turn) {
             SrcClaim::Ready(bits) => {
-                self.src_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Some(bits));
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(Lookup::Hit(bits));
             }
             SrcClaim::Dead(known) => (None, Some(known)),
             SrcClaim::Owner(owner) => (Some(owner), None),
-            // A waiting claim always resolves; evaluating without
-            // publishing is exact all the same.
-            SrcClaim::Pending => (None, None),
         };
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        #[cfg(any(test, feature = "fault-injection"))]
+        self.fault.check()?;
         let mut prior = prepared.prior(parent)?;
         if let Some(known) = dead {
             prior.learn(&known)?;
         }
-        // Without a finite floor nothing can be cut, and the box is not
-        // worth counting.
-        let cut = cut.filter(|c| c.floor > f64::NEG_INFINITY);
-        let cutoff = match cut.map(|c| c.cutoff(&prior.count_box())) {
-            None => Cutoff::NONE,
-            Some(Some(cutoff)) => cutoff,
-            Some(None) => {
-                self.cutoffs.fetch_add(1, Ordering::Relaxed);
-                if let Some(owner) = owner {
-                    owner.bury(prior);
-                }
-                return Ok(None);
-            }
-        };
+        Ok(Lookup::Miss(owner, prior))
+    }
+
+    /// Decides `prior`'s open tuples against `compiled`'s source query in
+    /// one evaluator call that `cutoff` may stop, and charges its work to
+    /// the counters. Returns what is known after it, and whether the
+    /// cutoff stopped it.
+    fn evaluate(
+        &self,
+        prepared: &PreparedLabels<'_>,
+        compiled: &CompiledQuery,
+        prior: Prior,
+        cutoff: Cutoff,
+    ) -> (Prior, bool) {
         let total = prepared.num_pos() + prepared.num_neg();
         if prior.is_settled() {
             // The parent's bits or a dead slot settled every tuple: the
             // known hits are the bits, with no evaluator call.
             self.evals_saved.fetch_add(total as u64, Ordering::Relaxed);
-            return Ok(Some(SrcOwner::share(owner, prior.into_bits())));
+            return (prior, false);
         }
         let e = prepared.evaluate(compiled.src(), prior, cutoff);
         self.batch_calls.fetch_add(1, Ordering::Relaxed);
@@ -737,30 +677,39 @@ impl ScoringEngine {
             .fetch_add(e.work.evaluated as u64, Ordering::Relaxed);
         self.evals_saved
             .fetch_add((total - e.work.asked) as u64, Ordering::Relaxed);
-        if e.stopped {
-            self.cutoffs.fetch_add(1, Ordering::Relaxed);
-            if let Some(owner) = owner {
-                owner.bury(e.known);
-            }
-            return Ok(None);
-        }
-        Ok(Some(SrcOwner::share(owner, e.known.into_bits())))
+        (e.known, e.stopped)
     }
 
-    /// The source memo's answer for `key`: its bits or a dead slot's
-    /// outcomes, the claim to evaluate it when no candidate holds one, or
-    /// [`SrcClaim::Pending`] while another candidate evaluates it —
-    /// unless `wait`, which blocks until that candidate publishes, buries
-    /// or withdraws. The caller's turn, if any, must be held for a claim
-    /// that does not wait, and passed before one that does.
-    fn claim_source<'e>(&'e self, key: &'e [SrcCq], wait: bool) -> SrcClaim<'e> {
-        let mut memo = lock_recover!(self.src_memo.lock());
+    /// A candidate its cut pruned: counted, and what it settled buried in
+    /// its source's slot when it holds the claim.
+    fn prune(&self, owner: Option<SrcOwner<'_>>, known: Prior) -> Option<Arc<MatchBits>> {
+        self.cutoffs.fetch_add(1, Ordering::Relaxed);
+        if let Some(owner) = owner {
+            owner.bury(known);
+        }
+        None
+    }
+
+    /// The memo's answer for `key`: its bits or a dead slot's outcomes,
+    /// or the claim to evaluate it when no candidate holds one. While
+    /// another candidate evaluates it, this blocks until that candidate
+    /// publishes, buries or withdraws. The caller's turn, if any, is
+    /// waited for before the memo is read and passed, with the memo
+    /// locked, before any blocking: claims are made in batch order, and
+    /// later candidates are not held up by another's evaluation.
+    fn claim_source<'e>(&'e self, key: &'e [SrcCq], turn: Option<Turn<'_>>) -> SrcClaim<'e> {
+        if let Some(t) = turn {
+            t.turns.wait(t.pos);
+        }
+        let mut memo = lock_recover!(self.memo.lock());
+        if let Some(t) = turn {
+            t.turns.pass(t.pos);
+        }
         loop {
             match memo.get(key) {
                 Some(SrcSlot::Ready(bits)) => return SrcClaim::Ready(Arc::clone(bits)),
                 Some(SrcSlot::Dead(known)) => return SrcClaim::Dead(Arc::clone(known)),
-                Some(SrcSlot::Pending) if wait => memo = lock_recover!(self.src_ready.wait(memo)),
-                Some(SrcSlot::Pending) => return SrcClaim::Pending,
+                Some(SrcSlot::Pending) => memo = lock_recover!(self.settled.wait(memo)),
                 None => {
                     memo.insert(key.to_vec(), SrcSlot::Pending);
                     return SrcClaim::Owner(SrcOwner {
@@ -772,7 +721,7 @@ impl ScoringEngine {
         }
     }
 
-    /// Match bitset of a UCQ: the OR of its disjuncts' cached bitsets.
+    /// Match bitset of a UCQ: the OR of its disjuncts' memoized bitsets.
     pub fn match_bits_ucq(
         &self,
         prepared: &PreparedLabels<'_>,
@@ -790,12 +739,12 @@ impl ScoringEngine {
     ) -> Result<MatchBits, ObdmError> {
         let mut acc = MatchBits::empty(prepared.num_pos(), prepared.num_neg());
         for d in ucq.disjuncts() {
-            let entry = self.disjunct_interruptible(prepared, d, interrupt)?;
-            // Every cached bitset is shaped by `prepared`; a mismatch
+            let bits = self.disjunct(prepared, d, interrupt)?;
+            // Every memoized bitset is shaped by `prepared`; a mismatch
             // means the engine was shared across label sets, and the
             // candidate fails with `LabelShape` like any other
             // permanently failing one.
-            acc.union_with(&entry.bits)?;
+            acc.union_with(&bits)?;
         }
         Ok(acc)
     }
@@ -858,7 +807,9 @@ impl ScoringEngine {
     /// selection can ever inspect (e.g. the beam's diversity window; 0
     /// when the caller selects on its pool alone); `cap` is the size the
     /// caller truncates its ranked pool ∪ this batch to; `pool` holds the
-    /// pool's scores (any order).
+    /// pool's scores (any order). Each distinct parent is looked up in
+    /// the memo once, before the batch scores: the children of a parent
+    /// whose bits are there are delta-evaluated, the others in full.
     ///
     /// Candidates score in order of their admissible bound, highest
     /// first (candidates without provenance have bound `+∞`; the sort is
@@ -909,6 +860,16 @@ impl ScoringEngine {
                 _ => f64::INFINITY,
             })
             .collect();
+        // Each distinct parent's bits are looked up once; a parent whose
+        // source query is not ready gives its children full evaluation.
+        let mut parents = Parents::default();
+        if self.incremental {
+            for h in planned.iter().filter_map(|p| p.parent.as_ref()) {
+                parents
+                    .entry(h.key())
+                    .or_insert_with(|| self.ready_bits(task.prepared(), h.key()));
+            }
+        }
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]));
         let chunk = if window == 0 || !self.incremental {
@@ -936,8 +897,14 @@ impl ScoringEngine {
                 break;
             }
             let stop = end.min(next.saturating_add(chunk));
-            let (scored, cut_short) =
-                self.score_indices(task, &planned, &order[next..stop], &quarantined, cut);
+            let (scored, cut_short) = self.score_indices(
+                task,
+                &planned,
+                &parents,
+                &order[next..stop],
+                &quarantined,
+                cut,
+            );
             pruned += cut_short;
             floors.add(scored.iter().map(|e| e.score));
             explanations.extend(scored);
@@ -966,12 +933,14 @@ impl ScoringEngine {
 
     /// Scores `planned[indices]` (in `indices` order) under the
     /// quarantine + budget contract and the pruning cut `cut`,
-    /// sequentially or on the worker pool. Returns the explanations and
-    /// how many candidates the cut pruned mid-evaluation.
+    /// sequentially or on the worker pool, delta-evaluating against the
+    /// bits in `parents`. Returns the explanations and how many
+    /// candidates the cut pruned mid-evaluation.
     fn score_indices(
         &self,
         task: &ExplainTask<'_>,
         planned: &[PlannedCq],
+        parents: &Parents<'_>,
         indices: &[usize],
         quarantined: &AtomicUsize,
         cut: f64,
@@ -979,8 +948,12 @@ impl ScoringEngine {
         let n = indices.len();
         let cut_short = AtomicUsize::new(0);
         let score_one = |p: &PlannedCq, turn: Option<Turn<'_>>| -> Option<Explanation> {
+            let parent = p.parent.as_ref().and_then(|h| {
+                let bits = parents.get(h.key())?.as_deref()?;
+                Some((bits, h.dir()))
+            });
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                task.score_cq_at(&p.cq, p.parent.as_ref(), turn, cut)
+                task.score_cq_at(&p.cq, parent, turn, cut)
             }));
             match attempt {
                 Ok(Ok(Some(e))) => Some(e),
@@ -1126,10 +1099,9 @@ impl Default for ScoringEngine {
 impl std::fmt::Debug for ScoringEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScoringEngine")
-            .field("cached", &self.cache_len())
+            .field("memoized", &self.cache_len())
             .field("hits", &self.cache_hits())
             .field("misses", &self.cache_misses())
-            .field("src_hits", &self.src_hits())
             .field("evals", &self.eval_calls())
             .field("evals_saved", &self.evals_saved())
             .field("batch_calls", &self.batch_calls())
@@ -1227,31 +1199,29 @@ mod tests {
         let studies = sys.parse_query(r#"q(x) :- studies(x, "Math")"#).unwrap();
         let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
         let engine = task.engine();
+        let none = Interrupt::none();
         let first = engine
-            .disjunct(task.prepared(), &likes.disjuncts()[0])
+            .disjunct(task.prepared(), &likes.disjuncts()[0], &none)
             .unwrap();
         let (evals, calls) = (engine.eval_calls(), engine.batch_calls());
-        assert_eq!((engine.src_hits(), calls), (0, 1));
+        assert_eq!((engine.cache_hits(), calls), (0, 1));
         let second = engine
-            .disjunct(task.prepared(), &studies.disjuncts()[0])
+            .disjunct(task.prepared(), &studies.disjuncts()[0], &none)
             .unwrap();
-        assert_eq!(engine.cache_misses(), 2, "distinct ontology keys");
-        assert_eq!(engine.src_hits(), 1);
+        assert_eq!((engine.cache_hits(), engine.cache_misses()), (1, 1));
         assert_eq!(
             (engine.eval_calls(), engine.batch_calls()),
             (evals, calls),
-            "a source hit makes no evaluator call"
+            "a hit makes no evaluator call"
         );
-        assert!(Arc::ptr_eq(&first.bits, &second.bits), "one shared bitset");
-        assert_eq!(
-            second.bits.stats(),
-            task.prepared().stats_of(&studies).unwrap()
-        );
-        assert!(format!("{engine:?}").contains("src_hits: 1"));
+        assert!(Arc::ptr_eq(&first, &second), "one shared bitset");
+        assert_eq!(second.stats(), task.prepared().stats_of(&studies).unwrap());
+        assert_eq!(engine.cache_len(), 1);
+        assert!(format!("{engine:?}").contains("hits: 1"));
     }
 
     #[test]
-    fn compilation_failures_are_cached() {
+    fn a_permanent_compile_failure_errors_every_time_and_never_evaluates() {
         let mut sys = example_3_6_system();
         let (labels, scoring) = paper_task(&mut sys);
         let q = sys
@@ -1260,19 +1230,17 @@ mod tests {
         // A zero-disjunct rewrite budget makes every compilation fail.
         sys.spec_mut().rewrite_budget.max_disjuncts = 0;
         let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
-        assert!(task.engine().stats_ucq(task.prepared(), &q).is_err());
-        let misses = task.engine().cache_misses();
-        assert!(task.engine().stats_ucq(task.prepared(), &q).is_err());
-        assert_eq!(
-            task.engine().cache_misses(),
-            misses,
-            "failure answered from cache"
-        );
-        assert_eq!(
-            task.engine().eval_calls(),
-            0,
-            "failed compiles never evaluate"
-        );
+        let engine = task.engine();
+        for calls in 1..=2 {
+            let err = engine.stats_ucq(task.prepared(), &q).unwrap_err();
+            assert!(!err.is_transient());
+            assert_eq!(engine.cache_misses(), calls, "nothing is memoized");
+        }
+        // In a batch, the candidate is quarantined, not fatal.
+        let outcome = engine.score_batch_outcome(&task, vec![q.disjuncts()[0].clone()]);
+        assert_eq!((outcome.explanations.len(), outcome.quarantined), (0, 1));
+        assert_eq!((engine.cache_hits(), engine.cache_len()), (0, 0));
+        assert_eq!(engine.eval_calls(), 0, "failed compiles never evaluate");
     }
 
     #[test]
@@ -1339,10 +1307,12 @@ mod tests {
         let on = Arc::new(ScoringEngine::with_config(1, true));
         let task_on = task.with_engine(Arc::clone(&on));
         let parent = task_on.score_cq(&parent_q.disjuncts()[0]).unwrap();
-        let handle = ParentHandle::from_explanation(RefineDir::Specialize, &parent).unwrap();
-        let child = task_on
-            .score_cq_with_parent(&child_q.disjuncts()[0], Some(&handle))
-            .unwrap();
+        let child = PlannedCq {
+            cq: child_q.disjuncts()[0].clone(),
+            parent: ParentHandle::from_explanation(RefineDir::Specialize, &parent),
+        };
+        let outcome = on.score_batch_planned(&task_on, vec![child], usize::MAX, usize::MAX, &[]);
+        let child = &outcome.explanations[0];
         assert!(
             on.evals_saved() > 0,
             "restricted evaluation must skip the parent's zero bits"
@@ -1459,16 +1429,28 @@ mod tests {
         assert_eq!(engine.cutoffs(), 2);
         assert_eq!(engine.batch_calls(), 1);
         assert_eq!(
-            (engine.src_hits(), engine.cache_len()),
-            (0, 0),
-            "pruned candidates are not cached"
+            (
+                engine.cache_hits(),
+                engine.cache_misses(),
+                engine.cache_len()
+            ),
+            (0, 2, 1),
+            "the memo holds one dead slot and no bits"
         );
 
         // Without a cut, the dead slot's settled outcomes are the bits:
-        // exact, and with no further evaluator call.
+        // exact, and with no further evaluator call. A dead slot never
+        // turns ready, so the lookup is a miss.
         let e = task.score_cq(&likes.disjuncts()[0]).unwrap();
         assert_eq!(e.stats, task.prepared().stats_of(&likes).unwrap());
         assert_eq!(engine.batch_calls(), 1);
-        assert_eq!(engine.cache_len(), 1);
+        assert_eq!(
+            (
+                engine.cache_hits(),
+                engine.cache_misses(),
+                engine.cache_len()
+            ),
+            (0, 3, 1)
+        );
     }
 }

@@ -2,9 +2,9 @@
 
 use crate::budget::{SearchBudget, Stop, Termination};
 use crate::criteria::CriterionCtx;
-use crate::engine::{DisjunctEntry, ScoringEngine};
+use crate::engine::ScoringEngine;
 use crate::labels::Labels;
-use crate::matcher::{MatchStats, PreparedLabels};
+use crate::matcher::{MatchBits, MatchStats, PreparedLabels};
 use crate::score::Scoring;
 use obx_obdm::{ObdmError, ObdmSystem};
 use obx_query::{OntoCq, OntoUcq};
@@ -378,34 +378,19 @@ impl<'a> ExplainTask<'a> {
 
     /// Scores a single CQ candidate.
     pub fn score_cq(&self, cq: &OntoCq) -> Result<Explanation, ExplainError> {
-        self.score_cq_with_parent(cq, None)
+        let bits = self.engine.disjunct(&self.prepared, cq, &self.interrupt)?;
+        Ok(self.explanation_of(cq, &bits))
     }
 
-    /// [`ExplainTask::score_cq`] with refinement provenance: when the
-    /// parent disjunct is cached, the candidate's bits come from
-    /// parent-delta evaluation
-    /// ([`ScoringEngine::disjunct_with_parent`]). Field-for-field
-    /// identical to the plain path — only the number of evaluator calls
-    /// differs.
-    pub fn score_cq_with_parent(
-        &self,
-        cq: &OntoCq,
-        parent: Option<&crate::prune::ParentHandle>,
-    ) -> Result<Explanation, ExplainError> {
-        let entry =
-            self.engine
-                .disjunct_with_parent(&self.prepared, cq, &self.interrupt, parent)?;
-        Ok(self.explanation_of(cq, &entry))
-    }
-
-    /// [`ExplainTask::score_cq_with_parent`] for a candidate of a batch
-    /// ([`ScoringEngine::disjunct_at`]) that matters only if it scores at
-    /// least `floor`: `Ok(None)` when the engine proved it cannot, before
-    /// or during its evaluation.
+    /// [`ExplainTask::score_cq`] for a candidate of a batch
+    /// ([`ScoringEngine::disjunct_at`]), delta-evaluated against its
+    /// `parent`'s bits when it has them, that matters only if it scores
+    /// at least `floor`: `Ok(None)` when the engine proved it cannot,
+    /// before or during its evaluation.
     pub(crate) fn score_cq_at(
         &self,
         cq: &OntoCq,
-        parent: Option<&crate::prune::ParentHandle>,
+        parent: Option<(&MatchBits, crate::prune::RefineDir)>,
         turn: Option<crate::engine::Turn<'_>>,
         floor: f64,
     ) -> Result<Option<Explanation>, ExplainError> {
@@ -414,20 +399,15 @@ impl<'a> ExplainTask<'a> {
             scoring: self.scoring,
             num_atoms: cq.num_atoms(),
         };
-        let entry = self.engine.disjunct_at(
-            &self.prepared,
-            cq,
-            &self.interrupt,
-            parent,
-            turn,
-            Some(cut),
-        )?;
-        Ok(entry.map(|entry| self.explanation_of(cq, &entry)))
+        let bits =
+            self.engine
+                .disjunct_at(&self.prepared, cq, &self.interrupt, parent, turn, cut)?;
+        Ok(bits.map(|bits| self.explanation_of(cq, &bits)))
     }
 
-    /// The explanation of a single CQ whose disjunct entry is `entry`.
-    fn explanation_of(&self, cq: &OntoCq, entry: &DisjunctEntry) -> Explanation {
-        let stats = entry.bits.stats();
+    /// The explanation of a single CQ whose match bits are `bits`.
+    fn explanation_of(&self, cq: &OntoCq, bits: &MatchBits) -> Explanation {
+        let stats = bits.stats();
         let ctx = CriterionCtx {
             stats: &stats,
             num_atoms: cq.num_atoms(),
@@ -463,14 +443,10 @@ impl<'a> ExplainTask<'a> {
             return Ok(None);
         };
         let db = self.system().db();
-        // Per-disjunct via the engine: matching distributes over the
-        // union, and the cached compilations are reused across calls.
+        // Per disjunct: matching distributes over the union.
         for d in query.disjuncts() {
-            let entry = self.engine.disjunct(&self.prepared, d)?;
-            if let Some((_, atoms)) = entry
-                .compiled
-                .evidence(obx_srcdb::View::masked(db, border), t)
-            {
+            let compiled = self.system().spec().compile_cq(&d.canonical())?;
+            if let Some((_, atoms)) = compiled.evidence(obx_srcdb::View::masked(db, border), t) {
                 return Ok(Some(
                     atoms
                         .into_iter()
@@ -575,7 +551,6 @@ pub(crate) fn finalize_report(
             // shared engine, and additive merging would double-count.
             rec.gauge_in_phase("engine", "cache_hits", task.engine().cache_hits());
             rec.gauge_in_phase("engine", "cache_misses", task.engine().cache_misses());
-            rec.gauge_in_phase("engine", "src_hits", task.engine().src_hits());
             rec.gauge_in_phase("engine", "evals", task.engine().eval_calls());
             rec.gauge_in_phase("engine", "evals_saved", task.engine().evals_saved());
             rec.gauge_in_phase("engine", "batch_calls", task.engine().batch_calls());

@@ -99,7 +99,7 @@ pub mod validate;
 
 pub use budget::{CancelToken, SearchBudget, Stop, Termination};
 pub use criteria::{Criterion, CriterionCtx};
-pub use engine::{BatchOutcome, DisjunctEntry, PlannedCq, ScoringEngine};
+pub use engine::{BatchOutcome, PlannedCq, ScoringEngine};
 pub use explain::{ExplainError, ExplainReport, ExplainTask, Explanation, SearchLimits, Strategy};
 pub use labels::{Labels, LabelsError};
 pub use matcher::{LabelBorders, MatchBits, MatchStats, PreparedLabels};

@@ -33,10 +33,10 @@
 //!    (`cutoff`).
 //!
 //! Both are *exact* accelerations: the engine falls back to a full
-//! evaluation whenever the parent's entry is not cached (or compilation of
-//! the parent failed), and pruning only ever drops candidates that are
-//! provably outside the returned ranking, so the incremental path returns
-//! byte-identical output to the baseline.
+//! evaluation whenever the parent's bits are not in the memo (or
+//! compilation of the parent failed), and pruning only ever drops
+//! candidates that are provably outside the returned ranking, so the
+//! incremental path returns byte-identical output to the baseline.
 
 use crate::explain::Explanation;
 use crate::matcher::MatchStats;

@@ -13,9 +13,10 @@ use crate::engine::PlannedCq;
 use crate::explain::{
     finalize_report, rank, ExplainError, ExplainReport, ExplainTask, Explanation, Strategy,
 };
+use crate::matcher::MatchStats;
 use crate::prune::{ParentHandle, RefineDir};
 use obx_query::{OntoAtom, OntoCq, Term, VarId};
-use obx_util::{FxHashSet, Interrupt};
+use obx_util::{FxHashMap, FxHashSet, Interrupt};
 
 /// Exhaustive search (see module docs).
 #[derive(Debug, Clone, Copy)]
@@ -103,7 +104,7 @@ impl Strategy for ExhaustiveSearch {
         }
 
         // Score in chunks, keeping a rank-truncated running pool. Chunking
-        // lets later candidates (a) resolve their ancestor's already-cached
+        // lets later candidates (a) resolve their ancestor's already-memoized
         // match bits for delta evaluation and (b) be bound-pruned against
         // the pool floor. `window = 0` disables the in-batch beam guard —
         // exhaustive search has no beam; only provably-below-floor
@@ -130,14 +131,21 @@ impl Strategy for ExhaustiveSearch {
                 chunk.len(),
                 pool_floor_of(&ranked_pool, cap),
             );
+            // Each distinct prefix is looked up once per chunk.
+            let mut prefixes: FxHashMap<&OntoCq, Option<MatchStats>> = FxHashMap::default();
             let planned: Vec<PlannedCq> = chunk
                 .iter()
                 .map(|(cq, parent)| PlannedCq {
                     cq: cq.clone(),
                     parent: parent.as_ref().and_then(|k| {
-                        engine.cached_entry(k).map(|entry| {
-                            ParentHandle::new(RefineDir::Specialize, k.clone(), entry.bits.stats())
-                        })
+                        let stats = prefixes.entry(k).or_insert_with(|| {
+                            engine.ready_bits(task.prepared(), k).map(|b| b.stats())
+                        });
+                        Some(ParentHandle::new(
+                            RefineDir::Specialize,
+                            k.clone(),
+                            (*stats)?,
+                        ))
                     }),
                 })
                 .collect();

@@ -58,7 +58,7 @@ impl Strategy for GreedyUcq {
         let base_report = self.base.explain_with_status(&base_task)?;
         let mut quarantined = base_report.quarantined;
         let base = base_report.explanations;
-        let candidates: Vec<OntoCq> = base_cqs(&base);
+        let candidates = base_cqs(&base);
         if candidates.is_empty() {
             return Ok(finalize_report(
                 task,
@@ -68,12 +68,11 @@ impl Strategy for GreedyUcq {
                 base_report.pruned,
             ));
         }
-        let engine = task.engine();
         let mut bound_skipped = 0usize;
 
         // Start from the best single CQ. A scoring failure here must not
         // abort the run — the base results are still a valid answer.
-        let mut chosen: Vec<OntoCq> = vec![candidates[0].clone()];
+        let mut chosen: Vec<OntoCq> = vec![candidates[0].0.clone()];
         let mut best: Option<Explanation> = match task.score_ucq(&ucq_of(&chosen)) {
             Ok(e) => Some(e),
             Err(e) => {
@@ -94,7 +93,7 @@ impl Strategy for GreedyUcq {
             let mut sp = obx_util::span!(task.budget().recorder(), "greedy_step");
             sp.count_max("disjuncts", chosen.len() as u64);
             let mut improvement: Option<(OntoCq, Explanation)> = None;
-            for cand in &candidates {
+            for (cand, cand_stats) in &candidates {
                 if chosen.contains(cand) {
                     continue;
                 }
@@ -109,16 +108,17 @@ impl Strategy for GreedyUcq {
                 };
                 // Bound gate: union stats are exact bit ORs, so the trial's
                 // matched counts live in a known interval around the chosen
-                // union's and the candidate's cached stats. When even the
+                // union's and the candidate's own stats (from its base
+                // explanation). When even the
                 // best Z in that interval cannot beat the acceptance
                 // threshold, the trial provably fails `score > threshold`
                 // and scoring it is pure waste. Skips are counted as
                 // `pruned` in the report.
-                if engine.incremental() {
-                    if let (Some(b), Some(entry)) = (best.as_ref(), engine.cached_entry(cand)) {
+                if task.engine().incremental() {
+                    if let (Some(b), Some(s)) = (best.as_ref(), cand_stats) {
                         let trial_atoms = trial.iter().map(OntoCq::num_atoms).sum();
                         let bound = task.scoring().bound_over(
-                            &CountBox::union(&b.stats, &entry.bits.stats()),
+                            &CountBox::union(&b.stats, s),
                             trial_atoms,
                             trial.len(),
                         );

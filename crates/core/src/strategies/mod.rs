@@ -9,9 +9,9 @@
 //!
 //! All strategies score candidates through the task's shared
 //! [`ScoringEngine`](crate::engine::ScoringEngine): each *distinct*
-//! disjunct (by canonical form) is compiled and evaluated against the
-//! labelled borders exactly once and memoized as a match bitset; unions
-//! are scored by OR-ing cached bitsets with no evaluator calls; and
+//! compiled source query is evaluated against the labelled borders
+//! exactly once and memoized as a match bitset; unions are scored by
+//! OR-ing memoized bitsets with no evaluator calls; and
 //! batches run on a persistent worker pool whose size honours
 //! `OBX_THREADS` (defaulting to the machine's available parallelism).
 
@@ -27,6 +27,7 @@ pub use greedy_ucq::GreedyUcq;
 
 use crate::engine::PlannedCq;
 use crate::explain::{ExplainError, ExplainTask, Explanation};
+use crate::matcher::MatchStats;
 use obx_query::{OntoCq, OntoUcq};
 use obx_util::FxHashSet;
 
@@ -230,16 +231,18 @@ pub mod refinement {
     }
 }
 
-/// Runs a base strategy and returns its distinct single-CQ candidates (the
-/// raw material for [`GreedyUcq`]).
-pub(crate) fn base_cqs(explanations: &[Explanation]) -> Vec<OntoCq> {
+/// The distinct single-CQ candidates of a base strategy's explanations
+/// (the raw material for [`GreedyUcq`]), each with its match stats when
+/// its explanation is that one CQ.
+pub(crate) fn base_cqs(explanations: &[Explanation]) -> Vec<(OntoCq, Option<MatchStats>)> {
     let mut out = Vec::new();
     let mut seen: FxHashSet<OntoCq> = FxHashSet::default();
     for e in explanations {
+        let stats = (e.query.len() == 1).then_some(e.stats);
         for d in e.query.disjuncts() {
             let canon = d.canonical();
             if seen.insert(canon.clone()) {
-                out.push(canon);
+                out.push((canon, stats));
             }
         }
     }

@@ -21,6 +21,7 @@ use obx_datagen::random_scenario::random_query;
 use obx_datagen::{random_scenario, RandomParams};
 use obx_obdm::example_3_6_system;
 use obx_query::OntoCq;
+use obx_util::Interrupt;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -34,8 +35,9 @@ const PAPER_LABELS: &str = "+ A10\n+ B80\n+ C12\n+ D50\n- E25";
 fn check_lattice_step(task: &ExplainTask<'_>, cq: &OntoCq, dir: RefineDir) -> usize {
     let engine = ScoringEngine::with_config(1, true);
     let prepared = task.prepared();
-    let parent = match engine.disjunct(prepared, cq) {
-        Ok(entry) => entry,
+    let none = Interrupt::none();
+    let parent = match engine.disjunct(prepared, cq, &none) {
+        Ok(bits) => bits,
         // A parent the mapping cannot compile has no children to check.
         Err(_) => return 0,
     };
@@ -48,35 +50,35 @@ fn check_lattice_step(task: &ExplainTask<'_>, cq: &OntoCq, dir: RefineDir) -> us
     };
     let mut checked = 0;
     for child in &children {
-        let full = match engine.disjunct(prepared, child) {
-            Ok(entry) => entry,
-            Err(_) => continue,
+        let (Ok(compiled), Ok(full)) = (
+            task.system().spec().compile_cq(&child.canonical()),
+            engine.disjunct(prepared, child, &none),
+        ) else {
+            continue;
         };
         match dir {
             RefineDir::Specialize => assert!(
-                full.bits.is_subset_of(&parent.bits).unwrap(),
+                full.is_subset_of(&parent).unwrap(),
                 "specialization child matched a tuple its parent missed: {child:?} ⊄ {cq:?}"
             ),
             RefineDir::Generalize => assert!(
-                parent.bits.is_subset_of(&full.bits).unwrap(),
+                parent.is_subset_of(&full).unwrap(),
                 "generalization child missed a tuple its parent matched: {child:?} ⊅ {cq:?}"
             ),
         }
         // Delta evaluation must reproduce the full bitset exactly, and
         // only ever touch the tuples the direction says are undecided.
         let (restricted, evaluated) = prepared
-            .match_bits_restricted(&full.compiled, &parent.bits, dir)
+            .match_bits_restricted(&compiled, &parent, dir)
             .expect("the parent bitset is shaped for the same λ");
         assert_eq!(
-            restricted, *full.bits,
+            restricted, *full,
             "restricted evaluation diverges from full on {child:?}"
         );
         let undecided = match dir {
-            RefineDir::Specialize => {
-                parent.bits.stats().pos_matched + parent.bits.stats().neg_matched
-            }
+            RefineDir::Specialize => parent.stats().pos_matched + parent.stats().neg_matched,
             RefineDir::Generalize => {
-                let s = parent.bits.stats();
+                let s = parent.stats();
                 (s.pos_total - s.pos_matched) + (s.neg_total - s.neg_matched)
             }
         };

@@ -1,7 +1,8 @@
 //! Equivalence of the shared scoring engine with the uncached matcher.
 //!
-//! The [`ScoringEngine`] memoizes compiled disjuncts keyed by canonical
-//! form and derives UCQ stats by OR-ing per-disjunct match bitsets. These
+//! The [`ScoringEngine`] memoizes match bitsets keyed by each disjunct's
+//! compiled source query and derives UCQ stats by OR-ing per-disjunct
+//! match bitsets. These
 //! tests pin the contract that makes those shortcuts sound: on Example 3.6
 //! and on randomized generated scenarios, the engine's `MatchStats` are
 //! bit-identical to the uncached [`PreparedLabels`] path — including
@@ -167,6 +168,7 @@ fn refinements(system: &obx_obdm::ObdmSystem, root: &OntoCq) -> Vec<(RefineDir, 
 /// checks every candidate's engine stats against the uncached matcher.
 /// Returns the candidates whose compiled source UCQ an earlier candidate
 /// with another ontology key already had (source-equal siblings).
+/// Both thread counts must count the same hits and misses.
 fn check_refinements_against_uncached(seed: u64, atoms: usize) -> u64 {
     let s = random_scenario(scenario_params(seed));
     let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
@@ -177,27 +179,28 @@ fn check_refinements_against_uncached(seed: u64, atoms: usize) -> u64 {
         .map(|_| random_query(&s.system, &mut rng, atoms).disjuncts()[0].clone())
         .collect();
 
-    // Siblings, counted the way the engine keys: a healthy ontology miss
-    // whose sorted canonical source disjuncts were already seen. The
-    // count does not depend on the scoring order. A root that fails to
-    // compile is not refined below, so its refinements are not counted.
+    // Hits, counted the way the engine keys: a lookup that compiles and
+    // whose sorted canonical source disjuncts were already seen, from a
+    // repeated ontology key or from a source-equal sibling (a new
+    // ontology key). The count does not depend on the scoring order. A
+    // root that fails to compile is not refined below, so its
+    // refinements are not counted.
     let compile = |cq: &OntoCq| s.system.spec().compile(&OntoUcq::from_cq(cq.canonical()));
     let mut onto_keys = HashSet::new();
     let mut src_keys = HashSet::new();
-    let mut siblings = 0u64;
+    let (mut hits, mut siblings) = (0u64, 0u64);
     for root in roots.iter().filter(|r| compile(r).is_ok()) {
         let pool = refinements(&s.system, root).into_iter().map(|(_, cq)| cq);
         for cq in std::iter::once(root.clone()).chain(pool) {
-            if !onto_keys.insert(cq.canonical()) {
-                continue;
-            }
+            let new_key = onto_keys.insert(cq.canonical());
             let Ok(compiled) = compile(&cq) else {
                 continue;
             };
             let mut src: Vec<SrcCq> = compiled.src().disjuncts().to_vec();
             src.sort();
             if !src_keys.insert(src) {
-                siblings += 1;
+                hits += 1;
+                siblings += u64::from(new_key);
             }
         }
     }
@@ -236,18 +239,17 @@ fn check_refinements_against_uncached(seed: u64, atoms: usize) -> u64 {
             engine
         });
         let [one, two] = &engines;
-        assert_eq!(one.src_hits(), siblings, "seed {seed}");
+        assert_eq!(one.cache_hits(), hits, "seed {seed}");
         // On the pool, a shared source is still evaluated by its first
         // candidate in batch order, so the evaluator work is the
-        // sequential run's. (Two candidates with one ontology key may
-        // both miss the ontology cache there; the second is then a source
-        // hit instead of a cache hit.)
+        // sequential run's.
         let work = |e: &ScoringEngine| {
             (
                 e.eval_calls(),
                 e.batch_calls(),
                 e.eval_nodes(),
-                e.cache_hits() + e.src_hits(),
+                e.cache_hits(),
+                e.cache_misses(),
             )
         };
         assert_eq!(
@@ -275,7 +277,7 @@ fn counters(e: &ScoringEngine) -> [u64; 6] {
     [
         e.eval_calls(),
         e.eval_nodes(),
-        e.src_hits(),
+        e.cache_hits(),
         e.batch_calls(),
         e.cutoffs(),
         e.cache_misses(),
@@ -286,7 +288,7 @@ fn counters(e: &ScoringEngine) -> [u64; 6] {
 /// selection window of 3, a pool of 4 holding the root's score — on one
 /// and on two scoring threads, and against a baseline engine that prunes
 /// nothing. Both thread counts must return the same explanations and the
-/// same `pruned`, `evals`, `eval_nodes`, `src_hits`, `batch_calls` and
+/// same `pruned`, `evals`, `eval_nodes`, `cache_hits`, `batch_calls` and
 /// cutoffs; every baseline candidate that reaches the final cut must be
 /// among them with its exact stats. Returns (pruned, cutoffs) summed over
 /// the batches.
