@@ -54,6 +54,10 @@
 //! them, so the gate always compares against the committed state of the
 //! working tree.
 
+// The gate itself must not panic on a malformed bench file or a failed
+// step; its test module may.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use obx_util::obs::Recorder;
 use std::path::{Path, PathBuf};
 use std::process::Command;

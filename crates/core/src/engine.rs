@@ -13,8 +13,10 @@
 //!    only on its compiled *source* UCQ: Definition 3.4 under a sound GAV
 //!    mapping is decided by evaluating `unfold(PerfectRef(q))` on the
 //!    prepared borders. So every lookup compiles the disjunct's canonical
-//!    form ([`OntoCq::canonical`]), a couple of microseconds, and reads
-//!    the memo under its sorted source disjuncts. GAV unfolding is
+//!    form ([`OntoCq::canonical`]), a couple of microseconds, drops the
+//!    source disjuncts no fact of the database can match
+//!    ([`obx_query::eval::data_dead`]; they match no border), and reads
+//!    the memo under the sorted rest. GAV unfolding is
 //!    many-to-one (`likes(x, "Math")` and `studies(x, "Math")` both
 //!    compile to `ENR(x, "Math", z)` on the paper's system), so each
 //!    distinct source query is evaluated once per task. A lookup answered
@@ -75,7 +77,7 @@ use crate::matcher::{MatchBits, MatchStats, PreparedLabels, Prior};
 use crate::prune::{CountBox, ParentHandle};
 use crate::score::Scoring;
 use obx_obdm::{CompiledQuery, ObdmError};
-use obx_query::{Cutoff, OntoCq, OntoUcq, SrcCq};
+use obx_query::{Cutoff, OntoCq, OntoUcq, SrcCq, SrcUcq};
 use obx_util::{FxHashMap, Interrupt, WorkerPool};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -194,12 +196,26 @@ pub struct PlannedCq {
     pub parent: Option<ParentHandle>,
 }
 
-/// The memo's key: a compiled query's source disjuncts, each already
-/// canonical ([`obx_query::SrcUcq::push`]), sorted so that two
-/// unfoldings of one set in different orders share a key. Borrowed when
-/// they are in order already, as a single disjunct always is.
-fn source_key(compiled: &CompiledQuery) -> Cow<'_, [SrcCq]> {
-    let disjuncts = compiled.src().disjuncts();
+/// The source disjuncts of `compiled` that some fact of the database can
+/// match, and how many were dropped. A data-dead disjunct
+/// ([`obx_query::eval::data_dead`]) matches no border, so dropping it
+/// changes no bit (DESIGN §11).
+fn live_source(prepared: &PreparedLabels<'_>, compiled: CompiledQuery) -> (SrcUcq, usize) {
+    let db = prepared.system().db();
+    let mut src = compiled.into_src();
+    let before = src.len();
+    src.retain(|d| !obx_query::eval::data_dead(db, d));
+    let dropped = before - src.len();
+    (src, dropped)
+}
+
+/// The memo's key: a query's live source disjuncts ([`live_source`]),
+/// each already canonical ([`obx_query::SrcUcq::push`]), sorted so that
+/// two unfoldings of one set in different orders share a key. Borrowed
+/// when they are in order already, as a single disjunct always is. Every
+/// query with no live disjunct has the empty key.
+fn source_key(src: &SrcUcq) -> Cow<'_, [SrcCq]> {
+    let disjuncts = src.disjuncts();
     if disjuncts.windows(2).all(|w| w[0] <= w[1]) {
         Cow::Borrowed(disjuncts)
     } else {
@@ -290,8 +306,9 @@ impl Drop for SrcOwner<'_> {
 
 /// What a lookup of one compiled candidate found.
 enum Lookup<'e> {
-    /// The source's bits, from a ready slot.
-    Hit(Arc<MatchBits>),
+    /// The source's bits, from a ready slot, or all zero for the empty
+    /// source.
+    Bits(Arc<MatchBits>),
     /// A miss: the claim to publish the source's outcome, when the
     /// candidate won it, and what the candidate starts from — its
     /// parent's bits, narrowed by a dead slot's outcomes.
@@ -383,6 +400,7 @@ pub struct ScoringEngine {
     masked: AtomicU64,
     eval_nodes: AtomicU64,
     cutoffs: AtomicU64,
+    dead_disjuncts: AtomicU64,
     threads: usize,
     incremental: bool,
     pool: OnceLock<WorkerPool>,
@@ -428,6 +446,7 @@ impl ScoringEngine {
             masked: AtomicU64::new(0),
             eval_nodes: AtomicU64::new(0),
             cutoffs: AtomicU64::new(0),
+            dead_disjuncts: AtomicU64::new(0),
             threads: threads.max(1),
             incremental,
             pool: OnceLock::new(),
@@ -451,7 +470,9 @@ impl ScoringEngine {
     }
 
     /// Lookups the memo answered with their source query's bits, with no
-    /// evaluator call.
+    /// evaluator call. Candidates whose source disjuncts are all
+    /// data-dead share the empty source's slot, so all but the first are
+    /// hits.
     pub fn cache_hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -464,15 +485,18 @@ impl ScoringEngine {
 
     /// Total J-match evaluations (one per labelled tuple evaluated per
     /// cache miss that reached the evaluator). Cache hits — notably UCQ
-    /// assembly over known disjuncts — leave this counter untouched.
+    /// assembly over known disjuncts — leave this counter untouched, and
+    /// so do data-dead source disjuncts: they are dropped before the
+    /// evaluator, and a miss with none left makes no call.
     pub fn eval_calls(&self) -> u64 {
         self.evals.load(Ordering::Relaxed)
     }
 
     /// Batched evaluator calls: one per cache miss that reached the
-    /// evaluator, each covering every labelled tuple it evaluated
-    /// ([`obx_query::eval::satisfies_ucq_each`]). `eval_calls /
-    /// batch_calls` is the mean number of tuples one call checks.
+    /// evaluator with a live source disjunct, each covering every labelled
+    /// tuple it evaluated ([`obx_query::eval::satisfies_ucq_each`]).
+    /// `eval_calls / batch_calls` is the mean number of tuples one call
+    /// checks.
     pub fn batch_calls(&self) -> u64 {
         self.batch_calls.load(Ordering::Relaxed)
     }
@@ -505,6 +529,13 @@ impl ScoringEngine {
         self.cutoffs.load(Ordering::Relaxed)
     }
 
+    /// Source disjuncts the lookups' compiles dropped as data-dead
+    /// ([`obx_query::eval::data_dead`]): no fact of the database matches
+    /// one of their atoms, so they were neither keyed nor evaluated.
+    pub fn dead_disjuncts(&self) -> u64 {
+        self.dead_disjuncts.load(Ordering::Relaxed)
+    }
+
     /// Whether the incremental path (parent-delta evaluation + bound
     /// pruning) is enabled on this engine.
     pub fn incremental(&self) -> bool {
@@ -534,14 +565,14 @@ impl ScoringEngine {
         cq: &OntoCq,
         interrupt: &Interrupt,
     ) -> Result<Arc<MatchBits>, ObdmError> {
-        let compiled = self.compile(prepared, cq, interrupt)?;
-        let key = source_key(&compiled);
+        let src = self.compile(prepared, cq, interrupt)?;
+        let key = source_key(&src);
         let (owner, prior) = match self.lookup(prepared, &key, None, None)? {
-            Lookup::Hit(bits) => return Ok(bits),
+            Lookup::Bits(bits) => return Ok(bits),
             Lookup::Miss(owner, prior) => (owner, prior),
         };
         // Without a cutoff an evaluation settles every open tuple.
-        let (known, _) = self.evaluate(prepared, &compiled, prior, Cutoff::NONE);
+        let (known, _) = self.evaluate(prepared, &src, prior, Cutoff::NONE);
         Ok(SrcOwner::share(owner, known.into_bits()))
     }
 
@@ -565,10 +596,10 @@ impl ScoringEngine {
         turn: Option<Turn<'_>>,
         cut: Cut<'_>,
     ) -> Result<Option<Arc<MatchBits>>, ObdmError> {
-        let compiled = self.compile(prepared, cq, interrupt)?;
-        let key = source_key(&compiled);
+        let src = self.compile(prepared, cq, interrupt)?;
+        let key = source_key(&src);
         let (owner, prior) = match self.lookup(prepared, &key, parent, turn)? {
-            Lookup::Hit(bits) => return Ok(Some(bits)),
+            Lookup::Bits(bits) => return Ok(Some(bits)),
             Lookup::Miss(owner, prior) => (owner, prior),
         };
         // Without a finite floor nothing can be cut, and the box is not
@@ -581,7 +612,7 @@ impl ScoringEngine {
         } else {
             Cutoff::NONE
         };
-        let (known, stopped) = self.evaluate(prepared, &compiled, prior, cutoff);
+        let (known, stopped) = self.evaluate(prepared, &src, prior, cutoff);
         if stopped {
             return Ok(self.prune(owner, known));
         }
@@ -591,34 +622,41 @@ impl ScoringEngine {
     /// The memoized bits of `cq`, when a lookup has published them:
     /// compiled under an inert interrupt, so a query the run already
     /// compiled is not charged to its resource guard or profile again,
-    /// and read with no claim, no evaluation and no counter. Refinement
-    /// parents resolve through this.
+    /// keyed on its live disjuncts as a lookup keys it, and read with no
+    /// claim, no evaluation and no counter. Refinement parents resolve
+    /// through this.
     pub(crate) fn ready_bits(
         &self,
         prepared: &PreparedLabels<'_>,
         cq: &OntoCq,
     ) -> Option<Arc<MatchBits>> {
         let compiled = prepared.system().spec().compile_cq(&cq.canonical()).ok()?;
-        match lock_recover!(self.memo.lock()).get(source_key(&compiled).as_ref()) {
+        let (src, _) = live_source(prepared, compiled);
+        match lock_recover!(self.memo.lock()).get(source_key(&src).as_ref()) {
             Some(SrcSlot::Ready(bits)) => Some(Arc::clone(bits)),
             _ => None,
         }
     }
 
-    /// Compiles `cq`'s canonical form; a failure counts as a miss.
+    /// Compiles `cq`'s canonical form and drops its data-dead source
+    /// disjuncts ([`live_source`]); a failure counts as a miss.
     fn compile(
         &self,
         prepared: &PreparedLabels<'_>,
         cq: &OntoCq,
         interrupt: &Interrupt,
-    ) -> Result<CompiledQuery, ObdmError> {
-        prepared
+    ) -> Result<SrcUcq, ObdmError> {
+        let compiled = prepared
             .system()
             .spec()
             .compile_cq_interruptible(&cq.canonical(), interrupt)
             .inspect_err(|_| {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-            })
+            })?;
+        let (src, dropped) = live_source(prepared, compiled);
+        self.dead_disjuncts
+            .fetch_add(dropped as u64, Ordering::Relaxed);
+        Ok(src)
     }
 
     /// Looks up the source query `key` of a candidate refined from
@@ -633,7 +671,7 @@ impl ScoringEngine {
         let (owner, dead) = match self.claim_source(key, turn) {
             SrcClaim::Ready(bits) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Lookup::Hit(bits));
+                return Ok(Lookup::Bits(bits));
             }
             SrcClaim::Dead(known) => (None, Some(known)),
             SrcClaim::Owner(owner) => (Some(owner), None),
@@ -641,6 +679,13 @@ impl ScoringEngine {
         self.misses.fetch_add(1, Ordering::Relaxed);
         #[cfg(any(test, feature = "fault-injection"))]
         self.fault.check()?;
+        if key.is_empty() {
+            // No live disjunct: no tuple matches, with no evaluator call.
+            // The slot is published ready, never buried, so every later
+            // candidate with the empty source hits it.
+            let bits = MatchBits::empty(prepared.num_pos(), prepared.num_neg());
+            return Ok(Lookup::Bits(SrcOwner::share(owner, bits)));
+        }
         let mut prior = prepared.prior(parent)?;
         if let Some(known) = dead {
             prior.learn(&known)?;
@@ -648,14 +693,14 @@ impl ScoringEngine {
         Ok(Lookup::Miss(owner, prior))
     }
 
-    /// Decides `prior`'s open tuples against `compiled`'s source query in
+    /// Decides `prior`'s open tuples against the source query `src` in
     /// one evaluator call that `cutoff` may stop, and charges its work to
     /// the counters. Returns what is known after it, and whether the
     /// cutoff stopped it.
     fn evaluate(
         &self,
         prepared: &PreparedLabels<'_>,
-        compiled: &CompiledQuery,
+        src: &SrcUcq,
         prior: Prior,
         cutoff: Cutoff,
     ) -> (Prior, bool) {
@@ -666,7 +711,7 @@ impl ScoringEngine {
             self.evals_saved.fetch_add(total as u64, Ordering::Relaxed);
             return (prior, false);
         }
-        let e = prepared.evaluate(compiled.src(), prior, cutoff);
+        let e = prepared.evaluate(src, prior, cutoff);
         self.batch_calls.fetch_add(1, Ordering::Relaxed);
         self.certified
             .fetch_add(e.work.certified as u64, Ordering::Relaxed);
@@ -1109,6 +1154,7 @@ impl std::fmt::Debug for ScoringEngine {
             .field("masked_disjuncts", &self.masked_disjuncts())
             .field("eval_nodes", &self.eval_nodes())
             .field("cutoffs", &self.cutoffs())
+            .field("dead_disjuncts", &self.dead_disjuncts())
             .field("threads", &self.threads)
             .field("incremental", &self.incremental)
             .finish()
@@ -1218,6 +1264,48 @@ mod tests {
         assert_eq!(second.stats(), task.prepared().stats_of(&studies).unwrap());
         assert_eq!(engine.cache_len(), 1);
         assert!(format!("{engine:?}").contains("hits: 1"));
+    }
+
+    #[test]
+    fn data_dead_candidates_share_the_empty_slot_without_an_evaluator_call() {
+        // No subject is called "Rome" and no city "Math": each query's
+        // one source disjunct (`ENR(x, "Rome", z)`, `LOC(x, "Math")`) has
+        // an atom no fact matches, so both have the empty source key.
+        let mut sys = example_3_6_system();
+        let (labels, scoring) = paper_task(&mut sys);
+        let dead = [
+            r#"q(x) :- studies(x, "Rome")"#,
+            r#"q(x) :- locatedIn(x, "Math")"#,
+        ]
+        .map(|q| sys.parse_query(q).unwrap());
+        let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
+        let engine = task.engine();
+        let none = Interrupt::none();
+        let [first, second] = dead.each_ref().map(|q| {
+            engine
+                .disjunct(task.prepared(), &q.disjuncts()[0], &none)
+                .unwrap()
+        });
+        assert_eq!(
+            (engine.eval_calls(), engine.batch_calls()),
+            (0, 0),
+            "a dead candidate makes no evaluator call"
+        );
+        assert!(Arc::ptr_eq(&first, &second), "one shared slot");
+        assert_eq!(
+            (
+                engine.cache_hits(),
+                engine.cache_misses(),
+                engine.cache_len()
+            ),
+            (1, 1, 1)
+        );
+        assert_eq!(first.count_ones(), 0);
+        for q in &dead {
+            assert_eq!(first.stats(), task.prepared().stats_of(q).unwrap());
+        }
+        assert_eq!(engine.dead_disjuncts(), 2);
+        assert!(format!("{engine:?}").contains("dead_disjuncts: 2"));
     }
 
     #[test]

@@ -563,6 +563,9 @@ pub(crate) fn finalize_report(
             // stopped their evaluation, or a dead source slot proved them
             // below the cut.
             rec.gauge_in_phase("engine", "cutoffs", task.engine().cutoffs());
+            // Source disjuncts dropped at compile because no fact of the
+            // database matches one of their atoms.
+            rec.gauge_in_phase("engine", "dead_disjuncts", task.engine().dead_disjuncts());
             rec.profile()
         }
         _ => PipelineProfile::default(),

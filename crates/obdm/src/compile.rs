@@ -72,6 +72,11 @@ impl CompiledQuery {
         &self.src
     }
 
+    /// The source-level UCQ, by value.
+    pub fn into_src(self) -> SrcUcq {
+        self.src
+    }
+
     /// Number of source disjuncts.
     pub fn src_disjuncts(&self) -> usize {
         self.src.len()
@@ -125,7 +130,8 @@ fn compile_perfect_ref(
 /// The saturated route: condense each CQ, unfold it over the saturated
 /// mapping, and drop the source disjuncts contained in others. The
 /// rewrite budget, the unfold budget and the run's `RewriteDisjuncts`
-/// guard all count distinct emitted source disjuncts.
+/// guard all count distinct emitted source disjuncts. The interrupt is
+/// polled per emitted disjunct and per disjunct of the minimization.
 fn compile_saturated(
     spec: &ObdmSpec,
     index: &MappingIndex,
@@ -143,6 +149,11 @@ fn compile_saturated(
         let small = condense(cq, spec.reasoner());
         condensed += cq.body().len() - small.body().len();
         unfold_cq(spec.mapping(), index, &small, |q| {
+            // A blown-up unfolding emits disjuncts for as long as the
+            // run lets it, so each one polls the interrupt.
+            if interrupt.is_triggered() {
+                return Err(RewriteError::Interrupted.into());
+            }
             let approx_bytes = std::mem::size_of_val(q.body()) + std::mem::size_of_val(q.head());
             if !src.push(q) {
                 return Ok(());
@@ -173,7 +184,7 @@ fn compile_saturated(
             Ok(())
         })?;
     }
-    let minimized_away = minimize_ucq(&mut src);
+    let minimized_away = minimize_ucq(&mut src, interrupt)?;
     sp.count("src_disjuncts", src.len() as u64);
     sp.count("condensed", condensed as u64);
     sp.count("minimized_away", minimized_away as u64);

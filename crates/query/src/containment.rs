@@ -11,10 +11,11 @@
 //! PerfectRef output.
 
 use crate::onto::{OntoAtom, OntoCq, OntoUcq, QueryError};
+use crate::rewrite::RewriteError;
 use crate::src::{SrcAtom, SrcCq, SrcUcq};
 use crate::term::{Term, VarId};
 use obx_srcdb::RelId;
-use obx_util::FxHashMap;
+use obx_util::{FxHashMap, Interrupt};
 
 /// Tries to extend the homomorphism `h` (from `from`'s variables to `into`'s
 /// terms) so that every remaining atom of `from` lands on some atom of
@@ -99,14 +100,20 @@ pub fn ucq_contained(u1: &SrcUcq, u2: &SrcUcq) -> bool {
 
 /// Drops each disjunct of `ucq` contained in another one; of mutually
 /// contained disjuncts the earliest stays. Returns how many were dropped.
-/// The union keeps its answers on every database.
-pub fn minimize_ucq(ucq: &mut SrcUcq) -> usize {
+/// The union keeps its answers on every database. The pair test is
+/// quadratic, so `interrupt` is polled once per disjunct; when it fires
+/// the call fails with the transient [`RewriteError::Interrupted`] and
+/// leaves `ucq` as it was.
+pub fn minimize_ucq(ucq: &mut SrcUcq, interrupt: &Interrupt) -> Result<usize, RewriteError> {
     let d = ucq.disjuncts();
     if d.len() < 2 {
-        return 0;
+        return Ok(0);
     }
     let mut keep = vec![true; d.len()];
     for i in 0..d.len() {
+        if interrupt.is_triggered() {
+            return Err(RewriteError::Interrupted);
+        }
         keep[i] = !(0..d.len()).any(|j| {
             j != i
                 && keep[j]
@@ -116,9 +123,10 @@ pub fn minimize_ucq(ucq: &mut SrcUcq) -> usize {
     }
     let dropped = keep.iter().filter(|&&k| !k).count();
     if dropped > 0 {
-        ucq.keep(&keep);
+        let mut kept = keep.iter();
+        ucq.retain(|_| kept.next().copied().unwrap_or(true));
     }
-    dropped
+    Ok(dropped)
 }
 
 /// Whether two CQs are equivalent (mutual containment).

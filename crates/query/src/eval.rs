@@ -554,6 +554,21 @@ pub fn certified(cq: &SrcCq, radius: usize) -> bool {
     radius >= 1 && head_depth(cq).is_some_and(|d| d <= radius)
 }
 
+/// Whether `cq` is *data-dead* on `db`: some body atom has no fact of
+/// `db` in its smallest index slice under its own constants (its
+/// relation is empty, or one of its constants never occurs at its
+/// position). Then `cq` has no embedding into `db`, nor into any view of
+/// it — a border `B_{t,r}(D)`, complete or cut short, masked or not — so
+/// it matches no goal and an evaluator may skip it.
+pub fn data_dead(db: &Database, cq: &SrcCq) -> bool {
+    cq.body().iter().any(|atom| {
+        db.atoms_of(atom.rel).is_empty()
+            || atom.args.iter().enumerate().any(|(pos, &t)| {
+                matches!(t, Term::Const(c) if db.atoms_with(atom.rel, pos, c).is_empty())
+            })
+    })
+}
+
 /// [`satisfies_ucq`] for `n` goals at once: entry `i` of the result is
 /// `satisfies_ucq(View::masked(db, g.border), ucq, g.tuple)` for
 /// `goal(i) = Some(g)`, and `false` for `goal(i) = None`. `radius` is the
@@ -1058,6 +1073,44 @@ mod tests {
         )
         .unwrap();
         assert_eq!(answers(View::full(&db), &q).len(), 25);
+    }
+
+    #[test]
+    fn data_dead_flags_atoms_with_an_empty_index_slice() {
+        let mut schema = Schema::new();
+        schema.declare("STUD", 1).unwrap();
+        schema.declare("LOC", 2).unwrap();
+        schema.declare("EMPTY", 1).unwrap();
+        let mut db = Database::new(schema);
+        db.insert_named("STUD", &["A10"]).unwrap();
+        db.insert_named("LOC", &["Sap", "Rome"]).unwrap();
+        let stud = db.schema().rel("STUD").unwrap();
+        let loc = db.schema().rel("LOC").unwrap();
+        let empty = db.schema().rel("EMPTY").unwrap();
+        let (sap, rome) = (c(&db, "Sap"), c(&db, "Rome"));
+        let q = |guard: SrcAtom| {
+            SrcCq::new(vec![VarId(0)], vec![SrcAtom::new(stud, [var(0)]), guard]).unwrap()
+        };
+        // "Rome" occurs in LOC, but never at position 0.
+        assert!(data_dead(
+            &db,
+            &q(SrcAtom::new(loc, [Term::Const(rome), var(1)]))
+        ));
+        // A relation without facts.
+        assert!(data_dead(&db, &q(SrcAtom::new(empty, [var(1)]))));
+        // A ground atom that is a fact, and a variable-only atom.
+        assert!(!data_dead(
+            &db,
+            &q(SrcAtom::new(loc, [Term::Const(sap), Term::Const(rome)]))
+        ));
+        assert!(!data_dead(&db, &q(SrcAtom::new(loc, [var(1), var(2)]))));
+        // The test is per slice, not per fact: both constants occur at
+        // their positions, so this unmatched guard is not flagged.
+        db.insert_named("LOC", &["Pol", "Milan"]).unwrap();
+        let milan = c(&db, "Milan");
+        let crossed = q(SrcAtom::new(loc, [Term::Const(sap), Term::Const(milan)]));
+        assert!(!data_dead(&db, &crossed));
+        assert!(answers(View::full(&db), &crossed).is_empty());
     }
 
     #[test]

@@ -273,11 +273,9 @@ impl SrcUcq {
         &self.disjuncts
     }
 
-    /// Keeps the `i`-th disjunct iff `keep[i]`, in order.
-    pub(crate) fn keep(&mut self, keep: &[bool]) {
-        let mut keep = keep.iter();
-        self.disjuncts
-            .retain(|_| keep.next().copied().unwrap_or(true));
+    /// Keeps the disjuncts `f` accepts, in order.
+    pub fn retain(&mut self, f: impl FnMut(&SrcCq) -> bool) {
+        self.disjuncts.retain(f);
     }
 
     /// Number of disjuncts.

@@ -239,6 +239,29 @@ fn eval_nodes_gauge_counts_one_run_only() {
     assert_eq!(nodes[0], nodes[1]);
 }
 
+/// `engine/dead_disjuncts` counts the source disjuncts the engine's
+/// compiles dropped because no fact of the database matches one of their
+/// atoms.
+#[test]
+fn dead_disjuncts_gauge_counts_data_dead_disjuncts() {
+    if !obx_util::obs::enabled() {
+        return;
+    }
+    let reports = explain_all(true);
+    let dead = |r: &ExplainReport| {
+        r.profile
+            .span("engine")
+            .expect("engine gauges")
+            .counter("dead_disjuncts")
+    };
+    // Beam search's refinements put constants where no fact has them,
+    // such as a subject in a city's place (`locatedIn(x, "Math")`).
+    assert!(dead(&reports[0]) > 0);
+    // Bottom-up generalizes the labelled tuples' border facts, so every
+    // source disjunct it compiles matches some fact.
+    assert_eq!(dead(&reports[1]), 0);
+}
+
 /// `OBX_OBS=0` must make a fresh recorder inert process-wide. The switch
 /// is latched on first use, so probe it in a child process.
 #[test]

@@ -7,8 +7,10 @@
 //! and on randomized generated scenarios, the engine's `MatchStats` are
 //! bit-identical to the uncached [`PreparedLabels`] path — including
 //! unions assembled purely from cached bitsets, parent-delta refinements,
-//! and candidates whose bits came from the source-keyed match memo — and
-//! Proposition 3.5's radius monotonicity survives the caching layer.
+//! candidates whose bits came from the source-keyed match memo, and
+//! candidates whose source disjuncts are all data-dead (a constant no
+//! fact holds) — and Proposition 3.5's radius monotonicity survives the
+//! caching layer.
 
 use obx_core::matcher::PreparedLabels;
 use obx_core::paper_example::PaperExample;
@@ -16,6 +18,7 @@ use obx_core::{
     ExplainTask, ParentHandle, PlannedCq, RefineDir, Scoring, ScoringEngine, SearchLimits,
 };
 use obx_datagen::random_scenario::random_query;
+use obx_datagen::Scenario;
 use obx_datagen::{random_scenario, RandomParams};
 use obx_query::{OntoAtom, OntoCq, OntoUcq, SrcCq, Term, VarId};
 use proptest::prelude::*;
@@ -129,14 +132,32 @@ proptest! {
     }
 }
 
+/// A constant interned in every refinement scenario but held by no fact.
+const ABSENT: &str = "absent";
+
+/// The random scenario of `seed`, with [`ABSENT`] interned.
+fn scenario(seed: u64) -> Scenario {
+    let mut s = random_scenario(scenario_params(seed));
+    s.system.db_mut().consts_mut().intern(ABSENT);
+    s
+}
+
 /// The one-atom refinements of `root`, each with the direction it moves
-/// in: a concept atom on the answer variable per concept and a role atom
-/// to a fresh variable per role (Specialize), and every safe one-atom
-/// drop (Generalize). Adding a superconcept of a concept already in the
-/// body leaves the minimized rewriting, hence the compiled source UCQ,
-/// unchanged: such a child is a source-equal sibling of its parent.
+/// in: a concept atom on the answer variable per concept, and per role a
+/// role atom to a fresh variable, one to [`ABSENT`] and one to the
+/// individual `ind0` (Specialize), and every safe one-atom drop
+/// (Generalize). Adding a superconcept of a
+/// concept already in the body leaves the minimized rewriting, hence the
+/// compiled source UCQ, unchanged: such a child is a source-equal
+/// sibling of its parent. A role atom to [`ABSENT`] makes every source
+/// disjunct data-dead, so those children share the empty source key.
 fn refinements(system: &obx_obdm::ObdmSystem, root: &OntoCq) -> Vec<(RefineDir, OntoCq)> {
     let vocab = system.spec().tbox().vocab();
+    let constants: Vec<Term> = [ABSENT, "ind0"]
+        .into_iter()
+        .filter_map(|name| system.db().consts().get(name))
+        .map(Term::Const)
+        .collect();
     let x = Term::Var(VarId(0));
     let fresh = Term::Var(VarId(root.max_var().map_or(1, |v| v + 1)));
     let mut out = Vec::new();
@@ -152,6 +173,9 @@ fn refinements(system: &obx_obdm::ObdmSystem, root: &OntoCq) -> Vec<(RefineDir, 
     }
     for r in vocab.role_ids() {
         specialize(OntoAtom::Role(r, x, fresh));
+        for &k in &constants {
+            specialize(OntoAtom::Role(r, x, k));
+        }
     }
     for skip in 0..root.num_atoms() {
         let mut body = root.body().to_vec();
@@ -167,10 +191,11 @@ fn refinements(system: &obx_obdm::ObdmSystem, root: &OntoCq) -> Vec<(RefineDir, 
 /// with parent-delta evaluation, on one and two scoring threads, and
 /// checks every candidate's engine stats against the uncached matcher.
 /// Returns the candidates whose compiled source UCQ an earlier candidate
-/// with another ontology key already had (source-equal siblings).
-/// Both thread counts must count the same hits and misses.
-fn check_refinements_against_uncached(seed: u64, atoms: usize) -> u64 {
-    let s = random_scenario(scenario_params(seed));
+/// with another ontology key already had (source-equal siblings), and
+/// the source disjuncts the sequential incremental engine dropped as
+/// data-dead. Both thread counts must count the same hits and misses.
+fn check_refinements_against_uncached(seed: u64, atoms: usize) -> (u64, u64) {
+    let s = scenario(seed);
     let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
     let base = ExplainTask::new(&s.system, &s.labels, 1, &scoring, SearchLimits::default())
         .expect("the scenario labels tuples");
@@ -180,15 +205,15 @@ fn check_refinements_against_uncached(seed: u64, atoms: usize) -> u64 {
         .collect();
 
     // Hits, counted the way the engine keys: a lookup that compiles and
-    // whose sorted canonical source disjuncts were already seen, from a
-    // repeated ontology key or from a source-equal sibling (a new
-    // ontology key). The count does not depend on the scoring order. A
-    // root that fails to compile is not refined below, so its
-    // refinements are not counted.
+    // whose sorted canonical source disjuncts that are not data-dead were
+    // already seen, from a repeated ontology key or from a source-equal
+    // sibling (a new ontology key). The count does not depend on the
+    // scoring order. A root that fails to compile is not refined below,
+    // so its refinements are not counted.
     let compile = |cq: &OntoCq| s.system.spec().compile(&OntoUcq::from_cq(cq.canonical()));
     let mut onto_keys = HashSet::new();
     let mut src_keys = HashSet::new();
-    let (mut hits, mut siblings) = (0u64, 0u64);
+    let (mut hits, mut siblings, mut dead) = (0u64, 0u64, 0u64);
     for root in roots.iter().filter(|r| compile(r).is_ok()) {
         let pool = refinements(&s.system, root).into_iter().map(|(_, cq)| cq);
         for cq in std::iter::once(root.clone()).chain(pool) {
@@ -196,7 +221,9 @@ fn check_refinements_against_uncached(seed: u64, atoms: usize) -> u64 {
             let Ok(compiled) = compile(&cq) else {
                 continue;
             };
+            let db = s.system.db();
             let mut src: Vec<SrcCq> = compiled.src().disjuncts().to_vec();
+            src.retain(|d| !obx_query::eval::data_dead(db, d));
             src.sort();
             if !src_keys.insert(src) {
                 hits += 1;
@@ -240,6 +267,9 @@ fn check_refinements_against_uncached(seed: u64, atoms: usize) -> u64 {
         });
         let [one, two] = &engines;
         assert_eq!(one.cache_hits(), hits, "seed {seed}");
+        if incremental {
+            dead = one.dead_disjuncts();
+        }
         // On the pool, a shared source is still evaluated by its first
         // candidate in batch order, so the evaluator work is the
         // sequential run's.
@@ -258,7 +288,7 @@ fn check_refinements_against_uncached(seed: u64, atoms: usize) -> u64 {
             "seed {seed}, incremental {incremental}"
         );
     }
-    siblings
+    (siblings, dead)
 }
 
 proptest! {
@@ -295,7 +325,7 @@ fn counters(e: &ScoringEngine) -> [u64; 6] {
 fn check_floored_batches(seed: u64, atoms: usize, scoring: &Scoring) -> (usize, u64) {
     const WINDOW: usize = 3;
     const CAP: usize = 4;
-    let s = random_scenario(scenario_params(seed));
+    let s = scenario(seed);
     let base = ExplainTask::new(&s.system, &s.labels, 1, scoring, SearchLimits::default())
         .expect("the scenario labels tuples");
     let mut rng = StdRng::seed_from_u64(seed ^ 0xf100);
@@ -402,13 +432,15 @@ fn floored_batches_prune_before_and_during_evaluation() {
 }
 
 /// The property above is not vacuous: on fixed seeds, the refinement pools
-/// contain source-equal siblings, so the source memo answers some of them.
+/// contain source-equal siblings, so the source memo answers some of
+/// them, and data-dead disjuncts, so the engine drops some.
 #[test]
 fn source_equal_siblings_occur_in_refinement_pools() {
-    let siblings: u64 = (0..4)
+    let (siblings, dead) = (0..4)
         .map(|seed| check_refinements_against_uncached(seed, 2))
-        .sum();
+        .fold((0, 0), |(s, d), (s1, d1)| (s + s1, d + d1));
     assert!(siblings > 0, "no refinement reached the source memo");
+    assert!(dead > 0, "no refinement had a data-dead disjunct");
 }
 
 /// Proposition 3.5 through the engine: growing the border radius never
