@@ -15,7 +15,9 @@
 //!    prepared borders. So every lookup compiles the disjunct's canonical
 //!    form ([`OntoCq::canonical`]), a couple of microseconds, drops the
 //!    source disjuncts no fact of the database can match
-//!    ([`obx_query::eval::data_dead`]; they match no border), and reads
+//!    ([`obx_query::eval::data_dead`]: an atom with no fact, or a
+//!    variable in two columns that share no constant; they match no
+//!    border), and reads
 //!    the memo under the sorted rest. GAV unfolding is
 //!    many-to-one (`likes(x, "Math")` and `studies(x, "Math")` both
 //!    compile to `ENR(x, "Math", z)` on the paper's system), so each
@@ -41,8 +43,9 @@
 //!    they were refined from — are **delta-evaluated** when the parent's
 //!    bits are in the memo (looked up once per distinct parent and
 //!    batch): only the tuples whose match status can differ from the
-//!    parent's are run through the evaluator
-//!    ([`PreparedLabels::match_bits_restricted`]). The same
+//!    parent's are run through the evaluator (the parent's bits settle
+//!    the rest as a `Prior::refining`, and one `PreparedLabels::evaluate`
+//!    call decides the tuples it leaves open). The same
 //!    provenance puts each candidate's counts in a [`CountBox`] and
 //!    bounds its score, and [`ScoringEngine::score_batch_planned`] scores
 //!    a batch best bound first, in chunks, against a cut that rises with
@@ -196,10 +199,11 @@ pub struct PlannedCq {
     pub parent: Option<ParentHandle>,
 }
 
-/// The source disjuncts of `compiled` that some fact of the database can
-/// match, and how many were dropped. A data-dead disjunct
-/// ([`obx_query::eval::data_dead`]) matches no border, so dropping it
-/// changes no bit (DESIGN §11).
+/// The source disjuncts of `compiled` that may have an embedding into the
+/// database, and how many were dropped. A data-dead disjunct
+/// ([`obx_query::eval::data_dead`]: an atom no fact matches, or a
+/// variable in two columns that share no constant) matches no border,
+/// so dropping it changes no bit (DESIGN §11).
 fn live_source(prepared: &PreparedLabels<'_>, compiled: CompiledQuery) -> (SrcUcq, usize) {
     let db = prepared.system().db();
     let mut src = compiled.into_src();
@@ -530,8 +534,10 @@ impl ScoringEngine {
     }
 
     /// Source disjuncts the lookups' compiles dropped as data-dead
-    /// ([`obx_query::eval::data_dead`]): no fact of the database matches
-    /// one of their atoms, so they were neither keyed nor evaluated.
+    /// ([`obx_query::eval::data_dead`]), by either of its rules: no fact
+    /// of the database matches one of their atoms, or one of their
+    /// variables sits in two columns that share no constant. They were
+    /// neither keyed nor evaluated.
     pub fn dead_disjuncts(&self) -> u64 {
         self.dead_disjuncts.load(Ordering::Relaxed)
     }

@@ -313,13 +313,22 @@ impl MatchBits {
     }
 
     /// Marks tuple `idx` (layout order: positives, then negatives) matched.
+    ///
+    /// `idx` indexes the label set this bitset was shaped for, so it is
+    /// below [`MatchBits::len`]: every caller derives it from the same
+    /// `num_pos`/`num_neg` (a tuple's position in `PreparedLabels`, or a
+    /// loop over `0..len()`). Bits past `len()` in the last container are
+    /// padding that popcounts must not see, and an index into them is a
+    /// caller bug, so the check stays on in release builds rather than
+    /// corrupt the padding or read a neighbouring container.
     pub fn set(&mut self, idx: usize) {
         assert!(idx < self.len(), "bit {idx} out of range {}", self.len());
         let bits = self.container_bits(idx / CONTAINER_BITS);
         self.containers[idx / CONTAINER_BITS].set((idx % CONTAINER_BITS) as u16, bits);
     }
 
-    /// Whether tuple `idx` is matched.
+    /// Whether tuple `idx` is matched. `idx < len()`, by the invariant
+    /// [`MatchBits::set`] states; the check is kept for the same reason.
     pub fn get(&self, idx: usize) -> bool {
         assert!(idx < self.len(), "bit {idx} out of range {}", self.len());
         self.containers[idx / CONTAINER_BITS].get((idx % CONTAINER_BITS) as u16)

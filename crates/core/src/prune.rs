@@ -18,8 +18,9 @@
 //! 1. **Parent-delta evaluation** — a specialization child only needs the
 //!    evaluator run on tuples the parent matched (the rest are provably
 //!    unmatched); a generalization child only on tuples the parent missed
-//!    (the rest are inherited). See
-//!    [`PreparedLabels::match_bits_restricted`](crate::matcher::PreparedLabels::match_bits_restricted).
+//!    (the rest are inherited). The engine turns the parent's bits into
+//!    a `Prior::refining` (`crate::matcher`), whose open tuples one
+//!    `PreparedLabels::evaluate` call decides.
 //! 2. **Admissible bound pruning** — what is known of a candidate's match
 //!    counts is a [`CountBox`]: `[0, p̂] × [0, n̂]` under a specialize
 //!    parent, `[p̂, P] × [n̂, N]` under a generalize parent, the union box

@@ -270,23 +270,18 @@ pub fn load_dir_checked(dir: &Path) -> CheckedLoad {
         SnapProbe::Absent | SnapProbe::Stale => None,
     };
 
-    let mut texts: Vec<Option<String>> = Vec::new();
-    for file in SCENARIO_FILES {
+    // One text per entry of `SCENARIO_FILES`, in its order: a fixed
+    // array, so the five names below bind without a length check.
+    let [schema_txt, data_txt, onto_txt, map_txt, labels_txt] = SCENARIO_FILES.map(|file| {
         if snap_db.is_some() && (file == "schema.obx" || file == "data.obx") {
-            texts.push(None);
-            continue;
+            return None;
         }
         let text = read_checked(dir, file, &mut diags);
         if let Some(t) = &text {
             sources.push((file.to_owned(), t.clone()));
         }
-        texts.push(text);
-    }
-    let [schema_txt, data_txt, onto_txt, map_txt, labels_txt]: [Option<String>; 5] =
-        match texts.try_into() {
-            Ok(a) => a,
-            Err(_) => unreachable!("SCENARIO_FILES has five entries"),
-        };
+        text
+    });
 
     let have_data_layer = snap_db.is_some() || (schema_txt.is_some() && data_txt.is_some());
     let all_readable = have_data_layer

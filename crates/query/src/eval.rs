@@ -554,19 +554,44 @@ pub fn certified(cq: &SrcCq, radius: usize) -> bool {
     radius >= 1 && head_depth(cq).is_some_and(|d| d <= radius)
 }
 
-/// Whether `cq` is *data-dead* on `db`: some body atom has no fact of
-/// `db` in its smallest index slice under its own constants (its
-/// relation is empty, or one of its constants never occurs at its
-/// position). Then `cq` has no embedding into `db`, nor into any view of
-/// it — a border `B_{t,r}(D)`, complete or cut short, masked or not — so
-/// it matches no goal and an evaluator may skip it.
+/// Whether `cq` is *data-dead* on `db`: it has no embedding into `db`
+/// by one of two checks.
+///
+/// * **Atom rule.** Some body atom has no fact of `db` in its smallest
+///   index slice under its own constants: its relation is empty, or one
+///   of its constants never occurs at its position.
+/// * **Join rule.** One variable, head variables included, occurs at two
+///   `(rel, pos)` columns, in one atom or in two, and no constant of `db`
+///   occurs in both ([`Database::columns_meet`]). An embedding would send
+///   the variable to one constant that `db` holds in both.
+///
+/// Either way `cq` has no embedding into `db`, nor into any view of it —
+/// a border `B_{t,r}(D)`, complete or cut short, masked or not — so it
+/// matches no goal and an evaluator may skip it.
 pub fn data_dead(db: &Database, cq: &SrcCq) -> bool {
-    cq.body().iter().any(|atom| {
+    let atom_dead = cq.body().iter().any(|atom| {
         db.atoms_of(atom.rel).is_empty()
             || atom.args.iter().enumerate().any(|(pos, &t)| {
                 matches!(t, Term::Const(c) if db.atoms_with(atom.rel, pos, c).is_empty())
             })
-    })
+    });
+    let columns = || {
+        cq.body().iter().flat_map(|atom| {
+            atom.args
+                .iter()
+                .enumerate()
+                .filter_map(move |(pos, &t)| match t {
+                    Term::Var(v) => Some((v, atom.rel, pos)),
+                    Term::Const(_) => None,
+                })
+        })
+    };
+    atom_dead
+        || columns().enumerate().any(|(i, (v, ra, pa))| {
+            columns().skip(i + 1).any(|(w, rb, pb)| {
+                v == w && (ra, pa) != (rb, pb) && !db.columns_meet(ra, pa, rb, pb)
+            })
+        })
 }
 
 /// [`satisfies_ucq`] for `n` goals at once: entry `i` of the result is
@@ -1111,6 +1136,51 @@ mod tests {
         let crossed = q(SrcAtom::new(loc, [Term::Const(sap), Term::Const(milan)]));
         assert!(!data_dead(&db, &crossed));
         assert!(answers(View::full(&db), &crossed).is_empty());
+    }
+
+    #[test]
+    fn data_dead_flags_a_variable_in_two_columns_that_never_meet() {
+        let db = students_db();
+        let stud = db.schema().rel("STUD").unwrap();
+        let loc = db.schema().rel("LOC").unwrap();
+        let enr = db.schema().rel("ENR").unwrap();
+        // The head variable is a student and a university at once:
+        // q(x0) :- STUD(x0), ENR(x1, x2, x0).
+        let head_join = SrcCq::new(
+            vec![VarId(0)],
+            vec![
+                SrcAtom::new(stud, [var(0)]),
+                SrcAtom::new(enr, [var(1), var(2), var(0)]),
+            ],
+        )
+        .unwrap();
+        assert!(data_dead(&db, &head_join));
+        assert!(answers(View::full(&db), &head_join).is_empty());
+        // One variable at both positions of one atom: a university that
+        // is its own city, q(x0) :- ENR(x0, x1, x2), LOC(x2, x2).
+        let looped = SrcCq::new(
+            vec![VarId(0)],
+            vec![
+                SrcAtom::new(enr, [var(0), var(1), var(2)]),
+                SrcAtom::new(loc, [var(2), var(2)]),
+            ],
+        )
+        .unwrap();
+        assert!(data_dead(&db, &looped));
+        assert!(answers(View::full(&db), &looped).is_empty());
+        // A type-correct join is kept, even where it finds no answer
+        // ("Norm" has no LOC fact).
+        let located = SrcCq::new(
+            vec![VarId(0)],
+            vec![
+                SrcAtom::new(stud, [var(0)]),
+                SrcAtom::new(enr, [var(0), var(1), var(2)]),
+                SrcAtom::new(loc, [var(2), var(3)]),
+            ],
+        )
+        .unwrap();
+        assert!(!data_dead(&db, &located));
+        assert_eq!(answers(View::full(&db), &located).len(), 4);
     }
 
     #[test]

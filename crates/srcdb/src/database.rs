@@ -38,7 +38,11 @@
 //!   (`atoms_of`, `atoms_with`, `atoms_mentioning`, the `count_*`
 //!   family) with exact-size counting passes over the flat columns — no
 //!   per-atom allocation, no hashing — and are maintained incrementally
-//!   by later inserts.
+//!   by later inserts;
+//! * the **column-meet matrix** (`columns_meet`: do two `(rel, pos)`
+//!   columns share a constant?) materializes on its first read from the
+//!   constant adjacency, and an insert drops it, so the next read
+//!   rebuilds it over every row.
 //!
 //! The payoff is at the loading boundary: a binary snapshot restores a
 //! million-atom database by handing [`Database::from_columns`] its two
@@ -56,7 +60,7 @@
 use crate::atom::{Atom, AtomId, AtomRef};
 use crate::consts::{Const, ConstPool};
 use crate::schema::{RelId, Schema, SchemaError};
-use obx_util::hash::FxHasher;
+use obx_util::hash::{FxHashSet, FxHasher};
 use std::hash::Hasher;
 use std::sync::OnceLock;
 
@@ -353,6 +357,77 @@ impl QueryIndexes {
     }
 }
 
+/// Which `(rel, pos)` columns share a constant: a `C × C` bit matrix,
+/// `C` the sum of the arities, over the flattened column slots of the
+/// query indexes' `pos_base`. Row `a` holds `words` words; bit `b` of it is set iff
+/// some constant occurs in both column `a` and column `b` (so the
+/// diagonal marks the non-empty columns).
+#[derive(Debug)]
+struct ColumnMeets {
+    base: Vec<u32>,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl ColumnMeets {
+    /// One pass over the constant adjacency, linear in the rows: each
+    /// constant's set of columns is collected once, and the pairs of each
+    /// *distinct* set are OR-ed into the matrix once, so the cost does not
+    /// grow with constants × columns.
+    fn build(db: &Database) -> Self {
+        let q = db.query_indexes();
+        let base = q.pos_base.clone();
+        let n = *base.last().unwrap_or(&0) as usize;
+        let words = n.div_ceil(64);
+        let mut bits = vec![0u64; n * words];
+        // `seen[col]` is 1 + the last constant slot that put `col` in
+        // `cols`, so a constant lists each of its columns once.
+        let mut seen = vec![0u32; n];
+        let mut cols: Vec<u32> = Vec::new();
+        let mut distinct: FxHashSet<Vec<u32>> = FxHashSet::default();
+        for (slot, &p) in q.const_adj.iter().enumerate() {
+            let stamp = slot as u32 + 1;
+            cols.clear();
+            for &id in q.postings.slice(p) {
+                let rel_base = base[db.rels[id.index()].index()];
+                for (pos, c) in db.row_args(id.index()).iter().enumerate() {
+                    let col = rel_base + pos as u32;
+                    if c.0.index() == slot && seen[col as usize] != stamp {
+                        seen[col as usize] = stamp;
+                        cols.push(col);
+                    }
+                }
+            }
+            cols.sort_unstable();
+            if cols.is_empty() || distinct.contains(cols.as_slice()) {
+                continue;
+            }
+            for &a in &cols {
+                for &b in &cols {
+                    bits[a as usize * words + b as usize / 64] |= 1 << (b % 64);
+                }
+            }
+            distinct.insert(cols.clone());
+        }
+        Self { base, words, bits }
+    }
+
+    #[inline]
+    fn meet(&self, ra: RelId, pa: usize, rb: RelId, pb: usize) -> bool {
+        let a = self.base[ra.index()] as usize + pa;
+        let b = self.base[rb.index()] as usize + pb;
+        debug_assert!(
+            a < self.base[ra.index() + 1] as usize,
+            "position {pa} past the arity"
+        );
+        debug_assert!(
+            b < self.base[rb.index() + 1] as usize,
+            "position {pb} past the arity"
+        );
+        self.bits[a * self.words + b / 64] >> (b % 64) & 1 == 1
+    }
+}
+
 /// An in-memory `S`-database.
 ///
 /// Atoms are deduplicated (a database is a *set* of atoms, §2). Three
@@ -385,6 +460,8 @@ pub struct Database {
     /// thread-safe under the shared borrows of the border worker pool.
     dedup: OnceLock<Box<DedupTable>>,
     qidx: OnceLock<Box<QueryIndexes>>,
+    /// Lazily built from `qidx`; dropped by every insert.
+    meets: OnceLock<Box<ColumnMeets>>,
 }
 
 impl Database {
@@ -409,6 +486,7 @@ impl Database {
             dedup_hint: atoms,
             dedup: OnceLock::new(),
             qidx: OnceLock::new(),
+            meets: OnceLock::new(),
         }
     }
 
@@ -505,6 +583,8 @@ impl Database {
         if let Some(q) = self.qidx.get_mut() {
             q.add_row(id, atom.rel, &atom.args);
         }
+        // The new row can make two columns meet; the next read rebuilds.
+        self.meets.take();
         Ok(id)
     }
 
@@ -612,6 +692,7 @@ impl Database {
             dedup_hint: 0,
             dedup: OnceLock::new(),
             qidx: OnceLock::new(),
+            meets: OnceLock::new(),
         })
     }
 
@@ -655,6 +736,19 @@ impl Database {
         self.query_indexes()
             .pos_posting(rel, pos, c)
             .map_or(0, |p| p.len as usize)
+    }
+
+    /// Whether some constant occurs both at position `pa` of relation `ra`
+    /// and at position `pb` of relation `rb` (for one column: whether it
+    /// holds any constant). A query that puts one variable in two columns
+    /// that do not meet has no embedding into the database. One bit read
+    /// in a `C × C` matrix, `C` the sum of the arities, built on the first
+    /// call (linear in the rows) and rebuilt after an insert.
+    #[inline]
+    pub fn columns_meet(&self, ra: RelId, pa: usize, rb: RelId, pb: usize) -> bool {
+        self.meets
+            .get_or_init(|| Box::new(ColumnMeets::build(self)))
+            .meet(ra, pa, rb, pb)
     }
 
     /// Renders the whole database, one atom per line (stable order), for
@@ -873,6 +967,61 @@ mod tests {
             vec![Const(obx_util::Symbol(5)), Const(obx_util::Symbol(6))]
         )
         .is_err());
+    }
+
+    /// `columns_meet` on one column, two disjoint columns and two that
+    /// share a constant; an insert that makes disjoint columns meet flips
+    /// the answer, also after the matrix was read.
+    #[test]
+    fn columns_meet_tracks_shared_constants_across_inserts() {
+        let mut db = db_rs();
+        let r = db.schema().rel("R").unwrap();
+        let s = db.schema().rel("S").unwrap();
+        db.insert_named("R", &["a", "b"]).unwrap();
+        db.insert_named("S", &["b", "c"]).unwrap();
+        // The same column meets itself iff it holds a constant.
+        assert!(db.columns_meet(r, 0, r, 0));
+        // R.0 = {a}, R.1 = {b}, S.0 = {b}, S.1 = {c}.
+        assert!(!db.columns_meet(r, 0, r, 1));
+        assert!(db.columns_meet(r, 1, s, 0));
+        assert!(db.columns_meet(s, 0, r, 1));
+        assert!(!db.columns_meet(r, 0, s, 1));
+        db.insert_named("S", &["e", "a"]).unwrap();
+        assert!(db.columns_meet(r, 0, s, 1));
+        assert!(db.columns_meet(s, 1, r, 0));
+        assert!(!db.columns_meet(r, 0, r, 1));
+        // A repeated constant within one row meets its own columns.
+        db.insert_named("R", &["d", "d"]).unwrap();
+        assert!(db.columns_meet(r, 0, r, 1));
+        // A column of an empty relation meets nothing, not even itself.
+        let mut schema = Schema::new();
+        let t = schema.declare("T", 1).unwrap();
+        let empty = Database::new(schema);
+        assert!(!empty.columns_meet(t, 0, t, 0));
+    }
+
+    /// A database restored from snapshot bytes builds the matrix on first
+    /// use and answers exactly as the database it was encoded from.
+    #[test]
+    fn columns_meet_survives_a_snapshot_round_trip() {
+        let mut db = db_rs();
+        db.insert_named("R", &["a", "b"]).unwrap();
+        db.insert_named("S", &["b", "c"]).unwrap();
+        db.insert_named("S", &["c", "c"]).unwrap();
+        let bytes = crate::snapshot::encode_snapshot(&db, 0, 0);
+        let restored = crate::snapshot::decode_snapshot(&bytes).unwrap().db;
+        let (r, s) = (db.schema().rel("R").unwrap(), db.schema().rel("S").unwrap());
+        let cols = [(r, 0), (r, 1), (s, 0), (s, 1)];
+        let mut meeting = 0;
+        for &(ra, pa) in &cols {
+            for &(rb, pb) in &cols {
+                let want = db.columns_meet(ra, pa, rb, pb);
+                assert_eq!(restored.columns_meet(ra, pa, rb, pb), want);
+                meeting += usize::from(want);
+            }
+        }
+        // R.1–S.0 and S.0–S.1 both ways, plus the four diagonals.
+        assert_eq!(meeting, 8);
     }
 
     /// Duplicate rows can only reach `from_columns` via a forged snapshot

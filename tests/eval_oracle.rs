@@ -45,8 +45,9 @@ use rand::{Rng, SeedableRng};
 /// The paper's five labelled students.
 const PAPER_LABELS: &str = "+ A10\n+ B80\n+ C12\n+ D50\n- E25";
 
-/// Every built-in strategy, with limits light enough for the test suite.
-fn strategies() -> Vec<Box<dyn Strategy>> {
+/// Every built-in strategy, with limits light enough for the test suite;
+/// exhaustive enumeration stops after `exhaustive_cap` candidates.
+fn strategies(exhaustive_cap: usize) -> Vec<Box<dyn Strategy>> {
     vec![
         Box::new(BeamSearch),
         Box::new(BottomUpGeneralize {
@@ -59,7 +60,7 @@ fn strategies() -> Vec<Box<dyn Strategy>> {
             base_pool: 8,
         }),
         Box::new(ExhaustiveSearch {
-            max_candidates: 500,
+            max_candidates: exhaustive_cap,
         }),
     ]
 }
@@ -120,6 +121,14 @@ fn assert_matches_chase(
     }
 }
 
+/// The exhaustive cap on the generated scenarios, whose first candidates
+/// already reach the evaluator.
+const EXHAUSTIVE_CAP: usize = 500;
+
+/// The exhaustive cap on the paper's example: its first 5,000 candidates
+/// are all data-dead, so a lower cap would check no evaluated query.
+const PAPER_EXHAUSTIVE_CAP: usize = 10_000;
+
 /// Runs every strategy in each of `modes` on one scenario and checks all
 /// reported explanations against the chase.
 fn check_scenario(
@@ -129,6 +138,7 @@ fn check_scenario(
     radius: usize,
     limits: SearchLimits,
     modes: &[ExplainMode],
+    exhaustive_cap: usize,
 ) {
     let mut oracle: FxHashMap<String, MatchBits> = FxHashMap::default();
     for &mode in modes {
@@ -139,7 +149,7 @@ fn check_scenario(
             labels.neg().len(),
         );
         let task = ExplainTask::new(sys, labels, radius, &scoring, limits).unwrap();
-        for strategy in strategies() {
+        for strategy in strategies(exhaustive_cap) {
             let report = strategy
                 .explain_with_status(&task)
                 .expect("strategy run succeeds");
@@ -164,6 +174,7 @@ fn paper_example_matches_chase_oracle_for_every_strategy() {
         1,
         SearchLimits::default(),
         &ExplainMode::ALL,
+        PAPER_EXHAUSTIVE_CAP,
     );
 }
 
@@ -185,6 +196,7 @@ fn university_scenario_matches_chase_oracle() {
         1,
         limits,
         &ExplainMode::ALL,
+        EXHAUSTIVE_CAP,
     );
 }
 
@@ -208,6 +220,7 @@ fn skewed_scenario_matches_chase_oracle() {
         1,
         limits,
         &[ExplainMode::Fscore],
+        EXHAUSTIVE_CAP,
     );
 }
 
@@ -242,6 +255,7 @@ proptest! {
             1,
             limits,
             &[ExplainMode::Fscore],
+            EXHAUSTIVE_CAP,
         );
     }
 }
@@ -686,6 +700,107 @@ proptest! {
             prop_assert!(misses <= budgets.0 && hits <= budgets.1);
         }
     }
+}
+
+/// A random database whose five columns (`R.0`, `R.1`, `S.0`, `S.1`,
+/// `A.0`) each draw from their own random subset of `c0..c5`, so some
+/// pairs of columns share no constant, as typed columns do in real data.
+fn typed_db(seed: u64, n_atoms: usize) -> Database {
+    let mut db = Database::new(prop_schema());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pools: Vec<Vec<String>> = (0..5)
+        .map(|_| {
+            let pool: Vec<String> = (0..6)
+                .filter(|_| rng.gen_bool(0.35))
+                .map(|k| format!("c{k}"))
+                .collect();
+            if pool.is_empty() {
+                vec![format!("c{}", rng.gen_range(0..6))]
+            } else {
+                pool
+            }
+        })
+        .collect();
+    for _ in 0..n_atoms {
+        let pick =
+            |rng: &mut StdRng, col: usize| pools[col][rng.gen_range(0..pools[col].len())].clone();
+        match rng.gen_range(0..3) {
+            0 => {
+                let (a, b) = (pick(&mut rng, 0), pick(&mut rng, 1));
+                db.insert_named("R", &[&a, &b]).unwrap();
+            }
+            1 => {
+                let (a, b) = (pick(&mut rng, 2), pick(&mut rng, 3));
+                db.insert_named("S", &[&a, &b]).unwrap();
+            }
+            _ => {
+                let a = pick(&mut rng, 4);
+                db.insert_named("A", &[&a]).unwrap();
+            }
+        }
+    }
+    db
+}
+
+/// Whether some body atom of `cq` has an empty index slice in `db`: the
+/// atom rule of `eval::data_dead`, restated so the join rule can be told
+/// apart.
+fn atom_dead(db: &Database, cq: &SrcCq) -> bool {
+    cq.body().iter().any(|atom| {
+        db.atoms_of(atom.rel).is_empty()
+            || atom.args.iter().enumerate().any(|(pos, t)| {
+                matches!(t, Term::Const(c) if db.atoms_with(atom.rel, pos, *c).is_empty())
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128 })]
+
+    /// `data_dead` is sound: a query it flags has no answer on the full
+    /// database (so none on any view of it), by the naive reference and
+    /// by the evaluator. Typed databases make the join rule fire.
+    #[test]
+    fn data_dead_queries_have_no_answers(
+        db_seed in 0u64..100_000,
+        q_seed in 0u64..100_000,
+        typed in 0u8..2,
+        n_atoms_db in 0usize..25,
+        n_atoms_q in 1usize..4,
+        head_arity in 1usize..3,
+    ) {
+        let mut db = if typed == 1 {
+            typed_db(db_seed, n_atoms_db)
+        } else {
+            random_db(db_seed, 6, n_atoms_db)
+        };
+        let cq = random_cq(&mut db, q_seed, n_atoms_q, head_arity);
+        if eval::data_dead(&db, &cq) {
+            let full = View::full(&db);
+            prop_assert!(naive_answers(full, &cq).is_empty(), "dead query {:?} has answers", &cq);
+            prop_assert!(eval::answers(full, &cq).is_empty());
+        }
+    }
+}
+
+/// The oracle above is not vacuous: over fixed seeds the join rule alone
+/// flags queries (every atom has facts, yet a variable's columns share
+/// no constant), and it leaves queries with answers alone.
+#[test]
+fn data_dead_join_rule_fires_on_typed_databases() {
+    let (mut join_only, mut live_with_answers) = (0, 0);
+    for seed in 0..300u64 {
+        let mut db = typed_db(seed, 20);
+        let cq = random_cq(&mut db, seed ^ 0x5eed, 2, 1);
+        let dead = eval::data_dead(&db, &cq);
+        join_only += usize::from(dead && !atom_dead(&db, &cq));
+        live_with_answers += usize::from(!dead && !eval::answers(View::full(&db), &cq).is_empty());
+    }
+    assert!(join_only >= 10, "join rule fired {join_only} times");
+    assert!(
+        live_with_answers >= 10,
+        "{live_with_answers} live queries with answers"
+    );
 }
 
 /// A path-shaped CQ over `R`/`S`: `len` binary atoms chained from the

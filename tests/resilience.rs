@@ -28,25 +28,51 @@ const PAPER_LABELS: &str = "+ A10\n+ B80\n+ C12\n+ D50\n- E25";
 /// Every built-in strategy, with limits small enough that the exhaustive
 /// enumeration stays in test-suite time.
 fn all_strategies() -> Vec<Box<dyn Strategy>> {
+    strategies_with_exhaustive_cap(500)
+}
+
+/// [`all_strategies`] with the exhaustive enumeration capped at `cap`
+/// candidates.
+fn strategies_with_exhaustive_cap(cap: usize) -> Vec<Box<dyn Strategy>> {
     vec![
         Box::new(BeamSearch),
         Box::new(BottomUpGeneralize::default()),
         Box::new(ExhaustiveSearch {
-            max_candidates: 500,
+            max_candidates: cap,
         }),
         Box::new(GreedyUcq::default()),
     ]
 }
 
+/// The fresh (cache-missing) scoring call the panic test arms.
+const ARMED_MISS: u64 = 3;
+
 #[test]
 fn every_strategy_survives_a_panicking_scoring_call() {
-    for strategy in all_strategies() {
+    // Exhaustive enumeration on the paper example reaches its first
+    // data-live candidates late: its first 5,000 candidates are all
+    // data-dead, most because a variable sits in two columns that share
+    // no constant, so they share the empty source's one memo slot and
+    // make one miss. A 10,000-candidate cap makes it reach the armed
+    // miss.
+    for strategy in strategies_with_exhaustive_cap(10_000) {
         let mut sys = example_3_6_system();
         let labels = Labels::parse(sys.db_mut(), PAPER_LABELS).unwrap();
         let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
+        // Not vacuous: unarmed, the strategy makes at least the armed
+        // number of memo misses, so the fault below does fire.
+        let unarmed =
+            ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
+        strategy.explain_with_status(&unarmed).unwrap();
+        assert!(
+            unarmed.engine().cache_misses() >= ARMED_MISS,
+            "{}: an unarmed run makes only {} misses",
+            strategy.name(),
+            unarmed.engine().cache_misses()
+        );
         let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
         // The 3rd fresh (cache-missing) scoring call panics.
-        task.engine().arm_fault(3, FaultMode::Panic);
+        task.engine().arm_fault(ARMED_MISS, FaultMode::Panic);
         let report = strategy
             .explain_with_status(&task)
             .unwrap_or_else(|e| panic!("{} aborted on a panic: {e}", strategy.name()));

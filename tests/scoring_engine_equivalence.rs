@@ -9,8 +9,8 @@
 //! unions assembled purely from cached bitsets, parent-delta refinements,
 //! candidates whose bits came from the source-keyed match memo, and
 //! candidates whose source disjuncts are all data-dead (a constant no
-//! fact holds) — and Proposition 3.5's radius monotonicity survives the
-//! caching layer.
+//! fact holds, or a variable in two columns that share no constant) —
+//! and Proposition 3.5's radius monotonicity survives the caching layer.
 
 use obx_core::matcher::PreparedLabels;
 use obx_core::paper_example::PaperExample;
@@ -19,7 +19,7 @@ use obx_core::{
 };
 use obx_datagen::random_scenario::random_query;
 use obx_datagen::Scenario;
-use obx_datagen::{random_scenario, RandomParams};
+use obx_datagen::{random_scenario, university_scenario, RandomParams, UniversityParams};
 use obx_query::{OntoAtom, OntoCq, OntoUcq, SrcCq, Term, VarId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -142,15 +142,43 @@ fn scenario(seed: u64) -> Scenario {
     s
 }
 
+/// A small university scenario of `seed`, with [`ABSENT`] interned. Its
+/// columns are typed (students, subjects, universities, cities), so a
+/// refinement that puts one variable at two of them compiles to
+/// disjuncts the join rule drops.
+fn typed_scenario(seed: u64) -> Scenario {
+    let mut s = university_scenario(UniversityParams {
+        n_students: 24,
+        seed,
+        ..UniversityParams::default()
+    });
+    s.system.db_mut().consts_mut().intern(ABSENT);
+    s
+}
+
+/// Whether a body atom of `d` has an empty index slice in `db`: the atom
+/// rule of `obx_query::eval::data_dead`, restated to tell its join rule
+/// apart.
+fn atom_dead(db: &obx_srcdb::Database, d: &SrcCq) -> bool {
+    d.body().iter().any(|atom| {
+        db.atoms_of(atom.rel).is_empty()
+            || atom.args.iter().enumerate().any(|(pos, t)| {
+                matches!(t, Term::Const(c) if db.atoms_with(atom.rel, pos, *c).is_empty())
+            })
+    })
+}
+
 /// The one-atom refinements of `root`, each with the direction it moves
 /// in: a concept atom on the answer variable per concept, and per role a
-/// role atom to a fresh variable, one to [`ABSENT`] and one to the
-/// individual `ind0` (Specialize), and every safe one-atom drop
-/// (Generalize). Adding a superconcept of a
+/// role atom to a fresh variable, one from a fresh variable, one to
+/// [`ABSENT`] and one to the individual `ind0` (Specialize), and every
+/// safe one-atom drop (Generalize). Adding a superconcept of a
 /// concept already in the body leaves the minimized rewriting, hence the
 /// compiled source UCQ, unchanged: such a child is a source-equal
 /// sibling of its parent. A role atom to [`ABSENT`] makes every source
-/// disjunct data-dead, so those children share the empty source key.
+/// disjunct data-dead, so those children share the empty source key; on
+/// typed columns, a role atom that puts the answer variable where the
+/// data holds other kinds of constant makes them join-dead.
 fn refinements(system: &obx_obdm::ObdmSystem, root: &OntoCq) -> Vec<(RefineDir, OntoCq)> {
     let vocab = system.spec().tbox().vocab();
     let constants: Vec<Term> = [ABSENT, "ind0"]
@@ -173,6 +201,7 @@ fn refinements(system: &obx_obdm::ObdmSystem, root: &OntoCq) -> Vec<(RefineDir, 
     }
     for r in vocab.role_ids() {
         specialize(OntoAtom::Role(r, x, fresh));
+        specialize(OntoAtom::Role(r, fresh, x));
         for &k in &constants {
             specialize(OntoAtom::Role(r, x, k));
         }
@@ -187,15 +216,27 @@ fn refinements(system: &obx_obdm::ObdmSystem, root: &OntoCq) -> Vec<(RefineDir, 
     out
 }
 
-/// Scores random roots and their refinements on one scenario, in full and
-/// with parent-delta evaluation, on one and two scoring threads, and
+/// What a [`check_refinements_against_uncached`] run saw.
+#[derive(Default)]
+struct PoolCounts {
+    /// Candidates whose compiled source UCQ an earlier candidate with
+    /// another ontology key already had (source-equal siblings).
+    siblings: u64,
+    /// Source disjuncts the sequential incremental engine dropped as
+    /// data-dead.
+    dead: u64,
+    /// Source disjuncts the memo-key model dropped by the join rule
+    /// alone: every atom has facts, yet one variable's columns share no
+    /// constant.
+    join_dead: u64,
+}
+
+/// Scores random roots and their refinements on scenario `s`, in full
+/// and with parent-delta evaluation, on one and two scoring threads, and
 /// checks every candidate's engine stats against the uncached matcher.
-/// Returns the candidates whose compiled source UCQ an earlier candidate
-/// with another ontology key already had (source-equal siblings), and
-/// the source disjuncts the sequential incremental engine dropped as
-/// data-dead. Both thread counts must count the same hits and misses.
-fn check_refinements_against_uncached(seed: u64, atoms: usize) -> (u64, u64) {
-    let s = scenario(seed);
+/// Returns what the run saw ([`PoolCounts`]). Both thread counts must
+/// count the same hits and misses.
+fn check_refinements_against_uncached(s: &Scenario, seed: u64, atoms: usize) -> PoolCounts {
     let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
     let base = ExplainTask::new(&s.system, &s.labels, 1, &scoring, SearchLimits::default())
         .expect("the scenario labels tuples");
@@ -205,15 +246,16 @@ fn check_refinements_against_uncached(seed: u64, atoms: usize) -> (u64, u64) {
         .collect();
 
     // Hits, counted the way the engine keys: a lookup that compiles and
-    // whose sorted canonical source disjuncts that are not data-dead were
-    // already seen, from a repeated ontology key or from a source-equal
-    // sibling (a new ontology key). The count does not depend on the
+    // whose sorted canonical source disjuncts that are not data-dead (by
+    // either rule) were already seen, from a repeated ontology key or
+    // from a source-equal sibling (a new ontology key). The count does not depend on the
     // scoring order. A root that fails to compile is not refined below,
     // so its refinements are not counted.
     let compile = |cq: &OntoCq| s.system.spec().compile(&OntoUcq::from_cq(cq.canonical()));
     let mut onto_keys = HashSet::new();
     let mut src_keys = HashSet::new();
-    let (mut hits, mut siblings, mut dead) = (0u64, 0u64, 0u64);
+    let mut hits = 0u64;
+    let mut counts = PoolCounts::default();
     for root in roots.iter().filter(|r| compile(r).is_ok()) {
         let pool = refinements(&s.system, root).into_iter().map(|(_, cq)| cq);
         for cq in std::iter::once(root.clone()).chain(pool) {
@@ -223,11 +265,15 @@ fn check_refinements_against_uncached(seed: u64, atoms: usize) -> (u64, u64) {
             };
             let db = s.system.db();
             let mut src: Vec<SrcCq> = compiled.src().disjuncts().to_vec();
-            src.retain(|d| !obx_query::eval::data_dead(db, d));
+            src.retain(|d| {
+                let dead = obx_query::eval::data_dead(db, d);
+                counts.join_dead += u64::from(dead && !atom_dead(db, d));
+                !dead
+            });
             src.sort();
             if !src_keys.insert(src) {
                 hits += 1;
-                siblings += u64::from(new_key);
+                counts.siblings += u64::from(new_key);
             }
         }
     }
@@ -268,7 +314,7 @@ fn check_refinements_against_uncached(seed: u64, atoms: usize) -> (u64, u64) {
         let [one, two] = &engines;
         assert_eq!(one.cache_hits(), hits, "seed {seed}");
         if incremental {
-            dead = one.dead_disjuncts();
+            counts.dead = one.dead_disjuncts();
         }
         // On the pool, a shared source is still evaluated by its first
         // candidate in batch order, so the evaluator work is the
@@ -288,7 +334,7 @@ fn check_refinements_against_uncached(seed: u64, atoms: usize) -> (u64, u64) {
             "seed {seed}, incremental {incremental}"
         );
     }
-    (siblings, dead)
+    counts
 }
 
 proptest! {
@@ -298,7 +344,8 @@ proptest! {
     /// uncached stats for every refinement, source-memo hits included.
     #[test]
     fn refinements_and_source_siblings_match_uncached(seed in 0u64..500, atoms in 1usize..4) {
-        check_refinements_against_uncached(seed, atoms);
+        check_refinements_against_uncached(&scenario(seed), seed, atoms);
+        check_refinements_against_uncached(&typed_scenario(seed), seed, atoms);
     }
 }
 
@@ -431,16 +478,25 @@ fn floored_batches_prune_before_and_during_evaluation() {
     assert!(cutoffs > 0, "no evaluation was cut off");
 }
 
-/// The property above is not vacuous: on fixed seeds, the refinement pools
-/// contain source-equal siblings, so the source memo answers some of
-/// them, and data-dead disjuncts, so the engine drops some.
+/// The property above is not vacuous: on fixed seeds, the random
+/// refinement pools contain source-equal siblings, so the source memo
+/// answers some of them, and data-dead disjuncts, so the engine drops
+/// some; the typed pools contain disjuncts only the join rule drops.
 #[test]
 fn source_equal_siblings_occur_in_refinement_pools() {
     let (siblings, dead) = (0..4)
-        .map(|seed| check_refinements_against_uncached(seed, 2))
-        .fold((0, 0), |(s, d), (s1, d1)| (s + s1, d + d1));
+        .map(|seed| check_refinements_against_uncached(&scenario(seed), seed, 2))
+        .fold((0, 0), |(s, d), c| (s + c.siblings, d + c.dead));
     assert!(siblings > 0, "no refinement reached the source memo");
     assert!(dead > 0, "no refinement had a data-dead disjunct");
+    let typed: Vec<PoolCounts> = (0..2)
+        .map(|seed| check_refinements_against_uncached(&typed_scenario(seed), seed, 2))
+        .collect();
+    assert!(
+        typed.iter().any(|c| c.join_dead > 0),
+        "no refinement had a disjunct only the join rule drops"
+    );
+    assert!(typed.iter().all(|c| c.dead >= c.join_dead));
 }
 
 /// Proposition 3.5 through the engine: growing the border radius never

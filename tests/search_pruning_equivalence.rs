@@ -107,8 +107,10 @@ fn paper_example_identical_across_modes_for_every_strategy() {
         let (off, on, _) = run_both(&task, strategy.as_ref());
         assert_reports_identical(strategy.name(), &off, &on);
     }
+    // The first 5,000 candidates of the paper's lattice are all
+    // data-dead, so a lower cap would compare runs that evaluate nothing.
     let exhaustive = ExhaustiveSearch {
-        max_candidates: 500,
+        max_candidates: 10_000,
     };
     let (off, on, _) = run_both(&task, &exhaustive);
     assert_reports_identical("exhaustive", &off, &on);

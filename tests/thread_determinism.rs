@@ -29,8 +29,9 @@ const PAPER_LABELS: &str = "+ A10\n+ B80\n+ C12\n+ D50\n- E25";
 const THREADS: [usize; 2] = [2, 8];
 
 /// Every built-in strategy; bottom-up seeds and exhaustive enumeration
-/// are capped so the suite stays in test time.
-fn strategies() -> Vec<Box<dyn Strategy>> {
+/// (at `exhaustive_cap` candidates) are capped so the suite stays in
+/// test time.
+fn strategies(exhaustive_cap: usize) -> Vec<Box<dyn Strategy>> {
     vec![
         Box::new(BeamSearch),
         Box::new(BottomUpGeneralize {
@@ -38,7 +39,7 @@ fn strategies() -> Vec<Box<dyn Strategy>> {
             max_seed_atoms: 6,
         }),
         Box::new(ExhaustiveSearch {
-            max_candidates: 300,
+            max_candidates: exhaustive_cap,
         }),
         Box::new(GreedyUcq::default()),
     ]
@@ -96,9 +97,15 @@ fn run(
 /// Every strategy in every mode on `system`, on one thread and on each of
 /// [`THREADS`]: identical runs. Returns how many batches' worth of work
 /// the one-thread runs did, so a caller can check the suite is not vacuous.
-fn check_scenario(name: &str, system: &ObdmSystem, labels: &Labels, limits: SearchLimits) -> u64 {
+fn check_scenario(
+    name: &str,
+    system: &ObdmSystem,
+    labels: &Labels,
+    limits: SearchLimits,
+    exhaustive_cap: usize,
+) -> u64 {
     let mut batch_calls = 0;
-    for strategy in strategies() {
+    for strategy in strategies(exhaustive_cap) {
         for mode in ExplainMode::ALL {
             let one = run(system, labels, limits, strategy.as_ref(), mode, 1);
             for threads in THREADS {
@@ -124,7 +131,9 @@ fn paper_example_is_thread_count_independent() {
         beam_width: 8,
         ..SearchLimits::default()
     };
-    let work = check_scenario("paper", &sys, &labels, limits);
+    // The first 5,000 candidates of the paper's lattice are all
+    // data-dead: a lower exhaustive cap would evaluate nothing.
+    let work = check_scenario("paper", &sys, &labels, limits, 10_000);
     assert!(work > 0);
 }
 
@@ -139,7 +148,7 @@ fn small_university_is_thread_count_independent() {
         beam_width: 8,
         ..SearchLimits::default()
     };
-    let work = check_scenario("university", &s.system, &s.labels, limits);
+    let work = check_scenario("university", &s.system, &s.labels, limits, 300);
     assert!(work > 0);
 }
 
@@ -154,7 +163,7 @@ fn skewed_scenario_is_thread_count_independent() {
         beam_width: 8,
         ..SearchLimits::default()
     };
-    let work = check_scenario("skewed", &s.system, &s.labels, limits);
+    let work = check_scenario("skewed", &s.system, &s.labels, limits, 300);
     assert!(work > 0);
 }
 
@@ -175,7 +184,13 @@ fn random_scenarios_are_thread_count_independent() {
             beam_width: 8,
             ..SearchLimits::default()
         };
-        let work = check_scenario(&format!("random seed {seed}"), &s.system, &s.labels, limits);
+        let work = check_scenario(
+            &format!("random seed {seed}"),
+            &s.system,
+            &s.labels,
+            limits,
+            300,
+        );
         assert!(work > 0, "random seed {seed}: nothing was evaluated");
     }
 }
