@@ -103,7 +103,7 @@ fn bench_search(name: &str, scenario: &Scenario, report: &mut Report) {
             );
         },
         || {
-            let engine = Arc::new(ScoringEngine::with_incremental(true));
+            let engine = Arc::new(ScoringEngine::new());
             let t = task.with_engine(Arc::clone(&engine));
             let (report, nodes) = counting_nodes(|| {
                 BeamSearch

@@ -66,7 +66,7 @@ impl ModeRun {
 }
 
 fn run_once<'a>(task: &ExplainTask<'a>, scoring: &'a Scoring, strategy: &dyn Strategy) -> ModeRun {
-    let engine = Arc::new(ScoringEngine::with_incremental(true));
+    let engine = Arc::new(ScoringEngine::new());
     let t = task.with_scoring(scoring).with_engine(Arc::clone(&engine));
     let report = strategy
         .explain_with_status(&t)

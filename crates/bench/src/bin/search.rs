@@ -65,7 +65,10 @@ impl ModeRun {
 const REPS: usize = 7;
 
 fn run_once(task: &ExplainTask<'_>, strategy: &dyn Strategy, incremental: bool) -> ModeRun {
-    let engine = Arc::new(ScoringEngine::with_incremental(incremental));
+    let engine = Arc::new(ScoringEngine::with_config(
+        obx_util::pool::configured_threads(),
+        incremental,
+    ));
     let t = task.with_engine(Arc::clone(&engine));
     let report = strategy
         .explain_with_status(&t)
@@ -221,7 +224,7 @@ fn main() {
             obx_core::budget::SearchBudget::unlimited().with_recorder(Arc::clone(&recorder));
         let profiled = task
             .with_budget(budget)
-            .with_engine(Arc::new(ScoringEngine::with_incremental(true)));
+            .with_engine(Arc::new(ScoringEngine::new()));
         let _phase = recorder.enter_phase("search");
         let _ = BeamSearch.explain_with_status(&profiled);
     }

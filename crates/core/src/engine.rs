@@ -88,7 +88,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Locks in the engine recover from poisoning instead of propagating it:
 /// a candidate whose scoring panicked is quarantined per candidate (see
-/// [`ScoringEngine::score_batch_outcome`]), and the shared state a lock
+/// [`ScoringEngine::score_batch_planned`]), and the shared state a lock
 /// guards here (memo, job queue, latch counters) is never left
 /// mid-update across a panic boundary, so the data is intact.
 macro_rules! lock_recover {
@@ -426,13 +426,6 @@ impl ScoringEngine {
     /// process-global environment, which races across test threads.
     pub fn with_threads(threads: usize) -> Self {
         Self::with_config(threads, true)
-    }
-
-    /// An empty engine with the environment-configured thread count and
-    /// an explicit incremental toggle — the A/B hook the search bench and
-    /// the equivalence property tests use.
-    pub fn with_incremental(incremental: bool) -> Self {
-        Self::with_config(configured_threads(), incremental)
     }
 
     /// The fully injectable constructor: exact thread count (clamped to
@@ -821,15 +814,10 @@ impl ScoringEngine {
             .stats())
     }
 
-    /// Scores a batch of CQ candidates on the worker pool; order follows
-    /// the input. Candidates whose compilation fails are dropped (a
-    /// pathological candidate should not abort the whole search) — use
-    /// [`ScoringEngine::score_batch_outcome`] to observe the losses.
-    pub fn score_batch(&self, task: &ExplainTask<'_>, candidates: Vec<OntoCq>) -> Vec<Explanation> {
-        self.score_batch_outcome(task, candidates).explanations
-    }
-
-    /// Scores a batch under the full resilience contract:
+    /// Scores a batch of candidates carrying refinement provenance on the
+    /// worker pool, with monotone bound pruning against floors that rise
+    /// as the batch scores; order follows the input. This is the engine's
+    /// one batch entry, and it keeps the full resilience contract:
     ///
     /// * every candidate is scored inside `catch_unwind`, so one panic
     ///   (e.g. a bug tickled by a pathological query) quarantines that
@@ -838,21 +826,10 @@ impl ScoringEngine {
     ///   candidates are skipped and the partial batch is returned;
     /// * panics and permanent compile failures are tallied in
     ///   [`BatchOutcome::quarantined`].
-    pub fn score_batch_outcome(
-        &self,
-        task: &ExplainTask<'_>,
-        candidates: Vec<OntoCq>,
-    ) -> BatchOutcome {
-        let planned = candidates
-            .into_iter()
-            .map(|cq| PlannedCq { cq, parent: None })
-            .collect();
-        self.score_batch_planned(task, planned, usize::MAX, usize::MAX, &[])
-    }
-
-    /// [`ScoringEngine::score_batch_outcome`] over candidates carrying
-    /// refinement provenance, with monotone bound pruning against floors
-    /// that rise as the batch scores.
+    ///
+    /// A batch with no provenance (`parent: None`), `window` and `cap`
+    /// both `usize::MAX` and an empty `pool` scores every candidate and
+    /// prunes nothing.
     ///
     /// `window` is the number of ranked batch candidates downstream
     /// selection can ever inspect (e.g. the beam's diversity window; 0
@@ -1331,7 +1308,11 @@ mod tests {
             assert_eq!(engine.cache_misses(), calls, "nothing is memoized");
         }
         // In a batch, the candidate is quarantined, not fatal.
-        let outcome = engine.score_batch_outcome(&task, vec![q.disjuncts()[0].clone()]);
+        let planned = vec![PlannedCq {
+            cq: q.disjuncts()[0].clone(),
+            parent: None,
+        }];
+        let outcome = engine.score_batch_planned(&task, planned, usize::MAX, usize::MAX, &[]);
         assert_eq!((outcome.explanations.len(), outcome.quarantined), (0, 1));
         assert_eq!((engine.cache_hits(), engine.cache_len()), (0, 0));
         assert_eq!(engine.eval_calls(), 0, "failed compiles never evaluate");
@@ -1360,9 +1341,14 @@ mod tests {
             .filter_map(|cq| task.score_cq(cq).ok())
             .map(|e| e.score)
             .collect();
+        let planned = candidates
+            .into_iter()
+            .map(|cq| PlannedCq { cq, parent: None })
+            .collect();
         let parallel: Vec<f64> = task
             .engine()
-            .score_batch(&task, candidates)
+            .score_batch_planned(&task, planned, usize::MAX, usize::MAX, &[])
+            .explanations
             .into_iter()
             .map(|e| e.score)
             .collect();

@@ -18,19 +18,12 @@
 //! learning literature the paper cites (DL-Learner, DL-FOIL), lifted from
 //! concepts to conjunctive queries.
 
-use super::{
-    beam_window, dedup_candidates, dedup_planned, pool_cap, pool_floor_of, require_unary,
-    round_span, score_batch_outcome, score_batch_planned, select_beam,
-};
-use crate::engine::PlannedCq;
-use crate::explain::{
-    finalize_report, rank, ExplainError, ExplainReport, ExplainTask, Explanation, Strategy,
-};
-use crate::prune::{ParentHandle, RefineDir};
+use super::{refinement_rounds, require_unary};
+use crate::explain::{ExplainError, ExplainReport, ExplainTask, Explanation, Strategy};
+use crate::prune::RefineDir;
 use obx_ontology::{BasicConcept, Role};
 use obx_query::{OntoAtom, OntoCq, Term, VarId};
 use obx_srcdb::Const;
-use obx_util::FxHashSet;
 
 /// Top-down beam search (see module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,75 +42,13 @@ impl Strategy for BeamSearch {
         require_unary(task, self.name())?;
         let limits = task.limits();
         let consts = task.prepared().relevant_constants(limits.max_constants);
-        let mut seen: FxHashSet<OntoCq> = FxHashSet::default();
-        let mut quarantined = 0usize;
-        let mut pruned = 0usize;
-        let cap = pool_cap(&limits);
-
-        let starts = dedup_candidates(start_candidates(task));
-        seen.extend(starts.iter().cloned());
-        let outcome = score_batch_outcome(task, starts);
-        quarantined += outcome.quarantined;
-        let scored = outcome.explanations;
-        // Rank the starting pool immediately: the per-round prune floor is
-        // the cap-th pool score, so the pool must be rank-sorted from the
-        // first round on. Starts are single-atom queries, which finalization
-        // cannot lower, so the truncation is loss-free.
-        let mut pool: Vec<Explanation> = rank(scored.clone(), cap);
-        let mut beam: Vec<Explanation> = select_beam(scored, limits.beam_width);
-
-        for _round in 1..limits.max_rounds {
-            // Budget checkpoint at round granularity: the pool already
-            // holds everything scored so far, so stopping here is exactly
-            // the anytime contract (the batch loop below also stops at
-            // candidate granularity for finer response).
-            if task.stop_reason().is_some() {
-                break;
-            }
-            let mut next: Vec<PlannedCq> = Vec::new();
-            for e in &beam {
-                // Every child below is a one-step specialization of `e`,
-                // so `e`'s match bits over-approximate the child's and its
-                // stats give an admissible optimistic bound (crate::prune).
-                let parent = ParentHandle::from_explanation(RefineDir::Specialize, e);
-                for d in e.query.disjuncts() {
-                    for cq in refine(task, d, &consts) {
-                        next.push(PlannedCq {
-                            cq,
-                            parent: parent.clone(),
-                        });
-                    }
-                }
-            }
-            let fresh = dedup_planned(next, &mut seen);
-            if fresh.is_empty() {
-                break;
-            }
-            // Floors before extending: a candidate that scores below both
-            // the in-batch beam window and the pool's cap-th entry cannot
-            // enter the beam or survive the pool truncation, so the engine
-            // may skip it, or stop its evaluation, output-invariantly.
-            let floor = pool_floor_of(&pool, cap);
-            let mut rsp = round_span(task, "beam_round", _round, fresh.len(), floor);
-            let outcome =
-                score_batch_planned(task, fresh, beam_window(limits.beam_width), cap, &pool);
-            rsp.count("pruned", outcome.pruned as u64);
-            quarantined += outcome.quarantined;
-            pruned += outcome.pruned;
-            let scored = outcome.explanations;
-            if scored.is_empty() {
-                break;
-            }
-            pool.extend(scored.clone());
-            pool = rank(pool, cap);
-            beam = select_beam(scored, limits.beam_width);
-        }
-        Ok(finalize_report(
+        Ok(refinement_rounds(
             task,
-            pool,
-            limits.top_k,
-            quarantined,
-            pruned,
+            start_candidates(task),
+            RefineDir::Specialize,
+            1..limits.max_rounds,
+            "beam_round",
+            |cq| refine(task, cq, &consts),
         ))
     }
 }

@@ -14,15 +14,9 @@
 //! general generalization), and the only built-in strategy that supports
 //! λ of arbitrary arity.
 
-use super::{
-    beam_window, dedup_candidates, dedup_planned, pool_cap, pool_floor_of, round_span,
-    score_batch_outcome, score_batch_planned, select_beam,
-};
-use crate::engine::PlannedCq;
-use crate::explain::{
-    finalize_report, rank, ExplainError, ExplainReport, ExplainTask, Explanation, Strategy,
-};
-use crate::prune::{ParentHandle, RefineDir};
+use super::refinement_rounds;
+use crate::explain::{ExplainError, ExplainReport, ExplainTask, Explanation, Strategy};
+use crate::prune::RefineDir;
 use obx_mapping::virtual_abox;
 use obx_ontology::{BasicConcept, Role};
 use obx_query::{OntoAtom, OntoCq, Term, VarId};
@@ -59,7 +53,6 @@ impl Strategy for BottomUpGeneralize {
     }
 
     fn explain_with_status(&self, task: &ExplainTask<'_>) -> Result<ExplainReport, ExplainError> {
-        let limits = task.limits();
         let mut seeds: Vec<OntoCq> = Vec::new();
         for (tuple, border) in task.prepared().pos().iter().take(self.max_seeds) {
             if let Some(cq) = most_specific_query(task, tuple, border, self.max_seed_atoms) {
@@ -69,71 +62,18 @@ impl Strategy for BottomUpGeneralize {
         if seeds.is_empty() {
             return Err(ExplainError::NoLabels);
         }
-        let seeds = dedup_candidates(seeds);
-        let mut seen: FxHashSet<OntoCq> = seeds.iter().cloned().collect();
-        let mut quarantined = 0usize;
-        let mut pruned = 0usize;
-        let cap = pool_cap(&limits);
-        let outcome = score_batch_outcome(task, seeds);
-        quarantined += outcome.quarantined;
-        let scored = outcome.explanations;
-        // Rank-truncate immediately so the per-round prune floor (the
-        // cap-th pool score) is well defined from the first round.
-        let mut pool = rank(scored.clone(), cap);
-        let mut beam = select_beam(scored, limits.beam_width);
-
         // Generalization must be able to strip a full-size seed down to a
         // small query: one atom (or one constant) disappears per round, so
         // the round budget scales with the seed size rather than using the
         // top-down default.
-        let rounds = limits.max_rounds.max(self.max_seed_atoms + 4);
-        for _round in 0..rounds {
-            // Budget checkpoint at round granularity (anytime contract):
-            // return the best generalizations reached so far.
-            if task.stop_reason().is_some() {
-                break;
-            }
-            let mut next: Vec<PlannedCq> = Vec::new();
-            for e in &beam {
-                // Children are one-step generalizations: the parent's match
-                // bits under-approximate each child's, which is the dual
-                // monotonicity the engine's delta evaluation and bound
-                // pruning need (crate::prune).
-                let parent = ParentHandle::from_explanation(RefineDir::Generalize, e);
-                for d in e.query.disjuncts() {
-                    for cq in generalize(task, d) {
-                        next.push(PlannedCq {
-                            cq,
-                            parent: parent.clone(),
-                        });
-                    }
-                }
-            }
-            let fresh = dedup_planned(next, &mut seen);
-            if fresh.is_empty() {
-                break;
-            }
-            let floor = pool_floor_of(&pool, cap);
-            let mut rsp = round_span(task, "bottom_up_round", _round, fresh.len(), floor);
-            let outcome =
-                score_batch_planned(task, fresh, beam_window(limits.beam_width), cap, &pool);
-            rsp.count("pruned", outcome.pruned as u64);
-            quarantined += outcome.quarantined;
-            pruned += outcome.pruned;
-            let scored = outcome.explanations;
-            if scored.is_empty() {
-                break;
-            }
-            pool.extend(scored.clone());
-            pool = rank(pool, cap);
-            beam = select_beam(scored, limits.beam_width);
-        }
-        Ok(finalize_report(
+        let rounds = task.limits().max_rounds.max(self.max_seed_atoms + 4);
+        Ok(refinement_rounds(
             task,
-            pool,
-            limits.top_k,
-            quarantined,
-            pruned,
+            seeds,
+            RefineDir::Generalize,
+            0..rounds,
+            "bottom_up_round",
+            |cq| generalize(task, cq),
         ))
     }
 }

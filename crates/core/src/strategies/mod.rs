@@ -14,6 +14,12 @@
 //! OR-ing memoized bitsets with no evaluator calls; and
 //! batches run on a persistent worker pool whose size honours
 //! `OBX_THREADS` (defaulting to the machine's available parallelism).
+//!
+//! Beam search and bottom-up generalization differ only in their first
+//! batch and their one-step operator (specialization vs generalization);
+//! both hand those to one round loop, `refinement_rounds`, which owns
+//! the `seen` history, the rank / select / floor sequence, the per-round
+//! span and the budget checkpoint.
 
 mod beam;
 mod bottom_up;
@@ -26,28 +32,17 @@ pub use exhaustive::{candidate_space_size, ExhaustiveSearch};
 pub use greedy_ucq::GreedyUcq;
 
 use crate::engine::PlannedCq;
-use crate::explain::{ExplainError, ExplainTask, Explanation};
+use crate::explain::{
+    finalize_report, rank, ExplainError, ExplainReport, ExplainTask, Explanation,
+};
 use crate::matcher::MatchStats;
+use crate::prune::{ParentHandle, RefineDir};
 use obx_query::{OntoCq, OntoUcq};
 use obx_util::FxHashSet;
+use std::ops::Range;
 
-/// Scores a batch of CQ candidates on the task's scoring engine (memoized
-/// compilation + match bitsets, dynamic parallel distribution) and reports
-/// the anytime envelope: how many candidates were *quarantined* — their
-/// scoring panicked or failed permanently (a pathological candidate must
-/// not abort the whole search); transient budget interruptions do not
-/// count. The batch stops early at the next candidate boundary when the
-/// task's budget fires; unreached candidates are simply absent from the
-/// result. Order follows the input.
-pub(crate) fn score_batch_outcome(
-    task: &ExplainTask<'_>,
-    candidates: Vec<OntoCq>,
-) -> crate::engine::BatchOutcome {
-    task.engine().score_batch_outcome(task, candidates)
-}
-
-/// [`score_batch_outcome`] over provenance-carrying candidates, with the
-/// engine's monotone bound pruning against the caller's selection
+/// Scores provenance-carrying candidates on the task's scoring engine,
+/// with its monotone bound pruning against the caller's selection
 /// `window` and its ranked `pool`, which the caller truncates to `cap`
 /// after adding the batch (see
 /// [`ScoringEngine::score_batch_planned`](crate::engine::ScoringEngine::score_batch_planned)).
@@ -61,6 +56,89 @@ pub(crate) fn score_batch_planned(
     let scores: Vec<f64> = pool.iter().map(|e| e.score).collect();
     task.engine()
         .score_batch_planned(task, planned, window, cap, &scores)
+}
+
+/// The refinement-round loop of [`BeamSearch`] and
+/// [`BottomUpGeneralize`], which walk the refinement lattice in the two
+/// directions of one containment order.
+///
+/// `first` (the starts or seeds) is deduplicated and scored without
+/// provenance; its ranked pool and selected beam open the loop. Each
+/// round of `rounds` (the round number is the span's `depth`) stops at
+/// the budget checkpoint, expands every beam member's disjuncts with
+/// `children` — one-step refinements in direction `dir`, so the member is
+/// each child's parent for delta evaluation and bound pruning
+/// (`crate::prune`) — drops what an earlier round already produced, and
+/// scores the rest under the pool's and the beam window's floors. The
+/// loop ends early once a round produces or scores nothing new.
+pub(crate) fn refinement_rounds(
+    task: &ExplainTask<'_>,
+    first: Vec<OntoCq>,
+    dir: RefineDir,
+    rounds: Range<usize>,
+    span: &str,
+    children: impl Fn(&OntoCq) -> Vec<OntoCq>,
+) -> ExplainReport {
+    let limits = task.limits();
+    let cap = pool_cap(&limits);
+    let mut seen: FxHashSet<OntoCq> = FxHashSet::default();
+    let first = first
+        .into_iter()
+        .map(|cq| PlannedCq { cq, parent: None })
+        .collect();
+    let first = dedup_planned(first, &mut seen);
+    let outcome = score_batch_planned(task, first, usize::MAX, usize::MAX, &[]);
+    let mut quarantined = outcome.quarantined;
+    let mut pruned = outcome.pruned;
+    // Rank the first pool immediately: the per-round prune floor is the
+    // cap-th pool score, so the pool must be rank-sorted from the first
+    // round on.
+    let mut pool: Vec<Explanation> = rank(outcome.explanations.clone(), cap);
+    let mut beam: Vec<Explanation> = select_beam(outcome.explanations, limits.beam_width);
+
+    for round in rounds {
+        // Budget checkpoint at round granularity: the pool already holds
+        // everything scored so far, so stopping here is exactly the
+        // anytime contract (the batch also stops at candidate granularity
+        // for finer response).
+        if task.stop_reason().is_some() {
+            break;
+        }
+        let mut next: Vec<PlannedCq> = Vec::new();
+        for e in &beam {
+            let parent = ParentHandle::from_explanation(dir, e);
+            for d in e.query.disjuncts() {
+                for cq in children(d) {
+                    next.push(PlannedCq {
+                        cq,
+                        parent: parent.clone(),
+                    });
+                }
+            }
+        }
+        let fresh = dedup_planned(next, &mut seen);
+        if fresh.is_empty() {
+            break;
+        }
+        // Floors before extending: a candidate that scores below both the
+        // in-batch beam window and the pool's cap-th entry cannot enter
+        // the beam or survive the pool truncation, so the engine may skip
+        // it, or stop its evaluation, output-invariantly.
+        let floor = pool_floor_of(&pool, cap);
+        let mut rsp = round_span(task, span, round, fresh.len(), floor);
+        let outcome = score_batch_planned(task, fresh, beam_window(limits.beam_width), cap, &pool);
+        rsp.count("pruned", outcome.pruned as u64);
+        quarantined += outcome.quarantined;
+        pruned += outcome.pruned;
+        let scored = outcome.explanations;
+        if scored.is_empty() {
+            break;
+        }
+        pool.extend(scored.clone());
+        pool = rank(pool, cap);
+        beam = select_beam(scored, limits.beam_width);
+    }
+    finalize_report(task, pool, limits.top_k, quarantined, pruned)
 }
 
 /// Opens the per-round observability span of a round-loop strategy. All
@@ -168,25 +246,12 @@ pub(crate) fn select_beam(scored: Vec<Explanation>, width: usize) -> Vec<Explana
     beam
 }
 
-/// Deduplicates candidates by canonical form, preserving first occurrence.
-pub(crate) fn dedup_candidates(candidates: Vec<OntoCq>) -> Vec<OntoCq> {
-    let mut seen: FxHashSet<OntoCq> = FxHashSet::default();
-    let mut out = Vec::with_capacity(candidates.len());
-    for cq in candidates {
-        let canon = cq.canonical();
-        if seen.insert(canon.clone()) {
-            out.push(canon);
-        }
-    }
-    out
-}
-
-/// [`dedup_candidates`] over provenance-carrying candidates: collapses
-/// canonical-form duplicates (first occurrence — and hence its parent —
-/// wins) and filters out anything already in `seen`, inserting the
-/// survivors. Shared by the round-loop strategies so the `seen` history
-/// and the batch-internal dedup agree bit for bit between the incremental
-/// and the baseline engine.
+/// Deduplicates provenance-carrying candidates by canonical form:
+/// collapses canonical-form duplicates (first occurrence — and hence its
+/// parent — wins) and filters out anything already in `seen`, inserting
+/// the survivors. [`refinement_rounds`] keeps one `seen` across its
+/// rounds, so the history and the batch-internal dedup agree bit for bit
+/// between the incremental and the baseline engine.
 pub(crate) fn dedup_planned(
     candidates: Vec<PlannedCq>,
     seen: &mut FxHashSet<OntoCq>,
@@ -249,8 +314,8 @@ pub(crate) fn base_cqs(explanations: &[Explanation]) -> Vec<(OntoCq, Option<Matc
     out
 }
 
-/// Convenience: wrap single CQs into UCQ explanations is already handled by
-/// `score_cq`; this helper exists for greedy UCQ assembly.
+/// The union of `cqs`, in order: how [`GreedyUcq`] assembles a candidate
+/// explanation from its chosen disjuncts.
 pub(crate) fn ucq_of(cqs: &[OntoCq]) -> OntoUcq {
     cqs.iter().cloned().collect()
 }
@@ -297,14 +362,18 @@ mod tests {
             )
             .unwrap()
         };
-        let outcome = score_batch_outcome(&task, vec![mk(studies), mk(likes)]);
+        let planned = vec![mk(studies), mk(likes)]
+            .into_iter()
+            .map(|cq| PlannedCq { cq, parent: None })
+            .collect();
+        let outcome = score_batch_planned(&task, planned, usize::MAX, usize::MAX, &[]);
         assert_eq!(outcome.explanations.len(), 2);
         assert_eq!(outcome.quarantined, 0);
         assert!(outcome.explanations.iter().all(|e| e.stats.pos_total == 1));
     }
 
     #[test]
-    fn dedup_candidates_collapses_renamings() {
+    fn dedup_planned_collapses_renamings() {
         let mut sys = example_3_6_system();
         let vocab = sys.spec().tbox().vocab();
         let studies = vocab.get_role("studies").unwrap();
@@ -326,7 +395,11 @@ mod tests {
             )],
         )
         .unwrap();
-        assert_eq!(dedup_candidates(vec![a, b]).len(), 1);
+        let planned = vec![a, b]
+            .into_iter()
+            .map(|cq| PlannedCq { cq, parent: None })
+            .collect();
+        assert_eq!(dedup_planned(planned, &mut FxHashSet::default()).len(), 1);
         let _ = sys.db_mut();
     }
 

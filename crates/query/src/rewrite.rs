@@ -48,15 +48,12 @@ static REWRITE_DISJUNCTS: LazyLock<&'static obx_util::obs::Counter> =
 pub struct RewriteBudget {
     /// Maximum number of distinct CQs generated (including the inputs).
     pub max_disjuncts: usize,
-    /// Whether to drop disjuncts subsumed by other disjuncts at the end.
-    pub minimize: bool,
 }
 
 impl Default for RewriteBudget {
     fn default() -> Self {
         Self {
             max_disjuncts: 20_000,
-            minimize: true,
         }
     }
 }
@@ -385,11 +382,9 @@ fn perfect_ref_inner(
         }
     }
 
-    if budget.minimize {
-        let before = out.len();
-        out = minimize(out);
-        minimized_away.set((before - out.len()) as u64);
-    }
+    let before = out.len();
+    out = minimize(out);
+    minimized_away.set((before - out.len()) as u64);
     let mut result = OntoUcq::empty();
     for cq in out {
         result.push(cq);
@@ -592,10 +587,7 @@ mod tests {
         let err = perfect_ref(
             &OntoUcq::from_cq(q),
             &tbox,
-            RewriteBudget {
-                max_disjuncts: 2,
-                minimize: false,
-            },
+            RewriteBudget { max_disjuncts: 2 },
         )
         .unwrap_err();
         assert_eq!(err, RewriteError::BudgetExceeded { max_disjuncts: 2 });

@@ -8,10 +8,12 @@
 //! ranked explanations: a profiled run and an unprofiled run of the
 //! same task return byte-identical queries and scores.
 
+use obx_core::budget::SearchBudget;
 use obx_core::criteria::Criterion;
 use obx_core::explain::{ExplainReport, ExplainTask, SearchLimits, Strategy};
 use obx_core::labels::Labels;
 use obx_core::score::{ScoreExpr, Scoring};
+use obx_core::service::{run_explain, ExplainRequest};
 use obx_core::strategies::{BeamSearch, BottomUpGeneralize, ExhaustiveSearch, GreedyUcq};
 use obx_core::ScoringEngine;
 use obx_util::obs::{histogram, Recorder};
@@ -166,7 +168,7 @@ fn explain_all(with_recorder: bool) -> Vec<ExplainReport> {
         .map(|s| {
             let mut task = ExplainTask::new(&sys, &labels, 1, &scoring, limits)
                 .expect("task")
-                .with_engine(Arc::new(ScoringEngine::with_incremental(true)));
+                .with_engine(Arc::new(ScoringEngine::new()));
             if with_recorder {
                 task = task.with_budget(
                     obx_core::budget::SearchBudget::unlimited().with_recorder(Recorder::new()),
@@ -260,6 +262,44 @@ fn dead_disjuncts_gauge_counts_data_dead_disjuncts() {
     // Bottom-up generalizes the labelled tuples' border facts, so every
     // source disjunct it compiles matches some fact.
     assert_eq!(dead(&reports[1]), 0);
+}
+
+/// The per-round spans of the two refinement-round strategies on the
+/// paper scenario (`obx explain --profile`'s default request): every
+/// round aggregates under one path, `candidates` sums the rounds' fresh
+/// batches, `depth` is the deepest round reached (beam numbers its
+/// rounds from 1, bottom-up from 0) and `pruned` sums what the rising
+/// floors skipped or cut off.
+#[test]
+fn round_spans_are_pinned_on_the_paper_scenario() {
+    if !obx_util::obs::enabled() {
+        return;
+    }
+    let mut sys = obx_obdm::example_3_6_system();
+    let labels = Labels::parse(sys.db_mut(), "+ A10\n+ B80\n+ C12\n+ D50\n- E25").expect("labels");
+    for (strategy, path, rounds, candidates, depth, pruned) in [
+        ("beam", "explain/search/beam_round", 5, 4924, 5, 924),
+        ("bottom-up", "explain/search/bottom_up_round", 6, 350, 5, 50),
+    ] {
+        let req = ExplainRequest {
+            strategy: strategy.to_owned(),
+            ..ExplainRequest::default()
+        };
+        let budget = SearchBudget::unlimited().with_recorder(Recorder::new());
+        let outcome = run_explain(&sys, &labels, &req, budget).expect("explain");
+        let report = outcome.report.expect("strategy report");
+        let span = report.profile.span(path).expect("round span");
+        assert_eq!(
+            (
+                span.count,
+                span.counter("candidates"),
+                span.counter("depth"),
+                span.counter("pruned")
+            ),
+            (rounds, candidates, depth, pruned),
+            "{strategy}: rounds, candidates, depth, pruned"
+        );
+    }
 }
 
 /// `OBX_OBS=0` must make a fresh recorder inert process-wide. The switch

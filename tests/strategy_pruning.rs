@@ -153,7 +153,7 @@ fn run(
     );
     let task = ExplainTask::new(sys, &labels, 1, &scoring, limits)
         .expect("task")
-        .with_engine(Arc::new(ScoringEngine::with_incremental(true)));
+        .with_engine(Arc::new(ScoringEngine::new()));
     strategy.explain_with_status(&task).expect("search")
 }
 
@@ -225,13 +225,16 @@ fn pruning_preserves_ranked_output() {
     let incremental = {
         let task = ExplainTask::new(&sys, &labels, 1, &scoring, beam_limits())
             .expect("task")
-            .with_engine(Arc::new(ScoringEngine::with_incremental(true)));
+            .with_engine(Arc::new(ScoringEngine::new()));
         BeamSearch.explain_with_status(&task).expect("search")
     };
     let baseline = {
         let task = ExplainTask::new(&sys, &labels, 1, &scoring, beam_limits())
             .expect("task")
-            .with_engine(Arc::new(ScoringEngine::with_incremental(false)));
+            .with_engine(Arc::new(ScoringEngine::with_config(
+                obx_util::pool::configured_threads(),
+                false,
+            )));
         BeamSearch.explain_with_status(&task).expect("search")
     };
     assert!(incremental.pruned > 0 && baseline.pruned == 0);
