@@ -58,7 +58,7 @@
 // step; its test module may.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use obx_util::obs::Recorder;
+use obx_util::obs::{json_escape, Recorder};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
@@ -526,10 +526,6 @@ fn print_delta_table(deltas: &[Delta]) {
             d.worse_frac * 100.0
         );
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

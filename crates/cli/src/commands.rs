@@ -22,11 +22,12 @@ pub enum CliError {
     /// The command line itself was malformed (unknown command or option,
     /// missing value, wrong positional count).
     Usage(String),
-    /// A scenario directory failed to load; the message names the file.
+    /// A scenario directory failed to load; the message names the file
+    /// and the OBX code `obx validate` reports first.
     Load {
         /// The directory being loaded.
         dir: String,
-        /// What went wrong, file by file.
+        /// The first error in load order.
         source: LoadError,
     },
     /// User-supplied input (query text, constant, strategy name) was

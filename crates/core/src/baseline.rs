@@ -9,6 +9,7 @@
 //! vocabulary the winning queries are phrased in — quantifies the
 //! ontology's contribution.
 
+use crate::budget::Termination;
 use crate::criteria::CriterionCtx;
 use crate::explain::{ExplainError, ExplainTask};
 use crate::matcher::MatchStats;
@@ -45,9 +46,20 @@ impl DataLevelBeam {
         "data-level"
     }
 
-    /// Runs the ontology-free search. Unary λ only (like the generate-and-
-    /// test ontology strategies).
+    /// Runs the ontology-free search, returning the ranked explanations
+    /// only. Unary λ only (like the generate-and-test ontology
+    /// strategies).
     pub fn explain(&self, task: &ExplainTask<'_>) -> Result<Vec<SrcExplanation>, ExplainError> {
+        self.explain_with_status(task).map(|(pool, _)| pool)
+    }
+
+    /// Runs the ontology-free search under the task's budget, reporting
+    /// how it ended. The budget is polled per round and per scored
+    /// candidate; a stopped run returns its best explanations so far.
+    pub fn explain_with_status(
+        &self,
+        task: &ExplainTask<'_>,
+    ) -> Result<(Vec<SrcExplanation>, Termination), ExplainError> {
         if task.arity() != 1 {
             return Err(ExplainError::UnsupportedArity {
                 strategy: self.name(),
@@ -87,6 +99,9 @@ impl DataLevelBeam {
         let mut seen: FxHashSet<SrcCq> = FxHashSet::default();
         let mut frontier: Vec<SrcExplanation> = Vec::new();
         for cq in starts {
+            if task.stop_reason().is_some() {
+                break;
+            }
             let canon = cq.canonical();
             if seen.insert(canon.clone()) {
                 frontier.push(self.score(task, canon));
@@ -97,9 +112,15 @@ impl DataLevelBeam {
         frontier.truncate(limits.beam_width);
 
         for _round in 1..limits.max_rounds {
+            if task.stop_reason().is_some() {
+                break;
+            }
             let mut fresh: Vec<SrcExplanation> = Vec::new();
-            for e in &frontier {
+            'frontier: for e in &frontier {
                 for cand in refine(task, &e.query, &consts) {
+                    if task.stop_reason().is_some() {
+                        break 'frontier;
+                    }
                     let canon = cand.canonical();
                     if seen.insert(canon.clone()) {
                         fresh.push(self.score(task, canon));
@@ -118,7 +139,7 @@ impl DataLevelBeam {
         }
         sort(&mut pool);
         pool.truncate(limits.top_k);
-        Ok(pool)
+        Ok((pool, Termination::from_run(task.final_stop(), 0)))
     }
 
     fn score(&self, task: &ExplainTask<'_>, cq: SrcCq) -> SrcExplanation {

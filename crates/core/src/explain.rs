@@ -143,19 +143,6 @@ pub struct ExplainReport {
     pub profile: PipelineProfile,
 }
 
-impl ExplainReport {
-    /// A report for a run that covered its whole space losslessly.
-    pub fn complete(explanations: Vec<Explanation>) -> Self {
-        Self {
-            explanations,
-            termination: Termination::Complete,
-            quarantined: 0,
-            pruned: 0,
-            profile: PipelineProfile::default(),
-        }
-    }
-}
-
 /// One fully-specified instance of the paper's Definition 3.7 problem:
 /// find `q ∈ L_O` maximizing `Z_F(q)` w.r.t. `Σ`, `r`, `Δ`, `F`, `Z`.
 #[derive(Clone)]
@@ -270,13 +257,8 @@ impl<'a> ExplainTask<'a> {
     /// wider base pool.
     pub fn with_limits(&self, limits: SearchLimits) -> ExplainTask<'a> {
         ExplainTask {
-            prepared: self.prepared.clone(),
-            scoring: self.scoring,
             limits,
-            arity: self.arity,
-            engine: Arc::clone(&self.engine),
-            budget: self.budget.clone(),
-            interrupt: self.interrupt.clone(),
+            ..self.clone()
         }
     }
 
@@ -284,15 +266,10 @@ impl<'a> ExplainTask<'a> {
     /// are shared). Note the engine's evaluator counter is cumulative
     /// across sharing tasks, which is what a per-request eval cap wants.
     pub fn with_budget(&self, budget: SearchBudget) -> ExplainTask<'a> {
-        let interrupt = budget.interrupt();
         ExplainTask {
-            prepared: self.prepared.clone(),
-            scoring: self.scoring,
-            limits: self.limits,
-            arity: self.arity,
-            engine: Arc::clone(&self.engine),
+            interrupt: budget.interrupt(),
             budget,
-            interrupt,
+            ..self.clone()
         }
     }
 
@@ -303,13 +280,8 @@ impl<'a> ExplainTask<'a> {
     /// scoring.
     pub fn with_scoring(&self, scoring: &'a Scoring) -> ExplainTask<'a> {
         ExplainTask {
-            prepared: self.prepared.clone(),
             scoring,
-            limits: self.limits,
-            arity: self.arity,
-            engine: Arc::clone(&self.engine),
-            budget: self.budget.clone(),
-            interrupt: self.interrupt.clone(),
+            ..self.clone()
         }
     }
 
@@ -320,13 +292,8 @@ impl<'a> ExplainTask<'a> {
     /// without touching the process environment.
     pub fn with_engine(&self, engine: Arc<ScoringEngine>) -> ExplainTask<'a> {
         ExplainTask {
-            prepared: self.prepared.clone(),
-            scoring: self.scoring,
-            limits: self.limits,
-            arity: self.arity,
             engine,
-            budget: self.budget.clone(),
-            interrupt: self.interrupt.clone(),
+            ..self.clone()
         }
     }
 
@@ -471,15 +438,12 @@ pub trait Strategy {
     /// The strategy's name (used in reports and the E6 table).
     fn name(&self) -> &'static str;
 
-    /// Runs the search, returning the ranked explanations only.
-    fn explain(&self, task: &ExplainTask<'_>) -> Result<Vec<Explanation>, ExplainError>;
+    /// Runs the search and reports how it ended ([`ExplainReport`]).
+    fn explain_with_status(&self, task: &ExplainTask<'_>) -> Result<ExplainReport, ExplainError>;
 
-    /// Runs the search and reports how it ended ([`ExplainReport`]). The
-    /// default wraps [`Strategy::explain`] as a complete run; the built-in
-    /// strategies override it with budget-aware anytime loops (and their
-    /// `explain` delegates here).
-    fn explain_with_status(&self, task: &ExplainTask<'_>) -> Result<ExplainReport, ExplainError> {
-        Ok(ExplainReport::complete(self.explain(task)?))
+    /// Runs the search, returning the ranked explanations only.
+    fn explain(&self, task: &ExplainTask<'_>) -> Result<Vec<Explanation>, ExplainError> {
+        self.explain_with_status(task).map(|r| r.explanations)
     }
 }
 

@@ -23,8 +23,12 @@ pub enum LabelsError {
         /// Offending arity.
         got: usize,
     },
-    /// A parse problem (bad line).
+    /// A parse problem (bad line), with its message.
     Parse(String),
+    /// A label line repeats one already recorded (the line's text). Not
+    /// an error for [`Labels::parse`], which collapses it; a warning
+    /// (`OBX155`) for [`Labels::parse_diag`].
+    Duplicate(String),
 }
 
 impl fmt::Display for LabelsError {
@@ -34,12 +38,21 @@ impl fmt::Display for LabelsError {
             LabelsError::MixedArity { expected, got } => {
                 write!(f, "mixed tuple arities: {expected} vs {got}")
             }
-            LabelsError::Parse(msg) => write!(f, "bad label line: {msg}"),
+            LabelsError::Parse(msg) => write!(f, "{msg}"),
+            LabelsError::Duplicate(line) => {
+                write!(f, "duplicate label `{line}` (already recorded)")
+            }
         }
     }
 }
 
 impl std::error::Error for LabelsError {}
+
+/// How [`Labels::parse_with`] reacts to one problem at a line and column:
+/// the strict parser propagates it (`Err` aborts the parse), the
+/// diagnostic parser records it and returns `Ok(())` so the driver skips
+/// the line and continues.
+type Sink<'a> = dyn FnMut(usize, usize, LabelsError) -> Result<(), LabelsError> + 'a;
 
 /// The labelled tuples `λ⁺` / `λ⁻`.
 #[derive(Debug, Clone, Default)]
@@ -85,28 +98,33 @@ impl Labels {
         }
     }
 
-    /// Adds a positive example.
-    pub fn add_pos(&mut self, t: Tuple) -> Result<(), LabelsError> {
+    /// Adds `t` to `λ⁺` (`positive`) or `λ⁻`, returning whether it was
+    /// not labelled there yet.
+    fn add(&mut self, t: Tuple, positive: bool) -> Result<bool, LabelsError> {
         self.check_arity(&t)?;
-        if self.neg.contains(&t) {
+        let (side, other) = if positive {
+            (&mut self.pos, &self.neg)
+        } else {
+            (&mut self.neg, &self.pos)
+        };
+        if other.contains(&t) {
             return Err(LabelsError::Conflict(format!("{t:?}")));
         }
-        if !self.pos.contains(&t) {
-            self.pos.push(t);
+        if side.contains(&t) {
+            return Ok(false);
         }
-        Ok(())
+        side.push(t);
+        Ok(true)
+    }
+
+    /// Adds a positive example.
+    pub fn add_pos(&mut self, t: Tuple) -> Result<(), LabelsError> {
+        self.add(t, true).map(drop)
     }
 
     /// Adds a negative example.
     pub fn add_neg(&mut self, t: Tuple) -> Result<(), LabelsError> {
-        self.check_arity(&t)?;
-        if self.pos.contains(&t) {
-            return Err(LabelsError::Conflict(format!("{t:?}")));
-        }
-        if !self.neg.contains(&t) {
-            self.neg.push(t);
-        }
-        Ok(())
+        self.add(t, false).map(drop)
     }
 
     /// `λ⁺`.
@@ -154,8 +172,51 @@ impl Labels {
             .collect()
     }
 
-    /// Parses labels from text: one tuple per line, `+` or `-` followed by
-    /// comma-separated constant names (interned into `db`'s pool).
+    /// The one label-line parser: one tuple per line, `+` or `-`
+    /// followed by comma-separated constant names (interned into `db`'s
+    /// pool), `#` comments. Every problem goes to `sink` with its
+    /// 1-based line and column; a line the sink accepts is skipped.
+    fn parse_with(db: &mut Database, text: &str, sink: &mut Sink<'_>) -> Result<Self, LabelsError> {
+        let mut labels = Self::new();
+        for (lineno, raw) in text.lines().enumerate() {
+            let line = match raw.find('#') {
+                Some(i) => &raw[..i],
+                None => raw,
+            }
+            .trim();
+            if line.is_empty() {
+                continue;
+            }
+            let result = (|| -> Result<(), LabelsError> {
+                let (sign, rest) = line
+                    .split_at_checked(1)
+                    .ok_or_else(|| LabelsError::Parse(format!("bad label line `{line}`")))?;
+                if !matches!(sign, "+" | "-") {
+                    return Err(LabelsError::Parse(format!(
+                        "bad label sign `{sign}` (expected `+` or `-`)"
+                    )));
+                }
+                if rest.trim().is_empty() {
+                    return Err(LabelsError::Parse(format!(
+                        "label line `{line}` has no tuple"
+                    )));
+                }
+                let tuple: Tuple = rest.split(',').map(|c| db.constant(c.trim())).collect();
+                if labels.add(tuple, sign == "+")? {
+                    Ok(())
+                } else {
+                    Err(LabelsError::Duplicate(line.to_owned()))
+                }
+            })();
+            if let Err(e) = result {
+                sink(lineno + 1, col_of(raw, line), e)?;
+            }
+        }
+        Ok(labels)
+    }
+
+    /// Parses labels from text, stopping at the first error; duplicate
+    /// lines are collapsed.
     ///
     /// ```text
     /// + A10
@@ -163,30 +224,10 @@ impl Labels {
     /// - E25
     /// ```
     pub fn parse(db: &mut Database, text: &str) -> Result<Self, LabelsError> {
-        let mut labels = Self::new();
-        for raw in text.lines() {
-            let line = match raw.find('#') {
-                Some(i) => &raw[..i],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (sign, rest) = line
-                .split_at_checked(1)
-                .ok_or_else(|| LabelsError::Parse(line.to_owned()))?;
-            let tuple: Tuple = rest.split(',').map(|c| db.constant(c.trim())).collect();
-            if tuple.is_empty() || rest.trim().is_empty() {
-                return Err(LabelsError::Parse(line.to_owned()));
-            }
-            match sign {
-                "+" => labels.add_pos(tuple)?,
-                "-" => labels.add_neg(tuple)?,
-                _ => return Err(LabelsError::Parse(line.to_owned())),
-            }
-        }
-        Ok(labels)
+        Self::parse_with(db, text, &mut |_, _, e| match e {
+            LabelsError::Duplicate(_) => Ok(()),
+            e => Err(e),
+        })
     }
 
     /// Best-effort label parse: every problem becomes a [`Diagnostic`]
@@ -194,89 +235,20 @@ impl Labels {
     /// that did parse are returned. Duplicate labels — silently collapsed by
     /// [`Labels::parse`] — are additionally reported as `OBX155` warnings.
     pub fn parse_diag(db: &mut Database, text: &str, file: &str, diags: &mut Diagnostics) -> Self {
-        let mut labels = Self::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line_no = lineno + 1;
-            let line = match raw.find('#') {
-                Some(i) => &raw[..i],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            let col = col_of(raw, line);
-            let bad_line = |msg: String, diags: &mut Diagnostics| {
-                diags.push(
-                    Diagnostic::error(file, line_no, col, "OBX151", msg)
-                        .with_hint("label lines are `+ c1, c2, ...` or `- c1, c2, ...`"),
-                );
-            };
-            let Some((sign, rest)) = line.split_at_checked(1) else {
-                bad_line(format!("bad label line `{line}`"), diags);
-                continue;
-            };
-            if !matches!(sign, "+" | "-") {
-                bad_line(
-                    format!("bad label sign `{sign}` (expected `+` or `-`)"),
-                    diags,
-                );
-                continue;
-            }
-            if rest.trim().is_empty() {
-                bad_line(format!("label line `{line}` has no tuple"), diags);
-                continue;
-            }
-            let tuple: Tuple = rest.split(',').map(|c| db.constant(c.trim())).collect();
-            let dup = if sign == "+" {
-                labels.pos.contains(&tuple)
-            } else {
-                labels.neg.contains(&tuple)
-            };
-            if dup {
-                diags.push(Diagnostic::warning(
-                    file,
-                    line_no,
-                    col,
-                    "OBX155",
-                    format!("duplicate label `{line}` (already recorded)"),
-                ));
-                continue;
-            }
-            let added = if sign == "+" {
-                labels.add_pos(tuple)
-            } else {
-                labels.add_neg(tuple)
-            };
-            match added {
-                Ok(()) => {}
-                Err(e @ LabelsError::MixedArity { .. }) => {
-                    diags.push(Diagnostic::error(
-                        file,
-                        line_no,
-                        col,
-                        "OBX152",
-                        e.to_string(),
-                    ));
-                }
-                Err(e @ LabelsError::Conflict(_)) => {
-                    diags.push(
-                        Diagnostic::error(file, line_no, col, "OBX153", e.to_string())
-                            .with_hint("λ is a function: a tuple gets at most one label"),
-                    );
-                }
-                Err(e) => {
-                    diags.push(Diagnostic::error(
-                        file,
-                        line_no,
-                        col,
-                        "OBX151",
-                        e.to_string(),
-                    ));
-                }
-            }
-        }
-        labels
+        let mut sink = |line, col, e: LabelsError| {
+            let msg = e.to_string();
+            diags.push(match e {
+                LabelsError::Parse(_) => Diagnostic::error(file, line, col, "OBX151", msg)
+                    .with_hint("label lines are `+ c1, c2, ...` or `- c1, c2, ...`"),
+                LabelsError::MixedArity { .. } => Diagnostic::error(file, line, col, "OBX152", msg),
+                LabelsError::Conflict(_) => Diagnostic::error(file, line, col, "OBX153", msg)
+                    .with_hint("λ is a function: a tuple gets at most one label"),
+                LabelsError::Duplicate(_) => Diagnostic::warning(file, line, col, "OBX155", msg),
+            });
+            Ok(())
+        };
+        // The sink never returns `Err`, so the driver cannot fail.
+        Self::parse_with(db, text, &mut sink).unwrap_or_default()
     }
 
     /// Renders like `+ <A10>` per line, for diagnostics.

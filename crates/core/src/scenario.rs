@@ -1,20 +1,25 @@
 //! Loading and saving scenario directories.
 //!
-//! Two loaders: [`load_dir`] stops at the first problem (the engine path —
-//! a scenario that parses is a scenario that runs), and [`load_dir_checked`]
-//! reads everything best-effort, collecting every problem as a structured
-//! [`Diagnostic`](obx_util::Diagnostic) for `obx validate`.
+//! One reader: [`load_dir_checked`] reads and parses all five artifacts
+//! best-effort, collecting every problem as a structured
+//! [`Diagnostic`](obx_util::Diagnostic) for `obx validate`. [`load_dir`]
+//! is that load refused on its first error in load order (the snapshot,
+//! then [`SCENARIO_FILES`] order, then line and column) — the engine
+//! path: a scenario that loads is a scenario that runs, and a
+//! [`LoadError`] carries the same OBX code `obx validate` reports first.
+//! [`build_snapshot`] reads `schema.obx` and `data.obx` through the same
+//! reader.
 //!
 //! This module lives in `obx-core` (historically it was CLI-only) so that
 //! every front end — the one-shot `obx` binary and the long-lived
 //! `obx serve` snapshot store — loads scenarios through one code path.
 
 use crate::labels::Labels;
-use obx_mapping::{parse_mapping, parse_mapping_diag};
+use obx_mapping::parse_mapping_diag;
 use obx_obdm::{ObdmSpec, ObdmSystem};
-use obx_ontology::{parse_tbox, parse_tbox_diag};
-use obx_srcdb::{parse_database, parse_database_diag, parse_schema, parse_schema_diag};
-use obx_util::{Diagnostic, Diagnostics};
+use obx_ontology::parse_tbox_diag;
+use obx_srcdb::{parse_database_diag, parse_schema_diag};
+use obx_util::{Diagnostic, Diagnostics, Severity};
 use std::fmt;
 use std::path::Path;
 
@@ -29,7 +34,7 @@ pub const SCENARIO_FILES: [&str; 5] = [
 
 /// Optional binary data snapshot (`obx snapshot build`) sitting next to
 /// the text artifacts. When present, valid, and fresh it replaces the
-/// `schema.obx` + `data.obx` parse in both loaders.
+/// `schema.obx` + `data.obx` parse.
 pub const SNAPSHOT_FILE: &str = "data.obxsnap";
 
 /// A scenario loaded from disk: the system plus λ.
@@ -41,47 +46,36 @@ pub struct LoadedScenario {
     pub labels: Labels,
 }
 
-/// Errors loading a scenario directory.
-#[derive(Debug)]
-pub enum LoadError {
-    /// A file was missing or unreadable.
-    Io {
-        /// The file involved.
-        file: String,
-        /// The underlying error.
-        source: std::io::Error,
-    },
-    /// A file failed to parse.
-    Parse {
-        /// The file involved.
-        file: String,
-        /// The parser's message.
-        msg: String,
-    },
+/// Why [`load_dir`] refused a scenario directory: the first error of its
+/// checked load in load order — file, position, OBX code and message.
+#[derive(Debug, Clone)]
+pub struct LoadError {
+    /// The refusing diagnostic (`OBX00x` I/O, `OBX1xx` parse).
+    pub diagnostic: Box<Diagnostic>,
 }
 
 impl fmt::Display for LoadError {
+    /// `file[:line[:col]]: CODE: message`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LoadError::Io { file, source } => write!(f, "{file}: {source}"),
-            LoadError::Parse { file, msg } => write!(f, "{file}: {msg}"),
+        let d = &self.diagnostic;
+        write!(f, "{}", d.file)?;
+        if d.line > 0 {
+            write!(f, ":{}", d.line)?;
+            if d.col > 0 {
+                write!(f, ":{}", d.col)?;
+            }
         }
+        write!(f, ": {}: {}", d.code, d.msg)
     }
 }
 
 impl std::error::Error for LoadError {}
 
-fn read(dir: &Path, file: &str) -> Result<String, LoadError> {
-    std::fs::read_to_string(dir.join(file)).map_err(|source| LoadError::Io {
-        file: file.to_owned(),
-        source,
-    })
-}
-
-fn parse_err(file: &str, msg: impl ToString) -> LoadError {
-    LoadError::Parse {
-        file: file.to_owned(),
-        msg: msg.to_string(),
+impl From<Diagnostic> for LoadError {
+    fn from(d: Diagnostic) -> Self {
+        LoadError {
+            diagnostic: Box::new(d),
+        }
     }
 }
 
@@ -126,53 +120,36 @@ fn probe_snapshot(dir: &Path) -> SnapProbe {
 
 /// Builds (or rebuilds) [`SNAPSHOT_FILE`] in `dir` from its text
 /// artifacts, returning `(atoms, constants, snapshot bytes)`. This is
-/// `obx snapshot build`'s engine.
+/// `obx snapshot build`'s engine. The text artifacts are read with the
+/// existing snapshot ignored (so a corrupt one can be rebuilt) and must
+/// load as [`load_dir`] would.
 pub fn build_snapshot(dir: &Path) -> Result<(usize, usize, u64), LoadError> {
-    let schema_txt = read(dir, "schema.obx")?;
-    let data_txt = read(dir, "data.obx")?;
-    let schema = parse_schema(&schema_txt).map_err(|e| parse_err("schema.obx", e))?;
-    let db = parse_database(schema, &data_txt).map_err(|e| parse_err("data.obx", e))?;
-    let bytes = obx_srcdb::write_snapshot(
-        &dir.join(SNAPSHOT_FILE),
-        &db,
-        schema_txt.len() as u64,
-        data_txt.len() as u64,
-    )
-    .map_err(|source| LoadError::Io {
-        file: SNAPSHOT_FILE.to_owned(),
-        source,
-    })?;
+    let checked = read_dir(dir, false);
+    let src_len = |file| checked.source_of(file).map_or(0, |t| t.len() as u64);
+    let (schema_len, data_len) = (src_len("schema.obx"), src_len("data.obx"));
+    let scenario = checked.into_scenario()?;
+    let db = scenario.system.db();
+    let bytes = obx_srcdb::write_snapshot(&dir.join(SNAPSHOT_FILE), db, schema_len, data_len)
+        .map_err(|e| {
+            Diagnostic::error(
+                SNAPSHOT_FILE,
+                0,
+                0,
+                "OBX001",
+                format!("cannot write file: {e}"),
+            )
+        })?;
     Ok((db.len(), db.consts().len(), bytes))
 }
 
 /// Loads `schema.obx`, `data.obx`, `ontology.obx`, `mapping.obx`,
-/// `labels.obx` from `dir` and assembles the system. A valid, fresh
+/// `labels.obx` from `dir` and assembles the system: [`load_dir_checked`]
+/// refused on its first error in load order. A valid, fresh
 /// [`SNAPSHOT_FILE`] short-circuits the `schema.obx`/`data.obx` parse;
 /// a corrupt one is rejected (`OBX003`) rather than silently ignored.
+/// Warnings do not refuse.
 pub fn load_dir(dir: &Path) -> Result<LoadedScenario, LoadError> {
-    let mut db = match probe_snapshot(dir) {
-        SnapProbe::Ready(db) => *db,
-        SnapProbe::Corrupt(msg) => {
-            return Err(parse_err(SNAPSHOT_FILE, format!("OBX003: {msg}")));
-        }
-        SnapProbe::Absent | SnapProbe::Stale => {
-            let schema =
-                parse_schema(&read(dir, "schema.obx")?).map_err(|e| parse_err("schema.obx", e))?;
-            parse_database(schema, &read(dir, "data.obx")?).map_err(|e| parse_err("data.obx", e))?
-        }
-    };
-    let tbox = parse_tbox(&read(dir, "ontology.obx")?).map_err(|e| parse_err("ontology.obx", e))?;
-    let mapping = {
-        let (schema_ref, consts) = db.schema_and_consts_mut();
-        parse_mapping(schema_ref, tbox.vocab(), consts, &read(dir, "mapping.obx")?)
-            .map_err(|e| parse_err("mapping.obx", e))?
-    };
-    let labels = Labels::parse(&mut db, &read(dir, "labels.obx")?)
-        .map_err(|e| parse_err("labels.obx", e))?;
-    Ok(LoadedScenario {
-        system: ObdmSystem::new(ObdmSpec::new(tbox, mapping), db),
-        labels,
-    })
+    load_dir_checked(dir).into_scenario()
 }
 
 /// Result of a best-effort [`load_dir_checked`]: every problem found, the
@@ -196,6 +173,40 @@ impl CheckedLoad {
             .iter()
             .find(|(name, _)| name == file)
             .map(|(_, text)| text.as_str())
+    }
+
+    /// The first error in load order: [`SNAPSHOT_FILE`], then
+    /// [`SCENARIO_FILES`] order, then line and column.
+    fn first_error(&self) -> Option<&Diagnostic> {
+        let rank = |file: &str| {
+            SCENARIO_FILES
+                .iter()
+                .position(|f| *f == file)
+                .map_or(0, |i| i + 1)
+        };
+        self.diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .min_by_key(|d| (rank(&d.file), d.line, d.col))
+    }
+
+    /// The assembled scenario, or the [`LoadError`] of the first error.
+    fn into_scenario(self) -> Result<LoadedScenario, LoadError> {
+        if let Some(d) = self.first_error() {
+            return Err(d.clone().into());
+        }
+        // Every unreadable file leaves an error, so an error-free load
+        // from `load_dir_checked` always assembled its scenario.
+        self.scenario.ok_or_else(|| {
+            Diagnostic::error(
+                SCENARIO_FILES[0],
+                0,
+                0,
+                "OBX001",
+                "scenario could not be assembled",
+            )
+            .into()
+        })
     }
 }
 
@@ -242,15 +253,25 @@ fn read_checked(dir: &Path, file: &str, diags: &mut Diagnostics) -> Option<Strin
 /// from whatever parsed whenever all five files were readable — callers
 /// decide, via [`Diagnostics::has_errors`], whether to trust it.
 pub fn load_dir_checked(dir: &Path) -> CheckedLoad {
+    read_dir(dir, true)
+}
+
+/// The one reader of a scenario directory: the snapshot probe (when
+/// `use_snapshot`) plus the five artifact texts, parsed best-effort.
+fn read_dir(dir: &Path, use_snapshot: bool) -> CheckedLoad {
     let mut diags = Diagnostics::new();
-    let mut sources: Vec<(String, String)> = Vec::new();
 
     // Snapshot fast path: a valid, fresh binary snapshot stands in for
     // `schema.obx` + `data.obx` (their text is neither read nor
     // re-checked — the snapshot was built from sources that parsed). A
     // corrupt snapshot is a hard diagnostic; the text artifacts are then
     // checked as usual so one bad cache file cannot hide real problems.
-    let snap_db = match probe_snapshot(dir) {
+    let probe = if use_snapshot {
+        probe_snapshot(dir)
+    } else {
+        SnapProbe::Absent
+    };
+    let snap_db = match probe {
         SnapProbe::Ready(db) => Some(*db),
         SnapProbe::Corrupt(msg) => {
             diags.push(
@@ -272,33 +293,29 @@ pub fn load_dir_checked(dir: &Path) -> CheckedLoad {
 
     // One text per entry of `SCENARIO_FILES`, in its order: a fixed
     // array, so the five names below bind without a length check.
-    let [schema_txt, data_txt, onto_txt, map_txt, labels_txt] = SCENARIO_FILES.map(|file| {
+    let texts = SCENARIO_FILES.map(|file| {
         if snap_db.is_some() && (file == "schema.obx" || file == "data.obx") {
             return None;
         }
-        let text = read_checked(dir, file, &mut diags);
-        if let Some(t) = &text {
-            sources.push((file.to_owned(), t.clone()));
-        }
-        text
+        read_checked(dir, file, &mut diags)
     });
+    let [schema_txt, data_txt, onto_txt, map_txt, labels_txt] =
+        texts.each_ref().map(Option::as_deref);
 
     let have_data_layer = snap_db.is_some() || (schema_txt.is_some() && data_txt.is_some());
-    let all_readable = have_data_layer
-        && [&onto_txt, &map_txt, &labels_txt]
-            .iter()
-            .all(|t| t.is_some());
+    let all_readable =
+        have_data_layer && onto_txt.is_some() && map_txt.is_some() && labels_txt.is_some();
 
     // Artifacts whose prerequisite file was unreadable are not parsed —
     // checking data against an empty stand-in schema would drown the real
     // problem (the unreadable schema) in spurious unknown-relation errors.
     let data_input = if schema_txt.is_some() {
-        data_txt.as_deref().unwrap_or("")
+        data_txt.unwrap_or("")
     } else {
         ""
     };
     let map_input = if (snap_db.is_some() || schema_txt.is_some()) && onto_txt.is_some() {
-        map_txt.as_deref().unwrap_or("")
+        map_txt.unwrap_or("")
     } else {
         ""
     };
@@ -306,18 +323,10 @@ pub fn load_dir_checked(dir: &Path) -> CheckedLoad {
     let mut db = if let Some(db) = snap_db {
         db
     } else {
-        let schema = parse_schema_diag(
-            schema_txt.as_deref().unwrap_or(""),
-            "schema.obx",
-            &mut diags,
-        );
+        let schema = parse_schema_diag(schema_txt.unwrap_or(""), "schema.obx", &mut diags);
         parse_database_diag(schema, data_input, "data.obx", &mut diags)
     };
-    let tbox = parse_tbox_diag(
-        onto_txt.as_deref().unwrap_or(""),
-        "ontology.obx",
-        &mut diags,
-    );
+    let tbox = parse_tbox_diag(onto_txt.unwrap_or(""), "ontology.obx", &mut diags);
     let mapping = {
         let (schema_ref, consts) = db.schema_and_consts_mut();
         parse_mapping_diag(
@@ -329,18 +338,19 @@ pub fn load_dir_checked(dir: &Path) -> CheckedLoad {
             &mut diags,
         )
     };
-    let labels = Labels::parse_diag(
-        &mut db,
-        labels_txt.as_deref().unwrap_or(""),
-        "labels.obx",
-        &mut diags,
-    );
+    let labels = Labels::parse_diag(&mut db, labels_txt.unwrap_or(""), "labels.obx", &mut diags);
 
     let scenario = all_readable.then(|| LoadedScenario {
         system: ObdmSystem::new(ObdmSpec::new(tbox, mapping), db),
         labels,
     });
     diags.sort();
+    // The texts move into `sources`; nothing above kept a copy.
+    let sources = SCENARIO_FILES
+        .iter()
+        .zip(texts)
+        .filter_map(|(file, text)| Some(((*file).to_owned(), text?)))
+        .collect();
     CheckedLoad {
         scenario,
         diagnostics: diags,
@@ -561,7 +571,38 @@ mod tests {
         let dir = tmpdir("missing");
         std::fs::create_dir_all(&dir).unwrap();
         let err = load_dir(&dir).unwrap_err();
-        assert!(matches!(err, LoadError::Io { .. }), "{err}");
+        assert_eq!(err.diagnostic.code, "OBX001", "{err}");
+        assert_eq!(err.diagnostic.file, "schema.obx", "{err}");
+        assert!(err.to_string().starts_with("schema.obx: OBX001: "), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refusal_follows_load_order_not_file_name_order() {
+        // `labels.obx` sorts before `ontology.obx`, but the ontology loads
+        // first, so its error is the one that refuses.
+        let dir = tmpdir("load-order");
+        write_paper_example(&dir).unwrap();
+        std::fs::write(dir.join("ontology.obx"), "role r\nr << s\n").unwrap();
+        std::fs::write(dir.join("labels.obx"), "? A10\n").unwrap();
+        let err = load_dir(&dir).unwrap_err();
+        assert_eq!(err.diagnostic.file, "ontology.obx", "{err}");
+        assert_eq!(err.diagnostic.line, 2, "{err}");
+        // Warnings never refuse: a duplicate label is collapsed.
+        write_paper_example(&dir).unwrap();
+        std::fs::write(dir.join("labels.obx"), "+ A10\n+ A10\n- E25\n").unwrap();
+        assert_eq!(load_dir(&dir).unwrap().labels.len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn build_snapshot_rebuilds_a_corrupt_snapshot() {
+        let dir = tmpdir("snap-rebuild");
+        write_paper_example(&dir).unwrap();
+        std::fs::write(dir.join(SNAPSHOT_FILE), b"not a snapshot").unwrap();
+        assert_eq!(load_dir(&dir).unwrap_err().diagnostic.code, "OBX003");
+        build_snapshot(&dir).unwrap();
+        assert_eq!(load_dir(&dir).unwrap().system.db().len(), 13);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -13,11 +13,11 @@
 //! endpoint.
 
 use crate::baseline::DataLevelBeam;
-use crate::budget::{CancelToken, SearchBudget};
+use crate::budget::{CancelToken, SearchBudget, Termination};
 use crate::explain::{ExplainReport, ExplainTask, SearchLimits, Strategy};
 use crate::labels::Labels;
 use crate::matcher::{LabelBorders, MatchStats, PreparedLabels};
-use crate::scenario::load_dir_checked;
+use crate::scenario::{load_dir_checked, LoadedScenario};
 use crate::score::{ExplainMode, Scoring};
 use crate::strategies::{BeamSearch, BottomUpGeneralize, ExhaustiveSearch, GreedyUcq};
 use crate::validate::validate_scenario;
@@ -356,10 +356,10 @@ pub fn run_explain_in(
             .map_err(|e| ServiceError::Task(e.to_string()))?
     };
     if req.strategy == "data-level" {
-        let result = {
+        let (result, termination) = {
             let _search = recorder.as_ref().map(|r| r.enter_phase("explain/search"));
             DataLevelBeam
-                .explain(&task)
+                .explain_with_status(&task)
                 .map_err(|e| ServiceError::Search(e.to_string()))?
         };
         let mut out = String::new();
@@ -374,9 +374,10 @@ pub fn run_explain_in(
                 e.render(&task)
             );
         }
+        let degraded = write_stop_footer(&mut out, termination, task.budget().guard_trip());
         return Ok(ServiceOutcome {
             stdout: out,
-            exit_code: 0,
+            exit_code: if degraded { 2 } else { 0 },
             report: None,
         });
     }
@@ -415,6 +416,23 @@ fn mode_satisfied(mode: ExplainMode, top: Option<&MatchStats>) -> bool {
     }
 }
 
+/// Appends the status footer of a run that did not complete — and the
+/// tripped resource guard's detail, when one fired — and returns whether
+/// it did (the run is then degraded, exit 2).
+fn write_stop_footer(out: &mut String, termination: Termination, trip: Option<GuardTrip>) -> bool {
+    if termination.is_complete() {
+        return false;
+    }
+    let _ = writeln!(
+        out,
+        "-- search stopped early: {termination} (showing best results so far)"
+    );
+    if let Some(trip) = trip {
+        let _ = writeln!(out, "-- resource guard tripped: {trip}");
+    }
+    true
+}
+
 /// Renders an [`ExplainReport`]: one ranked line per explanation, and —
 /// only when the run did not complete — a trailing status line (plus the
 /// tripped resource guard's detail, when one fired). In sound/complete
@@ -441,18 +459,7 @@ pub fn render_report_text(
             e.render(system)
         );
     }
-    let mut degraded = false;
-    if !report.termination.is_complete() {
-        let _ = writeln!(
-            out,
-            "-- search stopped early: {} (showing best results so far)",
-            report.termination
-        );
-        if let Some(trip) = guard_trip {
-            let _ = writeln!(out, "-- resource guard tripped: {trip}");
-        }
-        degraded = true;
-    }
+    let mut degraded = write_stop_footer(&mut out, report.termination, guard_trip);
     let top = report.explanations.first().map(|e| &e.stats);
     if !mode_satisfied(mode, top) {
         let detail = match (mode, top) {
@@ -480,8 +487,20 @@ pub fn render_report_text(
 /// cross-artifact semantic checks (`OBX2xx`). Exit code 0 clean, 2
 /// warnings only, 1 when any error was found (the diagnostics still go to
 /// the output text). The single implementation behind `obx validate` and
-/// the server's `/validate`.
+/// the server's `/validate`: [`load_snapshot`] without its scenario.
 pub fn validate_dir(dir: &Path) -> ServiceOutcome {
+    load_snapshot(dir).0
+}
+
+/// Loads `dir` for long-lived serving: one checked load
+/// ([`load_dir_checked`]), then [`validate_scenario`] on the scenario
+/// that load assembled. Returns the [`validate_dir`] outcome and, when it
+/// found no error, that same scenario — the directory is parsed once.
+/// This is the admission rule behind every snapshot a server mounts: a
+/// directory whose validation *errors* (exit 1) is not serveable, while
+/// warning-only directories (exit 2) load fine and are reported as
+/// degraded.
+pub fn load_snapshot(dir: &Path) -> (ServiceOutcome, Option<LoadedScenario>) {
     let dir_label = dir.display();
     let mut checked = load_dir_checked(dir);
     if let Some(scenario) = &checked.scenario {
@@ -493,62 +512,31 @@ pub fn validate_dir(dir: &Path) -> ServiceOutcome {
     }
     let errors = checked.diagnostics.error_count();
     let warnings = checked.diagnostics.warning_count();
-    if errors == 0 && warnings == 0 {
+    let exit_code = if errors == 0 && warnings == 0 {
         let _ = writeln!(out, "{dir_label}: ok — scenario is admissible");
-        return ServiceOutcome {
-            stdout: out,
-            exit_code: 0,
-            report: None,
-        };
-    }
-    let _ = writeln!(
-        out,
-        "{dir_label}: {errors} error(s), {warnings} warning(s){}",
-        if checked.scenario.is_none() {
-            " — scenario could not be assembled"
+        0
+    } else {
+        let _ = writeln!(
+            out,
+            "{dir_label}: {errors} error(s), {warnings} warning(s){}",
+            if checked.scenario.is_none() {
+                " — scenario could not be assembled"
+            } else {
+                ""
+            }
+        );
+        if errors > 0 {
+            1
         } else {
-            ""
+            2
         }
-    );
-    ServiceOutcome {
+    };
+    let outcome = ServiceOutcome {
         stdout: out,
-        exit_code: if errors > 0 { 1 } else { 2 },
+        exit_code,
         report: None,
-    }
-}
-
-/// A scenario directory loaded for long-lived serving: the scenario plus
-/// the validation verdict captured at load time. This is the single
-/// load-path behind every snapshot a server mounts — `obx serve` wraps it
-/// in an epoch, but the admission rule lives here: a directory whose
-/// validation *errors* (exit 1) is not serveable, while warning-only
-/// directories (exit 2) load fine and are reported as degraded.
-#[derive(Debug)]
-pub struct ScenarioSnapshot {
-    /// The loaded scenario (system + labels), ready for task construction.
-    pub scenario: crate::scenario::LoadedScenario,
-    /// The full `obx validate` text for the directory, captured at load.
-    pub validate_text: String,
-    /// The validate exit code (0 clean, 2 warnings) captured at load.
-    pub validate_exit: i32,
-}
-
-/// Loads `dir` as a [`ScenarioSnapshot`], rejecting directories that do
-/// not load or whose validation reports errors. The error string carries
-/// the loader's (or validator's) full diagnostics.
-pub fn load_snapshot(dir: &Path) -> Result<ScenarioSnapshot, String> {
-    let scenario = crate::scenario::load_dir(dir).map_err(|e| e.to_string())?;
-    // An unloadable scenario was already rejected above; validate_dir can
-    // still surface warnings (exit 2) worth reporting verbatim.
-    let validation = validate_dir(dir);
-    if validation.exit_code == 1 {
-        return Err(validation.stdout);
-    }
-    Ok(ScenarioSnapshot {
-        scenario,
-        validate_text: validation.stdout,
-        validate_exit: validation.exit_code,
-    })
+    };
+    (outcome, checked.scenario.filter(|_| errors == 0))
 }
 
 #[cfg(test)]
@@ -649,7 +637,6 @@ mod tests {
 
     #[test]
     fn unmet_mode_bar_degrades_with_a_marker_not_an_error() {
-        use crate::budget::Termination;
         let (system, _) = paper_setup();
         // An empty report never meets a sound/complete bar...
         let empty = ExplainReport {
@@ -669,6 +656,28 @@ mod tests {
         // ...but is a clean exit under fscore, which has no bar.
         let (text, code) = render_report_text(&empty, &system, None, ExplainMode::Fscore);
         assert_eq!(code, 0, "{text}");
+    }
+
+    #[test]
+    fn a_cancelled_data_level_run_stops_with_the_footer_and_exit_2() {
+        let (system, labels) = paper_setup();
+        let req = ExplainRequest {
+            strategy: "data-level".to_owned(),
+            ..ExplainRequest::default()
+        };
+        let done = run_explain(&system, &labels, &req, req.budget(&CancelToken::new())).unwrap();
+        assert_eq!(done.exit_code, 0, "{}", done.stdout);
+        assert!(!done.stdout.contains("stopped early"), "{}", done.stdout);
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let out = run_explain(&system, &labels, &req, req.budget(&cancel)).unwrap();
+        assert_eq!(out.exit_code, 2, "{}", out.stdout);
+        assert!(
+            out.stdout
+                .ends_with("-- search stopped early: cancelled (showing best results so far)\n"),
+            "{}",
+            out.stdout
+        );
     }
 
     #[test]
@@ -711,16 +720,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         // Empty dir: nothing loadable.
-        assert!(load_snapshot(&dir).is_err());
+        let (refused, none) = load_snapshot(&dir);
+        assert_eq!(refused.exit_code, 1);
+        assert!(refused.stdout.contains("OBX001"), "{}", refused.stdout);
+        assert!(none.is_none());
         crate::scenario::write_paper_example(&dir).unwrap();
-        let snap = load_snapshot(&dir).unwrap();
+        let (validation, scenario) = load_snapshot(&dir);
         // The paper example validates warning-only (unused source relation).
-        assert_eq!(snap.validate_exit, 2);
+        assert_eq!(validation.exit_code, 2);
         assert!(
-            snap.validate_text.contains("0 error(s)"),
+            validation.stdout.contains("0 error(s)"),
             "{}",
-            snap.validate_text
+            validation.stdout
         );
+        assert_eq!(validation.stdout, validate_dir(&dir).stdout);
+        assert_eq!(scenario.unwrap().system.db().len(), 13);
+        // A semantic error (a label outside dom(D)) refuses the mount even
+        // though the directory parses.
+        std::fs::write(dir.join("labels.obx"), "+ A10\n- Ghost\n").unwrap();
+        let (validation, scenario) = load_snapshot(&dir);
+        assert_eq!(validation.exit_code, 1, "{}", validation.stdout);
+        assert!(scenario.is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,7 +19,7 @@
 //! concepts to conjunctive queries.
 
 use super::{refinement_rounds, require_unary};
-use crate::explain::{ExplainError, ExplainReport, ExplainTask, Explanation, Strategy};
+use crate::explain::{ExplainError, ExplainReport, ExplainTask, Strategy};
 use crate::prune::RefineDir;
 use obx_ontology::{BasicConcept, Role};
 use obx_query::{OntoAtom, OntoCq, Term, VarId};
@@ -32,10 +32,6 @@ pub struct BeamSearch;
 impl Strategy for BeamSearch {
     fn name(&self) -> &'static str {
         "beam"
-    }
-
-    fn explain(&self, task: &ExplainTask<'_>) -> Result<Vec<Explanation>, ExplainError> {
-        self.explain_with_status(task).map(|r| r.explanations)
     }
 
     fn explain_with_status(&self, task: &ExplainTask<'_>) -> Result<ExplainReport, ExplainError> {

@@ -15,7 +15,7 @@
 //! λ of arbitrary arity.
 
 use super::refinement_rounds;
-use crate::explain::{ExplainError, ExplainReport, ExplainTask, Explanation, Strategy};
+use crate::explain::{ExplainError, ExplainReport, ExplainTask, Strategy};
 use crate::prune::RefineDir;
 use obx_mapping::virtual_abox;
 use obx_ontology::{BasicConcept, Role};
@@ -46,10 +46,6 @@ impl Default for BottomUpGeneralize {
 impl Strategy for BottomUpGeneralize {
     fn name(&self) -> &'static str {
         "bottom-up"
-    }
-
-    fn explain(&self, task: &ExplainTask<'_>) -> Result<Vec<Explanation>, ExplainError> {
-        self.explain_with_status(task).map(|r| r.explanations)
     }
 
     fn explain_with_status(&self, task: &ExplainTask<'_>) -> Result<ExplainReport, ExplainError> {

@@ -40,10 +40,6 @@ impl Strategy for ExhaustiveSearch {
         "exhaustive"
     }
 
-    fn explain(&self, task: &ExplainTask<'_>) -> Result<Vec<Explanation>, ExplainError> {
-        self.explain_with_status(task).map(|r| r.explanations)
-    }
-
     fn explain_with_status(&self, task: &ExplainTask<'_>) -> Result<ExplainReport, ExplainError> {
         require_unary(task, self.name())?;
         let limits = task.limits();

@@ -44,10 +44,6 @@ impl Strategy for GreedyUcq {
         "greedy-ucq"
     }
 
-    fn explain(&self, task: &ExplainTask<'_>) -> Result<Vec<Explanation>, ExplainError> {
-        self.explain_with_status(task).map(|r| r.explanations)
-    }
-
     fn explain_with_status(&self, task: &ExplainTask<'_>) -> Result<ExplainReport, ExplainError> {
         let mut base_limits = task.limits();
         base_limits.top_k = base_limits.top_k.max(self.base_pool);

@@ -306,24 +306,9 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
     Ok(v)
 }
 
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(&mut out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes `s` for embedding inside a JSON string literal (the
+/// workspace's one escaper, re-exported for the server and the benches).
+pub use obx_util::obs::json_escape as escape;
 
 /// A decoded `/explain` request body.
 #[derive(Debug)]

@@ -15,9 +15,10 @@
 //! never cross tenant boundaries.
 //!
 //! Validation output is captured at load time (`obx validate` text plus
-//! exit code): serving `/validate` is then a pure memory read, and the
-//! text is guaranteed to describe the pinned snapshot, not whatever the
-//! directory holds *now*.
+//! exit code) by the same checked load that assembled the scenario, so
+//! the directory is parsed once per epoch: serving `/validate` is then a
+//! pure memory read, and the text is guaranteed to describe the pinned
+//! snapshot, not whatever the directory holds *now*.
 //!
 //! Each epoch also owns a [`PrepareSlot`]: the labelled tuples' borders
 //! and constant ranking at the last radius a request completed a prepare
@@ -52,17 +53,22 @@ pub struct Epoch {
     pub prepared: PrepareSlot,
 }
 
-/// Loads `dir` as epoch `id`, rejecting directories that do not load or
-/// whose validation errors (exit 1). Warning-only directories (exit 2)
-/// load fine and are served as degraded.
+/// Loads `dir` as epoch `id`: one checked load and validation
+/// ([`load_snapshot`]), whose scenario the epoch serves. Refuses
+/// directories that do not load or whose validation errors (exit 1) with
+/// the validation text. Warning-only directories (exit 2) load fine and
+/// are served as degraded.
 pub fn load_epoch(dir: &Path, id: u64) -> Result<Epoch, String> {
     let started = std::time::Instant::now();
-    let snap = load_snapshot(dir)?;
+    let (validation, scenario) = load_snapshot(dir);
+    let Some(scenario) = scenario else {
+        return Err(validation.stdout);
+    };
     Ok(Epoch {
         id,
-        scenario: snap.scenario,
-        validate_text: snap.validate_text,
-        validate_exit: snap.validate_exit,
+        scenario,
+        validate_text: validation.stdout,
+        validate_exit: validation.exit_code,
         load_ms: started.elapsed().as_millis() as u64,
         prepared: PrepareSlot::new(),
     })
