@@ -65,10 +65,7 @@ impl ModeRun {
 const REPS: usize = 7;
 
 fn run_once(task: &ExplainTask<'_>, strategy: &dyn Strategy, incremental: bool) -> ModeRun {
-    let engine = Arc::new(ScoringEngine::with_config(
-        obx_util::pool::configured_threads(),
-        incremental,
-    ));
+    let engine = Arc::new(ScoringEngine::with_config(incremental));
     let t = task.with_engine(Arc::clone(&engine));
     let report = strategy
         .explain_with_status(&t)

@@ -8,14 +8,13 @@
 
 use obx_core::explain::{ExplainReport, Explanation};
 use obx_core::matcher::MatchStats;
-use obx_core::ScoringEngine;
 use obx_obdm::ObdmSystem;
 use obx_util::PipelineProfile;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::path::Path;
-use std::sync::{Barrier, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Slots of the host-speed kernel's table: a few hundred KiB, inside one
@@ -25,60 +24,37 @@ const KERNEL_SLOTS: u64 = 1 << 14;
 /// Table updates per kernel pass.
 const KERNEL_OPS: u64 = 1 << 19;
 /// Kernel probes a report takes when it opens, and again when it closes.
-/// None is taken between timed repetitions: on two threads a probe right
-/// before a ~1 ms repetition slowed it by about a quarter.
+/// None is taken between timed repetitions: a probe right before a ~1 ms
+/// repetition slowed it by about a quarter.
 const KERNEL_PROBES: usize = 5;
 
 /// Every host-speed kernel reading this process has taken:
 /// [`KERNEL_PROBES`] when a [`Report`] opens and when it finishes.
 static KERNEL_LOG: Mutex<Vec<f64>> = Mutex::new(Vec::new());
 
-/// Barrier rounds a kernel reading is split into.
-const KERNEL_ROUNDS: u64 = 64;
-
-/// One reading of the host-speed kernel, in microseconds: on each of the
-/// threads `ScoringEngine::new()` scores on, a fixed number of counter
-/// updates into a hash table with a fixed hasher, in rounds that end at a
-/// barrier, as the scoring pool's chunks do; timed after one untimed
-/// pass that brings the tables into cache. The kernel is bench-harness
-/// code, so a change to the program never moves it; on a shared host it
-/// slows down with the program whenever a neighbour takes a core the
-/// benches use, and, like the pool, it waits at every round for its
-/// slowest thread. `obx-ci` divides a fresh bench file's wall times by
-/// the ratio of its `host_kernel_us` to the baseline's, which tells a
-/// slow host from a slow change.
+/// One reading of the host-speed kernel, in microseconds: on the calling
+/// thread, as the engine scores a batch, a fixed number of counter
+/// updates into a hash table with a fixed hasher, timed after one
+/// untimed pass that brings the table into cache. The kernel is
+/// bench-harness code, so a change to the program never moves it; on a
+/// shared host it slows down with the program whenever a neighbour takes
+/// the core the bench runs on. `obx-ci` divides a fresh bench file's wall
+/// times by the ratio of its `host_kernel_us` to the baseline's, which
+/// tells a slow host from a slow change.
 pub fn kernel_us() -> f64 {
-    let threads = ScoringEngine::new().threads();
-    let barrier = Barrier::new(threads);
-    let run = |timed: bool| -> f64 {
-        let mut table: HashMap<u64, u64, BuildHasherDefault<DefaultHasher>> =
-            HashMap::with_capacity_and_hasher(KERNEL_SLOTS as usize, Default::default());
-        let mut pass = || {
-            for round in 0..KERNEL_ROUNDS {
-                let ops = KERNEL_OPS / KERNEL_ROUNDS;
-                for i in round * ops..(round + 1) * ops {
-                    let slot = i.wrapping_mul(0x2545_F491_4F6C_DD1D).rotate_left(17) % KERNEL_SLOTS;
-                    *table.entry(slot).or_insert(0u64) ^= i;
-                }
-                barrier.wait();
-            }
-            std::hint::black_box(table.len());
-        };
-        pass();
-        let t0 = Instant::now();
-        pass();
-        if timed {
-            t0.elapsed().as_secs_f64() * 1e6
-        } else {
-            0.0
+    let mut table: HashMap<u64, u64, BuildHasherDefault<DefaultHasher>> =
+        HashMap::with_capacity_and_hasher(KERNEL_SLOTS as usize, Default::default());
+    let mut pass = || {
+        for i in 0..KERNEL_OPS {
+            let slot = i.wrapping_mul(0x2545_F491_4F6C_DD1D).rotate_left(17) % KERNEL_SLOTS;
+            *table.entry(slot).or_insert(0u64) ^= i;
         }
+        std::hint::black_box(table.len());
     };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(|| run(false));
-        }
-        run(true)
-    })
+    pass();
+    let t0 = Instant::now();
+    pass();
+    t0.elapsed().as_secs_f64() * 1e6
 }
 
 /// The lower quartile of `readings` (the `len / 4`-th smallest), `NaN`
@@ -185,9 +161,7 @@ const KERNEL_KEY: &str = "host_kernel_us";
 
 impl Report {
     /// A report for bench `bench`, stamped with the host facts: `cores`
-    /// (available parallelism), `pool_workers` (worker threads
-    /// `ScoringEngine::new()` spawns), `obx_threads` (the parsed
-    /// `OBX_THREADS`, 0 when unset or invalid) and `host_kernel_us`, the
+    /// (available parallelism) and `host_kernel_us`, the
     /// lower quartile of the run's [`kernel_us`] readings — probes taken
     /// now and by [`Report::finish`], around the timed repetitions. A
     /// bench keeps each side's fastest repetition, which lands in the
@@ -196,13 +170,8 @@ impl Report {
     /// times worst).
     pub fn new(bench: &str) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let obx_threads = obx_util::pool::env_threads().unwrap_or(0);
         let mut report = Report { fields: Vec::new() };
-        report
-            .str("bench", bench)
-            .count("cores", cores as u64)
-            .count("pool_workers", ScoringEngine::new().threads() as u64 - 1)
-            .count("obx_threads", obx_threads as u64);
+        report.str("bench", bench).count("cores", cores as u64);
         probe_kernel(KERNEL_PROBES);
         report.stamp_kernel();
         report
@@ -361,7 +330,7 @@ mod tests {
         assert_eq!(obj["ok"], Json::Bool(true));
         assert_eq!(obj["n"], Json::Num(42.0));
         assert!(matches!(obj["profile"], Json::Obj(_)));
-        for fact in ["cores", "pool_workers", "obx_threads", "host_kernel_us"] {
+        for fact in ["cores", "host_kernel_us"] {
             assert!(
                 matches!(obj[fact], Json::Num(_)),
                 "missing host fact {fact}"
@@ -372,8 +341,6 @@ mod tests {
         let order = [
             "bench",
             "cores",
-            "pool_workers",
-            "obx_threads",
             "host_kernel_us",
             "a_ms",
             "rate",

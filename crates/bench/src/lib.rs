@@ -13,7 +13,7 @@
 //! every repetition against it (equal nodes, equal ranked output, equal
 //! membership bits), and [`harness::Report`] is the one writer of a
 //! bench file. It opens every file with the bench name and the host
-//! facts `cores`, `pool_workers` and `obx_threads`, writes `*_ms` wall
+//! facts `cores` and `host_kernel_us`, writes `*_ms` wall
 //! times to 3 decimals, prints the single line to stdout and writes it
 //! to the workspace root. `obx-ci` gates the `*_ms` keys against the
 //! committed files and fails a file that lacks the host facts.

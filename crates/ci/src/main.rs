@@ -8,7 +8,7 @@
 //!
 //! Runs the gate steps in order — the env-latch check (non-test code
 //! under `crates/*/src` may read no `OBX_*` environment variable but
-//! `OBX_THREADS` and `OBX_OBS`), `fmt --check`, workspace clippy with
+//! `OBX_OBS`), `fmt --check`, workspace clippy with
 //! warnings denied, a release build, the test suite, a build and
 //! self-test of the standalone `perfbench` package (outside the
 //! workspace, so nothing else compiles it against the library API), and
@@ -30,8 +30,7 @@
 //! baseline fails the gate outright — an ungated bench is a silent hole,
 //! not a soft skip — and so does a baseline `*_ms` key the fresh file no
 //! longer carries, or a fresh file without the host facts (`cores`,
-//! `pool_workers`, `obx_threads`, `host_kernel_us`) the bench harness
-//! stamps. A bench file
+//! `host_kernel_us`) the bench harness stamps. A bench file
 //! whose wall-time keys would fail gets its bin re-run once and is gated
 //! on the better of the two runs — machine-load noise retries away, a
 //! real regression fails twice.
@@ -120,7 +119,7 @@ const BENCHES: [(&str, &str, &str, &str); 6] = [
 
 /// The `OBX_*` environment variables non-test code may read. Any other
 /// is a forcing knob or latch, and fails the `env-latches` step.
-const ALLOWED_ENV: [&str; 2] = ["OBX_THREADS", "OBX_OBS"];
+const ALLOWED_ENV: [&str; 1] = ["OBX_OBS"];
 
 /// The in-process step that runs [`env_latch_violations`].
 const ENV_STEP: &str = "env-latches";
@@ -471,9 +470,9 @@ fn fails_gate(d: &Delta) -> bool {
 }
 
 /// The host facts every bench file carries at top level (stamped by
-/// `obx_bench::harness::Report`): core count, scoring-pool workers, the
-/// parsed `OBX_THREADS`, and the host-speed kernel reading.
-const HOST_FACTS: [&str; 4] = ["cores", "pool_workers", "obx_threads", HOST_KERNEL];
+/// `obx_bench::harness::Report`): core count and the host-speed kernel
+/// reading.
+const HOST_FACTS: [&str; 2] = ["cores", HOST_KERNEL];
 
 /// The [`HOST_FACTS`] a fresh bench file lacks. A bin that writes its
 /// file without the shared harness fails the gate here.
@@ -902,6 +901,7 @@ mod tests {
             env_latches(src),
             vec![
                 (3, "OBX_VIA_CONST".to_owned()),
+                (4, "OBX_THREADS".to_owned()),
                 (6, "OBX_LATCH".to_owned()),
                 (9, "OBX_HOOK".to_owned()),
             ]
@@ -952,13 +952,10 @@ mod tests {
 
     #[test]
     fn bench_files_must_carry_the_host_facts() {
-        let stamped = r#"{"bench":"t","cores":2,"pool_workers":1,"obx_threads":0,"host_kernel_us":9000.0,"a_ms":1.0}"#;
+        let stamped = r#"{"bench":"t","cores":2,"host_kernel_us":9000.0,"a_ms":1.0}"#;
         assert!(missing_host_facts(stamped).is_empty());
-        let bare = r#"{"bench":"t","cores":2,"a_ms":1.0,"profile":{"pool_workers":1}}"#;
-        assert_eq!(
-            missing_host_facts(bare),
-            ["pool_workers", "obx_threads", "host_kernel_us"]
-        );
+        let bare = r#"{"bench":"t","a_ms":1.0,"profile":{"cores":2,"host_kernel_us":9000.0}}"#;
+        assert_eq!(missing_host_facts(bare), ["cores", "host_kernel_us"]);
     }
 
     /// A no-op tree measured in a slow host phase: every wall time and the

@@ -7,6 +7,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use obx_cli::CancelToken;
+use std::io::{ErrorKind, Write};
 
 fn main() {
     let cancel = CancelToken::new();
@@ -18,7 +19,17 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match obx_cli::run_cancellable(&args, &cancel) {
         Ok(outcome) => {
-            println!("{}", outcome.stdout);
+            // A reader that closed stdout early (`obx … | head -1`) ends
+            // the output, not the command: the exit code stays its own.
+            let mut out = std::io::stdout().lock();
+            let written = writeln!(out, "{}", outcome.stdout).and_then(|()| out.flush());
+            drop(out);
+            if let Err(e) = written {
+                if e.kind() != ErrorKind::BrokenPipe {
+                    eprintln!("error: cannot write output: {e}");
+                    std::process::exit(1);
+                }
+            }
             std::process::exit(outcome.exit_code);
         }
         Err(e) => {

@@ -1,12 +1,12 @@
 //! The shared scoring engine: one memo of match bitsets keyed by the
-//! compiled source query, and a persistent parallel scorer.
+//! compiled source query, scoring each batch on the calling thread.
 //!
 //! Every strategy ultimately asks the same question — *what are the match
 //! statistics of this candidate query against λ?* — and the answer
 //! decomposes per disjunct: PerfectRef, unfolding, and certain-membership
 //! all distribute over a UCQ's disjuncts, so a UCQ's statistics are fully
 //! determined by which labelled tuples each disjunct J-matches. The
-//! [`ScoringEngine`] exploits this five ways:
+//! [`ScoringEngine`] exploits this four ways:
 //!
 //! 1. **One memo, keyed by the compiled source query.** A disjunct's
 //!    [`MatchBits`] (one bit per labelled tuple, positives first) depend
@@ -32,13 +32,7 @@
 //!    **zero** evaluator calls (asserted by
 //!    `ucq_assembly_makes_no_evaluator_calls_once_disjuncts_are_cached`
 //!    below).
-//! 3. **Persistent worker pool.** Batches are scored on a pool built
-//!    once per engine (thread count from `OBX_THREADS`, else
-//!    [`std::thread::available_parallelism`], with no hard cap) and
-//!    parked between batches. Work is distributed dynamically: every
-//!    participant pulls candidates off a shared atomic cursor, so a slow
-//!    candidate no longer serializes a statically-assigned chunk.
-//! 4. **Refinement monotonicity** (`crate::prune`). Candidates arriving
+//! 3. **Refinement monotonicity** (`crate::prune`). Candidates arriving
 //!    with a [`ParentHandle`] — the canonical key and stats of the query
 //!    they were refined from — are **delta-evaluated** when the parent's
 //!    bits are in the memo (looked up once per distinct parent and
@@ -57,16 +51,13 @@
 //!    output is byte-identical to full evaluation, enforced by the
 //!    equivalence property suites. Always on, except where
 //!    [`ScoringEngine::with_config`] turns it off for an A/B comparison.
-//! 5. **Claims and dead slots.** A miss claims its source query's slot,
-//!    evaluates it, parent-delta or full (delta bits are full bits), and
-//!    publishes the bits. An evaluation a cutoff stopped publishes what
-//!    it settled as a *dead* slot, which later candidates with that
-//!    source start from: pruned without an evaluator call when it already
-//!    puts them below their cut, else evaluating the open tuples
-//!    privately. A dead slot never turns ready. On the worker pool,
-//!    candidates claim their source in batch order, so a shared source
-//!    is evaluated by its first candidate as on one thread and the
-//!    counters do not depend on scheduling.
+//! 4. **Dead slots.** A miss evaluates its source query, parent-delta
+//!    or full (delta bits are full bits), and stores the bits. An
+//!    evaluation a cutoff stopped stores what it settled as a *dead*
+//!    slot, which later candidates with that source start from: pruned
+//!    without an evaluator call when it already puts them below their
+//!    cut, else evaluating the open tuples privately. A dead slot never
+//!    turns ready.
 //!
 //! The engine is shared across [`ExplainTask::with_limits`] clones via
 //! `Arc`, so a meta-strategy's base run warms the memo for its assembly
@@ -81,16 +72,16 @@ use crate::prune::{CountBox, ParentHandle};
 use crate::score::Scoring;
 use obx_obdm::{CompiledQuery, ObdmError};
 use obx_query::{Cutoff, OntoCq, OntoUcq, SrcCq, SrcUcq};
-use obx_util::{FxHashMap, Interrupt, WorkerPool};
+use obx_util::{FxHashMap, Interrupt};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Locks in the engine recover from poisoning instead of propagating it:
 /// a candidate whose scoring panicked is quarantined per candidate (see
 /// [`ScoringEngine::score_batch_planned`]), and the shared state a lock
-/// guards here (memo, job queue, latch counters) is never left
-/// mid-update across a panic boundary, so the data is intact.
+/// guards here (the memo) is never left mid-update across a panic
+/// boundary, so the data is intact.
 macro_rules! lock_recover {
     ($e:expr) => {
         $e.unwrap_or_else(PoisonError::into_inner)
@@ -229,94 +220,29 @@ fn source_key(src: &SrcUcq) -> Cow<'_, [SrcCq]> {
     }
 }
 
-/// A memo entry: the bits, an evaluation in flight whose outcome the
-/// candidates waiting on it will share, or what an evaluation a cutoff
-/// stopped had settled.
+/// A memo entry: the bits, or what an evaluation a cutoff stopped had
+/// settled.
 enum SrcSlot {
-    Pending,
     Ready(Arc<MatchBits>),
     /// The source's evaluation was stopped below its candidate's cut.
     /// Its settled outcomes are exact facts about the source, so a later
     /// candidate with this source starts from them: it is pruned with no
     /// evaluator call when they already put it below its own cut, and
     /// otherwise evaluates the still-open tuples privately. The slot is
-    /// never claimed again, so which candidate reads it, and what it
-    /// reads, does not depend on scheduling.
+    /// never replaced.
     Dead(Arc<Prior>),
-}
-
-/// What [`ScoringEngine::claim_source`] hands a candidate.
-enum SrcClaim<'e> {
-    /// The source's bits: no evaluation needed.
-    Ready(Arc<MatchBits>),
-    /// What a stopped evaluation of the source settled.
-    Dead(Arc<Prior>),
-    /// The candidate evaluates the source and publishes its outcome.
-    Owner(SrcOwner<'e>),
-}
-
-/// The claim to evaluate one source query, whose memo slot holds
-/// [`SrcSlot::Pending`] until [`SrcOwner::publish`] stores the bits or
-/// [`SrcOwner::bury`] what a stopped evaluation settled; dropping the
-/// claim otherwise (an error or an unwind) withdraws it, so a candidate
-/// waiting on the source evaluates instead.
-struct SrcOwner<'e> {
-    engine: &'e ScoringEngine,
-    key: Option<&'e [SrcCq]>,
-}
-
-impl SrcOwner<'_> {
-    /// `bits` behind an `Arc`, published first when the caller holds
-    /// the source's claim.
-    fn share(owner: Option<Self>, bits: MatchBits) -> Arc<MatchBits> {
-        match owner {
-            Some(owner) => owner.publish(bits),
-            None => Arc::new(bits),
-        }
-    }
-
-    fn publish(self, bits: MatchBits) -> Arc<MatchBits> {
-        let bits = Arc::new(bits);
-        self.settle(SrcSlot::Ready(Arc::clone(&bits)));
-        bits
-    }
-
-    fn bury(self, known: Prior) {
-        self.settle(SrcSlot::Dead(Arc::new(known)));
-    }
-
-    fn settle(mut self, outcome: SrcSlot) {
-        if let Some(key) = self.key.take() {
-            let mut memo = lock_recover!(self.engine.memo.lock());
-            match memo.get_mut(key) {
-                Some(slot) => *slot = outcome,
-                None => {
-                    memo.insert(key.to_vec(), outcome);
-                }
-            }
-            self.engine.settled.notify_all();
-        }
-    }
-}
-
-impl Drop for SrcOwner<'_> {
-    fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            lock_recover!(self.engine.memo.lock()).remove(key);
-            self.engine.settled.notify_all();
-        }
-    }
 }
 
 /// What a lookup of one compiled candidate found.
-enum Lookup<'e> {
+enum Lookup<'k> {
     /// The source's bits, from a ready slot, or all zero for the empty
     /// source.
     Bits(Arc<MatchBits>),
-    /// A miss: the claim to publish the source's outcome, when the
-    /// candidate won it, and what the candidate starts from — its
-    /// parent's bits, narrowed by a dead slot's outcomes.
-    Miss(Option<SrcOwner<'e>>, Prior),
+    /// A miss: the key to store the source's outcome under when the memo
+    /// had no slot for it (`None` after a dead slot, which stays), and
+    /// what the candidate starts from — its parent's bits, narrowed by a
+    /// dead slot's outcomes.
+    Miss(Option<&'k [SrcCq]>, Prior),
 }
 
 /// A batch candidate's pruning cut: the score it must reach to matter
@@ -340,53 +266,6 @@ impl Cut<'_> {
     }
 }
 
-/// Batch-order turns for the memo on the worker pool. A candidate claims
-/// its source query only after every earlier candidate of the batch has
-/// claimed its own or finished, so a source shared within a batch is
-/// evaluated by its first candidate in batch order, as on one thread,
-/// and the engine's counters (`evals`, `cache_hits`, nodes) do not
-/// depend on scheduling.
-struct Turns {
-    /// The first position that has not passed, and which positions have.
-    state: Mutex<(usize, Vec<bool>)>,
-    moved: Condvar,
-}
-
-impl Turns {
-    fn new(n: usize) -> Self {
-        Self {
-            state: Mutex::new((0, vec![false; n])),
-            moved: Condvar::new(),
-        }
-    }
-
-    /// Blocks until every position before `pos` has passed.
-    fn wait(&self, pos: usize) {
-        let mut state = lock_recover!(self.state.lock());
-        while state.0 < pos {
-            state = lock_recover!(self.moved.wait(state));
-        }
-    }
-
-    /// Marks `pos` passed; passing twice is a no-op.
-    fn pass(&self, pos: usize) {
-        let mut state = lock_recover!(self.state.lock());
-        let (first, done) = &mut *state;
-        done[pos] = true;
-        while *first < done.len() && done[*first] {
-            *first += 1;
-        }
-        self.moved.notify_all();
-    }
-}
-
-/// A batch candidate's place in its batch's [`Turns`].
-#[derive(Clone, Copy)]
-pub(crate) struct Turn<'a> {
-    turns: &'a Turns,
-    pos: usize,
-}
-
 /// Each distinct refinement parent of a batch, with its memoized bits
 /// when it has any.
 type Parents<'p> = FxHashMap<&'p OntoCq, Option<Arc<MatchBits>>>;
@@ -394,7 +273,6 @@ type Parents<'p> = FxHashMap<&'p OntoCq, Option<Arc<MatchBits>>>;
 /// Shared scoring state of one explanation task. See the module docs.
 pub struct ScoringEngine {
     memo: Mutex<FxHashMap<Vec<SrcCq>, SrcSlot>>,
-    settled: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     evals: AtomicU64,
@@ -405,35 +283,22 @@ pub struct ScoringEngine {
     eval_nodes: AtomicU64,
     cutoffs: AtomicU64,
     dead_disjuncts: AtomicU64,
-    threads: usize,
     incremental: bool,
-    pool: OnceLock<WorkerPool>,
     #[cfg(any(test, feature = "fault-injection"))]
     fault: fault::FaultState,
 }
 
 impl ScoringEngine {
-    /// An empty engine. Thread count comes from `OBX_THREADS` when set to
-    /// a positive integer, else from the machine's available parallelism;
-    /// the incremental (delta + pruning) path is on.
+    /// An empty engine with the incremental (delta + pruning) path on.
     pub fn new() -> Self {
-        Self::with_config(configured_threads(), true)
+        Self::with_config(true)
     }
 
-    /// An empty engine scoring batches on exactly `threads` threads
-    /// (clamped to ≥ 1), ignoring `OBX_THREADS` and autodetection. This
-    /// is the injectable path — tests use it instead of mutating the
-    /// process-global environment, which races across test threads.
-    pub fn with_threads(threads: usize) -> Self {
-        Self::with_config(threads, true)
-    }
-
-    /// The fully injectable constructor: exact thread count (clamped to
-    /// ≥ 1) and incremental toggle, ignoring the environment entirely.
-    pub fn with_config(threads: usize, incremental: bool) -> Self {
+    /// An empty engine with the incremental path on or off; off is the
+    /// baseline of an A/B comparison.
+    pub fn with_config(incremental: bool) -> Self {
         Self {
             memo: Mutex::new(FxHashMap::default()),
-            settled: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evals: AtomicU64::new(0),
@@ -444,9 +309,7 @@ impl ScoringEngine {
             eval_nodes: AtomicU64::new(0),
             cutoffs: AtomicU64::new(0),
             dead_disjuncts: AtomicU64::new(0),
-            threads: threads.max(1),
             incremental,
-            pool: OnceLock::new(),
             #[cfg(any(test, feature = "fault-injection"))]
             fault: fault::FaultState::new(),
         }
@@ -461,9 +324,10 @@ impl ScoringEngine {
         self.fault.arm(nth, mode);
     }
 
-    /// The number of threads batches are scored on.
+    /// The number of threads a batch is scored on: always 1, the
+    /// calling thread.
     pub fn threads(&self) -> usize {
-        self.threads
+        1
     }
 
     /// Lookups the memo answered with their source query's bits, with no
@@ -520,7 +384,7 @@ impl ScoringEngine {
 
     /// Candidates pruned after their cache miss: an evaluation a cutoff
     /// stopped below the candidate's cut, or a dead slot whose settled
-    /// outcomes already put it there (module docs, items 4 and 5). Each
+    /// outcomes already put it there (module docs, items 3 and 4). Each
     /// is also in its batch's [`BatchOutcome::pruned`].
     pub fn cutoffs(&self) -> u64 {
         self.cutoffs.load(Ordering::Relaxed)
@@ -566,22 +430,21 @@ impl ScoringEngine {
     ) -> Result<Arc<MatchBits>, ObdmError> {
         let src = self.compile(prepared, cq, interrupt)?;
         let key = source_key(&src);
-        let (owner, prior) = match self.lookup(prepared, &key, None, None)? {
+        let (store, prior) = match self.lookup(prepared, &key, None)? {
             Lookup::Bits(bits) => return Ok(bits),
-            Lookup::Miss(owner, prior) => (owner, prior),
+            Lookup::Miss(store, prior) => (store, prior),
         };
         // Without a cutoff an evaluation settles every open tuple.
         let (known, _) = self.evaluate(prepared, &src, prior, Cutoff::NONE);
-        Ok(SrcOwner::share(owner, known.into_bits()))
+        Ok(self.publish(store, known.into_bits()))
     }
 
     /// [`ScoringEngine::disjunct`] for a candidate of a batch. With
     /// `parent`'s bits (refinement provenance, `crate::prune`) only the
     /// tuples whose status can differ from the parent's go through the
-    /// evaluator, the rest accruing to [`ScoringEngine::evals_saved`]; on
-    /// the worker pool the candidate claims its source query in its
-    /// batch's turn order; and its evaluation stops once its counts
-    /// provably score below `cut`'s floor. `Ok(None)` is such a pruned
+    /// evaluator, the rest accruing to [`ScoringEngine::evals_saved`], and
+    /// its evaluation stops once its counts provably score below `cut`'s
+    /// floor. `Ok(None)` is such a pruned
     /// candidate (counted by [`ScoringEngine::cutoffs`]): its source's
     /// slot keeps what it settled as a [`SrcSlot::Dead`] slot, and a
     /// later candidate that a dead slot's outcomes already put below its
@@ -592,38 +455,37 @@ impl ScoringEngine {
         cq: &OntoCq,
         interrupt: &Interrupt,
         parent: Option<(&MatchBits, crate::prune::RefineDir)>,
-        turn: Option<Turn<'_>>,
         cut: Cut<'_>,
     ) -> Result<Option<Arc<MatchBits>>, ObdmError> {
         let src = self.compile(prepared, cq, interrupt)?;
         let key = source_key(&src);
-        let (owner, prior) = match self.lookup(prepared, &key, parent, turn)? {
+        let (store, prior) = match self.lookup(prepared, &key, parent)? {
             Lookup::Bits(bits) => return Ok(Some(bits)),
-            Lookup::Miss(owner, prior) => (owner, prior),
+            Lookup::Miss(store, prior) => (store, prior),
         };
         // Without a finite floor nothing can be cut, and the box is not
         // worth counting.
         let cutoff = if cut.floor > f64::NEG_INFINITY {
             match cut.cutoff(&prior.count_box()) {
                 Some(cutoff) => cutoff,
-                None => return Ok(self.prune(owner, prior)),
+                None => return Ok(self.prune(store, prior)),
             }
         } else {
             Cutoff::NONE
         };
         let (known, stopped) = self.evaluate(prepared, &src, prior, cutoff);
         if stopped {
-            return Ok(self.prune(owner, known));
+            return Ok(self.prune(store, known));
         }
-        Ok(Some(SrcOwner::share(owner, known.into_bits())))
+        Ok(Some(self.publish(store, known.into_bits())))
     }
 
-    /// The memoized bits of `cq`, when a lookup has published them:
+    /// The memoized bits of `cq`, when a lookup has stored them:
     /// compiled under an inert interrupt, so a query the run already
     /// compiled is not charged to its resource guard or profile again,
     /// keyed on its live disjuncts as a lookup keys it, and read with no
-    /// claim, no evaluation and no counter. Refinement parents resolve
-    /// through this.
+    /// evaluation and no counter. Refinement parents resolve through
+    /// this.
     pub(crate) fn ready_bits(
         &self,
         prepared: &PreparedLabels<'_>,
@@ -660,36 +522,47 @@ impl ScoringEngine {
 
     /// Looks up the source query `key` of a candidate refined from
     /// `parent`, if any.
-    fn lookup<'e>(
-        &'e self,
+    fn lookup<'k>(
+        &self,
         prepared: &PreparedLabels<'_>,
-        key: &'e [SrcCq],
+        key: &'k [SrcCq],
         parent: Option<(&MatchBits, crate::prune::RefineDir)>,
-        turn: Option<Turn<'_>>,
-    ) -> Result<Lookup<'e>, ObdmError> {
-        let (owner, dead) = match self.claim_source(key, turn) {
-            SrcClaim::Ready(bits) => {
+    ) -> Result<Lookup<'k>, ObdmError> {
+        let dead = match lock_recover!(self.memo.lock()).get(key) {
+            Some(SrcSlot::Ready(bits)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Lookup::Bits(bits));
+                return Ok(Lookup::Bits(Arc::clone(bits)));
             }
-            SrcClaim::Dead(known) => (None, Some(known)),
-            SrcClaim::Owner(owner) => (Some(owner), None),
+            Some(SrcSlot::Dead(known)) => Some(Arc::clone(known)),
+            None => None,
         };
+        let store = dead.is_none().then_some(key);
         self.misses.fetch_add(1, Ordering::Relaxed);
         #[cfg(any(test, feature = "fault-injection"))]
         self.fault.check()?;
         if key.is_empty() {
             // No live disjunct: no tuple matches, with no evaluator call.
-            // The slot is published ready, never buried, so every later
+            // The slot is stored ready, never dead, so every later
             // candidate with the empty source hits it.
             let bits = MatchBits::empty(prepared.num_pos(), prepared.num_neg());
-            return Ok(Lookup::Bits(SrcOwner::share(owner, bits)));
+            return Ok(Lookup::Bits(self.publish(store, bits)));
         }
         let mut prior = prepared.prior(parent)?;
         if let Some(known) = dead {
             prior.learn(&known)?;
         }
-        Ok(Lookup::Miss(owner, prior))
+        Ok(Lookup::Miss(store, prior))
+    }
+
+    /// `bits` behind an `Arc`, stored ready under `store` first when the
+    /// lookup left the source's slot to this candidate.
+    fn publish(&self, store: Option<&[SrcCq]>, bits: MatchBits) -> Arc<MatchBits> {
+        let bits = Arc::new(bits);
+        if let Some(key) = store {
+            let slot = SrcSlot::Ready(Arc::clone(&bits));
+            lock_recover!(self.memo.lock()).insert(key.to_vec(), slot);
+        }
+        bits
     }
 
     /// Decides `prior`'s open tuples against the source query `src` in
@@ -724,45 +597,15 @@ impl ScoringEngine {
         (e.known, e.stopped)
     }
 
-    /// A candidate its cut pruned: counted, and what it settled buried in
-    /// its source's slot when it holds the claim.
-    fn prune(&self, owner: Option<SrcOwner<'_>>, known: Prior) -> Option<Arc<MatchBits>> {
+    /// A candidate its cut pruned: counted, and what it settled stored as
+    /// its source's dead slot when the lookup left the slot to it.
+    fn prune(&self, store: Option<&[SrcCq]>, known: Prior) -> Option<Arc<MatchBits>> {
         self.cutoffs.fetch_add(1, Ordering::Relaxed);
-        if let Some(owner) = owner {
-            owner.bury(known);
+        if let Some(key) = store {
+            let slot = SrcSlot::Dead(Arc::new(known));
+            lock_recover!(self.memo.lock()).insert(key.to_vec(), slot);
         }
         None
-    }
-
-    /// The memo's answer for `key`: its bits or a dead slot's outcomes,
-    /// or the claim to evaluate it when no candidate holds one. While
-    /// another candidate evaluates it, this blocks until that candidate
-    /// publishes, buries or withdraws. The caller's turn, if any, is
-    /// waited for before the memo is read and passed, with the memo
-    /// locked, before any blocking: claims are made in batch order, and
-    /// later candidates are not held up by another's evaluation.
-    fn claim_source<'e>(&'e self, key: &'e [SrcCq], turn: Option<Turn<'_>>) -> SrcClaim<'e> {
-        if let Some(t) = turn {
-            t.turns.wait(t.pos);
-        }
-        let mut memo = lock_recover!(self.memo.lock());
-        if let Some(t) = turn {
-            t.turns.pass(t.pos);
-        }
-        loop {
-            match memo.get(key) {
-                Some(SrcSlot::Ready(bits)) => return SrcClaim::Ready(Arc::clone(bits)),
-                Some(SrcSlot::Dead(known)) => return SrcClaim::Dead(Arc::clone(known)),
-                Some(SrcSlot::Pending) => memo = lock_recover!(self.settled.wait(memo)),
-                None => {
-                    memo.insert(key.to_vec(), SrcSlot::Pending);
-                    return SrcClaim::Owner(SrcOwner {
-                        engine: self,
-                        key: Some(key),
-                    });
-                }
-            }
-        }
     }
 
     /// Match bitset of a UCQ: the OR of its disjuncts' memoized bitsets.
@@ -815,7 +658,7 @@ impl ScoringEngine {
     }
 
     /// Scores a batch of candidates carrying refinement provenance on the
-    /// worker pool, with monotone bound pruning against floors that rise
+    /// calling thread, with monotone bound pruning against floors that rise
     /// as the batch scores; order follows the input. This is the engine's
     /// one batch entry, and it keeps the full resilience contract:
     ///
@@ -859,11 +702,9 @@ impl ScoringEngine {
     ///   pruned too ([`ScoringEngine::cutoffs`]).
     ///
     /// Pruned candidates score below every cut that could follow them, so
-    /// leaving them out changes neither later cuts nor the output. The
-    /// chunk schedule depends only on the batch, never on the thread
-    /// count, so the engine's counters do not either. Once the budget
-    /// stops the batch, nothing more is pruned — the anytime contract is
-    /// untouched.
+    /// leaving them out changes neither later cuts nor the output. Once
+    /// the budget stops the batch, nothing more is pruned — the anytime
+    /// contract is untouched.
     pub fn score_batch_planned(
         &self,
         task: &ExplainTask<'_>,
@@ -876,7 +717,6 @@ impl ScoringEngine {
         let t0 = std::time::Instant::now();
         let mut sp = obx_util::span!(self.recorder_of(task), "score_batch");
         sp.count("candidates", n as u64);
-        let quarantined = AtomicUsize::new(0);
         let bounds: Vec<f64> = planned
             .iter()
             .map(|p| match (&p.parent, self.incremental) {
@@ -906,8 +746,7 @@ impl ScoringEngine {
             window
         };
         let mut floors = Floors::new(window, cap, pool);
-        let mut explanations = Vec::new();
-        let mut pruned = 0usize;
+        let mut out = BatchOutcome::default();
         let mut floor_active = false;
         let mut next = 0;
         while next < n && task.stop_reason().is_none() {
@@ -921,33 +760,26 @@ impl ScoringEngine {
             // prunes the rest of the batch.
             let end = next + order[next..].partition_point(|&i| bounds[i] >= cut);
             if end == next {
-                pruned += n - next;
+                out.pruned += n - next;
                 break;
             }
             let stop = end.min(next.saturating_add(chunk));
-            let (scored, cut_short) = self.score_indices(
-                task,
-                &planned,
-                &parents,
-                &order[next..stop],
-                &quarantined,
-                cut,
-            );
-            pruned += cut_short;
-            floors.add(scored.iter().map(|e| e.score));
-            explanations.extend(scored);
+            let scored = out.explanations.len();
+            for &i in &order[next..stop] {
+                if task.stop_reason().is_some() {
+                    break;
+                }
+                score_one(task, &planned[i], &parents, cut, &mut out);
+            }
+            floors.add(out.explanations[scored..].iter().map(|e| e.score));
             sp.count("chunks", 1);
             next = stop;
         }
         sp.count("floor_active", floor_active as u64);
-        sp.count("scored", explanations.len() as u64);
-        sp.count("pruned", pruned as u64);
+        sp.count("scored", out.explanations.len() as u64);
+        sp.count("pruned", out.pruned as u64);
         BATCH_NS.record_duration(t0.elapsed());
-        BatchOutcome {
-            explanations,
-            quarantined: quarantined.into_inner(),
-            pruned,
-        }
+        out
     }
 
     /// The recorder riding on `task`'s budget, if any — the hook every
@@ -958,102 +790,32 @@ impl ScoringEngine {
     ) -> Option<&'t std::sync::Arc<obx_util::obs::Recorder>> {
         task.budget().recorder()
     }
+}
 
-    /// Scores `planned[indices]` (in `indices` order) under the
-    /// quarantine + budget contract and the pruning cut `cut`,
-    /// sequentially or on the worker pool, delta-evaluating against the
-    /// bits in `parents`. Returns the explanations and how many
-    /// candidates the cut pruned mid-evaluation.
-    fn score_indices(
-        &self,
-        task: &ExplainTask<'_>,
-        planned: &[PlannedCq],
-        parents: &Parents<'_>,
-        indices: &[usize],
-        quarantined: &AtomicUsize,
-        cut: f64,
-    ) -> (Vec<Explanation>, usize) {
-        let n = indices.len();
-        let cut_short = AtomicUsize::new(0);
-        let score_one = |p: &PlannedCq, turn: Option<Turn<'_>>| -> Option<Explanation> {
-            let parent = p.parent.as_ref().and_then(|h| {
-                let bits = parents.get(h.key())?.as_deref()?;
-                Some((bits, h.dir()))
-            });
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                task.score_cq_at(&p.cq, parent, turn, cut)
-            }));
-            match attempt {
-                Ok(Ok(Some(e))) => Some(e),
-                Ok(Ok(None)) => {
-                    cut_short.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-                Ok(Err(e)) => {
-                    if !e.is_transient() {
-                        quarantined.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None
-                }
-                Err(_) => {
-                    quarantined.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            }
-        };
-        let out = if n < 4 || self.threads <= 1 {
-            let mut out = Vec::new();
-            for &i in indices {
-                if task.stop_reason().is_some() {
-                    break;
-                }
-                out.extend(score_one(&planned[i], None));
-            }
-            out
-        } else {
-            let rec = self.recorder_of(task);
-            let pool = self
-                .pool
-                .get_or_init(|| WorkerPool::named(self.threads - 1, "obx-scorer"));
-            let cursor = AtomicUsize::new(0);
-            let turns = Turns::new(n);
-            let slots: Vec<OnceLock<Option<Explanation>>> =
-                (0..n).map(|_| OnceLock::new()).collect();
-            pool.run(&|| {
-                // One span per participating worker, all at the same path:
-                // entry count = workers that pulled work, `tasks` sums the
-                // pulls, `max_tasks` is the heaviest worker's share —
-                // together the batch's utilization picture.
-                let mut wsp = obx_util::span!(rec, "score_workers");
-                let mut pulled = 0u64;
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= n {
-                        break;
-                    }
-                    // Every pulled position passes its turn, scored or
-                    // not, or the positions after it would wait forever.
-                    if task.stop_reason().is_some() {
-                        turns.pass(k);
-                        break;
-                    }
-                    let turn = Turn {
-                        turns: &turns,
-                        pos: k,
-                    };
-                    let _ = slots[k].set(score_one(&planned[indices[k]], Some(turn)));
-                    turns.pass(k);
-                    pulled += 1;
-                }
-                wsp.count("tasks", pulled);
-                wsp.count_max("max_tasks", pulled);
-            });
-            slots
-                .into_iter()
-                .filter_map(|s| s.into_inner().flatten())
-                .collect()
-        };
-        (out, cut_short.into_inner())
+/// Scores one batch candidate against the pruning cut `cut`, inside
+/// `catch_unwind`, delta-evaluating it against its parent's bits in
+/// `parents`, and tallies it in `out`: its explanation, or one more
+/// pruned or quarantined candidate. A transient error (the budget firing
+/// mid-compile) tallies nothing.
+fn score_one(
+    task: &ExplainTask<'_>,
+    p: &PlannedCq,
+    parents: &Parents<'_>,
+    cut: f64,
+    out: &mut BatchOutcome,
+) {
+    let parent = p.parent.as_ref().and_then(|h| {
+        let bits = parents.get(h.key())?.as_deref()?;
+        Some((bits, h.dir()))
+    });
+    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        task.score_cq_at(&p.cq, parent, cut)
+    }));
+    match attempt {
+        Ok(Ok(Some(e))) => out.explanations.push(e),
+        Ok(Ok(None)) => out.pruned += 1,
+        Ok(Err(e)) if e.is_transient() => {}
+        Ok(Err(_)) | Err(_) => out.quarantined += 1,
     }
 }
 
@@ -1138,13 +900,10 @@ impl std::fmt::Debug for ScoringEngine {
             .field("eval_nodes", &self.eval_nodes())
             .field("cutoffs", &self.cutoffs())
             .field("dead_disjuncts", &self.dead_disjuncts())
-            .field("threads", &self.threads)
             .field("incremental", &self.incremental)
             .finish()
     }
 }
-
-use obx_util::pool::configured_threads;
 
 #[cfg(test)]
 mod tests {
@@ -1319,59 +1078,6 @@ mod tests {
     }
 
     #[test]
-    fn score_batch_parallel_path_matches_sequential() {
-        let mut sys = example_3_6_system();
-        let (labels, scoring) = paper_task(&mut sys);
-        let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
-        let vocab = sys.spec().tbox().vocab();
-        use obx_query::{OntoAtom, OntoCq, Term, VarId};
-        let mut candidates = Vec::new();
-        for role in ["studies", "likes", "taughtIn", "locatedIn"] {
-            let r = vocab.get_role(role).unwrap();
-            candidates.push(
-                OntoCq::new(
-                    vec![VarId(0)],
-                    vec![OntoAtom::Role(r, Term::Var(VarId(0)), Term::Var(VarId(1)))],
-                )
-                .unwrap(),
-            );
-        }
-        let sequential: Vec<f64> = candidates
-            .iter()
-            .filter_map(|cq| task.score_cq(cq).ok())
-            .map(|e| e.score)
-            .collect();
-        let planned = candidates
-            .into_iter()
-            .map(|cq| PlannedCq { cq, parent: None })
-            .collect();
-        let parallel: Vec<f64> = task
-            .engine()
-            .score_batch_planned(&task, planned, usize::MAX, usize::MAX, &[])
-            .explanations
-            .into_iter()
-            .map(|e| e.score)
-            .collect();
-        assert_eq!(sequential, parallel);
-    }
-
-    #[test]
-    fn with_threads_makes_thread_count_injectable() {
-        // The injectable path `with_threads` replaces the old env-var
-        // probe test: tests sharing this process could interleave
-        // set/remove of OBX_THREADS, so the global-env path is only
-        // exercised for its parse logic, never by mutating the env.
-        assert_eq!(ScoringEngine::with_threads(3).threads(), 3);
-        assert_eq!(
-            ScoringEngine::with_threads(0).threads(),
-            1,
-            "clamped to >= 1"
-        );
-        // `new` resolves to *some* positive count whatever the env says.
-        assert!(ScoringEngine::new().threads() >= 1);
-    }
-
-    #[test]
     fn delta_evaluation_saves_evaluator_calls_and_matches_full() {
         use crate::prune::{ParentHandle, RefineDir};
         let mut sys = example_3_6_system();
@@ -1384,7 +1090,7 @@ mod tests {
             .unwrap();
         let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
 
-        let on = Arc::new(ScoringEngine::with_config(1, true));
+        let on = Arc::new(ScoringEngine::with_config(true));
         let task_on = task.with_engine(Arc::clone(&on));
         let parent = task_on.score_cq(&parent_q.disjuncts()[0]).unwrap();
         let child = PlannedCq {
@@ -1398,7 +1104,7 @@ mod tests {
             "restricted evaluation must skip the parent's zero bits"
         );
 
-        let off = Arc::new(ScoringEngine::with_config(1, false));
+        let off = Arc::new(ScoringEngine::with_config(false));
         let task_off = task.with_engine(off);
         let full = task_off.score_cq(&child_q.disjuncts()[0]).unwrap();
         assert_eq!(child.stats, full.stats);
@@ -1444,7 +1150,7 @@ mod tests {
         // Incremental engine, window 1, a pool entry above every bound:
         // once the strong candidate scored, the bounded one is provably
         // outside both the window and the pool and is skipped.
-        let on = Arc::new(ScoringEngine::with_config(1, true));
+        let on = Arc::new(ScoringEngine::with_config(true));
         let task_on = task.with_engine(Arc::clone(&on));
         let outcome =
             on.score_batch_planned(&task_on, planned(Some(hopeless.clone())), 1, 1, &[2.0]);
@@ -1455,7 +1161,7 @@ mod tests {
 
         // Baseline engine: bounds are all +∞, nothing is pruned, and the
         // stable sort keeps the input order exactly.
-        let off = Arc::new(ScoringEngine::with_config(1, false));
+        let off = Arc::new(ScoringEngine::with_config(false));
         let task_off = task.with_engine(Arc::clone(&off));
         let outcome =
             off.score_batch_planned(&task_off, planned(Some(hopeless.clone())), 1, 1, &[2.0]);
@@ -1469,7 +1175,7 @@ mod tests {
 
         // An unfilled pool disables pruning even under the window guard
         // (the candidate might still enter the pool).
-        let fresh = Arc::new(ScoringEngine::with_config(1, true));
+        let fresh = Arc::new(ScoringEngine::with_config(true));
         let outcome = fresh.score_batch_planned(
             &task.with_engine(Arc::clone(&fresh)),
             planned(Some(hopeless)),
@@ -1492,7 +1198,7 @@ mod tests {
         let likes = sys.parse_query(r#"q(x) :- likes(x, "Math")"#).unwrap();
         let studies = sys.parse_query(r#"q(x) :- studies(x, "Math")"#).unwrap();
         let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
-        let engine = Arc::new(ScoringEngine::with_config(1, true));
+        let engine = Arc::new(ScoringEngine::with_config(true));
         let task = task.with_engine(Arc::clone(&engine));
         let planned = [&studies, &likes]
             .map(|q| PlannedCq {

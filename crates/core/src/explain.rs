@@ -244,7 +244,7 @@ impl<'a> ExplainTask<'a> {
         self.arity
     }
 
-    /// The shared scoring engine (memo cache + worker pool). Shared, not
+    /// The shared scoring engine (its memo cache). Shared, not
     /// cloned, by [`ExplainTask::with_limits`], so meta-strategies reuse
     /// the base run's cache.
     pub fn engine(&self) -> &ScoringEngine {
@@ -358,7 +358,6 @@ impl<'a> ExplainTask<'a> {
         &self,
         cq: &OntoCq,
         parent: Option<(&MatchBits, crate::prune::RefineDir)>,
-        turn: Option<crate::engine::Turn<'_>>,
         floor: f64,
     ) -> Result<Option<Explanation>, ExplainError> {
         let cut = crate::engine::Cut {
@@ -366,9 +365,9 @@ impl<'a> ExplainTask<'a> {
             scoring: self.scoring,
             num_atoms: cq.num_atoms(),
         };
-        let bits =
-            self.engine
-                .disjunct_at(&self.prepared, cq, &self.interrupt, parent, turn, cut)?;
+        let bits = self
+            .engine
+            .disjunct_at(&self.prepared, cq, &self.interrupt, parent, cut)?;
         Ok(bits.map(|bits| self.explanation_of(cq, &bits)))
     }
 

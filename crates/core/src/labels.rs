@@ -8,7 +8,7 @@
 
 use obx_srcdb::{Const, ConstPool, Database, Tuple};
 use obx_util::diag::{col_of, Diagnostic, Diagnostics};
-use obx_util::FxHashSet;
+use obx_util::{FxHashMap, FxHashSet};
 use std::fmt;
 
 /// Errors building a label set.
@@ -54,11 +54,15 @@ impl std::error::Error for LabelsError {}
 /// the line and continues.
 type Sink<'a> = dyn FnMut(usize, usize, LabelsError) -> Result<(), LabelsError> + 'a;
 
-/// The labelled tuples `λ⁺` / `λ⁻`.
+/// The labelled tuples `λ⁺` / `λ⁻`, each in insertion order, which
+/// rendering and the match bitsets' layout follow.
 #[derive(Debug, Clone, Default)]
 pub struct Labels {
     pos: Vec<Tuple>,
     neg: Vec<Tuple>,
+    /// Every labelled tuple's side (`true` for `λ⁺`): membership in
+    /// constant time, so reading λ is linear in its size.
+    side: FxHashMap<Tuple, bool>,
     arity: Option<usize>,
 }
 
@@ -102,18 +106,17 @@ impl Labels {
     /// not labelled there yet.
     fn add(&mut self, t: Tuple, positive: bool) -> Result<bool, LabelsError> {
         self.check_arity(&t)?;
-        let (side, other) = if positive {
-            (&mut self.pos, &self.neg)
+        match self.side.get(&t) {
+            Some(&p) if p == positive => return Ok(false),
+            Some(_) => return Err(LabelsError::Conflict(format!("{t:?}"))),
+            None => {}
+        }
+        self.side.insert(t.clone(), positive);
+        if positive {
+            self.pos.push(t);
         } else {
-            (&mut self.neg, &self.pos)
-        };
-        if other.contains(&t) {
-            return Err(LabelsError::Conflict(format!("{t:?}")));
+            self.neg.push(t);
         }
-        if side.contains(&t) {
-            return Ok(false);
-        }
-        side.push(t);
         Ok(true)
     }
 
@@ -154,13 +157,7 @@ impl Labels {
 
     /// The value `λ(t)` for a tuple, if labelled.
     pub fn label_of(&self, t: &[Const]) -> Option<i8> {
-        if self.pos.iter().any(|p| **p == *t) {
-            Some(1)
-        } else if self.neg.iter().any(|n| **n == *t) {
-            Some(-1)
-        } else {
-            None
-        }
+        self.side.get(t).map(|&p| if p { 1 } else { -1 })
     }
 
     /// All distinct constants mentioned by labelled tuples.

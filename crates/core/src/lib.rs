@@ -24,7 +24,7 @@
 //! 5. **Scoring engine** ([`engine`]) — all candidate scoring funnels
 //!    through a shared per-task engine: each distinct disjunct is compiled
 //!    and matched once and memoized as a bitset; UCQ statistics are bit
-//!    ORs; batches run on a persistent worker pool (`OBX_THREADS`).
+//!    ORs; a batch scores on the calling thread.
 //!    Refinement children are delta-evaluated against their parent's bits
 //!    and bound-pruned via interval arithmetic over `Z` ([`prune`]),
 //!    returning byte-identical rankings at a fraction of the evaluator
@@ -76,8 +76,8 @@
 
 #![warn(missing_docs)]
 // Scoring runs inside the always-on serve loop, budgets and validation
-// face untrusted input, and a panic in the engine's worker pool defeats
-// the quarantine contract: no non-test code in this crate may panic on
+// face untrusted input, and a panic in the engine defeats the
+// quarantine contract: no non-test code in this crate may panic on
 // an `unwrap` or `expect`. The few static invariants carry a scoped
 // `#[allow]` with the reason next to it.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -11,9 +11,8 @@
 //! [`ScoringEngine`](crate::engine::ScoringEngine): each *distinct*
 //! compiled source query is evaluated against the labelled borders
 //! exactly once and memoized as a match bitset; unions are scored by
-//! OR-ing memoized bitsets with no evaluator calls; and
-//! batches run on a persistent worker pool whose size honours
-//! `OBX_THREADS` (defaulting to the machine's available parallelism).
+//! OR-ing memoized bitsets with no evaluator calls; and each batch
+//! scores on the calling thread.
 //!
 //! Beam search and bottom-up generalization differ only in their first
 //! batch and their one-step operator (specialization vs generalization);

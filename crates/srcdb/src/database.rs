@@ -457,7 +457,7 @@ pub struct Database {
     /// Bulk-load sizing hint consumed when `dedup` materializes.
     dedup_hint: usize,
     /// Lazily built; see the module docs. `OnceLock` keeps the build
-    /// thread-safe under the shared borrows of the border worker pool.
+    /// thread-safe under shared borrows (one epoch serves many requests).
     dedup: OnceLock<Box<DedupTable>>,
     qidx: OnceLock<Box<QueryIndexes>>,
     /// Lazily built from `qidx`; dropped by every insert.

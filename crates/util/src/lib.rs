@@ -22,13 +22,10 @@
 //!   and the `OBX_OBS` environment variable;
 //! * [`signal`] — the process's single SIGINT/SIGTERM handler, fanning
 //!   shutdown out to every registered cancellation flag (CLI Ctrl-C
-//!   cancel and `obx serve` drain share it — no double-install races);
-//! * [`pool`] — a persistent scoped worker pool (lifetime-erased batch
-//!   closures behind a countdown latch) shared by the scoring engine and
-//!   the parallel border BFS.
+//!   cancel and `obx serve` drain share it — no double-install races).
 
 #![warn(missing_docs)]
-// Hashing, interning and the worker pool sit under every other crate,
+// Hashing, interning and observability sit under every other crate,
 // the always-on server included: no non-test code in this crate may panic
 // on an `unwrap` or `expect`. A static invariant or a capacity overflow
 // carries a scoped `#[allow]` with the reason next to it.
@@ -41,7 +38,6 @@ pub mod hash;
 pub mod intern;
 pub mod interrupt;
 pub mod obs;
-pub mod pool;
 pub mod signal;
 pub mod table;
 
@@ -51,4 +47,3 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{Interner, Span, Symbol};
 pub use interrupt::Interrupt;
 pub use obs::{PipelineProfile, Recorder};
-pub use pool::WorkerPool;

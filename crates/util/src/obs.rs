@@ -808,7 +808,7 @@ mod tests {
         if !rec.is_enabled() {
             return;
         }
-        // Two spans at the same path (as per-worker spans of one batch
+        // Two spans at the same path (as one search's per-round spans
         // are): the high-water mark must be the max, not the sum.
         for v in [7u64, 3] {
             let mut s = rec.enter("batch/worker");

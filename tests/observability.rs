@@ -232,7 +232,7 @@ fn eval_nodes_gauge_counts_one_run_only() {
         .map(|_| {
             let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default())
                 .expect("task")
-                .with_engine(Arc::new(ScoringEngine::with_threads(1)));
+                .with_engine(Arc::new(ScoringEngine::new()));
             BeamSearch.explain_with_status(&task).expect("search");
             task.engine().eval_nodes()
         })

@@ -33,7 +33,7 @@ const PAPER_LABELS: &str = "+ A10\n+ B80\n+ C12\n+ D50\n- E25";
 /// parent's bits equals full evaluation bit for bit. Returns how many
 /// children were checked.
 fn check_lattice_step(task: &ExplainTask<'_>, cq: &OntoCq, dir: RefineDir) -> usize {
-    let engine = ScoringEngine::with_config(1, true);
+    let engine = ScoringEngine::new();
     let prepared = task.prepared();
     let none = Interrupt::none();
     let parent = match engine.disjunct(prepared, cq, &none) {

@@ -92,7 +92,7 @@ fn every_strategy_survives_a_panicking_scoring_call() {
         for w in report.explanations.windows(2) {
             assert!(w[0].score >= w[1].score, "{}", strategy.name());
         }
-        // The engine and its worker pool stay usable: the fault is spent,
+        // The engine stays usable: the fault is spent,
         // a panic is never memoized, so a re-run on the same task covers
         // the quarantined candidate too and completes cleanly.
         let rerun = strategy.explain_with_status(&task).unwrap();
@@ -124,8 +124,8 @@ fn permanent_scoring_failures_are_quarantined_not_fatal() {
 }
 
 /// Beam search on the paper's example under an eval cap of 12, scored on
-/// an engine with `threads` workers. Returns the engine's eval total.
-fn beam_under_eval_cap(threads: usize) -> u64 {
+/// a fresh engine. Returns the engine's eval total.
+fn beam_under_eval_cap() -> u64 {
     let mut sys = example_3_6_system();
     let labels = Labels::parse(sys.db_mut(), PAPER_LABELS).unwrap();
     let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
@@ -135,7 +135,7 @@ fn beam_under_eval_cap(threads: usize) -> u64 {
     let task =
         ExplainTask::new_with_budget(&sys, &labels, 1, &scoring, SearchLimits::default(), budget)
             .unwrap()
-            .with_engine(Arc::new(ScoringEngine::with_threads(threads)));
+            .with_engine(Arc::new(ScoringEngine::new()));
     let report = BeamSearch.explain_with_status(&task).unwrap();
     assert_eq!(report.termination, Termination::EvalBudgetExhausted);
     assert!(!report.explanations.is_empty());
@@ -144,23 +144,10 @@ fn beam_under_eval_cap(threads: usize) -> u64 {
 
 #[test]
 fn eval_budget_exhaustion_returns_best_so_far() {
-    // The stop is checked at candidate granularity: on one worker the
-    // overshoot is bounded by one candidate's worth of evals.
-    let evals = beam_under_eval_cap(1);
+    // The stop is checked at candidate granularity, so the overshoot is
+    // bounded by one candidate's worth of evals.
+    let evals = beam_under_eval_cap();
     assert!(evals <= 12 + 5, "eval overshoot: {evals}");
-}
-
-#[test]
-fn eval_budget_overshoot_is_bounded_per_worker() {
-    // Each worker checks the stop before each candidate it takes, so up
-    // to one candidate per worker can be in flight when the cap is
-    // crossed.
-    let threads = 2;
-    let evals = beam_under_eval_cap(threads);
-    assert!(
-        evals <= 12 + 5 * threads as u64,
-        "eval overshoot on {threads} workers: {evals}"
-    );
 }
 
 #[test]

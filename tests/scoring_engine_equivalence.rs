@@ -232,10 +232,9 @@ struct PoolCounts {
 }
 
 /// Scores random roots and their refinements on scenario `s`, in full
-/// and with parent-delta evaluation, on one and two scoring threads, and
-/// checks every candidate's engine stats against the uncached matcher.
-/// Returns what the run saw ([`PoolCounts`]). Both thread counts must
-/// count the same hits and misses.
+/// and with parent-delta evaluation, and checks every candidate's engine
+/// stats against the uncached matcher and its hits against the model's.
+/// Returns what the run saw ([`PoolCounts`]).
 fn check_refinements_against_uncached(s: &Scenario, seed: u64, atoms: usize) -> PoolCounts {
     let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
     let base = ExplainTask::new(&s.system, &s.labels, 1, &scoring, SearchLimits::default())
@@ -279,60 +278,39 @@ fn check_refinements_against_uncached(s: &Scenario, seed: u64, atoms: usize) -> 
     }
 
     for incremental in [false, true] {
-        let engines = [1, 2].map(|threads| {
-            let engine = Arc::new(ScoringEngine::with_config(threads, incremental));
-            let task = base.with_engine(Arc::clone(&engine));
-            for root in &roots {
-                let Ok(parent) = task.score_cq(root) else {
-                    continue;
-                };
-                let planned: Vec<PlannedCq> = refinements(&s.system, root)
-                    .into_iter()
-                    .map(|(dir, cq)| PlannedCq {
-                        cq,
-                        parent: ParentHandle::from_explanation(dir, &parent),
-                    })
-                    .collect();
-                let expected = planned.iter().filter(|p| compile(&p.cq).is_ok()).count();
-                let out = engine.score_batch_planned(&task, planned, usize::MAX, usize::MAX, &[]);
+        let engine = Arc::new(ScoringEngine::with_config(incremental));
+        let task = base.with_engine(Arc::clone(&engine));
+        for root in &roots {
+            let Ok(parent) = task.score_cq(root) else {
+                continue;
+            };
+            let planned: Vec<PlannedCq> = refinements(&s.system, root)
+                .into_iter()
+                .map(|(dir, cq)| PlannedCq {
+                    cq,
+                    parent: ParentHandle::from_explanation(dir, &parent),
+                })
+                .collect();
+            let expected = planned.iter().filter(|p| compile(&p.cq).is_ok()).count();
+            let out = engine.score_batch_planned(&task, planned, usize::MAX, usize::MAX, &[]);
+            assert_eq!(
+                out.explanations.len(),
+                expected,
+                "seed {seed}: a candidate was lost"
+            );
+            for e in std::iter::once(&parent).chain(&out.explanations) {
+                let plain = task.prepared().stats_of(&e.query).expect("scored above");
                 assert_eq!(
-                    out.explanations.len(),
-                    expected,
-                    "seed {seed}: a candidate was lost"
+                    e.stats, plain,
+                    "seed {seed}, incremental {incremental}: {:?}",
+                    e.query
                 );
-                for e in std::iter::once(&parent).chain(&out.explanations) {
-                    let plain = task.prepared().stats_of(&e.query).expect("scored above");
-                    assert_eq!(
-                        e.stats, plain,
-                        "seed {seed}, {threads} threads, incremental {incremental}: {:?}",
-                        e.query
-                    );
-                }
             }
-            engine
-        });
-        let [one, two] = &engines;
-        assert_eq!(one.cache_hits(), hits, "seed {seed}");
-        if incremental {
-            counts.dead = one.dead_disjuncts();
         }
-        // On the pool, a shared source is still evaluated by its first
-        // candidate in batch order, so the evaluator work is the
-        // sequential run's.
-        let work = |e: &ScoringEngine| {
-            (
-                e.eval_calls(),
-                e.batch_calls(),
-                e.eval_nodes(),
-                e.cache_hits(),
-                e.cache_misses(),
-            )
-        };
-        assert_eq!(
-            work(one),
-            work(two),
-            "seed {seed}, incremental {incremental}"
-        );
+        assert_eq!(engine.cache_hits(), hits, "seed {seed}");
+        if incremental {
+            counts.dead = engine.dead_disjuncts();
+        }
     }
     counts
 }
@@ -340,8 +318,7 @@ fn check_refinements_against_uncached(s: &Scenario, seed: u64, atoms: usize) -> 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6 })]
 
-    /// Parent-delta and full scoring, on one and two threads, give the
-    /// uncached stats for every refinement, source-memo hits included.
+    /// Parent-delta and full scoring give the uncached stats for every refinement, source-memo hits included.
     #[test]
     fn refinements_and_source_siblings_match_uncached(seed in 0u64..500, atoms in 1usize..4) {
         check_refinements_against_uncached(&scenario(seed), seed, atoms);
@@ -349,26 +326,12 @@ proptest! {
     }
 }
 
-/// The engine counters that must not depend on the thread count.
-fn counters(e: &ScoringEngine) -> [u64; 6] {
-    [
-        e.eval_calls(),
-        e.eval_nodes(),
-        e.cache_hits(),
-        e.batch_calls(),
-        e.cutoffs(),
-        e.cache_misses(),
-    ]
-}
-
 /// Scores random roots' refinement batches with finite floors — a
-/// selection window of 3, a pool of 4 holding the root's score — on one
-/// and on two scoring threads, and against a baseline engine that prunes
-/// nothing. Both thread counts must return the same explanations and the
-/// same `pruned`, `evals`, `eval_nodes`, `cache_hits`, `batch_calls` and
-/// cutoffs; every baseline candidate that reaches the final cut must be
-/// among them with its exact stats. Returns (pruned, cutoffs) summed over
-/// the batches.
+/// selection window of 3, a pool of 4 holding the root's score — and
+/// against a baseline engine that prunes nothing: every baseline
+/// candidate that reaches the final cut must be among the floored
+/// batch's explanations with its exact stats. Returns (pruned, cutoffs)
+/// summed over the batches.
 fn check_floored_batches(seed: u64, atoms: usize, scoring: &Scoring) -> (usize, u64) {
     const WINDOW: usize = 3;
     const CAP: usize = 4;
@@ -382,8 +345,8 @@ fn check_floored_batches(seed: u64, atoms: usize, scoring: &Scoring) -> (usize, 
     // One batch over every root's refinements, as a beam round mixes the
     // children of several parents; the pool holds the roots' scores.
     let run =
-        |threads: usize, incremental: bool| {
-            let engine = Arc::new(ScoringEngine::with_config(threads, incremental));
+        |incremental: bool| {
+            let engine = Arc::new(ScoringEngine::with_config(incremental));
             let task = base.with_engine(Arc::clone(&engine));
             let mut pool = Vec::new();
             let mut planned = Vec::new();
@@ -407,20 +370,10 @@ fn check_floored_batches(seed: u64, atoms: usize, scoring: &Scoring) -> (usize, 
                 .iter()
                 .map(|e| (e.query.clone(), e.score.to_bits(), e.stats))
                 .collect();
-            ((pool, rows, out.pruned), counters(&engine))
+            (pool, rows, out.pruned, engine.cutoffs())
         };
-    let (one, one_counters) = run(1, true);
-    let (two, two_counters) = run(2, true);
-    assert_eq!(
-        one, two,
-        "seed {seed}: output or pruned differs across threads"
-    );
-    assert_eq!(
-        one_counters, two_counters,
-        "seed {seed}: counters differ across threads"
-    );
-    let (pool, kept, pruned) = one;
-    let ((_, all, none), _) = run(1, false);
+    let (pool, kept, pruned, cutoffs) = run(true);
+    let (_, all, none, _) = run(false);
     assert_eq!(none, 0, "the baseline engine never prunes");
     assert_eq!(
         kept.len() + pruned,
@@ -440,14 +393,14 @@ fn check_floored_batches(seed: u64, atoms: usize, scoring: &Scoring) -> (usize, 
             row.0
         );
     }
-    (pruned, one_counters[4])
+    (pruned, cutoffs)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6 })]
 
-    /// Rising floors and in-evaluation cutoffs are thread-count
-    /// independent and never drop a candidate that could rank.
+    /// Rising floors and in-evaluation cutoffs never drop a candidate
+    /// that could rank.
     #[test]
     fn floored_batches_are_thread_independent_and_exact(seed in 0u64..500, atoms in 1usize..4) {
         check_floored_batches(seed, atoms, &Scoring::paper_weighted(1.0, 1.0, 1.0));

@@ -41,8 +41,8 @@ fn run_both(
     task: &ExplainTask<'_>,
     strategy: &dyn Strategy,
 ) -> (ExplainReport, ExplainReport, u64) {
-    let base = Arc::new(ScoringEngine::with_config(2, false));
-    let incr = Arc::new(ScoringEngine::with_config(2, true));
+    let base = Arc::new(ScoringEngine::with_config(false));
+    let incr = Arc::new(ScoringEngine::with_config(true));
     let off = strategy
         .explain_with_status(&task.with_engine(Arc::clone(&base)))
         .expect("baseline run succeeds");
@@ -233,9 +233,9 @@ proptest! {
             &s.system, &s.labels, 1, &scoring, limits, budget,
         ).unwrap();
         let reference = ExplainTask::new(&s.system, &s.labels, 1, &scoring, limits).unwrap();
-        let ref_task = reference.with_engine(Arc::new(ScoringEngine::with_config(2, false)));
+        let ref_task = reference.with_engine(Arc::new(ScoringEngine::with_config(false)));
         for strategy in light_strategies() {
-            let incr = Arc::new(ScoringEngine::with_config(2, true));
+            let incr = Arc::new(ScoringEngine::with_config(true));
             let report = strategy
                 .explain_with_status(&capped.with_engine(Arc::clone(&incr)))
                 .expect("budget-stopped runs still return a report");

@@ -231,10 +231,7 @@ fn pruning_preserves_ranked_output() {
     let baseline = {
         let task = ExplainTask::new(&sys, &labels, 1, &scoring, beam_limits())
             .expect("task")
-            .with_engine(Arc::new(ScoringEngine::with_config(
-                obx_util::pool::configured_threads(),
-                false,
-            )));
+            .with_engine(Arc::new(ScoringEngine::with_config(false)));
         BeamSearch.explain_with_status(&task).expect("search")
     };
     assert!(incremental.pruned > 0 && baseline.pruned == 0);
