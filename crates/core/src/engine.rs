@@ -18,7 +18,21 @@
 //!    ([`obx_query::eval::data_dead`]: an atom with no fact, or a
 //!    variable in two columns that share no constant; they match no
 //!    border), and reads
-//!    the memo under the sorted rest. GAV unfolding is
+//!    the memo under the sorted rest. A candidate of two atoms or more
+//!    first reads a per-task *liveness table*: the pattern of each atom
+//!    (predicate, constants, variables renamed by first occurrence) maps
+//!    to whether the atom's own boolean query compiles to a live
+//!    disjunct. One dead atom answers the candidate
+//!    with the empty source query, uncompiled
+//!    ([`ScoringEngine::dead_candidates`]): on the saturated compile route
+//!    every source disjunct of the candidate holds an image of one of the
+//!    dead atom's disjuncts, so its own compile would have left nothing
+//!    live either (DESIGN §11, "Dead atoms before compile"). A missing
+//!    entry is filled by that compile, under the candidate's interrupt
+//!    and guard; a failed fill is not stored, and the candidate compiles
+//!    itself. A guarded run is charged for fills instead of the compiles
+//!    they save, so it can stop at another candidate than it would
+//!    without the table. GAV unfolding is
 //!    many-to-one (`likes(x, "Math")` and `studies(x, "Math")` both
 //!    compile to `ENR(x, "Math", z)` on the paper's system), so each
 //!    distinct source query is evaluated once per task. A lookup answered
@@ -71,7 +85,7 @@ use crate::matcher::{MatchBits, MatchStats, PreparedLabels, Prior};
 use crate::prune::{CountBox, ParentHandle};
 use crate::score::Scoring;
 use obx_obdm::{CompiledQuery, ObdmError};
-use obx_query::{Cutoff, OntoCq, OntoUcq, SrcCq, SrcUcq};
+use obx_query::{Cutoff, OntoAtom, OntoCq, OntoUcq, SrcCq, SrcUcq, Term, VarId};
 use obx_util::{FxHashMap, Interrupt};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -204,6 +218,22 @@ fn live_source(prepared: &PreparedLabels<'_>, compiled: CompiledQuery) -> (SrcUc
     (src, dropped)
 }
 
+/// The liveness table's key for `atom` (module docs, item 1): its
+/// predicate and constants, its variables renamed `0, 1` by first
+/// occurrence.
+fn pattern(atom: OntoAtom) -> OntoAtom {
+    let var = |i| Term::Var(VarId(i));
+    match atom {
+        OntoAtom::Concept(c, Term::Var(_)) => OntoAtom::Concept(c, var(0)),
+        OntoAtom::Role(r, Term::Var(s), Term::Var(o)) => {
+            OntoAtom::Role(r, var(0), var(u32::from(s != o)))
+        }
+        OntoAtom::Role(r, Term::Var(_), o) => OntoAtom::Role(r, var(0), o),
+        OntoAtom::Role(r, s, Term::Var(_)) => OntoAtom::Role(r, s, var(0)),
+        ground => ground,
+    }
+}
+
 /// The memo's key: a query's live source disjuncts ([`live_source`]),
 /// each already canonical ([`obx_query::SrcUcq::push`]), sorted so that
 /// two unfoldings of one set in different orders share a key. Borrowed
@@ -273,6 +303,9 @@ type Parents<'p> = FxHashMap<&'p OntoCq, Option<Arc<MatchBits>>>;
 /// Shared scoring state of one explanation task. See the module docs.
 pub struct ScoringEngine {
     memo: Mutex<FxHashMap<Vec<SrcCq>, SrcSlot>>,
+    /// Whether each atom [`pattern`]'s own boolean query has a live
+    /// source disjunct.
+    live: Mutex<FxHashMap<OntoAtom, bool>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evals: AtomicU64,
@@ -283,6 +316,7 @@ pub struct ScoringEngine {
     eval_nodes: AtomicU64,
     cutoffs: AtomicU64,
     dead_disjuncts: AtomicU64,
+    dead_candidates: AtomicU64,
     incremental: bool,
     #[cfg(any(test, feature = "fault-injection"))]
     fault: fault::FaultState,
@@ -299,6 +333,7 @@ impl ScoringEngine {
     pub fn with_config(incremental: bool) -> Self {
         Self {
             memo: Mutex::new(FxHashMap::default()),
+            live: Mutex::new(FxHashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evals: AtomicU64::new(0),
@@ -309,6 +344,7 @@ impl ScoringEngine {
             eval_nodes: AtomicU64::new(0),
             cutoffs: AtomicU64::new(0),
             dead_disjuncts: AtomicU64::new(0),
+            dead_candidates: AtomicU64::new(0),
             incremental,
             #[cfg(any(test, feature = "fault-injection"))]
             fault: fault::FaultState::new(),
@@ -397,6 +433,13 @@ impl ScoringEngine {
     /// neither keyed nor evaluated.
     pub fn dead_disjuncts(&self) -> u64 {
         self.dead_disjuncts.load(Ordering::Relaxed)
+    }
+
+    /// Candidates the liveness table answered with the empty source
+    /// query, uncompiled: one of their atoms compiles alone to data-dead
+    /// disjuncts only (module docs, item 1).
+    pub fn dead_candidates(&self) -> u64 {
+        self.dead_candidates.load(Ordering::Relaxed)
     }
 
     /// Whether the incremental path (parent-delta evaluation + bound
@@ -500,17 +543,28 @@ impl ScoringEngine {
     }
 
     /// Compiles `cq`'s canonical form and drops its data-dead source
-    /// disjuncts ([`live_source`]); a failure counts as a miss.
+    /// disjuncts ([`live_source`]); a failure counts as a miss. A
+    /// candidate the liveness table proves dead is not compiled: its
+    /// source query is the empty one.
     fn compile(
         &self,
         prepared: &PreparedLabels<'_>,
         cq: &OntoCq,
         interrupt: &Interrupt,
     ) -> Result<SrcUcq, ObdmError> {
+        let canon = if cq.is_canonical() {
+            Cow::Borrowed(cq)
+        } else {
+            Cow::Owned(cq.canonical())
+        };
+        if self.dead_before_compile(prepared, &canon, interrupt) {
+            self.dead_candidates.fetch_add(1, Ordering::Relaxed);
+            return Ok(SrcUcq::empty());
+        }
         let compiled = prepared
             .system()
             .spec()
-            .compile_cq_interruptible(&cq.canonical(), interrupt)
+            .compile_cq_interruptible(&canon, interrupt)
             .inspect_err(|_| {
                 self.misses.fetch_add(1, Ordering::Relaxed);
             })?;
@@ -518,6 +572,57 @@ impl ScoringEngine {
         self.dead_disjuncts
             .fetch_add(dropped as u64, Ordering::Relaxed);
         Ok(src)
+    }
+
+    /// Whether the liveness table proves the canonical `cq` data-dead: it
+    /// has two atoms or more, the spec compiles on the saturated route,
+    /// and one atom's pattern is dead. Atoms are read in body order; the
+    /// first pattern whose fill fails ends the reading with no verdict.
+    fn dead_before_compile(
+        &self,
+        prepared: &PreparedLabels<'_>,
+        cq: &OntoCq,
+        interrupt: &Interrupt,
+    ) -> bool {
+        if cq.num_atoms() < 2 || prepared.system().spec().saturated_mapping().is_none() {
+            return false;
+        }
+        for key in cq.body().iter().map(|&a| pattern(a)) {
+            match self.is_live(prepared, key, interrupt) {
+                Some(true) => {}
+                Some(false) => return true,
+                None => return false,
+            }
+        }
+        false
+    }
+
+    /// Whether the boolean query of the atom pattern `key` — the atom
+    /// alone, with an empty head — has a live source disjunct, from the
+    /// table or from one compile under the candidate's `interrupt` (so a
+    /// deadline stops it and the run's guard is charged for it). `None`
+    /// when that compile fails; a failure is not stored. The head is
+    /// empty because unfolding drops a disjunct that binds an answer
+    /// variable to a mapping head's constant: a headed fill could be dead
+    /// where the candidate, whose variable is existential, is live.
+    fn is_live(
+        &self,
+        prepared: &PreparedLabels<'_>,
+        key: OntoAtom,
+        interrupt: &Interrupt,
+    ) -> Option<bool> {
+        if let Some(&live) = lock_recover!(self.live.lock()).get(&key) {
+            return Some(live);
+        }
+        let query = OntoCq::new(Vec::new(), vec![key]).ok()?;
+        let compiled = prepared
+            .system()
+            .spec()
+            .compile_cq_interruptible(&query, interrupt)
+            .ok()?;
+        let live = !live_source(prepared, compiled).0.is_empty();
+        lock_recover!(self.live.lock()).insert(key, live);
+        Some(live)
     }
 
     /// Looks up the source query `key` of a candidate refined from
@@ -900,6 +1005,7 @@ impl std::fmt::Debug for ScoringEngine {
             .field("eval_nodes", &self.eval_nodes())
             .field("cutoffs", &self.cutoffs())
             .field("dead_disjuncts", &self.dead_disjuncts())
+            .field("dead_candidates", &self.dead_candidates())
             .field("incremental", &self.incremental)
             .finish()
     }
@@ -1048,6 +1154,96 @@ mod tests {
         }
         assert_eq!(engine.dead_disjuncts(), 2);
         assert!(format!("{engine:?}").contains("dead_disjuncts: 2"));
+    }
+
+    #[test]
+    fn the_liveness_table_answers_dead_atoms_uncompiled() {
+        // No city is called "Math", so `locatedIn(y, "Math")` is dead
+        // alone, and so is every candidate that holds it.
+        let mut sys = example_3_6_system();
+        let (labels, scoring) = paper_task(&mut sys);
+        let dead = [
+            r#"q(x) :- studies(x, y), locatedIn(y, "Math")"#,
+            r#"q(x) :- likes(x, y), locatedIn(y, "Math")"#,
+        ]
+        .map(|q| sys.parse_query(q).unwrap());
+        // Each atom is live alone, but `y` sits in a subject column and a
+        // university column, which share no constant: the table has no
+        // verdict, and the compile drops the one disjunct.
+        let join_dead = sys
+            .parse_query("q(x) :- studies(x, y), locatedIn(y, z)")
+            .unwrap();
+        let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
+        let engine = task.engine();
+        let none = Interrupt::none();
+        for (i, q) in dead.iter().enumerate() {
+            let bits = engine
+                .disjunct(task.prepared(), &q.disjuncts()[0], &none)
+                .unwrap();
+            assert_eq!(bits.stats(), task.prepared().stats_of(q).unwrap());
+            assert_eq!(bits.count_ones(), 0);
+            assert_eq!(engine.dead_candidates(), i as u64 + 1);
+        }
+        assert_eq!(engine.dead_disjuncts(), 0, "nothing was compiled");
+        let bits = engine.stats_ucq(task.prepared(), &join_dead).unwrap();
+        assert_eq!(bits, task.prepared().stats_of(&join_dead).unwrap());
+        assert_eq!((engine.dead_candidates(), engine.dead_disjuncts()), (2, 1));
+        // All three share the empty slot: one miss stored it, two hit it.
+        assert_eq!((engine.cache_hits(), engine.cache_misses()), (2, 1));
+        assert_eq!(engine.batch_calls(), 0);
+        assert!(format!("{engine:?}").contains("dead_candidates: 2"));
+    }
+
+    #[test]
+    fn a_mapping_head_constant_does_not_kill_an_atom_in_the_table() {
+        // Unfolding drops a disjunct that binds an answer variable to a
+        // mapping head's constant: `q(x) :- r(y, x)` compiles empty here,
+        // and so would `r`'s and `s`'s atoms with their first variable
+        // as the head. Both atoms are live in the candidates below, where
+        // that variable is existential.
+        let schema = obx_srcdb::parse_schema("R/1").unwrap();
+        let mut db = obx_srcdb::parse_database(schema, "R(a)").unwrap();
+        let tbox = obx_ontology::parse_tbox("concept A\nrole r s").unwrap();
+        let (schema, consts) = db.schema_and_consts_mut();
+        let mapping = obx_mapping::parse_mapping(
+            schema,
+            tbox.vocab(),
+            consts,
+            "R(x) ~> r(x, \"home\")\nR(x) ~> s(\"home\", x)\nR(x) ~> A(x)",
+        )
+        .unwrap();
+        let mut sys = obx_obdm::ObdmSystem::new(obx_obdm::ObdmSpec::new(tbox, mapping), db);
+        assert!(sys.spec().saturated_mapping().is_some());
+        let labels = Labels::parse(sys.db_mut(), "+ a").unwrap();
+        let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
+        let [headed, r, s] = [
+            "q(x) :- r(y, x)",
+            "q(x) :- A(x), r(x, y)",
+            "q(x) :- A(x), s(y, x)",
+        ]
+        .map(|q| sys.parse_query(q).unwrap());
+        let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
+        let engine = task.engine();
+        for q in [&headed, &r, &s] {
+            let bits = engine.stats_ucq(task.prepared(), q).unwrap();
+            assert_eq!(bits, task.prepared().stats_of(q).unwrap(), "{q:?}");
+        }
+        assert_eq!(
+            engine
+                .stats_ucq(task.prepared(), &headed)
+                .unwrap()
+                .pos_matched,
+            0
+        );
+        assert_eq!(
+            engine.stats_ucq(task.prepared(), &r).unwrap().pos_matched,
+            1
+        );
+        assert_eq!(
+            engine.stats_ucq(task.prepared(), &s).unwrap().pos_matched,
+            1
+        );
+        assert_eq!(engine.dead_candidates(), 0);
     }
 
     #[test]

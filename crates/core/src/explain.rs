@@ -529,6 +529,10 @@ pub(crate) fn finalize_report(
             // Source disjuncts dropped at compile because no fact of the
             // database matches one of their atoms.
             rec.gauge_in_phase("engine", "dead_disjuncts", task.engine().dead_disjuncts());
+            // Candidates answered with the empty source query, uncompiled:
+            // one of their atoms compiles alone to data-dead disjuncts
+            // only.
+            rec.gauge_in_phase("engine", "dead_candidates", task.engine().dead_candidates());
             rec.profile()
         }
         _ => PipelineProfile::default(),
@@ -552,23 +556,33 @@ pub(crate) fn finalize_report(
 /// `partial_cmp` non-total, and a comparator that answers `Equal` for
 /// incomparable pairs violates strict weak ordering — `sort_by` may then
 /// produce an arbitrary (platform-dependent) permutation.
+///
+/// When `top_k` keeps fewer than all, the first `top_k` are selected
+/// (`select_nth_unstable_by`) and only they are sorted. The comparator's
+/// last tiebreak, [`cmp_ucq_structural`], is total on distinct queries,
+/// so the result equals a full sort truncated to `top_k`.
 pub(crate) fn rank(mut explanations: Vec<Explanation>, top_k: usize) -> Vec<Explanation> {
     explanations.retain(|e| e.score.is_finite());
-    explanations.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| b.stats.pos_matched.cmp(&a.stats.pos_matched))
-            .then_with(|| {
-                let atoms = |e: &Explanation| -> usize {
-                    e.query.disjuncts().iter().map(OntoCq::num_atoms).sum()
-                };
-                atoms(a).cmp(&atoms(b))
-            })
-            .then_with(|| cmp_ucq_structural(&a.query, &b.query))
-    });
-    explanations.truncate(top_k);
+    if top_k == 0 {
+        explanations.clear();
+    } else if top_k < explanations.len() {
+        explanations.select_nth_unstable_by(top_k - 1, cmp_rank);
+        explanations.truncate(top_k);
+    }
+    explanations.sort_by(cmp_rank);
     explanations
+}
+
+/// [`rank`]'s order on finite-score explanations, best first.
+fn cmp_rank(a: &Explanation, b: &Explanation) -> std::cmp::Ordering {
+    let atoms =
+        |e: &Explanation| -> usize { e.query.disjuncts().iter().map(OntoCq::num_atoms).sum() };
+    b.score
+        .partial_cmp(&a.score)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then_with(|| b.stats.pos_matched.cmp(&a.stats.pos_matched))
+        .then_with(|| atoms(a).cmp(&atoms(b)))
+        .then_with(|| cmp_ucq_structural(&a.query, &b.query))
 }
 
 /// Deterministic total order on UCQs for tie-breaking, comparing structure
@@ -723,5 +737,59 @@ mod tests {
         );
         // top_k truncation.
         assert_eq!(rank(vec![e_small, e_big], 1).len(), 1);
+    }
+
+    #[test]
+    fn partial_rank_equals_a_full_sort_truncated() {
+        // Twelve distinct queries over three scores and two positive
+        // counts, so most pairs tie on the score and many on pos_matched
+        // and the atom count too: only the structural tiebreak orders them.
+        let mut sys = example_3_6_system();
+        let labels = Labels::parse(sys.db_mut(), "+ A10\n- E25").unwrap();
+        let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
+        let queries: Vec<OntoUcq> = [
+            r#"q(x) :- studies(x, "Math")"#,
+            r#"q(x) :- studies(x, "Science")"#,
+            r#"q(x) :- likes(x, "Math")"#,
+            r#"q(x) :- likes(x, "Science")"#,
+            "q(x) :- studies(x, y)",
+            "q(x) :- likes(x, y)",
+            "q(x) :- studies(x, y), taughtIn(y, z)",
+            "q(x) :- likes(x, y), taughtIn(y, z)",
+            r#"q(x) :- studies(x, y), taughtIn(y, "TV")"#,
+            r#"q(x) :- studies(x, "Math"), likes(x, "Math")"#,
+            "q(x) :- taughtIn(x, y)",
+            "q(x) :- locatedIn(x, y)",
+        ]
+        .into_iter()
+        .map(|text| sys.parse_query(text).unwrap())
+        .collect();
+        let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
+        let mut pool = Vec::new();
+        for (i, query) in queries.iter().enumerate() {
+            let mut e = task.score_ucq(query).unwrap();
+            e.score = [0.5, 0.25, 0.5][i % 3];
+            e.stats.pos_matched = i % 2;
+            pool.push(e);
+        }
+        let key =
+            |xs: &[Explanation]| -> Vec<OntoUcq> { xs.iter().map(|e| e.query.clone()).collect() };
+        // Several input orders, a fixed linear-congruential shuffle each.
+        let mut state = 7u64;
+        for _ in 0..8 {
+            for i in (1..pool.len()).rev() {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                pool.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let mut full = pool.clone();
+            full.sort_by(cmp_rank);
+            for k in 0..=pool.len() + 1 {
+                let partial = rank(pool.clone(), k);
+                let expected = &full[..k.min(full.len())];
+                assert_eq!(key(&partial), key(expected), "top {k}");
+            }
+        }
     }
 }

@@ -312,9 +312,11 @@ fn budget(max: usize, ok: impl Fn(usize) -> bool) -> usize {
 /// statistics would make the upward bound inadmissible (and the downward
 /// delta mask wrong). [`ParentHandle::from_explanation`] returns `None`
 /// for multi-disjunct parents, which simply falls back to full evaluation.
+/// Every child of a parent carries a clone of its handle, so the key is
+/// shared, not copied.
 #[derive(Debug, Clone)]
 pub struct ParentHandle {
-    key: OntoCq,
+    key: std::sync::Arc<OntoCq>,
     dir: RefineDir,
     stats: MatchStats,
 }
@@ -323,7 +325,7 @@ impl ParentHandle {
     /// Builds a handle from the parent's canonical key and match stats.
     pub fn new(dir: RefineDir, key: OntoCq, stats: MatchStats) -> Self {
         ParentHandle {
-            key: key.canonical(),
+            key: std::sync::Arc::new(key.canonical()),
             dir,
             stats,
         }

@@ -80,20 +80,32 @@ pub(crate) fn refinement_rounds(
 ) -> ExplainReport {
     let limits = task.limits();
     let cap = pool_cap(&limits);
+    let rec = task.budget().recorder();
     let mut seen: FxHashSet<OntoCq> = FxHashSet::default();
-    let first = first
-        .into_iter()
-        .map(|cq| PlannedCq { cq, parent: None })
-        .collect();
-    let first = dedup_planned(first, &mut seen);
+    let mut dedup = |batch: Vec<PlannedCq>| {
+        let mut sp = obx_util::span!(rec, "dedup");
+        sp.count("candidates", batch.len() as u64);
+        let fresh = dedup_planned(batch, &mut seen);
+        sp.count("fresh", fresh.len() as u64);
+        fresh
+    };
+    let first = dedup(
+        first
+            .into_iter()
+            .map(|cq| PlannedCq { cq, parent: None })
+            .collect(),
+    );
     let outcome = score_batch_planned(task, first, usize::MAX, usize::MAX, &[]);
     let mut quarantined = outcome.quarantined;
     let mut pruned = outcome.pruned;
     // Rank the first pool immediately: the per-round prune floor is the
     // cap-th pool score, so the pool must be rank-sorted from the first
     // round on.
-    let mut pool: Vec<Explanation> = rank(outcome.explanations.clone(), cap);
-    let mut beam: Vec<Explanation> = select_beam(outcome.explanations, limits.beam_width);
+    let (mut pool, mut beam) = {
+        let _sp = obx_util::span!(rec, "rank");
+        let ranked = rank(outcome.explanations, cap);
+        (ranked.clone(), select_beam(ranked, limits.beam_width))
+    };
 
     for round in rounds {
         // Budget checkpoint at round granularity: the pool already holds
@@ -104,18 +116,21 @@ pub(crate) fn refinement_rounds(
             break;
         }
         let mut next: Vec<PlannedCq> = Vec::new();
-        for e in &beam {
-            let parent = ParentHandle::from_explanation(dir, e);
-            for d in e.query.disjuncts() {
-                for cq in children(d) {
-                    next.push(PlannedCq {
-                        cq,
-                        parent: parent.clone(),
-                    });
+        {
+            let _sp = obx_util::span!(rec, "refine");
+            for e in &beam {
+                let parent = ParentHandle::from_explanation(dir, e);
+                for d in e.query.disjuncts() {
+                    for cq in children(d) {
+                        next.push(PlannedCq {
+                            cq,
+                            parent: parent.clone(),
+                        });
+                    }
                 }
             }
         }
-        let fresh = dedup_planned(next, &mut seen);
+        let fresh = dedup(next);
         if fresh.is_empty() {
             break;
         }
@@ -129,13 +144,17 @@ pub(crate) fn refinement_rounds(
         rsp.count("pruned", outcome.pruned as u64);
         quarantined += outcome.quarantined;
         pruned += outcome.pruned;
-        let scored = outcome.explanations;
-        if scored.is_empty() {
+        if outcome.explanations.is_empty() {
             break;
         }
-        pool.extend(scored.clone());
+        // The batch is ranked once, to `cap`: a candidate with `cap`
+        // better batch mates cannot survive the pool's truncation, and
+        // the beam's window (`cap ≥ beam_window`) lies inside the prefix.
+        let _sp = obx_util::span!(rec, "rank");
+        let ranked = rank(outcome.explanations, cap);
+        pool.extend(ranked.iter().cloned());
         pool = rank(pool, cap);
-        beam = select_beam(scored, limits.beam_width);
+        beam = select_beam(ranked, limits.beam_width);
     }
     finalize_report(task, pool, limits.top_k, quarantined, pruned)
 }
@@ -198,14 +217,18 @@ pub(crate) fn pool_floor_of(pool: &[Explanation], cap: usize) -> f64 {
 /// frontier. Without this, plateaus of equal-scored rewordings of one idea
 /// crowd out structurally different partial conjunctions (e.g. the
 /// `studies∘taughtIn` chain that must survive two rounds before
-/// `locatedIn(z, "Rome")` pays off in the paper's example).
-pub(crate) fn select_beam(scored: Vec<Explanation>, width: usize) -> Vec<Explanation> {
+/// `locatedIn(z, "Rome")` pays off in the paper's example). `ranked` is a
+/// batch [`rank`]ed to at least `beam_window(width)` entries, or all of
+/// it.
+///
+/// [`rank`]: crate::explain::rank
+pub(crate) fn select_beam(mut ranked: Vec<Explanation>, width: usize) -> Vec<Explanation> {
     use obx_query::OntoAtom;
     // Selection only ever looks at the top `beam_window(width)` ranked
     // candidates (the diversity overflow refill included): making the
     // window explicit here is what lets the engine prune batch candidates
     // that provably rank below it without changing the selected beam.
-    let ranked = crate::explain::rank(scored, beam_window(width));
+    ranked.truncate(beam_window(width));
     let per_sig = (width / 6).max(2);
     let mut counts: obx_util::FxHashMap<(Vec<u64>, usize, usize), usize> =
         obx_util::FxHashMap::default();
@@ -258,7 +281,8 @@ pub(crate) fn dedup_planned(
     let mut out = Vec::with_capacity(candidates.len());
     for p in candidates {
         let canon = p.cq.canonical();
-        if seen.insert(canon.clone()) {
+        if !seen.contains(&canon) {
+            seen.insert(canon.clone());
             out.push(PlannedCq {
                 cq: canon,
                 parent: p.parent,

@@ -191,42 +191,73 @@ impl OntoCq {
     /// fine for its uses — PerfectRef termination only needs the canonical
     /// space to be finite, and search dedup only needs soundness.
     pub fn canonical(&self) -> OntoCq {
+        if self.is_canonical() {
+            return self.clone();
+        }
         let mut cur = self.canon_pass();
         for _ in 0..8 {
-            let next = cur.canon_pass();
-            if next == cur {
+            if cur.is_canonical() {
                 break;
             }
-            cur = next;
+            cur = cur.canon_pass();
         }
         cur
     }
 
-    /// One rename + sort + dedup pass of [`OntoCq::canonical`].
-    fn canon_pass(&self) -> OntoCq {
-        let mut rename: FxHashMap<VarId, VarId> = FxHashMap::default();
+    /// Whether a rename + sort + dedup pass leaves this query as it is:
+    /// its variables are `0, 1, 2, …` in order of first occurrence (head
+    /// first, then body left-to-right), and its body atoms are strictly
+    /// sorted. Such a query is its own [`OntoCq::canonical`] form.
+    pub fn is_canonical(&self) -> bool {
         let mut next = 0u32;
-        let mut get = |v: VarId, rename: &mut FxHashMap<VarId, VarId>| -> VarId {
-            *rename.entry(v).or_insert_with(|| {
-                let nv = VarId(next);
+        let mut in_order = |v: VarId| {
+            if v.0 < next {
+                true
+            } else if v.0 == next {
                 next += 1;
-                nv
-            })
+                true
+            } else {
+                false
+            }
         };
-        let head: Vec<VarId> = self.head.iter().map(|&v| get(v, &mut rename)).collect();
+        let vars_in_order = self.head.iter().all(|&v| in_order(v))
+            && self
+                .body
+                .iter()
+                .flat_map(OntoAtom::terms)
+                .all(|t| !matches!(t, Term::Var(v) if !in_order(v)));
+        vars_in_order
+            && self
+                .body
+                .windows(2)
+                .all(|w| atom_sort_key(&w[0]) < atom_sort_key(&w[1]))
+    }
+
+    /// One rename + sort + dedup pass of [`OntoCq::canonical`]. A query
+    /// has few variables, so the renaming is a linear scan of the ones
+    /// seen so far: the new name of a variable is its index there.
+    fn canon_pass(&self) -> OntoCq {
+        let mut seen: Vec<VarId> = Vec::new();
+        let mut get = |v: VarId| -> VarId {
+            let i = seen.iter().position(|&w| w == v).unwrap_or_else(|| {
+                seen.push(v);
+                seen.len() - 1
+            });
+            VarId(i as u32)
+        };
+        let head: Vec<VarId> = self.head.iter().map(|&v| get(v)).collect();
+        let mut map = |t: Term| match t {
+            Term::Var(v) => Term::Var(get(v)),
+            c => c,
+        };
         let mut body: Vec<OntoAtom> = self
             .body
             .iter()
-            .map(|a| {
-                let mut map = |t: Term, rename: &mut FxHashMap<VarId, VarId>| match t {
-                    Term::Var(v) => Term::Var(get(v, rename)),
-                    c => c,
-                };
-                match *a {
-                    OntoAtom::Concept(c, t) => OntoAtom::Concept(c, map(t, &mut rename)),
-                    OntoAtom::Role(r, t1, t2) => {
-                        OntoAtom::Role(r, map(t1, &mut rename), map(t2, &mut rename))
-                    }
+            .map(|a| match *a {
+                OntoAtom::Concept(c, t) => OntoAtom::Concept(c, map(t)),
+                OntoAtom::Role(r, t1, t2) => {
+                    let t1 = map(t1);
+                    OntoAtom::Role(r, t1, map(t2))
                 }
             })
             .collect();
@@ -449,6 +480,88 @@ mod tests {
         )
         .unwrap();
         assert_ne!(chain.canonical(), fork.canonical());
+    }
+
+    /// The rename + sort + dedup pass as it was written with a hash
+    /// map, iterated to a fixed point with no shortcut.
+    fn canonical_by_hash_map(q: &OntoCq) -> OntoCq {
+        let pass = |q: &OntoCq| {
+            let mut rename: FxHashMap<VarId, VarId> = FxHashMap::default();
+            let mut get = |v: VarId| {
+                let n = rename.len() as u32;
+                *rename.entry(v).or_insert(VarId(n))
+            };
+            let head: Vec<VarId> = q.head().iter().map(|&v| get(v)).collect();
+            let mut map = |t: Term| match t {
+                Term::Var(v) => Term::Var(get(v)),
+                c => c,
+            };
+            let mut body: Vec<OntoAtom> = q
+                .body()
+                .iter()
+                .map(|a| match *a {
+                    OntoAtom::Concept(c, t) => OntoAtom::Concept(c, map(t)),
+                    OntoAtom::Role(r, t1, t2) => {
+                        let t1 = map(t1);
+                        OntoAtom::Role(r, t1, map(t2))
+                    }
+                })
+                .collect();
+            body.sort_by_key(atom_sort_key);
+            body.dedup();
+            OntoCq { head, body }
+        };
+        let mut cur = pass(q);
+        for _ in 0..8 {
+            let next = pass(&cur);
+            if next == cur {
+                break;
+            }
+            cur = next;
+        }
+        cur
+    }
+
+    #[test]
+    fn canonical_matches_the_hash_map_renaming_and_is_canonical_its_fixed_point() {
+        use rand::{Rng, SeedableRng};
+        let mut v = OntoVocab::new();
+        let concepts = [v.concept("A"), v.concept("B")];
+        let roles = [v.role("r"), v.role("s")];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for _ in 0..2_000 {
+            let term = |rng: &mut rand::rngs::StdRng| {
+                if rng.gen_range(0..5u32) == 0 {
+                    Term::Const(obx_srcdb::Const(obx_util::Symbol(rng.gen_range(0..2u32))))
+                } else {
+                    var(rng.gen_range(0..5u32))
+                }
+            };
+            let body: Vec<OntoAtom> = (0..rng.gen_range(1..5usize))
+                .map(|_| {
+                    if rng.gen_range(0..2u32) == 0 {
+                        OntoAtom::Concept(concepts[rng.gen_range(0..2usize)], term(&mut rng))
+                    } else {
+                        let r = roles[rng.gen_range(0..2usize)];
+                        let s = term(&mut rng);
+                        OntoAtom::Role(r, s, term(&mut rng))
+                    }
+                })
+                .collect();
+            let head: Vec<VarId> = body
+                .iter()
+                .flat_map(OntoAtom::terms)
+                .find_map(|t| match t {
+                    Term::Var(v) => Some(v),
+                    Term::Const(_) => None,
+                })
+                .into_iter()
+                .collect();
+            let q = OntoCq::new(head, body).unwrap();
+            let canon = q.canonical();
+            assert_eq!(canon, canonical_by_hash_map(&q), "{q:?}");
+            assert_eq!(q.is_canonical(), q.canon_pass() == q, "{q:?}");
+        }
     }
 
     #[test]

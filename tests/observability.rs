@@ -243,25 +243,32 @@ fn eval_nodes_gauge_counts_one_run_only() {
 
 /// `engine/dead_disjuncts` counts the source disjuncts the engine's
 /// compiles dropped because no fact of the database matches one of their
-/// atoms.
+/// atoms; `engine/dead_candidates` counts the candidates the liveness
+/// table answered without a compile, because one of their atoms, or two
+/// joined ones, compile alone to such disjuncts only.
 #[test]
 fn dead_disjuncts_gauge_counts_data_dead_disjuncts() {
     if !obx_util::obs::enabled() {
         return;
     }
     let reports = explain_all(true);
-    let dead = |r: &ExplainReport| {
+    let gauge = |r: &ExplainReport, key: &str| {
         r.profile
             .span("engine")
             .expect("engine gauges")
-            .counter("dead_disjuncts")
+            .counter(key)
     };
     // Beam search's refinements put constants where no fact has them,
-    // such as a subject in a city's place (`locatedIn(x, "Math")`).
-    assert!(dead(&reports[0]) > 0);
+    // such as a subject in a city's place (`locatedIn(x, "Math")`): as a
+    // one-atom candidate it is compiled and its disjunct dropped, and as
+    // an atom of a two-atom candidate it makes the table answer.
+    assert!(gauge(&reports[0], "dead_disjuncts") > 0);
+    assert!(gauge(&reports[0], "dead_candidates") > 0);
     // Bottom-up generalizes the labelled tuples' border facts, so every
-    // source disjunct it compiles matches some fact.
-    assert_eq!(dead(&reports[1]), 0);
+    // source disjunct it compiles, and every atom it reads in the table,
+    // matches some fact.
+    assert_eq!(gauge(&reports[1], "dead_disjuncts"), 0);
+    assert_eq!(gauge(&reports[1], "dead_candidates"), 0);
 }
 
 /// The per-round spans of the two refinement-round strategies on the
@@ -277,9 +284,17 @@ fn round_spans_are_pinned_on_the_paper_scenario() {
     }
     let mut sys = obx_obdm::example_3_6_system();
     let labels = Labels::parse(sys.db_mut(), "+ A10\n+ B80\n+ C12\n+ D50\n- E25").expect("labels");
-    for (strategy, path, rounds, candidates, depth, pruned) in [
-        ("beam", "explain/search/beam_round", 5, 4924, 5, 924),
-        ("bottom-up", "explain/search/bottom_up_round", 6, 350, 5, 50),
+    for (strategy, path, rounds, candidates, depth, pruned, refines) in [
+        ("beam", "explain/search/beam_round", 5, 4924, 5, 924, 5),
+        (
+            "bottom-up",
+            "explain/search/bottom_up_round",
+            6,
+            350,
+            5,
+            50,
+            7,
+        ),
     ] {
         let req = ExplainRequest {
             strategy: strategy.to_owned(),
@@ -298,6 +313,20 @@ fn round_spans_are_pinned_on_the_paper_scenario() {
             ),
             (rounds, candidates, depth, pruned),
             "{strategy}: rounds, candidates, depth, pruned"
+        );
+        // The strategy's own work has spans of its own: one `refine` per
+        // round that expanded its beam, one `dedup` per batch (the first
+        // included), one `rank` per batch that scored something.
+        let count = |name: &str| {
+            report
+                .profile
+                .span(&format!("explain/search/{name}"))
+                .map_or(0, |s| s.count)
+        };
+        assert_eq!(
+            (count("refine"), count("dedup"), count("rank")),
+            (refines, refines + 1, rounds + 1),
+            "{strategy}: refine, dedup, rank"
         );
     }
 }

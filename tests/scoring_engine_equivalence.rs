@@ -156,6 +156,53 @@ fn typed_scenario(seed: u64) -> Scenario {
     s
 }
 
+/// A small scenario of `seed` whose mapping puts constants in assertion
+/// heads (`H(x) ~> r(x, "home")`, `H(x) ~> s("home", x)`), with
+/// [`ABSENT`] interned. Unfolding drops a disjunct that binds an answer
+/// variable to such a constant, so an atom's query with a head can
+/// compile empty where the same atom, existential in a candidate, is
+/// live.
+fn head_constant_scenario(seed: u64) -> Scenario {
+    use rand::Rng;
+    let n = 12;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x4e4d);
+    let mut facts = String::new();
+    let mut labels = String::new();
+    for i in 0..n {
+        facts += &format!("Q(ind{i}, ind{})\n", rng.gen_range(0..n));
+        let p = rng.gen_bool(0.5);
+        let h = rng.gen_bool(0.5);
+        if p {
+            facts += &format!("P(ind{i})\n");
+        }
+        if h {
+            facts += &format!("H(ind{i})\n");
+        }
+        labels += &format!("{} ind{i}\n", if p && h { '+' } else { '-' });
+    }
+    let schema = obx_srcdb::parse_schema("P/1 H/1 Q/2").unwrap();
+    let mut db = obx_srcdb::parse_database(schema, &facts).unwrap();
+    let tbox = obx_ontology::parse_tbox("concept A B\nrole r s\nA < B").unwrap();
+    let (schema, consts) = db.schema_and_consts_mut();
+    let mapping = obx_mapping::parse_mapping(
+        schema,
+        tbox.vocab(),
+        consts,
+        "P(x) ~> A(x)\nH(x) ~> B(x)\nQ(x, y) ~> r(x, y)\n\
+         H(x) ~> r(x, \"home\")\nH(x) ~> s(\"home\", x)",
+    )
+    .unwrap();
+    db.consts_mut().intern(ABSENT);
+    let mut system = obx_obdm::ObdmSystem::new(obx_obdm::ObdmSpec::new(tbox, mapping), db);
+    let labels = obx_core::Labels::parse(system.db_mut(), &labels).unwrap();
+    Scenario {
+        system,
+        labels,
+        ground_truth: None,
+        description: format!("head constants({seed})"),
+    }
+}
+
 /// Whether a body atom of `d` has an empty index slice in `db`: the atom
 /// rule of `obx_query::eval::data_dead`, restated to tell its join rule
 /// apart.
@@ -166,6 +213,58 @@ fn atom_dead(db: &obx_srcdb::Database, d: &SrcCq) -> bool {
                 matches!(t, Term::Const(c) if db.atoms_with(atom.rel, pos, *c).is_empty())
             })
     })
+}
+
+/// Whether `cq`'s own compile on `system` leaves a source disjunct that
+/// is not data-dead; `None` when the compile fails.
+fn compiles_live(system: &obx_obdm::ObdmSystem, cq: &OntoCq) -> Option<bool> {
+    let compiled = system.spec().compile_cq(cq).ok()?;
+    let db = system.db();
+    Some(
+        compiled
+            .src()
+            .disjuncts()
+            .iter()
+            .any(|d| !obx_query::eval::data_dead(db, d)),
+    )
+}
+
+/// The engine's liveness table, restated: whether a lookup of `cq`
+/// answers it with the empty source query and no compile. On a spec
+/// that compiles on the saturated route, a canonical form of two atoms
+/// or more is read atom by atom, each with its variables renamed by
+/// first occurrence, as a boolean query; the first atom whose query has
+/// no live disjunct answers it, and the first one that fails to compile
+/// ends the reading with no verdict.
+fn table_dead(system: &obx_obdm::ObdmSystem, cq: &OntoCq) -> bool {
+    let canon = cq.canonical();
+    if canon.num_atoms() < 2 || system.spec().saturated_mapping().is_none() {
+        return false;
+    }
+    for atom in canon.body() {
+        let mut vars: Vec<VarId> = Vec::new();
+        let mut rename = |t: Term| match t {
+            Term::Var(v) => Term::Var(VarId(vars.iter().position(|&w| w == v).unwrap_or_else(|| {
+                vars.push(v);
+                vars.len() - 1
+            }) as u32)),
+            c => c,
+        };
+        let renamed = match *atom {
+            OntoAtom::Concept(c, t) => OntoAtom::Concept(c, rename(t)),
+            OntoAtom::Role(r, s, o) => {
+                let s = rename(s);
+                OntoAtom::Role(r, s, rename(o))
+            }
+        };
+        let alone = OntoCq::new(Vec::new(), vec![renamed]).expect("one atom");
+        match compiles_live(system, &alone) {
+            Some(true) => {}
+            Some(false) => return true,
+            None => return false,
+        }
+    }
+    false
 }
 
 /// The one-atom refinements of `root`, each with the direction it moves
@@ -225,10 +324,15 @@ struct PoolCounts {
     /// Source disjuncts the sequential incremental engine dropped as
     /// data-dead.
     dead: u64,
-    /// Source disjuncts the memo-key model dropped by the join rule
-    /// alone: every atom has facts, yet one variable's columns share no
-    /// constant.
+    /// Candidates the engine's liveness table answered uncompiled.
+    table: u64,
+    /// Source disjuncts of the candidates' own compiles that the join
+    /// rule alone kills: every atom has facts, yet one variable's columns
+    /// share no constant.
     join_dead: u64,
+    /// The part of `join_dead` in candidates the table answered, which
+    /// the engine never compiles.
+    table_join_dead: u64,
 }
 
 /// Scores random roots and their refinements on scenario `s`, in full
@@ -244,30 +348,50 @@ fn check_refinements_against_uncached(s: &Scenario, seed: u64, atoms: usize) -> 
         .map(|_| random_query(&s.system, &mut rng, atoms).disjuncts()[0].clone())
         .collect();
 
-    // Hits, counted the way the engine keys: a lookup that compiles and
-    // whose sorted canonical source disjuncts that are not data-dead (by
-    // either rule) were already seen, from a repeated ontology key or
-    // from a source-equal sibling (a new ontology key). The count does not depend on the
-    // scoring order. A root that fails to compile is not refined below,
+    // Hits, counted the way the engine keys: a lookup whose sorted
+    // canonical source disjuncts that are not data-dead (by either rule)
+    // were already seen, from a repeated ontology key or from a
+    // source-equal sibling (a new ontology key). A candidate the
+    // liveness table answers has the empty key and is not compiled; the
+    // others compile, and their dropped disjuncts are what the engine
+    // counts as dead. The count does not depend on the scoring order. A
+    // root that neither compiles nor is table-dead is not refined below,
     // so its refinements are not counted.
     let compile = |cq: &OntoCq| s.system.spec().compile(&OntoUcq::from_cq(cq.canonical()));
+    let scores = |cq: &OntoCq| table_dead(&s.system, cq) || compile(cq).is_ok();
     let mut onto_keys = HashSet::new();
     let mut src_keys = HashSet::new();
     let mut hits = 0u64;
+    let mut dead = 0u64;
     let mut counts = PoolCounts::default();
-    for root in roots.iter().filter(|r| compile(r).is_ok()) {
+    for root in roots.iter().filter(|r| scores(r)) {
         let pool = refinements(&s.system, root).into_iter().map(|(_, cq)| cq);
         for cq in std::iter::once(root.clone()).chain(pool) {
             let new_key = onto_keys.insert(cq.canonical());
-            let Ok(compiled) = compile(&cq) else {
-                continue;
-            };
             let db = s.system.db();
-            let mut src: Vec<SrcCq> = compiled.src().disjuncts().to_vec();
+            let join_dead = |src: &[SrcCq]| {
+                let dead = src.iter().filter(|d| obx_query::eval::data_dead(db, d));
+                dead.filter(|d| !atom_dead(db, d)).count() as u64
+            };
+            let mut src: Vec<SrcCq> = if table_dead(&s.system, &cq) {
+                counts.table += 1;
+                if let Ok(compiled) = compile(&cq) {
+                    let n = join_dead(compiled.src().disjuncts());
+                    counts.join_dead += n;
+                    counts.table_join_dead += n;
+                }
+                Vec::new()
+            } else {
+                let Ok(compiled) = compile(&cq) else {
+                    continue;
+                };
+                counts.join_dead += join_dead(compiled.src().disjuncts());
+                compiled.src().disjuncts().to_vec()
+            };
             src.retain(|d| {
-                let dead = obx_query::eval::data_dead(db, d);
-                counts.join_dead += u64::from(dead && !atom_dead(db, d));
-                !dead
+                let data_dead = obx_query::eval::data_dead(db, d);
+                dead += u64::from(data_dead);
+                !data_dead
             });
             src.sort();
             if !src_keys.insert(src) {
@@ -291,7 +415,7 @@ fn check_refinements_against_uncached(s: &Scenario, seed: u64, atoms: usize) -> 
                     parent: ParentHandle::from_explanation(dir, &parent),
                 })
                 .collect();
-            let expected = planned.iter().filter(|p| compile(&p.cq).is_ok()).count();
+            let expected = planned.iter().filter(|p| scores(&p.cq)).count();
             let out = engine.score_batch_planned(&task, planned, usize::MAX, usize::MAX, &[]);
             assert_eq!(
                 out.explanations.len(),
@@ -308,6 +432,8 @@ fn check_refinements_against_uncached(s: &Scenario, seed: u64, atoms: usize) -> 
             }
         }
         assert_eq!(engine.cache_hits(), hits, "seed {seed}");
+        assert_eq!(engine.dead_candidates(), counts.table, "seed {seed}");
+        assert_eq!(engine.dead_disjuncts(), dead, "seed {seed}");
         if incremental {
             counts.dead = engine.dead_disjuncts();
         }
@@ -323,7 +449,93 @@ proptest! {
     fn refinements_and_source_siblings_match_uncached(seed in 0u64..500, atoms in 1usize..4) {
         check_refinements_against_uncached(&scenario(seed), seed, atoms);
         check_refinements_against_uncached(&typed_scenario(seed), seed, atoms);
+        check_refinements_against_uncached(&head_constant_scenario(seed), seed, atoms);
     }
+}
+
+/// Scores random roots' one- and two-step refinements one lookup at a
+/// time and checks every candidate the liveness table answered: the
+/// uncached matcher finds it matches no labelled tuple, and its own
+/// compile would have left no live disjunct either, so the table changes
+/// no bit and no memo key. Returns how many the table answered.
+fn check_table_answers(s: &Scenario, seed: u64, atoms: usize) -> u64 {
+    let scoring = Scoring::paper_weighted(1.0, 1.0, 1.0);
+    let task = ExplainTask::new(&s.system, &s.labels, 1, &scoring, SearchLimits::default())
+        .expect("the scenario labels tuples")
+        .with_engine(Arc::new(ScoringEngine::new()));
+    let engine = task.engine();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7ab1e);
+    let mut answered = 0;
+    for _ in 0..2 {
+        let root = random_query(&s.system, &mut rng, atoms).disjuncts()[0].clone();
+        let children = refinements(&s.system, &root)
+            .into_iter()
+            .filter(|(dir, _)| *dir == RefineDir::Specialize);
+        for (_, child) in children {
+            let grandchildren = refinements(&s.system, &child).into_iter().map(|(_, cq)| cq);
+            for cq in std::iter::once(child.clone()).chain(grandchildren) {
+                let before = engine.dead_candidates();
+                let Ok(e) = task.score_cq(&cq) else {
+                    continue;
+                };
+                if engine.dead_candidates() == before {
+                    continue;
+                }
+                answered += 1;
+                let Ok(plain) = task.prepared().stats_of(&OntoUcq::from_cq(cq.clone())) else {
+                    continue;
+                };
+                assert_eq!(
+                    (plain.pos_matched, plain.neg_matched),
+                    (0, 0),
+                    "seed {seed}: the table answered a matching {cq:?}"
+                );
+                assert_eq!(e.stats, plain, "seed {seed}: {cq:?}");
+                assert_ne!(
+                    compiles_live(&s.system, &cq.canonical()),
+                    Some(true),
+                    "seed {seed}: {cq:?} compiles to a live disjunct"
+                );
+            }
+        }
+    }
+    answered
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6 })]
+
+    /// The liveness table answers only candidates that match nothing.
+    #[test]
+    fn table_answered_candidates_match_nothing(seed in 0u64..500, atoms in 1usize..3) {
+        check_table_answers(&scenario(seed), seed, atoms);
+        check_table_answers(&typed_scenario(seed), seed, atoms);
+        check_table_answers(&head_constant_scenario(seed), seed, atoms);
+    }
+}
+
+/// The property above is not vacuous: on fixed seeds the table answers
+/// refinements of both kinds of scenario.
+#[test]
+fn the_liveness_table_answers_refinements() {
+    let random: u64 = (0..4)
+        .map(|seed| check_table_answers(&scenario(seed), seed, 1))
+        .sum();
+    let typed: u64 = (0..2)
+        .map(|seed| check_table_answers(&typed_scenario(seed), seed, 1))
+        .sum();
+    let head_constant: u64 = (0..2)
+        .map(|seed| check_table_answers(&head_constant_scenario(seed), seed, 1))
+        .sum();
+    assert!(
+        random > 0,
+        "the table answered no random-scenario refinement"
+    );
+    assert!(typed > 0, "the table answered no typed-scenario refinement");
+    assert!(
+        head_constant > 0,
+        "the table answered no head-constant-scenario refinement"
+    );
 }
 
 /// Scores random roots' refinement batches with finite floors — a
@@ -434,7 +646,9 @@ fn floored_batches_prune_before_and_during_evaluation() {
 /// The property above is not vacuous: on fixed seeds, the random
 /// refinement pools contain source-equal siblings, so the source memo
 /// answers some of them, and data-dead disjuncts, so the engine drops
-/// some; the typed pools contain disjuncts only the join rule drops.
+/// some; the typed pools contain disjuncts only the join rule drops,
+/// and the engine drops each of them at compile unless the liveness
+/// table answered its candidate uncompiled.
 #[test]
 fn source_equal_siblings_occur_in_refinement_pools() {
     let (siblings, dead) = (0..4)
@@ -446,10 +660,12 @@ fn source_equal_siblings_occur_in_refinement_pools() {
         .map(|seed| check_refinements_against_uncached(&typed_scenario(seed), seed, 2))
         .collect();
     assert!(
-        typed.iter().any(|c| c.join_dead > 0),
-        "no refinement had a disjunct only the join rule drops"
+        typed.iter().any(|c| c.join_dead > c.table_join_dead),
+        "no compiled refinement had a disjunct only the join rule drops"
     );
-    assert!(typed.iter().all(|c| c.dead >= c.join_dead));
+    assert!(typed
+        .iter()
+        .all(|c| c.dead + c.table_join_dead >= c.join_dead));
 }
 
 /// Proposition 3.5 through the engine: growing the border radius never
