@@ -32,7 +32,9 @@
 //!    and guard; a failed fill is not stored, and the candidate compiles
 //!    itself. A guarded run is charged for fills instead of the compiles
 //!    they save, so it can stop at another candidate than it would
-//!    without the table. GAV unfolding is
+//!    without the table. A generalization of a parent that matched some
+//!    tuple matches it too, so it has a live disjunct: it skips the
+//!    table. GAV unfolding is
 //!    many-to-one (`likes(x, "Math")` and `studies(x, "Math")` both
 //!    compile to `ENR(x, "Math", z)` on the paper's system), so each
 //!    distinct source query is evaluated once per task. A lookup answered
@@ -47,13 +49,13 @@
 //!    `ucq_assembly_makes_no_evaluator_calls_once_disjuncts_are_cached`
 //!    below).
 //! 3. **Refinement monotonicity** (`crate::prune`). Candidates arriving
-//!    with a [`ParentHandle`] — the canonical key and stats of the query
-//!    they were refined from — are **delta-evaluated** when the parent's
-//!    bits are in the memo (looked up once per distinct parent and
-//!    batch): only the tuples whose match status can differ from the
-//!    parent's are run through the evaluator (the parent's bits settle
-//!    the rest as a `Prior::refining`, and one `PreparedLabels::evaluate`
-//!    call decides the tuples it leaves open). The same
+//!    with a [`ParentHandle`] — the bits and stats the single-CQ
+//!    explanation they were refined from was scored with — are
+//!    **delta-evaluated**: only the tuples whose match status can differ
+//!    from the parent's are run through the evaluator (the parent's bits
+//!    settle the rest as a `Prior::refining`, and one
+//!    `PreparedLabels::evaluate` call decides the tuples it leaves open).
+//!    The parent is not compiled or looked up again. The same
 //!    provenance puts each candidate's counts in a [`CountBox`] and
 //!    bounds its score, and [`ScoringEngine::score_batch_planned`] scores
 //!    a batch best bound first, in chunks, against a cut that rises with
@@ -71,36 +73,34 @@
 //!    slot, which later candidates with that source start from: pruned
 //!    without an evaluator call when it already puts them below their
 //!    cut, else evaluating the open tuples privately. A dead slot never
-//!    turns ready.
+//!    turns ready; the bits such a private evaluation completes are
+//!    returned unstored, and its explanation carries them to its
+//!    children like any other.
 //!
-//! The engine is shared across [`ExplainTask::with_limits`] clones via
-//! `Arc`, so a meta-strategy's base run warms the memo for its assembly
-//! phase.
+//! The memo, the liveness table, the counters and the fault hook are one
+//! `State` behind one `Mutex`. Batches score on the calling thread, so
+//! the lock is never contended; it keeps the engine `Sync`, so a task,
+//! which holds its engine in an `Arc`, can be shared with other threads,
+//! and [`ExplainTask::with_limits`] clones share the memo (a
+//! meta-strategy's base run warms it for its assembly phase). The lock is
+//! taken only between compiles and evaluations, never across one, and
+//! never twice at once. A panic under it leaves the state whole (each
+//! update is one insert or counter bump), so a poisoned lock is
+//! recovered rather than propagated: the candidate that panicked is
+//! quarantined (see [`ScoringEngine::score_batch_planned`]).
 //!
 //! [`GreedyUcq`]: crate::strategies::GreedyUcq
 //! [`ExplainTask::with_limits`]: crate::explain::ExplainTask::with_limits
 
 use crate::explain::{ExplainTask, Explanation};
-use crate::matcher::{MatchBits, MatchStats, PreparedLabels, Prior};
-use crate::prune::{CountBox, ParentHandle};
+use crate::matcher::{EvalWork, MatchBits, MatchStats, PreparedLabels, Prior};
+use crate::prune::{CountBox, ParentHandle, RefineDir};
 use crate::score::Scoring;
 use obx_obdm::{CompiledQuery, ObdmError};
 use obx_query::{Cutoff, OntoAtom, OntoCq, OntoUcq, SrcCq, SrcUcq, Term, VarId};
 use obx_util::{FxHashMap, Interrupt};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// Locks in the engine recover from poisoning instead of propagating it:
-/// a candidate whose scoring panicked is quarantined per candidate (see
-/// [`ScoringEngine::score_batch_planned`]), and the shared state a lock
-/// guards here (the memo) is never left mid-update across a panic
-/// boundary, so the data is intact.
-macro_rules! lock_recover {
-    ($e:expr) => {
-        $e.unwrap_or_else(PoisonError::into_inner)
-    };
-}
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Fault injection for the resilience test-suite: a **per-engine** hook
 /// that makes the Nth scoring call from arming either fail (a permanent
@@ -111,8 +111,6 @@ macro_rules! lock_recover {
 /// none of it.
 #[cfg(any(test, feature = "fault-injection"))]
 pub mod fault {
-    use std::sync::atomic::{AtomicI64, AtomicU8, Ordering};
-
     /// What the hook does when it fires.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum FaultMode {
@@ -122,52 +120,15 @@ pub mod fault {
         Panic,
     }
 
-    /// One engine's fault hook: disarmed by default, armed by
-    /// [`ScoringEngine::arm_fault`](super::ScoringEngine::arm_fault).
-    #[derive(Debug, Default)]
-    pub struct FaultState {
-        /// `-1` = disarmed; `k >= 0` = fire when the countdown hits zero.
-        countdown: AtomicI64,
-        /// 0 = none, 1 = fail, 2 = panic.
-        mode: AtomicU8,
-    }
-
-    impl FaultState {
-        pub(super) fn new() -> Self {
-            Self {
-                countdown: AtomicI64::new(-1),
-                mode: AtomicU8::new(0),
-            }
-        }
-
-        pub(super) fn arm(&self, nth: u64, mode: FaultMode) {
-            self.mode.store(
-                match mode {
-                    FaultMode::Fail => 1,
-                    FaultMode::Panic => 2,
+    impl FaultMode {
+        /// Fires the hook in the scoring call: the error it fails with.
+        pub(super) fn fire(self) -> obx_obdm::ObdmError {
+            match self {
+                FaultMode::Fail => obx_obdm::ObdmError::SchemaMismatch {
+                    detail: "injected fault".into(),
                 },
-                Ordering::SeqCst,
-            );
-            self.countdown.store(nth as i64 - 1, Ordering::SeqCst);
-        }
-
-        /// The engine-side check: fires at most once per arming.
-        pub(super) fn check(&self) -> Result<(), obx_obdm::ObdmError> {
-            if self.countdown.load(Ordering::SeqCst) < 0 {
-                return Ok(());
+                FaultMode::Panic => panic!("injected fault: scoring call panicked"),
             }
-            if self.countdown.fetch_sub(1, Ordering::SeqCst) == 0 {
-                match self.mode.load(Ordering::SeqCst) {
-                    1 => {
-                        return Err(obx_obdm::ObdmError::SchemaMismatch {
-                            detail: "injected fault".into(),
-                        })
-                    }
-                    2 => panic!("injected fault: scoring call panicked"),
-                    _ => {}
-                }
-            }
-            Ok(())
         }
     }
 }
@@ -199,8 +160,8 @@ pub struct BatchOutcome {
 pub struct PlannedCq {
     /// The candidate conjunctive query.
     pub cq: OntoCq,
-    /// The query this candidate was refined from, when it is a single
-    /// disjunct whose entry the engine may already hold.
+    /// The single-CQ query this candidate was refined from: its bits and
+    /// the step's direction.
     pub parent: Option<ParentHandle>,
 }
 
@@ -296,31 +257,124 @@ impl Cut<'_> {
     }
 }
 
-/// Each distinct refinement parent of a batch, with its memoized bits
-/// when it has any.
-type Parents<'p> = FxHashMap<&'p OntoCq, Option<Arc<MatchBits>>>;
+/// The engine's work counters, one per accessor of
+/// [`ScoringEngine`] (`hits` is [`ScoringEngine::cache_hits`], `evals`
+/// [`ScoringEngine::eval_calls`], …).
+#[derive(Debug, Default, Clone, Copy)]
+struct Counts {
+    hits: u64,
+    misses: u64,
+    evals: u64,
+    evals_saved: u64,
+    batch_calls: u64,
+    certified: u64,
+    masked: u64,
+    eval_nodes: u64,
+    cutoffs: u64,
+    dead_disjuncts: u64,
+    dead_candidates: u64,
+}
+
+impl Counts {
+    /// Charges one candidate's evaluation over `total` labelled tuples:
+    /// the evaluator call's `work`, or, with none, what the candidate
+    /// knew beforehand settled every tuple.
+    fn charge(&mut self, total: usize, work: Option<&EvalWork>) {
+        let Some(w) = work else {
+            self.evals_saved += total as u64;
+            return;
+        };
+        self.batch_calls += 1;
+        self.certified += w.certified as u64;
+        self.masked += w.masked as u64;
+        self.eval_nodes += w.nodes;
+        self.evals += w.evaluated as u64;
+        self.evals_saved += (total - w.asked) as u64;
+    }
+}
+
+/// Everything the engine remembers, behind its one lock (module docs).
+#[derive(Default)]
+struct State {
+    memo: FxHashMap<Vec<SrcCq>, SrcSlot>,
+    /// Whether each atom [`pattern`]'s own boolean query has a live
+    /// source disjunct.
+    live: FxHashMap<OntoAtom, bool>,
+    counts: Counts,
+    /// The armed fault hook: the fresh scoring calls it lets pass, and
+    /// what the next one does.
+    #[cfg(any(test, feature = "fault-injection"))]
+    fault: Option<(u64, fault::FaultMode)>,
+}
+
+impl State {
+    /// `bits` behind an `Arc`, stored ready under `store` first when the
+    /// lookup left the source's slot to this candidate.
+    fn publish(&mut self, store: Option<&[SrcCq]>, bits: MatchBits) -> Arc<MatchBits> {
+        let bits = Arc::new(bits);
+        if let Some(key) = store {
+            let slot = SrcSlot::Ready(Arc::clone(&bits));
+            self.memo.insert(key.to_vec(), slot);
+        }
+        bits
+    }
+
+    /// A candidate its cut pruned: counted, and what it settled stored as
+    /// its source's dead slot when the lookup left the slot to it.
+    fn prune(&mut self, store: Option<&[SrcCq]>, known: Prior) -> Option<Arc<MatchBits>> {
+        self.counts.cutoffs += 1;
+        if let Some(key) = store {
+            self.memo
+                .insert(key.to_vec(), SrcSlot::Dead(Arc::new(known)));
+        }
+        None
+    }
+
+    /// Counts one fresh scoring call against the armed hook: its mode
+    /// when this call is the one it fires at, once per arming.
+    #[cfg(any(test, feature = "fault-injection"))]
+    fn fault_due(&mut self) -> Option<fault::FaultMode> {
+        let (left, mode) = self.fault.as_mut()?;
+        if *left > 0 {
+            *left -= 1;
+            return None;
+        }
+        let mode = *mode;
+        self.fault = None;
+        Some(mode)
+    }
+}
+
+/// Decides `prior`'s open tuples against the source query `src` in one
+/// evaluator call that `cutoff` may stop. Returns what is known after
+/// it, whether the cutoff stopped it, and the call's work: `None` when
+/// `prior` (a parent's bits or a dead slot) had settled every tuple, so
+/// no call was made and the known hits are the bits.
+fn evaluate(
+    prepared: &PreparedLabels<'_>,
+    src: &SrcUcq,
+    prior: Prior,
+    cutoff: Cutoff,
+) -> (Prior, bool, Option<EvalWork>) {
+    if prior.is_settled() {
+        return (prior, false, None);
+    }
+    let e = prepared.evaluate(src, prior, cutoff);
+    (e.known, e.stopped, Some(e.work))
+}
 
 /// Shared scoring state of one explanation task. See the module docs.
 pub struct ScoringEngine {
-    memo: Mutex<FxHashMap<Vec<SrcCq>, SrcSlot>>,
-    /// Whether each atom [`pattern`]'s own boolean query has a live
-    /// source disjunct.
-    live: Mutex<FxHashMap<OntoAtom, bool>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evals: AtomicU64,
-    evals_saved: AtomicU64,
-    batch_calls: AtomicU64,
-    certified: AtomicU64,
-    masked: AtomicU64,
-    eval_nodes: AtomicU64,
-    cutoffs: AtomicU64,
-    dead_disjuncts: AtomicU64,
-    dead_candidates: AtomicU64,
+    state: Mutex<State>,
     incremental: bool,
-    #[cfg(any(test, feature = "fault-injection"))]
-    fault: fault::FaultState,
 }
+
+// The engine stays `Sync`, and so does a task holding it (module docs).
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<ScoringEngine>();
+    send_sync::<ExplainTask<'static>>();
+};
 
 impl ScoringEngine {
     /// An empty engine with the incremental (delta + pruning) path on.
@@ -332,23 +386,19 @@ impl ScoringEngine {
     /// baseline of an A/B comparison.
     pub fn with_config(incremental: bool) -> Self {
         Self {
-            memo: Mutex::new(FxHashMap::default()),
-            live: Mutex::new(FxHashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evals: AtomicU64::new(0),
-            evals_saved: AtomicU64::new(0),
-            batch_calls: AtomicU64::new(0),
-            certified: AtomicU64::new(0),
-            masked: AtomicU64::new(0),
-            eval_nodes: AtomicU64::new(0),
-            cutoffs: AtomicU64::new(0),
-            dead_disjuncts: AtomicU64::new(0),
-            dead_candidates: AtomicU64::new(0),
+            state: Mutex::new(State::default()),
             incremental,
-            #[cfg(any(test, feature = "fault-injection"))]
-            fault: fault::FaultState::new(),
         }
+    }
+
+    /// The engine's state, locked. The one place a poisoned lock is
+    /// recovered (module docs).
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn counts(&self) -> Counts {
+        self.state().counts
     }
 
     /// Arms this engine's fault-injection hook: the `nth` (1-based)
@@ -357,7 +407,7 @@ impl ScoringEngine {
     /// Test-only (`fault-injection` feature); see [`fault`].
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn arm_fault(&self, nth: u64, mode: fault::FaultMode) {
-        self.fault.arm(nth, mode);
+        self.state().fault = nth.checked_sub(1).map(|left| (left, mode));
     }
 
     /// The number of threads a batch is scored on: always 1, the
@@ -371,13 +421,13 @@ impl ScoringEngine {
     /// data-dead share the empty source's slot, so all but the first are
     /// hits.
     pub fn cache_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.counts().hits
     }
 
     /// Every other lookup that reached the engine: a compile failure, a
     /// source query seen first, or one whose slot is dead.
     pub fn cache_misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.counts().misses
     }
 
     /// Total J-match evaluations (one per labelled tuple evaluated per
@@ -386,7 +436,7 @@ impl ScoringEngine {
     /// so do data-dead source disjuncts: they are dropped before the
     /// evaluator, and a miss with none left makes no call.
     pub fn eval_calls(&self) -> u64 {
-        self.evals.load(Ordering::Relaxed)
+        self.counts().evals
     }
 
     /// Batched evaluator calls: one per cache miss that reached the
@@ -395,27 +445,27 @@ impl ScoringEngine {
     /// `eval_calls / batch_calls` is the mean number of tuples one call
     /// checks.
     pub fn batch_calls(&self) -> u64 {
-        self.batch_calls.load(Ordering::Relaxed)
+        self.counts().batch_calls
     }
 
     /// Source disjuncts the batched calls answered over the whole
     /// database, their border masks proven a no-op
     /// ([`obx_query::eval::certified`]).
     pub fn certified_disjuncts(&self) -> u64 {
-        self.certified.load(Ordering::Relaxed)
+        self.counts().certified
     }
 
     /// Source disjuncts the batched calls answered by searching
     /// border-masked views.
     pub fn masked_disjuncts(&self) -> u64 {
-        self.masked.load(Ordering::Relaxed)
+        self.counts().masked
     }
 
     /// Candidate atoms the batched evaluator calls of this engine
     /// inspected: its own join work, unlike the process-wide
     /// [`obx_query::eval::node_counts`] total.
     pub fn eval_nodes(&self) -> u64 {
-        self.eval_nodes.load(Ordering::Relaxed)
+        self.counts().eval_nodes
     }
 
     /// Candidates pruned after their cache miss: an evaluation a cutoff
@@ -423,7 +473,7 @@ impl ScoringEngine {
     /// outcomes already put it there (module docs, items 3 and 4). Each
     /// is also in its batch's [`BatchOutcome::pruned`].
     pub fn cutoffs(&self) -> u64 {
-        self.cutoffs.load(Ordering::Relaxed)
+        self.counts().cutoffs
     }
 
     /// Source disjuncts the lookups' compiles dropped as data-dead
@@ -432,14 +482,14 @@ impl ScoringEngine {
     /// variables sits in two columns that share no constant. They were
     /// neither keyed nor evaluated.
     pub fn dead_disjuncts(&self) -> u64 {
-        self.dead_disjuncts.load(Ordering::Relaxed)
+        self.counts().dead_disjuncts
     }
 
     /// Candidates the liveness table answered with the empty source
     /// query, uncompiled: one of their atoms compiles alone to data-dead
     /// disjuncts only (module docs, item 1).
     pub fn dead_candidates(&self) -> u64 {
-        self.dead_candidates.load(Ordering::Relaxed)
+        self.counts().dead_candidates
     }
 
     /// Whether the incremental path (parent-delta evaluation + bound
@@ -452,12 +502,12 @@ impl ScoringEngine {
     /// each delta-evaluated disjunct, the number of labelled tuples whose
     /// status was settled by monotonicity instead of the evaluator.
     pub fn evals_saved(&self) -> u64 {
-        self.evals_saved.load(Ordering::Relaxed)
+        self.counts().evals_saved
     }
 
     /// Number of distinct source queries in the memo, ready or dead.
     pub fn cache_len(&self) -> usize {
-        lock_recover!(self.memo.lock()).len()
+        self.state().memo.len()
     }
 
     /// The match bits of one disjunct: from the memo when its compiled
@@ -471,15 +521,18 @@ impl ScoringEngine {
         cq: &OntoCq,
         interrupt: &Interrupt,
     ) -> Result<Arc<MatchBits>, ObdmError> {
-        let src = self.compile(prepared, cq, interrupt)?;
+        let src = self.compile(prepared, cq, interrupt, false)?;
         let key = source_key(&src);
         let (store, prior) = match self.lookup(prepared, &key, None)? {
             Lookup::Bits(bits) => return Ok(bits),
             Lookup::Miss(store, prior) => (store, prior),
         };
         // Without a cutoff an evaluation settles every open tuple.
-        let (known, _) = self.evaluate(prepared, &src, prior, Cutoff::NONE);
-        Ok(self.publish(store, known.into_bits()))
+        let (known, _, work) = evaluate(prepared, &src, prior, Cutoff::NONE);
+        let mut st = self.state();
+        st.counts
+            .charge(prepared.num_pos() + prepared.num_neg(), work.as_ref());
+        Ok(st.publish(store, known.into_bits()))
     }
 
     /// [`ScoringEngine::disjunct`] for a candidate of a batch. With
@@ -497,10 +550,13 @@ impl ScoringEngine {
         prepared: &PreparedLabels<'_>,
         cq: &OntoCq,
         interrupt: &Interrupt,
-        parent: Option<(&MatchBits, crate::prune::RefineDir)>,
+        parent: Option<(&MatchBits, RefineDir)>,
         cut: Cut<'_>,
     ) -> Result<Option<Arc<MatchBits>>, ObdmError> {
-        let src = self.compile(prepared, cq, interrupt)?;
+        // A generalization matches whatever its parent matched, so one
+        // with a matching parent has a live disjunct.
+        let live = matches!(parent, Some((bits, RefineDir::Generalize)) if bits.count_ones() > 0);
+        let src = self.compile(prepared, cq, interrupt, live)?;
         let key = source_key(&src);
         let (store, prior) = match self.lookup(prepared, &key, parent)? {
             Lookup::Bits(bits) => return Ok(Some(bits)),
@@ -511,24 +567,27 @@ impl ScoringEngine {
         let cutoff = if cut.floor > f64::NEG_INFINITY {
             match cut.cutoff(&prior.count_box()) {
                 Some(cutoff) => cutoff,
-                None => return Ok(self.prune(store, prior)),
+                None => return Ok(self.state().prune(store, prior)),
             }
         } else {
             Cutoff::NONE
         };
-        let (known, stopped) = self.evaluate(prepared, &src, prior, cutoff);
+        let (known, stopped, work) = evaluate(prepared, &src, prior, cutoff);
+        let mut st = self.state();
+        st.counts
+            .charge(prepared.num_pos() + prepared.num_neg(), work.as_ref());
         if stopped {
-            return Ok(self.prune(store, known));
+            return Ok(st.prune(store, known));
         }
-        Ok(Some(self.publish(store, known.into_bits())))
+        Ok(Some(st.publish(store, known.into_bits())))
     }
 
     /// The memoized bits of `cq`, when a lookup has stored them:
     /// compiled under an inert interrupt, so a query the run already
     /// compiled is not charged to its resource guard or profile again,
     /// keyed on its live disjuncts as a lookup keys it, and read with no
-    /// evaluation and no counter. Refinement parents resolve through
-    /// this.
+    /// evaluation and no counter. Exhaustive search resolves its
+    /// candidates' prefixes through this.
     pub(crate) fn ready_bits(
         &self,
         prepared: &PreparedLabels<'_>,
@@ -536,7 +595,8 @@ impl ScoringEngine {
     ) -> Option<Arc<MatchBits>> {
         let compiled = prepared.system().spec().compile_cq(&cq.canonical()).ok()?;
         let (src, _) = live_source(prepared, compiled);
-        match lock_recover!(self.memo.lock()).get(source_key(&src).as_ref()) {
+        let st = self.state();
+        match st.memo.get(source_key(&src).as_ref()) {
             Some(SrcSlot::Ready(bits)) => Some(Arc::clone(bits)),
             _ => None,
         }
@@ -545,32 +605,31 @@ impl ScoringEngine {
     /// Compiles `cq`'s canonical form and drops its data-dead source
     /// disjuncts ([`live_source`]); a failure counts as a miss. A
     /// candidate the liveness table proves dead is not compiled: its
-    /// source query is the empty one.
+    /// source query is the empty one. A candidate known to be `live`
+    /// skips the table.
     fn compile(
         &self,
         prepared: &PreparedLabels<'_>,
         cq: &OntoCq,
         interrupt: &Interrupt,
+        live: bool,
     ) -> Result<SrcUcq, ObdmError> {
         let canon = if cq.is_canonical() {
             Cow::Borrowed(cq)
         } else {
             Cow::Owned(cq.canonical())
         };
-        if self.dead_before_compile(prepared, &canon, interrupt) {
-            self.dead_candidates.fetch_add(1, Ordering::Relaxed);
+        if !live && self.dead_before_compile(prepared, &canon, interrupt) {
+            self.state().counts.dead_candidates += 1;
             return Ok(SrcUcq::empty());
         }
         let compiled = prepared
             .system()
             .spec()
             .compile_cq_interruptible(&canon, interrupt)
-            .inspect_err(|_| {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            })?;
+            .inspect_err(|_| self.state().counts.misses += 1)?;
         let (src, dropped) = live_source(prepared, compiled);
-        self.dead_disjuncts
-            .fetch_add(dropped as u64, Ordering::Relaxed);
+        self.state().counts.dead_disjuncts += dropped as u64;
         Ok(src)
     }
 
@@ -611,8 +670,9 @@ impl ScoringEngine {
         key: OntoAtom,
         interrupt: &Interrupt,
     ) -> Option<bool> {
-        if let Some(&live) = lock_recover!(self.live.lock()).get(&key) {
-            return Some(live);
+        let known = self.state().live.get(&key).copied();
+        if known.is_some() {
+            return known;
         }
         let query = OntoCq::new(Vec::new(), vec![key]).ok()?;
         let compiled = prepared
@@ -621,7 +681,7 @@ impl ScoringEngine {
             .compile_cq_interruptible(&query, interrupt)
             .ok()?;
         let live = !live_source(prepared, compiled).0.is_empty();
-        lock_recover!(self.live.lock()).insert(key, live);
+        self.state().live.insert(key, live);
         Some(live)
     }
 
@@ -631,27 +691,33 @@ impl ScoringEngine {
         &self,
         prepared: &PreparedLabels<'_>,
         key: &'k [SrcCq],
-        parent: Option<(&MatchBits, crate::prune::RefineDir)>,
+        parent: Option<(&MatchBits, RefineDir)>,
     ) -> Result<Lookup<'k>, ObdmError> {
-        let dead = match lock_recover!(self.memo.lock()).get(key) {
+        let mut guard = self.state();
+        let st = &mut *guard;
+        let dead = match st.memo.get(key) {
             Some(SrcSlot::Ready(bits)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                st.counts.hits += 1;
                 return Ok(Lookup::Bits(Arc::clone(bits)));
             }
             Some(SrcSlot::Dead(known)) => Some(Arc::clone(known)),
             None => None,
         };
         let store = dead.is_none().then_some(key);
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        st.counts.misses += 1;
         #[cfg(any(test, feature = "fault-injection"))]
-        self.fault.check()?;
+        if let Some(mode) = st.fault_due() {
+            drop(guard);
+            return Err(mode.fire());
+        }
         if key.is_empty() {
             // No live disjunct: no tuple matches, with no evaluator call.
             // The slot is stored ready, never dead, so every later
             // candidate with the empty source hits it.
             let bits = MatchBits::empty(prepared.num_pos(), prepared.num_neg());
-            return Ok(Lookup::Bits(self.publish(store, bits)));
+            return Ok(Lookup::Bits(st.publish(store, bits)));
         }
+        drop(guard);
         let mut prior = prepared.prior(parent)?;
         if let Some(known) = dead {
             prior.learn(&known)?;
@@ -659,95 +725,14 @@ impl ScoringEngine {
         Ok(Lookup::Miss(store, prior))
     }
 
-    /// `bits` behind an `Arc`, stored ready under `store` first when the
-    /// lookup left the source's slot to this candidate.
-    fn publish(&self, store: Option<&[SrcCq]>, bits: MatchBits) -> Arc<MatchBits> {
-        let bits = Arc::new(bits);
-        if let Some(key) = store {
-            let slot = SrcSlot::Ready(Arc::clone(&bits));
-            lock_recover!(self.memo.lock()).insert(key.to_vec(), slot);
-        }
-        bits
-    }
-
-    /// Decides `prior`'s open tuples against the source query `src` in
-    /// one evaluator call that `cutoff` may stop, and charges its work to
-    /// the counters. Returns what is known after it, and whether the
-    /// cutoff stopped it.
-    fn evaluate(
-        &self,
-        prepared: &PreparedLabels<'_>,
-        src: &SrcUcq,
-        prior: Prior,
-        cutoff: Cutoff,
-    ) -> (Prior, bool) {
-        let total = prepared.num_pos() + prepared.num_neg();
-        if prior.is_settled() {
-            // The parent's bits or a dead slot settled every tuple: the
-            // known hits are the bits, with no evaluator call.
-            self.evals_saved.fetch_add(total as u64, Ordering::Relaxed);
-            return (prior, false);
-        }
-        let e = prepared.evaluate(src, prior, cutoff);
-        self.batch_calls.fetch_add(1, Ordering::Relaxed);
-        self.certified
-            .fetch_add(e.work.certified as u64, Ordering::Relaxed);
-        self.masked
-            .fetch_add(e.work.masked as u64, Ordering::Relaxed);
-        self.eval_nodes.fetch_add(e.work.nodes, Ordering::Relaxed);
-        self.evals
-            .fetch_add(e.work.evaluated as u64, Ordering::Relaxed);
-        self.evals_saved
-            .fetch_add((total - e.work.asked) as u64, Ordering::Relaxed);
-        (e.known, e.stopped)
-    }
-
-    /// A candidate its cut pruned: counted, and what it settled stored as
-    /// its source's dead slot when the lookup left the slot to it.
-    fn prune(&self, store: Option<&[SrcCq]>, known: Prior) -> Option<Arc<MatchBits>> {
-        self.cutoffs.fetch_add(1, Ordering::Relaxed);
-        if let Some(key) = store {
-            let slot = SrcSlot::Dead(Arc::new(known));
-            lock_recover!(self.memo.lock()).insert(key.to_vec(), slot);
-        }
-        None
-    }
-
-    /// Match bitset of a UCQ: the OR of its disjuncts' memoized bitsets.
-    pub fn match_bits_ucq(
-        &self,
-        prepared: &PreparedLabels<'_>,
-        ucq: &OntoUcq,
-    ) -> Result<MatchBits, ObdmError> {
-        self.match_bits_ucq_interruptible(prepared, ucq, &Interrupt::none())
-    }
-
-    /// [`ScoringEngine::match_bits_ucq`] under a cooperative stop signal.
-    pub fn match_bits_ucq_interruptible(
-        &self,
-        prepared: &PreparedLabels<'_>,
-        ucq: &OntoUcq,
-        interrupt: &Interrupt,
-    ) -> Result<MatchBits, ObdmError> {
-        let mut acc = MatchBits::empty(prepared.num_pos(), prepared.num_neg());
-        for d in ucq.disjuncts() {
-            let bits = self.disjunct(prepared, d, interrupt)?;
-            // Every memoized bitset is shaped by `prepared`; a mismatch
-            // means the engine was shared across label sets, and the
-            // candidate fails with `LabelShape` like any other
-            // permanently failing one.
-            acc.union_with(&bits)?;
-        }
-        Ok(acc)
-    }
-
-    /// Match statistics of a UCQ, via [`ScoringEngine::match_bits_ucq`].
+    /// Match statistics of a UCQ: the popcounts of the OR of its
+    /// disjuncts' memoized bitsets.
     pub fn stats_ucq(
         &self,
         prepared: &PreparedLabels<'_>,
         ucq: &OntoUcq,
     ) -> Result<MatchStats, ObdmError> {
-        Ok(self.match_bits_ucq(prepared, ucq)?.stats())
+        self.stats_ucq_interruptible(prepared, ucq, &Interrupt::none())
     }
 
     /// [`ScoringEngine::stats_ucq`] under a cooperative stop signal.
@@ -757,9 +742,16 @@ impl ScoringEngine {
         ucq: &OntoUcq,
         interrupt: &Interrupt,
     ) -> Result<MatchStats, ObdmError> {
-        Ok(self
-            .match_bits_ucq_interruptible(prepared, ucq, interrupt)?
-            .stats())
+        let mut acc = MatchBits::empty(prepared.num_pos(), prepared.num_neg());
+        for d in ucq.disjuncts() {
+            let bits = self.disjunct(prepared, d, interrupt)?;
+            // Every memoized bitset is shaped by `prepared`; a mismatch
+            // means the engine was shared across label sets, and the
+            // candidate fails with `LabelShape` like any other
+            // permanently failing one.
+            acc.union_with(&bits)?;
+        }
+        Ok(acc.stats())
     }
 
     /// Scores a batch of candidates carrying refinement provenance on the
@@ -783,9 +775,8 @@ impl ScoringEngine {
     /// selection can ever inspect (e.g. the beam's diversity window; 0
     /// when the caller selects on its pool alone); `cap` is the size the
     /// caller truncates its ranked pool ∪ this batch to; `pool` holds the
-    /// pool's scores (any order). Each distinct parent is looked up in
-    /// the memo once, before the batch scores: the children of a parent
-    /// whose bits are there are delta-evaluated, the others in full.
+    /// pool's scores (any order). A candidate with a parent handle is
+    /// delta-evaluated against the handle's bits, the others in full.
     ///
     /// Candidates score in order of their admissible bound, highest
     /// first (candidates without provenance have bound `+∞`; the sort is
@@ -824,25 +815,15 @@ impl ScoringEngine {
         sp.count("candidates", n as u64);
         let bounds: Vec<f64> = planned
             .iter()
-            .map(|p| match (&p.parent, self.incremental) {
+            .map(|p| match self.provenance(p) {
                 // The parent's box with the candidate's own shape: its
                 // atom count is exact (δ5), and it is one disjunct (δ6).
-                (Some(h), true) => task
+                Some(h) => task
                     .scoring()
                     .bound_over(&h.count_box(), p.cq.num_atoms(), 1),
-                _ => f64::INFINITY,
+                None => f64::INFINITY,
             })
             .collect();
-        // Each distinct parent's bits are looked up once; a parent whose
-        // source query is not ready gives its children full evaluation.
-        let mut parents = Parents::default();
-        if self.incremental {
-            for h in planned.iter().filter_map(|p| p.parent.as_ref()) {
-                parents
-                    .entry(h.key())
-                    .or_insert_with(|| self.ready_bits(task.prepared(), h.key()));
-            }
-        }
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]));
         let chunk = if window == 0 || !self.incremental {
@@ -874,7 +855,8 @@ impl ScoringEngine {
                 if task.stop_reason().is_some() {
                     break;
                 }
-                score_one(task, &planned[i], &parents, cut, &mut out);
+                let p = &planned[i];
+                score_one(task, &p.cq, self.provenance(p), cut, &mut out);
             }
             floors.add(out.explanations[scored..].iter().map(|e| e.score));
             sp.count("chunks", 1);
@@ -885,6 +867,11 @@ impl ScoringEngine {
         sp.count("pruned", out.pruned as u64);
         BATCH_NS.record_duration(t0.elapsed());
         out
+    }
+
+    /// `p`'s parent handle, which the baseline engine ignores.
+    fn provenance<'p>(&self, p: &'p PlannedCq) -> Option<&'p ParentHandle> {
+        p.parent.as_ref().filter(|_| self.incremental)
     }
 
     /// The recorder riding on `task`'s budget, if any — the hook every
@@ -898,23 +885,20 @@ impl ScoringEngine {
 }
 
 /// Scores one batch candidate against the pruning cut `cut`, inside
-/// `catch_unwind`, delta-evaluating it against its parent's bits in
-/// `parents`, and tallies it in `out`: its explanation, or one more
-/// pruned or quarantined candidate. A transient error (the budget firing
+/// `catch_unwind`, delta-evaluating it against its `parent`'s bits, and
+/// tallies it in `out`: its explanation, or one more pruned or
+/// quarantined candidate. A transient error (the budget firing
 /// mid-compile) tallies nothing.
 fn score_one(
     task: &ExplainTask<'_>,
-    p: &PlannedCq,
-    parents: &Parents<'_>,
+    cq: &OntoCq,
+    parent: Option<&ParentHandle>,
     cut: f64,
     out: &mut BatchOutcome,
 ) {
-    let parent = p.parent.as_ref().and_then(|h| {
-        let bits = parents.get(h.key())?.as_deref()?;
-        Some((bits, h.dir()))
-    });
+    let parent = parent.map(|h| (h.bits(), h.dir()));
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        task.score_cq_at(&p.cq, parent, cut)
+        task.score_cq_at(cq, parent, cut)
     }));
     match attempt {
         Ok(Ok(Some(e))) => out.explanations.push(e),
@@ -993,19 +977,10 @@ impl Default for ScoringEngine {
 
 impl std::fmt::Debug for ScoringEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let st = self.state();
         f.debug_struct("ScoringEngine")
-            .field("memoized", &self.cache_len())
-            .field("hits", &self.cache_hits())
-            .field("misses", &self.cache_misses())
-            .field("evals", &self.eval_calls())
-            .field("evals_saved", &self.evals_saved())
-            .field("batch_calls", &self.batch_calls())
-            .field("certified_disjuncts", &self.certified_disjuncts())
-            .field("masked_disjuncts", &self.masked_disjuncts())
-            .field("eval_nodes", &self.eval_nodes())
-            .field("cutoffs", &self.cutoffs())
-            .field("dead_disjuncts", &self.dead_disjuncts())
-            .field("dead_candidates", &self.dead_candidates())
+            .field("memoized", &st.memo.len())
+            .field("counts", &st.counts)
             .field("incremental", &self.incremental)
             .finish()
     }
@@ -1300,17 +1275,71 @@ mod tests {
             "restricted evaluation must skip the parent's zero bits"
         );
 
+        // The baseline engine ignores the handle: full evaluation.
         let off = Arc::new(ScoringEngine::with_config(false));
-        let task_off = task.with_engine(off);
-        let full = task_off.score_cq(&child_q.disjuncts()[0]).unwrap();
+        let task_off = task.with_engine(Arc::clone(&off));
+        let planned = PlannedCq {
+            cq: child_q.disjuncts()[0].clone(),
+            parent: ParentHandle::from_explanation(RefineDir::Specialize, &parent),
+        };
+        assert!(planned.parent.is_some());
+        let outcome =
+            off.score_batch_planned(&task_off, vec![planned], usize::MAX, usize::MAX, &[]);
+        assert_eq!(off.evals_saved(), 0, "the baseline never delta-evaluates");
+        let full = &outcome.explanations[0];
         assert_eq!(child.stats, full.stats);
         assert_eq!(child.score.to_bits(), full.score.to_bits());
         assert_eq!(child.criterion_values, full.criterion_values);
     }
 
     #[test]
+    fn a_parent_scored_from_a_dead_slot_delta_evaluates_its_children() {
+        use crate::prune::{ParentHandle, RefineDir};
+        // `likes(x, "Math")` and `studies(x, "Math")` share one source
+        // query; a batch under the pool's 0.7 cut stops its evaluation
+        // and leaves a dead slot. The parent then scores from that slot:
+        // its bits are complete but never stored ready.
+        let mut sys = example_3_6_system();
+        let (labels, scoring) = paper_task(&mut sys);
+        let likes = sys.parse_query(r#"q(x) :- likes(x, "Math")"#).unwrap();
+        let studies = sys.parse_query(r#"q(x) :- studies(x, "Math")"#).unwrap();
+        // A source query of its own, so the child cannot read the dead
+        // slot: delta evaluation is the only way it saves a tuple.
+        let child_q = sys
+            .parse_query(r#"q(x) :- likes(x, "Math"), studies(x, y), taughtIn(y, "TV")"#)
+            .unwrap();
+        let task = ExplainTask::new(&sys, &labels, 1, &scoring, SearchLimits::default()).unwrap();
+        let engine = Arc::new(ScoringEngine::with_config(true));
+        let task = task.with_engine(Arc::clone(&engine));
+        let planned = [&studies, &likes]
+            .map(|q| PlannedCq {
+                cq: q.disjuncts()[0].clone(),
+                parent: None,
+            })
+            .to_vec();
+        let outcome = engine.score_batch_planned(&task, planned, 0, 1, &[0.7]);
+        assert_eq!(outcome.pruned, 2);
+        let parent = task.score_cq(&likes.disjuncts()[0]).unwrap();
+        assert!(engine
+            .ready_bits(task.prepared(), &likes.disjuncts()[0])
+            .is_none());
+
+        let (saved, calls) = (engine.evals_saved(), engine.batch_calls());
+        let child = PlannedCq {
+            cq: child_q.disjuncts()[0].clone(),
+            parent: ParentHandle::from_explanation(RefineDir::Specialize, &parent),
+        };
+        let outcome = engine.score_batch_planned(&task, vec![child], usize::MAX, usize::MAX, &[]);
+        let child = &outcome.explanations[0];
+        assert_eq!(child.stats, task.prepared().stats_of(&child_q).unwrap());
+        assert_eq!(engine.batch_calls(), calls + 1);
+        // The parent matched A10, B80 and E25: the other two tuples are
+        // settled by its bits.
+        assert_eq!(engine.evals_saved(), saved + 2);
+    }
+
+    #[test]
     fn planned_batches_prune_below_window_and_floor() {
-        use crate::matcher::MatchStats;
         use crate::prune::{ParentHandle, RefineDir};
         let mut sys = example_3_6_system();
         let (labels, scoring) = paper_task(&mut sys);
@@ -1320,16 +1349,9 @@ mod tests {
         // A parent that matched no positives: every Specialize child is
         // bounded by (0 + 1 + 1) / 3 under the paper weighting, well below
         // the strong candidate's 0.833.
-        let hopeless = ParentHandle::new(
-            RefineDir::Specialize,
-            weak_q.disjuncts()[0].clone(),
-            MatchStats {
-                pos_matched: 0,
-                pos_total: 4,
-                neg_matched: 1,
-                neg_total: 1,
-            },
-        );
+        let mut bits = MatchBits::empty(4, 1);
+        bits.set(4);
+        let hopeless = ParentHandle::new(RefineDir::Specialize, Arc::new(bits));
         let planned = |parent: Option<ParentHandle>| -> Vec<PlannedCq> {
             vec![
                 PlannedCq {

@@ -101,6 +101,12 @@ pub struct Explanation {
     pub stats: MatchStats,
     /// `f_δ(q)` per criterion, in the scoring's criteria order.
     pub criterion_values: Vec<f64>,
+    /// The match bits the engine scored a single-CQ query with: what its
+    /// refinements are delta-evaluated against ([`ParentHandle`]).
+    /// `None` for a query [`ExplainTask::score_ucq`] scored.
+    ///
+    /// [`ParentHandle`]: crate::prune::ParentHandle
+    pub(crate) bits: Option<Arc<MatchBits>>,
 }
 
 impl Explanation {
@@ -340,13 +346,14 @@ impl<'a> ExplainTask<'a> {
             score,
             stats,
             criterion_values,
+            bits: None,
         })
     }
 
     /// Scores a single CQ candidate.
     pub fn score_cq(&self, cq: &OntoCq) -> Result<Explanation, ExplainError> {
         let bits = self.engine.disjunct(&self.prepared, cq, &self.interrupt)?;
-        Ok(self.explanation_of(cq, &bits))
+        Ok(self.explanation_of(cq, bits))
     }
 
     /// [`ExplainTask::score_cq`] for a candidate of a batch
@@ -368,11 +375,11 @@ impl<'a> ExplainTask<'a> {
         let bits = self
             .engine
             .disjunct_at(&self.prepared, cq, &self.interrupt, parent, cut)?;
-        Ok(bits.map(|bits| self.explanation_of(cq, &bits)))
+        Ok(bits.map(|bits| self.explanation_of(cq, bits)))
     }
 
     /// The explanation of a single CQ whose match bits are `bits`.
-    fn explanation_of(&self, cq: &OntoCq, bits: &MatchBits) -> Explanation {
+    fn explanation_of(&self, cq: &OntoCq, bits: Arc<MatchBits>) -> Explanation {
         let stats = bits.stats();
         let ctx = CriterionCtx {
             stats: &stats,
@@ -386,6 +393,7 @@ impl<'a> ExplainTask<'a> {
             score,
             stats,
             criterion_values,
+            bits: Some(bits),
         }
     }
 

@@ -33,15 +33,16 @@
 //!    compilation, and an evaluation whose box falls below the cut stops
 //!    (`cutoff`).
 //!
-//! Both are *exact* accelerations: the engine falls back to a full
-//! evaluation whenever the parent's bits are not in the memo (or
-//! compilation of the parent failed), and pruning only ever drops
-//! candidates that are provably outside the returned ranking, so the
-//! incremental path returns byte-identical output to the baseline.
+//! Both are *exact* accelerations: a candidate without a
+//! [`ParentHandle`] (a root, or a child of a union) is evaluated in
+//! full, and pruning only ever drops candidates that are provably
+//! outside the returned ranking, so the incremental path returns
+//! byte-identical output to the baseline.
 
 use crate::explain::Explanation;
-use crate::matcher::MatchStats;
-use obx_query::{Cutoff, OntoCq};
+use crate::matcher::{MatchBits, MatchStats};
+use obx_query::Cutoff;
+use std::sync::Arc;
 
 /// Direction of a refinement step in the lattice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,45 +305,50 @@ fn budget(max: usize, ok: impl Fn(usize) -> bool) -> usize {
     lo
 }
 
-/// Refinement provenance for a candidate: the parent's canonical cache
-/// key plus the statistics that bound every descendant's score.
+/// Refinement provenance for a candidate: the match bits its parent was
+/// scored with, their statistics (which bound every descendant's score)
+/// and the step's direction. The engine delta-evaluates the candidate
+/// against the bits directly: the parent is not compiled or looked up
+/// again.
 ///
 /// A handle is only built from single-disjunct parents: a generalization
 /// child of one disjunct need not contain a *union's* answers, so union
 /// statistics would make the upward bound inadmissible (and the downward
 /// delta mask wrong). [`ParentHandle::from_explanation`] returns `None`
 /// for multi-disjunct parents, which simply falls back to full evaluation.
-/// Every child of a parent carries a clone of its handle, so the key is
-/// shared, not copied.
+/// Every child of a parent carries a clone of its handle, so the bits
+/// are shared, not copied.
 #[derive(Debug, Clone)]
 pub struct ParentHandle {
-    key: std::sync::Arc<OntoCq>,
-    dir: RefineDir,
+    bits: Arc<MatchBits>,
     stats: MatchStats,
+    dir: RefineDir,
 }
 
 impl ParentHandle {
-    /// Builds a handle from the parent's canonical key and match stats.
-    pub fn new(dir: RefineDir, key: OntoCq, stats: MatchStats) -> Self {
+    /// Builds a handle from the parent's match bits, as the engine
+    /// scored them on the task's labels.
+    pub fn new(dir: RefineDir, bits: Arc<MatchBits>) -> Self {
         ParentHandle {
-            key: std::sync::Arc::new(key.canonical()),
+            stats: bits.stats(),
+            bits,
             dir,
-            stats,
         }
     }
 
-    /// Builds a handle from a scored parent explanation, or `None` when
-    /// the explanation is a union (see the type-level docs).
+    /// Builds a handle from a parent explanation the engine scored as one
+    /// CQ, or `None` for any other (a union, see the type-level docs, or
+    /// an explanation [`ExplainTask::score_ucq`] built, which keeps no
+    /// bits).
+    ///
+    /// [`ExplainTask::score_ucq`]: crate::explain::ExplainTask::score_ucq
     pub fn from_explanation(dir: RefineDir, e: &Explanation) -> Option<Self> {
-        match e.query.disjuncts() {
-            [d] => Some(Self::new(dir, d.clone(), e.stats)),
-            _ => None,
-        }
+        Some(Self::new(dir, Arc::clone(e.bits.as_ref()?)))
     }
 
-    /// The parent's canonical cache key.
-    pub fn key(&self) -> &OntoCq {
-        &self.key
+    /// The parent's match bits.
+    pub fn bits(&self) -> &MatchBits {
+        &self.bits
     }
 
     /// Which way the refinement step went.

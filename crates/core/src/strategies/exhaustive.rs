@@ -13,7 +13,6 @@ use crate::engine::PlannedCq;
 use crate::explain::{
     finalize_report, rank, ExplainError, ExplainReport, ExplainTask, Explanation, Strategy,
 };
-use crate::matcher::MatchStats;
 use crate::prune::{ParentHandle, RefineDir};
 use obx_query::{OntoAtom, OntoCq, Term, VarId};
 use obx_util::{FxHashMap, FxHashSet, Interrupt};
@@ -128,20 +127,19 @@ impl Strategy for ExhaustiveSearch {
                 pool_floor_of(&ranked_pool, cap),
             );
             // Each distinct prefix is looked up once per chunk.
-            let mut prefixes: FxHashMap<&OntoCq, Option<MatchStats>> = FxHashMap::default();
+            let mut prefixes: FxHashMap<&OntoCq, Option<ParentHandle>> = FxHashMap::default();
             let planned: Vec<PlannedCq> = chunk
                 .iter()
                 .map(|(cq, parent)| PlannedCq {
                     cq: cq.clone(),
                     parent: parent.as_ref().and_then(|k| {
-                        let stats = prefixes.entry(k).or_insert_with(|| {
-                            engine.ready_bits(task.prepared(), k).map(|b| b.stats())
-                        });
-                        Some(ParentHandle::new(
-                            RefineDir::Specialize,
-                            k.clone(),
-                            (*stats)?,
-                        ))
+                        prefixes
+                            .entry(k)
+                            .or_insert_with(|| {
+                                let bits = engine.ready_bits(task.prepared(), k)?;
+                                Some(ParentHandle::new(RefineDir::Specialize, bits))
+                            })
+                            .clone()
                     }),
                 })
                 .collect();

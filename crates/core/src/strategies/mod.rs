@@ -281,8 +281,7 @@ pub(crate) fn dedup_planned(
     let mut out = Vec::with_capacity(candidates.len());
     for p in candidates {
         let canon = p.cq.canonical();
-        if !seen.contains(&canon) {
-            seen.insert(canon.clone());
+        if seen.insert(canon.clone()) {
             out.push(PlannedCq {
                 cq: canon,
                 parent: p.parent,

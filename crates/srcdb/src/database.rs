@@ -534,14 +534,17 @@ impl Database {
     /// use.
     #[inline]
     fn dedup_table(&self) -> &DedupTable {
-        self.dedup.get_or_init(|| {
-            Box::new(DedupTable::build(
-                self.dedup_hint,
-                &self.rels,
-                &self.offs,
-                &self.args,
-            ))
-        })
+        self.dedup.get_or_init(|| self.build_dedup())
+    }
+
+    /// The dedup table over the current rows.
+    fn build_dedup(&self) -> Box<DedupTable> {
+        Box::new(DedupTable::build(
+            self.dedup_hint,
+            &self.rels,
+            &self.offs,
+            &self.args,
+        ))
     }
 
     /// The query indexes, materializing them over the current rows on
@@ -562,19 +565,20 @@ impl Database {
     /// Inserts an atom, returning its id (existing id if duplicate).
     pub fn insert(&mut self, atom: Atom) -> Result<AtomId, SchemaError> {
         self.schema.check_arity(atom.rel, atom.args.len())?;
-        self.dedup_table();
+        // Out of its cell while rows are added, then put back.
+        let mut dedup = self.dedup.take().unwrap_or_else(|| self.build_dedup());
         let hash = hash_row(atom.rel, &atom.args);
         let (rels, offs, args) = (&self.rels, &self.offs, &self.args);
-        let Some(dedup) = self.dedup.get_mut() else {
-            unreachable!("dedup_table() above materializes the table");
-        };
-        if let Some(id) = dedup.find(hash, |i| {
+        let found = dedup.find(hash, |i| {
             rels[i as usize] == atom.rel && row_at(offs, args, i as usize) == &*atom.args
-        }) {
+        });
+        if let Some(id) = found {
+            self.dedup = OnceLock::from(dedup);
             return Ok(id);
         }
         let id = AtomId(self.rels.len() as u32);
         dedup.insert(hash, id.0);
+        self.dedup = OnceLock::from(dedup);
         self.rels.push(atom.rel);
         self.args.extend_from_slice(&atom.args);
         self.offs.push(self.args.len() as u32);
